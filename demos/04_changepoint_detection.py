@@ -13,7 +13,7 @@ dragging the vehicle away from where its value estimate thinks it is.
 import numpy as np
 
 from driftwatch.detectors import (
-    NominalProfile,
+    AgeProfile,
     PageHinkley,
     bocpd_flag,
     bocpd_init,
@@ -22,7 +22,10 @@ from driftwatch.detectors import (
 
 rng = np.random.default_rng(5)
 
-profile = NominalProfile(mu0=0.0, sigma0_sq=1.0, n_samples=500)
+# unit noise around a mean of 0 at every age; a segment's level has the
+# same prior variance as the noise
+profile = AgeProfile(means=(0.0,), variances=(1.0,), noise_var=1.0,
+                     level_var=1.0, n_samples=500)
 n, change_at = 120, 60
 shift = -3.0
 stream = rng.normal(0.0, 1.0, size=n)

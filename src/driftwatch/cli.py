@@ -22,7 +22,6 @@ from .config import (
 from .ddpg import load_checkpoint, save_checkpoint, train
 from .detectors import (
     AgeProfile,
-    NominalProfile,
     bocpd_init,
     bocpd_oracle,
     bocpd_posterior_dense,
@@ -216,11 +215,13 @@ def _cmd_eval(cfg: ExperimentConfig, seed: int, out: Path, args) -> int:
 
 
 def _oracle_priors() -> dict:
-    """The pooled prior, and a same-age prior whose 20-step horizon is
-    shorter than the 30-step check streams."""
+    """The pooled model as a one-age prior (noise and level variance equal),
+    and a same-age prior whose 20-step horizon is shorter than the 30-step
+    check streams."""
     ages = np.arange(20)
     return {
-        "pooled": NominalProfile(mu0=0.0, sigma0_sq=1.0, n_samples=1000),
+        "pooled": AgeProfile(means=(0.0,), variances=(1.0,), noise_var=1.0,
+                             level_var=1.0, n_samples=1000),
         "same-age": AgeProfile(
             means=tuple(float(x) for x in 0.3 * ages - 2.0),
             variances=tuple(float(x) for x in 2.0 - 0.05 * ages),
@@ -237,10 +238,8 @@ def _cmd_oracle_check(cfg: ExperimentConfig, seed: int) -> int:
     for name, prior in _oracle_priors().items():
         worst = 0.0
         for trial in range(50):
-            q = rng.normal(size=30)
-            if isinstance(prior, AgeProfile):
-                ages = np.minimum(np.arange(30), prior.horizon - 1)
-                q += np.array(prior.means)[ages]
+            ages = np.minimum(np.arange(30), prior.horizon - 1)
+            q = rng.normal(size=30) + np.array(prior.means)[ages]
             if trial % 2 == 0:
                 q[15:] -= 8.0
             hazard = cfg.detectors.bocpd_hazard if trial % 3 else 0.05

@@ -287,22 +287,9 @@ def save_checkpoint(agent: Agent, path) -> None:
     for tag, net in (("actor", agent.actor), ("critic", agent.critic),
                      ("target_actor", agent.target_actor),
                      ("target_critic", agent.target_critic)):
-        for i, (w, bias) in enumerate(zip(net.weights, net.biases)):
-            arrays[f"{tag}_w{i}"] = w
-            arrays[f"{tag}_b{i}"] = bias
+        arrays.update(net.to_arrays(f"{tag}_"))
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
-
-
-def _load_net(data, tag: str, sizes, acts) -> Mlp:
-    weights, biases = [], []
-    for i in range(len(sizes) - 1):
-        wk, bk = f"{tag}_w{i}", f"{tag}_b{i}"
-        if wk not in data or bk not in data:
-            raise CorruptCheckpointError(f"checkpoint is missing {wk}/{bk}")
-        weights.append(data[wk])
-        biases.append(data[bk])
-    return Mlp.from_parameters(list(sizes), list(acts), weights, biases)
 
 
 def load_checkpoint(path) -> Agent:
@@ -333,12 +320,13 @@ def load_checkpoint(path) -> Agent:
         agent.obs_scales = np.asarray(data["obs_scales"], dtype=float)
         if agent.obs_scales.shape != (OBS_DIM,):
             raise CorruptCheckpointError("obs_scales has the wrong shape")
-        agent.actor = _load_net(data, "actor", actor_sizes, actor_acts)
-        agent.critic = _load_net(data, "critic", critic_sizes, critic_acts)
-        agent.target_actor = _load_net(data, "target_actor", actor_sizes,
-                                       actor_acts)
-        agent.target_critic = _load_net(data, "target_critic", critic_sizes,
-                                        critic_acts)
+        agent.actor = Mlp.from_arrays(data, actor_sizes, actor_acts, "actor_")
+        agent.critic = Mlp.from_arrays(data, critic_sizes, critic_acts,
+                                       "critic_")
+        agent.target_actor = Mlp.from_arrays(data, actor_sizes, actor_acts,
+                                             "target_actor_")
+        agent.target_critic = Mlp.from_arrays(data, critic_sizes, critic_acts,
+                                              "target_critic_")
         return agent
     except (KeyError, ValueError, ConfigurationError,
             DimensionMismatchError) as exc:

@@ -1,18 +1,15 @@
 """Online detectors over the critic value stream, plus an exhaustive oracle.
 
 The main detector maintains a run-length posterior with a constant hazard
-and a known-variance Gaussian predictive.  A segment prior supplies, at
-each decision index t, the value fed to the recursion and its relative
-noise variance: each segment has an unknown level with a Gaussian prior,
-and its observations scatter around that level.  The study's prior is the
-same-age profile (`AgeProfile`): the recursion sees the value's deviation
-from the mean nominal value at the same age, noise scales with the
-same-age spread, and the level prior is wider than the noise.  The pooled
-profile (`NominalProfile`) is the special case with one mean for every
-age and level variance equal to the noise variance, so the prior counts
-as one pseudo-observation.  Baselines: a one-sided Page-Hinkley test,
-pseudorange-residual thresholding with a kinematic jump gate, and a
-fixed-window autoencoder scored by reconstruction error.
+and a known-variance Gaussian predictive.  Its prior is the same-age
+nominal value model (`AgeProfile`): at each decision index t the recursion
+sees the value's deviation from the mean nominal value at the same age,
+each segment has an unknown level with a Gaussian prior centred on that
+mean, and its observations scatter around the level with a variance that
+scales with the same-age spread.  Baselines: a one-sided Page-Hinkley test
+scaled by the pooled profile (`NominalProfile`), pseudorange-residual
+thresholding with a kinematic jump gate, and a fixed-window autoencoder
+scored by reconstruction error.
 """
 
 from __future__ import annotations
@@ -59,8 +56,8 @@ class _JsonDocument:
 class NominalProfile(_JsonDocument):
     """Pooled attack-free value statistics, one mean for every age.
 
-    Page-Hinkley scales from it; the changepoint detector uses it as its
-    prior only in banks that carry no `AgeProfile`.
+    Saved as `profile.json`; Page-Hinkley's drift and threshold scale with
+    its sigma0.
     """
 
     mu0: float
@@ -77,15 +74,6 @@ class NominalProfile(_JsonDocument):
     @property
     def sigma0(self) -> float:
         return float(np.sqrt(self.sigma0_sq))
-
-    @property
-    def prior_count(self) -> float:
-        """Noise variance over level-prior variance: one pseudo-observation."""
-        return 1.0
-
-    def observation(self, t: int, q: float) -> tuple[float, float]:
-        """The value itself, with unit relative noise variance at every age."""
-        return q, 1.0
 
     def to_dict(self) -> dict:
         return {
@@ -152,16 +140,8 @@ class AgeProfile(_JsonDocument):
         return len(self.means)
 
     @property
-    def mu0(self) -> float:
-        """Prior mean of a segment's level: the same-age mean itself."""
-        return 0.0
-
-    @property
-    def sigma0_sq(self) -> float:
-        return self.noise_var
-
-    @property
     def prior_count(self) -> float:
+        """Noise variance over level-prior variance."""
         return self.noise_var / self.level_var
 
     def observation(self, t: int, q: float) -> tuple[float, float]:
@@ -202,8 +182,6 @@ class DetectorVerdict:
 
     flag: bool
     statistic: float
-    detector: str
-    t: int
 
 
 def fit_nominal_profile(
@@ -212,11 +190,9 @@ def fit_nominal_profile(
     """Pooled mean and population variance over attack-free value streams.
 
     One mean and one variance for every age.  Page-Hinkley's drift and
-    threshold scale with this sigma0; the changepoint detector uses it only
-    for banks saved without an age profile.  The study's changepoint
-    detector runs on `fit_age_profile` instead, because the value climbs
-    steadily through a healthy flight and the pooled variance mostly
-    measures that climb.
+    threshold scale with this sigma0.  The changepoint detector's prior is
+    `fit_age_profile`, because the value climbs steadily through a healthy
+    flight and the pooled variance mostly measures that climb.
     """
     streams = [np.asarray(s, dtype=float) for s in nominal_q_streams]
     if any(s.ndim != 1 for s in streams):
@@ -305,19 +281,19 @@ class BocpdState:
     weights: np.ndarray  # normalized posterior over run_lengths
     seg_means: np.ndarray  # posterior mean of each segment's level
     seg_counts: np.ndarray  # level precision in units of 1 / noise variance
-    prior: NominalProfile | AgeProfile
+    prior: AgeProfile
     hazard: float
     t: int = 0
     underflow_resets: int = 0
 
 
-def bocpd_init(prior: NominalProfile | AgeProfile, hazard: float) -> BocpdState:
+def bocpd_init(prior: AgeProfile, hazard: float) -> BocpdState:
     if not 0.0 < hazard < 1.0:
         raise ConfigurationError(f"hazard must be in (0,1), got {hazard}")
     return BocpdState(
         run_lengths=np.array([0]),
         weights=np.array([1.0]),
-        seg_means=np.array([prior.mu0]),
+        seg_means=np.array([0.0]),
         seg_counts=np.array([prior.prior_count]),
         prior=prior,
         hazard=hazard,
@@ -330,16 +306,16 @@ def bocpd_update(
 ) -> tuple[BocpdState, int]:
     """Advance the posterior with one observation; returns the argmax run length.
 
-    The prior turns q at age state.t into x with relative noise variance
-    w.  Growth weights get the (1-H) branch, the changepoint entry pools
-    the H branch across all segments; the new segment starts from the prior
-    and does not absorb x until it grows.  With w = 1 and a prior count of
-    1 this is the pooled profile's recursion.
+    The same-age prior turns q at age state.t into its deviation x from
+    the same-age mean, with relative noise variance w.  Growth weights get
+    the (1-H) branch, the changepoint entry pools the H branch across all
+    segments; the new segment starts at level 0 (the same-age mean) with
+    the prior's count and does not absorb x until it grows.
     """
     h = state.hazard
     prior = state.prior
     x, w = prior.observation(state.t, q)
-    pred_var = prior.sigma0_sq * (w + 1.0 / state.seg_counts)
+    pred_var = prior.noise_var * (w + 1.0 / state.seg_counts)
     pred = np.exp(-0.5 * (x - state.seg_means) ** 2 / pred_var) / np.sqrt(
         2.0 * np.pi * pred_var
     )
@@ -361,7 +337,7 @@ def bocpd_update(
 
     run_lengths = np.concatenate([[0], state.run_lengths + 1])
     seg_means = np.concatenate([
-        [prior.mu0],
+        [0.0],
         (state.seg_means * state.seg_counts + x / w)
         / (state.seg_counts + 1.0 / w),
     ])
@@ -395,12 +371,8 @@ def bocpd_update(
 
 def bocpd_flag(l_hat: int, t: int, tau: int, warmup: int) -> DetectorVerdict:
     """Short argmax run length after the warmup means a recent change."""
-    return DetectorVerdict(
-        flag=(t > warmup) and (l_hat <= tau),
-        statistic=float(l_hat),
-        detector="bocpd",
-        t=t,
-    )
+    return DetectorVerdict(flag=(t > warmup) and (l_hat <= tau),
+                           statistic=float(l_hat))
 
 
 def bocpd_posterior_dense(state: BocpdState) -> np.ndarray:
@@ -410,7 +382,7 @@ def bocpd_posterior_dense(state: BocpdState) -> np.ndarray:
     return dense
 
 
-def bocpd_oracle(q_stream, profile: NominalProfile | AgeProfile,
+def bocpd_oracle(q_stream, profile: AgeProfile,
                  hazard: float, max_len: int = 64) -> list[np.ndarray]:
     """Run-length posteriors computed by direct summation, for validation.
 
@@ -429,13 +401,13 @@ def bocpd_oracle(q_stream, profile: NominalProfile | AgeProfile,
         )
     if not 0.0 < hazard < 1.0:
         raise ConfigurationError(f"hazard must be in (0,1), got {hazard}")
-    mu0, s2, h = profile.mu0, profile.sigma0_sq, hazard
+    s2, h = profile.noise_var, hazard
     obs = [profile.observation(k, x) for k, x in enumerate(q)]
 
     def segment_product(start: int, end: int) -> float:
         """Product of predictives for q[start:end] as one fresh segment."""
         prod = 1.0
-        mean, count = mu0, profile.prior_count
+        mean, count = 0.0, profile.prior_count
         for x, w in obs[start:end]:
             prod *= _gauss_pdf(x, mean, s2 * (w + 1.0 / count))
             mean = (mean * count + x / w) / (count + 1.0 / w)
@@ -478,24 +450,15 @@ def calibrate_tau(
     streams = [np.asarray(s) for s in l_hat_streams]
     if not streams:
         raise InsufficientDataError("tau calibration needs at least one stream")
-    best = None
+    rates = []
     for tau in sorted(tau_grid):
-        fp = 0
-        for s in streams:
-            steps = np.arange(1, len(s) + 1)
-            if np.any((steps > warmup) & (s <= tau)):
-                fp += 1
-        rate = fp / len(streams)
-        if rate <= fp_budget:
-            best = (int(tau), rate)
-    if best is None:
-        tau = int(min(tau_grid))
         fp = sum(
             bool(np.any((np.arange(1, len(s) + 1) > warmup) & (s <= tau)))
             for s in streams
         )
-        best = (tau, fp / len(streams))
-    return best
+        rates.append((int(tau), fp / len(streams)))
+    fitting = [r for r in rates if r[1] <= fp_budget]
+    return fitting[-1] if fitting else rates[0]
 
 
 class PageHinkley:
@@ -510,23 +473,14 @@ class PageHinkley:
         self.mean = 0.0
         self.m = 0.0
         self.m_min = 0.0
-        self.t = 0
-
-    @classmethod
-    def from_profile(cls, profile: NominalProfile, delta_scale: float,
-                     lambda_scale: float) -> "PageHinkley":
-        return cls(delta=delta_scale * profile.sigma0,
-                   lam=lambda_scale * profile.sigma0)
 
     def update(self, x: float) -> DetectorVerdict:
-        self.t += 1
         self.n += 1
         self.mean += (x - self.mean) / self.n
         self.m += self.mean - x - self.delta
         self.m_min = min(self.m_min, self.m)
         ph = self.m - self.m_min
-        return DetectorVerdict(flag=ph > self.lam, statistic=ph,
-                               detector="ph", t=self.t)
+        return DetectorVerdict(flag=ph > self.lam, statistic=ph)
 
 
 class ResidualThreshold:
@@ -539,10 +493,8 @@ class ResidualThreshold:
         self.threshold = max(k_sigma * noise_sigma, 1e-6)
         self.jump_gate = jump_gate
         self.prev_position: np.ndarray | None = None
-        self.t = 0
 
     def update(self, pvt: PvtSolution) -> DetectorVerdict:
-        self.t += 1
         stat = pvt.final_residual_norm / np.sqrt(len(pvt.residuals))
         pos = pvt.estimate.position
         jump = (0.0 if self.prev_position is None
@@ -551,8 +503,6 @@ class ResidualThreshold:
         return DetectorVerdict(
             flag=(stat > self.threshold) or (jump > self.jump_gate),
             statistic=float(stat),
-            detector="residual",
-            t=self.t,
         )
 
 
@@ -580,10 +530,8 @@ class WindowAutoencoder:
             "threshold": np.array(self.threshold),
             "sizes": np.array(self.net.layer_sizes),
             "acts": np.array(self.net.activations),
+            **self.net.to_arrays(),
         }
-        for i, (w, b) in enumerate(zip(self.net.weights, self.net.biases)):
-            arrays[f"w{i}"] = w
-            arrays[f"b{i}"] = b
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
 
@@ -596,13 +544,8 @@ class WindowAutoencoder:
         try:
             if "schema" not in data or str(data["schema"]) != AE_SCHEMA:
                 raise CorruptCheckpointError(f"not a {AE_SCHEMA} file: {path}")
-            sizes = [int(s) for s in data["sizes"]]
-            acts = [str(a) for a in data["acts"]]
-            weights = [data[f"w{i}"] for i in range(len(sizes) - 1)]
-            biases = [data[f"b{i}"] for i in range(len(sizes) - 1)]
-            net = Mlp.from_parameters(sizes, acts, weights, biases)
             return cls(
-                net=net,
+                net=Mlp.from_arrays(data, data["sizes"], data["acts"]),
                 window=int(data["window"]),
                 mean=float(data["mean"]),
                 std=float(data["std"]),
@@ -668,13 +611,10 @@ def window_ae_train(
     return model, curve
 
 
-def window_ae_score(model: WindowAutoencoder, recent_values, t: int
-                    ) -> DetectorVerdict:
+def window_ae_score(model: WindowAutoencoder, recent_values) -> DetectorVerdict:
     """Score the trailing window; NaN statistic while the window is filling."""
     vals = np.asarray(recent_values, dtype=float)
     if vals.size < model.window:
-        return DetectorVerdict(flag=False, statistic=float("nan"),
-                               detector="window_ae", t=t)
+        return DetectorVerdict(flag=False, statistic=float("nan"))
     err = model.reconstruction_error(vals[-model.window:])
-    return DetectorVerdict(flag=err > model.threshold, statistic=err,
-                           detector="window_ae", t=t)
+    return DetectorVerdict(flag=err > model.threshold, statistic=err)

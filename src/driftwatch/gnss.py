@@ -8,7 +8,6 @@ corrections until the correction norm drops below tolerance.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,8 +18,6 @@ from .errors import (
     DegenerateGeometryError,
     SingularGeometryError,
 )
-
-CONSTELLATION_SCHEMA = "driftwatch-constellation-v1"
 
 # Ranges shorter than this are treated as degenerate geometry: the unit
 # line-of-sight vector (and hence the Jacobian row) is no longer meaningful.
@@ -52,44 +49,12 @@ class Constellation:
         """Stacked satellite positions, shape (N, 3)."""
         return np.stack([s.position for s in self.satellites])
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": CONSTELLATION_SCHEMA,
-            "satellites": [
-                {"id": s.id, "position": [float(x) for x in s.position]}
-                for s in self.satellites
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Constellation":
-        if doc.get("schema") != CONSTELLATION_SCHEMA:
-            raise ConfigurationError(
-                f"unexpected constellation schema: {doc.get('schema')!r}"
-            )
-        sats = tuple(
-            Satellite(int(e["id"]), np.array(e["position"], dtype=float))
-            for e in doc["satellites"]
-        )
-        return cls(sats)
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "Constellation":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
 
 @dataclass(frozen=True)
 class PseudorangeSet:
     """Measured pseudoranges (meters) for one epoch, aligned with a constellation."""
 
     values: np.ndarray
-    timestamp: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -179,14 +144,13 @@ def measure_pseudoranges(
     constellation: Constellation,
     noise_sigma: float,
     rng: np.random.Generator,
-    timestamp: float = 0.0,
 ) -> PseudorangeSet:
     """Simulate one epoch of measurements with iid Gaussian noise."""
     if noise_sigma < 0:
         raise ConfigurationError(f"noise_sigma must be >= 0, got {noise_sigma}")
     clean = predicted_pseudoranges(truth, constellation)
     noise = rng.normal(0.0, noise_sigma, size=len(clean)) if noise_sigma > 0 else 0.0
-    return PseudorangeSet(values=clean + noise, timestamp=timestamp)
+    return PseudorangeSet(values=clean + noise)
 
 
 def residuals(

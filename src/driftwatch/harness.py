@@ -10,7 +10,7 @@ row's action.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -65,16 +65,25 @@ CSV_COLUMNS = (
 )
 
 
+# artifact file of each document in a bank; every other field is a number
+_BANK_FILES = {
+    "profile": "profile.json",
+    "age_profile": "age_profile.json",
+    "ae": "ae.npz",
+}
+_NUMBER_TYPES = {"int": int, "float": float}
+
+
 @dataclass(frozen=True)
 class DetectorBank:
     """Frozen detector parameters; spawns fresh per-episode state.
 
-    `profile` is the pooled nominal profile (Page-Hinkley's scale).  The
-    changepoint detector runs on `age_profile`, or on the pooled profile
-    for banks that have none.
+    The changepoint detector runs on `age_profile`; `profile` is the pooled
+    nominal profile, Page-Hinkley's scale.
     """
 
     profile: NominalProfile
+    age_profile: AgeProfile
     tau: int
     warmup: int
     hazard: float
@@ -85,11 +94,12 @@ class DetectorBank:
     residual_noise_sigma: float
     residual_jump_gate: float
     ae: WindowAutoencoder
-    age_profile: AgeProfile | None = None
 
-    @property
-    def bocpd_prior(self) -> NominalProfile | AgeProfile:
-        return self.profile if self.age_profile is None else self.age_profile
+    @classmethod
+    def _parameters(cls) -> list[tuple[str, type]]:
+        """(name, type) of each scalar parameter, in field order."""
+        return [(f.name, _NUMBER_TYPES[f.type]) for f in fields(cls)
+                if f.name not in _BANK_FILES]
 
     def start_episode(self) -> "EpisodeDetectors":
         return EpisodeDetectors(self)
@@ -97,31 +107,13 @@ class DetectorBank:
     def save(self, out_dir) -> dict[str, Path]:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        paths = {
-            "profile": out / "profile.json",
-            "ae": out / "ae.npz",
-            "bank": out / "bank.json",
-        }
-        self.profile.save(paths["profile"])
-        self.ae.save(paths["ae"])
-        doc = {
-            "schema": BANK_SCHEMA,
-            "tau": self.tau,
-            "warmup": self.warmup,
-            "hazard": self.hazard,
-            "prune": self.prune,
-            "ph_delta": self.ph_delta,
-            "ph_lambda": self.ph_lambda,
-            "residual_k_sigma": self.residual_k_sigma,
-            "residual_noise_sigma": self.residual_noise_sigma,
-            "residual_jump_gate": self.residual_jump_gate,
-            "profile_file": "profile.json",
-            "ae_file": "ae.npz",
-        }
-        if self.age_profile is not None:
-            paths["age_profile"] = out / "age_profile.json"
-            self.age_profile.save(paths["age_profile"])
-            doc["age_profile_file"] = "age_profile.json"
+        paths = {name: out / file for name, file in _BANK_FILES.items()}
+        for name, path in paths.items():
+            getattr(self, name).save(path)
+        doc = {"schema": BANK_SCHEMA}
+        doc.update((name, getattr(self, name)) for name, _ in self._parameters())
+        doc.update((f"{name}_file", file) for name, file in _BANK_FILES.items())
+        paths["bank"] = out / "bank.json"
         with open(paths["bank"], "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -133,31 +125,38 @@ class DetectorBank:
         bank_path = bank_dir / "bank.json"
         if not bank_path.exists():
             raise ConfigurationError(f"no detector bank at {bank_path}")
-        with open(bank_path) as fh:
-            doc = json.load(fh)
-        if doc.get("schema") != BANK_SCHEMA:
+        try:
+            with open(bank_path) as fh:
+                doc = json.load(fh)
+        except ValueError as exc:
+            raise ConfigurationError(f"{bank_path} is not JSON: {exc}")
+        schema = doc.get("schema") if isinstance(doc, dict) else None
+        if schema != BANK_SCHEMA:
             raise ConfigurationError(
-                f"unexpected bank schema in {bank_path}: {doc.get('schema')!r}"
+                f"unexpected bank schema in {bank_path}: {schema!r}"
             )
-        profile = NominalProfile.load(bank_dir / doc["profile_file"])
-        ae = WindowAutoencoder.load(bank_dir / doc["ae_file"])
-        age_profile = (
-            AgeProfile.load(bank_dir / doc["age_profile_file"])
-            if "age_profile_file" in doc else None
-        )
+
+        def entry(key: str, convert):
+            if key not in doc:
+                raise ConfigurationError(
+                    f"{bank_path} has no {key!r} (rerun `driftwatch profile`)"
+                )
+            try:
+                return convert(doc[key])
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"{bank_path}: bad {key!r} value {doc[key]!r}"
+                )
+
+        documents = {
+            name: entry(f"{name}_file", str) for name in _BANK_FILES
+        }
+        params = {name: entry(name, kind) for name, kind in cls._parameters()}
         return cls(
-            profile=profile,
-            tau=int(doc["tau"]),
-            warmup=int(doc["warmup"]),
-            hazard=float(doc["hazard"]),
-            prune=float(doc["prune"]),
-            ph_delta=float(doc["ph_delta"]),
-            ph_lambda=float(doc["ph_lambda"]),
-            residual_k_sigma=float(doc["residual_k_sigma"]),
-            residual_noise_sigma=float(doc["residual_noise_sigma"]),
-            residual_jump_gate=float(doc["residual_jump_gate"]),
-            ae=ae,
-            age_profile=age_profile,
+            profile=NominalProfile.load(bank_dir / documents["profile"]),
+            age_profile=AgeProfile.load(bank_dir / documents["age_profile"]),
+            ae=WindowAutoencoder.load(bank_dir / documents["ae"]),
+            **params,
         )
 
 
@@ -166,7 +165,7 @@ class EpisodeDetectors:
 
     def __init__(self, bank: DetectorBank):
         self.bank = bank
-        self.bocpd_state = bocpd_init(bank.bocpd_prior, bank.hazard)
+        self.bocpd_state = bocpd_init(bank.age_profile, bank.hazard)
         self.ph = PageHinkley(delta=bank.ph_delta, lam=bank.ph_lambda)
         self.residual = ResidualThreshold(
             k_sigma=bank.residual_k_sigma,
@@ -186,7 +185,7 @@ class EpisodeDetectors:
         v_ph = self.ph.update(q)
         v_res = self.residual.update(pvt)
         self.q_history.append(q)
-        v_ae = window_ae_score(self.bank.ae, self.q_history, self.t)
+        v_ae = window_ae_score(self.bank.ae, self.q_history)
         verdicts = (v_bocpd, v_ph, v_res, v_ae)
         flags = np.array([v.flag for v in verdicts], dtype=bool)
         stats = np.array([v.statistic for v in verdicts], dtype=float)
@@ -312,6 +311,7 @@ def run_episode(
 
 
 def _fmt(x) -> str:
+    """Shortest round-trip text of a float; every CSV artifact uses it."""
     return repr(float(x))
 
 
@@ -480,8 +480,8 @@ def compute_metrics(logs: list[EpisodeLog]) -> DetectionMetrics:
     return DetectionMetrics(per_detector=per_detector)
 
 
-def _stream_argmaxes(q_stream, prior: NominalProfile | AgeProfile,
-                     hazard: float, prune: float) -> list[int]:
+def _stream_argmaxes(q_stream, prior: AgeProfile, hazard: float,
+                     prune: float) -> list[int]:
     state = bocpd_init(prior, hazard)
     hats = []
     for x in q_stream:
@@ -558,6 +558,7 @@ def profile_pipeline(
 
     bank = DetectorBank(
         profile=profile,
+        age_profile=age_profile,
         tau=tau,
         warmup=det_cfg.bocpd_warmup,
         hazard=det_cfg.bocpd_hazard,
@@ -570,7 +571,6 @@ def profile_pipeline(
             env_cfg.cruise_speed * env_cfg.dt * det_cfg.residual_jump_margin
         ),
         ae=ae,
-        age_profile=age_profile,
     )
     diagnostics = {
         "profile_logs": logs,

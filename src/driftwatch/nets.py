@@ -9,7 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatchError
+from .errors import (
+    ConfigurationError,
+    CorruptCheckpointError,
+    DimensionMismatchError,
+)
 
 _ACTIVATIONS = ("relu", "tanh", "linear")
 
@@ -95,6 +99,32 @@ class Mlp:
             net.weights[i] = w
             net.biases[i] = b
         return net
+
+    def to_arrays(self, prefix: str = "") -> dict[str, np.ndarray]:
+        """Weights and biases as npz entries `{prefix}w{i}`, `{prefix}b{i}`.
+
+        The layer sizes and activations are stored by the caller, next to
+        its other header entries.
+        """
+        arrays = {}
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            arrays[f"{prefix}w{i}"] = w
+            arrays[f"{prefix}b{i}"] = b
+        return arrays
+
+    @classmethod
+    def from_arrays(cls, data, sizes, acts, prefix: str = "") -> "Mlp":
+        """Rebuild a network written by `to_arrays` from a loaded npz."""
+        sizes = [int(s) for s in sizes]
+        acts = [str(a) for a in acts]
+        weights, biases = [], []
+        for i in range(len(sizes) - 1):
+            wk, bk = f"{prefix}w{i}", f"{prefix}b{i}"
+            if wk not in data or bk not in data:
+                raise CorruptCheckpointError(f"network arrays missing {wk}/{bk}")
+            weights.append(data[wk])
+            biases.append(data[bk])
+        return cls.from_parameters(sizes, acts, weights, biases)
 
     @property
     def n_layers(self) -> int:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import DETECTOR_ORDER, DetectionMetrics, EpisodeLog
+from .harness import DETECTOR_ORDER, DetectionMetrics, EpisodeLog, _fmt
 
 SUMMARY_SCHEMA = "driftwatch-summary-v1"
 
@@ -24,10 +24,6 @@ _COLORS = {
     "residual": "#6b46c1",
     "window_ae": "#2f855a",
 }
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def _write_text(path: Path, text: str) -> None:

@@ -73,19 +73,8 @@ def spoof_pseudoranges(
     spoof_pos: np.ndarray,
     bias: float,
     constellation: Constellation,
-    noise_sigma: float = 0.0,
-    rng: np.random.Generator | None = None,
-    timestamp: float = 0.0,
 ) -> PseudorangeSet:
-    """Fabricate pseudoranges exactly consistent with ``spoof_pos``.
-
-    Noiseless by default; ``noise_sigma`` adds receiver-side noise for
-    ablations and then requires an rng.
-    """
+    """Fabricate noiseless pseudoranges exactly consistent with ``spoof_pos``."""
     spoof_pos = np.asarray(spoof_pos, dtype=float)
     values = np.linalg.norm(constellation.positions - spoof_pos, axis=1) + bias
-    if noise_sigma > 0.0:
-        if rng is None:
-            raise ConfigurationError("noise_sigma > 0 requires an rng")
-        values = values + rng.normal(0.0, noise_sigma, size=len(values))
-    return PseudorangeSet(values=values, timestamp=timestamp)
+    return PseudorangeSet(values=values)

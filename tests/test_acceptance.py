@@ -17,7 +17,7 @@ from driftwatch.cli import main
 from driftwatch.config import default_config, save_config
 from driftwatch.ddpg import train
 from driftwatch.detectors import (
-    NominalProfile,
+    AgeProfile,
     bocpd_flag,
     bocpd_init,
     bocpd_oracle,
@@ -139,8 +139,14 @@ def test_criterion_02_gradient_oracles(pipeline):
                   f"mlp grad rel err {worst_mlp:.2e}, {elapsed:.2f}s")
 
 
+def unit_prior():
+    """The pooled model N(0, 1) as a one-age changepoint prior."""
+    return AgeProfile(means=(0.0,), variances=(1.0,), noise_var=1.0,
+                      level_var=1.0, n_samples=1000)
+
+
 def test_criterion_03_bocpd_oracle_equivalence():
-    profile = NominalProfile(mu0=0.0, sigma0_sq=1.0, n_samples=1000)
+    profile = unit_prior()
     rng = np.random.default_rng(31337)
     t0 = time.perf_counter()
     worst_tv = 0.0
@@ -161,11 +167,11 @@ def test_criterion_03_bocpd_oracle_equivalence():
 
 
 def test_criterion_04_bocpd_responsiveness():
-    profile = NominalProfile(mu0=0.0, sigma0_sq=1.0, n_samples=1000)
+    profile = unit_prior()
     t0 = time.perf_counter()
     rng = np.random.default_rng(8)
     q = rng.normal(size=80)
-    q[50:] -= 10.0 * profile.sigma0
+    q[50:] -= 10.0
     state = bocpd_init(profile, 0.01)
     hit = None
     for t, x in enumerate(q):

@@ -3,8 +3,9 @@
 Three implementations of the same posterior: the production recursion, a
 direct-summation oracle over last-changepoint placements, and (for short
 streams) literal enumeration of every binary changepoint sequence.  Each
-is checked under the pooled prior and under a same-age prior whose
-horizon ends inside the streams.
+is checked under the pooled model (a one-age prior whose level variance
+equals its noise variance) and under a same-age prior whose horizon ends
+inside the streams.
 """
 
 import math
@@ -14,7 +15,6 @@ import pytest
 
 from driftwatch.detectors import (
     AgeProfile,
-    NominalProfile,
     bocpd_init,
     bocpd_oracle,
     bocpd_posterior_dense,
@@ -22,7 +22,16 @@ from driftwatch.detectors import (
 )
 from driftwatch.errors import ConfigurationError
 
-PROFILE = NominalProfile(mu0=-1.2, sigma0_sq=0.49, n_samples=1000)
+MU0, SIGMA0 = -1.2, 0.7
+
+
+def one_age(mean, var):
+    """The pooled model N(mean, var) as a one-age prior."""
+    return AgeProfile(means=(mean,), variances=(var,), noise_var=var,
+                      level_var=var, n_samples=1000)
+
+
+POOLED = one_age(MU0, 0.49)
 # ages 0..11, then held: a climbing mean, a shrinking spread, and a level
 # prior three times wider than the noise
 AGE_PROFILE = AgeProfile(
@@ -39,10 +48,10 @@ def brute_force_posteriors(q, prior, hazard):
 
     Written from the segment model itself: observation k has deviation x
     and relative noise variance v from the prior at age k; a segment's level
-    has prior N(mu0, s2 / k0) and its observations N(level, s2 * v).
+    has prior N(0, s2 / k0) and its observations N(level, s2 * v).
     """
-    mu0, s2, k0 = prior.mu0, prior.sigma0_sq, prior.prior_count
-    paths = [(mu0, k0, 0, 1.0)]  # (seg mean, seg precision, run length, weight)
+    s2, k0 = prior.noise_var, prior.prior_count
+    paths = [(0.0, k0, 0, 1.0)]  # (seg mean, seg precision, run length, weight)
     posteriors = []
     for t, raw in enumerate(q):
         x, v = prior.observation(t, raw)
@@ -56,7 +65,7 @@ def brute_force_posteriors(q, prior, hazard):
                 ((mean * count + x / v) / (count + 1 / v), count + 1 / v,
                  rl + 1, w * (1 - hazard) * pred)
             )
-            nxt.append((mu0, k0, 0, w * hazard * pred))
+            nxt.append((0.0, k0, 0, w * hazard * pred))
         paths = nxt
         dist = np.zeros(t + 2)
         for _, _, rl, w in paths:
@@ -83,12 +92,12 @@ def test_oracle_matches_exhaustive_enumeration():
     worst = 0.0
     for trial in range(20):
         n = int(rng.integers(2, 9))
-        q = list(PROFILE.mu0 + PROFILE.sigma0 * rng.normal(size=n))
+        q = list(MU0 + SIGMA0 * rng.normal(size=n))
         if trial % 3 == 0:
-            q[n // 2:] = [v - 6 * PROFILE.sigma0 for v in q[n // 2:]]
+            q[n // 2:] = [v - 6 * SIGMA0 for v in q[n // 2:]]
         hazard = float(rng.uniform(0.005, 0.2))
-        oracle = bocpd_oracle(q, PROFILE, hazard)
-        brute = brute_force_posteriors(q, PROFILE, hazard)
+        oracle = bocpd_oracle(q, POOLED, hazard)
+        brute = brute_force_posteriors(q, POOLED, hazard)
         for a, b in zip(oracle, brute):
             worst = max(worst, total_variation(a, b))
     assert worst < 1e-12
@@ -98,12 +107,12 @@ def test_recursion_matches_oracle_without_pruning():
     rng = np.random.default_rng(424242)
     worst = 0.0
     for trial in range(50):
-        q = PROFILE.mu0 + PROFILE.sigma0 * rng.normal(size=30)
+        q = MU0 + SIGMA0 * rng.normal(size=30)
         if trial % 2 == 0:
-            q[15:] -= 8 * PROFILE.sigma0
+            q[15:] -= 8 * SIGMA0
         hazard = 0.01 if trial % 3 else 0.05
-        oracle = bocpd_oracle(q, PROFILE, hazard)
-        rec = recursion_posteriors(q, PROFILE, hazard, prune=0.0)
+        oracle = bocpd_oracle(q, POOLED, hazard)
+        rec = recursion_posteriors(q, POOLED, hazard, prune=0.0)
         for a, b in zip(rec, oracle):
             worst = max(worst, total_variation(a, b))
     assert worst < 1e-9
@@ -113,23 +122,23 @@ def test_recursion_with_default_pruning_stays_close():
     rng = np.random.default_rng(31415)
     worst = 0.0
     for trial in range(50):
-        q = PROFILE.mu0 + PROFILE.sigma0 * rng.normal(size=30)
+        q = MU0 + SIGMA0 * rng.normal(size=30)
         if trial % 2 == 0:
-            q[15:] -= 8 * PROFILE.sigma0
-        oracle = bocpd_oracle(q, PROFILE, 0.01)
-        rec = recursion_posteriors(q, PROFILE, 0.01, prune=1e-8)
+            q[15:] -= 8 * SIGMA0
+        oracle = bocpd_oracle(q, POOLED, 0.01)
+        rec = recursion_posteriors(q, POOLED, 0.01, prune=1e-8)
         for a, b in zip(rec, oracle):
             worst = max(worst, total_variation(a, b))
     assert worst < 1e-6
 
 
 def test_two_step_posterior_matches_hand_derivation():
-    # mu0=0, sigma0^2=1, H=0.01, observations q1=0.7, q2=-0.4.
+    # mean 0, variance 1, H=0.01, observations q1=0.7, q2=-0.4.
     # After q2 the three run lengths carry weights proportional to
     #   l=2: (1-H)^2 * A          with A = N(q2; (0+q1)/2, 1.5)
     #   l=1: H(1-H) * B           with B = N(q2; 0, 2)   (reset after q1)
     #   l=0: H * ((1-H) A + H B)  (pooled changepoint mass)
-    profile = NominalProfile(mu0=0.0, sigma0_sq=1.0, n_samples=200)
+    profile = one_age(0.0, 1.0)
     q1, q2 = 0.7, -0.4
     a = math.exp(-0.5 * (q2 - q1 / 2) ** 2 / 1.5) / math.sqrt(2 * math.pi * 1.5)
     b = math.exp(-0.5 * q2**2 / 2.0) / math.sqrt(2 * math.pi * 2.0)
@@ -149,11 +158,11 @@ def test_two_step_posterior_matches_hand_derivation():
 def test_oracle_rejects_long_streams_and_bad_hazard():
     q = np.zeros(65)
     with pytest.raises(ConfigurationError):
-        bocpd_oracle(q, PROFILE, 0.01)
+        bocpd_oracle(q, POOLED, 0.01)
     with pytest.raises(ConfigurationError):
-        bocpd_oracle(np.zeros(5), PROFILE, 0.0)
+        bocpd_oracle(np.zeros(5), POOLED, 0.0)
     with pytest.raises(ConfigurationError):
-        bocpd_oracle(np.zeros(5), PROFILE, 1.0)
+        bocpd_oracle(np.zeros(5), POOLED, 1.0)
 
 
 def age_stream(rng, n, shift_at=None):

@@ -89,6 +89,20 @@ class TestUsageErrors:
         assert rc == 1
         assert "driftwatch profile" in capsys.readouterr().err
 
+    def test_malformed_bank_exits_with_error(self, capsys, tmp_path,
+                                             cfg_path, chain):
+        for key in ("tau", "age_profile_file"):
+            doc = json.loads((chain / "bank.json").read_text())
+            del doc[key]
+            (tmp_path / "bank.json").write_text(json.dumps(doc))
+            rc = main(["eval", "--config", str(cfg_path),
+                       "--checkpoint", str(chain / "checkpoint.npz"),
+                       "--out", str(tmp_path)])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and key in err
+            assert "driftwatch profile" in err
+
 
 class TestOracleCheck:
     def test_passes_and_reports_divergence(self, capsys):

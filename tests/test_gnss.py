@@ -1,7 +1,5 @@
 """Tests for pseudorange modeling and the iterative PVT solver."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -55,19 +53,6 @@ def test_constellation_rejects_bad_config():
         make_constellation(n_sats=3)
     with pytest.raises(ConfigurationError):
         make_constellation(radius=5.0e6)
-
-
-def test_constellation_json_round_trip(tmp_path, cons):
-    path = tmp_path / "cons.json"
-    cons.save(path)
-    loaded = Constellation.load(path)
-    np.testing.assert_array_equal(loaded.positions, cons.positions)
-    assert [s.id for s in loaded.satellites] == [s.id for s in cons.satellites]
-    with open(path) as fh:
-        doc = json.load(fh)
-    doc["schema"] = "something-else"
-    with pytest.raises(ConfigurationError):
-        Constellation.from_dict(doc)
 
 
 def test_pseudorange_model_includes_bias(cons):

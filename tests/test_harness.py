@@ -54,6 +54,11 @@ def synthetic_bank():
     ae, _ = window_ae_train(streams, window=16, seed=3)
     return DetectorBank(
         profile=profile,
+        # the pooled model as a one-age prior
+        age_profile=AgeProfile(means=(profile.mu0,),
+                               variances=(profile.sigma0_sq,),
+                               noise_var=profile.sigma0_sq,
+                               level_var=profile.sigma0_sq, n_samples=800),
         tau=5,
         warmup=10,
         hazard=0.01,
@@ -253,7 +258,7 @@ class TestDetectorBankPersistence:
         self, small_agent, mini_env, constellation, synthetic_bank, tmp_path
     ):
         paths = synthetic_bank.save(tmp_path)
-        assert set(paths) == {"profile", "ae", "bank"}
+        assert set(paths) == {"profile", "ae", "bank", "age_profile"}
         loaded = DetectorBank.load(tmp_path)
         a = run_episode(
             small_agent, mini_env, None, synthetic_bank, 9,
@@ -281,7 +286,6 @@ class TestDetectorBankPersistence:
         assert doc["age_profile_file"] == "age_profile.json"
         loaded = DetectorBank.load(tmp_path)
         assert loaded.age_profile == aged.age_profile
-        assert loaded.bocpd_prior is loaded.age_profile
         a, b = (
             run_episode(small_agent, mini_env, None, bank, 9,
                         constellation=constellation, noise_sigma=2.0)
@@ -290,13 +294,32 @@ class TestDetectorBankPersistence:
         assert np.array_equal(a.flags, b.flags)
         assert np.array_equal(a.stats, b.stats, equal_nan=True)
 
-    def test_bank_without_age_profile_runs_pooled_prior(
-        self, synthetic_bank, tmp_path
-    ):
+    def test_missing_entry_rejected(self, synthetic_bank, tmp_path):
         synthetic_bank.save(tmp_path)
-        loaded = DetectorBank.load(tmp_path)
-        assert loaded.age_profile is None
-        assert loaded.bocpd_prior == synthetic_bank.profile
+        saved = json.loads((tmp_path / "bank.json").read_text())
+        for key in saved.keys() - {"schema"}:
+            doc = dict(saved)
+            del doc[key]
+            (tmp_path / "bank.json").write_text(json.dumps(doc))
+            with pytest.raises(ConfigurationError,
+                               match=f"{key}.*driftwatch profile"):
+                DetectorBank.load(tmp_path)
+
+    @pytest.mark.parametrize("value", ["six", None, [6]])
+    def test_non_numeric_parameter_rejected(self, synthetic_bank, tmp_path,
+                                            value):
+        synthetic_bank.save(tmp_path)
+        doc = json.loads((tmp_path / "bank.json").read_text())
+        doc["tau"] = value
+        (tmp_path / "bank.json").write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError, match="tau"):
+            DetectorBank.load(tmp_path)
+
+    @pytest.mark.parametrize("text", ["{not json", "[]"])
+    def test_non_json_bank_rejected(self, tmp_path, text):
+        (tmp_path / "bank.json").write_text(text)
+        with pytest.raises(ConfigurationError):
+            DetectorBank.load(tmp_path)
 
     def test_missing_bank_dir(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -348,7 +371,6 @@ class TestPipelines:
         assert bank.age_profile == fit_age_profile(
             streams, source_episodes=tuple(range(eval_cfg.profile_episodes))
         )
-        assert bank.bocpd_prior is bank.age_profile
         assert bank.age_profile.n_samples == bank.profile.n_samples
 
     def test_profile_pipeline_is_deterministic(

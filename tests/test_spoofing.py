@@ -116,17 +116,6 @@ def test_spoofed_residuals_below_legit_noisy_residuals(cons):
     assert spoof_norm < 1e-6
 
 
-def test_optional_receiver_noise(cons):
-    pos = np.array([10.0, 20.0, 30.0])
-    clean = spoof_pseudoranges(pos, 0.0, cons)
-    noisy = spoof_pseudoranges(pos, 0.0, cons, noise_sigma=2.0,
-                               rng=np.random.default_rng(4))
-    spread = noisy.values - clean.values
-    assert spread.std() > 0.5
-    with pytest.raises(ConfigurationError):
-        spoof_pseudoranges(pos, 0.0, cons, noise_sigma=2.0)
-
-
 def test_disabled_attack_leaves_measurement_path_untouched(cons):
     """End-to-end: with enabled=False the measured set is bit-identical."""
     cfg = AttackConfig(enabled=False)
