@@ -10,7 +10,7 @@ The four detectors watch different signals:
   bocpd      run-length posterior over the critic's value score
   ph         Page-Hinkley cumulative test over the same score
   residual   pseudorange residual threshold plus a fix-jump gate
-  window_ae  reconstruction error of an autoencoder over recent fixes
+  window_ae  autoencoder reconstruction error over windows of the same score
 
 The drift attack is built to beat the residual check (fabricated
 measurements are self-consistent) and to move slowly enough that any

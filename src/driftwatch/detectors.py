@@ -48,8 +48,21 @@ class _JsonDocument:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        """Read a saved document; a missing or malformed file is a ConfigurationError."""
+        rerun = "(rerun `driftwatch profile`)"
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(f"cannot read {path}: {exc} {rerun}")
+        if not isinstance(doc, dict):
+            raise ConfigurationError(f"{path} is not a JSON object {rerun}")
+        try:
+            return cls.from_dict(doc)
+        except KeyError as exc:
+            raise ConfigurationError(f"{path} has no {exc.args[0]!r} {rerun}")
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"{path}: bad value ({exc}) {rerun}")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ WorldState.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +36,25 @@ ACTION_HIGH = np.array([3.0, 3.0, np.pi])
 
 _Z = np.array([0.0, 0.0, 1.0])
 _X = np.array([1.0, 0.0, 0.0])
+_I3 = np.eye(3)
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean length of a 1-D vector, computed as np.linalg.norm does."""
+    return math.sqrt(v.dot(v))
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product of two 3-vectors with np.cross's products and differences."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def unit(v: np.ndarray) -> np.ndarray:
     """Normalized vector, or zeros when the norm is negligible."""
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
+    n = _norm(v)
     if n < 1e-12:
         return np.zeros_like(v)
     return v / n
@@ -65,7 +79,7 @@ class WorldState:
         for name in ("uav_pos_true", "uav_vel", "obstacle_pos", "obstacle_vel",
                      "goal", "start"):
             arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (3,) or not np.all(np.isfinite(arr)):
+            if arr.shape != (3,) or not np.isfinite(arr).all():
                 raise ConfigurationError(f"{name} must be a finite 3-vector")
             object.__setattr__(self, name, arr)
         if not self.obstacle_radius > 0:
@@ -104,7 +118,7 @@ class Observation:
 
     def __post_init__(self):
         arr = np.asarray(self.phi, dtype=float)
-        if arr.shape != (9,) or not np.all(np.isfinite(arr)):
+        if arr.shape != (9,) or not np.isfinite(arr).all():
             raise ConfigurationError("phi must be a finite 9-vector")
         object.__setattr__(self, "phi", arr)
 
@@ -130,7 +144,7 @@ class StepInfo:
 def _rodrigues(v: np.ndarray, axis_unit: np.ndarray, angle: float) -> np.ndarray:
     """Rotate v about a unit axis by angle."""
     c, s = np.cos(angle), np.sin(angle)
-    return (v * c + np.cross(axis_unit, v) * s
+    return (v * c + _cross(axis_unit, v) * s
             + axis_unit * (axis_unit @ v) * (1.0 - c))
 
 
@@ -151,15 +165,15 @@ def flow_field_matrices(
     uav_pos = np.asarray(uav_pos, dtype=float)
     obstacle_pos = np.asarray(obstacle_pos, dtype=float)
     sep = uav_pos - obstacle_pos
-    dist = np.linalg.norm(sep)
+    dist = _norm(sep)
     if dist < 1e-6:
         raise DegenerateGeometryError("UAV coincides with the obstacle center")
     gamma = (dist / obstacle_radius) ** 2
     n = 2.0 * sep / obstacle_radius**2
     n_hat = sep / dist
 
-    ref = np.cross(n_hat, _Z)
-    ref_norm = np.linalg.norm(ref)
+    ref = _cross(n_hat, _Z)
+    ref_norm = _norm(ref)
     if ref_norm < 1e-9:
         ref = _X  # normal is vertical; any horizontal direction works
     else:
@@ -170,9 +184,8 @@ def flow_field_matrices(
     w_rep = 1.0 if gamma <= 1.0 else float(np.exp((1.0 - gamma) / action.rho0))
     w_tan = 1.0 if gamma <= 1.0 else float(np.exp((1.0 - gamma) / action.sigma0))
 
-    m_rep = -w_rep * np.outer(n, n) / (n @ n)
-    m_tan = w_tan * np.outer(tangent, n) / (np.linalg.norm(tangent)
-                                            * np.linalg.norm(n))
+    m_rep = -w_rep * (n[:, None] * n) / (n @ n)
+    m_tan = w_tan * (tangent[:, None] * n) / (_norm(tangent) * _norm(n))
     return m_rep, m_tan
 
 
@@ -185,22 +198,22 @@ def _clamp_motion(
 ) -> np.ndarray:
     """Apply climb-rate, per-step heading, and total-speed limits."""
     v = np.asarray(v_new, dtype=float).copy()
-    v[2] = np.clip(v[2], -climb_rate_limit, climb_rate_limit)
+    v[2] = min(max(v[2], -climb_rate_limit), climb_rate_limit)
 
     h_prev = np.asarray(v_prev, dtype=float)[:2]
     h_new = v[:2]
-    if np.linalg.norm(h_prev) > 1e-9 and np.linalg.norm(h_new) > 1e-9:
+    if _norm(h_prev) > 1e-9 and _norm(h_new) > 1e-9:
         ang_prev = np.arctan2(h_prev[1], h_prev[0])
         ang_new = np.arctan2(h_new[1], h_new[0])
         dang = (ang_new - ang_prev + np.pi) % (2.0 * np.pi) - np.pi
         limit = np.deg2rad(heading_rate_limit_deg)
         if abs(dang) > limit:
             ang = ang_prev + np.sign(dang) * limit
-            mag = np.linalg.norm(h_new)
+            mag = _norm(h_new)
             v[0] = mag * np.cos(ang)
             v[1] = mag * np.sin(ang)
 
-    total = np.linalg.norm(v)
+    total = _norm(v)
     if total > speed:
         v = v * (speed / total)
     return v
@@ -228,7 +241,7 @@ def step_dynamics(
         believed, world.obstacle_pos, world.obstacle_radius, action
     )
     rel = attract - world.obstacle_vel
-    motion = (np.eye(3) + m_rep + m_tan) @ rel + world.obstacle_vel
+    motion = (_I3 + m_rep + m_tan) @ rel + world.obstacle_vel
     motion = _clamp_motion(motion, world.uav_vel, speed,
                            climb_rate_limit, heading_rate_limit_deg)
     new_pos = world.uav_pos_true + world.dt * motion
@@ -243,13 +256,17 @@ def step_dynamics(
             obs_pos[i] = 2.0 * hi - obs_pos[i]
             obs_vel[i] = -obs_vel[i]
 
-    return dataclasses.replace(
-        world,
+    return WorldState(
         uav_pos_true=new_pos,
         uav_vel=motion,
         obstacle_pos=obs_pos,
         obstacle_vel=obs_vel,
+        obstacle_radius=world.obstacle_radius,
+        goal=world.goal,
+        start=world.start,
+        clock_bias_true=world.clock_bias_true,
         t=world.t + 1,
+        dt=world.dt,
     )
 
 
@@ -258,7 +275,7 @@ def threat_vector(
 ) -> np.ndarray:
     """Signed surface-clearance scalar along the obstacle direction."""
     p_rel = np.asarray(obstacle_pos, float) - np.asarray(est_pos, float)
-    clearance = np.linalg.norm(p_rel) - obstacle_radius
+    clearance = _norm(p_rel) - obstacle_radius
     return clearance * unit(p_rel)
 
 
@@ -286,7 +303,7 @@ def reward(
     """Reward of the state just entered, from truth geometry only."""
     p = world_next.uav_pos_true
     r_obs = world_next.obstacle_radius
-    d = float(np.linalg.norm(world_next.obstacle_pos - p))
+    d = _norm(world_next.obstacle_pos - p)
 
     r_coll = 0.0
     r_thr = 0.0
@@ -295,9 +312,9 @@ def reward(
     elif d < r_obs + xi:
         r_thr = -0.3 + (d - (r_obs + xi)) / (r_obs + xi)
 
-    dist_goal = float(np.linalg.norm(world_next.goal - p))
+    dist_goal = _norm(world_next.goal - p)
     reached = dist_goal <= goal_threshold
-    denom = max(float(np.linalg.norm(world_next.goal - world_next.start)), 1e-9)
+    denom = max(_norm(world_next.goal - world_next.start), 1e-9)
     r_goal = -dist_goal / denom + (3.0 if reached else 0.0)
 
     if d <= r_obs:
@@ -329,7 +346,7 @@ def _sample_start_goal(
     for _ in range(100_000):
         d = rng.uniform(lo, hi)
         direction = rng.normal(size=3)
-        norm = np.linalg.norm(direction)
+        norm = _norm(direction)
         if norm < 1e-9:
             continue
         delta = d * direction / norm
@@ -354,10 +371,10 @@ def _place_obstacle(
     axis = unit(goal - start)
     perp = rng.normal(size=3)
     perp = perp - (perp @ axis) * axis
-    n = np.linalg.norm(perp)
+    n = _norm(perp)
     if n < 1e-9:
         perp = np.array([axis[1], -axis[0], 0.0])
-        n = np.linalg.norm(perp)
+        n = _norm(perp)
     perp = perp / n
     center = start + frac * (goal - start) + offset_mag * perp
     center = np.clip(center, 0.0, np.array(cfg.bounds))

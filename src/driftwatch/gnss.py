@@ -8,8 +8,8 @@ corrections until the correction norm drops below tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,17 +37,22 @@ class Satellite:
 
 @dataclass(frozen=True)
 class Constellation:
-    """An immutable set of satellites visible for the whole scenario."""
+    """An immutable set of satellites visible for the whole scenario.
+
+    `positions` stacks the satellite positions once, shape (N, 3), as a
+    read-only array.
+    """
 
     satellites: tuple[Satellite, ...]
+    positions: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        positions = np.stack([s.position for s in self.satellites])
+        positions.flags.writeable = False
+        object.__setattr__(self, "positions", positions)
 
     def __len__(self) -> int:
         return len(self.satellites)
-
-    @property
-    def positions(self) -> np.ndarray:
-        """Stacked satellite positions, shape (N, 3)."""
-        return np.stack([s.position for s in self.satellites])
 
 
 @dataclass(frozen=True)
@@ -131,11 +136,28 @@ def make_constellation(
     return Constellation(sats)
 
 
+def _line_of_sight(position: np.ndarray, positions: np.ndarray):
+    """Satellite-to-receiver offsets, shape (N, 3), and their lengths.
+
+    The lengths are the geometric ranges, computed as `np.linalg.norm`
+    computes them along axis 1.
+    """
+    sep = position - positions
+    return sep, np.sqrt(np.add.reduce(sep * sep, axis=1))
+
+
+def _fill_jacobian(h: np.ndarray, sep: np.ndarray, ranges: np.ndarray) -> None:
+    """Write the unit line-of-sight rows into h[:, :3]; h[:, 3] holds ones."""
+    if (ranges < MIN_RANGE_M).any():
+        raise DegenerateGeometryError("receiver estimate coincides with a satellite")
+    np.divide(sep, ranges[:, None], out=h[:, :3])
+
+
 def predicted_pseudoranges(
     est: ReceiverEstimate, constellation: Constellation
 ) -> np.ndarray:
     """Model pseudoranges at the estimate: geometric range plus clock bias."""
-    ranges = np.linalg.norm(constellation.positions - est.position, axis=1)
+    _, ranges = _line_of_sight(est.position, constellation.positions)
     return ranges + est.clock_bias
 
 
@@ -153,16 +175,20 @@ def measure_pseudoranges(
     return PseudorangeSet(values=clean + noise)
 
 
+def _check_lengths(measurements: PseudorangeSet, constellation: Constellation) -> None:
+    if len(measurements) != len(constellation):
+        raise ConfigurationError(
+            f"{len(measurements)} measurements for {len(constellation)} satellites"
+        )
+
+
 def residuals(
     est: ReceiverEstimate,
     measurements: PseudorangeSet,
     constellation: Constellation,
 ) -> np.ndarray:
     """Measured minus modeled pseudoranges at the current estimate."""
-    if len(measurements) != len(constellation):
-        raise ConfigurationError(
-            f"{len(measurements)} measurements for {len(constellation)} satellites"
-        )
+    _check_lengths(measurements, constellation)
     return measurements.values - predicted_pseudoranges(est, constellation)
 
 
@@ -172,11 +198,31 @@ def jacobian(est: ReceiverEstimate, constellation: Constellation) -> np.ndarray:
     Row i is the unit line-of-sight vector from satellite i toward the
     receiver, with a constant 1 in the bias column.
     """
-    sep = est.position - constellation.positions
-    ranges = np.linalg.norm(sep, axis=1)
-    if np.any(ranges < MIN_RANGE_M):
-        raise DegenerateGeometryError("receiver estimate coincides with a satellite")
-    return np.hstack([sep / ranges[:, None], np.ones((len(constellation), 1))])
+    h = np.ones((len(constellation), 4))
+    _fill_jacobian(h, *_line_of_sight(est.position, constellation.positions))
+    return h
+
+
+def _gauss_newton_step(
+    x: np.ndarray, measured: np.ndarray, positions: np.ndarray, h: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Gauss-Newton step from x = (x, y, z, bias); returns (new x, correction norm).
+
+    The ranges at x serve both the residual and the Jacobian, which is
+    written into `h`, an (N, 4) array whose last column holds ones.
+    """
+    sep, ranges = _line_of_sight(x[:3], positions)
+    delta = measured - (ranges + x[3])
+    _fill_jacobian(h, sep, ranges)
+    normal = h.T @ h
+    # Guard on the normal matrix instead of inverting it explicitly: its
+    # 2-norm condition number s_max / s_min (infinite when s_min is 0) must
+    # not exceed 1e12.
+    s = np.linalg.svd(normal, compute_uv=False).tolist()
+    if not (s[-1] > 0.0 and s[0] / s[-1] <= 1e12):
+        raise SingularGeometryError("satellite geometry is rank deficient")
+    correction = np.linalg.solve(normal, h.T @ delta)
+    return x + correction, math.sqrt(correction.dot(correction))
 
 
 def ls_step(
@@ -185,15 +231,12 @@ def ls_step(
     constellation: Constellation,
 ) -> tuple[ReceiverEstimate, float]:
     """One Gauss-Newton correction; returns the new estimate and correction norm."""
-    delta = residuals(est, measurements, constellation)
-    h = jacobian(est, constellation)
-    normal = h.T @ h
-    # Guard on the normal matrix instead of inverting it explicitly.
-    if np.linalg.cond(normal) > 1e12:
-        raise SingularGeometryError("satellite geometry is rank deficient")
-    correction = np.linalg.solve(normal, h.T @ delta)
-    new_est = ReceiverEstimate.from_vector(est.as_vector() + correction)
-    return new_est, float(np.linalg.norm(correction))
+    _check_lengths(measurements, constellation)
+    x, step_norm = _gauss_newton_step(
+        est.as_vector(), measurements.values, constellation.positions,
+        np.ones((len(constellation), 4)),
+    )
+    return ReceiverEstimate.from_vector(x), step_norm
 
 
 def solve_pvt(
@@ -212,19 +255,24 @@ def solve_pvt(
         raise ConfigurationError(
             f"need at least 4 pseudoranges to solve, got {len(measurements)}"
         )
-    est = init if init is not None else ReceiverEstimate(np.zeros(3), 0.0)
+    _check_lengths(measurements, constellation)
+    measured = measurements.values
+    positions = constellation.positions
+    x = init.as_vector() if init is not None else np.zeros(4)
+    h = np.ones((len(constellation), 4))
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        est, step_norm = ls_step(est, measurements, constellation)
+        x, step_norm = _gauss_newton_step(x, measured, positions, h)
         if step_norm < tol:
             converged = True
             break
-    final = residuals(est, measurements, constellation)
+    est = ReceiverEstimate.from_vector(x)
+    final = measured - predicted_pseudoranges(est, constellation)
     return PvtSolution(
         estimate=est,
         iterations=iterations,
-        final_residual_norm=float(np.linalg.norm(final)),
+        final_residual_norm=math.sqrt(final.dot(final)),
         converged=converged,
         residuals=final,
     )

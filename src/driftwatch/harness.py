@@ -184,7 +184,10 @@ class EpisodeDetectors:
         v_bocpd = bocpd_flag(l_hat, self.t, self.bank.tau, self.bank.warmup)
         v_ph = self.ph.update(q)
         v_res = self.residual.update(pvt)
+        # The AE scores only the trailing window, so keep no more of it.
         self.q_history.append(q)
+        if len(self.q_history) > self.bank.ae.window:
+            del self.q_history[0]
         v_ae = window_ae_score(self.bank.ae, self.q_history)
         verdicts = (v_bocpd, v_ph, v_res, v_ae)
         flags = np.array([v.flag for v in verdicts], dtype=bool)

@@ -14,7 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .gnss import Constellation, PseudorangeSet
+from .gnss import (
+    Constellation,
+    PseudorangeSet,
+    ReceiverEstimate,
+    predicted_pseudoranges,
+)
 
 
 @dataclass(frozen=True)
@@ -75,6 +80,5 @@ def spoof_pseudoranges(
     constellation: Constellation,
 ) -> PseudorangeSet:
     """Fabricate noiseless pseudoranges exactly consistent with ``spoof_pos``."""
-    spoof_pos = np.asarray(spoof_pos, dtype=float)
-    values = np.linalg.norm(constellation.positions - spoof_pos, axis=1) + bias
-    return PseudorangeSet(values=values)
+    spoofed = ReceiverEstimate(spoof_pos, bias)
+    return PseudorangeSet(values=predicted_pseudoranges(spoofed, constellation))

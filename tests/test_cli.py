@@ -6,6 +6,7 @@ configuration so the whole module stays in the couple-of-seconds range.
 
 import dataclasses
 import json
+import shutil
 
 import pytest
 
@@ -102,6 +103,31 @@ class TestUsageErrors:
             err = capsys.readouterr().err
             assert err.startswith("error:") and key in err
             assert "driftwatch profile" in err
+
+    @pytest.mark.parametrize("name, key", [
+        ("age_profile.json", "means"),
+        ("age_profile.json", None),
+        ("profile.json", None),
+    ])
+    def test_bad_bank_document_exits_with_error(self, capsys, tmp_path,
+                                                cfg_path, chain, name, key):
+        for bank_file in ("bank.json", "profile.json", "age_profile.json",
+                          "ae.npz"):
+            shutil.copy(chain / bank_file, tmp_path / bank_file)
+        if key is None:
+            (tmp_path / name).unlink()
+        else:
+            doc = json.loads((tmp_path / name).read_text())
+            del doc[key]
+            (tmp_path / name).write_text(json.dumps(doc))
+        rc = main(["eval", "--config", str(cfg_path),
+                   "--checkpoint", str(chain / "checkpoint.npz"),
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+        assert key is None or key in err
+        assert "driftwatch profile" in err
 
 
 class TestOracleCheck:

@@ -446,3 +446,170 @@ def test_observation_validates_shape():
         Observation(phi=np.zeros(3))
     with pytest.raises(ConfigurationError):
         Observation(phi=np.full(9, np.nan))
+
+
+# Reference dynamics: `step_dynamics` as first written, with `np.cross`,
+# `np.linalg.norm`, `np.outer`, `np.clip` and `dataclasses.replace`.  The
+# dynamics must reproduce it bit for bit.
+
+def reference_flow_field_matrices(uav_pos, obstacle_pos, obstacle_radius, action):
+    sep = uav_pos - obstacle_pos
+    dist = np.linalg.norm(sep)
+    gamma = (dist / obstacle_radius) ** 2
+    n = 2.0 * sep / obstacle_radius**2
+    n_hat = sep / dist
+    ref = np.cross(n_hat, np.array([0.0, 0.0, 1.0]))
+    ref_norm = np.linalg.norm(ref)
+    if ref_norm < 1e-9:
+        ref = np.array([1.0, 0.0, 0.0])
+    else:
+        ref = ref / ref_norm
+    c, s = np.cos(action.theta), np.sin(action.theta)
+    tangent = (ref * c + np.cross(n_hat, ref) * s
+               + n_hat * (n_hat @ ref) * (1.0 - c))
+    w_rep = 1.0 if gamma <= 1.0 else float(np.exp((1.0 - gamma) / action.rho0))
+    w_tan = 1.0 if gamma <= 1.0 else float(np.exp((1.0 - gamma) / action.sigma0))
+    m_rep = -w_rep * np.outer(n, n) / (n @ n)
+    m_tan = w_tan * np.outer(tangent, n) / (np.linalg.norm(tangent)
+                                            * np.linalg.norm(n))
+    return m_rep, m_tan
+
+
+def reference_clamp_motion(v_new, v_prev, speed, climb, heading_deg):
+    v = v_new.copy()
+    v[2] = np.clip(v[2], -climb, climb)
+    h_prev = v_prev[:2]
+    h_new = v[:2]
+    if np.linalg.norm(h_prev) > 1e-9 and np.linalg.norm(h_new) > 1e-9:
+        ang_prev = np.arctan2(h_prev[1], h_prev[0])
+        ang_new = np.arctan2(h_new[1], h_new[0])
+        dang = (ang_new - ang_prev + np.pi) % (2.0 * np.pi) - np.pi
+        limit = np.deg2rad(heading_deg)
+        if abs(dang) > limit:
+            ang = ang_prev + np.sign(dang) * limit
+            mag = np.linalg.norm(h_new)
+            v[0] = mag * np.cos(ang)
+            v[1] = mag * np.sin(ang)
+    total = np.linalg.norm(v)
+    if total > speed:
+        v = v * (speed / total)
+    return v
+
+
+def reference_step_dynamics(world, action, speed, nav_pos, climb, heading_deg,
+                            bounds):
+    believed = world.uav_pos_true if nav_pos is None else nav_pos
+    to_goal = world.goal - believed
+    norm = np.linalg.norm(to_goal)
+    attract = speed * (np.zeros(3) if norm < 1e-12 else to_goal / norm)
+    m_rep, m_tan = reference_flow_field_matrices(
+        believed, world.obstacle_pos, world.obstacle_radius, action
+    )
+    rel = attract - world.obstacle_vel
+    motion = (np.eye(3) + m_rep + m_tan) @ rel + world.obstacle_vel
+    motion = reference_clamp_motion(motion, world.uav_vel, speed, climb,
+                                    heading_deg)
+    obs_pos = world.obstacle_pos + world.dt * world.obstacle_vel
+    obs_vel = world.obstacle_vel.copy()
+    for i, hi in enumerate(bounds):
+        if obs_pos[i] < 0.0:
+            obs_pos[i] = -obs_pos[i]
+            obs_vel[i] = -obs_vel[i]
+        elif obs_pos[i] > hi:
+            obs_pos[i] = 2.0 * hi - obs_pos[i]
+            obs_vel[i] = -obs_vel[i]
+    return dataclasses.replace(
+        world, uav_pos_true=world.uav_pos_true + world.dt * motion,
+        uav_vel=motion, obstacle_pos=obs_pos, obstacle_vel=obs_vel,
+        t=world.t + 1,
+    )
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def random_world(rng, k):
+    """Worlds near an obstacle, some straight above it, some turning hard."""
+    bounds = np.array([1000.0, 1000.0, 300.0])
+    obstacle = rng.uniform([0.0, 0.0, 0.0], bounds)
+    offset = rng.normal(size=3) * rng.choice([5.0, 40.0, 200.0])
+    if k % 10 == 0:
+        offset[:2] = 0.0  # normal is vertical: the reference tangent is x
+    uav = obstacle + offset
+    goal = rng.uniform([0.0, 0.0, 0.0], bounds)
+    if k % 7 == 0:
+        goal = uav.copy()  # at the goal: no attraction
+    vel = rng.normal(size=3) * rng.choice([0.0, 1.0, 8.0])
+    if k % 4 == 0:
+        vel = -8.0 * (goal - uav) / max(np.linalg.norm(goal - uav), 1.0)
+    obstacle_vel = rng.normal(size=3) * rng.choice([0.0, 2.5, 40.0])
+    world = make_world(
+        uav_pos_true=uav, uav_vel=vel, obstacle_pos=obstacle,
+        obstacle_vel=obstacle_vel, obstacle_radius=rng.uniform(10.0, 60.0),
+        goal=goal, t=int(rng.integers(0, 400)), dt=rng.choice([0.5, 1.0]),
+    )
+    action = ActionVec(rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0),
+                       rng.uniform(-np.pi, np.pi))
+    nav_pos = None if k % 3 == 0 else uav + rng.normal(size=3) * 20.0
+    return world, action, nav_pos
+
+
+def test_step_dynamics_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    bounds = (1000.0, 1000.0, 300.0)
+    for k in range(300):
+        world, action, nav_pos = random_world(rng, k)
+        believed = world.uav_pos_true if nav_pos is None else nav_pos
+        got_m = flow_field_matrices(believed, world.obstacle_pos,
+                                    world.obstacle_radius, action)
+        ref_m = reference_flow_field_matrices(believed, world.obstacle_pos,
+                                              world.obstacle_radius, action)
+        assert all(same_bits(g, r) for g, r in zip(got_m, ref_m))
+        speed, climb, heading = rng.choice([5.0, 10.0]), 3.0, 30.0
+        got = step_dynamics(world, action, speed, nav_pos,
+                            climb_rate_limit=climb,
+                            heading_rate_limit_deg=heading, bounds=bounds)
+        ref = reference_step_dynamics(world, action, speed, nav_pos, climb,
+                                      heading, bounds)
+        for name in ("uav_pos_true", "uav_vel", "obstacle_pos", "obstacle_vel",
+                     "goal", "start"):
+            assert same_bits(getattr(got, name), getattr(ref, name)), name
+        assert (got.t, got.dt, got.obstacle_radius, got.clock_bias_true) == (
+            ref.t, ref.dt, ref.obstacle_radius, ref.clock_bias_true)
+
+
+def test_reward_and_threat_match_reference_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for k in range(200):
+        world, _, _ = random_world(rng, k)
+        est = world.uav_pos_true + rng.normal(size=3) * 3.0
+        p_rel = world.obstacle_pos - est
+        dist = np.linalg.norm(p_rel)
+        expected = (dist - world.obstacle_radius) * (p_rel / dist)
+        assert same_bits(threat_vector(est, world.obstacle_pos,
+                                       world.obstacle_radius), expected)
+        rb = reward(world)
+        d = float(np.linalg.norm(world.obstacle_pos - world.uav_pos_true))
+        dist_goal = float(np.linalg.norm(world.goal - world.uav_pos_true))
+        denom = max(float(np.linalg.norm(world.goal - world.start)), 1e-9)
+        assert rb.goal_seek == -dist_goal / denom + (3.0 if dist_goal <= 10.0
+                                                     else 0.0)
+        assert rb.collision == (-1.0 + (d - world.obstacle_radius)
+                                / world.obstacle_radius
+                                if d <= world.obstacle_radius else 0.0)
+
+
+@pytest.mark.parametrize("field", ["uav_pos_true", "uav_vel", "obstacle_pos",
+                                   "obstacle_vel", "goal", "start"])
+@pytest.mark.parametrize("bad", [
+    np.array([1.0, np.nan, 0.0]),
+    np.array([np.inf, 0.0, 0.0]),
+    np.zeros(2),
+    np.zeros((3, 1)),
+    np.zeros(4),
+])
+def test_world_state_rejects_bad_vectors(field, bad):
+    with pytest.raises(ConfigurationError, match=field):
+        make_world(**{field: bad})

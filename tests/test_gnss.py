@@ -21,6 +21,7 @@ from driftwatch.gnss import (
     residuals,
     solve_pvt,
 )
+from driftwatch.spoofing import spoof_pseudoranges
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +115,9 @@ def test_jacobian_degenerate_at_satellite(cons):
     est = ReceiverEstimate(cons.positions[0].copy(), 0.0)
     with pytest.raises(DegenerateGeometryError):
         jacobian(est, cons)
+    meas = measure_pseudoranges(ReceiverEstimate(np.zeros(3)), cons, 0.0, None)
+    with pytest.raises(DegenerateGeometryError):
+        solve_pvt(meas, cons, init=est)
 
 
 def test_ls_step_matches_direct_solve_at_four_sats():
@@ -136,6 +140,8 @@ def test_singular_geometry_raises():
     meas = PseudorangeSet(np.full(4, 2.0e7))
     with pytest.raises(SingularGeometryError):
         ls_step(ReceiverEstimate(np.zeros(3)), meas, cons_bad)
+    with pytest.raises(SingularGeometryError):
+        solve_pvt(meas, cons_bad)
 
 
 def test_solve_recovers_truth_without_noise(cons):
@@ -217,6 +223,8 @@ def test_solve_requires_four_measurements(cons):
 def test_residuals_length_mismatch(cons):
     with pytest.raises(ConfigurationError):
         residuals(ReceiverEstimate(np.zeros(3)), PseudorangeSet(np.zeros(5)), cons)
+    with pytest.raises(ConfigurationError):
+        solve_pvt(PseudorangeSet(np.zeros(5)), cons)
 
 
 def test_estimate_vector_round_trip():
@@ -224,3 +232,118 @@ def test_estimate_vector_round_trip():
     again = ReceiverEstimate.from_vector(est.as_vector())
     np.testing.assert_array_equal(again.position, est.position)
     assert again.clock_bias == est.clock_bias
+
+
+# Reference solver: the Gauss-Newton loop as first written, one
+# ReceiverEstimate per iteration, `np.linalg.norm` for the ranges and
+# `np.linalg.cond` for the rank guard.  The solver must reproduce it bit for
+# bit.
+
+def reference_predicted(est, positions):
+    return np.linalg.norm(positions - est.position, axis=1) + est.clock_bias
+
+
+def reference_ls_step(est, measurements, positions):
+    delta = measurements.values - reference_predicted(est, positions)
+    sep = est.position - positions
+    ranges = np.linalg.norm(sep, axis=1)
+    if np.any(ranges < 1.0):
+        raise DegenerateGeometryError("receiver estimate coincides with a satellite")
+    h = np.hstack([sep / ranges[:, None], np.ones((len(positions), 1))])
+    normal = h.T @ h
+    if np.linalg.cond(normal) > 1e12:
+        raise SingularGeometryError("satellite geometry is rank deficient")
+    correction = np.linalg.solve(normal, h.T @ delta)
+    new_est = ReceiverEstimate.from_vector(est.as_vector() + correction)
+    return new_est, float(np.linalg.norm(correction))
+
+
+def reference_solve_pvt(measurements, positions, init=None, tol=1e-4,
+                        max_iter=20):
+    est = init if init is not None else ReceiverEstimate(np.zeros(3), 0.0)
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        est, step_norm = reference_ls_step(est, measurements, positions)
+        if step_norm < tol:
+            converged = True
+            break
+    final = measurements.values - reference_predicted(est, positions)
+    return est, iterations, float(np.linalg.norm(final)), converged, final
+
+
+def assert_same_solution(sol, ref):
+    est, iterations, norm, converged, final = ref
+    assert np.array_equal(sol.estimate.position, est.position)
+    assert sol.estimate.clock_bias == est.clock_bias
+    assert sol.iterations == iterations
+    assert sol.final_residual_norm == norm
+    assert sol.converged == converged
+    assert np.array_equal(sol.residuals, final)
+
+
+def random_receiver(rng):
+    return ReceiverEstimate(rng.uniform([0.0, 0.0, 0.0], [1000.0, 1000.0, 300.0]),
+                            rng.uniform(-100.0, 100.0))
+
+
+@pytest.mark.parametrize("n_sats, seed", [(8, 7), (4, 5), (11, 2)])
+def test_solve_matches_reference_bit_for_bit(n_sats, seed):
+    """Noisy and noiseless epochs, from the origin, the truth and a nearby fix."""
+    cons_k = make_constellation(n_sats=n_sats, seed=seed)
+    positions = cons_k.positions
+    rng = np.random.default_rng([n_sats, seed])
+    for k in range(200):
+        truth = random_receiver(rng)
+        sigma = (0.0, 2.0, 25.0)[k % 3]
+        meas = measure_pseudoranges(truth, cons_k, sigma, rng)
+        nearby = ReceiverEstimate(truth.position + rng.normal(0.0, 30.0, size=3),
+                                  truth.clock_bias + rng.normal(0.0, 10.0))
+        for init in (None, truth, nearby):
+            assert_same_solution(solve_pvt(meas, cons_k, init=init),
+                                 reference_solve_pvt(meas, positions, init=init))
+        step, step_norm = ls_step(nearby, meas, cons_k)
+        ref_step, ref_norm = reference_ls_step(nearby, meas, positions)
+        assert np.array_equal(step.as_vector(), ref_step.as_vector())
+        assert step_norm == ref_norm
+
+
+def test_spoofed_solve_matches_reference_bit_for_bit(cons):
+    rng = np.random.default_rng(99)
+    positions = cons.positions
+    target = np.array([900.0, 100.0, 50.0])
+    for k in range(200):
+        truth = random_receiver(rng)
+        alpha = rng.uniform(0.0, 1.0)
+        implied = (1.0 - alpha) * truth.position + alpha * target
+        meas = spoof_pseudoranges(implied, truth.clock_bias, cons)
+        assert np.array_equal(
+            meas.values,
+            np.linalg.norm(positions - implied, axis=1) + truth.clock_bias,
+        )
+        for init in (None, truth):
+            assert_same_solution(solve_pvt(meas, cons, init=init),
+                                 reference_solve_pvt(meas, positions, init=init))
+
+
+def test_predicted_pseudoranges_and_jacobian_match_reference(cons):
+    rng = np.random.default_rng(5)
+    positions = cons.positions
+    for _ in range(200):
+        est = random_receiver(rng)
+        assert np.array_equal(predicted_pseudoranges(est, cons),
+                              reference_predicted(est, positions))
+        sep = est.position - positions
+        expected = np.hstack([sep / np.linalg.norm(sep, axis=1)[:, None],
+                              np.ones((len(cons), 1))])
+        assert np.array_equal(jacobian(est, cons), expected)
+
+
+def test_positions_are_stacked_once_and_read_only(cons):
+    expected = np.stack([s.position for s in cons.satellites])
+    assert np.array_equal(cons.positions, expected)
+    assert cons.positions is cons.positions
+    assert not cons.positions.flags.writeable
+    with pytest.raises(ValueError):
+        cons.positions[0, 0] = 0.0
+

@@ -12,14 +12,16 @@ from driftwatch.detectors import (
     AgeProfile,
     NominalProfile,
     fit_age_profile,
+    window_ae_score,
     window_ae_train,
 )
 from driftwatch.errors import ConfigurationError
-from driftwatch.gnss import make_constellation
+from driftwatch.gnss import PvtSolution, ReceiverEstimate, make_constellation
 from driftwatch.harness import (
     CSV_COLUMNS,
     DETECTOR_ORDER,
     DetectorBank,
+    EpisodeDetectors,
     EpisodeLog,
     compute_metrics,
     evaluate,
@@ -253,6 +255,28 @@ class TestRunEpisode:
         assert not log.flags[: window - 1, 3].any()
 
 
+class TestEpisodeDetectors:
+    def test_ae_history_is_bounded_and_scores_as_full_history(
+        self, synthetic_bank
+    ):
+        window = synthetic_bank.ae.window
+        pvt = PvtSolution(estimate=ReceiverEstimate(np.zeros(3)), iterations=1,
+                          final_residual_norm=0.0, converged=True,
+                          residuals=np.zeros(8))
+        qs = -3.0 + 0.5 * np.random.default_rng(12).normal(size=4 * window)
+        qs[2 * window:] += 2.0  # a level shift the AE should flag
+        dets = EpisodeDetectors(synthetic_bank)
+        flagged = False
+        for k, q in enumerate(qs):
+            flags, stats = dets.update(pvt, float(q))
+            assert len(dets.q_history) == min(k + 1, window)
+            full = window_ae_score(synthetic_bank.ae, list(qs[: k + 1]))
+            assert flags[3] == full.flag
+            assert np.array_equal(stats[3], full.statistic, equal_nan=True)
+            flagged |= bool(flags[3])
+        assert flagged
+
+
 class TestDetectorBankPersistence:
     def test_round_trip_preserves_verdicts(
         self, small_agent, mini_env, constellation, synthetic_bank, tmp_path
@@ -331,6 +355,40 @@ class TestDetectorBankPersistence:
         doc["schema"] = "other"
         (tmp_path / "bank.json").write_text(json.dumps(doc))
         with pytest.raises(ConfigurationError):
+            DetectorBank.load(tmp_path)
+
+    @pytest.mark.parametrize("name, key", [
+        ("age_profile.json", "means"),
+        ("age_profile.json", "noise_var"),
+        ("profile.json", "mu0"),
+    ])
+    def test_document_missing_key_rejected(self, synthetic_bank, tmp_path,
+                                           name, key):
+        synthetic_bank.save(tmp_path)
+        doc = json.loads((tmp_path / name).read_text())
+        del doc[key]
+        (tmp_path / name).write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError,
+                           match=f"{name} has no '{key}'.*driftwatch profile"):
+            DetectorBank.load(tmp_path)
+
+    @pytest.mark.parametrize("name", ["age_profile.json", "profile.json"])
+    def test_deleted_document_rejected(self, synthetic_bank, tmp_path, name):
+        synthetic_bank.save(tmp_path)
+        (tmp_path / name).unlink()
+        with pytest.raises(ConfigurationError,
+                           match=f"{name}.*driftwatch profile"):
+            DetectorBank.load(tmp_path)
+
+    @pytest.mark.parametrize("text", [
+        "{not json", "[]",
+        '{"schema": "driftwatch-age-profile-v1", "means": ["x"]}',
+    ])
+    def test_unreadable_document_rejected(self, synthetic_bank, tmp_path,
+                                          text):
+        synthetic_bank.save(tmp_path)
+        (tmp_path / "age_profile.json").write_text(text)
+        with pytest.raises(ConfigurationError, match="age_profile.json"):
             DetectorBank.load(tmp_path)
 
 
