@@ -35,6 +35,8 @@ CHECKPOINT_SCHEMA = "driftwatch-checkpoint-v1"
 
 ACTION_CENTER = (ACTION_HIGH + ACTION_LOW) / 2.0
 ACTION_HALF = (ACTION_HIGH - ACTION_LOW) / 2.0
+_CENTER = ACTION_CENTER.tolist()
+_HALF = ACTION_HALF.tolist()
 
 OBS_DIM = 9
 ACT_DIM = 3
@@ -72,13 +74,6 @@ class Agent:
         self.target_actor = self.actor.copy()
         self.target_critic = self.critic.copy()
 
-    def normalize_obs(self, phi: np.ndarray) -> np.ndarray:
-        return np.asarray(phi, dtype=float) / self.obs_scales
-
-    def policy_norm(self, phi: np.ndarray) -> np.ndarray:
-        """Deterministic policy in normalized action space ([-1, 1]^3)."""
-        return self.actor.forward(self.normalize_obs(phi))
-
     def act(
         self,
         phi: np.ndarray,
@@ -86,16 +81,21 @@ class Agent:
         rng: np.random.Generator | None = None,
     ) -> ActionVec:
         """Policy action with optional raw-unit Gaussian exploration noise."""
-        raw = denormalize_action(self.policy_norm(phi))
+        raw = denormalize_action(self.actor.forward(phi / self.obs_scales))
         if noise_scale > 0.0:
             if rng is None:
                 raise ConfigurationError("noise_scale > 0 requires an rng")
             raw = raw + rng.normal(0.0, noise_scale, size=ACT_DIM)
-        return ActionVec.from_array(np.clip(raw, ACTION_LOW, ACTION_HIGH))
+        return ActionVec(*raw.tolist())  # ActionVec clips to the bounds
 
     def q_value(self, phi: np.ndarray, action: ActionVec) -> float:
-        a_norm = normalize_action(action.as_array())
-        x = np.concatenate([self.normalize_obs(phi), a_norm])
+        # obs / scales and (a - centre) / half, written into one input row
+        x = np.empty(OBS_DIM + ACT_DIM)
+        np.divide(phi, self.obs_scales, out=x[:OBS_DIM])
+        (c0, c1, c2), (h0, h1, h2) = _CENTER, _HALF
+        x[OBS_DIM] = (action.rho0 - c0) / h0
+        x[OBS_DIM + 1] = (action.sigma0 - c1) / h1
+        x[OBS_DIM + 2] = (action.theta - c2) / h2
         return float(self.critic.forward(x)[0])
 
 

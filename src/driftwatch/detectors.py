@@ -15,6 +15,7 @@ scored by reconstruction error.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 import zipfile
 from dataclasses import dataclass
@@ -328,16 +329,20 @@ def bocpd_update(
     h = state.hazard
     prior = state.prior
     x, w = prior.observation(state.t, q)
-    pred_var = prior.noise_var * (w + 1.0 / state.seg_counts)
-    pred = np.exp(-0.5 * (x - state.seg_means) ** 2 / pred_var) / np.sqrt(
-        2.0 * np.pi * pred_var
-    )
+    old_means = state.seg_means
+    old_counts = state.seg_counts
+    pred_var = prior.noise_var * (w + 1.0 / old_counts)
+    d = x - old_means
+    pred = np.exp(-0.5 * (d * d) / pred_var) / np.sqrt(2.0 * np.pi * pred_var)
 
-    growth = state.weights * (1.0 - h) * pred
-    cp = float(np.sum(state.weights * h * pred))
-    unnormalized = np.concatenate([[cp], growth])
+    # entry 0 is the changepoint, entry 1 + i the growth of state entry i
+    n = old_means.size + 1
+    unnormalized = np.empty(n)
+    np.multiply(state.weights * (1.0 - h), pred, out=unnormalized[1:])
+    unnormalized[0] = (state.weights * h * pred).sum()
 
-    if np.all(unnormalized < _UNDERFLOW_LIMIT):
+    # max() < limit is np.all(... < limit), NaN included: neither resets.
+    if unnormalized.max() < _UNDERFLOW_LIMIT:
         warnings.warn(
             "run-length posterior underflowed; resetting to the prior",
             RuntimeWarning,
@@ -348,28 +353,30 @@ def bocpd_update(
         fresh.underflow_resets = state.underflow_resets + 1
         return fresh, 0
 
-    run_lengths = np.concatenate([[0], state.run_lengths + 1])
-    seg_means = np.concatenate([
-        [0.0],
-        (state.seg_means * state.seg_counts + x / w)
-        / (state.seg_counts + 1.0 / w),
-    ])
-    seg_counts = np.concatenate(
-        [[prior.prior_count], state.seg_counts + 1.0 / w]
-    )
+    run_lengths = np.empty(n, dtype=int)
+    run_lengths[0] = 0
+    np.add(state.run_lengths, 1, out=run_lengths[1:])
+    seg_counts = np.empty(n)
+    seg_counts[0] = prior.prior_count
+    np.add(old_counts, 1.0 / w, out=seg_counts[1:])
+    seg_means = np.empty(n)
+    seg_means[0] = 0.0
+    np.divide(old_means * old_counts + x / w, seg_counts[1:],
+              out=seg_means[1:])
     weights = unnormalized / unnormalized.sum()
 
     if prune > 0.0:
         keep = weights >= prune
-        keep[np.argmax(weights)] = True
-        run_lengths = run_lengths[keep]
-        seg_means = seg_means[keep]
-        seg_counts = seg_counts[keep]
-        weights = weights[keep]
+        keep[weights.argmax()] = True
+        idx = keep.nonzero()[0]
+        run_lengths = run_lengths[idx]
+        seg_means = seg_means[idx]
+        seg_counts = seg_counts[idx]
+        weights = weights[idx]
         weights = weights / weights.sum()
 
     new_state = BocpdState(
-        run_lengths=run_lengths.astype(int),
+        run_lengths=run_lengths,
         weights=weights,
         seg_means=seg_means,
         seg_counts=seg_counts,
@@ -508,14 +515,17 @@ class ResidualThreshold:
         self.prev_position: np.ndarray | None = None
 
     def update(self, pvt: PvtSolution) -> DetectorVerdict:
-        stat = pvt.final_residual_norm / np.sqrt(len(pvt.residuals))
+        stat = pvt.final_residual_norm / math.sqrt(len(pvt.residuals))
         pos = pvt.estimate.position
-        jump = (0.0 if self.prev_position is None
-                else float(np.linalg.norm(pos - self.prev_position)))
+        if self.prev_position is None:
+            jump = 0.0
+        else:
+            step = pos - self.prev_position
+            jump = math.sqrt(step.dot(step))  # np.linalg.norm's arithmetic
         self.prev_position = pos.copy()
         return DetectorVerdict(
             flag=(stat > self.threshold) or (jump > self.jump_gate),
-            statistic=float(stat),
+            statistic=stat,
         )
 
 
@@ -531,8 +541,8 @@ class WindowAutoencoder:
 
     def reconstruction_error(self, window_values: np.ndarray) -> float:
         x = (np.asarray(window_values, dtype=float) - self.mean) / self.std
-        recon = self.net.forward(x)
-        return float(np.mean((recon - x) ** 2))
+        d = self.net.forward(x) - x
+        return float(np.add.reduce(d * d) / d.size)  # what np.mean runs
 
     def save(self, path) -> None:
         arrays = {

@@ -33,6 +33,7 @@ TERM_TIMEOUT = "timeout"
 
 ACTION_LOW = np.array([0.1, 0.1, -np.pi])
 ACTION_HIGH = np.array([3.0, 3.0, np.pi])
+_ACTION_BOUNDS = (ACTION_LOW.tolist(), ACTION_HIGH.tolist())
 
 _Z = np.array([0.0, 0.0, 1.0])
 _X = np.array([1.0, 0.0, 0.0])
@@ -49,6 +50,11 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a0, a1, a2 = a.tolist()
     b0, b1, b2 = b.tolist()
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def _finite(v: np.ndarray) -> bool:
+    """np.isfinite(v).all() for a short 1-D float vector, one float at a time."""
+    return all(map(math.isfinite, v.tolist()))
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -79,7 +85,7 @@ class WorldState:
         for name in ("uav_pos_true", "uav_vel", "obstacle_pos", "obstacle_vel",
                      "goal", "start"):
             arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (3,) or not np.isfinite(arr).all():
+            if arr.shape != (3,) or not _finite(arr):
                 raise ConfigurationError(f"{name} must be a finite 3-vector")
             object.__setattr__(self, name, arr)
         if not self.obstacle_radius > 0:
@@ -97,10 +103,11 @@ class ActionVec:
     theta: float
 
     def __post_init__(self):
-        vals = np.clip([self.rho0, self.sigma0, self.theta], ACTION_LOW, ACTION_HIGH)
-        object.__setattr__(self, "rho0", float(vals[0]))
-        object.__setattr__(self, "sigma0", float(vals[1]))
-        object.__setattr__(self, "theta", float(vals[2]))
+        # min(max(v, lo), hi) gives np.clip's result, NaN included
+        (lo0, lo1, lo2), (hi0, hi1, hi2) = _ACTION_BOUNDS
+        object.__setattr__(self, "rho0", min(max(float(self.rho0), lo0), hi0))
+        object.__setattr__(self, "sigma0", min(max(float(self.sigma0), lo1), hi1))
+        object.__setattr__(self, "theta", min(max(float(self.theta), lo2), hi2))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.rho0, self.sigma0, self.theta])
@@ -118,7 +125,7 @@ class Observation:
 
     def __post_init__(self):
         arr = np.asarray(self.phi, dtype=float)
-        if arr.shape != (9,) or not np.isfinite(arr).all():
+        if arr.shape != (9,) or not _finite(arr):
             raise ConfigurationError("phi must be a finite 9-vector")
         object.__setattr__(self, "phi", arr)
 
@@ -454,18 +461,16 @@ def env_step(
         bounds=cfg.bounds,
     )
 
+    truth = ReceiverEstimate(world_next.uav_pos_true, world_next.clock_bias_true)
     phase = attack_alpha(world_next.t, spoof) if spoof is not None else None
     if phase is not None and phase.active:
         implied = spoof_position(world_next.uav_pos_true, phase, spoof)
         meas = spoof_pseudoranges(implied, world_next.clock_bias_true, constellation)
     else:
-        truth = ReceiverEstimate(world_next.uav_pos_true, world_next.clock_bias_true)
         meas = measure_pseudoranges(truth, constellation, noise_sigma,
                                     rng or np.random.default_rng(0))
 
-    init = pvt_init if pvt_init is not None else ReceiverEstimate(
-        world_next.uav_pos_true, world_next.clock_bias_true
-    )
+    init = pvt_init if pvt_init is not None else truth
     pvt = solve_pvt(meas, constellation, init=init)
     obs = build_observation(pvt, world_next)
 

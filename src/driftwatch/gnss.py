@@ -215,14 +215,59 @@ def _gauss_newton_step(
     delta = measured - (ranges + x[3])
     _fill_jacobian(h, sep, ranges)
     normal = h.T @ h
-    # Guard on the normal matrix instead of inverting it explicitly: its
-    # 2-norm condition number s_max / s_min (infinite when s_min is 0) must
-    # not exceed 1e12.
+    _check_rank(normal)
+    correction = np.linalg.solve(normal, h.T @ delta)
+    return x + correction, math.sqrt(correction.dot(correction))
+
+
+def _check_rank(normal: np.ndarray) -> None:
+    """Raise SingularGeometryError unless the normal matrix is well conditioned.
+
+    The guard is on the 2-norm condition number s_max / s_min (infinite
+    when s_min is 0): it must not exceed 1e12.  The SVD that gives it runs
+    only when the cheaper bound of `_well_conditioned` cannot vouch for the
+    matrix.  NaN entries make the SVD raise LinAlgError.
+    """
+    if _well_conditioned(normal.tolist()):
+        return
     s = np.linalg.svd(normal, compute_uv=False).tolist()
     if not (s[-1] > 0.0 and s[0] / s[-1] <= 1e12):
         raise SingularGeometryError("satellite geometry is rank deficient")
-    correction = np.linalg.solve(normal, h.T @ delta)
-    return x + correction, math.sqrt(correction.dot(correction))
+
+
+def _well_conditioned(a: list) -> bool:
+    """Cheap sufficient test that a 4x4 normal matrix passes the SVD guard.
+
+    The normal matrix A = H^T H is symmetric positive semi-definite, so
+    its singular values are its eigenvalues l1 >= ... >= l4 >= 0, with
+    l1 <= tr(A) and l4 = det(A) / (l1 l2 l3) >= det(A) / tr(A)^3.  Hence
+    cond(A) <= tr(A)^4 / det(A).  The test asks for tr^4 <= 1e11 det, ten
+    times inside the guard's 1e12.  Every entry is at most tr in size, so
+    the rounding error of det taken from 2x2 minors is below 300 eps tr^4;
+    when the test passes that is below 1e-2 of det, so the exact det is at
+    least 0.99 of the computed one and cond(A) < 1.02e11.  The SVD's
+    singular values are exact to a few eps times s_max, which moves that
+    ratio by far less than the margin, so every matrix accepted here passes
+    the SVD guard.  Rounding can leave the computed H^T H with eigenvalues
+    a few eps tr below zero: one makes det negative, two make det smaller
+    than 1e-20 tr^4, and both fail the test.  NaN, inf, a non-positive det
+    and an overflowing product all fail it too and go to the SVD.
+    """
+    r0, r1, r2, r3 = a
+    a00, a01, a02, a03 = r0
+    a10, a11, a12, a13 = r1
+    a20, a21, a22, a23 = r2
+    a30, a31, a32, a33 = r3
+    # Laplace expansion along the top two rows
+    det = ((a00 * a11 - a01 * a10) * (a22 * a33 - a23 * a32)
+           - (a00 * a12 - a02 * a10) * (a21 * a33 - a23 * a31)
+           + (a00 * a13 - a03 * a10) * (a21 * a32 - a22 * a31)
+           + (a01 * a12 - a02 * a11) * (a20 * a33 - a23 * a30)
+           - (a01 * a13 - a03 * a11) * (a20 * a32 - a22 * a30)
+           + (a02 * a13 - a03 * a12) * (a20 * a31 - a21 * a30))
+    tr = a00 + a11 + a22 + a33
+    tr2 = tr * tr
+    return 0.0 < det and tr2 * tr2 <= 1e11 * det < math.inf
 
 
 def ls_step(

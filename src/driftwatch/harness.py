@@ -177,21 +177,24 @@ class EpisodeDetectors:
 
     def update(self, pvt: PvtSolution, q: float) -> tuple[np.ndarray, np.ndarray]:
         """Feed one decision point to every detector; returns (flags, stats)."""
+        bank = self.bank
         self.t += 1
         self.bocpd_state, l_hat = bocpd_update(
-            self.bocpd_state, q, prune=self.bank.prune
+            self.bocpd_state, q, prune=bank.prune
         )
-        v_bocpd = bocpd_flag(l_hat, self.t, self.bank.tau, self.bank.warmup)
+        v_bocpd = bocpd_flag(l_hat, self.t, bank.tau, bank.warmup)
         v_ph = self.ph.update(q)
         v_res = self.residual.update(pvt)
         # The AE scores only the trailing window, so keep no more of it.
-        self.q_history.append(q)
-        if len(self.q_history) > self.bank.ae.window:
-            del self.q_history[0]
-        v_ae = window_ae_score(self.bank.ae, self.q_history)
-        verdicts = (v_bocpd, v_ph, v_res, v_ae)
-        flags = np.array([v.flag for v in verdicts], dtype=bool)
-        stats = np.array([v.statistic for v in verdicts], dtype=float)
+        history = self.q_history
+        history.append(q)
+        if len(history) > bank.ae.window:
+            del history[0]
+        v_ae = window_ae_score(bank.ae, history)
+        flags = np.array((v_bocpd.flag, v_ph.flag, v_res.flag, v_ae.flag),
+                         dtype=bool)
+        stats = np.array((v_bocpd.statistic, v_ph.statistic, v_res.statistic,
+                          v_ae.statistic), dtype=float)
         return flags, stats
 
 
@@ -272,11 +275,13 @@ def run_episode(
             flags = np.zeros(n_det, dtype=bool)
             stats = np.full(n_det, np.nan)
 
+        # World, fix and observation are values, never written in place,
+        # so their arrays are kept without a copy.
         cols["t"].append(t)
-        cols["true"].append(world.uav_pos_true.copy())
-        cols["est"].append(pvt.estimate.position.copy())
-        cols["phi"].append(obs.phi.copy())
-        cols["action"].append(action.as_array())
+        cols["true"].append(world.uav_pos_true)
+        cols["est"].append(pvt.estimate.position)
+        cols["phi"].append(obs.phi)
+        cols["action"].append((action.rho0, action.sigma0, action.theta))
         cols["q"].append(q)
         cols["alpha"].append(alpha)
         cols["flags"].append(flags)
@@ -304,7 +309,7 @@ def run_episode(
         true_pos=np.stack(cols["true"]),
         est_pos=np.stack(cols["est"]),
         phi=np.stack(cols["phi"]),
-        action=np.stack(cols["action"]),
+        action=np.array(cols["action"]),
         rewards=np.array(cols["rewards"]),
         q=np.array(cols["q"]),
         alpha=np.array(cols["alpha"]),

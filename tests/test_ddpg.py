@@ -64,6 +64,25 @@ def test_act_always_within_bounds():
         assert np.all(a <= ACTION_HIGH + 1e-12)
 
 
+def test_act_and_q_value_match_reference_bit_for_bit():
+    """Against normalize/denormalize, np.clip and np.concatenate as first written."""
+    agent = fresh_agent()
+    rng = np.random.default_rng(21)
+    for k in range(300):
+        phi = random_phi(rng)
+        scale = (0.0, 0.5, 3.0)[k % 3]
+        seed = int(rng.integers(1 << 30))
+        got = agent.act(phi, noise_scale=scale, rng=np.random.default_rng(seed))
+        raw = denormalize_action(agent.actor.forward(phi / agent.obs_scales))
+        if scale > 0.0:
+            raw = raw + np.random.default_rng(seed).normal(0.0, scale, size=3)
+        expected = np.clip(raw, ACTION_LOW, ACTION_HIGH)
+        assert got.as_array().tobytes() == expected.tobytes()
+        x = np.concatenate([phi / agent.obs_scales,
+                            normalize_action(got.as_array())])
+        assert agent.q_value(phi, got) == float(agent.critic.forward(x)[0])
+
+
 def test_act_noise_statistics():
     """Per-component std of the exploration noise at an interior action."""
     agent = fresh_agent()  # small final init puts the policy near the center

@@ -5,6 +5,7 @@ import pytest
 
 from driftwatch.detectors import (
     AgeProfile,
+    BocpdState,
     NominalProfile,
     PageHinkley,
     ResidualThreshold,
@@ -308,6 +309,123 @@ class TestBocpd:
         assert bocpd_flag(3, t=11, tau=5, warmup=10).statistic == 3.0
 
 
+# Reference recursion: `bocpd_update` as first written, with `np.sum`,
+# `** 2`, `np.all` and `np.concatenate`, pruning each array by its own mask
+# and converting the run lengths with `.astype(int)`.  The recursion must
+# reproduce it bit for bit.
+
+def reference_bocpd_update(state, q, prune=1e-8):
+    h = state.hazard
+    prior = state.prior
+    x, w = prior.observation(state.t, q)
+    pred_var = prior.noise_var * (w + 1.0 / state.seg_counts)
+    pred = np.exp(-0.5 * (x - state.seg_means) ** 2 / pred_var) / np.sqrt(
+        2.0 * np.pi * pred_var
+    )
+    growth = state.weights * (1.0 - h) * pred
+    cp = float(np.sum(state.weights * h * pred))
+    unnormalized = np.concatenate([[cp], growth])
+    if np.all(unnormalized < 1e-300):
+        fresh = bocpd_init(prior, h)
+        fresh.t = state.t + 1
+        fresh.underflow_resets = state.underflow_resets + 1
+        return fresh, 0
+    run_lengths = np.concatenate([[0], state.run_lengths + 1])
+    seg_means = np.concatenate([
+        [0.0],
+        (state.seg_means * state.seg_counts + x / w)
+        / (state.seg_counts + 1.0 / w),
+    ])
+    seg_counts = np.concatenate(
+        [[prior.prior_count], state.seg_counts + 1.0 / w]
+    )
+    weights = unnormalized / unnormalized.sum()
+    if prune > 0.0:
+        keep = weights >= prune
+        keep[np.argmax(weights)] = True
+        run_lengths = run_lengths[keep]
+        seg_means = seg_means[keep]
+        seg_counts = seg_counts[keep]
+        weights = weights[keep]
+        weights = weights / weights.sum()
+    new_state = BocpdState(
+        run_lengths=run_lengths.astype(int), weights=weights,
+        seg_means=seg_means, seg_counts=seg_counts, prior=prior, hazard=h,
+        t=state.t + 1, underflow_resets=state.underflow_resets,
+    )
+    return new_state, int(run_lengths[np.argmax(weights)])
+
+
+# a same-age prior whose 30-age horizon the 80-step streams cross
+SAME_AGE = AgeProfile(
+    means=tuple(-20.0 + 0.5 * k for k in range(30)),
+    variances=tuple(0.3 + 0.01 * k for k in range(30)),
+    noise_var=0.2, level_var=0.5, n_samples=600,
+)
+
+
+def assert_same_posterior(state, ref):
+    for name in ("run_lengths", "weights", "seg_means", "seg_counts"):
+        got, want = getattr(state, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+    assert state.t == ref.t
+    assert state.underflow_resets == ref.underflow_resets
+    assert np.issubdtype(state.run_lengths.dtype, np.integer)
+
+
+class TestBocpdMatchesReference:
+    @pytest.mark.parametrize("prior", [PRIOR, SAME_AGE], ids=["one-age", "same-age"])
+    @pytest.mark.parametrize("prune", [0.0, 1e-8])
+    @pytest.mark.filterwarnings("ignore:run-length posterior underflowed")
+    def test_random_streams_bit_for_bit(self, prior, prune):
+        """200 streams per prior and prune: quiet, shifted, drifting, noisy."""
+        rng = np.random.default_rng([int(prune > 0), prior.horizon])
+        for trial in range(200):
+            ages = np.minimum(np.arange(80), prior.horizon - 1)
+            base = np.array(prior.means)[ages]
+            scale = np.sqrt(np.array(prior.variances)[ages])
+            q = base + scale * rng.normal(size=80) * rng.uniform(0.2, 3.0)
+            kind = trial % 4
+            if kind == 1:
+                q[rng.integers(5, 75):] -= rng.uniform(2.0, 12.0) * scale[-1]
+            elif kind == 2:
+                q += np.linspace(0.0, rng.uniform(-10.0, 10.0), 80)
+            elif kind == 3:
+                q[rng.integers(0, 80, size=5)] += rng.normal(0.0, 30.0, size=5)
+            hazard = rng.uniform(0.002, 0.1)
+            state = ref = bocpd_init(prior, hazard)
+            for x in q.tolist():
+                state, l_hat = bocpd_update(state, x, prune=prune)
+                ref, l_ref = reference_bocpd_update(ref, x, prune=prune)
+                assert l_hat == l_ref
+                assert_same_posterior(state, ref)
+
+    @pytest.mark.parametrize("prior", [PRIOR, SAME_AGE], ids=["one-age", "same-age"])
+    @pytest.mark.parametrize("prune", [0.0, 1e-8])
+    def test_underflow_reset_and_nan_bit_for_bit(self, prior, prune):
+        state = ref = bocpd_init(prior, 0.01)
+        for k, x in enumerate([0.1, -0.2, 0.0, 1e6, 0.3, -0.1, 1e6, 0.2]):
+            x += prior.means[min(k, prior.horizon - 1)]
+            if x > 1e5:
+                with pytest.warns(RuntimeWarning, match="underflowed"):
+                    state, l_hat = bocpd_update(state, x, prune=prune)
+            else:
+                state, l_hat = bocpd_update(state, x, prune=prune)
+            ref, l_ref = reference_bocpd_update(ref, x, prune=prune)
+            assert l_hat == l_ref
+            assert_same_posterior(state, ref)
+        assert state.underflow_resets == 2
+        # a NaN value poisons the posterior without resetting it
+        for x in (float("nan"), 0.0, 1.0):
+            state, l_hat = bocpd_update(state, x, prune=prune)
+            ref, l_ref = reference_bocpd_update(ref, x, prune=prune)
+            assert l_hat == l_ref
+            assert_same_posterior(state, ref)
+        assert np.isnan(state.weights).all()
+        assert state.underflow_resets == 2
+
+
 class TestCalibrateTau:
     def test_clean_streams_pick_largest_viable_tau(self):
         # argmax equals t on clean streams, so tau cannot exceed warmup:
@@ -439,6 +557,26 @@ class TestResidualThreshold:
         assert not det.update(b).flag  # 30 m, drift-sized
         assert det.update(c).flag  # 600 m teleport
 
+    def test_statistics_match_numpy_norms(self, constellation):
+        """Statistic and jump gate as np.sqrt and np.linalg.norm give them."""
+        rng = np.random.default_rng(9)
+        det = ResidualThreshold(k_sigma=3.0, noise_sigma=2.0, jump_gate=50.0)
+        pos = np.array([500.0, 500.0, 150.0])
+        prev = None
+        jumped = 0
+        for _ in range(200):
+            pos = pos + rng.normal(0.0, 30.0, size=3)
+            pvt = self.solve_at(constellation, pos, noise_sigma=2.0, rng=rng)
+            verdict = det.update(pvt)
+            stat = pvt.final_residual_norm / np.sqrt(len(pvt.residuals))
+            jump = (0.0 if prev is None
+                    else float(np.linalg.norm(pvt.estimate.position - prev)))
+            assert verdict.statistic == float(stat)
+            assert verdict.flag == ((stat > det.threshold) or (jump > 50.0))
+            jumped += jump > 50.0
+            prev = pvt.estimate.position.copy()
+        assert 0 < jumped < 200
+
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):
             ResidualThreshold(k_sigma=0.0, noise_sigma=1.0, jump_gate=50.0)
@@ -492,6 +630,15 @@ class TestWindowAutoencoder:
             )
             s[48:] -= 10 * PROFILE.sigma0
             assert window_ae_score(model, s).flag
+
+    def test_reconstruction_error_matches_np_mean(self, trained):
+        model, _, _, held = trained
+        for s in held:
+            for i in range(0, len(s) - model.window + 1, 7):
+                window = s[i:i + model.window]
+                x = (window - model.mean) / model.std
+                expected = float(np.mean((model.net.forward(x) - x) ** 2))
+                assert model.reconstruction_error(window) == expected
 
     def test_partial_window_gives_nan_and_no_flag(self, trained):
         model, _, _, _ = trained

@@ -7,6 +7,8 @@ import pytest
 
 from driftwatch.config import EnvConfig
 from driftwatch.env import (
+    ACTION_HIGH,
+    ACTION_LOW,
     TERM_COLLISION,
     TERM_GOAL,
     TERM_NONE,
@@ -73,6 +75,20 @@ def test_action_clamping():
     np.testing.assert_array_equal(b.as_array(), [1.2, 2.5, -0.7])
     c = ActionVec.from_array(np.array([0.5, 0.5, 0.0]))
     assert (c.rho0, c.sigma0, c.theta) == (0.5, 0.5, 0.0)
+
+
+@pytest.mark.parametrize("values", [
+    (1.2, 2.5, -0.7), (0.1, 3.0, np.pi), (-0.0, 0.0, -0.0), (1e-300, 2.0, 1.0),
+    (5.0, 0.01, 7.0), (-4.0, 99.0, -3.5), (np.inf, -np.inf, np.inf),
+    (np.nan, 1.0, 0.0), (1.0, np.nan, np.nan), (np.nan, np.inf, -np.inf),
+])
+def test_action_clamp_matches_np_clip(values):
+    """Finite, out-of-bounds and NaN components clamp as np.clip would."""
+    a = ActionVec(*values)
+    expected = np.clip(list(values), ACTION_LOW, ACTION_HIGH)
+    got = np.array([a.rho0, a.sigma0, a.theta])
+    assert got.tobytes() == expected.tobytes()
+    assert all(type(v) is float for v in (a.rho0, a.sigma0, a.theta))
 
 
 def test_flow_field_vanishes_far_away():
@@ -446,6 +462,11 @@ def test_observation_validates_shape():
         Observation(phi=np.zeros(3))
     with pytest.raises(ConfigurationError):
         Observation(phi=np.full(9, np.nan))
+    for bad in (np.nan, np.inf, -np.inf):
+        phi = np.zeros(9)
+        phi[7] = bad
+        with pytest.raises(ConfigurationError):
+            Observation(phi=phi)
 
 
 # Reference dynamics: `step_dynamics` as first written, with `np.cross`,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from driftwatch.config import GnssConfig
 from driftwatch.errors import (
     ConfigurationError,
     DegenerateGeometryError,
@@ -13,6 +14,8 @@ from driftwatch.gnss import (
     PseudorangeSet,
     ReceiverEstimate,
     Satellite,
+    _check_rank,
+    _well_conditioned,
     jacobian,
     ls_step,
     make_constellation,
@@ -347,3 +350,171 @@ def test_positions_are_stacked_once_and_read_only(cons):
     with pytest.raises(ValueError):
         cons.positions[0, 0] = 0.0
 
+
+
+# Rank guard oracle: the SVD test alone, as every Gauss-Newton step ran it
+# before the trace/determinant bound let well-conditioned matrices skip it.
+
+def svd_guard(normal):
+    s = np.linalg.svd(normal, compute_uv=False).tolist()
+    if not (s[-1] > 0.0 and s[0] / s[-1] <= 1e12):
+        raise SingularGeometryError("satellite geometry is rank deficient")
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result, or the type of the solver error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (SingularGeometryError, DegenerateGeometryError,
+            np.linalg.LinAlgError) as exc:
+        return type(exc)
+
+
+def normal_with_cond(rng, n_rows, cond):
+    """H^T H for a random (n_rows, 4) H whose normal matrix has cond `cond`.
+
+    Half the spectra are geometric; the other half have one small
+    eigenvalue under three of similar size, where tr^4 / det comes closest
+    to the condition number.
+    """
+    u, _ = np.linalg.qr(rng.normal(size=(n_rows, 4)))
+    v, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    if rng.uniform() < 0.5:
+        eig = np.geomspace(1.0, 1.0 / cond, 4)
+    else:
+        eig = np.array([1.0, *rng.uniform(0.2, 1.0, size=2), 1.0 / cond])
+    h = (u * np.sqrt(eig * rng.uniform(0.5, 9.0))) @ v.T
+    return h.T @ h
+
+
+def test_rank_guard_matches_svd_guard_on_random_normal_matrices():
+    rng = np.random.default_rng(2024)
+    seen = {(None, True): 0, (None, False): 0, (SingularGeometryError, False): 0}
+    for k in range(3000):
+        # log-uniform over 1e0..1e16, then a dense band around the 1e12 gate
+        exponent = rng.uniform(0.0, 16.0) if k % 2 else rng.uniform(11.0, 13.0)
+        normal = normal_with_cond(rng, int(rng.integers(4, 13)), 10.0**exponent)
+        expected = outcome(svd_guard, normal)
+        assert outcome(_check_rank, normal) is expected
+        seen[expected, _well_conditioned(normal.tolist())] += 1
+    # rejected, accepted by the bound, and accepted only by the SVD
+    assert min(seen.values()) > 200
+
+
+@pytest.mark.parametrize("normal", [
+    np.full((4, 4), np.nan),
+    np.where(np.eye(4) > 0, np.nan, 0.0),
+    np.diag([np.inf, 1.0, 1.0, 1.0]),
+    np.full((4, 4), np.inf),
+    np.eye(4) * 1e300,
+    np.eye(4) * 1e80,
+    np.zeros((4, 4)),
+    np.diag([1.0, 1.0, 1.0, 0.0]),
+], ids=["nan", "nan-diagonal", "inf-diagonal", "inf", "det-overflow",
+        "tr4-overflow", "zero", "rank-3"])
+def test_rank_guard_non_finite_and_extreme_entries(normal):
+    """These skip the bound and meet the SVD guard: NaN still raises LinAlgError."""
+    assert not _well_conditioned(normal.tolist())
+    assert outcome(_check_rank, normal) is outcome(svd_guard, normal)
+
+
+def near_coplanar(rng, n_sats, tilt):
+    """Satellites whose directions all sit near one cone around the z axis.
+
+    The lines of sight from the origin then lie close to one circle, which
+    leaves the normal matrix nearly singular; `tilt` sets how close.
+    """
+    az = np.sort(rng.uniform(0.0, 2.0 * np.pi, n_sats))
+    z = 0.5 + tilt * rng.normal(size=n_sats)
+    r_xy = np.sqrt(1.0 - z * z)
+    dirs = np.stack([r_xy * np.cos(az), r_xy * np.sin(az), z], axis=1)
+    return Constellation(tuple(Satellite(i, 2.0e7 * d) for i, d in enumerate(dirs)))
+
+
+def test_solver_raises_on_exactly_the_svd_guards_inputs():
+    """ls_step and solve_pvt against the SVD-guarded reference loop.
+
+    Near-coplanar constellations span normal-matrix condition numbers of
+    about 1e9 to 1e14, around the 1e12 gate.
+    """
+    rng = np.random.default_rng(31)
+    raised = passed = 0
+    conds = []
+    start = ReceiverEstimate(np.zeros(3))
+    for _ in range(400):
+        cons_k = near_coplanar(rng, int(rng.integers(4, 9)),
+                               10.0 ** rng.uniform(-7.5, -4.0))
+        positions = cons_k.positions
+        h = jacobian(start, cons_k)
+        conds.append(np.linalg.cond(h.T @ h))
+        truth = ReceiverEstimate(rng.normal(0.0, 50.0, size=3),
+                                 rng.uniform(-50.0, 50.0))
+        meas = spoof_pseudoranges(truth.position, truth.clock_bias, cons_k)
+        got = outcome(ls_step, start, meas, cons_k)
+        ref = outcome(reference_ls_step, start, meas, positions)
+        if ref is SingularGeometryError:
+            assert got is ref
+            raised += 1
+        else:
+            assert np.array_equal(got[0].as_vector(), ref[0].as_vector())
+            assert got[1] == ref[1]
+            passed += 1
+        for init in (None, truth):
+            got = outcome(solve_pvt, meas, cons_k, init=init)
+            ref = outcome(reference_solve_pvt, meas, positions, init=init)
+            if isinstance(ref, type):
+                assert got is ref
+            else:
+                assert_same_solution(got, ref)
+    assert raised > 50 and passed > 50
+    assert min(conds) < 1e10 and max(conds) > 1e13
+
+
+def test_duplicated_satellite_rank_guard():
+    """Four satellites with one twice: rank deficient; five with one twice: not."""
+    base = make_constellation(n_sats=4, seed=3).satellites
+    truth = ReceiverEstimate(np.array([100.0, 200.0, 50.0]), 5.0)
+    start = ReceiverEstimate(np.zeros(3))
+    cons_bad = Constellation((*base[:3], Satellite(3, base[0].position)))
+    meas = spoof_pseudoranges(truth.position, truth.clock_bias, cons_bad)
+    assert outcome(reference_ls_step, start, meas,
+                   cons_bad.positions) is SingularGeometryError
+    assert outcome(ls_step, start, meas, cons_bad) is SingularGeometryError
+    assert outcome(solve_pvt, meas, cons_bad) is SingularGeometryError
+    cons_ok = Constellation((*base, Satellite(4, base[0].position)))
+    meas = spoof_pseudoranges(truth.position, truth.clock_bias, cons_ok)
+    assert_same_solution(solve_pvt(meas, cons_ok),
+                         reference_solve_pvt(meas, cons_ok.positions))
+
+
+def test_nan_estimate_still_raises_linalg_error(cons):
+    meas = measure_pseudoranges(ReceiverEstimate(np.zeros(3)), cons, 0.0, None)
+    start = ReceiverEstimate(np.array([np.nan, 0.0, 0.0]))
+    assert outcome(reference_ls_step, start, meas,
+                   cons.positions) is np.linalg.LinAlgError
+    assert outcome(ls_step, start, meas, cons) is np.linalg.LinAlgError
+    assert outcome(solve_pvt, meas, cons, init=start) is np.linalg.LinAlgError
+
+
+def test_default_constellation_never_needs_the_svd(monkeypatch):
+    """Every normal matrix of the default geometry passes the cheap bound."""
+    g = GnssConfig()
+    default = make_constellation(g.n_sats, g.radius, g.constellation_seed,
+                                 g.min_separation_deg)
+    rng = np.random.default_rng(8)
+    cases = []
+    for _ in range(300):
+        truth = random_receiver(rng)
+        meas = measure_pseudoranges(truth, default, g.noise_sigma, rng)
+        target = rng.uniform([0.0, 0.0, 0.0], [1000.0, 1000.0, 300.0])
+        spoofed = spoof_pseudoranges(target, truth.clock_bias, default)
+        cases += [(meas, None), (meas, truth), (spoofed, truth)]
+    expected = [reference_solve_pvt(m, default.positions, init=i)
+                for m, i in cases]
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the rank guard ran an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for (m, i), ref in zip(cases, expected):
+        assert_same_solution(solve_pvt(m, default, init=i), ref)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +50,10 @@ def mini_env():
 
 @pytest.fixture(scope="module")
 def synthetic_bank():
+    return make_synthetic_bank()
+
+
+def make_synthetic_bank() -> DetectorBank:
     profile = NominalProfile(mu0=-3.0, sigma0_sq=0.25, n_samples=800)
     rng = np.random.default_rng(77)
     streams = [profile.mu0 + profile.sigma0 * rng.normal(size=100)
@@ -253,6 +258,56 @@ class TestRunEpisode:
         assert np.all(np.isnan(log.stats[: window - 1, 3]))
         assert np.all(np.isfinite(log.stats[window - 1:, 3]))
         assert not log.flags[: window - 1, 3].any()
+
+
+# One short attacked episode, committed as CSV.  Regenerate it, after a
+# change that is meant to alter episodes, with `python tests/test_harness.py`.
+GOLDEN_EPISODE = Path(__file__).parent / "data" / "golden_attacked_episode.csv"
+
+
+def golden_episode() -> EpisodeLog:
+    """Seeded untrained agent, the synthetic bank, 60 steps, onset at 20."""
+    agent = Agent(np.random.default_rng([0, 1]), hidden=(16, 16))
+    attack = AttackConfig(t_start=20, drift_duration=20,
+                          target=(600.0, 400.0, 150.0), enabled=True)
+    return run_episode(
+        agent, EnvConfig(max_steps=60), attack, make_synthetic_bank(), 3,
+        constellation=make_constellation(n_sats=8, seed=7), noise_sigma=2.0,
+        config_hash="golden",
+    )
+
+
+def read_episode_csv(path):
+    """(# metadata, column names, rows of text fields) of an episode CSV."""
+    lines = Path(path).read_text().splitlines()
+    meta = dict(line[2:].split(": ", 1) for line in lines if line.startswith("# "))
+    header = lines[len(meta)].split(",")
+    rows = [line.split(",") for line in lines[len(meta) + 1:]]
+    return meta, header, rows
+
+
+def test_golden_attacked_episode(tmp_path):
+    """Flags, terminal event and step count exact; floats to 1e-12 relative.
+
+    A spoofed fix fits its pseudoranges exactly, so its residual statistic
+    is solver round-off (about 3e-9 against a threshold of 6) and varies
+    with the BLAS build; that column also passes within 1e-6 absolute.
+    """
+    path = tmp_path / "episode.csv"
+    write_episode_csv(golden_episode(), path)
+    meta, header, rows = read_episode_csv(path)
+    want_meta, want_header, want_rows = read_episode_csv(GOLDEN_EPISODE)
+    assert meta == want_meta
+    assert meta["steps"] == "60" and len(rows) == 60
+    assert header == want_header == list(CSV_COLUMNS)
+    for name, got, want in zip(header, zip(*rows), zip(*want_rows)):
+        if name == "t" or name.endswith("_flag"):
+            assert got == want, name
+        else:
+            np.testing.assert_allclose(
+                np.array(got, dtype=float), np.array(want, dtype=float),
+                rtol=1e-12, atol=1e-6 if name == "residual_stat" else 0.0,
+                equal_nan=True, err_msg=name)
 
 
 class TestEpisodeDetectors:
@@ -467,3 +522,9 @@ class TestPipelines:
     def test_empty_evaluation_rejected_at_config(self):
         with pytest.raises(ConfigurationError):
             EvalConfig(n_nominal=0, n_attacked=0)
+
+
+if __name__ == "__main__":
+    GOLDEN_EPISODE.parent.mkdir(exist_ok=True)
+    write_episode_csv(golden_episode(), GOLDEN_EPISODE)
+    print(f"wrote {GOLDEN_EPISODE}")
