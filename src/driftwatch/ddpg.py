@@ -160,15 +160,17 @@ def train_step(
     q = agent.critic.forward(np.hstack([phi_n, a_norm]))[:, 0]
     diff = q - y
     critic_loss = float(np.mean(diff**2))
-    _, critic_grads = agent.critic.backward((2.0 / b) * diff[:, None])
-    critic_opt.step(critic_grads)
+    _, critic_grad = agent.critic.backward((2.0 / b) * diff[:, None],
+                                           input_grad=False)
+    critic_opt.step(critic_grad)
 
     a_pi = agent.actor.forward(phi_n)
     q_pi = agent.critic.forward(np.hstack([phi_n, a_pi]))
     actor_objective = float(np.mean(q_pi))
-    dinput, _ = agent.critic.backward(np.full((b, 1), -1.0 / b))
-    _, actor_grads = agent.actor.backward(dinput[:, OBS_DIM:])
-    actor_opt.step(actor_grads)
+    dinput, _ = agent.critic.backward(np.full((b, 1), -1.0 / b),
+                                      param_grad=False)
+    _, actor_grad = agent.actor.backward(dinput[:, OBS_DIM:], input_grad=False)
+    actor_opt.step(actor_grad)
 
     soft_update(agent.target_actor, agent.actor, tau)
     soft_update(agent.target_critic, agent.critic, tau)
@@ -230,8 +232,8 @@ def train(
         )
     agent = Agent(np.random.default_rng([seed, _TAG_INIT]),
                   hidden=train_cfg.hidden, obs_scales=train_cfg.obs_scales)
-    critic_opt = Adam(agent.critic.parameters(), train_cfg.critic_lr)
-    actor_opt = Adam(agent.actor.parameters(), train_cfg.actor_lr)
+    critic_opt = Adam(agent.critic.flat, train_cfg.critic_lr)
+    actor_opt = Adam(agent.actor.flat, train_cfg.actor_lr)
     buffer = ReplayBuffer(train_cfg.buffer_capacity)
     sample_rng = np.random.default_rng([seed, _TAG_SAMPLE])
 

@@ -616,15 +616,15 @@ def window_ae_train(
         ["relu", "linear", "relu", "linear"],
         rng,
     )
-    opt = Adam(net.parameters(), lr)
+    opt = Adam(net.flat, lr)
     curve = []
     n = x.shape[0]
     for _ in range(epochs):
         recon = net.forward(x)
         err = recon - x
         curve.append(float(np.mean(err**2)))
-        _, grads = net.backward(2.0 * err / err.size)
-        opt.step(grads)
+        _, grad = net.backward(2.0 * err / err.size, input_grad=False)
+        opt.step(grad)
 
     recon = net.forward(x)
     per_window = np.mean((recon - x) ** 2, axis=1)

@@ -3,6 +3,14 @@
 Everything is float64 numpy.  Layers cache their forward pass, so the
 usage pattern is strictly forward(x) then backward(dL/dy) per batch.
 No general autodiff: exactly what two small actor/critic heads need.
+
+Each network keeps all of its parameters in one contiguous vector,
+`flat`, laid out w0, b0, w1, b1, ... in the order `to_arrays` writes
+them; `weights[i]` and `biases[i]` are reshaped views into it.  Adam and
+the soft update therefore work on one vector per network.  `backward`
+writes parameter gradients into a second vector with the same layout,
+allocated on a net's first backward; the gradient it returns is that
+buffer, so the next `backward` on the same net overwrites it.
 """
 
 from __future__ import annotations
@@ -35,6 +43,18 @@ def _act_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.ones_like(z)
 
 
+def _layer_views(buf: np.ndarray, layer_sizes: list[int]):
+    """(weight views, bias views) into `buf`, laid out w0, b0, w1, b1, ..."""
+    weights, biases = [], []
+    off = 0
+    for d_in, d_out in zip(layer_sizes, layer_sizes[1:]):
+        weights.append(buf[off:off + d_in * d_out].reshape(d_in, d_out))
+        off += d_in * d_out
+        biases.append(buf[off:off + d_out])
+        off += d_out
+    return weights, biases
+
+
 class Mlp:
     """Dense stack: layer i computes act_i(x @ W_i + b_i)."""
 
@@ -45,6 +65,23 @@ class Mlp:
         rng: np.random.Generator,
         final_init_scale: float = 1.0,
     ):
+        self._allocate(layer_sizes, activations)
+        for i, w in enumerate(self.weights):
+            # He scaling for relu layers, Xavier-style for tanh/linear.
+            d_in = w.shape[0]
+            if activations[i] == "relu":
+                std = np.sqrt(2.0 / d_in)
+            else:
+                std = np.sqrt(1.0 / d_in)
+            if i == len(activations) - 1:
+                std *= final_init_scale
+            w[...] = rng.normal(0.0, std, size=w.shape)
+
+    def _allocate(self, layer_sizes, activations, flat=None) -> None:
+        """Check the shape chain and lay the parameters out in `flat`.
+
+        `flat` defaults to zeros; a given vector is adopted, not copied.
+        """
         if len(layer_sizes) < 2:
             raise ConfigurationError("need at least input and output sizes")
         if len(activations) != len(layer_sizes) - 1:
@@ -57,18 +94,12 @@ class Mlp:
                 raise ConfigurationError(f"unknown activation {act!r}")
         self.layer_sizes = list(layer_sizes)
         self.activations = list(activations)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for i, (d_in, d_out) in enumerate(zip(layer_sizes, layer_sizes[1:])):
-            # He scaling for relu layers, Xavier-style for tanh/linear.
-            if activations[i] == "relu":
-                std = np.sqrt(2.0 / d_in)
-            else:
-                std = np.sqrt(1.0 / d_in)
-            if i == len(activations) - 1:
-                std *= final_init_scale
-            self.weights.append(rng.normal(0.0, std, size=(d_in, d_out)))
-            self.biases.append(np.zeros(d_out))
+        if flat is None:
+            flat = np.zeros(sum((d_in + 1) * d_out for d_in, d_out
+                                in zip(layer_sizes, layer_sizes[1:])))
+        self.flat = flat
+        self.weights, self.biases = _layer_views(flat, self.layer_sizes)
+        self._grad: np.ndarray | None = None
         self._cache: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
 
     @classmethod
@@ -80,7 +111,8 @@ class Mlp:
         biases: list[np.ndarray],
     ) -> "Mlp":
         """Rebuild a network from stored arrays, validating the shape chain."""
-        net = cls(layer_sizes, activations, np.random.default_rng(0))
+        net = object.__new__(cls)
+        net._allocate(layer_sizes, activations)
         if len(weights) != net.n_layers or len(biases) != net.n_layers:
             raise DimensionMismatchError(
                 f"expected {net.n_layers} layers of parameters, "
@@ -96,8 +128,8 @@ class Mlp:
                 )
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ConfigurationError(f"layer {i}: non-finite parameters")
-            net.weights[i] = w
-            net.biases[i] = b
+            net.weights[i][...] = w
+            net.biases[i][...] = b
         return net
 
     def to_arrays(self, prefix: str = "") -> dict[str, np.ndarray]:
@@ -131,6 +163,7 @@ class Mlp:
         return len(self.weights)
 
     def parameters(self) -> list[np.ndarray]:
+        """Views w0, b0, w1, b1, ... into `flat`."""
         out = []
         for w, b in zip(self.weights, self.biases):
             out.extend([w, b])
@@ -155,41 +188,50 @@ class Mlp:
         self._cache = cache
         return a[0] if squeeze else a
 
-    def backward(self, dout: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Backpropagate dL/dy; returns (dL/dx, grads aligned with parameters())."""
+    def backward(
+        self,
+        dout: np.ndarray,
+        *,
+        param_grad: bool = True,
+        input_grad: bool = True,
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Backpropagate dL/dy through the last forward pass.
+
+        Returns (dL/dx, dL/d`flat`); either is None when its flag is off,
+        and then it is not computed.  The parameter gradient is this net's
+        own buffer, laid out like `flat`: the next `backward` overwrites it,
+        so copy it to keep it.
+        """
         if self._cache is None:
             raise ConfigurationError("backward called before forward")
         dout = np.asarray(dout, dtype=float)
         if dout.ndim == 1:
             dout = dout[None, :]
-        grads_w: list[np.ndarray] = [None] * self.n_layers
-        grads_b: list[np.ndarray] = [None] * self.n_layers
+        if param_grad and self._grad is None:
+            self._grad = np.empty_like(self.flat)
+            self._grad_w, self._grad_b = _layer_views(self._grad,
+                                                      self.layer_sizes)
         da = dout
         for i in range(self.n_layers - 1, -1, -1):
             a_in, z, a_out = self._cache[i]
             dz = da * _act_grad(self.activations[i], z, a_out)
-            grads_w[i] = a_in.T @ dz
-            grads_b[i] = dz.sum(axis=0)
-            da = dz @ self.weights[i].T
-        grads = []
-        for gw, gb in zip(grads_w, grads_b):
-            grads.extend([gw, gb])
-        return da, grads
+            if param_grad:
+                np.matmul(a_in.T, dz, out=self._grad_w[i])
+                dz.sum(axis=0, out=self._grad_b[i])
+            if i > 0 or input_grad:
+                da = dz @ self.weights[i].T
+        return (da if input_grad else None), (self._grad if param_grad else None)
 
     def copy(self) -> "Mlp":
         twin = object.__new__(Mlp)
-        twin.layer_sizes = list(self.layer_sizes)
-        twin.activations = list(self.activations)
-        twin.weights = [w.copy() for w in self.weights]
-        twin.biases = [b.copy() for b in self.biases]
-        twin._cache = None
+        twin._allocate(self.layer_sizes, self.activations, self.flat.copy())
         return twin
 
 
 class Adam:
-    """Adam over a fixed parameter list, updating arrays in place."""
+    """Adam over one parameter vector (such as `Mlp.flat`), updated in place."""
 
-    def __init__(self, params: list[np.ndarray], lr: float,
+    def __init__(self, params: np.ndarray, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         if lr <= 0:
             raise ConfigurationError(f"lr must be > 0, got {lr}")
@@ -198,69 +240,43 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.t = 0
+        self._tmp = np.empty_like(params)
+        self._step = np.empty_like(params)
 
-    def step(self, grads: list[np.ndarray]) -> None:
-        if len(grads) != len(self.params):
+    def step(self, grad: np.ndarray) -> None:
+        if np.shape(grad) != self.params.shape:
             raise DimensionMismatchError(
-                f"expected {len(self.params)} gradients, got {len(grads)}"
+                f"expected a gradient of shape {self.params.shape}, "
+                f"got {np.shape(grad)}"
             )
         self.t += 1
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        m, v, tmp, step = self.m, self.v, self._tmp, self._step
+        # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
+        m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=tmp)
+        m += tmp
+        v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=tmp)
+        tmp *= grad
+        v += tmp
+        # p -= (lr (m / b1t)) / (sqrt(v / b2t) + eps)
+        np.divide(v, b2t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        np.divide(m, b1t, out=step)
+        step *= self.lr
+        step /= tmp
+        self.params -= step
 
 
 def soft_update(target: Mlp, source: Mlp, tau: float) -> None:
     """Polyak-average source parameters into the target, in place."""
     if not 0 < tau <= 1:
         raise ConfigurationError(f"tau must be in (0,1], got {tau}")
-    for pt, ps in zip(target.parameters(), source.parameters()):
-        pt *= 1.0 - tau
-        pt += tau * ps
-
-
-def numeric_param_grads(
-    mlp: Mlp, x: np.ndarray, loss_weights: np.ndarray, h: float = 1e-5
-) -> list[np.ndarray]:
-    """Central-difference gradients of L = sum(forward(x) * loss_weights).
-
-    Test oracle only: O(n_params) forward passes.
-    """
-    grads = []
-    for p in mlp.parameters():
-        g = np.zeros_like(p)
-        it = np.nditer(p, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = p[idx]
-            p[idx] = orig + h
-            lp = float(np.sum(mlp.forward(x) * loss_weights))
-            p[idx] = orig - h
-            lm = float(np.sum(mlp.forward(x) * loss_weights))
-            p[idx] = orig
-            g[idx] = (lp - lm) / (2.0 * h)
-            it.iternext()
-        grads.append(g)
-    return grads
-
-
-def min_relu_preactivation_margin(mlp: Mlp, x: np.ndarray) -> float:
-    """Smallest |pre-activation| over relu layers for the given batch.
-
-    Finite-difference gradient checks are only trustworthy when no relu
-    input sits near its kink; callers assert this margin first.
-    """
-    mlp.forward(x)
-    margin = np.inf
-    for (a_in, z, a_out), act in zip(mlp._cache, mlp.activations):
-        if act == "relu":
-            margin = min(margin, float(np.abs(z).min()))
-    return margin
+    target.flat *= 1.0 - tau
+    target.flat += tau * source.flat

@@ -1,0 +1,59 @@
+"""Finite-difference gradient checks for `driftwatch.nets.Mlp`.
+
+Test oracles only: `numeric_param_grads` runs two forward passes per
+parameter.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from driftwatch.nets import Mlp
+
+
+def numeric_param_grads(
+    mlp: Mlp, x: np.ndarray, loss_weights: np.ndarray, h: float = 1e-5
+) -> list[np.ndarray]:
+    """Central-difference gradients of L = sum(forward(x) * loss_weights).
+
+    Test oracle only: O(n_params) forward passes.
+    """
+    grads = []
+    for p in mlp.parameters():
+        g = np.zeros_like(p)
+        it = np.nditer(p, flags=["multi_index"])
+        while not it.finished:
+            idx = it.multi_index
+            orig = p[idx]
+            p[idx] = orig + h
+            lp = float(np.sum(mlp.forward(x) * loss_weights))
+            p[idx] = orig - h
+            lm = float(np.sum(mlp.forward(x) * loss_weights))
+            p[idx] = orig
+            g[idx] = (lp - lm) / (2.0 * h)
+            it.iternext()
+        grads.append(g)
+    return grads
+
+
+def min_relu_preactivation_margin(mlp: Mlp, x: np.ndarray) -> float:
+    """Smallest |pre-activation| over relu layers for the given batch.
+
+    Finite-difference gradient checks are only trustworthy when no relu
+    input sits near its kink; callers assert this margin first.
+    """
+    mlp.forward(x)
+    margin = np.inf
+    for (a_in, z, a_out), act in zip(mlp._cache, mlp.activations):
+        if act == "relu":
+            margin = min(margin, float(np.abs(z).min()))
+    return margin
+
+
+def split_like(mlp: Mlp, flat: np.ndarray) -> list[np.ndarray]:
+    """A flat gradient cut into arrays shaped like `mlp.parameters()`."""
+    out, off = [], 0
+    for p in mlp.parameters():
+        out.append(flat[off:off + p.size].reshape(p.shape))
+        off += p.size
+    return out

@@ -33,8 +33,9 @@ from driftwatch.gnss import (
     solve_pvt,
 )
 from driftwatch.harness import DETECTOR_ORDER, evaluate, profile_pipeline, run_episode
-from driftwatch.nets import Mlp, min_relu_preactivation_margin, numeric_param_grads
+from driftwatch.nets import Mlp
 from driftwatch.spoofing import AttackConfig
+from gradcheck import min_relu_preactivation_margin, numeric_param_grads, split_like
 
 
 def report(criterion, ok, detail):
@@ -121,7 +122,7 @@ def test_criterion_02_gradient_oracles(pipeline):
         assert min_relu_preactivation_margin(net, x) > 1e-3
         loss_w = net_rng.normal(size=(4, sizes[-1]))
         net.forward(x)
-        _, analytic = net.backward(loss_w)
+        analytic = split_like(net, net.backward(loss_w)[1])
         numeric = numeric_param_grads(net, x, loss_w, h=1e-5)
         worst = 0.0
         for a, n in zip(analytic, numeric):

@@ -1,5 +1,7 @@
 """Tests for the DDPG agent, replay buffer, training loop, checkpoints."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -147,8 +149,8 @@ def test_train_step_terminal_targets_equal_rewards():
         rng.normal(size=(b, 9)),
         np.ones(b),
     )
-    critic_opt = Adam(agent.critic.parameters(), 1e-3)
-    actor_opt = Adam(agent.actor.parameters(), 1e-3)
+    critic_opt = Adam(agent.critic.flat, 1e-3)
+    actor_opt = Adam(agent.actor.flat, 1e-3)
     loss, _ = train_step(agent, critic_opt, actor_opt, batch, gamma=0.99,
                          tau=0.005)
     assert np.isclose(loss, np.mean(batch[2] ** 2))
@@ -165,8 +167,8 @@ def test_train_step_loss_decreases_on_fixed_batch():
         rng.normal(scale=100.0, size=(b, 9)),
         (rng.uniform(size=b) < 0.3).astype(float),
     )
-    critic_opt = Adam(agent.critic.parameters(), 1e-3)
-    actor_opt = Adam(agent.actor.parameters(), 1e-3)
+    critic_opt = Adam(agent.critic.flat, 1e-3)
+    actor_opt = Adam(agent.actor.flat, 1e-3)
     losses = [train_step(agent, critic_opt, actor_opt, batch, 0.99, 0.005)[0]
               for _ in range(100)]
     assert losses[-1] < losses[0]
@@ -196,6 +198,39 @@ def test_train_is_deterministic_and_sized():
         np.testing.assert_array_equal(p1, p2)
     _, hist3 = train(env_cfg, train_cfg, seed=6, gnss_cfg=gnss_cfg)
     assert hist1 != hist3
+
+
+# A short training run, committed as a checkpoint.  Regenerate it, after a
+# change that is meant to alter training, with
+# `PYTHONPATH=src python tests/test_ddpg.py`.
+GOLDEN_TRAIN = Path(__file__).parent / "data" / "golden_train_checkpoint.npz"
+
+
+def golden_train() -> Agent:
+    """Four 20-step episodes: one exploring, then batch-8 updates."""
+    train_cfg = TrainConfig(episodes=4, warmup_episodes=1, batch_size=8,
+                            hidden=(16, 16))
+    agent, _ = train(EnvConfig(max_steps=20), train_cfg, seed=3,
+                     gnss_cfg=GnssConfig(noise_sigma=2.0))
+    return agent
+
+
+def test_golden_training_run(tmp_path):
+    """All four nets match the committed arrays to 1e-12 relative."""
+    path = tmp_path / "agent.npz"
+    save_checkpoint(golden_train(), path)
+    with np.load(path) as got, np.load(GOLDEN_TRAIN) as want:
+        assert got.files == want.files
+        for key in want.files:
+            if want[key].dtype.kind == "f":
+                np.testing.assert_allclose(got[key], want[key], rtol=1e-12,
+                                           atol=0.0, err_msg=key)
+            else:
+                np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+        # the run trained: every online net moved away from its target
+        for tag in ("actor", "critic"):
+            assert not np.array_equal(want[f"{tag}_w0"],
+                                      want[f"target_{tag}_w0"])
 
 
 def test_noise_schedule_shape():
@@ -273,3 +308,9 @@ def test_checkpoint_shape_mismatch(tmp_path):
         np.savez(fh, **data)
     with pytest.raises(CorruptCheckpointError):
         load_checkpoint(path)
+
+
+if __name__ == "__main__":
+    GOLDEN_TRAIN.parent.mkdir(exist_ok=True)
+    save_checkpoint(golden_train(), GOLDEN_TRAIN)
+    print(f"wrote {GOLDEN_TRAIN}")

@@ -1,16 +1,13 @@
 """Tests for the dense-network building blocks and their gradients."""
 
+import io
+
 import numpy as np
 import pytest
 
 from driftwatch.errors import ConfigurationError, DimensionMismatchError
-from driftwatch.nets import (
-    Adam,
-    Mlp,
-    min_relu_preactivation_margin,
-    numeric_param_grads,
-    soft_update,
-)
+from driftwatch.nets import Adam, Mlp, soft_update
+from gradcheck import min_relu_preactivation_margin, numeric_param_grads, split_like
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -28,7 +25,7 @@ def check_gradients(layer_sizes, activations, seed, batch=4):
     loss_w = rng.normal(size=(batch, layer_sizes[-1]))
 
     mlp.forward(x)
-    _, analytic = mlp.backward(loss_w)
+    analytic = split_like(mlp, mlp.backward(loss_w)[1])
     numeric = numeric_param_grads(mlp, x, loss_w, h=1e-5)
     errs = [rel_err(a, n) for a, n in zip(analytic, numeric)]
     assert max(errs) < 1e-4, f"gradient mismatch: {errs}"
@@ -73,7 +70,8 @@ def test_single_linear_layer_is_affine_map():
     np.testing.assert_allclose(mlp.forward(x), x @ mlp.weights[0] + mlp.biases[0])
     dout = rng.normal(size=(5, 2))
     mlp.forward(x)
-    dx, grads = mlp.backward(dout)
+    dx, grad = mlp.backward(dout)
+    grads = split_like(mlp, grad)
     np.testing.assert_allclose(dx, dout @ mlp.weights[0].T)
     np.testing.assert_allclose(grads[0], x.T @ dout)
     np.testing.assert_allclose(grads[1], dout.sum(axis=0))
@@ -96,15 +94,14 @@ def test_batch_gradients_are_sums_of_singles():
     xs = rng.normal(size=(3, 4))
     ws = rng.normal(size=(3, 2))
     mlp.forward(xs)
-    _, batch_grads = mlp.backward(ws)
-    summed = [np.zeros_like(g) for g in batch_grads]
+    # the returned gradient is the net's buffer: copy it before the next
+    # backward overwrites it
+    batch_grad = mlp.backward(ws)[1].copy()
+    summed = np.zeros_like(batch_grad)
     for i in range(3):
         mlp.forward(xs[i])
-        _, g1 = mlp.backward(ws[i])
-        for s, g in zip(summed, g1):
-            s += g
-    for a, b in zip(batch_grads, summed):
-        np.testing.assert_allclose(a, b, atol=1e-12)
+        summed += mlp.backward(ws[i])[1]
+    np.testing.assert_allclose(batch_grad, summed, atol=1e-12)
 
 
 def test_construction_validation():
@@ -150,8 +147,8 @@ def test_copy_is_independent():
 def test_adam_first_step_size():
     """With constant unit gradient the bias-corrected first step is ~lr."""
     p = np.array([1.0])
-    opt = Adam([p], lr=0.1)
-    opt.step([np.array([1.0])])
+    opt = Adam(p, lr=0.1)
+    opt.step(np.array([1.0]))
     assert np.isclose(p[0], 1.0 - 0.1, atol=1e-6)
 
 
@@ -159,19 +156,22 @@ def test_adam_minimizes_quadratic():
     rng = np.random.default_rng(6)
     p = rng.normal(size=(4,))
     target = np.array([1.0, -2.0, 0.5, 3.0])
-    opt = Adam([p], lr=0.05)
+    opt = Adam(p, lr=0.05)
     for _ in range(2000):
-        opt.step([2.0 * (p - target)])
+        opt.step(2.0 * (p - target))
     np.testing.assert_allclose(p, target, atol=1e-4)
 
 
 def test_adam_rejects_mismatched_grads():
     p = np.zeros(3)
-    opt = Adam([p], lr=0.1)
+    opt = Adam(p, lr=0.1)
     with pytest.raises(DimensionMismatchError):
-        opt.step([np.zeros(3), np.zeros(3)])
+        opt.step(np.zeros(4))
+    with pytest.raises(DimensionMismatchError):
+        opt.step(np.zeros((2, 3)))
+    assert opt.t == 0 and not p.any()
     with pytest.raises(ConfigurationError):
-        Adam([p], lr=0.0)
+        Adam(p, lr=0.0)
 
 
 def test_soft_update_blends_and_copies():
@@ -188,3 +188,138 @@ def test_soft_update_blends_and_copies():
         np.testing.assert_allclose(pt, ps)
     with pytest.raises(ConfigurationError):
         soft_update(tgt, src, tau=0.0)
+
+
+def test_flat_layout_and_aliasing():
+    mlp = Mlp([5, 7, 2], ["relu", "linear"], np.random.default_rng(13))
+    assert mlp.flat.shape == (5 * 7 + 7 + 7 * 2 + 2,)
+    np.testing.assert_array_equal(
+        mlp.flat, np.concatenate([p.ravel() for p in mlp.parameters()]))
+    for p in mlp.parameters():
+        assert np.shares_memory(p, mlp.flat)
+    twin = mlp.copy()
+    stored = [p.copy() for p in mlp.parameters()]
+    rebuilt = Mlp.from_parameters(mlp.layer_sizes, mlp.activations,
+                                  stored[0::2], stored[1::2])
+    for other in (twin, rebuilt):
+        np.testing.assert_array_equal(other.flat, mlp.flat)
+        for p in other.parameters():
+            assert np.shares_memory(p, other.flat)
+            assert not np.shares_memory(p, mlp.flat)
+            assert not any(np.shares_memory(p, q) for q in stored)
+
+
+def test_to_arrays_writes_the_same_npz_bytes():
+    """Views into `flat` serialise exactly like standalone arrays."""
+    mlp = Mlp([9, 64, 64, 3], ["relu", "relu", "tanh"], np.random.default_rng(14))
+    got, want = io.BytesIO(), io.BytesIO()
+    np.savez(got, **mlp.to_arrays("actor_"))
+    np.savez(want, **{k: np.array(v) for k, v in mlp.to_arrays("actor_").items()})
+    assert got.getvalue() == want.getvalue()
+
+
+# List-form reference: the per-array forward, backward, Adam and soft
+# update that the flat-buffer versions must match bit for bit.
+
+def reference_forward(weights, biases, acts, x):
+    cache, a = [], x
+    for w, b, act in zip(weights, biases, acts):
+        z = a @ w + b
+        a_next = (np.maximum(z, 0.0) if act == "relu"
+                  else np.tanh(z) if act == "tanh" else z)
+        cache.append((a, z, a_next))
+        a = a_next
+    return a, cache
+
+
+def reference_backward(weights, acts, cache, dout):
+    """(dL/dx, [dW0, db0, dW1, db1, ...])."""
+    grads_w = [None] * len(weights)
+    grads_b = [None] * len(weights)
+    da = dout
+    for i in range(len(weights) - 1, -1, -1):
+        a_in, z, a_out = cache[i]
+        if acts[i] == "relu":
+            d_act = (z > 0.0).astype(z.dtype)
+        elif acts[i] == "tanh":
+            d_act = 1.0 - a_out * a_out
+        else:
+            d_act = np.ones_like(z)
+        dz = da * d_act
+        grads_w[i] = a_in.T @ dz
+        grads_b[i] = dz.sum(axis=0)
+        da = dz @ weights[i].T
+    grads = []
+    for gw, gb in zip(grads_w, grads_b):
+        grads.extend([gw, gb])
+    return da, grads
+
+
+class ReferenceAdam:
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.lr = params, lr
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+
+    def step(self, grads):
+        self.t += 1
+        b1t = 1.0 - self.beta1**self.t
+        b2t = 1.0 - self.beta2**self.t
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+
+
+def reference_soft_update(target_params, source_params, tau):
+    for pt, ps in zip(target_params, source_params):
+        pt *= 1.0 - tau
+        pt += tau * ps
+
+
+def joined(arrays) -> bytes:
+    return b"".join(a.tobytes() for a in arrays)
+
+
+@pytest.mark.parametrize("sizes, acts, final_scale", [
+    ([9, 64, 64, 3], ["relu", "relu", "tanh"], 0.01),
+    ([12, 64, 64, 1], ["relu", "relu", "linear"], 1.0),
+    ([32, 16, 4, 16, 32], ["relu", "linear", "relu", "linear"], 1.0),
+], ids=["actor", "critic", "ae"])
+def test_flat_training_matches_list_reference(sizes, acts, final_scale):
+    """50 steps of backward, Adam and soft update, bit for bit."""
+    rng = np.random.default_rng(15)
+    net = Mlp(sizes, acts, rng, final_init_scale=final_scale)
+    target = net.copy()
+    params = [p.copy() for p in net.parameters()]
+    target_params = [p.copy() for p in params]
+    opt = Adam(net.flat, 1e-3)
+    ref_opt = ReferenceAdam(params, 1e-3)
+    for _ in range(50):
+        x = rng.normal(size=(8, sizes[0]))
+        dout = rng.normal(size=(8, sizes[-1]))
+        y = net.forward(x)
+        ref_y, cache = reference_forward(params[0::2], params[1::2], acts, x)
+        assert y.tobytes() == ref_y.tobytes()
+        ref_dx, ref_grads = reference_backward(params[0::2], acts, cache, dout)
+
+        dx, grad = net.backward(dout)
+        assert dx.tobytes() == ref_dx.tobytes()
+        assert grad.tobytes() == joined(ref_grads)
+        dx_only, no_grad = net.backward(dout, param_grad=False)
+        assert no_grad is None and dx_only.tobytes() == ref_dx.tobytes()
+        no_dx, grad = net.backward(dout, input_grad=False)
+        assert no_dx is None and grad.tobytes() == joined(ref_grads)
+
+        opt.step(grad)
+        ref_opt.step(ref_grads)
+        soft_update(target, net, 0.005)
+        reference_soft_update(target_params, params, 0.005)
+    assert net.flat.tobytes() == joined(params)
+    assert opt.m.tobytes() == joined(ref_opt.m)
+    assert opt.v.tobytes() == joined(ref_opt.v)
+    assert target.flat.tobytes() == joined(target_params)
