@@ -10,7 +10,6 @@ import numpy as np
 
 from driftwatch.gnss import (
     Constellation,
-    PseudorangeSet,
     ReceiverEstimate,
     make_constellation,
     measure_pseudoranges,
@@ -30,7 +29,7 @@ print(f"true receiver position {truth_pos} m, clock bias {truth_bias} m\n")
 
 # Noise-free solve: the geometry is mild, convergence is quadratic.
 clean = predicted_pseudoranges(truth, constellation)
-sol = solve_pvt(PseudorangeSet(clean), constellation)
+sol = solve_pvt(clean, constellation)
 err = np.linalg.norm(sol.estimate.position - truth_pos)
 print("noise-free solve")
 print(f"  iterations        {sol.iterations}")
@@ -54,12 +53,12 @@ for sigma in (0.5, 2.0, 8.0):
 print("\nsatellite count vs accuracy (sigma = 2 m, 20 trials)")
 print(f"  {'n sats':>7}  {'rms pos error (m)':>18}")
 for n in (8, 6, 5, 4):
-    sub = Constellation(satellites=constellation.satellites[:n])
+    sub = Constellation(constellation.positions[:n])
     sub_truth_ranges = predicted_pseudoranges(truth, sub)
     errs = []
     for _ in range(20):
         noisy = sub_truth_ranges + rng.normal(0.0, 2.0, size=n)
-        s = solve_pvt(PseudorangeSet(noisy), sub)
+        s = solve_pvt(noisy, sub)
         errs.append(np.sum((s.estimate.position - truth_pos) ** 2))
     print(f"  {n:>7}  {np.sqrt(np.mean(errs)):>18.2f}")
 

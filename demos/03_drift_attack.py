@@ -37,11 +37,10 @@ for label, spoof in (("honest", None), ("spoofed", attack)):
                                      cfg.gnss.noise_sigma)
     rows = []
     for t in range(1, 121):
-        world, obs, rb, done, info = env_step(
+        world, obs, rb, done, pvt = env_step(
             world, action, constellation, cfg.gnss.noise_sigma, spoof,
             cfg=cfg.env, rng=rng, nav_pos=pvt.estimate.position,
             pvt_init=pvt.estimate)
-        pvt = info.pvt
         alpha = attack_alpha(t, attack).alpha if spoof else 0.0
         rows.append((t, alpha, world.uav_pos_true.copy(),
                      pvt.estimate.position.copy(),
@@ -81,11 +80,10 @@ world, obs, pvt = env_reset_full(cfg.env, seed, constellation,
 prev_fix = pvt.estimate.position.copy()
 jump_at_onset = None
 for t in range(1, 46):
-    world, obs, rb, done, info = env_step(
+    world, obs, rb, done, pvt = env_step(
         world, action, constellation, cfg.gnss.noise_sigma, abrupt,
         cfg=cfg.env, rng=rng, nav_pos=pvt.estimate.position,
         pvt_init=pvt.estimate)
-    pvt = info.pvt
     step_jump = np.linalg.norm(pvt.estimate.position - prev_fix)
     prev_fix = pvt.estimate.position.copy()
     if t == abrupt.t_start + 1:

@@ -40,8 +40,8 @@ first_flag = None
 trace = []
 for t, x in enumerate(stream):
     state, l_hat = bocpd_update(state, float(x))
-    verdict = bocpd_flag(l_hat, t, tau=tau, warmup=warmup)
-    if verdict.flag and first_flag is None:
+    flag, _ = bocpd_flag(l_hat, t, tau=tau, warmup=warmup)
+    if flag and first_flag is None:
         first_flag = t
     trace.append(l_hat)
 
@@ -70,7 +70,7 @@ for size in (1.0, 2.0, 3.0, 4.0, 6.0):
         for t, x in enumerate(s):
             st, l_hat = bocpd_update(st, float(x))
             if t >= change_at and hit is None \
-                    and bocpd_flag(l_hat, t, tau=tau, warmup=warmup).flag:
+                    and bocpd_flag(l_hat, t, tau=tau, warmup=warmup)[0]:
                 hit = t
         if hit is None:
             missed += 1
@@ -91,7 +91,7 @@ for trial in range(20):
     ph = PageHinkley(delta=0.5, lam=8.0)
     hit = None
     for t, x in enumerate(s):
-        if ph.update(float(x)).flag and t >= change_at and hit is None:
+        if ph.update(float(x))[0] and t >= change_at and hit is None:
             hit = t
     if hit is None:
         missed += 1

@@ -65,11 +65,13 @@ print(f"evaluated {n_nom} nominal + {n_att} attacked episodes in"
 print(f"  {'detector':>10}  {'accuracy':>8}  {'fpr':>6}  {'fnr':>6}"
       f"  {'mean delay':>10}  {'detected':>8}")
 for name in DETECTOR_ORDER:
-    m = metrics.per_detector[name]
-    delay = "-" if m.delay_mean is None else f"{m.delay_mean:.1f}"
-    print(f"  {name:>10}  {m.accuracy_mean:>8.3f}  {m.fpr_mean:>6.3f}"
-          f"  {m.fnr_episode_mean:>6.2f}  {delay:>10}"
-          f"  {m.n_detected:>5}/{n_att}")
+    m = metrics[name]
+    delay = m["detection_delay"]["mean"]
+    delay = "-" if delay is None else f"{delay:.1f}"
+    print(f"  {name:>10}  {m['accuracy']['mean']:>8.3f}"
+          f"  {m['false_positive_rate']['mean']:>6.3f}"
+          f"  {m['false_negative_rate']['mean']:>6.2f}  {delay:>10}"
+          f"  {m['n_detected']:>5}/{n_att}")
 
 # Per-episode view for the value-score tracker: when each attacked
 # episode was first flagged relative to its onset.

@@ -48,9 +48,7 @@ from .errors import (
 )
 from .gnss import make_constellation, measure_pseudoranges, solve_pvt
 from .harness import (
-    DetectionMetrics,
     DetectorBank,
-    DetectorMetrics,
     EpisodeLog,
     compute_metrics,
     evaluate,
@@ -70,10 +68,8 @@ __all__ = [
     "ConfigurationError",
     "CorruptCheckpointError",
     "DegenerateGeometryError",
-    "DetectionMetrics",
     "DetectorBank",
     "DetectorConfig",
-    "DetectorMetrics",
     "DimensionMismatchError",
     "DriftwatchError",
     "EnvConfig",

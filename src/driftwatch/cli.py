@@ -205,11 +205,12 @@ def _cmd_eval(cfg: ExperimentConfig, seed: int, out: Path, args) -> int:
     paths = emit_report(metrics, logs, out, config_hash=digest,
                         master_seed=seed)
     for name in DETECTOR_ORDER:
-        m = metrics.per_detector[name]
-        delay = "never" if m.delay_mean is None else f"{m.delay_mean:.1f}"
-        print(f"{name:<10} accuracy {m.accuracy_mean:.3f}±{m.accuracy_std:.3f}"
-              f"  fpr {m.fpr_mean:.3f}  fnr {m.fnr_episode_mean:.3f}"
-              f"  delay {delay}")
+        m = metrics[name]
+        acc, delay = m["accuracy"], m["detection_delay"]["mean"]
+        delay = "never" if delay is None else f"{delay:.1f}"
+        print(f"{name:<10} accuracy {acc['mean']:.3f}±{acc['std']:.3f}"
+              f"  fpr {m['false_positive_rate']['mean']:.3f}"
+              f"  fnr {m['false_negative_rate']['mean']:.3f}  delay {delay}")
     print(f"report: {paths['summary']}")
     return 0
 

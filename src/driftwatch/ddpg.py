@@ -45,6 +45,11 @@ ACT_DIM = 3
 _TAG_INIT, _TAG_EPISODE, _TAG_NOISE, _TAG_SAMPLE, _TAG_MEAS = 1, 2, 3, 4, 5
 
 
+def _derive_seed(*entropy: int) -> int:
+    """An episode or model seed: the first word SeedSequence(entropy) generates."""
+    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
+
+
 def normalize_action(raw: np.ndarray) -> np.ndarray:
     return (np.asarray(raw, dtype=float) - ACTION_CENTER) / ACTION_HALF
 
@@ -177,11 +182,6 @@ def train_step(
     return critic_loss, actor_objective
 
 
-def _episode_seed(seed: int, episode: int) -> int:
-    return int(np.random.SeedSequence([seed, _TAG_EPISODE, episode])
-               .generate_state(1)[0])
-
-
 def _curriculum_env(
     env_cfg: EnvConfig, train_cfg: TrainConfig, rng: np.random.Generator
 ) -> EnvConfig:
@@ -242,7 +242,7 @@ def train(
         ep_rng = np.random.default_rng([seed, _TAG_NOISE, episode])
         meas_rng = np.random.default_rng([seed, _TAG_MEAS, episode])
         cfg_ep = _curriculum_env(env_cfg, train_cfg, ep_rng)
-        world, obs = env_reset(cfg_ep, _episode_seed(seed, episode),
+        world, obs = env_reset(cfg_ep, _derive_seed(seed, _TAG_EPISODE, episode),
                                constellation, gnss_cfg.noise_sigma)
         warmup = episode < train_cfg.warmup_episodes
         sigma = noise_schedule(train_cfg, episode)
@@ -258,7 +258,7 @@ def train(
             else:
                 action = agent.act(obs.phi, noise_scale=sigma, rng=ep_rng)
                 a_norm = normalize_action(action.as_array())
-            world, obs_next, rb, done, info = env_step(
+            world, obs_next, rb, done, pvt = env_step(
                 world, action, constellation, gnss_cfg.noise_sigma,
                 None, cfg=cfg_ep, rng=meas_rng, nav_pos=nav_pos,
             )
@@ -266,7 +266,7 @@ def train(
             buffer.add(obs.phi, a_norm, rb.total, obs_next.phi, terminal)
             total += rb.total
             obs = obs_next
-            nav_pos = info.pvt.estimate.position
+            nav_pos = pvt.estimate.position
 
             if not warmup and buffer.size >= train_cfg.batch_size:
                 batch = buffer.sample(train_cfg.batch_size, sample_rng)

@@ -190,14 +190,6 @@ class AgeProfile(_JsonDocument):
         )
 
 
-@dataclass(frozen=True)
-class DetectorVerdict:
-    """One detector's per-step output."""
-
-    flag: bool
-    statistic: float
-
-
 def fit_nominal_profile(
     nominal_q_streams, source_episodes: tuple[int, ...] = ()
 ) -> NominalProfile:
@@ -389,10 +381,9 @@ def bocpd_update(
     return new_state, l_hat
 
 
-def bocpd_flag(l_hat: int, t: int, tau: int, warmup: int) -> DetectorVerdict:
-    """Short argmax run length after the warmup means a recent change."""
-    return DetectorVerdict(flag=(t > warmup) and (l_hat <= tau),
-                           statistic=float(l_hat))
+def bocpd_flag(l_hat: int, t: int, tau: int, warmup: int) -> tuple[bool, float]:
+    """(flag, statistic): a short argmax run length after the warmup flags."""
+    return (t > warmup) and (l_hat <= tau), float(l_hat)
 
 
 def bocpd_posterior_dense(state: BocpdState) -> np.ndarray:
@@ -494,13 +485,14 @@ class PageHinkley:
         self.m = 0.0
         self.m_min = 0.0
 
-    def update(self, x: float) -> DetectorVerdict:
+    def update(self, x: float) -> tuple[bool, float]:
+        """(flag, statistic) after one value; the statistic is PH's excursion."""
         self.n += 1
         self.mean += (x - self.mean) / self.n
         self.m += self.mean - x - self.delta
         self.m_min = min(self.m_min, self.m)
         ph = self.m - self.m_min
-        return DetectorVerdict(flag=ph > self.lam, statistic=ph)
+        return ph > self.lam, ph
 
 
 class ResidualThreshold:
@@ -514,7 +506,8 @@ class ResidualThreshold:
         self.jump_gate = jump_gate
         self.prev_position: np.ndarray | None = None
 
-    def update(self, pvt: PvtSolution) -> DetectorVerdict:
+    def update(self, pvt: PvtSolution) -> tuple[bool, float]:
+        """(flag, statistic) for one fix; the statistic is the RMS residual."""
         stat = pvt.final_residual_norm / math.sqrt(len(pvt.residuals))
         pos = pvt.estimate.position
         if self.prev_position is None:
@@ -523,10 +516,7 @@ class ResidualThreshold:
             step = pos - self.prev_position
             jump = math.sqrt(step.dot(step))  # np.linalg.norm's arithmetic
         self.prev_position = pos.copy()
-        return DetectorVerdict(
-            flag=(stat > self.threshold) or (jump > self.jump_gate),
-            statistic=stat,
-        )
+        return (stat > self.threshold) or (jump > self.jump_gate), stat
 
 
 @dataclass
@@ -634,10 +624,10 @@ def window_ae_train(
     return model, curve
 
 
-def window_ae_score(model: WindowAutoencoder, recent_values) -> DetectorVerdict:
-    """Score the trailing window; NaN statistic while the window is filling."""
+def window_ae_score(model: WindowAutoencoder, recent_values) -> tuple[bool, float]:
+    """(flag, reconstruction error) of the trailing window; NaN while it fills."""
     vals = np.asarray(recent_values, dtype=float)
     if vals.size < model.window:
-        return DetectorVerdict(flag=False, statistic=float("nan"))
+        return False, float("nan")
     err = model.reconstruction_error(vals[-model.window:])
-    return DetectorVerdict(flag=err > model.threshold, statistic=err)
+    return err > model.threshold, err

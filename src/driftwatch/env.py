@@ -139,15 +139,6 @@ class RewardBreakdown:
     terminal_event: str
 
 
-@dataclass(frozen=True)
-class StepInfo:
-    """Side-channel outputs of env_step needed for logging and detection."""
-
-    pvt: PvtSolution
-    attack_active: bool
-    attack_alpha: float
-
-
 def _rodrigues(v: np.ndarray, axis_unit: np.ndarray, angle: float) -> np.ndarray:
     """Rotate v about a unit axis by angle."""
     c, s = np.cos(angle), np.sin(angle)
@@ -441,12 +432,14 @@ def env_step(
     rng: np.random.Generator | None = None,
     nav_pos: np.ndarray | None = None,
     pvt_init: ReceiverEstimate | None = None,
-) -> tuple[WorldState, Observation, RewardBreakdown, bool, StepInfo]:
+) -> tuple[WorldState, Observation, RewardBreakdown, bool, PvtSolution]:
     """One full cycle: move, measure (or get spoofed), solve, observe, score.
 
-    ``nav_pos`` feeds the controller's believed position to the dynamics;
-    ``pvt_init`` warm-starts the solver (falls back to the truth, which
-    any in-range initialization converges to at these geometries).
+    Returns (next world, observation, reward, done, fix), where the fix
+    is the PvtSolution the observation was built from.  ``nav_pos`` feeds
+    the controller's believed position to the dynamics; ``pvt_init``
+    warm-starts the solver (falls back to the truth, which any in-range
+    initialization converges to at these geometries).
     """
     if noise_sigma > 0 and rng is None:
         raise ConfigurationError("noise_sigma > 0 requires an rng")
@@ -480,9 +473,4 @@ def env_step(
         rb = dataclasses.replace(rb, terminal_event=TERM_TIMEOUT)
         done = True
 
-    info = StepInfo(
-        pvt=pvt,
-        attack_active=bool(phase.active) if phase is not None else False,
-        attack_alpha=float(phase.alpha) if phase is not None else 0.0,
-    )
-    return world_next, obs, rb, done, info
+    return world_next, obs, rb, done, pvt

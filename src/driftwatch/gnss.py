@@ -9,7 +9,7 @@ corrections until the correction norm drops below tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,47 +25,22 @@ MIN_RANGE_M = 1.0
 
 
 @dataclass(frozen=True)
-class Satellite:
-    """A single broadcasting satellite with a fixed ECEF-like position."""
-
-    id: int
-    position: np.ndarray  # shape (3,), meters
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-
-
-@dataclass(frozen=True)
 class Constellation:
-    """An immutable set of satellites visible for the whole scenario.
+    """Satellites visible for the whole scenario.
 
-    `positions` stacks the satellite positions once, shape (N, 3), as a
-    read-only array.
+    `positions` holds one satellite per row, shape (N, 3), in meters: a
+    read-only copy of the array it was built from.
     """
 
-    satellites: tuple[Satellite, ...]
-    positions: np.ndarray = field(init=False, repr=False, compare=False)
+    positions: np.ndarray
 
     def __post_init__(self):
-        positions = np.stack([s.position for s in self.satellites])
+        positions = np.array(self.positions, dtype=float)
         positions.flags.writeable = False
         object.__setattr__(self, "positions", positions)
 
     def __len__(self) -> int:
-        return len(self.satellites)
-
-
-@dataclass(frozen=True)
-class PseudorangeSet:
-    """Measured pseudoranges (meters) for one epoch, aligned with a constellation."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-    def __len__(self) -> int:
-        return len(self.values)
+        return len(self.positions)
 
 
 @dataclass(frozen=True)
@@ -132,8 +107,7 @@ def make_constellation(
         d = np.array([r_xy * np.cos(az), r_xy * np.sin(az), z])
         if all(float(d @ prev) < min_cos for prev in dirs):
             dirs.append(d)
-    sats = tuple(Satellite(i, radius * d) for i, d in enumerate(dirs))
-    return Constellation(sats)
+    return Constellation(radius * np.array(dirs))
 
 
 def _line_of_sight(position: np.ndarray, positions: np.ndarray):
@@ -166,41 +140,13 @@ def measure_pseudoranges(
     constellation: Constellation,
     noise_sigma: float,
     rng: np.random.Generator,
-) -> PseudorangeSet:
-    """Simulate one epoch of measurements with iid Gaussian noise."""
+) -> np.ndarray:
+    """Simulate one epoch of pseudoranges (meters) with iid Gaussian noise."""
     if noise_sigma < 0:
         raise ConfigurationError(f"noise_sigma must be >= 0, got {noise_sigma}")
     clean = predicted_pseudoranges(truth, constellation)
     noise = rng.normal(0.0, noise_sigma, size=len(clean)) if noise_sigma > 0 else 0.0
-    return PseudorangeSet(values=clean + noise)
-
-
-def _check_lengths(measurements: PseudorangeSet, constellation: Constellation) -> None:
-    if len(measurements) != len(constellation):
-        raise ConfigurationError(
-            f"{len(measurements)} measurements for {len(constellation)} satellites"
-        )
-
-
-def residuals(
-    est: ReceiverEstimate,
-    measurements: PseudorangeSet,
-    constellation: Constellation,
-) -> np.ndarray:
-    """Measured minus modeled pseudoranges at the current estimate."""
-    _check_lengths(measurements, constellation)
-    return measurements.values - predicted_pseudoranges(est, constellation)
-
-
-def jacobian(est: ReceiverEstimate, constellation: Constellation) -> np.ndarray:
-    """Jacobian of modeled pseudoranges w.r.t. (x, y, z, bias), shape (N, 4).
-
-    Row i is the unit line-of-sight vector from satellite i toward the
-    receiver, with a constant 1 in the bias column.
-    """
-    h = np.ones((len(constellation), 4))
-    _fill_jacobian(h, *_line_of_sight(est.position, constellation.positions))
-    return h
+    return clean + noise
 
 
 def _gauss_newton_step(
@@ -270,22 +216,8 @@ def _well_conditioned(a: list) -> bool:
     return 0.0 < det and tr2 * tr2 <= 1e11 * det < math.inf
 
 
-def ls_step(
-    est: ReceiverEstimate,
-    measurements: PseudorangeSet,
-    constellation: Constellation,
-) -> tuple[ReceiverEstimate, float]:
-    """One Gauss-Newton correction; returns the new estimate and correction norm."""
-    _check_lengths(measurements, constellation)
-    x, step_norm = _gauss_newton_step(
-        est.as_vector(), measurements.values, constellation.positions,
-        np.ones((len(constellation), 4)),
-    )
-    return ReceiverEstimate.from_vector(x), step_norm
-
-
 def solve_pvt(
-    measurements: PseudorangeSet,
+    measurements: np.ndarray,
     constellation: Constellation,
     init: ReceiverEstimate | None = None,
     tol: float = 1e-4,
@@ -293,27 +225,31 @@ def solve_pvt(
 ) -> PvtSolution:
     """Iterate Gauss-Newton steps from ``init`` (origin by default).
 
-    Convergence means the last correction norm fell below ``tol``.  The
-    returned residuals are evaluated at the final estimate.
+    ``measurements`` is a 1-D array of pseudoranges in meters, one per
+    satellite of ``constellation``.  Convergence means the last correction
+    norm fell below ``tol``.  The returned residuals are evaluated at the
+    final estimate.
     """
     if len(measurements) < 4:
         raise ConfigurationError(
             f"need at least 4 pseudoranges to solve, got {len(measurements)}"
         )
-    _check_lengths(measurements, constellation)
-    measured = measurements.values
+    if len(measurements) != len(constellation):
+        raise ConfigurationError(
+            f"{len(measurements)} measurements for {len(constellation)} satellites"
+        )
     positions = constellation.positions
     x = init.as_vector() if init is not None else np.zeros(4)
     h = np.ones((len(constellation), 4))
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        x, step_norm = _gauss_newton_step(x, measured, positions, h)
+        x, step_norm = _gauss_newton_step(x, measurements, positions, h)
         if step_norm < tol:
             converged = True
             break
     est = ReceiverEstimate.from_vector(x)
-    final = measured - predicted_pseudoranges(est, constellation)
+    final = measurements - predicted_pseudoranges(est, constellation)
     return PvtSolution(
         estimate=est,
         iterations=iterations,

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import DetectorConfig, EnvConfig, EvalConfig
-from .ddpg import _TAG_MEAS, Agent
+from .ddpg import _TAG_MEAS, Agent, _derive_seed
 from .detectors import (
     AgeProfile,
     NominalProfile,
@@ -39,7 +39,6 @@ from .spoofing import AttackConfig, attack_alpha
 
 EPISODE_SCHEMA = "driftwatch-episode-v1"
 BANK_SCHEMA = "driftwatch-bank-v1"
-METRICS_SCHEMA = "driftwatch-metrics-v1"
 
 DETECTOR_ORDER = ("bocpd", "ph", "residual", "window_ae")
 
@@ -182,20 +181,18 @@ class EpisodeDetectors:
         self.bocpd_state, l_hat = bocpd_update(
             self.bocpd_state, q, prune=bank.prune
         )
-        v_bocpd = bocpd_flag(l_hat, self.t, bank.tau, bank.warmup)
-        v_ph = self.ph.update(q)
-        v_res = self.residual.update(pvt)
         # The AE scores only the trailing window, so keep no more of it.
         history = self.q_history
         history.append(q)
         if len(history) > bank.ae.window:
             del history[0]
-        v_ae = window_ae_score(bank.ae, history)
-        flags = np.array((v_bocpd.flag, v_ph.flag, v_res.flag, v_ae.flag),
-                         dtype=bool)
-        stats = np.array((v_bocpd.statistic, v_ph.statistic, v_res.statistic,
-                          v_ae.statistic), dtype=float)
-        return flags, stats
+        flags, stats = zip(
+            bocpd_flag(l_hat, self.t, bank.tau, bank.warmup),
+            self.ph.update(q),
+            self.residual.update(pvt),
+            window_ae_score(bank.ae, history),
+        )
+        return np.array(flags, dtype=bool), np.array(stats, dtype=float)
 
 
 @dataclass
@@ -287,14 +284,13 @@ def run_episode(
         cols["flags"].append(flags)
         cols["stats"].append(stats)
 
-        world, obs, rb, done, info = env_step(
+        world, obs, rb, done, pvt = env_step(
             world, action, constellation, noise_sigma, attack_cfg,
             cfg=env_cfg, rng=meas_rng, nav_pos=nav,
         )
         cols["rewards"].append(
             [rb.collision, rb.threat, rb.goal_seek, rb.total]
         )
-        pvt = info.pvt
         nav = pvt.estimate.position
         if done:
             terminal = rb.terminal_event
@@ -363,69 +359,21 @@ def write_episode_csv(log: EpisodeLog, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-@dataclass(frozen=True)
-class DetectorMetrics:
-    """Aggregated detection quality for one detector under latched scoring."""
-
-    detector: str
-    accuracy_mean: float
-    accuracy_std: float
-    fpr_mean: float
-    fpr_std: float
-    fnr_episode_mean: float
-    fnr_episode_std: float
-    fnr_step_mean: float
-    fnr_step_std: float
-    delay_mean: float | None  # over detected attacked episodes; None if none
-    delay_std: float | None
-    n_detected: int
-    n_attacked: int
-    n_nominal: int
-
-    def to_dict(self) -> dict:
-        return {
-            "detector": self.detector,
-            "accuracy": {"mean": self.accuracy_mean, "std": self.accuracy_std},
-            "false_positive_rate": {"mean": self.fpr_mean, "std": self.fpr_std},
-            "false_negative_rate": {
-                "mean": self.fnr_episode_mean,
-                "std": self.fnr_episode_std,
-            },
-            "step_miss_rate": {
-                "mean": self.fnr_step_mean,
-                "std": self.fnr_step_std,
-            },
-            "detection_delay": {"mean": self.delay_mean, "std": self.delay_std},
-            "n_detected": self.n_detected,
-            "n_attacked": self.n_attacked,
-            "n_nominal": self.n_nominal,
-        }
-
-
-@dataclass(frozen=True)
-class DetectionMetrics:
-    per_detector: dict[str, DetectorMetrics]
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": METRICS_SCHEMA,
-            "detectors": {
-                name: self.per_detector[name].to_dict()
-                for name in DETECTOR_ORDER
-                if name in self.per_detector
-            },
-        }
-
-
-def _mean_std(values) -> tuple[float, float]:
+def _mean_std(values) -> dict:
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
-        return 0.0, 0.0
-    return float(arr.mean()), float(arr.std())
+        return {"mean": 0.0, "std": 0.0}
+    return {"mean": float(arr.mean()), "std": float(arr.std())}
 
 
-def compute_metrics(logs: list[EpisodeLog]) -> DetectionMetrics:
+def compute_metrics(logs: list[EpisodeLog]) -> dict[str, dict]:
     """Latched scoring: a detector's first flag persists for the episode.
+
+    Returns the `detectors` mapping of `summary.json`: one entry per
+    detector in DETECTOR_ORDER, holding {"mean", "std"} of accuracy,
+    false-positive rate, episode false-negative rate, per-step miss rate
+    and detection delay (None when nothing was detected), plus the counts
+    of detected, attacked and nominal episodes.
 
     Accuracy counts pre-onset unflagged and post-onset flagged steps;
     nominal episodes have no onset, so every step counts as pre-onset.
@@ -436,7 +384,7 @@ def compute_metrics(logs: list[EpisodeLog]) -> DetectionMetrics:
     """
     if not logs:
         raise ConfigurationError("metrics need at least one episode")
-    per_detector = {}
+    detectors = {}
     for j, name in enumerate(DETECTOR_ORDER):
         acc, fpr, fnr_ep, fnr_step, delays = [], [], [], [], []
         n_attacked = n_nominal = 0
@@ -461,31 +409,19 @@ def compute_metrics(logs: list[EpisodeLog]) -> DetectionMetrics:
             if not missed:
                 first = int(np.argmax(raw))  # raw has a True by construction
                 delays.append(max(0, first - onset))
-        acc_m, acc_s = _mean_std(acc)
-        fpr_m, fpr_s = _mean_std(fpr)
-        fnr_ep_m, fnr_ep_s = _mean_std(fnr_ep)
-        fnr_st_m, fnr_st_s = _mean_std(fnr_step)
-        if delays:
-            delay_m, delay_s = _mean_std(delays)
-        else:
-            delay_m = delay_s = None
-        per_detector[name] = DetectorMetrics(
-            detector=name,
-            accuracy_mean=acc_m,
-            accuracy_std=acc_s,
-            fpr_mean=fpr_m,
-            fpr_std=fpr_s,
-            fnr_episode_mean=fnr_ep_m,
-            fnr_episode_std=fnr_ep_s,
-            fnr_step_mean=fnr_st_m,
-            fnr_step_std=fnr_st_s,
-            delay_mean=delay_m,
-            delay_std=delay_s,
-            n_detected=len(delays),
-            n_attacked=n_attacked,
-            n_nominal=n_nominal,
-        )
-    return DetectionMetrics(per_detector=per_detector)
+        detectors[name] = {
+            "detector": name,
+            "accuracy": _mean_std(acc),
+            "false_positive_rate": _mean_std(fpr),
+            "false_negative_rate": _mean_std(fnr_ep),
+            "step_miss_rate": _mean_std(fnr_step),
+            "detection_delay": (_mean_std(delays) if delays
+                                else {"mean": None, "std": None}),
+            "n_detected": len(delays),
+            "n_attacked": n_attacked,
+            "n_nominal": n_nominal,
+        }
+    return detectors
 
 
 def _stream_argmaxes(q_stream, prior: AgeProfile, hazard: float,
@@ -517,11 +453,8 @@ def profile_pipeline(
     calibrated leave-one-out: each profile stream is scored against an age
     profile fitted on the other streams, as an unseen flight would be.
     """
-    seeds = [
-        int(np.random.SeedSequence(
-            [master_seed, _TAG_PROFILE, i]).generate_state(1)[0])
-        for i in range(eval_cfg.profile_episodes)
-    ]
+    seeds = [_derive_seed(master_seed, _TAG_PROFILE, i)
+             for i in range(eval_cfg.profile_episodes)]
     logs = [
         run_episode(
             agent, env_cfg, None, None, s,
@@ -551,8 +484,6 @@ def profile_pipeline(
     else:
         tau, achieved_fp = det_cfg.bocpd_tau, float("nan")
 
-    ae_seed = int(np.random.SeedSequence(
-        [master_seed, _TAG_AE_INIT]).generate_state(1)[0])
     ae, ae_curve = window_ae_train(
         q_streams,
         window=det_cfg.ae_window,
@@ -561,7 +492,7 @@ def profile_pipeline(
         epochs=det_cfg.ae_epochs,
         lr=det_cfg.ae_lr,
         threshold_stds=det_cfg.ae_threshold_stds,
-        seed=ae_seed,
+        seed=_derive_seed(master_seed, _TAG_AE_INIT),
     )
 
     bank = DetectorBank(
@@ -599,7 +530,7 @@ def evaluate(
     noise_sigma: float,
     master_seed: int,
     config_hash: str = "",
-) -> tuple[DetectionMetrics, list[EpisodeLog]]:
+) -> tuple[dict[str, dict], list[EpisodeLog]]:
     """Score the frozen bank on fresh nominal and attacked episodes."""
     if eval_cfg.n_nominal + eval_cfg.n_attacked < 1:
         raise ConfigurationError("evaluation needs at least one episode")
@@ -609,21 +540,16 @@ def evaluate(
         target=eval_cfg.attack_target,
         enabled=True,
     )
-    logs = []
-    for i in range(eval_cfg.n_nominal):
-        seed = int(np.random.SeedSequence(
-            [master_seed, _TAG_EVAL_NOMINAL, i]).generate_state(1)[0])
-        logs.append(run_episode(
-            agent, env_cfg, None, bank, seed,
+    logs = [
+        run_episode(
+            agent, env_cfg, attack_cfg, bank, _derive_seed(master_seed, tag, i),
             constellation=constellation, noise_sigma=noise_sigma,
             config_hash=config_hash,
-        ))
-    for i in range(eval_cfg.n_attacked):
-        seed = int(np.random.SeedSequence(
-            [master_seed, _TAG_EVAL_ATTACKED, i]).generate_state(1)[0])
-        logs.append(run_episode(
-            agent, env_cfg, attack, bank, seed,
-            constellation=constellation, noise_sigma=noise_sigma,
-            config_hash=config_hash,
-        ))
+        )
+        for tag, count, attack_cfg in (
+            (_TAG_EVAL_NOMINAL, eval_cfg.n_nominal, None),
+            (_TAG_EVAL_ATTACKED, eval_cfg.n_attacked, attack),
+        )
+        for i in range(count)
+    ]
     return compute_metrics(logs), logs

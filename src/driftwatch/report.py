@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import DETECTOR_ORDER, DetectionMetrics, EpisodeLog, _fmt
+from .harness import DETECTOR_ORDER, EpisodeLog, _fmt
 
 SUMMARY_SCHEMA = "driftwatch-summary-v1"
 
@@ -34,7 +34,7 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def write_summary_json(
-    metrics: DetectionMetrics, path, *, config_hash: str, master_seed: int,
+    metrics: dict[str, dict], path, *, config_hash: str, master_seed: int,
     n_episodes: int,
 ) -> None:
     doc = {
@@ -42,7 +42,7 @@ def write_summary_json(
         "config_hash": config_hash,
         "master_seed": master_seed,
         "n_episodes": n_episodes,
-        "detectors": metrics.to_dict()["detectors"],
+        "detectors": metrics,
     }
     _write_text(Path(path), json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -115,20 +115,20 @@ def write_q_traces_csv(logs: list[EpisodeLog], path) -> None:
     _write_text(Path(path), "\n".join(rows) + "\n")
 
 
-_BAR_METRICS = (
-    ("accuracy", lambda m: (m.accuracy_mean, m.accuracy_std)),
-    ("false_negative_rate", lambda m: (m.fnr_episode_mean, m.fnr_episode_std)),
-    ("false_positive_rate", lambda m: (m.fpr_mean, m.fpr_std)),
-)
+# the charted metrics and their panel titles
+_BAR_METRICS = {
+    "accuracy": "Accuracy",
+    "false_negative_rate": "False-negative rate",
+    "false_positive_rate": "False-positive rate",
+}
 
 
-def write_detector_bars_csv(metrics: DetectionMetrics, path) -> None:
+def write_detector_bars_csv(metrics: dict[str, dict], path) -> None:
     rows = ["detector,metric,mean,std"]
     for name in DETECTOR_ORDER:
-        m = metrics.per_detector[name]
-        for metric_name, getter in _BAR_METRICS:
-            mean, std = getter(m)
-            rows.append(f"{name},{metric_name},{_fmt(mean)},{_fmt(std)}")
+        for metric_name in _BAR_METRICS:
+            m = metrics[name][metric_name]
+            rows.append(f"{name},{metric_name},{_fmt(m['mean'])},{_fmt(m['std'])}")
     _write_text(Path(path), "\n".join(rows) + "\n")
 
 
@@ -187,23 +187,14 @@ def _svg_panel(x0: float, title: str, values, errors, names) -> list[str]:
     return parts
 
 
-def write_bars_svg(metrics: DetectionMetrics, path) -> None:
+def write_bars_svg(metrics: dict[str, dict], path) -> None:
     """Three-panel bar chart (accuracy, FNR, FPR) with std whiskers."""
     panels = []
-    titles = {
-        "accuracy": "Accuracy",
-        "false_negative_rate": "False-negative rate",
-        "false_positive_rate": "False-positive rate",
-    }
-    for k, (metric_name, getter) in enumerate(_BAR_METRICS):
-        values, errors = [], []
-        for name in DETECTOR_ORDER:
-            mean, std = getter(metrics.per_detector[name])
-            values.append(mean)
-            errors.append(std)
+    for k, (metric_name, title) in enumerate(_BAR_METRICS.items()):
+        rows = [metrics[name][metric_name] for name in DETECTOR_ORDER]
         panels += _svg_panel(
-            60.0 + k * 320.0, titles[metric_name], values, errors,
-            DETECTOR_ORDER,
+            60.0 + k * 320.0, title, [m["mean"] for m in rows],
+            [m["std"] for m in rows], DETECTOR_ORDER,
         )
     svg = "\n".join(
         [
@@ -218,13 +209,12 @@ def write_bars_svg(metrics: DetectionMetrics, path) -> None:
 
 
 def emit_report(
-    metrics: DetectionMetrics,
+    metrics: dict[str, dict],
     logs: list[EpisodeLog],
     out_dir,
     *,
     config_hash: str = "",
     master_seed: int = 0,
-    training_history=None,
 ) -> dict[str, Path]:
     """Write every report artifact; returns the paths by artifact name."""
     out = Path(out_dir)
@@ -244,7 +234,4 @@ def emit_report(
     write_q_traces_csv(logs, paths["q_traces"])
     write_detector_bars_csv(metrics, paths["detector_bars"])
     write_bars_svg(metrics, paths["detector_bars_svg"])
-    if training_history is not None:
-        paths["training_curve"] = out / "training_curve.csv"
-        write_training_curve_csv(training_history, paths["training_curve"])
     return paths

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .gnss import (
-    Constellation,
-    PseudorangeSet,
-    ReceiverEstimate,
-    predicted_pseudoranges,
-)
+from .gnss import Constellation, ReceiverEstimate, predicted_pseudoranges
 
 
 @dataclass(frozen=True)
@@ -78,7 +73,6 @@ def spoof_pseudoranges(
     spoof_pos: np.ndarray,
     bias: float,
     constellation: Constellation,
-) -> PseudorangeSet:
+) -> np.ndarray:
     """Fabricate noiseless pseudoranges exactly consistent with ``spoof_pos``."""
-    spoofed = ReceiverEstimate(spoof_pos, bias)
-    return PseudorangeSet(values=predicted_pseudoranges(spoofed, constellation))
+    return predicted_pseudoranges(ReceiverEstimate(spoof_pos, bias), constellation)

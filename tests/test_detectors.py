@@ -194,7 +194,7 @@ class TestAgeProfile:
         state = bocpd_init(prof, 0.022)
         for t, m in enumerate(means):
             state, l_hat = bocpd_update(state, m + 0.5)
-            assert not bocpd_flag(l_hat, t + 1, tau=12, warmup=20).flag
+            assert not bocpd_flag(l_hat, t + 1, tau=12, warmup=20)[0]
 
 
 class TestBocpd:
@@ -235,8 +235,8 @@ class TestBocpd:
         state = bocpd_init(PRIOR, 0.01)
         for t in range(1, 1001):
             state, l_hat = bocpd_update(state, PROFILE.mu0)
-            verdict = bocpd_flag(l_hat, t, tau=5, warmup=10)
-            assert not verdict.flag
+            flag, _ = bocpd_flag(l_hat, t, tau=5, warmup=10)
+            assert not flag
 
     def test_downward_step_detected_within_five_steps(self):
         # 10 sigma drop at index 50; argmax collapses immediately
@@ -248,7 +248,7 @@ class TestBocpd:
             post = hats[50:55]
             assert any(l <= 5 for l in post), f"seed {seed}: {post}"
             pre = [
-                bocpd_flag(l, t, tau=5, warmup=10).flag
+                bocpd_flag(l, t, tau=5, warmup=10)[0]
                 for t, l in enumerate(hats[:50], start=1)
             ]
             assert not any(pre), f"seed {seed} flagged before the step"
@@ -303,10 +303,10 @@ class TestBocpd:
         assert state.t == 2
 
     def test_flag_respects_warmup_boundary(self):
-        assert not bocpd_flag(0, t=10, tau=5, warmup=10).flag
-        assert bocpd_flag(5, t=11, tau=5, warmup=10).flag
-        assert not bocpd_flag(6, t=11, tau=5, warmup=10).flag
-        assert bocpd_flag(3, t=11, tau=5, warmup=10).statistic == 3.0
+        assert bocpd_flag(0, t=10, tau=5, warmup=10) == (False, 0.0)
+        assert bocpd_flag(5, t=11, tau=5, warmup=10) == (True, 5.0)
+        assert bocpd_flag(6, t=11, tau=5, warmup=10) == (False, 6.0)
+        assert bocpd_flag(3, t=11, tau=5, warmup=10)[1] == 3.0
 
 
 # Reference recursion: `bocpd_update` as first written, with `np.sum`,
@@ -473,16 +473,16 @@ class TestPageHinkley:
     def test_constant_stream_never_flags(self):
         ph = scaled_ph()
         for _ in range(500):
-            v = ph.update(PROFILE.mu0)
-            assert not v.flag
-            assert v.statistic == 0.0
+            flag, stat = ph.update(PROFILE.mu0)
+            assert not flag
+            assert stat == 0.0
 
     def test_upward_step_never_flags(self):
         ph = scaled_ph()
         rng = np.random.default_rng(3)
         q = PROFILE.mu0 + PROFILE.sigma0 * rng.normal(size=200)
         q[100:] += 10 * PROFILE.sigma0
-        assert not any(ph.update(float(x)).flag for x in q)
+        assert not any(ph.update(float(x))[0] for x in q)
 
     def test_downward_step_flags_within_twenty_steps(self):
         for seed in range(8):
@@ -492,7 +492,7 @@ class TestPageHinkley:
             ph = scaled_ph()
             first = None
             for t, x in enumerate(q, start=1):
-                if ph.update(float(x)).flag and first is None:
+                if ph.update(float(x))[0] and first is None:
                     first = t
             assert first is not None and 50 < first <= 70, f"seed {seed}: {first}"
 
@@ -500,7 +500,7 @@ class TestPageHinkley:
         ph = PageHinkley(delta=0.0, lam=1.0)
         rng = np.random.default_rng(11)
         for x in rng.normal(size=300):
-            assert ph.update(float(x)).statistic >= 0.0
+            assert ph.update(float(x))[1] >= 0.0
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):
@@ -524,7 +524,7 @@ class TestResidualThreshold:
     def test_clean_solution_stays_quiet(self, constellation):
         det = ResidualThreshold(k_sigma=3.0, noise_sigma=0.0, jump_gate=50.0)
         pvt = self.solve_at(constellation, [100.0, -50.0, 30.0])
-        assert not det.update(pvt).flag
+        assert not det.update(pvt)[0]
 
     def test_nominal_noise_stays_under_threshold(self, constellation):
         rng = np.random.default_rng(5)
@@ -534,28 +534,26 @@ class TestResidualThreshold:
         for k in range(50):
             pvt = self.solve_at(constellation, pos + [k, 0, 0],
                                 noise_sigma=2.0, rng=rng)
-            flags += int(det.update(pvt).flag)
+            flags += int(det.update(pvt)[0])
         assert flags == 0
 
     def test_inconsistent_measurements_flag(self, constellation):
         truth = ReceiverEstimate(position=np.array([0.0, 0.0, 100.0]))
         meas = measure_pseudoranges(truth, constellation, 0.0, None)
-        values = meas.values.copy()
+        values = meas.copy()
         values[:3] += 30.0  # corrupt three of eight channels
-        from driftwatch.gnss import PseudorangeSet
-
-        pvt = solve_pvt(PseudorangeSet(values=values), constellation)
+        pvt = solve_pvt(values, constellation)
         det = ResidualThreshold(k_sigma=3.0, noise_sigma=2.0, jump_gate=50.0)
-        assert det.update(pvt).flag
+        assert det.update(pvt)[0]
 
     def test_jump_gate_catches_teleport_but_not_drift(self, constellation):
         det = ResidualThreshold(k_sigma=3.0, noise_sigma=0.0, jump_gate=50.0)
         a = self.solve_at(constellation, [0.0, 0.0, 100.0])
         b = self.solve_at(constellation, [30.0, 0.0, 100.0])
         c = self.solve_at(constellation, [630.0, 0.0, 100.0])
-        assert not det.update(a).flag  # first step has no jump reference
-        assert not det.update(b).flag  # 30 m, drift-sized
-        assert det.update(c).flag  # 600 m teleport
+        assert not det.update(a)[0]  # first step has no jump reference
+        assert not det.update(b)[0]  # 30 m, drift-sized
+        assert det.update(c)[0]  # 600 m teleport
 
     def test_statistics_match_numpy_norms(self, constellation):
         """Statistic and jump gate as np.sqrt and np.linalg.norm give them."""
@@ -567,12 +565,12 @@ class TestResidualThreshold:
         for _ in range(200):
             pos = pos + rng.normal(0.0, 30.0, size=3)
             pvt = self.solve_at(constellation, pos, noise_sigma=2.0, rng=rng)
-            verdict = det.update(pvt)
+            flag, statistic = det.update(pvt)
             stat = pvt.final_residual_norm / np.sqrt(len(pvt.residuals))
             jump = (0.0 if prev is None
                     else float(np.linalg.norm(pvt.estimate.position - prev)))
-            assert verdict.statistic == float(stat)
-            assert verdict.flag == ((stat > det.threshold) or (jump > 50.0))
+            assert statistic == float(stat)
+            assert flag == ((stat > det.threshold) or (jump > 50.0))
             jumped += jump > 50.0
             prev = pvt.estimate.position.copy()
         assert 0 < jumped < 200
@@ -616,8 +614,8 @@ class TestWindowAutoencoder:
         flags, total = 0, 0
         for s in held:
             for i in range(len(s) - model.window + 1):
-                v = window_ae_score(model, s[: i + model.window])
-                flags += int(v.flag)
+                flag, _ = window_ae_score(model, s[: i + model.window])
+                flags += int(flag)
                 total += 1
         assert total > 400
         assert flags / total <= 0.05
@@ -629,7 +627,7 @@ class TestWindowAutoencoder:
                 size=64
             )
             s[48:] -= 10 * PROFILE.sigma0
-            assert window_ae_score(model, s).flag
+            assert window_ae_score(model, s)[0]
 
     def test_reconstruction_error_matches_np_mean(self, trained):
         model, _, _, held = trained
@@ -642,9 +640,9 @@ class TestWindowAutoencoder:
 
     def test_partial_window_gives_nan_and_no_flag(self, trained):
         model, _, _, _ = trained
-        v = window_ae_score(model, np.zeros(model.window - 1))
-        assert not v.flag
-        assert np.isnan(v.statistic)
+        flag, stat = window_ae_score(model, np.zeros(model.window - 1))
+        assert not flag
+        assert np.isnan(stat)
 
     def test_training_is_deterministic(self, trained):
         model, curve, train_streams, _ = trained

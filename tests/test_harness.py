@@ -114,23 +114,26 @@ class TestMetricStubs:
                 for _ in range(3)]
         logs += [synthetic_log(200) for _ in range(3)]
         metrics = compute_metrics(logs)
-        for m in metrics.per_detector.values():
-            assert m.accuracy_mean == 1.0 and m.accuracy_std == 0.0
-            assert m.fpr_mean == 0.0
-            assert m.fnr_episode_mean == 0.0 and m.fnr_step_mean == 0.0
-            assert m.delay_mean == 0.0
-            assert m.n_detected == m.n_attacked == 3
-            assert m.n_nominal == 3
+        assert list(metrics) == list(DETECTOR_ORDER)
+        for m in metrics.values():
+            assert m["accuracy"] == {"mean": 1.0, "std": 0.0}
+            assert m["false_positive_rate"]["mean"] == 0.0
+            assert m["false_negative_rate"]["mean"] == 0.0
+            assert m["step_miss_rate"]["mean"] == 0.0
+            assert m["detection_delay"]["mean"] == 0.0
+            assert m["n_detected"] == m["n_attacked"] == 3
+            assert m["n_nominal"] == 3
 
     def test_never_flag_detector(self):
         logs = [synthetic_log(500, onset=100) for _ in range(4)]
         logs += [synthetic_log(200) for _ in range(2)]
         metrics = compute_metrics(logs)
-        for m in metrics.per_detector.values():
-            assert m.fnr_episode_mean == 1.0
-            assert m.fpr_mean == 0.0
-            assert m.delay_mean is None and m.n_detected == 0
-            assert m.accuracy_mean == pytest.approx(
+        for m in metrics.values():
+            assert m["false_negative_rate"]["mean"] == 1.0
+            assert m["false_positive_rate"]["mean"] == 0.0
+            assert m["detection_delay"] == {"mean": None, "std": None}
+            assert m["n_detected"] == 0
+            assert m["accuracy"]["mean"] == pytest.approx(
                 (4 * (100 / 500) + 2 * 1.0) / 6
             )
 
@@ -139,28 +142,28 @@ class TestMetricStubs:
                 for _ in range(2)]
         logs += [synthetic_log(200, flag_rows=range(200)) for _ in range(2)]
         metrics = compute_metrics(logs)
-        for m in metrics.per_detector.values():
-            assert m.fpr_mean == 1.0
-            assert m.fnr_episode_mean == 0.0
-            assert m.delay_mean == 0.0
-            assert m.accuracy_mean == pytest.approx(
+        for m in metrics.values():
+            assert m["false_positive_rate"]["mean"] == 1.0
+            assert m["false_negative_rate"]["mean"] == 0.0
+            assert m["detection_delay"]["mean"] == 0.0
+            assert m["accuracy"]["mean"] == pytest.approx(
                 (2 * (400 / 500) + 2 * 0.0) / 4
             )
 
     def test_latched_scoring_forgives_gaps(self):
         # one raw flag at 120 latches through the rest of the episode
         log = synthetic_log(500, onset=100, flag_rows=[120])
-        m = compute_metrics([log]).per_detector["bocpd"]
-        assert m.accuracy_mean == pytest.approx((100 + 380) / 500)
-        assert m.delay_mean == 20.0
-        assert m.fnr_step_mean == pytest.approx(20 / 400)
+        m = compute_metrics([log])["bocpd"]
+        assert m["accuracy"]["mean"] == pytest.approx((100 + 380) / 500)
+        assert m["detection_delay"]["mean"] == 20.0
+        assert m["step_miss_rate"]["mean"] == pytest.approx(20 / 400)
 
     def test_pre_onset_flag_counts_against_fpr_not_delay(self):
         log = synthetic_log(500, onset=100, flag_rows=[50])
-        m = compute_metrics([log]).per_detector["bocpd"]
-        assert m.fpr_mean == pytest.approx(50 / 100)
-        assert m.delay_mean == 0.0
-        assert m.fnr_episode_mean == 0.0
+        m = compute_metrics([log])["bocpd"]
+        assert m["false_positive_rate"]["mean"] == pytest.approx(50 / 100)
+        assert m["detection_delay"]["mean"] == 0.0
+        assert m["false_negative_rate"]["mean"] == 0.0
 
     def test_requires_logs(self):
         with pytest.raises(ConfigurationError):
@@ -325,9 +328,9 @@ class TestEpisodeDetectors:
         for k, q in enumerate(qs):
             flags, stats = dets.update(pvt, float(q))
             assert len(dets.q_history) == min(k + 1, window)
-            full = window_ae_score(synthetic_bank.ae, list(qs[: k + 1]))
-            assert flags[3] == full.flag
-            assert np.array_equal(stats[3], full.statistic, equal_nan=True)
+            flag, stat = window_ae_score(synthetic_bank.ae, list(qs[: k + 1]))
+            assert flags[3] == flag
+            assert np.array_equal(stats[3], stat, equal_nan=True)
             flagged |= bool(flags[3])
         assert flagged
 
@@ -512,12 +515,11 @@ class TestPipelines:
         assert len(logs) == eval_cfg.n_nominal + eval_cfg.n_attacked
         assert sum(log.attacked for log in logs) == eval_cfg.n_attacked
         for name in DETECTOR_ORDER:
-            m = metrics.per_detector[name]
-            assert 0.0 <= m.accuracy_mean <= 1.0
-            assert 0.0 <= m.fpr_mean <= 1.0
-            assert 0.0 <= m.fnr_episode_mean <= 1.0
-            doc = m.to_dict()
-            assert json.loads(json.dumps(doc)) == doc
+            m = metrics[name]
+            assert 0.0 <= m["accuracy"]["mean"] <= 1.0
+            assert 0.0 <= m["false_positive_rate"]["mean"] <= 1.0
+            assert 0.0 <= m["false_negative_rate"]["mean"] <= 1.0
+        assert json.loads(json.dumps(metrics)) == metrics
 
     def test_empty_evaluation_rejected_at_config(self):
         with pytest.raises(ConfigurationError):

@@ -87,7 +87,7 @@ def test_spoofed_set_equals_clean_measurement_at_truth(cons):
     truth = ReceiverEstimate(np.array([220.0, -80.0, 140.0]), 31.0)
     legit = measure_pseudoranges(truth, cons, 0.0, np.random.default_rng(0))
     spoofed = spoof_pseudoranges(truth.position, truth.clock_bias, cons)
-    np.testing.assert_array_equal(spoofed.values, legit.values)
+    np.testing.assert_array_equal(spoofed, legit)
 
 
 def test_solver_recovers_spoofed_position(cons):
@@ -128,4 +128,4 @@ def test_disabled_attack_leaves_measurement_path_untouched(cons):
     np.testing.assert_array_equal(pos, truth.position)
     routed = measure_pseudoranges(ReceiverEstimate(pos, truth.clock_bias), cons, 2.0,
                                   rng_b)
-    np.testing.assert_array_equal(routed.values, baseline.values)
+    np.testing.assert_array_equal(routed, baseline)
