@@ -35,8 +35,6 @@ CHECKPOINT_SCHEMA = "driftwatch-checkpoint-v1"
 
 ACTION_CENTER = (ACTION_HIGH + ACTION_LOW) / 2.0
 ACTION_HALF = (ACTION_HIGH - ACTION_LOW) / 2.0
-_CENTER = ACTION_CENTER.tolist()
-_HALF = ACTION_HALF.tolist()
 
 OBS_DIM = 9
 ACT_DIM = 3
@@ -93,15 +91,13 @@ class Agent:
             raw = raw + rng.normal(0.0, noise_scale, size=ACT_DIM)
         return ActionVec(*raw.tolist())  # ActionVec clips to the bounds
 
-    def q_value(self, phi: np.ndarray, action: ActionVec) -> float:
-        # obs / scales and (a - centre) / half, written into one input row
-        x = np.empty(OBS_DIM + ACT_DIM)
-        np.divide(phi, self.obs_scales, out=x[:OBS_DIM])
-        (c0, c1, c2), (h0, h1, h2) = _CENTER, _HALF
-        x[OBS_DIM] = (action.rho0 - c0) / h0
-        x[OBS_DIM + 1] = (action.sigma0 - c1) / h1
-        x[OBS_DIM + 2] = (action.theta - c2) / h2
-        return float(self.critic.forward(x)[0])
+    def q_value(self, phi: np.ndarray, action: np.ndarray) -> np.ndarray:
+        """Critic values of (n, 9) observations and (n, 3) raw actions.
+
+        One forward over all n rows; an episode is valued in a single pass.
+        """
+        x = np.hstack([phi / self.obs_scales, normalize_action(action)])
+        return self.critic.forward(x, cache=False)[:, 0]
 
 
 class ReplayBuffer:

@@ -21,6 +21,7 @@ import zipfile
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConfigurationError,
@@ -529,11 +530,6 @@ class WindowAutoencoder:
     std: float
     threshold: float
 
-    def reconstruction_error(self, window_values: np.ndarray) -> float:
-        x = (np.asarray(window_values, dtype=float) - self.mean) / self.std
-        d = self.net.forward(x) - x
-        return float(np.add.reduce(d * d) / d.size)  # what np.mean runs
-
     def save(self, path) -> None:
         arrays = {
             "schema": np.array(AE_SCHEMA),
@@ -624,10 +620,20 @@ def window_ae_train(
     return model, curve
 
 
-def window_ae_score(model: WindowAutoencoder, recent_values) -> tuple[bool, float]:
-    """(flag, reconstruction error) of the trailing window; NaN while it fills."""
-    vals = np.asarray(recent_values, dtype=float)
-    if vals.size < model.window:
-        return False, float("nan")
-    err = model.reconstruction_error(vals[-model.window:])
-    return err > model.threshold, err
+def window_ae_score(
+    model: WindowAutoencoder, values
+) -> tuple[np.ndarray, np.ndarray]:
+    """(flags, reconstruction errors) of every trailing window of a stream.
+
+    Entry i scores values[i - window + 1 : i + 1]; all full windows go
+    through one AE forward.  While the first window fills, the error is
+    NaN and there is no flag.
+    """
+    vals = np.asarray(values, dtype=float)
+    errors = np.full(vals.size, np.nan)
+    if vals.size >= model.window:
+        x = (sliding_window_view(vals, model.window) - model.mean) / model.std
+        d = model.net.forward(x, cache=False) - x
+        # per-row np.mean: pairwise sum over each window, then divide
+        errors[model.window - 1:] = np.add.reduce(d * d, axis=1) / model.window
+    return errors > model.threshold, errors

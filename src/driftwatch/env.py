@@ -460,8 +460,7 @@ def env_step(
         implied = spoof_position(world_next.uav_pos_true, phase, spoof)
         meas = spoof_pseudoranges(implied, world_next.clock_bias_true, constellation)
     else:
-        meas = measure_pseudoranges(truth, constellation, noise_sigma,
-                                    rng or np.random.default_rng(0))
+        meas = measure_pseudoranges(truth, constellation, noise_sigma, rng)
 
     init = pvt_init if pvt_init is not None else truth
     pvt = solve_pvt(meas, constellation, init=init)

@@ -139,9 +139,12 @@ def measure_pseudoranges(
     truth: ReceiverEstimate,
     constellation: Constellation,
     noise_sigma: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
 ) -> np.ndarray:
-    """Simulate one epoch of pseudoranges (meters) with iid Gaussian noise."""
+    """Simulate one epoch of pseudoranges (meters) with iid Gaussian noise.
+
+    `rng` is drawn from only when noise_sigma > 0, so it may be None at 0.
+    """
     if noise_sigma < 0:
         raise ConfigurationError(f"noise_sigma must be >= 0, got {noise_sigma}")
     clean = predicted_pseudoranges(truth, constellation)

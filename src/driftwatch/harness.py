@@ -1,10 +1,14 @@
 """Experiment orchestration: episodes, detector bank, metrics, artifacts.
 
-The episode loop is measurement-first: solve the fix, build the
-observation, pick the action, score it with the critic, feed the
-detectors, then advance the world.  Each logged row therefore describes
-one decision point; the reward column is the return received for that
-row's action.
+An episode is played, then scored.  The rollout only flies: at each
+decision point the policy acts on the observation built from the fix,
+and the world advances.  No verdict feeds back into the controller, so
+the critic and the detectors run afterwards over the recorded episode:
+one critic forward values every (observation, action) pair, the
+changepoint, Page-Hinkley and residual tests step through the recorded
+values and fixes, and one autoencoder forward scores every trailing
+window.  Each logged row describes one decision point; the reward column
+is the return received for that row's action.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .detectors import (
     window_ae_score,
     window_ae_train,
 )
-from .env import TERM_NONE, env_reset_full, env_step
+from .env import env_reset_full, env_step
 from .errors import ConfigurationError, InsufficientDataError
 from .gnss import Constellation, PvtSolution
 from .spoofing import AttackConfig, attack_alpha
@@ -100,8 +104,20 @@ class DetectorBank:
         return [(f.name, _NUMBER_TYPES[f.type]) for f in fields(cls)
                 if f.name not in _BANK_FILES]
 
-    def start_episode(self) -> "EpisodeDetectors":
-        return EpisodeDetectors(self)
+    def score(
+        self, fixes: list[PvtSolution], q: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(flags, stats) of a recorded episode, one row per decision point.
+
+        Columns follow DETECTOR_ORDER.  The sequential tests step through
+        the fixes and values in order; the AE scores the whole stream.
+        """
+        detectors = EpisodeDetectors(self)
+        rows = np.array([detectors.update(pvt, x)
+                         for pvt, x in zip(fixes, q.tolist())])
+        ae_flags, ae_stats = window_ae_score(self.ae, q)
+        return (np.column_stack([rows[:, 0::2] != 0.0, ae_flags]),
+                np.column_stack([rows[:, 1::2], ae_stats]))
 
     def save(self, out_dir) -> dict[str, Path]:
         out = Path(out_dir)
@@ -160,7 +176,7 @@ class DetectorBank:
 
 
 class EpisodeDetectors:
-    """Mutable per-episode detector state, updated once per decision point."""
+    """Per-episode state of the sequential tests: changepoint, PH, residual."""
 
     def __init__(self, bank: DetectorBank):
         self.bank = bank
@@ -171,28 +187,21 @@ class EpisodeDetectors:
             noise_sigma=bank.residual_noise_sigma,
             jump_gate=bank.residual_jump_gate,
         )
-        self.q_history: list[float] = []
         self.t = 0
 
-    def update(self, pvt: PvtSolution, q: float) -> tuple[np.ndarray, np.ndarray]:
-        """Feed one decision point to every detector; returns (flags, stats)."""
+    def update(self, pvt: PvtSolution, q: float) -> tuple:
+        """Feed one decision point to each test.
+
+        Returns (flag, statistic) of bocpd, ph and residual as one flat
+        6-tuple, in DETECTOR_ORDER.
+        """
         bank = self.bank
         self.t += 1
         self.bocpd_state, l_hat = bocpd_update(
             self.bocpd_state, q, prune=bank.prune
         )
-        # The AE scores only the trailing window, so keep no more of it.
-        history = self.q_history
-        history.append(q)
-        if len(history) > bank.ae.window:
-            del history[0]
-        flags, stats = zip(
-            bocpd_flag(l_hat, self.t, bank.tau, bank.warmup),
-            self.ph.update(q),
-            self.residual.update(pvt),
-            window_ae_score(bank.ae, history),
-        )
-        return np.array(flags, dtype=bool), np.array(stats, dtype=float)
+        return (*bocpd_flag(l_hat, self.t, bank.tau, bank.warmup),
+                *self.ph.update(q), *self.residual.update(pvt))
 
 
 @dataclass
@@ -238,7 +247,12 @@ def run_episode(
     noise_sigma: float,
     config_hash: str = "",
 ) -> EpisodeLog:
-    """Play one deterministic episode with the greedy policy.
+    """Play one deterministic episode with the greedy policy, then score it.
+
+    The rollout acts and steps the world, recording the observation, the
+    action, the fix and the reward.  Then one critic forward values every
+    recorded decision, and `bank` (if given) scores the values and fixes;
+    without a bank the flags are False and the statistics NaN.
 
     Row i records the decision point at world time t=i: the fix and
     observation there, the action and critic value chosen, detector
@@ -248,69 +262,55 @@ def run_episode(
         raise ConfigurationError("attack onset must be at t >= 1")
     meas_rng = np.random.default_rng([seed, _TAG_MEAS])
     world, obs, pvt = env_reset_full(env_cfg, seed, constellation, noise_sigma)
-    nav = pvt.estimate.position
-    detectors = bank.start_episode() if bank is not None else None
-    n_det = len(DETECTOR_ORDER)
 
-    cols: dict[str, list] = {k: [] for k in (
-        "t", "true", "est", "phi", "action", "rewards", "q", "alpha",
-        "flags", "stats",
-    )}
-    terminal = TERM_NONE
+    # World, fix and observation are values, never written in place,
+    # so their arrays are kept without a copy.
+    times, true_pos, phis, actions, fixes, rewards = [], [], [], [], [], []
     while True:
-        t = world.t
         action = agent.act(obs.phi)
-        q = agent.q_value(obs.phi, action)
-        if attack_cfg is not None:
-            phase = attack_alpha(t, attack_cfg)
-            alpha = phase.alpha if phase.active else 0.0
-        else:
-            alpha = 0.0
-        if detectors is not None:
-            flags, stats = detectors.update(pvt, q)
-        else:
-            flags = np.zeros(n_det, dtype=bool)
-            stats = np.full(n_det, np.nan)
-
-        # World, fix and observation are values, never written in place,
-        # so their arrays are kept without a copy.
-        cols["t"].append(t)
-        cols["true"].append(world.uav_pos_true)
-        cols["est"].append(pvt.estimate.position)
-        cols["phi"].append(obs.phi)
-        cols["action"].append((action.rho0, action.sigma0, action.theta))
-        cols["q"].append(q)
-        cols["alpha"].append(alpha)
-        cols["flags"].append(flags)
-        cols["stats"].append(stats)
-
+        times.append(world.t)
+        true_pos.append(world.uav_pos_true)
+        phis.append(obs.phi)
+        actions.append((action.rho0, action.sigma0, action.theta))
+        fixes.append(pvt)
         world, obs, rb, done, pvt = env_step(
             world, action, constellation, noise_sigma, attack_cfg,
-            cfg=env_cfg, rng=meas_rng, nav_pos=nav,
+            cfg=env_cfg, rng=meas_rng, nav_pos=fixes[-1].estimate.position,
         )
-        cols["rewards"].append(
-            [rb.collision, rb.threat, rb.goal_seek, rb.total]
-        )
-        nav = pvt.estimate.position
+        rewards.append((rb.collision, rb.threat, rb.goal_seek, rb.total))
         if done:
-            terminal = rb.terminal_event
             break
+
+    phi = np.stack(phis)
+    action = np.array(actions)
+    q = agent.q_value(phi, action)
+    if bank is not None:
+        flags, stats = bank.score(fixes, q)
+    else:
+        flags = np.zeros((q.size, len(DETECTOR_ORDER)), dtype=bool)
+        stats = np.full(flags.shape, np.nan)
+    alpha = np.zeros(len(times))
+    if attack_cfg is not None:
+        for i, t in enumerate(times):
+            phase = attack_alpha(t, attack_cfg)
+            if phase.active:
+                alpha[i] = phase.alpha
 
     return EpisodeLog(
         seed=seed,
         config_hash=config_hash,
-        terminal_event=terminal,
+        terminal_event=rb.terminal_event,
         attack=attack_cfg,
-        t=np.array(cols["t"], dtype=int),
-        true_pos=np.stack(cols["true"]),
-        est_pos=np.stack(cols["est"]),
-        phi=np.stack(cols["phi"]),
-        action=np.array(cols["action"]),
-        rewards=np.array(cols["rewards"]),
-        q=np.array(cols["q"]),
-        alpha=np.array(cols["alpha"]),
-        flags=np.stack(cols["flags"]),
-        stats=np.stack(cols["stats"]),
+        t=np.array(times, dtype=int),
+        true_pos=np.stack(true_pos),
+        est_pos=np.stack([fix.estimate.position for fix in fixes]),
+        phi=phi,
+        action=action,
+        rewards=np.array(rewards),
+        q=q,
+        alpha=alpha,
+        flags=flags,
+        stats=stats,
     )
 
 

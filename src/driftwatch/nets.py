@@ -1,7 +1,8 @@
 """Minimal dense networks with hand-written backprop, Adam, soft updates.
 
 Everything is float64 numpy.  Layers cache their forward pass, so the
-usage pattern is strictly forward(x) then backward(dL/dy) per batch.
+usage pattern is strictly forward(x) then backward(dL/dy) per batch;
+inference passes `cache=False` and keeps nothing.
 No general autodiff: exactly what two small actor/critic heads need.
 
 Each network keeps all of its parameters in one contiguous vector,
@@ -169,7 +170,12 @@ class Mlp:
             out.extend([w, b])
         return out
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, *, cache: bool = True) -> np.ndarray:
+        """Output for a row or a batch of rows.
+
+        `cache=False` keeps no activations, so nothing stays alive after an
+        inference pass and there is nothing for `backward` to use.
+        """
         x = np.asarray(x, dtype=float)
         squeeze = x.ndim == 1
         if squeeze:
@@ -178,14 +184,15 @@ class Mlp:
             raise DimensionMismatchError(
                 f"expected input width {self.layer_sizes[0]}, got {x.shape[1]}"
             )
-        cache = []
+        layers = [] if cache else None
         a = x
         for w, b, act in zip(self.weights, self.biases, self.activations):
             z = a @ w + b
             a_next = _act(act, z)
-            cache.append((a, z, a_next))
+            if cache:
+                layers.append((a, z, a_next))
             a = a_next
-        self._cache = cache
+        self._cache = layers
         return a[0] if squeeze else a
 
     def backward(

@@ -22,6 +22,7 @@ from driftwatch.ddpg import (
 from driftwatch.env import ACTION_HIGH, ACTION_LOW, ActionVec
 from driftwatch.errors import ConfigurationError, CorruptCheckpointError
 from driftwatch.nets import Adam
+from scoring_oracles import q_value_row
 
 
 def fresh_agent(seed=0, hidden=(16, 16)) -> Agent:
@@ -82,7 +83,34 @@ def test_act_and_q_value_match_reference_bit_for_bit():
         assert got.as_array().tobytes() == expected.tobytes()
         x = np.concatenate([phi / agent.obs_scales,
                             normalize_action(got.as_array())])
-        assert agent.q_value(phi, got) == float(agent.critic.forward(x)[0])
+        want = float(agent.critic.forward(x)[0])
+        assert q_value_row(agent, phi, got) == want
+        # a batch of one row runs the very same forward
+        assert agent.q_value(phi[None], got.as_array()[None])[0] == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 63, 64, 65, 500])
+def test_batched_q_value_matches_per_row_oracle(n):
+    """One critic forward over n rows against n one-row forwards."""
+    agent = fresh_agent(hidden=(64, 64))
+    rng = np.random.default_rng(n)
+    phi = rng.normal(scale=300.0, size=(n, 9))
+    actions = [ActionVec.from_array(a)
+               for a in rng.uniform(ACTION_LOW, ACTION_HIGH, size=(n, 3))]
+    got = agent.q_value(phi, np.array([a.as_array() for a in actions]))
+    want = np.array([q_value_row(agent, p, a) for p, a in zip(phi, actions)])
+    assert got.shape == (n,)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    if n == 1:
+        assert got.tobytes() == want.tobytes()
+
+
+def test_q_value_keeps_no_activations():
+    """An inference pass leaves nothing cached for backward to misuse."""
+    agent = fresh_agent()
+    agent.q_value(np.zeros((300, 9)), np.tile(ACTION_CENTER, (300, 1)))
+    with pytest.raises(ConfigurationError):
+        agent.critic.backward(np.ones((300, 1)))
 
 
 def test_act_noise_statistics():
@@ -106,17 +134,16 @@ def test_q_value_zero_critic():
     for p in agent.critic.parameters():
         p *= 0.0
     rng = np.random.default_rng(5)
-    for _ in range(10):
-        phi = random_phi(rng)
-        a = ActionVec.from_array(rng.uniform(ACTION_LOW, ACTION_HIGH))
-        assert agent.q_value(phi, a) == 0.0
+    phi = rng.normal(scale=300.0, size=(10, 9))
+    actions = rng.uniform(ACTION_LOW, ACTION_HIGH, size=(10, 3))
+    assert np.array_equal(agent.q_value(phi, actions), np.zeros(10))
 
 
 def test_q_value_deterministic():
     agent = fresh_agent()
-    phi = random_phi(np.random.default_rng(6))
-    a = ActionVec(1.0, 2.0, 0.5)
-    assert agent.q_value(phi, a) == agent.q_value(phi, a)
+    phi = random_phi(np.random.default_rng(6))[None]
+    a = np.array([[1.0, 2.0, 0.5]])
+    assert np.array_equal(agent.q_value(phi, a), agent.q_value(phi, a))
 
 
 def test_replay_buffer_ring_and_sampling():
@@ -257,11 +284,12 @@ def test_checkpoint_round_trip(tmp_path):
                           getattr(loaded, name).parameters()):
             np.testing.assert_array_equal(pa, pb)
     rng = np.random.default_rng(12)
-    for _ in range(5):
-        phi = random_phi(rng)
-        a = ActionVec.from_array(rng.uniform(ACTION_LOW, ACTION_HIGH))
-        assert agent.q_value(phi, a) == loaded.q_value(phi, a)
-        assert agent.act(phi) == loaded.act(phi)
+    phi = rng.normal(scale=300.0, size=(5, 9))
+    actions = rng.uniform(ACTION_LOW, ACTION_HIGH, size=(5, 3))
+    assert np.array_equal(agent.q_value(phi, actions),
+                          loaded.q_value(phi, actions))
+    for row in phi:
+        assert agent.act(row) == loaded.act(row)
 
 
 def test_checkpoint_truncated_file(tmp_path):

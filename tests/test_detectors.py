@@ -32,6 +32,7 @@ from driftwatch.gnss import (
     measure_pseudoranges,
     solve_pvt,
 )
+from scoring_oracles import reconstruction_error, trailing_window_score
 
 PROFILE = NominalProfile(mu0=-1.2, sigma0_sq=0.49, n_samples=1000)
 
@@ -613,10 +614,9 @@ class TestWindowAutoencoder:
         model, _, _, held = trained
         flags, total = 0, 0
         for s in held:
-            for i in range(len(s) - model.window + 1):
-                flag, _ = window_ae_score(model, s[: i + model.window])
-                flags += int(flag)
-                total += 1
+            flagged, _ = window_ae_score(model, s)
+            flags += int(flagged.sum())
+            total += len(s) - model.window + 1
         assert total > 400
         assert flags / total <= 0.05
 
@@ -627,22 +627,61 @@ class TestWindowAutoencoder:
                 size=64
             )
             s[48:] -= 10 * PROFILE.sigma0
-            assert window_ae_score(model, s)[0]
+            assert window_ae_score(model, s)[0][-1]
 
     def test_reconstruction_error_matches_np_mean(self, trained):
+        """The per-window oracle is np.mean; the stream form agrees to 1e-12."""
         model, _, _, held = trained
         for s in held:
+            _, errors = window_ae_score(model, s)
             for i in range(0, len(s) - model.window + 1, 7):
                 window = s[i:i + model.window]
                 x = (window - model.mean) / model.std
                 expected = float(np.mean((model.net.forward(x) - x) ** 2))
-                assert model.reconstruction_error(window) == expected
+                assert reconstruction_error(model, window) == expected
+                assert errors[i + model.window - 1] == pytest.approx(
+                    expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 68])
+    def test_stream_scores_match_per_window_oracle(self, trained, extra):
+        """Lengths window - 1, window, window + 1 and a long stream."""
+        model, _, _, held = trained
+        s = np.concatenate(held)[: model.window + extra]
+        s[-10:] -= 10 * PROFILE.sigma0  # flag some windows
+        flags, errors = window_ae_score(model, s)
+        assert flags.shape == errors.shape == s.shape
+        for i in range(s.size):
+            flag, err = trailing_window_score(model, s[: i + 1])
+            assert flags[i] == flag
+            if i < model.window - 1:
+                assert np.isnan(err) and np.isnan(errors[i])
+            else:
+                assert errors[i] == pytest.approx(err, rel=1e-12, abs=0.0)
+        if extra >= 0:
+            assert flags[-1]
+
+    def test_nan_value_gives_nan_and_no_flag_in_its_windows(self, trained):
+        model, _, _, held = trained
+        s = held[0].copy()
+        s[40] = np.nan
+        flags, errors = window_ae_score(model, s)
+        hit = np.arange(40, 40 + model.window)
+        assert np.all(np.isnan(errors[hit])) and not flags[hit].any()
+        clean = np.isfinite(errors)
+        assert clean.sum() == s.size - (model.window - 1) - model.window
+        for i in np.flatnonzero(clean):
+            assert errors[i] == pytest.approx(
+                trailing_window_score(model, s[: i + 1])[1], rel=1e-12, abs=0.0)
 
     def test_partial_window_gives_nan_and_no_flag(self, trained):
         model, _, _, _ = trained
-        flag, stat = window_ae_score(model, np.zeros(model.window - 1))
-        assert not flag
-        assert np.isnan(stat)
+        for n in (0, 1, model.window - 1):
+            flags, stats = window_ae_score(model, np.zeros(n))
+            assert flags.shape == stats.shape == (n,)
+            assert not flags.any()
+            assert np.all(np.isnan(stats))
+        flags, stats = window_ae_score(model, np.zeros(model.window))
+        assert np.all(np.isnan(stats[:-1])) and np.isfinite(stats[-1])
 
     def test_training_is_deterministic(self, trained):
         model, curve, train_streams, _ = trained
@@ -659,10 +698,9 @@ class TestWindowAutoencoder:
         loaded = WindowAutoencoder.load(path)
         assert loaded.window == model.window
         assert loaded.threshold == model.threshold
-        window = held[0][: model.window]
-        assert loaded.reconstruction_error(window) == pytest.approx(
-            model.reconstruction_error(window), abs=0.0
-        )
+        got, want = window_ae_score(loaded, held[0]), window_ae_score(model, held[0])
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1], equal_nan=True)
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.npz"

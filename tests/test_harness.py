@@ -13,7 +13,6 @@ from driftwatch.detectors import (
     AgeProfile,
     NominalProfile,
     fit_age_profile,
-    window_ae_score,
     window_ae_train,
 )
 from driftwatch.errors import ConfigurationError
@@ -31,6 +30,7 @@ from driftwatch.harness import (
     write_episode_csv,
 )
 from driftwatch.spoofing import AttackConfig, attack_alpha
+from scoring_oracles import trailing_window_score
 
 
 @pytest.fixture(scope="module")
@@ -314,25 +314,34 @@ def test_golden_attacked_episode(tmp_path):
 
 
 class TestEpisodeDetectors:
-    def test_ae_history_is_bounded_and_scores_as_full_history(
-        self, synthetic_bank
-    ):
+    def test_score_matches_per_step_detectors(self, synthetic_bank):
+        """The sequential tests equal a hand-stepped EpisodeDetectors; the AE
+        column equals the per-window oracle to 1e-12, flags exactly."""
         window = synthetic_bank.ae.window
-        pvt = PvtSolution(estimate=ReceiverEstimate(np.zeros(3)), iterations=1,
-                          final_residual_norm=0.0, converged=True,
-                          residuals=np.zeros(8))
-        qs = -3.0 + 0.5 * np.random.default_rng(12).normal(size=4 * window)
+        rng = np.random.default_rng(12)
+        fixes = [PvtSolution(estimate=ReceiverEstimate(np.array([x, 0.0, 0.0])),
+                             iterations=1, final_residual_norm=r,
+                             converged=True, residuals=np.zeros(8))
+                 for x, r in zip(np.cumsum(rng.uniform(0, 20, 4 * window)),
+                                 rng.uniform(0, 30, 4 * window))]
+        qs = -3.0 + 0.5 * rng.normal(size=4 * window)
         qs[2 * window:] += 2.0  # a level shift the AE should flag
+        qs[3 * window] = np.nan
+        flags, stats = synthetic_bank.score(fixes, qs)
+        assert flags.shape == stats.shape == (qs.size, len(DETECTOR_ORDER))
         dets = EpisodeDetectors(synthetic_bank)
-        flagged = False
-        for k, q in enumerate(qs):
-            flags, stats = dets.update(pvt, float(q))
-            assert len(dets.q_history) == min(k + 1, window)
-            flag, stat = window_ae_score(synthetic_bank.ae, list(qs[: k + 1]))
-            assert flags[3] == flag
-            assert np.array_equal(stats[3], stat, equal_nan=True)
-            flagged |= bool(flags[3])
-        assert flagged
+        ae = DETECTOR_ORDER.index("window_ae")
+        for k, (pvt, q) in enumerate(zip(fixes, qs)):
+            row = dets.update(pvt, float(q))
+            assert tuple(flags[k, :ae]) == row[0::2]
+            assert np.array_equal(stats[k, :ae], row[1::2], equal_nan=True)
+            flag, stat = trailing_window_score(synthetic_bank.ae, qs[: k + 1])
+            assert flags[k, ae] == flag
+            if np.isnan(stat):
+                assert np.isnan(stats[k, ae])
+            else:
+                assert stats[k, ae] == pytest.approx(stat, rel=1e-12, abs=0.0)
+        assert flags[:, ae].any() and flags[:, :ae].any()
 
 
 class TestDetectorBankPersistence:
