@@ -277,120 +277,185 @@ def _gauss_pdf(x: float, mean: float, var: float) -> float:
 
 @dataclass
 class BocpdState:
-    """Run-length posterior with per-run-length conjugate segment stats.
+    """Run-length posteriors of B streams at the same age, one row each.
 
-    Pruning makes the support sparse, so explicit run-length values are
-    carried alongside the weights.  `t` counts observations so far, which
-    is also the age of the next one.
+    Each row carries its own sparse support, pruned and compacted to the
+    left: row b holds `size[b]` run lengths, ascending, and the (B, S)
+    arrays are padded past them with zero weight.  Each row also carries
+    its own prior, padded to the longest horizon by holding the last age.
+    `t` counts observations so far, which is also the age of the next one.
+    `underflow_resets` counts resets over every row.
     """
 
-    run_lengths: np.ndarray  # int, ascending
-    weights: np.ndarray  # normalized posterior over run_lengths
-    seg_means: np.ndarray  # posterior mean of each segment's level
-    seg_counts: np.ndarray  # level precision in units of 1 / noise variance
-    prior: AgeProfile
+    run_lengths: np.ndarray  # (B, S) int
+    weights: np.ndarray  # (B, S) posterior over run_lengths, normalized per row
+    seg_means: np.ndarray  # (B, S) posterior mean of each segment's level
+    seg_counts: np.ndarray  # (B, S) level precision in units of 1 / noise variance
+    size: np.ndarray  # (B,) support size of each row
+    age_means: np.ndarray  # (B, H) same-age mean of each row's prior
+    age_vars: np.ndarray  # (B, H) relative noise variance: variances / level_var
+    noise_var: np.ndarray  # (B,)
+    prior_count: np.ndarray  # (B,)
     hazard: float
     t: int = 0
     underflow_resets: int = 0
 
 
-def bocpd_init(prior: AgeProfile, hazard: float) -> BocpdState:
+def bocpd_init(priors, hazard: float) -> BocpdState:
+    """Fresh posteriors, one row per prior in `priors` (AgeProfiles)."""
     if not 0.0 < hazard < 1.0:
         raise ConfigurationError(f"hazard must be in (0,1), got {hazard}")
+    priors = list(priors)
+    if not priors:
+        raise ConfigurationError("bocpd_init needs at least one prior")
+    horizon = max(p.horizon for p in priors)
+
+    def held(values):
+        return values + values[-1:] * (horizon - len(values))
+
+    level_var = np.array([p.level_var for p in priors])
+    prior_count = np.array([p.prior_count for p in priors])
+    rows = len(priors)
     return BocpdState(
-        run_lengths=np.array([0]),
-        weights=np.array([1.0]),
-        seg_means=np.array([0.0]),
-        seg_counts=np.array([prior.prior_count]),
-        prior=prior,
+        run_lengths=np.zeros((rows, 1), dtype=int),
+        weights=np.ones((rows, 1)),
+        seg_means=np.zeros((rows, 1)),
+        seg_counts=prior_count[:, None].copy(),
+        size=np.ones(rows, dtype=int),
+        age_means=np.array([held(p.means) for p in priors]),
+        age_vars=np.array([held(p.variances) for p in priors]) / level_var[:, None],
+        noise_var=np.array([p.noise_var for p in priors]),
+        prior_count=prior_count,
         hazard=hazard,
-        t=0,
     )
 
 
 def bocpd_update(
-    state: BocpdState, q: float, prune: float = 1e-8
-) -> tuple[BocpdState, int]:
-    """Advance the posterior with one observation; returns the argmax run length.
+    state: BocpdState, q: np.ndarray, prune: float = 1e-8
+) -> tuple[BocpdState, np.ndarray]:
+    """Advance every running row by one value; returns their argmax run lengths.
 
-    The same-age prior turns q at age state.t into its deviation x from
-    the same-age mean, with relative noise variance w.  Growth weights get
-    the (1-H) branch, the changepoint entry pools the H branch across all
-    segments; the new segment starts at level 0 (the same-age mean) with
-    the prior's count and does not absorb x until it grows.
+    `q` holds the value at age state.t of each of the first q.size rows;
+    rows past q.size have ended and are dropped.  Each row's same-age prior
+    turns its value into a deviation x from the same-age mean, with
+    relative noise variance w.  Growth weights get the (1-H) branch, the
+    changepoint entry pools the H branch across all of the row's segments;
+    the new segment starts at level 0 (the same-age mean) with the prior's
+    count and does not absorb x until it grows.  A row whose posterior
+    underflows resets to the prior, with a warning.  Pruning drops run
+    lengths below `prune` (never a row's argmax) and compacts each row to
+    the left.
+
+    Every operation is elementwise except the sums over a row's support,
+    which the padding of the other rows regroups: a row agrees with the
+    same stream scored alone to round-off, and bit for bit when B is 1.
     """
+    rows = q.size
+    row_index = np.arange(rows)
     h = state.hazard
-    prior = state.prior
-    x, w = prior.observation(state.t, q)
-    old_means = state.seg_means
-    old_counts = state.seg_counts
-    pred_var = prior.noise_var * (w + 1.0 / old_counts)
-    d = x - old_means
+    age = min(state.t, state.age_means.shape[1] - 1)
+    x = q - state.age_means[:rows, age]
+    w = state.age_vars[:rows, age]
+    prior_count = state.prior_count[:rows]
+    old_weights = state.weights[:rows]
+    old_means = state.seg_means[:rows]
+    old_counts = state.seg_counts[:rows]
+    pred_var = state.noise_var[:rows, None] * (w[:, None] + 1.0 / old_counts)
+    d = x[:, None] - old_means
     pred = np.exp(-0.5 * (d * d) / pred_var) / np.sqrt(2.0 * np.pi * pred_var)
 
-    # entry 0 is the changepoint, entry 1 + i the growth of state entry i
-    n = old_means.size + 1
-    unnormalized = np.empty(n)
-    np.multiply(state.weights * (1.0 - h), pred, out=unnormalized[1:])
-    unnormalized[0] = (state.weights * h * pred).sum()
+    # column 0 is the changepoint, column 1 + i the growth of state column i
+    n = old_means.shape[1] + 1
+    unnormalized = np.empty((rows, n))
+    np.multiply(old_weights * (1.0 - h), pred, out=unnormalized[:, 1:])
+    np.add.reduce(old_weights * h * pred, axis=1, out=unnormalized[:, 0])
+    size = state.size[:rows] + 1
 
-    # max() < limit is np.all(... < limit), NaN included: neither resets.
-    if unnormalized.max() < _UNDERFLOW_LIMIT:
+    # max < limit is all(... < limit), NaN included: neither resets.
+    underflow = unnormalized.max(axis=1) < _UNDERFLOW_LIMIT
+    resets = int(np.count_nonzero(underflow))
+    if resets:
         warnings.warn(
-            "run-length posterior underflowed; resetting to the prior",
+            f"run-length posterior underflowed in {resets} of {rows} rows; "
+            "resetting them to the prior",
             RuntimeWarning,
             stacklevel=2,
         )
-        fresh = bocpd_init(prior, h)
-        fresh.t = state.t + 1
-        fresh.underflow_resets = state.underflow_resets + 1
-        return fresh, 0
+        unnormalized[underflow] = 0.0
+        unnormalized[underflow, 0] = 1.0
+        size[underflow] = 1
 
-    run_lengths = np.empty(n, dtype=int)
-    run_lengths[0] = 0
-    np.add(state.run_lengths, 1, out=run_lengths[1:])
-    seg_counts = np.empty(n)
-    seg_counts[0] = prior.prior_count
-    np.add(old_counts, 1.0 / w, out=seg_counts[1:])
-    seg_means = np.empty(n)
-    seg_means[0] = 0.0
-    np.divide(old_means * old_counts + x / w, seg_counts[1:],
-              out=seg_means[1:])
-    weights = unnormalized / unnormalized.sum()
+    run_lengths = np.empty((rows, n), dtype=int)
+    run_lengths[:, 0] = 0
+    np.add(state.run_lengths[:rows], 1, out=run_lengths[:, 1:])
+    seg_counts = np.empty((rows, n))
+    seg_counts[:, 0] = prior_count
+    np.add(old_counts, (1.0 / w)[:, None], out=seg_counts[:, 1:])
+    seg_means = np.empty((rows, n))
+    seg_means[:, 0] = 0.0
+    np.divide(old_means * old_counts + (x / w)[:, None], seg_counts[:, 1:],
+              out=seg_means[:, 1:])
+    weights = unnormalized / np.add.reduce(unnormalized, axis=1, keepdims=True)
 
     if prune > 0.0:
         keep = weights >= prune
-        keep[weights.argmax()] = True
-        idx = keep.nonzero()[0]
-        run_lengths = run_lengths[idx]
-        seg_means = seg_means[idx]
-        seg_counts = seg_counts[idx]
-        weights = weights[idx]
-        weights = weights / weights.sum()
+        keep[row_index, weights.argmax(axis=1)] = True
+        size = np.count_nonzero(keep, axis=1)
+        width = int(size.max())
+        # flat source index of each kept entry, and where it lands: its
+        # rank among the kept entries of its row, in a row of `width`
+        source = np.flatnonzero(keep)
+        target = np.arange(source.size) + np.repeat(
+            np.arange(0, rows * width, width) - (np.cumsum(size) - size), size)
+
+        def compact(values, fill):
+            out = np.full(rows * width, fill, dtype=values.dtype)
+            out[target] = values.ravel()[source]
+            return out.reshape(rows, width)
+
+        run_lengths = compact(run_lengths, 0)
+        seg_means = compact(seg_means, 0.0)
+        seg_counts = compact(seg_counts, 1.0)
+        weights = compact(weights, 0.0)
+        weights /= np.add.reduce(weights, axis=1, keepdims=True)
+    else:
+        width = size.max()
+        run_lengths = run_lengths[:, :width]
+        seg_means = seg_means[:, :width]
+        seg_counts = seg_counts[:, :width]
+        weights = weights[:, :width]
 
     new_state = BocpdState(
         run_lengths=run_lengths,
         weights=weights,
         seg_means=seg_means,
         seg_counts=seg_counts,
-        prior=prior,
+        size=size,
+        age_means=state.age_means[:rows],
+        age_vars=state.age_vars[:rows],
+        noise_var=state.noise_var[:rows],
+        prior_count=prior_count,
         hazard=h,
         t=state.t + 1,
-        underflow_resets=state.underflow_resets,
+        underflow_resets=state.underflow_resets + resets,
     )
-    l_hat = int(run_lengths[np.argmax(weights)])
+    l_hat = run_lengths[row_index, weights.argmax(axis=1)]
     return new_state, l_hat
 
 
-def bocpd_flag(l_hat: int, t: int, tau: int, warmup: int) -> tuple[bool, float]:
-    """(flag, statistic): a short argmax run length after the warmup flags."""
-    return (t > warmup) and (l_hat <= tau), float(l_hat)
+def bocpd_flag(l_hat, t, tau: int, warmup: int):
+    """(flags, statistics): a short argmax run length after the warmup flags.
+
+    `l_hat` and the age count `t` may be arrays of equal shape.
+    """
+    return (t > warmup) & (l_hat <= tau), np.asarray(l_hat, dtype=float)
 
 
 def bocpd_posterior_dense(state: BocpdState) -> np.ndarray:
-    """Posterior as a dense array over run lengths 0..t (testing helper)."""
-    dense = np.zeros(state.t + 1)
-    dense[state.run_lengths] = state.weights
+    """Posteriors as a dense (B, t+1) array over run lengths 0..t (testing helper)."""
+    dense = np.zeros((state.size.size, state.t + 1))
+    for row, n in enumerate(state.size.tolist()):
+        dense[row, state.run_lengths[row, :n]] = state.weights[row, :n]
     return dense
 
 
@@ -474,25 +539,31 @@ def calibrate_tau(
 
 
 class PageHinkley:
-    """One-sided (downward) Page-Hinkley test over a scalar stream."""
+    """One-sided (downward) Page-Hinkley tests over `rows` streams in lockstep."""
 
-    def __init__(self, delta: float, lam: float):
+    def __init__(self, delta: float, lam: float, rows: int = 1):
         if delta < 0 or lam <= 0:
             raise ConfigurationError("delta must be >= 0 and lambda > 0")
         self.delta = delta
         self.lam = lam
         self.n = 0
-        self.mean = 0.0
-        self.m = 0.0
-        self.m_min = 0.0
+        self.mean = np.zeros(rows)
+        self.m = np.zeros(rows)
+        self.m_min = np.zeros(rows)
 
-    def update(self, x: float) -> tuple[bool, float]:
-        """(flag, statistic) after one value; the statistic is PH's excursion."""
+    def update(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(flags, statistics) after one value for each of the first x.size rows.
+
+        Rows past x.size have ended and keep their last state.  The
+        statistic is PH's excursion.
+        """
+        rows = x.size
+        mean, m, m_min = self.mean[:rows], self.m[:rows], self.m_min[:rows]
         self.n += 1
-        self.mean += (x - self.mean) / self.n
-        self.m += self.mean - x - self.delta
-        self.m_min = min(self.m_min, self.m)
-        ph = self.m - self.m_min
+        mean += (x - mean) / self.n
+        m += mean - x - self.delta
+        np.minimum(m_min, m, out=m_min)
+        ph = m - m_min
         return ph > self.lam, ph
 
 
@@ -505,19 +576,25 @@ class ResidualThreshold:
         # absolute floor so zero-noise configs do not flag solver round-off
         self.threshold = max(k_sigma * noise_sigma, 1e-6)
         self.jump_gate = jump_gate
-        self.prev_position: np.ndarray | None = None
 
-    def update(self, pvt: PvtSolution) -> tuple[bool, float]:
-        """(flag, statistic) for one fix; the statistic is the RMS residual."""
-        stat = pvt.final_residual_norm / math.sqrt(len(pvt.residuals))
-        pos = pvt.estimate.position
-        if self.prev_position is None:
-            jump = 0.0
-        else:
-            step = pos - self.prev_position
-            jump = math.sqrt(step.dot(step))  # np.linalg.norm's arithmetic
-        self.prev_position = pos.copy()
-        return (stat > self.threshold) or (jump > self.jump_gate), stat
+    @staticmethod
+    def statistic(pvt: PvtSolution) -> float:
+        """RMS pseudorange residual of one fix: the test's statistic."""
+        return pvt.final_residual_norm / math.sqrt(len(pvt.residuals))
+
+    def score(
+        self, positions: np.ndarray, rms: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(flags, statistics) of an episode's fixes, from their (n, 3)
+        positions and (n,) RMS residuals.
+
+        The test keeps no state but the previous position, so it scores the
+        whole episode at once.  The first fix has no jump reference.
+        """
+        step = np.diff(positions, axis=0)
+        jump = np.zeros(len(rms))
+        jump[1:] = np.sqrt(np.add.reduce(step * step, axis=1))  # np.linalg.norm's
+        return (rms > self.threshold) | (jump > self.jump_gate), rms
 
 
 @dataclass

@@ -66,9 +66,17 @@ def unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
+# the vectors of a WorldState that change from one step to the next
+_MOVING = ("uav_pos_true", "uav_vel", "obstacle_pos", "obstacle_vel")
+
+
 @dataclass(frozen=True)
 class WorldState:
-    """Ground truth of one episode at one step."""
+    """Ground truth of one episode at one step.
+
+    Its vectors are validated, read-only copies of the arrays it was built
+    from, so the next step's state can share goal and start unchecked.
+    """
 
     uav_pos_true: np.ndarray
     uav_vel: np.ndarray
@@ -82,16 +90,29 @@ class WorldState:
     dt: float
 
     def __post_init__(self):
-        for name in ("uav_pos_true", "uav_vel", "obstacle_pos", "obstacle_vel",
-                     "goal", "start"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (3,) or not _finite(arr):
-                raise ConfigurationError(f"{name} must be a finite 3-vector")
-            object.__setattr__(self, name, arr)
+        for name in _MOVING + ("goal", "start"):
+            self._freeze(name, np.array(getattr(self, name), dtype=float))
         if not self.obstacle_radius > 0:
             raise ConfigurationError("obstacle_radius must be > 0")
         if not self.dt > 0:
             raise ConfigurationError("dt must be > 0")
+
+    def _freeze(self, name: str, arr: np.ndarray) -> None:
+        """Check that `arr` is a finite 3-vector, make it read-only, store it."""
+        if arr.shape != (3,) or not _finite(arr):
+            raise ConfigurationError(f"{name} must be a finite 3-vector")
+        arr.flags.writeable = False
+        object.__setattr__(self, name, arr)
+
+    def _advance(self, *moving: np.ndarray) -> "WorldState":
+        """The state one step later, with fresh float arrays for the vectors
+        in _MOVING.  Those are checked and frozen in place; goal, start,
+        the radius, the clock bias and dt carry over as already checked."""
+        nxt = object.__new__(WorldState)
+        nxt.__dict__.update(self.__dict__, t=self.t + 1)
+        for name, arr in zip(_MOVING, moving):
+            nxt._freeze(name, arr)
+        return nxt
 
 
 @dataclass(frozen=True)
@@ -254,18 +275,7 @@ def step_dynamics(
             obs_pos[i] = 2.0 * hi - obs_pos[i]
             obs_vel[i] = -obs_vel[i]
 
-    return WorldState(
-        uav_pos_true=new_pos,
-        uav_vel=motion,
-        obstacle_pos=obs_pos,
-        obstacle_vel=obs_vel,
-        obstacle_radius=world.obstacle_radius,
-        goal=world.goal,
-        start=world.start,
-        clock_bias_true=world.clock_bias_true,
-        t=world.t + 1,
-        dt=world.dt,
-    )
+    return world._advance(new_pos, motion, obs_pos, obs_vel)
 
 
 def threat_vector(

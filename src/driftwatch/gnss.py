@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg._umath_linalg import solve1
 
 from .errors import (
     ConfigurationError,
@@ -158,15 +160,21 @@ def _gauss_newton_step(
     """Gauss-Newton step from x = (x, y, z, bias); returns (new x, correction norm).
 
     The ranges at x serve both the residual and the Jacobian, which is
-    written into `h`, an (N, 4) array whose last column holds ones.
+    written into `h`, an (N, 4) array whose last column holds ones.  The
+    normal equations go straight to the LAPACK gufunc (`dgesv`) that
+    `np.linalg.solve` wraps; `_check_rank` has already rejected every
+    matrix it could find singular.
     """
     sep, ranges = _line_of_sight(x[:3], positions)
     delta = measured - (ranges + x[3])
     _fill_jacobian(h, sep, ranges)
     normal = h.T @ h
     _check_rank(normal)
-    correction = np.linalg.solve(normal, h.T @ delta)
-    return x + correction, math.sqrt(correction.dot(correction))
+    correction = solve1(normal, h.T @ delta, signature="dd->d")
+    step_norm = math.sqrt(correction.dot(correction))
+    if not math.isfinite(step_norm):
+        raise LinAlgError("Gauss-Newton correction is not finite")
+    return x + correction, step_norm
 
 
 def _check_rank(normal: np.ndarray) -> None:
@@ -251,10 +259,10 @@ def solve_pvt(
         if step_norm < tol:
             converged = True
             break
-    est = ReceiverEstimate.from_vector(x)
-    final = measurements - predicted_pseudoranges(est, constellation)
+    _, ranges = _line_of_sight(x[:3], positions)
+    final = measurements - (ranges + x[3])
     return PvtSolution(
-        estimate=est,
+        estimate=ReceiverEstimate.from_vector(x),
         iterations=iterations,
         final_residual_norm=math.sqrt(final.dot(final)),
         converged=converged,

@@ -2,12 +2,14 @@
 
 An episode is played, then scored.  The rollout only flies: at each
 decision point the policy acts on the observation built from the fix,
-and the world advances.  No verdict feeds back into the controller, so
-the critic and the detectors run afterwards over the recorded episode:
-one critic forward values every (observation, action) pair, the
-changepoint, Page-Hinkley and residual tests step through the recorded
-values and fixes, and one autoencoder forward scores every trailing
-window.  Each logged row describes one decision point; the reward column
+and the world advances.  It records the fix's position and RMS residual,
+not the fix.  One critic forward then values every (observation, action)
+pair of the episode.  No verdict feeds back into the controller, so a
+stage plays all of its episodes first and scores them together: the
+changepoint and Page-Hinkley tests step through the ages of every
+episode in one lockstep pass, one row per episode still running, and the
+residual test and one autoencoder forward score each episode's whole
+record.  Each logged row describes one decision point; the reward column
 is the return received for that row's action.
 """
 
@@ -38,7 +40,7 @@ from .detectors import (
 )
 from .env import env_reset_full, env_step
 from .errors import ConfigurationError, InsufficientDataError
-from .gnss import Constellation, PvtSolution
+from .gnss import Constellation
 from .spoofing import AttackConfig, attack_alpha
 
 EPISODE_SCHEMA = "driftwatch-episode-v1"
@@ -104,20 +106,32 @@ class DetectorBank:
         return [(f.name, _NUMBER_TYPES[f.type]) for f in fields(cls)
                 if f.name not in _BANK_FILES]
 
-    def score(
-        self, fixes: list[PvtSolution], q: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(flags, stats) of a recorded episode, one row per decision point.
+    def score(self, logs: list[EpisodeLog]) -> None:
+        """Fill in the flags and statistics of a stage's recorded episodes.
 
-        Columns follow DETECTOR_ORDER.  The sequential tests step through
-        the fixes and values in order; the AE scores the whole stream.
+        Columns follow DETECTOR_ORDER, one row per decision point.  The
+        changepoint and Page-Hinkley tests score every episode in one
+        lockstep pass over ages (`EpisodeDetectors`); the residual test and
+        the AE score each episode's whole record.  A single episode is the
+        one-row case of the same pass.
         """
-        detectors = EpisodeDetectors(self)
-        rows = np.array([detectors.update(pvt, x)
-                         for pvt, x in zip(fixes, q.tolist())])
-        ae_flags, ae_stats = window_ae_score(self.ae, q)
-        return (np.column_stack([rows[:, 0::2] != 0.0, ae_flags]),
-                np.column_stack([rows[:, 1::2], ae_stats]))
+        order = sorted(range(len(logs)), key=lambda i: -logs[i].n_steps)
+        detectors = EpisodeDetectors(self, len(logs))
+        passes = _lockstep([logs[i].q for i in order], detectors.update)
+        residual = ResidualThreshold(
+            k_sigma=self.residual_k_sigma,
+            noise_sigma=self.residual_noise_sigma,
+            jump_gate=self.residual_jump_gate,
+        )
+        for i, (l_hat, ph_flags, ph_stats) in zip(order, passes):
+            log = logs[i]
+            ages = np.arange(1, log.n_steps + 1)
+            tests = (bocpd_flag(l_hat, ages, self.tau, self.warmup),
+                     (ph_flags, ph_stats),
+                     residual.score(log.est_pos, log.residual_rms),
+                     window_ae_score(self.ae, log.q))
+            log.flags = np.column_stack([flags for flags, _ in tests])
+            log.stats = np.column_stack([stats for _, stats in tests])
 
     def save(self, out_dir) -> dict[str, Path]:
         out = Path(out_dir)
@@ -176,32 +190,49 @@ class DetectorBank:
 
 
 class EpisodeDetectors:
-    """Per-episode state of the sequential tests: changepoint, PH, residual."""
+    """Lockstep state of the recursive tests, changepoint and Page-Hinkley,
+    over the episodes of a stage: one row per episode, all at one age."""
 
-    def __init__(self, bank: DetectorBank):
-        self.bank = bank
-        self.bocpd_state = bocpd_init(bank.age_profile, bank.hazard)
-        self.ph = PageHinkley(delta=bank.ph_delta, lam=bank.ph_lambda)
-        self.residual = ResidualThreshold(
-            k_sigma=bank.residual_k_sigma,
-            noise_sigma=bank.residual_noise_sigma,
-            jump_gate=bank.residual_jump_gate,
-        )
-        self.t = 0
+    def __init__(self, bank: DetectorBank, rows: int):
+        self.prune = bank.prune
+        self.bocpd_state = bocpd_init([bank.age_profile] * rows, bank.hazard)
+        self.ph = PageHinkley(delta=bank.ph_delta, lam=bank.ph_lambda,
+                              rows=rows)
 
-    def update(self, pvt: PvtSolution, q: float) -> tuple:
-        """Feed one decision point to each test.
+    def update(self, q: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Feed the next age to the first q.size rows; later rows have ended.
 
-        Returns (flag, statistic) of bocpd, ph and residual as one flat
-        6-tuple, in DETECTOR_ORDER.
+        Returns their argmax run lengths, Page-Hinkley flags and
+        Page-Hinkley statistics.
         """
-        bank = self.bank
-        self.t += 1
-        self.bocpd_state, l_hat = bocpd_update(
-            self.bocpd_state, q, prune=bank.prune
-        )
-        return (*bocpd_flag(l_hat, self.t, bank.tau, bank.warmup),
-                *self.ph.update(q), *self.residual.update(pvt))
+        self.bocpd_state, l_hat = bocpd_update(self.bocpd_state, q,
+                                               prune=self.prune)
+        return (l_hat, *self.ph.update(q))
+
+
+def _lockstep(streams, update) -> list[list[np.ndarray]]:
+    """Feed the streams to `update` together, one age at a time.
+
+    The streams must be sorted longest first, so that those still running
+    at an age are the first rows: `update(values)` gets their values at
+    that age and returns a tuple of per-row arrays.  Returns each stream's
+    outputs over its own ages.
+    """
+    lengths = [len(s) for s in streams]
+    table = np.zeros((lengths[0], len(streams)))  # (age, row)
+    for row, s in enumerate(streams):
+        table[:lengths[row], row] = s
+    running = len(streams)
+    outputs = None
+    for t, values in enumerate(table):
+        while lengths[running - 1] <= t:
+            running -= 1
+        step = update(values[:running])
+        if outputs is None:
+            outputs = [np.empty(table.shape, dtype=a.dtype) for a in step]
+        for out, a in zip(outputs, step):
+            out[t, :running] = a
+    return [[out[:n, row] for out in outputs] for row, n in enumerate(lengths)]
 
 
 @dataclass
@@ -215,6 +246,7 @@ class EpisodeLog:
     t: np.ndarray  # (n,) world time of each decision point
     true_pos: np.ndarray  # (n, 3)
     est_pos: np.ndarray  # (n, 3)
+    residual_rms: np.ndarray  # (n,) RMS pseudorange residual of each fix
     phi: np.ndarray  # (n, 9)
     action: np.ndarray  # (n, 3)
     rewards: np.ndarray  # (n, 4): collision, threat, goal_seek, total
@@ -247,12 +279,14 @@ def run_episode(
     noise_sigma: float,
     config_hash: str = "",
 ) -> EpisodeLog:
-    """Play one deterministic episode with the greedy policy, then score it.
+    """Play one deterministic episode with the greedy policy, then value it.
 
     The rollout acts and steps the world, recording the observation, the
-    action, the fix and the reward.  Then one critic forward values every
-    recorded decision, and `bank` (if given) scores the values and fixes;
-    without a bank the flags are False and the statistics NaN.
+    action, the fix's position and RMS residual, and the reward.  Then one
+    critic forward values every recorded decision.  `bank`, if given,
+    scores the episode on its own (`DetectorBank.score`, one row);
+    otherwise the flags are False and the statistics NaN, for a stage to
+    score later with its other episodes.
 
     Row i records the decision point at world time t=i: the fix and
     observation there, the action and critic value chosen, detector
@@ -265,17 +299,20 @@ def run_episode(
 
     # World, fix and observation are values, never written in place,
     # so their arrays are kept without a copy.
-    times, true_pos, phis, actions, fixes, rewards = [], [], [], [], [], []
+    times, true_pos, phis, actions, est_pos, rms, rewards = (
+        [], [], [], [], [], [], [])
     while True:
         action = agent.act(obs.phi)
+        position = pvt.estimate.position
         times.append(world.t)
         true_pos.append(world.uav_pos_true)
         phis.append(obs.phi)
         actions.append((action.rho0, action.sigma0, action.theta))
-        fixes.append(pvt)
+        est_pos.append(position)
+        rms.append(ResidualThreshold.statistic(pvt))
         world, obs, rb, done, pvt = env_step(
             world, action, constellation, noise_sigma, attack_cfg,
-            cfg=env_cfg, rng=meas_rng, nav_pos=fixes[-1].estimate.position,
+            cfg=env_cfg, rng=meas_rng, nav_pos=position,
         )
         rewards.append((rb.collision, rb.threat, rb.goal_seek, rb.total))
         if done:
@@ -284,11 +321,7 @@ def run_episode(
     phi = np.stack(phis)
     action = np.array(actions)
     q = agent.q_value(phi, action)
-    if bank is not None:
-        flags, stats = bank.score(fixes, q)
-    else:
-        flags = np.zeros((q.size, len(DETECTOR_ORDER)), dtype=bool)
-        stats = np.full(flags.shape, np.nan)
+    flags = np.zeros((q.size, len(DETECTOR_ORDER)), dtype=bool)
     alpha = np.zeros(len(times))
     if attack_cfg is not None:
         for i, t in enumerate(times):
@@ -296,22 +329,26 @@ def run_episode(
             if phase.active:
                 alpha[i] = phase.alpha
 
-    return EpisodeLog(
+    log = EpisodeLog(
         seed=seed,
         config_hash=config_hash,
         terminal_event=rb.terminal_event,
         attack=attack_cfg,
         t=np.array(times, dtype=int),
         true_pos=np.stack(true_pos),
-        est_pos=np.stack([fix.estimate.position for fix in fixes]),
+        est_pos=np.stack(est_pos),
+        residual_rms=np.array(rms),
         phi=phi,
         action=action,
         rewards=np.array(rewards),
         q=q,
         alpha=alpha,
         flags=flags,
-        stats=stats,
+        stats=np.full(flags.shape, np.nan),
     )
+    if bank is not None:
+        bank.score([log])
+    return log
 
 
 def _fmt(x) -> str:
@@ -424,16 +461,6 @@ def compute_metrics(logs: list[EpisodeLog]) -> dict[str, dict]:
     return detectors
 
 
-def _stream_argmaxes(q_stream, prior: AgeProfile, hazard: float,
-                     prune: float) -> list[int]:
-    state = bocpd_init(prior, hazard)
-    hats = []
-    for x in q_stream:
-        state, l_hat = bocpd_update(state, float(x), prune=prune)
-        hats.append(l_hat)
-    return hats
-
-
 def profile_pipeline(
     agent: Agent,
     env_cfg: EnvConfig,
@@ -452,6 +479,7 @@ def profile_pipeline(
     data never overlaps evaluation episodes.  The run-length threshold is
     calibrated leave-one-out: each profile stream is scored against an age
     profile fitted on the other streams, as an unseen flight would be.
+    The held-out streams are scored in one lockstep pass, one prior per row.
     """
     seeds = [_derive_seed(master_seed, _TAG_PROFILE, i)
              for i in range(eval_cfg.profile_episodes)]
@@ -473,13 +501,19 @@ def profile_pipeline(
             raise InsufficientDataError(
                 "leave-one-out tau calibration needs >= 3 profile episodes"
             )
-        hats = [
-            _stream_argmaxes(
-                q, fit_age_profile(q_streams[:i] + q_streams[i + 1:]),
-                det_cfg.bocpd_hazard, det_cfg.bocpd_prune,
-            )
-            for i, q in enumerate(q_streams)
-        ]
+        order = sorted(range(len(q_streams)), key=lambda i: -q_streams[i].size)
+        state = bocpd_init(
+            [fit_age_profile(q_streams[:i] + q_streams[i + 1:]) for i in order],
+            det_cfg.bocpd_hazard,
+        )
+
+        def advance(q):
+            nonlocal state
+            state, l_hat = bocpd_update(state, q, prune=det_cfg.bocpd_prune)
+            return (l_hat,)
+
+        hats = [l_hat for l_hat, in
+                _lockstep([q_streams[i] for i in order], advance)]
         tau, achieved_fp = calibrate_tau(hats, warmup=det_cfg.bocpd_warmup)
     else:
         tau, achieved_fp = det_cfg.bocpd_tau, float("nan")
@@ -531,7 +565,11 @@ def evaluate(
     master_seed: int,
     config_hash: str = "",
 ) -> tuple[dict[str, dict], list[EpisodeLog]]:
-    """Score the frozen bank on fresh nominal and attacked episodes."""
+    """Score the frozen bank on fresh nominal and attacked episodes.
+
+    Every episode is played first; then one `DetectorBank.score` pass
+    scores them all.
+    """
     if eval_cfg.n_nominal + eval_cfg.n_attacked < 1:
         raise ConfigurationError("evaluation needs at least one episode")
     attack = AttackConfig(
@@ -542,7 +580,7 @@ def evaluate(
     )
     logs = [
         run_episode(
-            agent, env_cfg, attack_cfg, bank, _derive_seed(master_seed, tag, i),
+            agent, env_cfg, attack_cfg, None, _derive_seed(master_seed, tag, i),
             constellation=constellation, noise_sigma=noise_sigma,
             config_hash=config_hash,
         )
@@ -552,4 +590,5 @@ def evaluate(
         )
         for i in range(count)
     ]
+    bank.score(logs)
     return compute_metrics(logs), logs

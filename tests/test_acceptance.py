@@ -149,17 +149,22 @@ def test_criterion_03_bocpd_oracle_equivalence():
     profile = unit_prior()
     rng = np.random.default_rng(31337)
     t0 = time.perf_counter()
-    worst_tv = 0.0
+    streams = []
     for trial in range(50):
         q = rng.normal(size=30)
         if trial % 2 == 0:
             q[rng.integers(5, 25):] += float(rng.choice([-6.0, 6.0]))
-        expected = bocpd_oracle(q, profile, 0.01)
-        state = bocpd_init(profile, 0.01)
-        for x, target in zip(q, expected):
-            state, _ = bocpd_update(state, float(x), prune=0.0)
-            dense = bocpd_posterior_dense(state)
-            worst_tv = max(worst_tv, 0.5 * float(np.abs(dense - target).sum()))
+        streams.append(q)
+    # the 50 streams score in one batch, one row each
+    expected = [bocpd_oracle(q, profile, 0.01) for q in streams]
+    state = bocpd_init([profile] * 50, 0.01)
+    worst_tv = 0.0
+    for t, values in enumerate(np.array(streams).T):
+        state, _ = bocpd_update(state, values, prune=0.0)
+        dense = bocpd_posterior_dense(state)
+        target = np.array([posteriors[t] for posteriors in expected])
+        tv = 0.5 * np.abs(dense - target).sum(axis=1)
+        worst_tv = max(worst_tv, float(tv.max()))
     elapsed = time.perf_counter() - t0
     ok = worst_tv < 1e-9 and elapsed < 10.0
     report(3, ok, f"max TV recursion vs oracle {worst_tv:.2e} "
@@ -172,19 +177,19 @@ def test_criterion_04_bocpd_responsiveness():
     rng = np.random.default_rng(8)
     q = rng.normal(size=80)
     q[50:] -= 10.0
-    state = bocpd_init(profile, 0.01)
+    state = bocpd_init([profile], 0.01)
     hit = None
     for t, x in enumerate(q):
-        state, lhat = bocpd_update(state, float(x))
-        if t >= 50 and lhat <= 5 and hit is None:
+        state, lhat = bocpd_update(state, np.array([x]))
+        if t >= 50 and lhat[0] <= 5 and hit is None:
             hit = t
     step_ok = hit is not None and hit <= 54
 
-    state = bocpd_init(profile, 0.01)
+    state = bocpd_init([profile], 0.01)
     flags = 0
     for t in range(1000):
-        state, lhat = bocpd_update(state, 0.0)
-        flags += bocpd_flag(lhat, t, tau=5, warmup=10)[0]
+        state, lhat = bocpd_update(state, np.zeros(1))
+        flags += bocpd_flag(lhat, t, tau=5, warmup=10)[0][0]
     elapsed = time.perf_counter() - t0
     ok = step_ok and flags == 0 and elapsed < 5.0
     report(4, ok, f"10-sigma step flagged at t={hit} (change at 50), "

@@ -1,6 +1,7 @@
 """Cross-validation of the run-length recursion against independent oracles.
 
-Three implementations of the same posterior: the production recursion, a
+Three implementations of the same posterior: the production recursion
+(run on batches of streams, one row each), a
 direct-summation oracle over last-changepoint placements, and (for short
 streams) literal enumeration of every binary changepoint sequence.  Each
 is checked under the pooled model (a one-age prior whose level variance
@@ -78,13 +79,30 @@ def total_variation(a, b):
     return 0.5 * float(np.abs(np.asarray(a) - np.asarray(b)).sum())
 
 
-def recursion_posteriors(q, profile, hazard, prune):
-    state = bocpd_init(profile, hazard)
-    out = []
-    for x in q:
-        state, _ = bocpd_update(state, float(x), prune=prune)
-        out.append(bocpd_posterior_dense(state))
+def recursion_posteriors(streams, profile, hazard, prune):
+    """Dense posteriors after each value of equal-length streams, scored
+    as one batch: one list per stream."""
+    values = np.array(streams, dtype=float)
+    state = bocpd_init([profile] * len(values), hazard)
+    out = [[] for _ in values]
+    for column in values.T:
+        state, _ = bocpd_update(state, column, prune=prune)
+        for posteriors, dense in zip(out, bocpd_posterior_dense(state)):
+            posteriors.append(dense)
     return out
+
+
+def worst_tv(streams, profile, hazards, prune):
+    """Largest total variation between the recursion, one batch per hazard,
+    and the direct-summation oracle."""
+    worst = 0.0
+    for hazard in set(hazards):
+        batch = [q for q, h in zip(streams, hazards) if h == hazard]
+        for q, rec in zip(batch, recursion_posteriors(batch, profile, hazard,
+                                                      prune)):
+            for a, b in zip(rec, bocpd_oracle(q, profile, hazard)):
+                worst = max(worst, total_variation(a, b))
+    return worst
 
 
 def test_oracle_matches_exhaustive_enumeration():
@@ -105,31 +123,25 @@ def test_oracle_matches_exhaustive_enumeration():
 
 def test_recursion_matches_oracle_without_pruning():
     rng = np.random.default_rng(424242)
-    worst = 0.0
+    streams, hazards = [], []
     for trial in range(50):
         q = MU0 + SIGMA0 * rng.normal(size=30)
         if trial % 2 == 0:
             q[15:] -= 8 * SIGMA0
-        hazard = 0.01 if trial % 3 else 0.05
-        oracle = bocpd_oracle(q, POOLED, hazard)
-        rec = recursion_posteriors(q, POOLED, hazard, prune=0.0)
-        for a, b in zip(rec, oracle):
-            worst = max(worst, total_variation(a, b))
-    assert worst < 1e-9
+        streams.append(q)
+        hazards.append(0.01 if trial % 3 else 0.05)
+    assert worst_tv(streams, POOLED, hazards, prune=0.0) < 1e-9
 
 
 def test_recursion_with_default_pruning_stays_close():
     rng = np.random.default_rng(31415)
-    worst = 0.0
+    streams = []
     for trial in range(50):
         q = MU0 + SIGMA0 * rng.normal(size=30)
         if trial % 2 == 0:
             q[15:] -= 8 * SIGMA0
-        oracle = bocpd_oracle(q, POOLED, 0.01)
-        rec = recursion_posteriors(q, POOLED, 0.01, prune=1e-8)
-        for a, b in zip(rec, oracle):
-            worst = max(worst, total_variation(a, b))
-    assert worst < 1e-6
+        streams.append(q)
+    assert worst_tv(streams, POOLED, [0.01] * 50, prune=1e-8) < 1e-6
 
 
 def test_two_step_posterior_matches_hand_derivation():
@@ -149,7 +161,7 @@ def test_two_step_posterior_matches_hand_derivation():
     ])
     expected = raw / raw.sum()
 
-    rec = recursion_posteriors([q1, q2], profile, hazard=0.01, prune=0.0)
+    rec, = recursion_posteriors([[q1, q2]], profile, hazard=0.01, prune=0.0)
     assert np.max(np.abs(rec[-1] - expected)) < 1e-12
     oracle = bocpd_oracle([q1, q2], profile, 0.01)
     assert np.max(np.abs(oracle[-1] - expected)) < 1e-12
@@ -191,12 +203,8 @@ def test_age_prior_oracle_matches_exhaustive_enumeration():
 
 def test_age_prior_recursion_matches_oracle_past_the_horizon():
     rng = np.random.default_rng(2718)
-    worst = 0.0
+    streams, hazards = [], []
     for trial in range(30):
-        q = age_stream(rng, 30, 15 if trial % 2 == 0 else None)
-        hazard = 0.022 if trial % 3 else 0.05
-        oracle = bocpd_oracle(q, AGE_PROFILE, hazard)
-        rec = recursion_posteriors(q, AGE_PROFILE, hazard, prune=0.0)
-        for a, b in zip(rec, oracle):
-            worst = max(worst, total_variation(a, b))
-    assert worst < 1e-9
+        streams.append(age_stream(rng, 30, 15 if trial % 2 == 0 else None))
+        hazards.append(0.022 if trial % 3 else 0.05)
+    assert worst_tv(streams, AGE_PROFILE, hazards, prune=0.0) < 1e-9

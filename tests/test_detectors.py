@@ -5,7 +5,6 @@ import pytest
 
 from driftwatch.detectors import (
     AgeProfile,
-    BocpdState,
     NominalProfile,
     PageHinkley,
     ResidualThreshold,
@@ -32,7 +31,15 @@ from driftwatch.gnss import (
     measure_pseudoranges,
     solve_pvt,
 )
-from scoring_oracles import reconstruction_error, trailing_window_score
+from scoring_oracles import (
+    ScalarBocpdState,
+    ScalarPageHinkley,
+    ScalarResidualThreshold,
+    reconstruction_error,
+    scalar_bocpd_init,
+    scalar_bocpd_update,
+    trailing_window_score,
+)
 
 PROFILE = NominalProfile(mu0=-1.2, sigma0_sq=0.49, n_samples=1000)
 
@@ -49,11 +56,17 @@ def one_age(profile):
 PRIOR = one_age(PROFILE)
 
 
+def step1(state, x, prune=1e-8):
+    """Advance a one-row posterior by one value; returns the argmax as an int."""
+    state, l_hat = bocpd_update(state, np.array([x], dtype=float), prune=prune)
+    return state, int(l_hat[0])
+
+
 def run_argmaxes(q, profile, hazard, prune=1e-8):
-    state = bocpd_init(profile, hazard)
+    state = bocpd_init([profile], hazard)
     hats = []
     for x in q:
-        state, l_hat = bocpd_update(state, float(x), prune=prune)
+        state, l_hat = step1(state, x, prune=prune)
         hats.append(l_hat)
     return hats, state
 
@@ -192,50 +205,57 @@ class TestAgeProfile:
         means = tuple(float(x) for x in np.linspace(-40.0, 4.0, 130))
         prof = AgeProfile(means=means, variances=(1.0,) * 130,
                           noise_var=0.3, level_var=1.0, n_samples=2600)
-        state = bocpd_init(prof, 0.022)
+        state = bocpd_init([prof], 0.022)
         for t, m in enumerate(means):
-            state, l_hat = bocpd_update(state, m + 0.5)
+            state, l_hat = step1(state, m + 0.5)
             assert not bocpd_flag(l_hat, t + 1, tau=12, warmup=20)[0]
 
 
 class TestBocpd:
     def test_init_state(self):
-        state = bocpd_init(PRIOR, 0.01)
-        assert state.run_lengths.tolist() == [0]
-        assert state.weights.tolist() == [1.0]
-        assert state.seg_means.tolist() == [0.0]
-        assert state.seg_counts.tolist() == [1.0]
+        state = bocpd_init([PRIOR, PRIOR], 0.01)
+        assert state.run_lengths.tolist() == [[0], [0]]
+        assert state.weights.tolist() == [[1.0], [1.0]]
+        assert state.seg_means.tolist() == [[0.0], [0.0]]
+        assert state.seg_counts.tolist() == [[1.0], [1.0]]
+        assert state.size.tolist() == [1, 1]
         assert state.t == 0
 
     def test_init_rejects_bad_hazard(self):
         for h in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ConfigurationError):
-                bocpd_init(PRIOR, h)
+                bocpd_init([PRIOR], h)
+        with pytest.raises(ConfigurationError):
+            bocpd_init([], 0.01)
 
     def test_posterior_stays_normalized_and_well_formed(self):
+        """30 streams per batch, with and without pruning; each row's
+        support is a normalized, ascending prefix and the padding past it
+        holds zero weight."""
         rng = np.random.default_rng(7)
-        for trial in range(30):
-            q = PROFILE.mu0 + PROFILE.sigma0 * rng.normal(size=40)
-            if trial % 2 == 0:
-                q[20:] -= 6 * PROFILE.sigma0
-            prune = 0.0 if trial % 3 == 0 else 1e-8
-            state = bocpd_init(PRIOR, 0.02)
-            for x in q:
-                state, _ = bocpd_update(state, float(x), prune=prune)
-                assert abs(state.weights.sum() - 1.0) < 1e-9
-                assert np.all(state.weights >= 0)
-                rl = state.run_lengths
-                assert np.all(np.diff(rl) > 0)
-                assert np.array_equal(state.seg_counts, rl + 1.0)
+        for prune in (0.0, 1e-8):
+            q = PROFILE.mu0 + PROFILE.sigma0 * rng.normal(size=(30, 40))
+            q[::2, 20:] -= 6 * PROFILE.sigma0
+            state = bocpd_init([PRIOR] * 30, 0.02)
+            for values in q.T:
+                state, _ = bocpd_update(state, values, prune=prune)
+                assert state.weights.shape[1] == state.size.max()
+                for row, n in enumerate(state.size.tolist()):
+                    w = state.weights[row]
+                    assert abs(w[:n].sum() - 1.0) < 1e-9
+                    assert np.all(w[:n] >= 0) and np.all(w[n:] == 0.0)
+                    rl = state.run_lengths[row, :n]
+                    assert np.all(np.diff(rl) > 0)
+                    assert np.array_equal(state.seg_counts[row, :n], rl + 1.0)
 
     def test_constant_stream_argmax_tracks_time(self):
         hats, _ = run_argmaxes([PROFILE.mu0] * 200, PRIOR, 0.01)
         assert hats == list(range(1, 201))
 
     def test_constant_stream_never_flags_after_warmup(self):
-        state = bocpd_init(PRIOR, 0.01)
+        state = bocpd_init([PRIOR], 0.01)
         for t in range(1, 1001):
-            state, l_hat = bocpd_update(state, PROFILE.mu0)
+            state, l_hat = step1(state, PROFILE.mu0)
             flag, _ = bocpd_flag(l_hat, t, tau=5, warmup=10)
             assert not flag
 
@@ -274,11 +294,11 @@ class TestBocpd:
             sigma0_sq=a * a * PROFILE.sigma0_sq,
             n_samples=PROFILE.n_samples,
         ))
-        state1 = bocpd_init(PRIOR, 0.01)
-        state2 = bocpd_init(scaled_profile, 0.01)
+        state1 = bocpd_init([PRIOR], 0.01)
+        state2 = bocpd_init([scaled_profile], 0.01)
         for x in q:
-            state1, l1 = bocpd_update(state1, float(x))
-            state2, l2 = bocpd_update(state2, float(a * x + c))
+            state1, l1 = step1(state1, x)
+            state2, l2 = step1(state2, a * x + c)
             assert l1 == l2
             d1 = bocpd_posterior_dense(state1)
             d2 = bocpd_posterior_dense(state2)
@@ -291,16 +311,16 @@ class TestBocpd:
         exact, _ = run_argmaxes(q, PRIOR, 0.01, prune=0.0)
         pruned, state = run_argmaxes(q, PRIOR, 0.01, prune=1e-8)
         assert exact == pruned
-        assert len(state.weights) < state.t + 1  # something was pruned
+        assert state.size[0] < state.t + 1  # something was pruned
 
     def test_underflow_resets_with_warning(self):
-        state = bocpd_init(PRIOR, 0.01)
-        state, _ = bocpd_update(state, PROFILE.mu0)
+        state = bocpd_init([PRIOR], 0.01)
+        state, _ = step1(state, PROFILE.mu0)
         with pytest.warns(RuntimeWarning):
-            state, l_hat = bocpd_update(state, PROFILE.mu0 + 1e6)
+            state, l_hat = step1(state, PROFILE.mu0 + 1e6)
         assert l_hat == 0
         assert state.underflow_resets == 1
-        assert state.weights.tolist() == [1.0]
+        assert state.weights.tolist() == [[1.0]]
         assert state.t == 2
 
     def test_flag_respects_warmup_boundary(self):
@@ -308,12 +328,16 @@ class TestBocpd:
         assert bocpd_flag(5, t=11, tau=5, warmup=10) == (True, 5.0)
         assert bocpd_flag(6, t=11, tau=5, warmup=10) == (False, 6.0)
         assert bocpd_flag(3, t=11, tau=5, warmup=10)[1] == 3.0
+        flags, stats = bocpd_flag(np.array([0, 5, 6, 3]),
+                                  np.array([10, 11, 11, 11]), tau=5, warmup=10)
+        assert flags.tolist() == [False, True, False, True]
+        assert stats.tolist() == [0.0, 5.0, 6.0, 3.0]
 
 
-# Reference recursion: `bocpd_update` as first written, with `np.sum`,
-# `** 2`, `np.all` and `np.concatenate`, pruning each array by its own mask
-# and converting the run lengths with `.astype(int)`.  The recursion must
-# reproduce it bit for bit.
+# Reference recursion: `bocpd_update` as first written, for one stream, with
+# `np.sum`, `** 2`, `np.all` and `np.concatenate`, pruning each array by its
+# own mask and converting the run lengths with `.astype(int)`.  The scalar
+# oracle and the one-row batch must both reproduce it bit for bit.
 
 def reference_bocpd_update(state, q, prune=1e-8):
     h = state.hazard
@@ -327,7 +351,7 @@ def reference_bocpd_update(state, q, prune=1e-8):
     cp = float(np.sum(state.weights * h * pred))
     unnormalized = np.concatenate([[cp], growth])
     if np.all(unnormalized < 1e-300):
-        fresh = bocpd_init(prior, h)
+        fresh = scalar_bocpd_init(prior, h)
         fresh.t = state.t + 1
         fresh.underflow_resets = state.underflow_resets + 1
         return fresh, 0
@@ -349,7 +373,7 @@ def reference_bocpd_update(state, q, prune=1e-8):
         seg_counts = seg_counts[keep]
         weights = weights[keep]
         weights = weights / weights.sum()
-    new_state = BocpdState(
+    new_state = ScalarBocpdState(
         run_lengths=run_lengths.astype(int), weights=weights,
         seg_means=seg_means, seg_counts=seg_counts, prior=prior, hazard=h,
         t=state.t + 1, underflow_resets=state.underflow_resets,
@@ -365,14 +389,30 @@ SAME_AGE = AgeProfile(
 )
 
 
+def row_arrays(state, row=0):
+    """(run_lengths, weights, seg_means, seg_counts) of one row's support."""
+    n = int(state.size[row])
+    return tuple(getattr(state, name)[row, :n] for name in
+                 ("run_lengths", "weights", "seg_means", "seg_counts"))
+
+
 def assert_same_posterior(state, ref):
-    for name in ("run_lengths", "weights", "seg_means", "seg_counts"):
-        got, want = getattr(state, name), getattr(ref, name)
-        assert got.dtype == want.dtype, name
-        assert got.tobytes() == want.tobytes(), name
+    """A one-row batch state, or a scalar state, equals `ref` bit for bit."""
+    if isinstance(state, ScalarBocpdState):
+        got = (state.run_lengths, state.weights, state.seg_means,
+               state.seg_counts)
+    else:
+        assert state.size.tolist() == [ref.weights.size]
+        assert state.weights.shape == (1, ref.weights.size)  # no padding
+        got = row_arrays(state)
+    want = (ref.run_lengths, ref.weights, ref.seg_means, ref.seg_counts)
+    for name, g, w in zip(("run_lengths", "weights", "seg_means",
+                           "seg_counts"), got, want):
+        assert g.dtype == w.dtype, name
+        assert g.tobytes() == w.tobytes(), name
     assert state.t == ref.t
     assert state.underflow_resets == ref.underflow_resets
-    assert np.issubdtype(state.run_lengths.dtype, np.integer)
+    assert np.issubdtype(got[0].dtype, np.integer)
 
 
 class TestBocpdMatchesReference:
@@ -380,7 +420,10 @@ class TestBocpdMatchesReference:
     @pytest.mark.parametrize("prune", [0.0, 1e-8])
     @pytest.mark.filterwarnings("ignore:run-length posterior underflowed")
     def test_random_streams_bit_for_bit(self, prior, prune):
-        """200 streams per prior and prune: quiet, shifted, drifting, noisy."""
+        """200 streams per prior and prune: quiet, shifted, drifting, noisy.
+
+        The one-row batch, the scalar oracle and the reference agree bit
+        for bit."""
         rng = np.random.default_rng([int(prune > 0), prior.horizon])
         for trial in range(200):
             ages = np.minimum(np.arange(80), prior.horizon - 1)
@@ -395,36 +438,160 @@ class TestBocpdMatchesReference:
             elif kind == 3:
                 q[rng.integers(0, 80, size=5)] += rng.normal(0.0, 30.0, size=5)
             hazard = rng.uniform(0.002, 0.1)
-            state = ref = bocpd_init(prior, hazard)
+            state = bocpd_init([prior], hazard)
+            scalar = ref = scalar_bocpd_init(prior, hazard)
             for x in q.tolist():
-                state, l_hat = bocpd_update(state, x, prune=prune)
+                state, l_hat = step1(state, x, prune=prune)
+                scalar, l_scalar = scalar_bocpd_update(scalar, x, prune=prune)
                 ref, l_ref = reference_bocpd_update(ref, x, prune=prune)
-                assert l_hat == l_ref
+                assert l_hat == l_scalar == l_ref
                 assert_same_posterior(state, ref)
+                assert_same_posterior(scalar, ref)
 
     @pytest.mark.parametrize("prior", [PRIOR, SAME_AGE], ids=["one-age", "same-age"])
     @pytest.mark.parametrize("prune", [0.0, 1e-8])
     def test_underflow_reset_and_nan_bit_for_bit(self, prior, prune):
-        state = ref = bocpd_init(prior, 0.01)
+        state = bocpd_init([prior], 0.01)
+        ref = scalar_bocpd_init(prior, 0.01)
         for k, x in enumerate([0.1, -0.2, 0.0, 1e6, 0.3, -0.1, 1e6, 0.2]):
             x += prior.means[min(k, prior.horizon - 1)]
             if x > 1e5:
                 with pytest.warns(RuntimeWarning, match="underflowed"):
-                    state, l_hat = bocpd_update(state, x, prune=prune)
+                    state, l_hat = step1(state, x, prune=prune)
             else:
-                state, l_hat = bocpd_update(state, x, prune=prune)
+                state, l_hat = step1(state, x, prune=prune)
             ref, l_ref = reference_bocpd_update(ref, x, prune=prune)
             assert l_hat == l_ref
             assert_same_posterior(state, ref)
         assert state.underflow_resets == 2
         # a NaN value poisons the posterior without resetting it
         for x in (float("nan"), 0.0, 1.0):
-            state, l_hat = bocpd_update(state, x, prune=prune)
+            state, l_hat = step1(state, x, prune=prune)
             ref, l_ref = reference_bocpd_update(ref, x, prune=prune)
             assert l_hat == l_ref
             assert_same_posterior(state, ref)
-        assert np.isnan(state.weights).all()
+        assert np.isnan(row_arrays(state)[1]).all()
         assert state.underflow_resets == 2
+
+
+def random_streams(rng, prior, lengths):
+    """Noisy streams around the prior's same-age means; every third shifts
+    down, every fifth drifts."""
+    streams = []
+    for k, n in enumerate(lengths):
+        ages = np.minimum(np.arange(n), prior.horizon - 1)
+        q = (np.array(prior.means)[ages] + np.sqrt(prior.noise_var)
+             * rng.uniform(0.5, 3.0) * rng.normal(size=n))
+        if k % 3 == 0:
+            q[rng.integers(1, n):] -= rng.uniform(2.0, 10.0)
+        if k % 5 == 0:
+            q += np.linspace(0.0, rng.uniform(-8.0, 8.0), n)
+        streams.append(q)
+    return streams
+
+
+def run_batch(streams, priors, hazard, prune=1e-8):
+    """Score streams, sorted longest first, in one lockstep batch.
+
+    Returns each stream's argmax run lengths and each stream's posterior
+    support (run lengths, weights) after every one of its values.
+    """
+    lengths = [len(s) for s in streams]
+    assert lengths == sorted(lengths, reverse=True)
+    state = bocpd_init(priors, hazard)
+    hats = [[] for _ in streams]
+    supports = [[] for _ in streams]
+    for t in range(lengths[0]):
+        running = sum(n > t for n in lengths)
+        values = np.array([s[t] for s in streams[:running]])
+        state, l_hat = bocpd_update(state, values, prune=prune)
+        assert l_hat.shape == (running,) and state.t == t + 1
+        for row in range(running):
+            hats[row].append(int(l_hat[row]))
+            rl, w, _, _ = row_arrays(state, row)
+            supports[row].append((rl.copy(), w.copy()))
+    return hats, supports, state
+
+
+def run_scalar(q, prior, hazard, prune=1e-8):
+    state = scalar_bocpd_init(prior, hazard)
+    hats, supports = [], []
+    for x in q:
+        state, l_hat = scalar_bocpd_update(state, float(x), prune=prune)
+        hats.append(l_hat)
+        supports.append((state.run_lengths, state.weights))
+    return hats, supports, state
+
+
+def assert_rows_match_scalar(streams, priors, hazard, prune=1e-8):
+    """Every row agrees with its stream scored alone: equal argmaxes and
+    run-length supports, weights within 1e-12 relative."""
+    hats, supports, state = run_batch(streams, priors, hazard, prune)
+    for row, (q, prior) in enumerate(zip(streams, priors)):
+        want_hats, want_supports, _ = run_scalar(q, prior, hazard, prune)
+        assert hats[row] == want_hats, row
+        for (rl, w), (want_rl, want_w) in zip(supports[row], want_supports):
+            assert np.array_equal(rl, want_rl)
+            np.testing.assert_allclose(w, want_w, rtol=1e-12, atol=0.0)
+    return state
+
+
+class TestBocpdBatch:
+    @pytest.mark.parametrize("prune", [0.0, 1e-8])
+    def test_forty_rows_ending_at_different_ages_match_scalar(self, prune):
+        """Pruned rows keep supports of different sizes, so the padding
+        regroups their sums: the weights agree to round-off."""
+        rng = np.random.default_rng(404)
+        lengths = sorted(rng.integers(20, 160, size=40).tolist(), reverse=True)
+        streams = random_streams(rng, SAME_AGE, lengths)
+        state = assert_rows_match_scalar(streams, [SAME_AGE] * 40, 0.022,
+                                         prune=prune)
+        assert state.size.size == sum(n == lengths[0] for n in lengths)
+
+    def test_leave_one_out_rows_have_their_own_horizons(self):
+        """One prior per row, horizons from 8 to 40: each row holds its own
+        last age, as the prior does alone."""
+        rng = np.random.default_rng(406)
+        priors = [AgeProfile(
+            means=tuple(float(x) for x in rng.normal(size=h).cumsum()),
+            variances=tuple(float(x) for x in rng.uniform(0.2, 1.0, size=h)),
+            noise_var=float(rng.uniform(0.1, 0.4)), level_var=1.0,
+            n_samples=400) for h in (8, 40, 15, 23, 31)]
+        lengths = [90, 70, 60, 45, 30]
+        streams = [random_streams(rng, p, [n])[0]
+                   for p, n in zip(priors, lengths)]
+        assert_rows_match_scalar(streams, priors, 0.022)
+
+    def test_underflow_in_one_row_resets_only_that_row(self):
+        rng = np.random.default_rng(407)
+        streams = random_streams(rng, PRIOR, [30, 30, 30])
+        streams[1] = streams[1].copy()
+        streams[1][12] = PRIOR.means[0] + 1e6
+        clean = run_batch([streams[0], streams[2]], [PRIOR] * 2, 0.01)
+        with pytest.warns(RuntimeWarning, match="1 of 3 rows") as caught:
+            hats, supports, state = run_batch(streams, [PRIOR] * 3, 0.01)
+        assert len(caught) == 1
+        assert state.underflow_resets == 1
+        assert hats[1][12] == 0 and supports[1][12][0].tolist() == [0]
+        assert [hats[0], hats[2]] == clean[0]
+        with pytest.warns(RuntimeWarning, match="underflowed"):
+            want_hats, _, want = run_scalar(streams[1], PRIOR, 0.01)
+        assert hats[1] == want_hats and want.underflow_resets == 1
+
+    def test_nan_in_one_row_leaves_the_others_unchanged(self):
+        rng = np.random.default_rng(408)
+        streams = random_streams(rng, SAME_AGE, [50, 50, 40])
+        streams[1] = streams[1].copy()
+        streams[1][20] = np.nan
+        hats, supports, _ = run_batch(streams, [SAME_AGE] * 3, 0.022)
+        clean = run_batch([streams[0], streams[2]], [SAME_AGE] * 2, 0.022)
+        assert [hats[0], hats[2]] == clean[0]
+        for got, want in zip(supports[0] + supports[2],
+                             clean[1][0] + clean[1][1]):
+            assert np.array_equal(got[0], want[0])
+            np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=0.0)
+        assert all(np.isnan(w).all() for _, w in supports[1][20:])
+        assert hats[1] == run_scalar(streams[1], SAME_AGE, 0.022)[0]
 
 
 class TestCalibrateTau:
@@ -465,43 +632,70 @@ class TestCalibrateTau:
             calibrate_tau([], warmup=10)
 
 
-def scaled_ph():
+def scaled_ph(rows=1):
     """Page-Hinkley scaled by the pooled profile, as the profile stage does."""
-    return PageHinkley(delta=0.005 * PROFILE.sigma0, lam=50.0 * PROFILE.sigma0)
+    return PageHinkley(delta=0.005 * PROFILE.sigma0, lam=50.0 * PROFILE.sigma0,
+                       rows=rows)
 
 
 class TestPageHinkley:
     def test_constant_stream_never_flags(self):
         ph = scaled_ph()
         for _ in range(500):
-            flag, stat = ph.update(PROFILE.mu0)
-            assert not flag
-            assert stat == 0.0
+            flag, stat = ph.update(np.array([PROFILE.mu0]))
+            assert flag.tolist() == [False]
+            assert stat.tolist() == [0.0]
 
     def test_upward_step_never_flags(self):
         ph = scaled_ph()
         rng = np.random.default_rng(3)
         q = PROFILE.mu0 + PROFILE.sigma0 * rng.normal(size=200)
         q[100:] += 10 * PROFILE.sigma0
-        assert not any(ph.update(float(x))[0] for x in q)
+        assert not any(ph.update(q[t:t + 1])[0][0] for t in range(q.size))
 
     def test_downward_step_flags_within_twenty_steps(self):
-        for seed in range(8):
-            rng = np.random.default_rng(seed)
-            q = PROFILE.mu0 + PROFILE.sigma0 * rng.normal(size=120)
-            q[50:] -= 10 * PROFILE.sigma0
-            ph = scaled_ph()
-            first = None
-            for t, x in enumerate(q, start=1):
-                if ph.update(float(x))[0] and first is None:
-                    first = t
-            assert first is not None and 50 < first <= 70, f"seed {seed}: {first}"
+        # eight seeds, one row each
+        q = np.array([
+            PROFILE.mu0 + PROFILE.sigma0 * np.random.default_rng(seed).normal(size=120)
+            for seed in range(8)
+        ])
+        q[:, 50:] -= 10 * PROFILE.sigma0
+        ph = scaled_ph(rows=8)
+        first = [None] * 8
+        for t, values in enumerate(q.T, start=1):
+            for seed, flag in enumerate(ph.update(values)[0].tolist()):
+                if flag and first[seed] is None:
+                    first[seed] = t
+        for seed, t in enumerate(first):
+            assert t is not None and 50 < t <= 70, f"seed {seed}: {t}"
 
     def test_statistic_is_nonnegative(self):
         ph = PageHinkley(delta=0.0, lam=1.0)
         rng = np.random.default_rng(11)
         for x in rng.normal(size=300):
-            assert ph.update(float(x))[1] >= 0.0
+            assert ph.update(np.array([x]))[1][0] >= 0.0
+
+    def test_rows_match_scalar_bit_for_bit(self):
+        """Rows ending at different ages and a NaN in one row: each row's
+        flags and statistics equal the one-stream test's."""
+        rng = np.random.default_rng(12)
+        lengths = [80, 80, 61, 40, 7]
+        streams = [PROFILE.mu0 + PROFILE.sigma0 * rng.normal(size=n)
+                   for n in lengths]
+        streams[0][30:] -= 4 * PROFILE.sigma0
+        streams[1][25] = np.nan
+        ph = scaled_ph(rows=5)
+        scalars = [ScalarPageHinkley(ph.delta, ph.lam) for _ in lengths]
+        flagged = np.zeros(5, dtype=bool)
+        for t in range(lengths[0]):
+            running = sum(n > t for n in lengths)
+            flags, stats = ph.update(np.array([s[t] for s in streams[:running]]))
+            for row in range(running):
+                flag, stat = scalars[row].update(float(streams[row][t]))
+                assert flags[row] == flag
+                assert np.array([stat]).tobytes() == stats[row:row + 1].tobytes()
+            flagged[:running] |= flags
+        assert flagged[0] and np.isnan(stats[1])
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):
@@ -515,6 +709,13 @@ def constellation():
     return make_constellation(n_sats=8, seed=7)
 
 
+def score_fixes(det, fixes):
+    """(flags, statistics) of a list of fixes, as one episode."""
+    positions = np.array([pvt.estimate.position for pvt in fixes])
+    rms = np.array([ResidualThreshold.statistic(pvt) for pvt in fixes])
+    return det.score(positions, rms)
+
+
 class TestResidualThreshold:
     def solve_at(self, constellation, position, noise_sigma=0.0, rng=None):
         truth = ReceiverEstimate(position=np.asarray(position, dtype=float),
@@ -525,18 +726,15 @@ class TestResidualThreshold:
     def test_clean_solution_stays_quiet(self, constellation):
         det = ResidualThreshold(k_sigma=3.0, noise_sigma=0.0, jump_gate=50.0)
         pvt = self.solve_at(constellation, [100.0, -50.0, 30.0])
-        assert not det.update(pvt)[0]
+        assert score_fixes(det, [pvt])[0].tolist() == [False]
 
     def test_nominal_noise_stays_under_threshold(self, constellation):
         rng = np.random.default_rng(5)
         det = ResidualThreshold(k_sigma=3.0, noise_sigma=2.0, jump_gate=50.0)
-        flags = 0
         pos = np.array([0.0, 0.0, 100.0])
-        for k in range(50):
-            pvt = self.solve_at(constellation, pos + [k, 0, 0],
-                                noise_sigma=2.0, rng=rng)
-            flags += int(det.update(pvt)[0])
-        assert flags == 0
+        fixes = [self.solve_at(constellation, pos + [k, 0, 0],
+                               noise_sigma=2.0, rng=rng) for k in range(50)]
+        assert not score_fixes(det, fixes)[0].any()
 
     def test_inconsistent_measurements_flag(self, constellation):
         truth = ReceiverEstimate(position=np.array([0.0, 0.0, 100.0]))
@@ -545,33 +743,40 @@ class TestResidualThreshold:
         values[:3] += 30.0  # corrupt three of eight channels
         pvt = solve_pvt(values, constellation)
         det = ResidualThreshold(k_sigma=3.0, noise_sigma=2.0, jump_gate=50.0)
-        assert det.update(pvt)[0]
+        assert score_fixes(det, [pvt])[0].tolist() == [True]
 
     def test_jump_gate_catches_teleport_but_not_drift(self, constellation):
         det = ResidualThreshold(k_sigma=3.0, noise_sigma=0.0, jump_gate=50.0)
         a = self.solve_at(constellation, [0.0, 0.0, 100.0])
         b = self.solve_at(constellation, [30.0, 0.0, 100.0])
         c = self.solve_at(constellation, [630.0, 0.0, 100.0])
-        assert not det.update(a)[0]  # first step has no jump reference
-        assert not det.update(b)[0]  # 30 m, drift-sized
-        assert det.update(c)[0]  # 600 m teleport
+        # the first fix has no jump reference; 30 m is drift-sized; 600 m
+        # is a teleport
+        assert score_fixes(det, [a, b, c])[0].tolist() == [False, False, True]
 
     def test_statistics_match_numpy_norms(self, constellation):
-        """Statistic and jump gate as np.sqrt and np.linalg.norm give them."""
+        """Statistic and jump gate as np.sqrt and np.linalg.norm give them,
+        and as the one-fix-at-a-time test gave them."""
         rng = np.random.default_rng(9)
         det = ResidualThreshold(k_sigma=3.0, noise_sigma=2.0, jump_gate=50.0)
         pos = np.array([500.0, 500.0, 150.0])
-        prev = None
-        jumped = 0
+        fixes = []
         for _ in range(200):
             pos = pos + rng.normal(0.0, 30.0, size=3)
-            pvt = self.solve_at(constellation, pos, noise_sigma=2.0, rng=rng)
-            flag, statistic = det.update(pvt)
+            fixes.append(self.solve_at(constellation, pos, noise_sigma=2.0,
+                                       rng=rng))
+        flags, stats = score_fixes(det, fixes)
+        oracle = ScalarResidualThreshold(det.threshold, det.jump_gate)
+        prev = None
+        jumped = 0
+        for pvt, flag, statistic in zip(fixes, flags, stats):
             stat = pvt.final_residual_norm / np.sqrt(len(pvt.residuals))
             jump = (0.0 if prev is None
                     else float(np.linalg.norm(pvt.estimate.position - prev)))
             assert statistic == float(stat)
             assert flag == ((stat > det.threshold) or (jump > 50.0))
+            assert (flag, statistic) == oracle.update(pvt.estimate.position,
+                                                      float(stat))
             jumped += jump > 50.0
             prev = pvt.estimate.position.copy()
         assert 0 < jumped < 200

@@ -633,3 +633,21 @@ def test_reward_and_threat_match_reference_bit_for_bit():
 def test_world_state_rejects_bad_vectors(field, bad):
     with pytest.raises(ConfigurationError, match=field):
         make_world(**{field: bad})
+
+
+def test_world_vectors_are_read_only_and_carried_over():
+    """Construction freezes validated copies; a step shares goal and start
+    with the state before it instead of checking them again."""
+    goal = np.array([1000.0, 0.0, 100.0])
+    world = make_world(goal=goal)
+    goal[0] = 5.0  # the caller's array is not the world's
+    assert world.goal[0] == 1000.0
+    for name in ("uav_pos_true", "uav_vel", "obstacle_pos", "obstacle_vel",
+                 "goal", "start"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(world, name)[0] = 1.0
+    nxt = step_dynamics(world, ActionVec(1.0, 1.0, 0.0), 10.0)
+    assert nxt.goal is world.goal and nxt.start is world.start
+    assert nxt.t == world.t + 1
+    with pytest.raises(ValueError, match="read-only"):
+        nxt.uav_pos_true[0] = 1.0

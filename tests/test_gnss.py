@@ -337,6 +337,25 @@ def test_predicted_pseudoranges_and_jacobian_match_reference(cons):
         assert np.array_equal(jacobian(est, cons), expected)
 
 
+def test_lapack_gufunc_equals_linalg_solve_bit_for_bit():
+    """The solver calls the gufunc behind `np.linalg.solve` directly; on
+    well-conditioned 4x4 normal matrices both give the same bits, so a numpy
+    upgrade that changes either path fails here."""
+    from numpy.linalg._umath_linalg import solve1
+
+    rng = np.random.default_rng(4)
+    for _ in range(1000):
+        h = np.ones((int(rng.integers(4, 12)), 4))
+        h[:, :3] = rng.normal(size=(len(h), 3))
+        h[:, :3] /= np.linalg.norm(h[:, :3], axis=1)[:, None]
+        normal = h.T @ h
+        if np.linalg.cond(normal) > 1e8:
+            normal += np.eye(4)
+        rhs = rng.normal(0.0, 100.0, size=4)
+        got = solve1(normal, rhs, signature="dd->d")
+        assert got.tobytes() == np.linalg.solve(normal, rhs).tobytes()
+
+
 def test_positions_are_stacked_once_and_read_only(cons):
     source = np.array(cons.positions)
     copy = Constellation(source)
@@ -467,6 +486,19 @@ def test_solver_raises_on_exactly_the_svd_guards_inputs():
                 assert_same_solution(got, ref)
     assert raised > 50 and passed > 50
     assert min(conds) < 1e10 and max(conds) > 1e13
+
+
+def test_non_finite_correction_raises_linalg_error(cons, monkeypatch):
+    """A correction the solve could not make finite raises, as
+    `np.linalg.solve` would on a matrix it finds singular."""
+    import driftwatch.gnss as gnss
+
+    monkeypatch.setattr(gnss, "solve1",
+                        lambda a, b, signature: np.full(4, np.nan))
+    truth = ReceiverEstimate(np.array([100.0, 200.0, 50.0]), 5.0)
+    meas = measure_pseudoranges(truth, cons, 0.0, None)
+    with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+        solve_pvt(meas, cons)
 
 
 def test_duplicated_satellite_rank_guard():

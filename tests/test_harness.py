@@ -16,13 +16,14 @@ from driftwatch.detectors import (
     window_ae_train,
 )
 from driftwatch.errors import ConfigurationError
-from driftwatch.gnss import PvtSolution, ReceiverEstimate, make_constellation
+from driftwatch.gnss import make_constellation
 from driftwatch.harness import (
     CSV_COLUMNS,
     DETECTOR_ORDER,
     DetectorBank,
     EpisodeDetectors,
     EpisodeLog,
+    _lockstep,
     compute_metrics,
     evaluate,
     profile_pipeline,
@@ -30,7 +31,13 @@ from driftwatch.harness import (
     write_episode_csv,
 )
 from driftwatch.spoofing import AttackConfig, attack_alpha
-from scoring_oracles import trailing_window_score
+from scoring_oracles import (
+    ScalarPageHinkley,
+    ScalarResidualThreshold,
+    scalar_bocpd_init,
+    scalar_bocpd_update,
+    trailing_window_score,
+)
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +105,7 @@ def synthetic_log(n, onset=None, flag_rows=(), seed=1) -> EpisodeLog:
         t=np.arange(n),
         true_pos=np.zeros((n, 3)),
         est_pos=np.zeros((n, 3)),
+        residual_rms=np.zeros(n),
         phi=np.zeros((n, 9)),
         action=np.zeros((n, 3)),
         rewards=np.zeros((n, 4)),
@@ -313,35 +321,106 @@ def test_golden_attacked_episode(tmp_path):
                 equal_nan=True, err_msg=name)
 
 
+def recorded_log(rng, n, shift_at=None) -> EpisodeLog:
+    """An unscored log of n decision points: values around the synthetic
+    bank's profile, fixes a few metres to tens of metres apart."""
+    log = synthetic_log(n)
+    log.q = -3.0 + 0.5 * rng.normal(size=n)
+    if shift_at is not None:
+        log.q[shift_at:] += 2.0  # a level shift the AE should flag
+    log.est_pos = np.cumsum(rng.uniform(0.0, 20.0, size=(n, 3)), axis=0)
+    log.residual_rms = rng.uniform(0.0, 8.0, size=n)
+    return log
+
+
+def scalar_scores(bank, log):
+    """(flags, stats) of one log from the one-value-at-a-time oracles."""
+    state = scalar_bocpd_init(bank.age_profile, bank.hazard)
+    ph = ScalarPageHinkley(bank.ph_delta, bank.ph_lambda)
+    residual = ScalarResidualThreshold(
+        max(bank.residual_k_sigma * bank.residual_noise_sigma, 1e-6),
+        bank.residual_jump_gate)
+    rows = []
+    for t, (q, pos, rms) in enumerate(zip(log.q.tolist(), log.est_pos,
+                                          log.residual_rms.tolist()), start=1):
+        state, l_hat = scalar_bocpd_update(state, q, prune=bank.prune)
+        flag = t > bank.warmup and l_hat <= bank.tau
+        rows.append((flag, float(l_hat), *ph.update(q),
+                     *residual.update(pos, rms)))
+    return (np.array([r[0::2] for r in rows], dtype=bool),
+            np.array([r[1::2] for r in rows]))
+
+
 class TestEpisodeDetectors:
     def test_score_matches_per_step_detectors(self, synthetic_bank):
-        """The sequential tests equal a hand-stepped EpisodeDetectors; the AE
-        column equals the per-window oracle to 1e-12, flags exactly."""
+        """One episode is the one-row case: the sequential tests equal the
+        scalar oracles bit for bit; the AE column equals the per-window
+        oracle to 1e-12, flags exactly."""
         window = synthetic_bank.ae.window
         rng = np.random.default_rng(12)
-        fixes = [PvtSolution(estimate=ReceiverEstimate(np.array([x, 0.0, 0.0])),
-                             iterations=1, final_residual_norm=r,
-                             converged=True, residuals=np.zeros(8))
-                 for x, r in zip(np.cumsum(rng.uniform(0, 20, 4 * window)),
-                                 rng.uniform(0, 30, 4 * window))]
-        qs = -3.0 + 0.5 * rng.normal(size=4 * window)
-        qs[2 * window:] += 2.0  # a level shift the AE should flag
-        qs[3 * window] = np.nan
-        flags, stats = synthetic_bank.score(fixes, qs)
-        assert flags.shape == stats.shape == (qs.size, len(DETECTOR_ORDER))
-        dets = EpisodeDetectors(synthetic_bank)
+        log = recorded_log(rng, 4 * window, shift_at=2 * window)
+        log.q[3 * window] = np.nan
+        synthetic_bank.score([log])
+        flags, stats = log.flags, log.stats
+        assert flags.shape == stats.shape == (log.n_steps, len(DETECTOR_ORDER))
         ae = DETECTOR_ORDER.index("window_ae")
-        for k, (pvt, q) in enumerate(zip(fixes, qs)):
-            row = dets.update(pvt, float(q))
-            assert tuple(flags[k, :ae]) == row[0::2]
-            assert np.array_equal(stats[k, :ae], row[1::2], equal_nan=True)
-            flag, stat = trailing_window_score(synthetic_bank.ae, qs[: k + 1])
+        want_flags, want_stats = scalar_scores(synthetic_bank, log)
+        assert np.array_equal(flags[:, :ae], want_flags)
+        assert stats[:, :ae].tobytes() == want_stats.tobytes()
+        for k in range(log.n_steps):
+            flag, stat = trailing_window_score(synthetic_bank.ae, log.q[: k + 1])
             assert flags[k, ae] == flag
             if np.isnan(stat):
                 assert np.isnan(stats[k, ae])
             else:
                 assert stats[k, ae] == pytest.approx(stat, rel=1e-12, abs=0.0)
         assert flags[:, ae].any() and flags[:, :ae].any()
+
+    def test_stage_of_forty_matches_each_episode_alone(self, synthetic_bank):
+        """Forty episodes ending at different ages, one with a NaN value,
+        scored in one pass: flags, argmax run lengths, Page-Hinkley, the
+        residual test and the AE equal each episode scored alone."""
+        rng = np.random.default_rng(13)
+        logs = [recorded_log(rng, int(n), shift_at=int(n) // 2 if k % 2 else None)
+                for k, n in enumerate(rng.integers(20, 200, size=40))]
+        logs[7].q[logs[7].n_steps // 3] = np.nan
+        alone = [dataclasses.replace(log) for log in logs]
+        synthetic_bank.score(logs)
+        for log in alone:
+            synthetic_bank.score([log])
+        for log, single in zip(logs, alone):
+            assert np.array_equal(log.flags, single.flags)
+            assert log.stats.tobytes() == single.stats.tobytes()
+            want_flags, want_stats = scalar_scores(synthetic_bank, log)
+            assert np.array_equal(log.flags[:, :3], want_flags)
+            assert log.stats[:, :3].tobytes() == want_stats.tobytes()
+        assert np.isnan(logs[7].stats[-1, 1])  # Page-Hinkley keeps the NaN
+        assert sum(log.flags[:, 0].any() for log in logs) > 5
+
+    def test_lockstep_feeds_only_the_running_rows(self):
+        streams = [np.arange(5.0), np.arange(10.0, 13.0), np.arange(20.0, 23.0),
+                   np.array([30.0])]
+        seen = []
+
+        def update(values):
+            seen.append(values.tolist())
+            return (values * 2.0, values > 11.0)
+
+        out = _lockstep(streams, update)
+        assert seen == [[0.0, 10.0, 20.0, 30.0], [1.0, 11.0, 21.0],
+                        [2.0, 12.0, 22.0], [3.0], [4.0]]
+        for stream, (doubled, big) in zip(streams, out):
+            assert doubled.tolist() == (stream * 2.0).tolist()
+            assert big.tolist() == (stream > 11.0).tolist()
+
+    def test_episode_detectors_drop_rows_that_end(self, synthetic_bank):
+        dets = EpisodeDetectors(synthetic_bank, 3)
+        l_hat, ph_flags, ph_stats = dets.update(np.array([-3.0, -3.1, -2.9]))
+        assert l_hat.tolist() == [1, 1, 1]
+        assert ph_flags.shape == ph_stats.shape == (3,)
+        l_hat, _, ph_stats = dets.update(np.array([-3.0]))
+        assert l_hat.shape == ph_stats.shape == (1,)
+        assert dets.bocpd_state.weights.shape[0] == 1
 
 
 class TestDetectorBankPersistence:

@@ -38,6 +38,7 @@ def make_log(n, onset=None, flag_rows=(), seed=1, q_shift=0.0):
         t=np.arange(n),
         true_pos=np.zeros((n, 3)),
         est_pos=np.zeros((n, 3)),
+        residual_rms=np.zeros(n),
         phi=np.zeros((n, 9)),
         action=np.zeros((n, 3)),
         rewards=np.zeros((n, 4)),
