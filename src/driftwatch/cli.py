@@ -171,12 +171,14 @@ def _cmd_run(cfg: ExperimentConfig, seed: int, out: Path, args) -> int:
             target=cfg.eval.attack_target,
             enabled=True,
         )
-    log = run_episode(
-        agent, cfg.env, attack, bank, seed,
+    [log] = run_episode(
+        agent, cfg.env, [(attack, seed)],
         constellation=_constellation(cfg),
         noise_sigma=cfg.gnss.noise_sigma,
         config_hash=config_hash(cfg),
     )
+    if bank is not None:
+        bank.score([log])
     out.mkdir(parents=True, exist_ok=True)
     suffix = "_attacked" if args.attack else ""
     path = out / f"episode_{seed}{suffix}.csv"

@@ -82,14 +82,22 @@ class Agent:
         phi: np.ndarray,
         noise_scale: float = 0.0,
         rng: np.random.Generator | None = None,
-    ) -> ActionVec:
-        """Policy action with optional raw-unit Gaussian exploration noise."""
-        raw = denormalize_action(self.actor.forward(phi / self.obs_scales))
+    ) -> list[ActionVec]:
+        """Policy actions for a (B, 9) batch of observations, one per row.
+
+        One actor forward covers the B rows: a rollout acts for every
+        episode of a stage still flying at one age, training for its one
+        episode (B = 1).  Optional raw-unit Gaussian exploration noise is
+        drawn as one (B, 3) block, so one row draws what a 3-vector would.
+        """
+        raw = denormalize_action(
+            self.actor.forward(phi / self.obs_scales, cache=False))
         if noise_scale > 0.0:
             if rng is None:
                 raise ConfigurationError("noise_scale > 0 requires an rng")
-            raw = raw + rng.normal(0.0, noise_scale, size=ACT_DIM)
-        return ActionVec(*raw.tolist())  # ActionVec clips to the bounds
+            raw = raw + rng.normal(0.0, noise_scale, size=raw.shape)
+        # ActionVec clips to the bounds
+        return [ActionVec(*row) for row in raw.tolist()]
 
     def q_value(self, phi: np.ndarray, action: np.ndarray) -> np.ndarray:
         """Critic values of (n, 9) observations and (n, 3) raw actions.
@@ -252,7 +260,8 @@ def train(
                 a_norm = ep_rng.uniform(-1.0, 1.0, size=ACT_DIM)
                 action = ActionVec.from_array(denormalize_action(a_norm))
             else:
-                action = agent.act(obs.phi, noise_scale=sigma, rng=ep_rng)
+                [action] = agent.act(obs.phi[None], noise_scale=sigma,
+                                     rng=ep_rng)
                 a_norm = normalize_action(action.as_array())
             world, obs_next, rb, done, pvt = env_step(
                 world, action, constellation, gnss_cfg.noise_sigma,

@@ -447,9 +447,12 @@ def env_step(
 
     Returns (next world, observation, reward, done, fix), where the fix
     is the PvtSolution the observation was built from.  ``nav_pos`` feeds
-    the controller's believed position to the dynamics; ``pvt_init``
-    warm-starts the solver (falls back to the truth, which any in-range
-    initialization converges to at these geometries).
+    the controller's believed position to the dynamics; ``pvt_init`` is
+    where the solver starts.  The study rollouts (`harness.run_episode`)
+    pass the episode's previous fix, so a study fix never starts from the
+    truth.  Training passes nothing and the solver falls back to the
+    truth, which any in-range initialization converges to at these
+    geometries; moving training off it would change the pinned checkpoint.
     """
     if noise_sigma > 0 and rng is None:
         raise ConfigurationError("noise_sigma > 0 requires an rng")

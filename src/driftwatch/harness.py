@@ -1,12 +1,16 @@
 """Experiment orchestration: episodes, detector bank, metrics, artifacts.
 
-An episode is played, then scored.  The rollout only flies: at each
-decision point the policy acts on the observation built from the fix,
-and the world advances.  It records the fix's position and RMS residual,
-not the fix.  One critic forward then values every (observation, action)
-pair of the episode.  No verdict feeds back into the controller, so a
-stage plays all of its episodes first and scores them together: the
-changepoint and Page-Hinkley tests step through the ages of every
+A stage's episodes are played, then scored.  The rollout only flies, and
+it flies every episode of the stage in lockstep: all are reset, then at
+each age one policy call acts on the observations of the episodes still
+flying, and each of them takes one world step, its fix solved from the
+episode's previous fix.  Episodes share no state and no random stream,
+so lockstep play changes no episode beyond the batched actor's
+round-off.  Each episode records its fixes' positions and RMS residuals,
+not the fixes, in 64-row chunks, and when it ends one critic forward
+values every (observation, action) pair it recorded.  No verdict feeds
+back into the controller, so the stage is scored after it is played:
+the changepoint and Page-Hinkley tests step through the ages of every
 episode in one lockstep pass, one row per episode still running, and the
 residual test and one autoencoder forward score each episode's whole
 record.  Each logged row describes one decision point; the reward column
@@ -268,87 +272,136 @@ class EpisodeLog:
         return self.attack.t_start if self.attacked else None
 
 
+# columns of the record a flight keeps while it is played, in 64-row
+# chunks: true position, fix position, RMS residual of the fix,
+# observation, action, reward breakdown
+_TRUE, _EST, _RMS, _PHI, _ACT, _REW = (
+    slice(0, 3), slice(3, 6), 6, slice(7, 16), slice(16, 19), slice(19, 23))
+_WIDTH = 23
+_CHUNK = 64
+
+
+class _Flight:
+    """One episode of a stage in play: its world, last fix and observation,
+    measurement stream, and the chunks its decision points are recorded in.
+    `index` is the episode's place in the stage."""
+
+    __slots__ = ("index", "seed", "attack", "rng", "world", "phi", "pvt",
+                 "chunks", "n", "event")
+
+    def __init__(self, index, seed, attack, world, obs, pvt):
+        self.index, self.seed, self.attack = index, seed, attack
+        self.rng = np.random.default_rng([seed, _TAG_MEAS])
+        self.world, self.phi, self.pvt = world, obs.phi, pvt
+        self.chunks: list[np.ndarray] = []
+        self.n = 0
+        self.event = ""
+
+    def record(self, row: np.ndarray) -> None:
+        k = self.n % _CHUNK
+        if k == 0:
+            self.chunks.append(np.empty((_CHUNK, _WIDTH)))
+        self.chunks[-1][k] = row
+        self.n += 1
+
+    def log(self, agent: Agent, config_hash: str) -> EpisodeLog:
+        """The finished episode's log: its record, valued in one critic pass."""
+        n = self.n
+        last = n - _CHUNK * (len(self.chunks) - 1)
+        rec = np.concatenate(self.chunks[:-1] + [self.chunks[-1][:last]])
+        self.chunks = []
+        phi, action = rec[:, _PHI], rec[:, _ACT]
+        flags = np.zeros((n, len(DETECTOR_ORDER)), dtype=bool)
+        alpha = np.zeros(n)
+        if self.attack is not None:
+            for t in range(n):
+                phase = attack_alpha(t, self.attack)
+                if phase.active:
+                    alpha[t] = phase.alpha
+        return EpisodeLog(
+            seed=self.seed,
+            config_hash=config_hash,
+            terminal_event=self.event,
+            attack=self.attack,
+            t=np.arange(n),
+            true_pos=rec[:, _TRUE],
+            est_pos=rec[:, _EST],
+            residual_rms=rec[:, _RMS],
+            phi=phi,
+            action=action,
+            rewards=rec[:, _REW],
+            q=agent.q_value(phi, action),
+            alpha=alpha,
+            flags=flags,
+            stats=np.full(flags.shape, np.nan),
+        )
+
+
 def run_episode(
     agent: Agent,
     env_cfg: EnvConfig,
-    attack_cfg: AttackConfig | None,
-    bank: DetectorBank | None,
-    seed: int,
+    episodes: list[tuple[AttackConfig | None, int]],
     *,
     constellation: Constellation,
     noise_sigma: float,
     config_hash: str = "",
-) -> EpisodeLog:
-    """Play one deterministic episode with the greedy policy, then value it.
+) -> list[EpisodeLog]:
+    """Play a stage's episodes in lockstep with the greedy policy; value them.
 
-    The rollout acts and steps the world, recording the observation, the
-    action, the fix's position and RMS residual, and the reward.  Then one
-    critic forward values every recorded decision.  `bank`, if given,
-    scores the episode on its own (`DetectorBank.score`, one row);
-    otherwise the flags are False and the statistics NaN, for a stage to
-    score later with its other episodes.
+    `episodes` lists each episode's (attack config or None, seed).  Every
+    episode is reset first; then all of them advance together, one age at
+    a time.  At each age one `Agent.act` call acts on the (B, 9)
+    observations of the B episodes still flying, and each of them takes
+    one `env_step`, its fix solved from the episode's previous fix
+    (`pvt_init`); only the reset's fix starts from the truth.  An episode
+    records the observation, the action, the fix's position and RMS
+    residual, and the reward in chunks of 64 rows; when it ends, one critic
+    forward values every recorded decision.  Episodes neither share state
+    nor draw from a common stream, so each plays as it would alone, up to
+    the round-off of the batched actor.  Returns one log per episode, in
+    the order given, with flags False and statistics NaN for
+    `DetectorBank.score`; a lone episode (`driftwatch run`) is B = 1.
 
     Row i records the decision point at world time t=i: the fix and
-    observation there, the action and critic value chosen, detector
-    verdicts for that fix, and the reward received for taking the action.
+    observation there, the action and critic value chosen, and the reward
+    received for taking the action.
     """
-    if attack_cfg is not None and attack_cfg.enabled and attack_cfg.t_start < 1:
-        raise ConfigurationError("attack onset must be at t >= 1")
-    meas_rng = np.random.default_rng([seed, _TAG_MEAS])
-    world, obs, pvt = env_reset_full(env_cfg, seed, constellation, noise_sigma)
-
-    # World, fix and observation are values, never written in place,
-    # so their arrays are kept without a copy.
-    times, true_pos, phis, actions, est_pos, rms, rewards = (
-        [], [], [], [], [], [], [])
-    while True:
-        action = agent.act(obs.phi)
-        position = pvt.estimate.position
-        times.append(world.t)
-        true_pos.append(world.uav_pos_true)
-        phis.append(obs.phi)
-        actions.append((action.rho0, action.sigma0, action.theta))
-        est_pos.append(position)
-        rms.append(ResidualThreshold.statistic(pvt))
-        world, obs, rb, done, pvt = env_step(
-            world, action, constellation, noise_sigma, attack_cfg,
-            cfg=env_cfg, rng=meas_rng, nav_pos=position,
-        )
-        rewards.append((rb.collision, rb.threat, rb.goal_seek, rb.total))
-        if done:
-            break
-
-    phi = np.stack(phis)
-    action = np.array(actions)
-    q = agent.q_value(phi, action)
-    flags = np.zeros((q.size, len(DETECTOR_ORDER)), dtype=bool)
-    alpha = np.zeros(len(times))
-    if attack_cfg is not None:
-        for i, t in enumerate(times):
-            phase = attack_alpha(t, attack_cfg)
-            if phase.active:
-                alpha[i] = phase.alpha
-
-    log = EpisodeLog(
-        seed=seed,
-        config_hash=config_hash,
-        terminal_event=rb.terminal_event,
-        attack=attack_cfg,
-        t=np.array(times, dtype=int),
-        true_pos=np.stack(true_pos),
-        est_pos=np.stack(est_pos),
-        residual_rms=np.array(rms),
-        phi=phi,
-        action=action,
-        rewards=np.array(rewards),
-        q=q,
-        alpha=alpha,
-        flags=flags,
-        stats=np.full(flags.shape, np.nan),
-    )
-    if bank is not None:
-        bank.score([log])
-    return log
+    for attack_cfg, _ in episodes:
+        if (attack_cfg is not None and attack_cfg.enabled
+                and attack_cfg.t_start < 1):
+            raise ConfigurationError("attack onset must be at t >= 1")
+    running = [
+        _Flight(i, seed, attack_cfg,
+                *env_reset_full(env_cfg, seed, constellation, noise_sigma))
+        for i, (attack_cfg, seed) in enumerate(episodes)
+    ]
+    logs: list[EpisodeLog | None] = [None] * len(running)
+    while running:
+        rows = np.empty((len(running), _WIDTH))
+        rows[:, _PHI] = [f.phi for f in running]
+        actions = agent.act(rows[:, _PHI])
+        rows[:, _ACT] = [(a.rho0, a.sigma0, a.theta) for a in actions]
+        rows[:, _TRUE] = [f.world.uav_pos_true for f in running]
+        rows[:, _EST] = [f.pvt.estimate.position for f in running]
+        rows[:, _RMS] = [ResidualThreshold.statistic(f.pvt) for f in running]
+        rewards = []
+        for f, action in zip(running, actions):
+            f.world, obs, rb, done, f.pvt = env_step(
+                f.world, action, constellation, noise_sigma,
+                f.attack, cfg=env_cfg, rng=f.rng,
+                nav_pos=f.pvt.estimate.position, pvt_init=f.pvt.estimate,
+            )
+            f.phi = obs.phi
+            rewards.append((rb.collision, rb.threat, rb.goal_seek, rb.total))
+            if done:
+                f.event = rb.terminal_event
+        rows[:, _REW] = rewards
+        for f, row in zip(running, rows):
+            f.record(row)
+            if f.event:
+                logs[f.index] = f.log(agent, config_hash)
+        running = [f for f in running if not f.event]
+    return logs
 
 
 def _fmt(x) -> str:
@@ -483,14 +536,11 @@ def profile_pipeline(
     """
     seeds = [_derive_seed(master_seed, _TAG_PROFILE, i)
              for i in range(eval_cfg.profile_episodes)]
-    logs = [
-        run_episode(
-            agent, env_cfg, None, None, s,
-            constellation=constellation, noise_sigma=noise_sigma,
-            config_hash=config_hash,
-        )
-        for s in seeds
-    ]
+    logs = run_episode(
+        agent, env_cfg, [(None, s) for s in seeds],
+        constellation=constellation, noise_sigma=noise_sigma,
+        config_hash=config_hash,
+    )
     q_streams = [log.q for log in logs]
     episodes = tuple(range(len(q_streams)))
     profile = fit_nominal_profile(q_streams, source_episodes=episodes)
@@ -567,8 +617,8 @@ def evaluate(
 ) -> tuple[dict[str, dict], list[EpisodeLog]]:
     """Score the frozen bank on fresh nominal and attacked episodes.
 
-    Every episode is played first; then one `DetectorBank.score` pass
-    scores them all.
+    Every episode is played in one lockstep rollout (`run_episode`); then
+    one `DetectorBank.score` pass scores them all.
     """
     if eval_cfg.n_nominal + eval_cfg.n_attacked < 1:
         raise ConfigurationError("evaluation needs at least one episode")
@@ -578,17 +628,18 @@ def evaluate(
         target=eval_cfg.attack_target,
         enabled=True,
     )
-    logs = [
-        run_episode(
-            agent, env_cfg, attack_cfg, None, _derive_seed(master_seed, tag, i),
-            constellation=constellation, noise_sigma=noise_sigma,
-            config_hash=config_hash,
-        )
+    episodes = [
+        (attack_cfg, _derive_seed(master_seed, tag, i))
         for tag, count, attack_cfg in (
             (_TAG_EVAL_NOMINAL, eval_cfg.n_nominal, None),
             (_TAG_EVAL_ATTACKED, eval_cfg.n_attacked, attack),
         )
         for i in range(count)
     ]
+    logs = run_episode(
+        agent, env_cfg, episodes,
+        constellation=constellation, noise_sigma=noise_sigma,
+        config_hash=config_hash,
+    )
     bank.score(logs)
     return compute_metrics(logs), logs

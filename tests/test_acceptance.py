@@ -254,15 +254,16 @@ def test_criterion_07_evasion(pipeline):
     cfg, constellation = pipeline.cfg, pipeline.constellation
     abrupt = AttackConfig(t_start=100, drift_duration=1,
                           target=(500.0, 500.0, 50.0), enabled=True)
-    trips = 0
     n_abrupt = 10
-    for i in range(n_abrupt):
-        seed = int(np.random.SeedSequence([0, 99, i]).generate_state(1)[0])
-        log = run_episode(pipeline.agent, cfg.env, abrupt, pipeline.bank,
-                          seed, constellation=constellation,
-                          noise_sigma=cfg.gnss.noise_sigma)
-        if log.n_steps > log.onset and log.flags[log.onset:, resid].any():
-            trips += 1
+    seeds = [int(np.random.SeedSequence([0, 99, i]).generate_state(1)[0])
+             for i in range(n_abrupt)]
+    logs = run_episode(pipeline.agent, cfg.env,
+                       [(abrupt, seed) for seed in seeds],
+                       constellation=constellation,
+                       noise_sigma=cfg.gnss.noise_sigma)
+    pipeline.bank.score(logs)
+    trips = sum(log.n_steps > log.onset
+                and bool(log.flags[log.onset:, resid].any()) for log in logs)
     ok = drift_rate < 0.10 and trips == n_abrupt
     report(7, ok, f"residual detector flagged {drift_flagged}/{len(attacked)} "
                   f"drift episodes, {trips}/{n_abrupt} abrupt teleports")

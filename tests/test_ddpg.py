@@ -46,25 +46,31 @@ def test_action_normalization_round_trip():
 
 def test_act_deterministic_without_noise():
     agent = fresh_agent()
-    phi = random_phi(np.random.default_rng(2))
+    phi = random_phi(np.random.default_rng(2))[None]
     a1 = agent.act(phi)
     a2 = agent.act(phi)
+    assert len(a1) == 1 and isinstance(a1[0], ActionVec)
     assert a1 == a2
 
 
 def test_act_requires_rng_with_noise():
     agent = fresh_agent()
     with pytest.raises(ConfigurationError):
-        agent.act(np.zeros(9), noise_scale=0.3)
+        agent.act(np.zeros((1, 9)), noise_scale=0.3)
 
 
 def test_act_always_within_bounds():
     agent = fresh_agent()
     rng = np.random.default_rng(3)
     for _ in range(200):
-        a = agent.act(random_phi(rng), noise_scale=1.5, rng=rng).as_array()
-        assert np.all(a >= ACTION_LOW - 1e-12)
-        assert np.all(a <= ACTION_HIGH + 1e-12)
+        [a] = agent.act(random_phi(rng)[None], noise_scale=1.5, rng=rng)
+        assert np.all(a.as_array() >= ACTION_LOW - 1e-12)
+        assert np.all(a.as_array() <= ACTION_HIGH + 1e-12)
+    batch = agent.act(rng.normal(scale=300.0, size=(200, 9)),
+                      noise_scale=1.5, rng=rng)
+    assert len(batch) == 200
+    batch = np.array([a.as_array() for a in batch])
+    assert np.all((batch >= ACTION_LOW) & (batch <= ACTION_HIGH))
 
 
 def test_act_and_q_value_match_reference_bit_for_bit():
@@ -75,7 +81,9 @@ def test_act_and_q_value_match_reference_bit_for_bit():
         phi = random_phi(rng)
         scale = (0.0, 0.5, 3.0)[k % 3]
         seed = int(rng.integers(1 << 30))
-        got = agent.act(phi, noise_scale=scale, rng=np.random.default_rng(seed))
+        # one row, and its noise drawn as a (1, 3) block
+        [got] = agent.act(phi[None], noise_scale=scale,
+                          rng=np.random.default_rng(seed))
         raw = denormalize_action(agent.actor.forward(phi / agent.obs_scales))
         if scale > 0.0:
             raw = raw + np.random.default_rng(seed).normal(0.0, scale, size=3)
@@ -87,6 +95,21 @@ def test_act_and_q_value_match_reference_bit_for_bit():
         assert q_value_row(agent, phi, got) == want
         # a batch of one row runs the very same forward
         assert agent.q_value(phi[None], got.as_array()[None])[0] == want
+
+
+@pytest.mark.parametrize("n", [2, 5, 40, 64, 65])
+def test_batched_act_matches_one_row_acts(n):
+    """One actor forward over n rows against n one-row forwards: the same
+    actions up to the batched product's round-off."""
+    agent = fresh_agent(hidden=(64, 64))
+    rng = np.random.default_rng(n)
+    phi = rng.normal(scale=300.0, size=(n, 9))
+    got = agent.act(phi)
+    want = [a for row in phi for a in agent.act(row[None])]
+    assert len(got) == n
+    np.testing.assert_allclose([a.as_array() for a in got],
+                               [a.as_array() for a in want],
+                               rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 63, 64, 65, 500])
@@ -118,12 +141,12 @@ def test_act_noise_statistics():
     agent = fresh_agent()  # small final init puts the policy near the center
     rng = np.random.default_rng(4)
     phi = np.zeros(9)
-    base = agent.act(phi).as_array()
+    base = agent.act(phi[None])[0].as_array()
     assert np.all(base > ACTION_LOW + 0.5) and np.all(base < ACTION_HIGH - 0.5)
-    draws = np.stack([
-        agent.act(phi, noise_scale=0.3, rng=rng).as_array() - base
-        for _ in range(10_000)
-    ])
+    draws = np.array([
+        a.as_array() for a in agent.act(np.tile(phi, (10_000, 1)),
+                                        noise_scale=0.3, rng=rng)
+    ]) - base
     stds = draws.std(axis=0)
     np.testing.assert_allclose(stds, 0.3, rtol=0.1)
     assert np.abs(draws.mean(axis=0)).max() < 0.02
@@ -288,8 +311,7 @@ def test_checkpoint_round_trip(tmp_path):
     actions = rng.uniform(ACTION_LOW, ACTION_HIGH, size=(5, 3))
     assert np.array_equal(agent.q_value(phi, actions),
                           loaded.q_value(phi, actions))
-    for row in phi:
-        assert agent.act(row) == loaded.act(row)
+    assert agent.act(phi) == loaded.act(phi)
 
 
 def test_checkpoint_truncated_file(tmp_path):

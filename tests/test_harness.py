@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from driftwatch import env as env_module
+from driftwatch import harness
 from driftwatch.config import DetectorConfig, EnvConfig, EvalConfig
 from driftwatch.ddpg import Agent
 from driftwatch.detectors import (
@@ -38,6 +40,15 @@ from scoring_oracles import (
     scalar_bocpd_update,
     trailing_window_score,
 )
+
+
+def play(agent, env_cfg, attack, bank, seed, **kwargs) -> EpisodeLog:
+    """One episode played alone (the one-row stage), scored by `bank` if
+    given."""
+    [log] = run_episode(agent, env_cfg, [(attack, seed)], **kwargs)
+    if bank is not None:
+        bank.score([log])
+    return log
 
 
 @pytest.fixture(scope="module")
@@ -182,11 +193,13 @@ class TestRunEpisode:
     def test_disabled_attack_logs_no_attack_activity(
         self, small_agent, mini_env, constellation
     ):
-        for seed in range(20):
-            log = run_episode(
-                small_agent, mini_env, AttackConfig(enabled=False), None,
-                seed, constellation=constellation, noise_sigma=2.0,
-            )
+        logs = run_episode(
+            small_agent, mini_env,
+            [(AttackConfig(enabled=False), seed) for seed in range(20)],
+            constellation=constellation, noise_sigma=2.0,
+        )
+        assert [log.seed for log in logs] == list(range(20))
+        for log in logs:
             assert not log.attacked
             assert np.all(log.alpha == 0.0)
             assert log.n_steps <= mini_env.max_steps
@@ -198,7 +211,7 @@ class TestRunEpisode:
     ):
         attack = AttackConfig(t_start=100, drift_duration=50,
                               target=(0.0, 0.0, 0.0), enabled=True)
-        log = run_episode(
+        log = play(
             small_agent, EnvConfig(), attack, None, 0,
             constellation=constellation, noise_sigma=2.0,
         )
@@ -217,7 +230,7 @@ class TestRunEpisode:
         attack = AttackConfig(t_start=10, drift_duration=5, enabled=True)
         paths = []
         for k in range(2):
-            log = run_episode(
+            log = play(
                 small_agent, mini_env, attack, None, 42,
                 constellation=constellation, noise_sigma=2.0,
                 config_hash="abc123",
@@ -228,7 +241,7 @@ class TestRunEpisode:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_csv_layout(self, small_agent, mini_env, constellation, tmp_path):
-        log = run_episode(
+        log = play(
             small_agent, mini_env, None, None, 7,
             constellation=constellation, noise_sigma=2.0,
             config_hash="deadbeef",
@@ -247,7 +260,7 @@ class TestRunEpisode:
     def test_onset_zero_rejected(self, small_agent, mini_env, constellation):
         bad = AttackConfig(t_start=0, drift_duration=5, enabled=True)
         with pytest.raises(ConfigurationError):
-            run_episode(
+            play(
                 small_agent, mini_env, bad, None, 1,
                 constellation=constellation, noise_sigma=2.0,
             )
@@ -255,7 +268,7 @@ class TestRunEpisode:
     def test_detector_columns_populate(
         self, small_agent, mini_env, constellation, synthetic_bank
     ):
-        log = run_episode(
+        log = play(
             small_agent, mini_env, None, synthetic_bank, 3,
             constellation=constellation, noise_sigma=2.0,
         )
@@ -270,6 +283,93 @@ class TestRunEpisode:
         assert np.all(np.isfinite(log.stats[window - 1:, 3]))
         assert not log.flags[: window - 1, 3].any()
 
+    def test_no_solve_after_the_reset_starts_from_the_truth(
+        self, small_agent, mini_env, constellation, monkeypatch
+    ):
+        """Each fix of a rollout starts from its episode's previous fix,
+        bit for bit; only the reset's first fix starts from the truth."""
+        real_solve, real_dynamics = env_module.solve_pvt, env_module.step_dynamics
+        real_reset, real_step = harness.env_reset_full, harness.env_step
+        episode_of = {}  # goal bytes -> seed
+        now = {}  # episode being stepped and its true state after the move
+        solves = {}  # seed -> [(init, estimate, true state or None)]
+
+        def reset(cfg, seed, *args):
+            now.update(seed=seed, truth=None)
+            out = real_reset(cfg, seed, *args)
+            episode_of[out[0].goal.tobytes()] = seed
+            return out
+
+        def step(world, *args, **kwargs):
+            now.update(seed=episode_of[world.goal.tobytes()], truth=None)
+            return real_step(world, *args, **kwargs)
+
+        def dynamics(*args, **kwargs):
+            world = real_dynamics(*args, **kwargs)
+            now["truth"] = np.append(world.uav_pos_true, world.clock_bias_true)
+            return world
+
+        def solve(meas, cons, init=None, **kwargs):
+            pvt = real_solve(meas, cons, init=init, **kwargs)
+            solves.setdefault(now["seed"], []).append(
+                (init, pvt.estimate, now["truth"]))
+            return pvt
+
+        monkeypatch.setattr(harness, "env_reset_full", reset)
+        monkeypatch.setattr(harness, "env_step", step)
+        monkeypatch.setattr(env_module, "step_dynamics", dynamics)
+        monkeypatch.setattr(env_module, "solve_pvt", solve)
+        attack = AttackConfig(t_start=10, drift_duration=15,
+                              target=(300.0, 200.0, 100.0), enabled=True)
+        episodes = [(attack if seed % 2 else None, seed) for seed in range(6)]
+        logs = run_episode(small_agent, mini_env, episodes,
+                           constellation=constellation, noise_sigma=2.0)
+        assert sorted(solves) == list(range(6))
+        for log in logs:
+            calls = solves[log.seed]
+            assert len(calls) == log.n_steps + 1  # the reset's, then one a step
+            assert calls[0][2] is None  # the reset's fix
+            for (_, previous, _), (init, _, truth) in zip(calls, calls[1:]):
+                assert init.position.tobytes() == previous.position.tobytes()
+                assert init.clock_bias == previous.clock_bias
+                assert not np.array_equal(init.as_vector(), truth)
+
+    def test_lockstep_play_does_not_change_an_episode(
+        self, small_agent, mini_env, constellation, synthetic_bank
+    ):
+        """A mixed stage, played in either order, gives every episode what
+        the same seed gives alone, up to the batched actor's round-off."""
+        attack = AttackConfig(t_start=10, drift_duration=15,
+                              target=(300.0, 200.0, 100.0), enabled=True)
+        episodes = [(attack if k % 3 == 0 else None, 50 + k) for k in range(12)]
+        kwargs = dict(constellation=constellation, noise_sigma=2.0)
+        forward = run_episode(small_agent, mini_env, episodes, **kwargs)
+        backward = run_episode(small_agent, mini_env, episodes[::-1],
+                               **kwargs)[::-1]
+        alone = [run_episode(small_agent, mini_env, [episode], **kwargs)[0]
+                 for episode in episodes]
+        assert len({log.n_steps for log in alone}) > 1  # rows drop out
+        for logs in (forward, backward, alone):
+            synthetic_bank.score(logs)
+        for stage in (forward, backward):
+            for log, want in zip(stage, alone):
+                assert log.seed == want.seed and log.attack == want.attack
+                assert log.n_steps == want.n_steps
+                assert log.terminal_event == want.terminal_event
+                assert np.array_equal(log.flags, want.flags)
+                assert np.array_equal(log.t, want.t)
+                assert np.array_equal(log.alpha, want.alpha)
+                for name in ("true_pos", "est_pos", "phi"):  # metres
+                    np.testing.assert_allclose(
+                        getattr(log, name), getattr(want, name),
+                        rtol=0.0, atol=1e-10, err_msg=name)
+                for name in ("action", "rewards", "q", "residual_rms"):
+                    np.testing.assert_allclose(
+                        getattr(log, name), getattr(want, name),
+                        rtol=1e-10, atol=1e-12, err_msg=name)
+                np.testing.assert_allclose(log.stats, want.stats, rtol=1e-8,
+                                           atol=1e-10, equal_nan=True)
+
 
 # One short attacked episode, committed as CSV.  Regenerate it, after a
 # change that is meant to alter episodes, with `python tests/test_harness.py`.
@@ -281,7 +381,7 @@ def golden_episode() -> EpisodeLog:
     agent = Agent(np.random.default_rng([0, 1]), hidden=(16, 16))
     attack = AttackConfig(t_start=20, drift_duration=20,
                           target=(600.0, 400.0, 150.0), enabled=True)
-    return run_episode(
+    return play(
         agent, EnvConfig(max_steps=60), attack, make_synthetic_bank(), 3,
         constellation=make_constellation(n_sats=8, seed=7), noise_sigma=2.0,
         config_hash="golden",
@@ -430,11 +530,11 @@ class TestDetectorBankPersistence:
         paths = synthetic_bank.save(tmp_path)
         assert set(paths) == {"profile", "ae", "bank", "age_profile"}
         loaded = DetectorBank.load(tmp_path)
-        a = run_episode(
+        a = play(
             small_agent, mini_env, None, synthetic_bank, 9,
             constellation=constellation, noise_sigma=2.0,
         )
-        b = run_episode(
+        b = play(
             small_agent, mini_env, None, loaded, 9,
             constellation=constellation, noise_sigma=2.0,
         )
@@ -457,7 +557,7 @@ class TestDetectorBankPersistence:
         loaded = DetectorBank.load(tmp_path)
         assert loaded.age_profile == aged.age_profile
         a, b = (
-            run_episode(small_agent, mini_env, None, bank, 9,
+            play(small_agent, mini_env, None, bank, 9,
                         constellation=constellation, noise_sigma=2.0)
             for bank in (aged, loaded)
         )

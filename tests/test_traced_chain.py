@@ -14,6 +14,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from driftwatch import cli
@@ -61,16 +62,30 @@ def traced_chain(perfbench, tmp_path_factory):
                  for owner, attr, _, _ in sites]
     tracer = tracer_mod.Tracer()
     tracer.install(sites)
+    rcs, ends = [], {}
     try:
         # looked up on the module, where the tracer wraps it
-        rcs = [cli.main([command, "--config", str(tmp / "tiny.json"),
-                         "--seed", "2", "--out", str(out)])
-               for command in ("train", "profile", "eval")]
+        for command in ("train", "profile", "eval"):
+            rcs.append(cli.main([command, "--config", str(tmp / "tiny.json"),
+                                 "--seed", "2", "--out", str(out)]))
+            ends[command] = len(tracer.start)
     finally:
         for owner, attr, raw in originals:
             setattr(owner, attr, raw)
     assert rcs == [0, 0, 0]
-    return cfg, out, tracer, originals
+    stages = {"train": (0, ends["train"]),
+              "profile": (ends["train"], ends["profile"]),
+              "eval": (ends["profile"], ends["eval"])}
+    return cfg, out, tracer, originals, stages
+
+
+def span_calls(tracer, first, stop):
+    """Calls per span name among the spans recorded from index first to
+    stop, shaped like `Tracer.summary()` for `aggregate`."""
+    ids = tracer.spans()["name_id"][first:stop]
+    calls = np.bincount(ids, minlength=len(tracer.names))
+    return {name: {"calls": int(calls[i]), "s": 0.0, "self_s": 0.0}
+            for i, name in enumerate(tracer.names)}
 
 
 def test_tracer_patches_are_undone(traced_chain):
@@ -79,18 +94,36 @@ def test_tracer_patches_are_undone(traced_chain):
 
 
 def test_every_benchmark_layer_records_a_call(perfbench, traced_chain):
+    """Each workload's layers, on the spans of that workload's own commands:
+    the study layers on `profile` and `eval` only, so that the training
+    stage's calls cannot stand in for a study that bypasses a layer."""
     tracer_mod, workloads = perfbench
-    spans = traced_chain[2].summary()
-    for workload in ("train", "study_default", "study_nominal"):
+    _, _, tracer, _, stages = traced_chain
+    train = span_calls(tracer, *stages["train"])
+    study = span_calls(tracer, stages["profile"][0], stages["eval"][1])
+    for workload, spans in (("train", train), ("study_default", study),
+                            ("study_nominal", study)):
         silent = [layer for layer in workloads.WORKLOADS[workload]["layers"]
                   if not tracer_mod.aggregate(spans, layer)["calls"]]
         assert silent == [], workload
 
 
+def test_study_stages_act_once_per_age(perfbench, traced_chain):
+    """A study stage plays its episodes in lockstep: one `Agent.act` call
+    per age.  Every episode of the tiny config times out at `max_steps`."""
+    tracer_mod, _ = perfbench
+    cfg, _, tracer, _, stages = traced_chain
+    for command in ("profile", "eval"):
+        spans = span_calls(tracer, *stages[command])
+        assert tracer_mod.aggregate(spans, "harness.run_episode")["calls"] == 1
+        assert (tracer_mod.aggregate(spans, "ddpg.Agent.act")["calls"]
+                == cfg.env.max_steps), command
+
+
 def test_env_step_runs_once_per_step_the_outputs_show(perfbench,
                                                       traced_chain):
     tracer_mod, _ = perfbench
-    cfg, out, tracer, _ = traced_chain
+    cfg, out, tracer, _, _ = traced_chain
     train_eps = len((out / "training_curve.csv").read_text().splitlines()) - 1
     profile_steps = json.loads((out / "profile.json").read_text())["n_samples"]
     eval_steps = len((out / "q_traces.csv").read_text().splitlines()) - 1
