@@ -18,16 +18,11 @@ distance.  Second part: a full episode flown with fixed gains.
 import numpy as np
 
 from driftwatch.config import default_config
-from driftwatch.env import (
-    ActionVec,
-    env_reset,
-    env_step,
-    flow_field_matrices,
-    step_dynamics,
-)
+from driftwatch.env import env_reset, flow_field_matrices, step_dynamics
 from driftwatch.gnss import make_constellation
 
-action = ActionVec(rho0=1.5, sigma0=1.5, theta=0.0)
+rho0, sigma0, theta = 1.5, 1.5, 0.0
+action = np.array([rho0, sigma0, theta])
 obstacle = np.array([0.0, 0.0, 0.0])
 radius = 60.0
 
@@ -39,7 +34,7 @@ for dist in (300.0, 180.0, 120.0, 90.0, 70.0, 61.0):
     m_rep, m_tan = flow_field_matrices(pos, obstacle, radius, action)
     out = (np.eye(3) + m_rep + m_tan) @ v
     gamma = (dist / radius) ** 2
-    w_rep = 1.0 if gamma <= 1.0 else np.exp((1.0 - gamma) / action.rho0)
+    w_rep = 1.0 if gamma <= 1.0 else np.exp((1.0 - gamma) / rho0)
     print(f"  {dist:>13.0f}  {gamma:>6.1f}  {w_rep:>6.3f}"
           f"  [{out[0]:>7.2f} {out[1]:>7.2f} {out[2]:>7.2f}]")
 print("  far away the field is transparent; at the surface the inward"
@@ -51,7 +46,7 @@ cfg = default_config()
 constellation = make_constellation(
     cfg.gnss.n_sats, cfg.gnss.radius, cfg.gnss.constellation_seed,
     cfg.gnss.min_separation_deg)
-world, obs = env_reset(cfg.env, seed=3, constellation=constellation)
+world, phi = env_reset(cfg.env, seed=3, constellation=constellation)
 
 start_goal_dist = np.linalg.norm(world.goal - world.uav_pos_true)
 print(f"episode: start {np.round(world.uav_pos_true)} m,"

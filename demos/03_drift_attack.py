@@ -16,7 +16,7 @@ a perfectly coherent world that just happens to be slowly wrong.
 import numpy as np
 
 from driftwatch.config import default_config
-from driftwatch.env import ActionVec, env_reset_full, env_step
+from driftwatch.env import env_reset_full, env_step
 from driftwatch.gnss import make_constellation
 from driftwatch.spoofing import AttackConfig, attack_alpha
 
@@ -27,23 +27,23 @@ constellation = make_constellation(
 
 attack = AttackConfig(t_start=40, drift_duration=50,
                       target=(500.0, 500.0, 50.0), enabled=True)
-action = ActionVec(rho0=1.5, sigma0=1.5, theta=0.0)
+action = np.array([1.5, 1.5, 0.0])  # rho0, sigma0, theta
 seed = 11
 
 runs = {}
 for label, spoof in (("honest", None), ("spoofed", attack)):
     rng = np.random.default_rng([seed, 77])
-    world, obs, pvt = env_reset_full(cfg.env, seed, constellation,
+    world, phi, pvt = env_reset_full(cfg.env, seed, constellation,
                                      cfg.gnss.noise_sigma)
     rows = []
     for t in range(1, 121):
-        world, obs, rb, done, pvt = env_step(
+        world, phi, rb, done, pvt = env_step(
             world, action, constellation, cfg.gnss.noise_sigma, spoof,
-            cfg=cfg.env, rng=rng, nav_pos=pvt.estimate.position,
-            pvt_init=pvt.estimate)
-        alpha = attack_alpha(t, attack).alpha if spoof else 0.0
+            cfg=cfg.env, rng=rng, nav_pos=pvt.x[:3],
+            pvt_init=pvt.x)
+        alpha = (attack_alpha(t, attack) or 0.0) if spoof else 0.0
         rows.append((t, alpha, world.uav_pos_true.copy(),
-                     pvt.estimate.position.copy(),
+                     pvt.x[:3].copy(),
                      float(np.linalg.norm(pvt.residuals))))
         if done:
             break
@@ -75,17 +75,17 @@ print("the fabricated set is exactly self-consistent, so the residuals"
 abrupt = AttackConfig(t_start=40, drift_duration=1,
                       target=(500.0, 500.0, 50.0), enabled=True)
 rng = np.random.default_rng([seed, 77])
-world, obs, pvt = env_reset_full(cfg.env, seed, constellation,
+world, phi, pvt = env_reset_full(cfg.env, seed, constellation,
                                  cfg.gnss.noise_sigma)
-prev_fix = pvt.estimate.position.copy()
+prev_fix = pvt.x[:3].copy()
 jump_at_onset = None
 for t in range(1, 46):
-    world, obs, rb, done, pvt = env_step(
+    world, phi, rb, done, pvt = env_step(
         world, action, constellation, cfg.gnss.noise_sigma, abrupt,
-        cfg=cfg.env, rng=rng, nav_pos=pvt.estimate.position,
-        pvt_init=pvt.estimate)
-    step_jump = np.linalg.norm(pvt.estimate.position - prev_fix)
-    prev_fix = pvt.estimate.position.copy()
+        cfg=cfg.env, rng=rng, nav_pos=pvt.x[:3],
+        pvt_init=pvt.x)
+    step_jump = np.linalg.norm(pvt.x[:3] - prev_fix)
+    prev_fix = pvt.x[:3].copy()
     if t == abrupt.t_start + 1:
         jump_at_onset = step_jump
 print(f"\nabrupt variant: fix jumps {jump_at_onset:.0f} m in a single step"

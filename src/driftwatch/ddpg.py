@@ -19,7 +19,7 @@ from .env import (
     ACTION_LOW,
     TERM_COLLISION,
     TERM_GOAL,
-    ActionVec,
+    clip_action,
     env_reset,
     env_step,
 )
@@ -82,8 +82,8 @@ class Agent:
         phi: np.ndarray,
         noise_scale: float = 0.0,
         rng: np.random.Generator | None = None,
-    ) -> list[ActionVec]:
-        """Policy actions for a (B, 9) batch of observations, one per row.
+    ) -> np.ndarray:
+        """In-bounds (B, 3) actions (rho0, sigma0, theta) for (B, 9) phi.
 
         One actor forward covers the B rows: a rollout acts for every
         episode of a stage still flying at one age, training for its one
@@ -96,8 +96,7 @@ class Agent:
             if rng is None:
                 raise ConfigurationError("noise_scale > 0 requires an rng")
             raw = raw + rng.normal(0.0, noise_scale, size=raw.shape)
-        # ActionVec clips to the bounds
-        return [ActionVec(*row) for row in raw.tolist()]
+        return clip_action(raw)
 
     def q_value(self, phi: np.ndarray, action: np.ndarray) -> np.ndarray:
         """Critic values of (n, 9) observations and (n, 3) raw actions.
@@ -246,32 +245,31 @@ def train(
         ep_rng = np.random.default_rng([seed, _TAG_NOISE, episode])
         meas_rng = np.random.default_rng([seed, _TAG_MEAS, episode])
         cfg_ep = _curriculum_env(env_cfg, train_cfg, ep_rng)
-        world, obs = env_reset(cfg_ep, _derive_seed(seed, _TAG_EPISODE, episode),
+        world, phi = env_reset(cfg_ep, _derive_seed(seed, _TAG_EPISODE, episode),
                                constellation, gnss_cfg.noise_sigma)
         warmup = episode < train_cfg.warmup_episodes
         sigma = noise_schedule(train_cfg, episode)
 
         # the controller's belief: goal offset block recovers the estimate
-        nav_pos = world.goal - obs.phi[3:6]
+        nav_pos = world.goal - phi[3:6]
         total = 0.0
         done = False
         while not done:
             if warmup:
                 a_norm = ep_rng.uniform(-1.0, 1.0, size=ACT_DIM)
-                action = ActionVec.from_array(denormalize_action(a_norm))
+                action = clip_action(denormalize_action(a_norm))
             else:
-                [action] = agent.act(obs.phi[None], noise_scale=sigma,
-                                     rng=ep_rng)
-                a_norm = normalize_action(action.as_array())
-            world, obs_next, rb, done, pvt = env_step(
+                [action] = agent.act(phi[None], noise_scale=sigma, rng=ep_rng)
+                a_norm = normalize_action(action)
+            world, phi_next, rb, done, pvt = env_step(
                 world, action, constellation, gnss_cfg.noise_sigma,
                 None, cfg=cfg_ep, rng=meas_rng, nav_pos=nav_pos,
             )
             terminal = rb.terminal_event in (TERM_COLLISION, TERM_GOAL)
-            buffer.add(obs.phi, a_norm, rb.total, obs_next.phi, terminal)
+            buffer.add(phi, a_norm, rb.total, phi_next, terminal)
             total += rb.total
-            obs = obs_next
-            nav_pos = pvt.estimate.position
+            phi = phi_next
+            nav_pos = pvt.x[:3]
 
             if not warmup and buffer.size >= train_cfg.batch_size:
                 batch = buffer.sample(train_cfg.batch_size, sample_rng)

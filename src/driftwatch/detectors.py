@@ -660,15 +660,11 @@ def window_ae_train(
     Returns the model and the per-epoch loss curve.
     """
     streams = [np.asarray(s, dtype=float) for s in nominal_q_streams]
-    slices = []
-    for s in streams:
-        for i in range(0, len(s) - window + 1):
-            slices.append(s[i:i + window])
-    if len(slices) < 500:
-        raise InsufficientDataError(
-            f"need >= 500 training windows, got {len(slices)}"
-        )
-    x_raw = np.stack(slices)
+    windows = [sliding_window_view(s, window) for s in streams if len(s) >= window]
+    count = sum(len(w) for w in windows)
+    if count < 500:
+        raise InsufficientDataError(f"need >= 500 training windows, got {count}")
+    x_raw = np.concatenate(windows)
     mu = float(x_raw.mean())
     sd = float(max(x_raw.std(), 1e-6))
     x = (x_raw - mu) / sd
@@ -681,7 +677,6 @@ def window_ae_train(
     )
     opt = Adam(net.flat, lr)
     curve = []
-    n = x.shape[0]
     for _ in range(epochs):
         recon = net.forward(x)
         err = recon - x

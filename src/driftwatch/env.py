@@ -4,7 +4,8 @@ The controller never sees the true position.  Dynamics advance the truth,
 measurements come from the truth (or a spoofer), the observation is built
 from the least-squares estimate, and the reward is bookkept from truth
 geometry only.  Episode state is a value; every transition returns a new
-WorldState.
+WorldState.  All else travels as plain arrays: the action (rho0, sigma0,
+theta), the 9-vector observation phi, and the fix `PvtSolution.x`.
 """
 
 from __future__ import annotations
@@ -17,13 +18,7 @@ import numpy as np
 
 from .config import EnvConfig
 from .errors import ConfigurationError, DegenerateGeometryError, NotConvergedError
-from .gnss import (
-    Constellation,
-    PvtSolution,
-    ReceiverEstimate,
-    measure_pseudoranges,
-    solve_pvt,
-)
+from .gnss import Constellation, PvtSolution, measure_pseudoranges, solve_pvt
 from .spoofing import AttackConfig, attack_alpha, spoof_position, spoof_pseudoranges
 
 TERM_NONE = "none"
@@ -33,7 +28,6 @@ TERM_TIMEOUT = "timeout"
 
 ACTION_LOW = np.array([0.1, 0.1, -np.pi])
 ACTION_HIGH = np.array([3.0, 3.0, np.pi])
-_ACTION_BOUNDS = (ACTION_LOW.tolist(), ACTION_HIGH.tolist())
 
 _Z = np.array([0.0, 0.0, 1.0])
 _X = np.array([1.0, 0.0, 0.0])
@@ -55,6 +49,12 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _finite(v: np.ndarray) -> bool:
     """np.isfinite(v).all() for a short 1-D float vector, one float at a time."""
     return all(map(math.isfinite, v.tolist()))
+
+
+def clip_action(raw: np.ndarray) -> np.ndarray:
+    """(..., 3) actions clamped to the bounds as np.clip would, NaN included,
+    without np.clip's per-call overhead."""
+    return np.minimum(np.maximum(raw, ACTION_LOW), ACTION_HIGH)
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -116,42 +116,6 @@ class WorldState:
 
 
 @dataclass(frozen=True)
-class ActionVec:
-    """Navigation control parameters, clamped to bounds on construction."""
-
-    rho0: float
-    sigma0: float
-    theta: float
-
-    def __post_init__(self):
-        # min(max(v, lo), hi) gives np.clip's result, NaN included
-        (lo0, lo1, lo2), (hi0, hi1, hi2) = _ACTION_BOUNDS
-        object.__setattr__(self, "rho0", min(max(float(self.rho0), lo0), hi0))
-        object.__setattr__(self, "sigma0", min(max(float(self.sigma0), lo1), hi1))
-        object.__setattr__(self, "theta", min(max(float(self.theta), lo2), hi2))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.rho0, self.sigma0, self.theta])
-
-    @classmethod
-    def from_array(cls, a: np.ndarray) -> "ActionVec":
-        return cls(float(a[0]), float(a[1]), float(a[2]))
-
-
-@dataclass(frozen=True)
-class Observation:
-    """What the policy sees: threat geometry, goal offset, obstacle velocity."""
-
-    phi: np.ndarray  # shape (9,)
-
-    def __post_init__(self):
-        arr = np.asarray(self.phi, dtype=float)
-        if arr.shape != (9,) or not _finite(arr):
-            raise ConfigurationError("phi must be a finite 9-vector")
-        object.__setattr__(self, "phi", arr)
-
-
-@dataclass(frozen=True)
 class RewardBreakdown:
     collision: float
     threat: float
@@ -171,7 +135,7 @@ def flow_field_matrices(
     uav_pos: np.ndarray,
     obstacle_pos: np.ndarray,
     obstacle_radius: float,
-    action: ActionVec,
+    action: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Repulsive and tangential modulation matrices around a spherical obstacle.
 
@@ -180,7 +144,9 @@ def flow_field_matrices(
     component along n (fully at the surface, exponentially weaker with
     distance); the tangential matrix redirects that component along a
     tangent chosen by rotating a reference tangent about n by theta.
+    ``action`` is the in-bounds (rho0, sigma0, theta).
     """
+    rho0, sigma0, theta = np.asarray(action, dtype=float).tolist()
     uav_pos = np.asarray(uav_pos, dtype=float)
     obstacle_pos = np.asarray(obstacle_pos, dtype=float)
     sep = uav_pos - obstacle_pos
@@ -197,11 +163,11 @@ def flow_field_matrices(
         ref = _X  # normal is vertical; any horizontal direction works
     else:
         ref = ref / ref_norm
-    tangent = _rodrigues(ref, n_hat, action.theta)
+    tangent = _rodrigues(ref, n_hat, theta)
 
     # Saturated inside the unit level set, exponentially decaying outside.
-    w_rep = 1.0 if gamma <= 1.0 else float(np.exp((1.0 - gamma) / action.rho0))
-    w_tan = 1.0 if gamma <= 1.0 else float(np.exp((1.0 - gamma) / action.sigma0))
+    w_rep = 1.0 if gamma <= 1.0 else float(np.exp((1.0 - gamma) / rho0))
+    w_tan = 1.0 if gamma <= 1.0 else float(np.exp((1.0 - gamma) / sigma0))
 
     m_rep = -w_rep * (n[:, None] * n) / (n @ n)
     m_tan = w_tan * (tangent[:, None] * n) / (_norm(tangent) * _norm(n))
@@ -240,7 +206,7 @@ def _clamp_motion(
 
 def step_dynamics(
     world: WorldState,
-    action: ActionVec,
+    action: np.ndarray,
     speed: float,
     nav_pos: np.ndarray | None = None,
     *,
@@ -287,20 +253,22 @@ def threat_vector(
     return clearance * unit(p_rel)
 
 
-def build_observation(pvt: PvtSolution, world: WorldState) -> Observation:
-    """Assemble the 9-vector observation from the estimated position."""
+def build_observation(pvt: PvtSolution, world: WorldState) -> np.ndarray:
+    """The finite 9-vector phi the policy sees, from the fix's position."""
     if not pvt.converged:
         raise NotConvergedError(
             f"position solution did not converge "
             f"(residual norm {pvt.final_residual_norm:.3g})"
         )
-    est = pvt.estimate.position
+    est = pvt.x[:3]
     phi = np.concatenate([
         threat_vector(est, world.obstacle_pos, world.obstacle_radius),
         world.goal - est,
         world.obstacle_vel,
     ])
-    return Observation(phi=phi)
+    if not _finite(phi):
+        raise ConfigurationError("phi must be a finite 9-vector")
+    return phi
 
 
 def reward(
@@ -397,8 +365,8 @@ def env_reset_full(
     seed: int,
     constellation: Constellation,
     noise_sigma: float = 0.0,
-) -> tuple[WorldState, Observation, PvtSolution]:
-    """Sample a fresh episode deterministically, exposing the initial fix."""
+) -> tuple[WorldState, np.ndarray, PvtSolution]:
+    """Sample a fresh episode deterministically: (world, phi, initial fix)."""
     rng = np.random.default_rng([seed, 0x5EED])
     start, goal = _sample_start_goal(cfg, rng)
     obstacle_pos, obstacle_vel = _place_obstacle(cfg, start, goal, rng)
@@ -414,9 +382,9 @@ def env_reset_full(
         t=0,
         dt=cfg.dt,
     )
-    truth = ReceiverEstimate(world.uav_pos_true, world.clock_bias_true)
-    meas = measure_pseudoranges(truth, constellation, noise_sigma, rng)
-    pvt = solve_pvt(meas, constellation, init=truth)
+    pos, bias = world.uav_pos_true, world.clock_bias_true
+    meas = measure_pseudoranges(pos, bias, constellation, noise_sigma, rng)
+    pvt = solve_pvt(meas, constellation, init=np.append(pos, bias))
     return world, build_observation(pvt, world), pvt
 
 
@@ -425,15 +393,15 @@ def env_reset(
     seed: int,
     constellation: Constellation,
     noise_sigma: float = 0.0,
-) -> tuple[WorldState, Observation]:
-    """Sample a fresh episode deterministically from the seed."""
-    world, obs, _ = env_reset_full(cfg, seed, constellation, noise_sigma)
-    return world, obs
+) -> tuple[WorldState, np.ndarray]:
+    """Sample a fresh episode deterministically from the seed: (world, phi)."""
+    world, phi, _ = env_reset_full(cfg, seed, constellation, noise_sigma)
+    return world, phi
 
 
 def env_step(
     world: WorldState,
-    action: ActionVec,
+    action: np.ndarray,
     constellation: Constellation,
     noise_sigma: float,
     spoof: AttackConfig | None = None,
@@ -441,18 +409,20 @@ def env_step(
     cfg: EnvConfig,
     rng: np.random.Generator | None = None,
     nav_pos: np.ndarray | None = None,
-    pvt_init: ReceiverEstimate | None = None,
-) -> tuple[WorldState, Observation, RewardBreakdown, bool, PvtSolution]:
+    pvt_init: np.ndarray | None = None,
+) -> tuple[WorldState, np.ndarray, RewardBreakdown, bool, PvtSolution]:
     """One full cycle: move, measure (or get spoofed), solve, observe, score.
 
-    Returns (next world, observation, reward, done, fix), where the fix
-    is the PvtSolution the observation was built from.  ``nav_pos`` feeds
-    the controller's believed position to the dynamics; ``pvt_init`` is
-    where the solver starts.  The study rollouts (`harness.run_episode`)
-    pass the episode's previous fix, so a study fix never starts from the
-    truth.  Training passes nothing and the solver falls back to the
-    truth, which any in-range initialization converges to at these
-    geometries; moving training off it would change the pinned checkpoint.
+    ``action`` is an in-bounds (rho0, sigma0, theta).  Returns (next
+    world, phi, reward, done, fix), where the fix is the PvtSolution the
+    9-vector phi was built from.  ``nav_pos`` feeds the controller's
+    believed position to the dynamics; ``pvt_init``, an (x, y, z, bias)
+    vector, is where the solver starts.  The study rollouts
+    (`harness.run_episode`) pass the episode's previous fix, so a study fix
+    never starts from the truth.  Training passes nothing and the solver
+    falls back to the truth, which any in-range initialization converges
+    to at these geometries; moving training off it would change the pinned
+    checkpoint.  From onset on the pseudoranges are spoofed, noiseless.
     """
     if noise_sigma > 0 and rng is None:
         raise ConfigurationError("noise_sigma > 0 requires an rng")
@@ -467,17 +437,17 @@ def env_step(
         bounds=cfg.bounds,
     )
 
-    truth = ReceiverEstimate(world_next.uav_pos_true, world_next.clock_bias_true)
-    phase = attack_alpha(world_next.t, spoof) if spoof is not None else None
-    if phase is not None and phase.active:
-        implied = spoof_position(world_next.uav_pos_true, phase, spoof)
-        meas = spoof_pseudoranges(implied, world_next.clock_bias_true, constellation)
+    pos, bias = world_next.uav_pos_true, world_next.clock_bias_true
+    alpha = attack_alpha(world_next.t, spoof) if spoof is not None else None
+    if alpha is None:
+        meas = measure_pseudoranges(pos, bias, constellation, noise_sigma, rng)
     else:
-        meas = measure_pseudoranges(truth, constellation, noise_sigma, rng)
+        implied = spoof_position(pos, alpha, spoof)
+        meas = spoof_pseudoranges(implied, bias, constellation)
 
-    init = pvt_init if pvt_init is not None else truth
+    init = pvt_init if pvt_init is not None else np.append(pos, bias)
     pvt = solve_pvt(meas, constellation, init=init)
-    obs = build_observation(pvt, world_next)
+    phi = build_observation(pvt, world_next)
 
     rb = reward(world_next, xi=cfg.threat_margin, goal_threshold=cfg.goal_threshold)
     done = rb.terminal_event in (TERM_COLLISION, TERM_GOAL)
@@ -485,4 +455,4 @@ def env_step(
         rb = dataclasses.replace(rb, terminal_event=TERM_TIMEOUT)
         done = True
 
-    return world_next, obs, rb, done, pvt
+    return world_next, phi, rb, done, pvt

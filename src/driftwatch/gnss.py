@@ -46,29 +46,10 @@ class Constellation:
 
 
 @dataclass(frozen=True)
-class ReceiverEstimate:
-    """Receiver state: position (meters) and clock bias (range-equivalent meters)."""
-
-    position: np.ndarray
-    clock_bias: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.position, [self.clock_bias]])
-
-    @classmethod
-    def from_vector(cls, v: np.ndarray) -> "ReceiverEstimate":
-        v = np.asarray(v, dtype=float)
-        return cls(position=v[:3], clock_bias=float(v[3]))
-
-
-@dataclass(frozen=True)
 class PvtSolution:
-    """Outcome of an iterative PVT solve."""
+    """Outcome of an iterative PVT solve; the fix `x` is (x, y, z, bias)."""
 
-    estimate: ReceiverEstimate
+    x: np.ndarray
     iterations: int
     final_residual_norm: float
     converged: bool
@@ -130,26 +111,28 @@ def _fill_jacobian(h: np.ndarray, sep: np.ndarray, ranges: np.ndarray) -> None:
 
 
 def predicted_pseudoranges(
-    est: ReceiverEstimate, constellation: Constellation
+    position: np.ndarray, clock_bias: float, constellation: Constellation
 ) -> np.ndarray:
-    """Model pseudoranges at the estimate: geometric range plus clock bias."""
-    _, ranges = _line_of_sight(est.position, constellation.positions)
-    return ranges + est.clock_bias
+    """Model pseudoranges at a receiver: geometric range plus clock bias."""
+    _, ranges = _line_of_sight(position, constellation.positions)
+    return ranges + clock_bias
 
 
 def measure_pseudoranges(
-    truth: ReceiverEstimate,
+    position: np.ndarray,
+    clock_bias: float,
     constellation: Constellation,
     noise_sigma: float,
     rng: np.random.Generator | None,
 ) -> np.ndarray:
-    """Simulate one epoch of pseudoranges (meters) with iid Gaussian noise.
+    """Simulate one epoch of pseudoranges (meters) with iid Gaussian noise
+    at the true position and clock bias (range-equivalent meters).
 
     `rng` is drawn from only when noise_sigma > 0, so it may be None at 0.
     """
     if noise_sigma < 0:
         raise ConfigurationError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    clean = predicted_pseudoranges(truth, constellation)
+    clean = predicted_pseudoranges(position, clock_bias, constellation)
     noise = rng.normal(0.0, noise_sigma, size=len(clean)) if noise_sigma > 0 else 0.0
     return clean + noise
 
@@ -230,16 +213,17 @@ def _well_conditioned(a: list) -> bool:
 def solve_pvt(
     measurements: np.ndarray,
     constellation: Constellation,
-    init: ReceiverEstimate | None = None,
+    init: np.ndarray | None = None,
     tol: float = 1e-4,
     max_iter: int = 20,
 ) -> PvtSolution:
     """Iterate Gauss-Newton steps from ``init`` (origin by default).
 
     ``measurements`` is a 1-D array of pseudoranges in meters, one per
-    satellite of ``constellation``.  Convergence means the last correction
-    norm fell below ``tol``.  The returned residuals are evaluated at the
-    final estimate.
+    satellite of ``constellation``.  ``init`` is a (4,) vector (x, y, z,
+    bias), which is copied, never written.  Convergence means the last
+    correction norm fell below ``tol``.  The returned fix ``x`` has the
+    same layout, and the residuals are evaluated at it.
     """
     if len(measurements) < 4:
         raise ConfigurationError(
@@ -250,7 +234,7 @@ def solve_pvt(
             f"{len(measurements)} measurements for {len(constellation)} satellites"
         )
     positions = constellation.positions
-    x = init.as_vector() if init is not None else np.zeros(4)
+    x = np.zeros(4) if init is None else np.array(init, dtype=float)
     h = np.ones((len(constellation), 4))
     converged = False
     iterations = 0
@@ -262,7 +246,7 @@ def solve_pvt(
     _, ranges = _line_of_sight(x[:3], positions)
     final = measurements - (ranges + x[3])
     return PvtSolution(
-        estimate=ReceiverEstimate.from_vector(x),
+        x=x,
         iterations=iterations,
         final_residual_norm=math.sqrt(final.dot(final)),
         converged=converged,

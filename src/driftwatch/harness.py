@@ -289,10 +289,10 @@ class _Flight:
     __slots__ = ("index", "seed", "attack", "rng", "world", "phi", "pvt",
                  "chunks", "n", "event")
 
-    def __init__(self, index, seed, attack, world, obs, pvt):
+    def __init__(self, index, seed, attack, world, phi, pvt):
         self.index, self.seed, self.attack = index, seed, attack
         self.rng = np.random.default_rng([seed, _TAG_MEAS])
-        self.world, self.phi, self.pvt = world, obs.phi, pvt
+        self.world, self.phi, self.pvt = world, phi, pvt
         self.chunks: list[np.ndarray] = []
         self.n = 0
         self.event = ""
@@ -315,9 +315,7 @@ class _Flight:
         alpha = np.zeros(n)
         if self.attack is not None:
             for t in range(n):
-                phase = attack_alpha(t, self.attack)
-                if phase.active:
-                    alpha[t] = phase.alpha
+                alpha[t] = attack_alpha(t, self.attack) or 0.0
         return EpisodeLog(
             seed=self.seed,
             config_hash=config_hash,
@@ -379,19 +377,17 @@ def run_episode(
     while running:
         rows = np.empty((len(running), _WIDTH))
         rows[:, _PHI] = [f.phi for f in running]
-        actions = agent.act(rows[:, _PHI])
-        rows[:, _ACT] = [(a.rho0, a.sigma0, a.theta) for a in actions]
+        rows[:, _ACT] = agent.act(rows[:, _PHI])
         rows[:, _TRUE] = [f.world.uav_pos_true for f in running]
-        rows[:, _EST] = [f.pvt.estimate.position for f in running]
+        rows[:, _EST] = [f.pvt.x[:3] for f in running]
         rows[:, _RMS] = [ResidualThreshold.statistic(f.pvt) for f in running]
         rewards = []
-        for f, action in zip(running, actions):
-            f.world, obs, rb, done, f.pvt = env_step(
+        for f, action in zip(running, rows[:, _ACT]):
+            f.world, f.phi, rb, done, f.pvt = env_step(
                 f.world, action, constellation, noise_sigma,
                 f.attack, cfg=env_cfg, rng=f.rng,
-                nav_pos=f.pvt.estimate.position, pvt_init=f.pvt.estimate,
+                nav_pos=f.pvt.x[:3], pvt_init=f.pvt.x,
             )
-            f.phi = obs.phi
             rewards.append((rb.collision, rb.threat, rb.goal_seek, rb.total))
             if done:
                 f.event = rb.terminal_event

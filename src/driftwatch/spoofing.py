@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .gnss import Constellation, ReceiverEstimate, predicted_pseudoranges
+from .gnss import Constellation, predicted_pseudoranges
 
 
 @dataclass(frozen=True)
@@ -39,34 +39,23 @@ class AttackConfig:
         return np.array(self.target, dtype=float)
 
 
-@dataclass(frozen=True)
-class AttackPhase:
-    """Interpolation progress at one step."""
+def attack_alpha(t: int, cfg: AttackConfig) -> float | None:
+    """Interpolation weight at step t: None (measure honestly) before onset.
 
-    alpha: float
-    active: bool
-
-
-def attack_alpha(t: int, cfg: AttackConfig) -> AttackPhase:
-    """Interpolation weight at step t: 0 before onset, ramping to 1.
-
-    The ramp is (t - t_start) / drift_duration, saturated at 1, so a
-    drift_duration of 1 realizes an abrupt jump one step after onset.
+    The ramp is (t - t_start) / drift_duration, saturated at 1, so the
+    onset step itself is spoofed with weight 0.0, and a drift_duration of 1
+    realizes an abrupt jump one step after onset.
     """
     if not cfg.enabled or t < cfg.t_start:
-        return AttackPhase(alpha=0.0, active=False)
-    alpha = min(1.0, (t - cfg.t_start) / cfg.drift_duration)
-    return AttackPhase(alpha=alpha, active=True)
+        return None
+    return min(1.0, (t - cfg.t_start) / cfg.drift_duration)
 
 
 def spoof_position(
-    true_pos: np.ndarray, phase: AttackPhase, cfg: AttackConfig
+    true_pos: np.ndarray, alpha: float, cfg: AttackConfig
 ) -> np.ndarray:
     """Convex combination of the live true position and the attack target."""
-    true_pos = np.asarray(true_pos, dtype=float)
-    if not phase.active:
-        return true_pos
-    return (1.0 - phase.alpha) * true_pos + phase.alpha * cfg.target_array
+    return (1.0 - alpha) * true_pos + alpha * cfg.target_array
 
 
 def spoof_pseudoranges(
@@ -74,5 +63,9 @@ def spoof_pseudoranges(
     bias: float,
     constellation: Constellation,
 ) -> np.ndarray:
-    """Fabricate noiseless pseudoranges exactly consistent with ``spoof_pos``."""
-    return predicted_pseudoranges(ReceiverEstimate(spoof_pos, bias), constellation)
+    """Fabricate noiseless pseudoranges exactly consistent with ``spoof_pos``.
+
+    This is the range model; it stays a named call that `env.env_step` looks
+    up so that a profiler (perfbench's tracer) times the attack's path alone.
+    """
+    return predicted_pseudoranges(spoof_pos, bias, constellation)

@@ -1,8 +1,10 @@
 """Single-step solver helpers that the tests use as oracles for solve_pvt.
 
 `residuals`, `jacobian` and `ls_step` expose one Gauss-Newton step of the
-package's solver piece by piece.  Measurements are 1-D pseudorange arrays
-in meters, as `solve_pvt` takes them.
+package's solver piece by piece.  A receiver state `x` is the (4,) vector
+(x, y, z, clock bias) in meters that `solve_pvt` takes as `init` and
+returns as `PvtSolution.x`.  Measurements are 1-D pseudorange arrays in
+meters, as `solve_pvt` takes them.
 """
 
 import numpy as np
@@ -10,7 +12,6 @@ import numpy as np
 from driftwatch.errors import ConfigurationError
 from driftwatch.gnss import (
     Constellation,
-    ReceiverEstimate,
     _fill_jacobian,
     _gauss_newton_step,
     _line_of_sight,
@@ -26,35 +27,34 @@ def _check_lengths(measurements: np.ndarray, constellation: Constellation) -> No
 
 
 def residuals(
-    est: ReceiverEstimate,
+    x: np.ndarray,
     measurements: np.ndarray,
     constellation: Constellation,
 ) -> np.ndarray:
     """Measured minus modeled pseudoranges at the current estimate."""
     _check_lengths(measurements, constellation)
-    return measurements - predicted_pseudoranges(est, constellation)
+    return measurements - predicted_pseudoranges(x[:3], x[3], constellation)
 
 
-def jacobian(est: ReceiverEstimate, constellation: Constellation) -> np.ndarray:
+def jacobian(x: np.ndarray, constellation: Constellation) -> np.ndarray:
     """Jacobian of modeled pseudoranges w.r.t. (x, y, z, bias), shape (N, 4).
 
     Row i is the unit line-of-sight vector from satellite i toward the
     receiver, with a constant 1 in the bias column.
     """
     h = np.ones((len(constellation), 4))
-    _fill_jacobian(h, *_line_of_sight(est.position, constellation.positions))
+    _fill_jacobian(h, *_line_of_sight(x[:3], constellation.positions))
     return h
 
 
 def ls_step(
-    est: ReceiverEstimate,
+    x: np.ndarray,
     measurements: np.ndarray,
     constellation: Constellation,
-) -> tuple[ReceiverEstimate, float]:
+) -> tuple[np.ndarray, float]:
     """One Gauss-Newton correction; returns the new estimate and correction norm."""
     _check_lengths(measurements, constellation)
-    x, step_norm = _gauss_newton_step(
-        est.as_vector(), measurements, constellation.positions,
+    return _gauss_newton_step(
+        np.asarray(x, dtype=float), measurements, constellation.positions,
         np.ones((len(constellation), 4)),
     )
-    return ReceiverEstimate.from_vector(x), step_norm

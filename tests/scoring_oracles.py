@@ -20,14 +20,15 @@ from driftwatch.detectors import AgeProfile
 
 
 def q_value_row(agent, phi, action) -> float:
-    """Critic value of one observation and one ActionVec, as a 12-vector."""
+    """Critic value of one observation and one (3,) action, as a 12-vector."""
     # obs / scales and (a - centre) / half, written into one input row
     x = np.empty(OBS_DIM + ACT_DIM)
     np.divide(phi, agent.obs_scales, out=x[:OBS_DIM])
     (c0, c1, c2), (h0, h1, h2) = ACTION_CENTER.tolist(), ACTION_HALF.tolist()
-    x[OBS_DIM] = (action.rho0 - c0) / h0
-    x[OBS_DIM + 1] = (action.sigma0 - c1) / h1
-    x[OBS_DIM + 2] = (action.theta - c2) / h2
+    rho0, sigma0, theta = np.asarray(action, dtype=float).tolist()
+    x[OBS_DIM] = (rho0 - c0) / h0
+    x[OBS_DIM + 1] = (sigma0 - c1) / h1
+    x[OBS_DIM + 2] = (theta - c2) / h2
     return float(agent.critic.forward(x)[0])
 
 

@@ -25,7 +25,6 @@ from driftwatch.detectors import (
     bocpd_update,
 )
 from driftwatch.gnss import (
-    ReceiverEstimate,
     make_constellation,
     predicted_pseudoranges,
     solve_pvt,
@@ -77,10 +76,9 @@ def test_criterion_01_pvt_accuracy(pipeline):
     for _ in range(100):
         truth = rng.uniform((0, 0, 0), cfg.env.bounds)
         bias = rng.uniform(-100.0, 100.0)
-        clean = predicted_pseudoranges(ReceiverEstimate(truth, bias),
-                                       constellation)
+        clean = predicted_pseudoranges(truth, bias, constellation)
         sol = solve_pvt(clean, constellation)
-        err = float(np.linalg.norm(sol.estimate.position - truth))
+        err = float(np.linalg.norm(sol.x[:3] - truth))
         worst_err = max(worst_err, err)
         worst_iters = max(worst_iters, sol.iterations)
     elapsed = time.perf_counter() - t0
@@ -97,19 +95,17 @@ def test_criterion_02_gradient_oracles(pipeline):
     for _ in range(100):
         pos = rng.uniform((0, 0, 0), cfg.env.bounds)
         bias = rng.uniform(-100.0, 100.0)
-        jac = jacobian(ReceiverEstimate(pos, bias), constellation)
+        jac = jacobian(np.append(pos, bias), constellation)
         # ranges are ~2e7 m; a 1 m step keeps cancellation error ~1e-9
         # while curvature contributes O(eps^2 / r^2), far below tolerance
         eps = 1.0
         for k in range(4):
             dvec = np.zeros(4)
             dvec[k] = eps
-            plus = predicted_pseudoranges(
-                ReceiverEstimate(pos + dvec[:3], bias + dvec[3]),
-                constellation)
-            minus = predicted_pseudoranges(
-                ReceiverEstimate(pos - dvec[:3], bias - dvec[3]),
-                constellation)
+            plus = predicted_pseudoranges(pos + dvec[:3], bias + dvec[3],
+                                          constellation)
+            minus = predicted_pseudoranges(pos - dvec[:3], bias - dvec[3],
+                                           constellation)
             fd = (plus - minus) / (2 * eps)
             rel = np.abs(jac[:, k] - fd) / np.maximum(np.abs(fd), 1.0)
             worst_jac = max(worst_jac, float(rel.max()))

@@ -176,6 +176,25 @@ class TestChainArtifacts:
         assert any("t_start" in ln for ln in header_meta)
 
 
+    def test_profile_with_a_fixed_threshold(self, chain, tmp_path, capsys):
+        """calibrate_tau false: the bank keeps bocpd_tau, and profile prints
+        the calibration rate as nan and exits 0."""
+        cfg = tiny_config()
+        cfg = dataclasses.replace(cfg, detectors=dataclasses.replace(
+            cfg.detectors, calibrate_tau=False, bocpd_tau=9))
+        path = tmp_path / "fixed.json"
+        save_config(cfg, path)
+        capsys.readouterr()
+        rc = main(["profile", "--config", str(path), "--seed", "5",
+                   "--out", str(tmp_path),
+                   "--checkpoint", str(chain / "checkpoint.npz")])
+        assert rc == 0
+        assert ("frozen run-length threshold: 9 "
+                "(nominal false-flag episode rate nan)"
+                in capsys.readouterr().out)
+        assert json.loads((tmp_path / "bank.json").read_text())["tau"] == 9
+
+
 class TestDeterminism:
     def test_chain_rerun_is_byte_identical(self, cfg_path, chain,
                                            tmp_path_factory):

@@ -19,7 +19,7 @@ from driftwatch.ddpg import (
     train,
     train_step,
 )
-from driftwatch.env import ACTION_HIGH, ACTION_LOW, ActionVec
+from driftwatch.env import ACTION_HIGH, ACTION_LOW
 from driftwatch.errors import ConfigurationError, CorruptCheckpointError
 from driftwatch.nets import Adam
 from scoring_oracles import q_value_row
@@ -49,8 +49,8 @@ def test_act_deterministic_without_noise():
     phi = random_phi(np.random.default_rng(2))[None]
     a1 = agent.act(phi)
     a2 = agent.act(phi)
-    assert len(a1) == 1 and isinstance(a1[0], ActionVec)
-    assert a1 == a2
+    assert a1.shape == (1, 3) and a1.dtype == np.float64
+    assert a1.tobytes() == a2.tobytes()
 
 
 def test_act_requires_rng_with_noise():
@@ -64,12 +64,11 @@ def test_act_always_within_bounds():
     rng = np.random.default_rng(3)
     for _ in range(200):
         [a] = agent.act(random_phi(rng)[None], noise_scale=1.5, rng=rng)
-        assert np.all(a.as_array() >= ACTION_LOW - 1e-12)
-        assert np.all(a.as_array() <= ACTION_HIGH + 1e-12)
+        assert np.all(a >= ACTION_LOW - 1e-12)
+        assert np.all(a <= ACTION_HIGH + 1e-12)
     batch = agent.act(rng.normal(scale=300.0, size=(200, 9)),
                       noise_scale=1.5, rng=rng)
-    assert len(batch) == 200
-    batch = np.array([a.as_array() for a in batch])
+    assert batch.shape == (200, 3)
     assert np.all((batch >= ACTION_LOW) & (batch <= ACTION_HIGH))
 
 
@@ -88,13 +87,12 @@ def test_act_and_q_value_match_reference_bit_for_bit():
         if scale > 0.0:
             raw = raw + np.random.default_rng(seed).normal(0.0, scale, size=3)
         expected = np.clip(raw, ACTION_LOW, ACTION_HIGH)
-        assert got.as_array().tobytes() == expected.tobytes()
-        x = np.concatenate([phi / agent.obs_scales,
-                            normalize_action(got.as_array())])
+        assert got.tobytes() == expected.tobytes()
+        x = np.concatenate([phi / agent.obs_scales, normalize_action(got)])
         want = float(agent.critic.forward(x)[0])
         assert q_value_row(agent, phi, got) == want
         # a batch of one row runs the very same forward
-        assert agent.q_value(phi[None], got.as_array()[None])[0] == want
+        assert agent.q_value(phi[None], got[None])[0] == want
 
 
 @pytest.mark.parametrize("n", [2, 5, 40, 64, 65])
@@ -105,11 +103,9 @@ def test_batched_act_matches_one_row_acts(n):
     rng = np.random.default_rng(n)
     phi = rng.normal(scale=300.0, size=(n, 9))
     got = agent.act(phi)
-    want = [a for row in phi for a in agent.act(row[None])]
-    assert len(got) == n
-    np.testing.assert_allclose([a.as_array() for a in got],
-                               [a.as_array() for a in want],
-                               rtol=1e-12, atol=1e-15)
+    want = np.array([agent.act(row[None])[0] for row in phi])
+    assert got.shape == (n, 3)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 63, 64, 65, 500])
@@ -118,9 +114,8 @@ def test_batched_q_value_matches_per_row_oracle(n):
     agent = fresh_agent(hidden=(64, 64))
     rng = np.random.default_rng(n)
     phi = rng.normal(scale=300.0, size=(n, 9))
-    actions = [ActionVec.from_array(a)
-               for a in rng.uniform(ACTION_LOW, ACTION_HIGH, size=(n, 3))]
-    got = agent.q_value(phi, np.array([a.as_array() for a in actions]))
+    actions = rng.uniform(ACTION_LOW, ACTION_HIGH, size=(n, 3))
+    got = agent.q_value(phi, actions)
     want = np.array([q_value_row(agent, p, a) for p, a in zip(phi, actions)])
     assert got.shape == (n,)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
@@ -141,12 +136,10 @@ def test_act_noise_statistics():
     agent = fresh_agent()  # small final init puts the policy near the center
     rng = np.random.default_rng(4)
     phi = np.zeros(9)
-    base = agent.act(phi[None])[0].as_array()
+    base = agent.act(phi[None])[0]
     assert np.all(base > ACTION_LOW + 0.5) and np.all(base < ACTION_HIGH - 0.5)
-    draws = np.array([
-        a.as_array() for a in agent.act(np.tile(phi, (10_000, 1)),
-                                        noise_scale=0.3, rng=rng)
-    ]) - base
+    draws = agent.act(np.tile(phi, (10_000, 1)), noise_scale=0.3,
+                      rng=rng) - base
     stds = draws.std(axis=0)
     np.testing.assert_allclose(stds, 0.3, rtol=0.1)
     assert np.abs(draws.mean(axis=0)).max() < 0.02
@@ -311,7 +304,7 @@ def test_checkpoint_round_trip(tmp_path):
     actions = rng.uniform(ACTION_LOW, ACTION_HIGH, size=(5, 3))
     assert np.array_equal(agent.q_value(phi, actions),
                           loaded.q_value(phi, actions))
-    assert agent.act(phi) == loaded.act(phi)
+    assert np.array_equal(agent.act(phi), loaded.act(phi))
 
 
 def test_checkpoint_truncated_file(tmp_path):

@@ -1,7 +1,7 @@
 """The short narrative demos run to completion against the package.
 
 `demos/05_end_to_end_benchmark.py` trains an agent and takes about half a
-minute, so it is left out.
+minute, so it is left out here; CI runs it and checks its exit code.
 """
 
 import os

@@ -26,7 +26,6 @@ from driftwatch.errors import (
     InsufficientDataError,
 )
 from driftwatch.gnss import (
-    ReceiverEstimate,
     make_constellation,
     measure_pseudoranges,
     solve_pvt,
@@ -711,16 +710,15 @@ def constellation():
 
 def score_fixes(det, fixes):
     """(flags, statistics) of a list of fixes, as one episode."""
-    positions = np.array([pvt.estimate.position for pvt in fixes])
+    positions = np.array([pvt.x[:3] for pvt in fixes])
     rms = np.array([ResidualThreshold.statistic(pvt) for pvt in fixes])
     return det.score(positions, rms)
 
 
 class TestResidualThreshold:
     def solve_at(self, constellation, position, noise_sigma=0.0, rng=None):
-        truth = ReceiverEstimate(position=np.asarray(position, dtype=float),
-                                 clock_bias=12.0)
-        meas = measure_pseudoranges(truth, constellation, noise_sigma, rng)
+        meas = measure_pseudoranges(np.asarray(position, dtype=float), 12.0,
+                                    constellation, noise_sigma, rng)
         return solve_pvt(meas, constellation)
 
     def test_clean_solution_stays_quiet(self, constellation):
@@ -737,8 +735,8 @@ class TestResidualThreshold:
         assert not score_fixes(det, fixes)[0].any()
 
     def test_inconsistent_measurements_flag(self, constellation):
-        truth = ReceiverEstimate(position=np.array([0.0, 0.0, 100.0]))
-        meas = measure_pseudoranges(truth, constellation, 0.0, None)
+        meas = measure_pseudoranges(np.array([0.0, 0.0, 100.0]), 0.0,
+                                    constellation, 0.0, None)
         values = meas.copy()
         values[:3] += 30.0  # corrupt three of eight channels
         pvt = solve_pvt(values, constellation)
@@ -772,13 +770,13 @@ class TestResidualThreshold:
         for pvt, flag, statistic in zip(fixes, flags, stats):
             stat = pvt.final_residual_norm / np.sqrt(len(pvt.residuals))
             jump = (0.0 if prev is None
-                    else float(np.linalg.norm(pvt.estimate.position - prev)))
+                    else float(np.linalg.norm(pvt.x[:3] - prev)))
             assert statistic == float(stat)
             assert flag == ((stat > det.threshold) or (jump > 50.0))
-            assert (flag, statistic) == oracle.update(pvt.estimate.position,
+            assert (flag, statistic) == oracle.update(pvt.x[:3],
                                                       float(stat))
             jumped += jump > 50.0
-            prev = pvt.estimate.position.copy()
+            prev = pvt.x[:3].copy()
         assert 0 < jumped < 200
 
     def test_parameter_validation(self):
@@ -807,8 +805,26 @@ def trained():
 class TestWindowAutoencoder:
     def test_requires_enough_windows(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(InsufficientDataError, match="got 207"):
             window_ae_train(make_streams(rng, 3, 100))
+        # no stream reaches the window: nothing to stack, still too little data
+        with pytest.raises(InsufficientDataError, match="got 0"):
+            window_ae_train(make_streams(rng, 3, 20), window=32)
+        with pytest.raises(InsufficientDataError, match="got 0"):
+            window_ae_train([], window=32)
+
+    def test_training_windows_are_the_sliding_slices(self):
+        """The training set stacks every window of every stream, in stream
+        order, as a slice loop builds it: same rows, mean and std, bit for
+        bit; streams shorter than the window add none."""
+        rng = np.random.default_rng(3)
+        streams = make_streams(rng, 6, 150) + [rng.normal(size=10)]
+        model, _ = window_ae_train(streams, window=32, epochs=1)
+        slices = np.stack([s[i:i + 32] for s in streams
+                           for i in range(len(s) - 32 + 1)])
+        assert len(slices) == 6 * (150 - 31)
+        assert model.mean == float(slices.mean())
+        assert model.std == float(max(slices.std(), 1e-6))
 
     def test_training_curve_decreases(self, trained):
         _, curve, _, _ = trained

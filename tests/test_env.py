@@ -13,10 +13,9 @@ from driftwatch.env import (
     TERM_GOAL,
     TERM_NONE,
     TERM_TIMEOUT,
-    ActionVec,
-    Observation,
     WorldState,
     build_observation,
+    clip_action,
     env_reset,
     env_step,
     flow_field_matrices,
@@ -30,11 +29,7 @@ from driftwatch.errors import (
     DegenerateGeometryError,
     NotConvergedError,
 )
-from driftwatch.gnss import (
-    PvtSolution,
-    ReceiverEstimate,
-    make_constellation,
-)
+from driftwatch.gnss import PvtSolution, make_constellation
 from driftwatch.spoofing import AttackConfig
 
 
@@ -61,20 +56,23 @@ def make_world(**overrides) -> WorldState:
 
 
 def exact_pvt(position, bias=0.0) -> PvtSolution:
-    est = ReceiverEstimate(np.asarray(position, dtype=float), bias)
-    return PvtSolution(estimate=est, iterations=1, final_residual_norm=0.0,
-                       converged=True, residuals=np.zeros(8))
+    return PvtSolution(x=np.append(position, bias), iterations=1,
+                       final_residual_norm=0.0, converged=True,
+                       residuals=np.zeros(8))
+
+
+def action(rho0, sigma0, theta) -> np.ndarray:
+    return np.array([rho0, sigma0, theta], dtype=float)
 
 
 def test_action_clamping():
-    a = ActionVec(rho0=5.0, sigma0=0.01, theta=7.0)
-    assert a.rho0 == 3.0
-    assert a.sigma0 == 0.1
-    assert np.isclose(a.theta, np.pi)
-    b = ActionVec(1.2, 2.5, -0.7)
-    np.testing.assert_array_equal(b.as_array(), [1.2, 2.5, -0.7])
-    c = ActionVec.from_array(np.array([0.5, 0.5, 0.0]))
-    assert (c.rho0, c.sigma0, c.theta) == (0.5, 0.5, 0.0)
+    a = clip_action(action(5.0, 0.01, 7.0))
+    assert a[0] == 3.0
+    assert a[1] == 0.1
+    assert np.isclose(a[2], np.pi)
+    np.testing.assert_array_equal(clip_action(action(1.2, 2.5, -0.7)),
+                                  [1.2, 2.5, -0.7])
+    assert clip_action(action(0.5, 0.5, 0.0)).tolist() == [0.5, 0.5, 0.0]
 
 
 @pytest.mark.parametrize("values", [
@@ -84,15 +82,32 @@ def test_action_clamping():
 ])
 def test_action_clamp_matches_np_clip(values):
     """Finite, out-of-bounds and NaN components clamp as np.clip would."""
-    a = ActionVec(*values)
+    got = clip_action(np.array(values))
     expected = np.clip(list(values), ACTION_LOW, ACTION_HIGH)
-    got = np.array([a.rho0, a.sigma0, a.theta])
     assert got.tobytes() == expected.tobytes()
-    assert all(type(v) is float for v in (a.rho0, a.sigma0, a.theta))
+    assert got.dtype == np.float64 and got.shape == (3,)
+
+
+@pytest.mark.parametrize("rows", [1, 200])
+def test_clip_action_matches_np_clip_row_by_row(rows):
+    """A (B, 3) batch of in-range, out-of-range, NaN and +-inf rows clamps
+    as np.clip clamps it, bit for bit."""
+    rng = np.random.default_rng(rows)
+    raw = rng.uniform(-10.0, 10.0, size=(rows, 3))
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0])
+    mask = rng.uniform(size=raw.shape) < 0.3
+    raw[mask] = rng.choice(special, size=int(mask.sum()))
+    if rows == 1:
+        raw[0] = (np.nan, np.inf, -np.inf)
+    got = clip_action(raw)
+    assert got.shape == (rows, 3)
+    assert got.tobytes() == np.clip(raw, ACTION_LOW, ACTION_HIGH).tobytes()
+    inside = rng.uniform(ACTION_LOW, ACTION_HIGH, size=(rows, 3))
+    assert clip_action(inside).tobytes() == inside.tobytes()
 
 
 def test_flow_field_vanishes_far_away():
-    a = ActionVec(1.0, 1.0, 0.0)
+    a = action(1.0, 1.0, 0.0)
     m_rep, m_tan = flow_field_matrices(
         np.array([1e6, 0.0, 0.0]), np.zeros(3), 30.0, a
     )
@@ -102,7 +117,7 @@ def test_flow_field_vanishes_far_away():
 
 def test_flow_field_cancels_normal_at_surface():
     """At the obstacle surface the repulsive matrix removes the full normal."""
-    a = ActionVec(1.0, 1.0, 0.0)
+    a = action(1.0, 1.0, 0.0)
     pos = np.array([30.0, 0.0, 0.0])
     m_rep, _ = flow_field_matrices(pos, np.zeros(3), 30.0, a)
     n = 2.0 * pos / 30.0**2
@@ -118,8 +133,8 @@ def test_flow_field_matrix_properties_sweep():
         center = rng.uniform(-200, 200, size=3)
         if np.linalg.norm(pos - center) < 1.0:
             continue
-        a = ActionVec(rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0),
-                      rng.uniform(-np.pi, np.pi))
+        a = action(rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0),
+                   rng.uniform(-np.pi, np.pi))
         m_rep, m_tan = flow_field_matrices(pos, center, 30.0, a)
         np.testing.assert_allclose(m_rep, m_rep.T, atol=1e-12)
         eigs = np.linalg.eigvalsh(m_rep)
@@ -134,7 +149,7 @@ def test_flow_field_theta_rotates_tangent():
     outs = []
     for theta in (0.0, np.pi / 2):
         _, m_tan = flow_field_matrices(pos, np.zeros(3), 60.0,
-                                       ActionVec(1.0, 1.0, theta))
+                                       action(1.0, 1.0, theta))
         outs.append(unit(m_tan @ np.array([1.0, 0.0, 0.0])))
     # rotating the tangent reference by 90 degrees about +x swaps its direction
     assert abs(outs[0] @ outs[1]) < 1e-9
@@ -142,12 +157,12 @@ def test_flow_field_theta_rotates_tangent():
 
 def test_flow_field_degenerate():
     with pytest.raises(DegenerateGeometryError):
-        flow_field_matrices(np.zeros(3), np.zeros(3), 10.0, ActionVec(1, 1, 0))
+        flow_field_matrices(np.zeros(3), np.zeros(3), 10.0, action(1, 1, 0))
 
 
 def test_straight_line_step_without_obstacle():
     world = make_world(obstacle_pos=np.array([1e9, 1e9, 1e9]))
-    nxt = step_dynamics(world, ActionVec(1.0, 1.0, 0.0), speed=10.0)
+    nxt = step_dynamics(world, action(1.0, 1.0, 0.0), speed=10.0)
     expected = world.uav_pos_true + 1.0 * 10.0 * unit(world.goal - world.uav_pos_true)
     np.testing.assert_allclose(nxt.uav_pos_true, expected, atol=1e-9)
     assert nxt.t == 1
@@ -158,7 +173,7 @@ def test_uav_at_goal_stays_put():
         uav_pos_true=np.array([1000.0, 0.0, 100.0]),
         obstacle_pos=np.array([1e9, 1e9, 1e9]),
     )
-    nxt = step_dynamics(world, ActionVec(1.0, 1.0, 0.0), speed=10.0)
+    nxt = step_dynamics(world, action(1.0, 1.0, 0.0), speed=10.0)
     np.testing.assert_array_equal(nxt.uav_pos_true, world.uav_pos_true)
 
 
@@ -167,7 +182,7 @@ def test_goal_distance_strictly_decreases_without_obstacle():
                        goal=np.array([400.0, 300.0, 120.0]))
     prev = np.linalg.norm(world.goal - world.uav_pos_true)
     for _ in range(200):
-        world = step_dynamics(world, ActionVec(1.0, 1.0, 0.0), speed=10.0)
+        world = step_dynamics(world, action(1.0, 1.0, 0.0), speed=10.0)
         d = np.linalg.norm(world.goal - world.uav_pos_true)
         if prev <= 10.0:
             break
@@ -183,7 +198,7 @@ def test_obstacle_avoidance_action_grid():
                 world = make_world()
                 min_d = np.inf
                 for _ in range(150):
-                    world = step_dynamics(world, ActionVec(rho0, sigma0, theta),
+                    world = step_dynamics(world, action(rho0, sigma0, theta),
                                           speed=10.0)
                     min_d = min(min_d, np.linalg.norm(
                         world.uav_pos_true - world.obstacle_pos))
@@ -193,7 +208,7 @@ def test_obstacle_avoidance_action_grid():
 def test_climb_rate_clamp():
     world = make_world(goal=np.array([0.0, 0.0, 1000.0]),
                        obstacle_pos=np.array([1e9, 1e9, 1e9]))
-    nxt = step_dynamics(world, ActionVec(1, 1, 0), speed=10.0,
+    nxt = step_dynamics(world, action(1, 1, 0), speed=10.0,
                         climb_rate_limit=3.0)
     assert nxt.uav_vel[2] <= 3.0 + 1e-12
     assert np.isclose(nxt.uav_pos_true[2] - world.uav_pos_true[2], 3.0)
@@ -206,7 +221,7 @@ def test_heading_rate_clamp():
         goal=np.array([-1000.0, 1.0, 100.0]),
         obstacle_pos=np.array([1e9, 1e9, 1e9]),
     )
-    nxt = step_dynamics(world, ActionVec(1, 1, 0), speed=10.0,
+    nxt = step_dynamics(world, action(1, 1, 0), speed=10.0,
                         heading_rate_limit_deg=30.0)
     h_prev = world.uav_vel[:2]
     h_new = nxt.uav_vel[:2]
@@ -218,8 +233,8 @@ def test_speed_never_exceeds_commanded():
     rng = np.random.default_rng(5)
     world = make_world(obstacle_vel=np.array([2.0, 1.0, 0.0]))
     for _ in range(100):
-        a = ActionVec(rng.uniform(0.1, 3), rng.uniform(0.1, 3),
-                      rng.uniform(-np.pi, np.pi))
+        a = action(rng.uniform(0.1, 3), rng.uniform(0.1, 3),
+                   rng.uniform(-np.pi, np.pi))
         world = step_dynamics(world, a, speed=10.0)
         assert np.linalg.norm(world.uav_vel) <= 10.0 + 1e-9
 
@@ -229,7 +244,7 @@ def test_obstacle_reflects_at_bounds():
         obstacle_pos=np.array([998.0, 500.0, 100.0]),
         obstacle_vel=np.array([5.0, 0.0, 0.0]),
     )
-    nxt = step_dynamics(world, ActionVec(1, 1, 0), speed=10.0,
+    nxt = step_dynamics(world, action(1, 1, 0), speed=10.0,
                         bounds=(1000.0, 1000.0, 300.0))
     assert np.isclose(nxt.obstacle_pos[0], 997.0)
     assert nxt.obstacle_vel[0] == -5.0
@@ -260,20 +275,20 @@ def test_observation_layout():
     world = make_world(obstacle_vel=np.array([1.0, -2.0, 0.5]))
     est_pos = np.array([10.0, 5.0, 95.0])
     obs = build_observation(exact_pvt(est_pos), world)
-    assert obs.phi.shape == (9,)
+    assert obs.shape == (9,)
     np.testing.assert_allclose(
-        obs.phi[:3],
+        obs[:3],
         threat_vector(est_pos, world.obstacle_pos, world.obstacle_radius),
     )
-    np.testing.assert_allclose(obs.phi[3:6], world.goal - est_pos)
-    np.testing.assert_allclose(obs.phi[6:9], world.obstacle_vel)
+    np.testing.assert_allclose(obs[3:6], world.goal - est_pos)
+    np.testing.assert_allclose(obs[6:9], world.obstacle_vel)
 
 
 def test_observation_zero_blocks():
     world = make_world()
     obs = build_observation(exact_pvt(world.goal), world)
-    np.testing.assert_array_equal(obs.phi[3:6], np.zeros(3))
-    np.testing.assert_array_equal(obs.phi[6:9], np.zeros(3))
+    np.testing.assert_array_equal(obs[3:6], np.zeros(3))
+    np.testing.assert_array_equal(obs[6:9], np.zeros(3))
 
 
 def test_observation_rejects_nonconverged():
@@ -340,7 +355,7 @@ def test_env_reset_determinism(cons):
     w2, o2 = env_reset(cfg, seed=9, constellation=cons, noise_sigma=2.0)
     np.testing.assert_array_equal(w1.uav_pos_true, w2.uav_pos_true)
     np.testing.assert_array_equal(w1.obstacle_vel, w2.obstacle_vel)
-    np.testing.assert_array_equal(o1.phi, o2.phi)
+    np.testing.assert_array_equal(o1, o2)
     w3, _ = env_reset(cfg, seed=10, constellation=cons, noise_sigma=2.0)
     assert not np.allclose(w1.uav_pos_true, w3.uav_pos_true)
 
@@ -378,22 +393,21 @@ def test_env_reset_impossible_separation():
 def test_env_step_estimate_matches_truth_without_noise(cons):
     cfg = EnvConfig()
     world, _ = env_reset(cfg, seed=3, constellation=cons)
-    action = ActionVec(1.0, 1.0, 0.0)
     world2, obs, rb, done, pvt = env_step(
-        world, action, cons, noise_sigma=0.0, cfg=cfg
+        world, action(1.0, 1.0, 0.0), cons, noise_sigma=0.0, cfg=cfg
     )
     assert not done
-    assert np.linalg.norm(pvt.estimate.position - world2.uav_pos_true) < 1e-6
+    assert np.linalg.norm(pvt.x[:3] - world2.uav_pos_true) < 1e-6
     rebuilt = build_observation(exact_pvt(world2.uav_pos_true), world2)
-    np.testing.assert_allclose(obs.phi, rebuilt.phi, atol=1e-5)
+    np.testing.assert_allclose(obs, rebuilt, atol=1e-5)
 
 
 def test_env_step_timeout(cons):
     cfg = EnvConfig(max_steps=3)
     world, _ = env_reset(cfg, seed=3, constellation=cons)
-    action = ActionVec(1.0, 1.0, 0.0)
+    a = action(1.0, 1.0, 0.0)
     for expected_done in (False, False, True):
-        world, _, rb, done, _ = env_step(world, action, cons, 0.0, cfg=cfg)
+        world, _, rb, done, _ = env_step(world, a, cons, 0.0, cfg=cfg)
         assert done == expected_done
     assert rb.terminal_event == TERM_TIMEOUT
 
@@ -403,9 +417,9 @@ def test_env_step_spoof_pulls_estimate_to_target(cons):
     attack = AttackConfig(t_start=0, drift_duration=1, target=(0.0, 0.0, 0.0),
                           enabled=True)
     world, _ = env_reset(cfg, seed=4, constellation=cons)
-    action = ActionVec(1.0, 1.0, 0.0)
-    world, obs, rb, done, _ = env_step(world, action, cons, 0.0, attack, cfg=cfg)
-    est = world.goal - obs.phi[3:6]
+    world, obs, rb, done, _ = env_step(world, action(1.0, 1.0, 0.0), cons, 0.0,
+                                       attack, cfg=cfg)
+    est = world.goal - obs[3:6]
     assert np.linalg.norm(est) < 1e-3
     assert np.linalg.norm(world.uav_pos_true) > 100.0
 
@@ -415,20 +429,20 @@ def test_env_step_reward_immune_to_spoofing(cons):
     cfg = EnvConfig()
     attack = AttackConfig(t_start=2, drift_duration=5, target=(0.0, 0.0, 0.0),
                           enabled=True)
-    action = ActionVec(1.2, 0.8, 0.3)
+    a = action(1.2, 0.8, 0.3)
 
     world_a, _ = env_reset(cfg, seed=11, constellation=cons)
     world_b, _ = env_reset(cfg, seed=11, constellation=cons)
     phi_diverged = False
     for _ in range(10):
-        world_a, obs_a, rb_a, done_a, _ = env_step(world_a, action, cons, 0.0,
+        world_a, obs_a, rb_a, done_a, _ = env_step(world_a, a, cons, 0.0,
                                                    None, cfg=cfg)
-        world_b, obs_b, rb_b, done_b, _ = env_step(world_b, action, cons, 0.0,
+        world_b, obs_b, rb_b, done_b, _ = env_step(world_b, a, cons, 0.0,
                                                    attack, cfg=cfg)
         np.testing.assert_array_equal(world_a.uav_pos_true, world_b.uav_pos_true)
         assert rb_a == rb_b
         assert done_a == done_b
-        if not np.allclose(obs_a.phi, obs_b.phi):
+        if not np.allclose(obs_a, obs_b):
             phi_diverged = True
     assert phi_diverged
 
@@ -437,7 +451,7 @@ def test_env_step_noise_requires_rng(cons):
     cfg = EnvConfig()
     world, _ = env_reset(cfg, seed=3, constellation=cons)
     with pytest.raises(ConfigurationError):
-        env_step(world, ActionVec(1, 1, 0), cons, noise_sigma=2.0, cfg=cfg)
+        env_step(world, action(1, 1, 0), cons, noise_sigma=2.0, cfg=cfg)
 
 
 def test_env_step_bit_reproducible(cons):
@@ -449,23 +463,26 @@ def test_env_step_bit_reproducible(cons):
         track = []
         for _ in range(5):
             world, obs, rb, done, _ = env_step(
-                world, ActionVec(1, 1, 0), cons, 2.0, cfg=cfg, rng=rng
+                world, action(1, 1, 0), cons, 2.0, cfg=cfg, rng=rng
             )
-            track.append((world.uav_pos_true.tobytes(), obs.phi.tobytes(), rb.total))
+            track.append((world.uav_pos_true.tobytes(), obs.tobytes(), rb.total))
         runs.append(track)
     assert runs[0] == runs[1]
 
 
-def test_observation_validates_shape():
-    with pytest.raises(ConfigurationError):
-        Observation(phi=np.zeros(3))
-    with pytest.raises(ConfigurationError):
-        Observation(phi=np.full(9, np.nan))
-    for bad in (np.nan, np.inf, -np.inf):
-        phi = np.zeros(9)
-        phi[7] = bad
-        with pytest.raises(ConfigurationError):
-            Observation(phi=phi)
+def test_observation_rejects_a_non_finite_fix():
+    """The observation is a finite 9-vector: a fix with a NaN or infinite
+    coordinate raises instead of reaching the policy."""
+    world = make_world()
+    assert build_observation(exact_pvt(np.zeros(3)), world).shape == (9,)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ConfigurationError, match="finite 9-vector"):
+            build_observation(exact_pvt(np.full(3, np.nan)), world)
+        for bad in (np.nan, np.inf, -np.inf):
+            position = np.zeros(3)
+            position[1] = bad
+            with pytest.raises(ConfigurationError, match="finite 9-vector"):
+                build_observation(exact_pvt(position), world)
 
 
 # Reference dynamics: `step_dynamics` as first written, with `np.cross`,
@@ -484,11 +501,12 @@ def reference_flow_field_matrices(uav_pos, obstacle_pos, obstacle_radius, action
         ref = np.array([1.0, 0.0, 0.0])
     else:
         ref = ref / ref_norm
-    c, s = np.cos(action.theta), np.sin(action.theta)
+    rho0, sigma0, theta = action
+    c, s = np.cos(theta), np.sin(theta)
     tangent = (ref * c + np.cross(n_hat, ref) * s
                + n_hat * (n_hat @ ref) * (1.0 - c))
-    w_rep = 1.0 if gamma <= 1.0 else float(np.exp((1.0 - gamma) / action.rho0))
-    w_tan = 1.0 if gamma <= 1.0 else float(np.exp((1.0 - gamma) / action.sigma0))
+    w_rep = 1.0 if gamma <= 1.0 else float(np.exp((1.0 - gamma) / rho0))
+    w_tan = 1.0 if gamma <= 1.0 else float(np.exp((1.0 - gamma) / sigma0))
     m_rep = -w_rep * np.outer(n, n) / (n @ n)
     m_tan = w_tan * np.outer(tangent, n) / (np.linalg.norm(tangent)
                                             * np.linalg.norm(n))
@@ -570,10 +588,10 @@ def random_world(rng, k):
         obstacle_vel=obstacle_vel, obstacle_radius=rng.uniform(10.0, 60.0),
         goal=goal, t=int(rng.integers(0, 400)), dt=rng.choice([0.5, 1.0]),
     )
-    action = ActionVec(rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0),
-                       rng.uniform(-np.pi, np.pi))
+    a = action(rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0),
+               rng.uniform(-np.pi, np.pi))
     nav_pos = None if k % 3 == 0 else uav + rng.normal(size=3) * 20.0
-    return world, action, nav_pos
+    return world, a, nav_pos
 
 
 def test_step_dynamics_matches_reference_bit_for_bit():
@@ -646,7 +664,7 @@ def test_world_vectors_are_read_only_and_carried_over():
                  "goal", "start"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(world, name)[0] = 1.0
-    nxt = step_dynamics(world, ActionVec(1.0, 1.0, 0.0), 10.0)
+    nxt = step_dynamics(world, action(1.0, 1.0, 0.0), 10.0)
     assert nxt.goal is world.goal and nxt.start is world.start
     assert nxt.t == world.t + 1
     with pytest.raises(ValueError, match="read-only"):

@@ -220,9 +220,8 @@ class TestRunEpisode:
         assert np.linalg.norm(log.true_pos[150]) > 100.0
         # alpha column mirrors the attack schedule at every logged step
         for i in (0, 50, 99, 100, 125, 150, log.n_steps - 1):
-            phase = attack_alpha(int(log.t[i]), attack)
-            expected = phase.alpha if phase.active else 0.0
-            assert log.alpha[i] == expected
+            alpha = attack_alpha(int(log.t[i]), attack)
+            assert log.alpha[i] == (0.0 if alpha is None else alpha)
 
     def test_same_seed_gives_byte_identical_csv(
         self, small_agent, mini_env, constellation, tmp_path
@@ -292,7 +291,7 @@ class TestRunEpisode:
         real_reset, real_step = harness.env_reset_full, harness.env_step
         episode_of = {}  # goal bytes -> seed
         now = {}  # episode being stepped and its true state after the move
-        solves = {}  # seed -> [(init, estimate, true state or None)]
+        solves = {}  # seed -> [(init, fix, true state or None)]
 
         def reset(cfg, seed, *args):
             now.update(seed=seed, truth=None)
@@ -312,7 +311,7 @@ class TestRunEpisode:
         def solve(meas, cons, init=None, **kwargs):
             pvt = real_solve(meas, cons, init=init, **kwargs)
             solves.setdefault(now["seed"], []).append(
-                (init, pvt.estimate, now["truth"]))
+                (init, pvt.x, now["truth"]))
             return pvt
 
         monkeypatch.setattr(harness, "env_reset_full", reset)
@@ -330,9 +329,9 @@ class TestRunEpisode:
             assert len(calls) == log.n_steps + 1  # the reset's, then one a step
             assert calls[0][2] is None  # the reset's fix
             for (_, previous, _), (init, _, truth) in zip(calls, calls[1:]):
-                assert init.position.tobytes() == previous.position.tobytes()
-                assert init.clock_bias == previous.clock_bias
-                assert not np.array_equal(init.as_vector(), truth)
+                assert init.shape == (4,)
+                assert init.tobytes() == previous.tobytes()
+                assert not np.array_equal(init, truth)
 
     def test_lockstep_play_does_not_change_an_episode(
         self, small_agent, mini_env, constellation, synthetic_bank
@@ -708,6 +707,25 @@ class TestPipelines:
             assert 0.0 <= m["false_positive_rate"]["mean"] <= 1.0
             assert 0.0 <= m["false_negative_rate"]["mean"] <= 1.0
         assert json.loads(json.dumps(metrics)) == metrics
+
+    def test_fixed_threshold_skips_calibration(
+        self, pipeline, small_agent, mini_env, constellation
+    ):
+        """calibrate_tau false freezes bocpd_tau as given and reports no
+        calibration rate; the rest of the bank is fitted as before."""
+        calibrated, _, det_cfg, eval_cfg = pipeline
+        fixed_cfg = dataclasses.replace(det_cfg, calibrate_tau=False,
+                                        bocpd_tau=det_cfg.bocpd_warmup + 7)
+        bank, diag = profile_pipeline(
+            small_agent, mini_env, fixed_cfg, eval_cfg,
+            constellation=constellation, noise_sigma=2.0, master_seed=11,
+        )
+        assert bank.tau == fixed_cfg.bocpd_tau != calibrated.tau
+        assert diag["tau"] == bank.tau
+        assert np.isnan(diag["calibration_fp"])
+        assert bank.profile == calibrated.profile
+        assert bank.age_profile == calibrated.age_profile
+        assert bank.ae.threshold == calibrated.ae.threshold
 
     def test_empty_evaluation_rejected_at_config(self):
         with pytest.raises(ConfigurationError):
