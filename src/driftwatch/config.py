@@ -1,15 +1,23 @@
-"""Experiment configuration: typed sections, strict JSON loading, stable hashing.
+"""Experiment configuration and the typed JSON codec every document uses.
 
 Every tunable lives here with its default pinned; the JSON schema is
 versioned and unknown keys are rejected so stale config files fail loudly
 instead of silently running defaults.
+
+`to_json` and `from_json` map a dataclass to and from a JSON object by its
+fields' resolved annotations: nested dataclasses are objects, tuples are
+lists, and a value of the wrong type is rejected with its key named.  The
+config, the nominal and age profiles and the detector bank's parameters
+all go through them.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import typing
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -208,36 +216,80 @@ class ExperimentConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
 
-_SECTION_TYPES = {
-    "gnss": GnssConfig,
-    "env": EnvConfig,
-    "train": TrainConfig,
-    "detectors": DetectorConfig,
-    "eval": EvalConfig,
-}
+@functools.cache
+def _json_fields(cls) -> dict[str, tuple[Any, bool]]:
+    """(resolved annotation, required) of each field of a dataclass."""
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: (hints[f.name], f.default is dataclasses.MISSING
+                 and f.default_factory is dataclasses.MISSING)
+        for f in dataclasses.fields(cls)
+    }
 
 
-def _dataclass_from_dict(cls, doc: dict, context: str):
+def to_json(obj):
+    """JSON form of a dataclass: nested dataclasses as objects, tuples as lists."""
+    if dataclasses.is_dataclass(obj):
+        return {name: to_json(getattr(obj, name)) for name in _json_fields(type(obj))}
+    if isinstance(obj, tuple):
+        return [to_json(value) for value in obj]
+    return obj
+
+
+def from_json(cls, doc, where: str = ""):
+    """Build dataclass `cls` from a JSON object, checking every value's type.
+
+    Unknown keys are a ValueError and wrongly typed values a TypeError, each
+    naming the key below `where`; a missing key takes the field's default or
+    raises KeyError(name).  Values that `cls` itself rejects are a
+    ValueError too.  Numbers are kept as given, so an int in a float field
+    stays an int.
+    """
     if not isinstance(doc, dict):
-        raise ConfigurationError(f"{context}: expected an object, got {type(doc)}")
-    names = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(doc) - set(names)
+        raise TypeError(f"{where or cls.__name__} must be an object, got {doc!r}")
+    fields = _json_fields(cls)
+    unknown = sorted(where + key for key in doc.keys() - fields.keys())
     if unknown:
-        raise ConfigurationError(f"{context}: unknown keys {sorted(unknown)}")
-    kwargs: dict[str, Any] = {}
-    for key, value in doc.items():
-        # JSON has no tuples; coerce lists for tuple-typed fields.
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
+        raise ValueError(f"unknown keys {unknown}")
+    kwargs = {}
+    for name, (kind, required) in fields.items():
+        if name in doc:
+            kwargs[name] = _decode(kind, doc[name], where + name)
+        elif required:
+            raise KeyError(where + name)
     try:
         return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigurationError(f"{context}: {exc}") from exc
+    except ConfigurationError as exc:
+        raise ValueError(f"{where[:-1]}: {exc}" if where else str(exc)) from None
+
+
+def _decode(kind, value, key: str):
+    if dataclasses.is_dataclass(kind):
+        return from_json(kind, value, key + ".")
+    if typing.get_origin(kind) is tuple:
+        items = typing.get_args(kind)
+        variadic = items[-1] is Ellipsis
+        if not isinstance(value, (list, tuple)) or (
+                not variadic and len(value) != len(items)):
+            size = "" if variadic else f" of {len(items)} values"
+            raise TypeError(f"{key} must be a list{size}, got {value!r}")
+        if variadic:
+            items = items[:1] * len(value)
+        return tuple(_decode(item, v, f"{key}[{i}]")
+                     for i, (item, v) in enumerate(zip(items, value)))
+    if kind is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    elif kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise TypeError(f"{key} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Parse a config document, rejecting unknown keys and bad schema."""
+    """Parse a config document, rejecting unknown keys, bad types and bad schema."""
     if not isinstance(doc, dict):
         raise ConfigurationError("config document must be a JSON object")
     schema = doc.get("schema")
@@ -245,24 +297,22 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ConfigurationError(
             f"config schema must be {CONFIG_SCHEMA!r}, got {schema!r}"
         )
-    known = {"schema", "master_seed", *_SECTION_TYPES}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigurationError(f"config: unknown top-level keys {sorted(unknown)}")
-    sections = {}
-    for name, cls in _SECTION_TYPES.items():
-        sections[name] = _dataclass_from_dict(cls, doc.get(name, {}), name)
-    master_seed = doc.get("master_seed", 0)
-    if not isinstance(master_seed, int):
-        raise ConfigurationError(f"master_seed must be an int, got {master_seed!r}")
-    return ExperimentConfig(master_seed=master_seed, **sections)
+    try:
+        return from_json(ExperimentConfig,
+                         {k: v for k, v in doc.items() if k != "schema"})
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"config: {exc}") from None
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    doc: dict[str, Any] = {"schema": CONFIG_SCHEMA, "master_seed": cfg.master_seed}
-    for name in _SECTION_TYPES:
-        doc[name] = dataclasses.asdict(getattr(cfg, name))
-    return doc
+    return {"schema": CONFIG_SCHEMA, **to_json(cfg)}
+
+
+def write_json(doc: dict, path) -> None:
+    """Write `doc` as sorted JSON indented by 2, ending in a newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def default_config() -> ExperimentConfig:
@@ -281,9 +331,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(config_to_dict(cfg), path)
 
 
 def canonical_json(doc: dict) -> str:

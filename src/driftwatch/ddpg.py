@@ -9,7 +9,6 @@ monitor, so everything here must be deterministic given (seed, config).
 from __future__ import annotations
 
 import dataclasses
-import zipfile
 
 import numpy as np
 
@@ -23,13 +22,9 @@ from .env import (
     env_reset,
     env_step,
 )
-from .errors import (
-    ConfigurationError,
-    CorruptCheckpointError,
-    DimensionMismatchError,
-)
+from .errors import ConfigurationError
 from .gnss import Constellation, make_constellation
-from .nets import Adam, Mlp, soft_update
+from .nets import Adam, Mlp, load_npz, save_npz, soft_update
 
 CHECKPOINT_SCHEMA = "driftwatch-checkpoint-v1"
 
@@ -279,62 +274,34 @@ def train(
     return agent, reward_history
 
 
+_NETS = ("actor", "critic", "target_actor", "target_critic")
+
+
 def save_checkpoint(agent: Agent, path) -> None:
     """Persist all four networks and the observation scaling as one npz."""
-    arrays: dict[str, np.ndarray] = {
-        "schema": np.array(CHECKPOINT_SCHEMA),
-        "obs_scales": agent.obs_scales,
-        "actor_sizes": np.array(agent.actor.layer_sizes),
-        "actor_acts": np.array(agent.actor.activations),
-        "critic_sizes": np.array(agent.critic.layer_sizes),
-        "critic_acts": np.array(agent.critic.activations),
-    }
-    for tag, net in (("actor", agent.actor), ("critic", agent.critic),
-                     ("target_actor", agent.target_actor),
-                     ("target_critic", agent.target_critic)):
-        arrays.update(net.to_arrays(f"{tag}_"))
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    header = {"obs_scales": agent.obs_scales}
+    for tag in ("actor", "critic"):
+        net = getattr(agent, tag)
+        header.update({f"{tag}_sizes": net.layer_sizes,
+                       f"{tag}_acts": net.activations})
+    save_npz(path, CHECKPOINT_SCHEMA, header,
+             {f"{tag}_": getattr(agent, tag) for tag in _NETS})
+
+
+def _read_agent(data) -> Agent:
+    actor_sizes = [int(s) for s in data["actor_sizes"]]
+    if actor_sizes[0] != OBS_DIM or actor_sizes[-1] != ACT_DIM:
+        raise ValueError(f"actor sizes {actor_sizes} do not match this package")
+    agent = object.__new__(Agent)
+    agent.obs_scales = np.asarray(data["obs_scales"], dtype=float)
+    if agent.obs_scales.shape != (OBS_DIM,):
+        raise ValueError("obs_scales has the wrong shape")
+    for tag in _NETS:
+        kind = tag.removeprefix("target_")
+        setattr(agent, tag, Mlp.from_arrays(data, data[f"{kind}_sizes"],
+                                            data[f"{kind}_acts"], f"{tag}_"))
+    return agent
 
 
 def load_checkpoint(path) -> Agent:
-    try:
-        data = np.load(path, allow_pickle=False)
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
-        raise CorruptCheckpointError(f"cannot read checkpoint {path}: {exc}")
-    try:
-        required = ("schema", "obs_scales", "actor_sizes", "actor_acts",
-                    "critic_sizes", "critic_acts")
-        for key in required:
-            if key not in data:
-                raise CorruptCheckpointError(f"checkpoint is missing {key!r}")
-        schema = str(data["schema"])
-        if schema != CHECKPOINT_SCHEMA:
-            raise CorruptCheckpointError(
-                f"unsupported checkpoint schema {schema!r}"
-            )
-        actor_sizes = [int(s) for s in data["actor_sizes"]]
-        critic_sizes = [int(s) for s in data["critic_sizes"]]
-        actor_acts = [str(a) for a in data["actor_acts"]]
-        critic_acts = [str(a) for a in data["critic_acts"]]
-        if actor_sizes[0] != OBS_DIM or actor_sizes[-1] != ACT_DIM:
-            raise CorruptCheckpointError(
-                f"actor sizes {actor_sizes} do not match this package"
-            )
-        agent = object.__new__(Agent)
-        agent.obs_scales = np.asarray(data["obs_scales"], dtype=float)
-        if agent.obs_scales.shape != (OBS_DIM,):
-            raise CorruptCheckpointError("obs_scales has the wrong shape")
-        agent.actor = Mlp.from_arrays(data, actor_sizes, actor_acts, "actor_")
-        agent.critic = Mlp.from_arrays(data, critic_sizes, critic_acts,
-                                       "critic_")
-        agent.target_actor = Mlp.from_arrays(data, actor_sizes, actor_acts,
-                                             "target_actor_")
-        agent.target_critic = Mlp.from_arrays(data, critic_sizes, critic_acts,
-                                              "target_critic_")
-        return agent
-    except (KeyError, ValueError, ConfigurationError,
-            DimensionMismatchError) as exc:
-        raise CorruptCheckpointError(f"checkpoint {path} failed to load: {exc}")
-    finally:
-        data.close()
+    return load_npz(path, CHECKPOINT_SCHEMA, "checkpoint", _read_agent)

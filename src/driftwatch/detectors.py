@@ -17,19 +17,15 @@ from __future__ import annotations
 import json
 import math
 import warnings
-import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    ConfigurationError,
-    CorruptCheckpointError,
-    InsufficientDataError,
-)
+from .config import from_json, to_json, write_json
+from .errors import ConfigurationError, InsufficientDataError
 from .gnss import PvtSolution
-from .nets import Adam, Mlp
+from .nets import Adam, Mlp, load_npz, save_npz
 
 PROFILE_SCHEMA = "driftwatch-profile-v1"
 AGE_PROFILE_SCHEMA = "driftwatch-age-profile-v1"
@@ -40,31 +36,49 @@ _VAR_FLOOR_SCALE = 1e-6
 _UNDERFLOW_LIMIT = 1e-300
 
 
+_RERUN = "(rerun `driftwatch profile`)"
+
+
+def read_document(path, schema: str, read):
+    """`read(doc)` of the JSON object at `path`, its schema checked and dropped.
+
+    An unreadable file, a wrong schema, and a missing key or a bad value
+    that `read` raises as KeyError, TypeError or ValueError, are each a
+    ConfigurationError naming the file and the rerun that rewrites it.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc} {_RERUN}")
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{path} is not a JSON object {_RERUN}")
+    if doc.get("schema") != schema:
+        raise ConfigurationError(
+            f"{path} has schema {doc.get('schema')!r}, expected {schema!r} {_RERUN}"
+        )
+    try:
+        return read({key: value for key, value in doc.items() if key != "schema"})
+    except KeyError as exc:
+        raise ConfigurationError(f"{path} has no {exc.args[0]!r} {_RERUN}")
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: bad value ({exc}) {_RERUN}")
+
+
 class _JsonDocument:
-    """Saves and loads through to_dict/from_dict as sorted, indented JSON."""
+    """A dataclass kept as one JSON document: its fields plus "schema": SCHEMA."""
+
+    SCHEMA = ""
+
+    def to_dict(self) -> dict:
+        return {"schema": self.SCHEMA, **to_json(self)}
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.to_dict(), path)
 
     @classmethod
     def load(cls, path):
-        """Read a saved document; a missing or malformed file is a ConfigurationError."""
-        rerun = "(rerun `driftwatch profile`)"
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ConfigurationError(f"cannot read {path}: {exc} {rerun}")
-        if not isinstance(doc, dict):
-            raise ConfigurationError(f"{path} is not a JSON object {rerun}")
-        try:
-            return cls.from_dict(doc)
-        except KeyError as exc:
-            raise ConfigurationError(f"{path} has no {exc.args[0]!r} {rerun}")
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"{path}: bad value ({exc}) {rerun}")
+        return read_document(path, cls.SCHEMA, lambda doc: from_json(cls, doc))
 
 
 @dataclass(frozen=True)
@@ -74,6 +88,8 @@ class NominalProfile(_JsonDocument):
     Saved as `profile.json`; Page-Hinkley's drift and threshold scale with
     its sigma0.
     """
+
+    SCHEMA = PROFILE_SCHEMA
 
     mu0: float
     sigma0_sq: float
@@ -89,28 +105,6 @@ class NominalProfile(_JsonDocument):
     @property
     def sigma0(self) -> float:
         return float(np.sqrt(self.sigma0_sq))
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": PROFILE_SCHEMA,
-            "mu0": self.mu0,
-            "sigma0_sq": self.sigma0_sq,
-            "n_samples": self.n_samples,
-            "source_episodes": list(self.source_episodes),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "NominalProfile":
-        if doc.get("schema") != PROFILE_SCHEMA:
-            raise ConfigurationError(
-                f"unexpected profile schema: {doc.get('schema')!r}"
-            )
-        return cls(
-            mu0=float(doc["mu0"]),
-            sigma0_sq=float(doc["sigma0_sq"]),
-            n_samples=int(doc["n_samples"]),
-            source_episodes=tuple(int(e) for e in doc.get("source_episodes", ())),
-        )
 
 
 @dataclass(frozen=True)
@@ -129,6 +123,8 @@ class AgeProfile(_JsonDocument):
     scatter around the level with variance variances[t] * noise_var /
     level_var: the within-episode share of the same-age spread.
     """
+
+    SCHEMA = AGE_PROFILE_SCHEMA
 
     means: tuple[float, ...]
     variances: tuple[float, ...]
@@ -163,32 +159,6 @@ class AgeProfile(_JsonDocument):
         """Deviation from the same-age mean and its relative noise variance."""
         i = min(t, len(self.means) - 1)
         return q - self.means[i], self.variances[i] / self.level_var
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": AGE_PROFILE_SCHEMA,
-            "means": list(self.means),
-            "variances": list(self.variances),
-            "noise_var": self.noise_var,
-            "level_var": self.level_var,
-            "n_samples": self.n_samples,
-            "source_episodes": list(self.source_episodes),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "AgeProfile":
-        if doc.get("schema") != AGE_PROFILE_SCHEMA:
-            raise ConfigurationError(
-                f"unexpected age profile schema: {doc.get('schema')!r}"
-            )
-        return cls(
-            means=tuple(float(x) for x in doc["means"]),
-            variances=tuple(float(x) for x in doc["variances"]),
-            noise_var=float(doc["noise_var"]),
-            level_var=float(doc["level_var"]),
-            n_samples=int(doc["n_samples"]),
-            source_episodes=tuple(int(e) for e in doc.get("source_episodes", ())),
-        )
 
 
 def fit_nominal_profile(
@@ -608,39 +578,25 @@ class WindowAutoencoder:
     threshold: float
 
     def save(self, path) -> None:
-        arrays = {
-            "schema": np.array(AE_SCHEMA),
-            "window": np.array(self.window),
-            "mean": np.array(self.mean),
-            "std": np.array(self.std),
-            "threshold": np.array(self.threshold),
-            "sizes": np.array(self.net.layer_sizes),
-            "acts": np.array(self.net.activations),
-            **self.net.to_arrays(),
-        }
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
+        header = {"window": self.window, "mean": self.mean, "std": self.std,
+                  "threshold": self.threshold, "sizes": self.net.layer_sizes,
+                  "acts": self.net.activations}
+        save_npz(path, AE_SCHEMA, header, {"": self.net})
 
     @classmethod
     def load(cls, path) -> "WindowAutoencoder":
-        try:
-            data = np.load(path, allow_pickle=False)
-        except (OSError, ValueError, zipfile.BadZipFile) as exc:
-            raise CorruptCheckpointError(f"cannot read AE model {path}: {exc}")
-        try:
-            if "schema" not in data or str(data["schema"]) != AE_SCHEMA:
-                raise CorruptCheckpointError(f"not a {AE_SCHEMA} file: {path}")
-            return cls(
-                net=Mlp.from_arrays(data, data["sizes"], data["acts"]),
-                window=int(data["window"]),
-                mean=float(data["mean"]),
-                std=float(data["std"]),
-                threshold=float(data["threshold"]),
+        return load_npz(path, AE_SCHEMA, "AE model", cls._read)
+
+    @classmethod
+    def _read(cls, data) -> "WindowAutoencoder":
+        net = Mlp.from_arrays(data, data["sizes"], data["acts"])
+        window = int(data["window"])
+        if net.layer_sizes[0] != window or net.layer_sizes[-1] != window:
+            raise ValueError(
+                f"window {window} does not match layer sizes {net.layer_sizes}"
             )
-        except KeyError as exc:
-            raise CorruptCheckpointError(f"AE model {path} is missing {exc}")
-        finally:
-            data.close()
+        return cls(net=net, window=window, mean=float(data["mean"]),
+                   std=float(data["std"]), threshold=float(data["threshold"]))
 
 
 def window_ae_train(

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DetectorConfig, EnvConfig, EvalConfig
+from .config import DetectorConfig, EnvConfig, EvalConfig, from_json, write_json
 from .ddpg import _TAG_MEAS, Agent, _derive_seed
 from .detectors import (
     AgeProfile,
@@ -39,6 +39,7 @@ from .detectors import (
     calibrate_tau,
     fit_age_profile,
     fit_nominal_profile,
+    read_document,
     window_ae_score,
     window_ae_train,
 )
@@ -74,25 +75,18 @@ CSV_COLUMNS = (
 )
 
 
-# artifact file of each document in a bank; every other field is a number
+# file and type of each document in a bank
 _BANK_FILES = {
-    "profile": "profile.json",
-    "age_profile": "age_profile.json",
-    "ae": "ae.npz",
+    "profile": ("profile.json", NominalProfile),
+    "age_profile": ("age_profile.json", AgeProfile),
+    "ae": ("ae.npz", WindowAutoencoder),
 }
-_NUMBER_TYPES = {"int": int, "float": float}
 
 
 @dataclass(frozen=True)
-class DetectorBank:
-    """Frozen detector parameters; spawns fresh per-episode state.
+class _BankParameters:
+    """The scalar parameters of a detector bank, the numbers `bank.json` holds."""
 
-    The changepoint detector runs on `age_profile`; `profile` is the pooled
-    nominal profile, Page-Hinkley's scale.
-    """
-
-    profile: NominalProfile
-    age_profile: AgeProfile
     tau: int
     warmup: int
     hazard: float
@@ -102,13 +96,20 @@ class DetectorBank:
     residual_k_sigma: float
     residual_noise_sigma: float
     residual_jump_gate: float
-    ae: WindowAutoencoder
 
-    @classmethod
-    def _parameters(cls) -> list[tuple[str, type]]:
-        """(name, type) of each scalar parameter, in field order."""
-        return [(f.name, _NUMBER_TYPES[f.type]) for f in fields(cls)
-                if f.name not in _BANK_FILES]
+
+@dataclass(frozen=True)
+class DetectorBank(_BankParameters):
+    """Frozen detector parameters; spawns fresh per-episode state.
+
+    The changepoint detector runs on `age_profile`; `profile` is the pooled
+    nominal profile, Page-Hinkley's scale.  Each document is saved to its
+    own file, which `bank.json` names next to the scalar parameters.
+    """
+
+    profile: NominalProfile
+    age_profile: AgeProfile
+    ae: WindowAutoencoder
 
     def score(self, logs: list[EpisodeLog]) -> None:
         """Fill in the flags and statistics of a stage's recorded episodes.
@@ -140,16 +141,15 @@ class DetectorBank:
     def save(self, out_dir) -> dict[str, Path]:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        paths = {name: out / file for name, file in _BANK_FILES.items()}
+        paths = {name: out / file for name, (file, _) in _BANK_FILES.items()}
         for name, path in paths.items():
             getattr(self, name).save(path)
         doc = {"schema": BANK_SCHEMA}
-        doc.update((name, getattr(self, name)) for name, _ in self._parameters())
-        doc.update((f"{name}_file", file) for name, file in _BANK_FILES.items())
+        doc.update((f"{name}_file", path.name) for name, path in paths.items())
+        doc.update((f.name, getattr(self, f.name))
+                   for f in fields(_BankParameters))
         paths["bank"] = out / "bank.json"
-        with open(paths["bank"], "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(doc, paths["bank"])
         return paths
 
     @classmethod
@@ -158,39 +158,18 @@ class DetectorBank:
         bank_path = bank_dir / "bank.json"
         if not bank_path.exists():
             raise ConfigurationError(f"no detector bank at {bank_path}")
-        try:
-            with open(bank_path) as fh:
-                doc = json.load(fh)
-        except ValueError as exc:
-            raise ConfigurationError(f"{bank_path} is not JSON: {exc}")
-        schema = doc.get("schema") if isinstance(doc, dict) else None
-        if schema != BANK_SCHEMA:
-            raise ConfigurationError(
-                f"unexpected bank schema in {bank_path}: {schema!r}"
-            )
 
-        def entry(key: str, convert):
-            if key not in doc:
-                raise ConfigurationError(
-                    f"{bank_path} has no {key!r} (rerun `driftwatch profile`)"
-                )
-            try:
-                return convert(doc[key])
-            except (TypeError, ValueError):
-                raise ConfigurationError(
-                    f"{bank_path}: bad {key!r} value {doc[key]!r}"
-                )
+        def read(doc: dict) -> DetectorBank:
+            files = {name: doc.pop(f"{name}_file") for name in _BANK_FILES}
+            numbers = from_json(_BankParameters, doc)
+            documents = {}
+            for name, file in files.items():
+                if not isinstance(file, str):
+                    raise TypeError(f"{name}_file must be str, got {file!r}")
+                documents[name] = _BANK_FILES[name][1].load(bank_dir / file)
+            return cls(**vars(numbers), **documents)
 
-        documents = {
-            name: entry(f"{name}_file", str) for name in _BANK_FILES
-        }
-        params = {name: entry(name, kind) for name, kind in cls._parameters()}
-        return cls(
-            profile=NominalProfile.load(bank_dir / documents["profile"]),
-            age_profile=AgeProfile.load(bank_dir / documents["age_profile"]),
-            ae=WindowAutoencoder.load(bank_dir / documents["ae"]),
-            **params,
-        )
+        return read_document(bank_path, BANK_SCHEMA, read)
 
 
 class EpisodeDetectors:

@@ -12,9 +12,16 @@ the soft update therefore work on one vector per network.  `backward`
 writes parameter gradients into a second vector with the same layout,
 allocated on a net's first backward; the gradient it returns is that
 buffer, so the next `backward` on the same net overwrites it.
+
+`save_npz` and `load_npz` are the one npz codec for every file of
+networks, the agent checkpoint and the window autoencoder alike: a schema
+tag, a header of small arrays, then each net's parameters under its own
+prefix.  Any fault in such a file is a CorruptCheckpointError.
 """
 
 from __future__ import annotations
+
+import zipfile
 
 import numpy as np
 
@@ -103,36 +110,6 @@ class Mlp:
         self._grad: np.ndarray | None = None
         self._cache: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
 
-    @classmethod
-    def from_parameters(
-        cls,
-        layer_sizes: list[int],
-        activations: list[str],
-        weights: list[np.ndarray],
-        biases: list[np.ndarray],
-    ) -> "Mlp":
-        """Rebuild a network from stored arrays, validating the shape chain."""
-        net = object.__new__(cls)
-        net._allocate(layer_sizes, activations)
-        if len(weights) != net.n_layers or len(biases) != net.n_layers:
-            raise DimensionMismatchError(
-                f"expected {net.n_layers} layers of parameters, "
-                f"got {len(weights)} weights / {len(biases)} biases"
-            )
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            w = np.asarray(w, dtype=float)
-            b = np.asarray(b, dtype=float)
-            if w.shape != net.weights[i].shape or b.shape != net.biases[i].shape:
-                raise DimensionMismatchError(
-                    f"layer {i}: stored shapes {w.shape}/{b.shape} do not match "
-                    f"declared sizes {net.weights[i].shape}/{net.biases[i].shape}"
-                )
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ConfigurationError(f"layer {i}: non-finite parameters")
-            net.weights[i][...] = w
-            net.biases[i][...] = b
-        return net
-
     def to_arrays(self, prefix: str = "") -> dict[str, np.ndarray]:
         """Weights and biases as npz entries `{prefix}w{i}`, `{prefix}b{i}`.
 
@@ -147,17 +124,26 @@ class Mlp:
 
     @classmethod
     def from_arrays(cls, data, sizes, acts, prefix: str = "") -> "Mlp":
-        """Rebuild a network written by `to_arrays` from a loaded npz."""
-        sizes = [int(s) for s in sizes]
-        acts = [str(a) for a in acts]
-        weights, biases = [], []
-        for i in range(len(sizes) - 1):
-            wk, bk = f"{prefix}w{i}", f"{prefix}b{i}"
-            if wk not in data or bk not in data:
-                raise CorruptCheckpointError(f"network arrays missing {wk}/{bk}")
-            weights.append(data[wk])
-            biases.append(data[bk])
-        return cls.from_parameters(sizes, acts, weights, biases)
+        """Rebuild a network written by `to_arrays`, validating the shape chain.
+
+        `data` maps each `{prefix}w{i}` / `{prefix}b{i}` to its array; a
+        missing entry raises KeyError.
+        """
+        net = object.__new__(cls)
+        net._allocate([int(s) for s in sizes], [str(a) for a in acts])
+        for i, (w_view, b_view) in enumerate(zip(net.weights, net.biases)):
+            w = np.asarray(data[f"{prefix}w{i}"], dtype=float)
+            b = np.asarray(data[f"{prefix}b{i}"], dtype=float)
+            if w.shape != w_view.shape or b.shape != b_view.shape:
+                raise DimensionMismatchError(
+                    f"layer {i}: stored shapes {w.shape}/{b.shape} do not match "
+                    f"declared sizes {w_view.shape}/{b_view.shape}"
+                )
+            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+                raise ConfigurationError(f"layer {i}: non-finite parameters")
+            w_view[...] = w
+            b_view[...] = b
+        return net
 
     @property
     def n_layers(self) -> int:
@@ -287,3 +273,38 @@ def soft_update(target: Mlp, source: Mlp, tau: float) -> None:
         raise ConfigurationError(f"tau must be in (0,1], got {tau}")
     target.flat *= 1.0 - tau
     target.flat += tau * source.flat
+
+
+def save_npz(path, schema: str, header: dict, nets: dict[str, Mlp]) -> None:
+    """Write `schema`, the header entries, then each net under its prefix."""
+    arrays = {"schema": np.array(schema)}
+    arrays.update((key, np.asarray(value)) for key, value in header.items())
+    for prefix, net in nets.items():
+        arrays.update(net.to_arrays(prefix))
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def load_npz(path, schema: str, what: str, read):
+    """`read(data)` of the npz at `path`, once its schema is checked.
+
+    An unreadable file, a wrong schema, a missing entry or a value that
+    `read` rejects is a CorruptCheckpointError naming `what` and the file.
+    """
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        raise CorruptCheckpointError(f"cannot read {what} {path}: {exc}")
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise CorruptCheckpointError(f"{what} {path} is not an npz archive")
+    with data:
+        try:
+            found = str(data["schema"]) if "schema" in data else None
+            if found != schema:
+                raise CorruptCheckpointError(
+                    f"{what} {path} has schema {found!r}, expected {schema!r}"
+                )
+            return read(data)
+        except (KeyError, TypeError, ValueError, DimensionMismatchError,
+                ConfigurationError) as exc:
+            raise CorruptCheckpointError(f"{what} {path} failed to load: {exc}")

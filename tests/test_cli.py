@@ -8,10 +8,11 @@ import dataclasses
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from driftwatch.cli import main
-from driftwatch.config import default_config, save_config
+from driftwatch.config import config_to_dict, default_config, save_config
 
 
 def tiny_config():
@@ -75,6 +76,16 @@ class TestUsageErrors:
         assert main(["train", "--config", str(missing)]) == 1
         assert str(missing) in capsys.readouterr().err
 
+    def test_wrongly_typed_config_value_names_the_key(self, capsys, tmp_path):
+        doc = config_to_dict(tiny_config())
+        doc["detectors"]["calibrate_tau"] = "false"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["profile", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "detectors.calibrate_tau" in err
+
     def test_missing_checkpoint_points_at_train(self, capsys, tmp_path):
         rc = main(["profile", "--out", str(tmp_path)])
         assert rc == 1
@@ -128,6 +139,26 @@ class TestUsageErrors:
         assert err.startswith("error:") and name in err
         assert key is None or key in err
         assert "driftwatch profile" in err
+
+    @pytest.mark.parametrize("fault", ["weight_shape", "window"])
+    def test_malformed_ae_model_exits_with_error(self, capsys, tmp_path,
+                                                 cfg_path, chain, fault):
+        for bank_file in ("bank.json", "profile.json", "age_profile.json",
+                          "ae.npz"):
+            shutil.copy(chain / bank_file, tmp_path / bank_file)
+        data = dict(np.load(tmp_path / "ae.npz"))
+        if fault == "weight_shape":
+            data["w0"] = data["w0"][:, :-1]
+        else:
+            data["window"] = data["window"] + 1
+        np.savez(tmp_path / "ae.npz", **data)
+        rc = main(["eval", "--config", str(cfg_path),
+                   "--checkpoint", str(chain / "checkpoint.npz"),
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "ae.npz" in err
+        assert not (tmp_path / "summary.json").exists()
 
 
 class TestOracleCheck:

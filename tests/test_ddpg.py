@@ -317,6 +317,14 @@ def test_checkpoint_truncated_file(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_that_is_a_bare_array(tmp_path):
+    path = tmp_path / "agent.npz"
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros(3))
+    with pytest.raises(CorruptCheckpointError, match="not an npz archive"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_wrong_schema(tmp_path):
     agent = fresh_agent()
     path = tmp_path / "agent.npz"

@@ -928,3 +928,21 @@ class TestWindowAutoencoder:
         path.write_bytes(b"not a zip archive")
         with pytest.raises(CorruptCheckpointError):
             WindowAutoencoder.load(path)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("weight_shape", "layer 0: stored shapes"),
+        ("window", "window 33 does not match layer sizes"),
+    ])
+    def test_load_rejects_a_malformed_model(self, trained, tmp_path, fault,
+                                            message):
+        model, _, _, _ = trained
+        path = tmp_path / "ae.npz"
+        model.save(path)
+        data = dict(np.load(path))
+        if fault == "weight_shape":
+            data["w0"] = data["w0"][:, :-1]
+        else:
+            data["window"] = data["window"] + 1
+        np.savez(path, **data)
+        with pytest.raises(CorruptCheckpointError, match=message):
+            WindowAutoencoder.load(path)

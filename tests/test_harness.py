@@ -584,6 +584,41 @@ class TestDetectorBankPersistence:
         with pytest.raises(ConfigurationError, match="tau"):
             DetectorBank.load(tmp_path)
 
+    @pytest.mark.parametrize("name, key, value", [
+        ("bank.json", "tau", 5.5),
+        ("bank.json", "tau", True),
+        ("bank.json", "hazard", "0.02"),
+        ("bank.json", "profile_file", 3),
+        ("bank.json", "ae_file", ["ae.npz"]),
+        ("profile.json", "n_samples", 1000.5),
+        ("age_profile.json", "source_episodes", [0, 1.5]),
+        ("profile.json", "sigma0_sq", -1.0),
+    ])
+    def test_bad_entry_rejected(self, synthetic_bank, tmp_path, name, key,
+                                value):
+        synthetic_bank.save(tmp_path)
+        doc = json.loads((tmp_path / name).read_text())
+        doc[key] = value
+        (tmp_path / name).write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError,
+                           match=rf"{name}: bad value \({key}.*driftwatch profile"):
+            DetectorBank.load(tmp_path)
+
+    @pytest.mark.parametrize("name, key", [
+        ("bank.json", "extra"),
+        ("bank.json", "profile"),
+        ("profile.json", "extra"),
+        ("age_profile.json", "extra"),
+    ])
+    def test_unknown_key_rejected(self, synthetic_bank, tmp_path, name, key):
+        synthetic_bank.save(tmp_path)
+        doc = json.loads((tmp_path / name).read_text())
+        doc[key] = 1
+        (tmp_path / name).write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError,
+                           match=rf"{name}: .*unknown keys \['{key}'\].*driftwatch profile"):
+            DetectorBank.load(tmp_path)
+
     @pytest.mark.parametrize("text", ["{not json", "[]"])
     def test_non_json_bank_rejected(self, tmp_path, text):
         (tmp_path / "bank.json").write_text(text)

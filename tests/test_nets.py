@@ -198,9 +198,9 @@ def test_flat_layout_and_aliasing():
     for p in mlp.parameters():
         assert np.shares_memory(p, mlp.flat)
     twin = mlp.copy()
-    stored = [p.copy() for p in mlp.parameters()]
-    rebuilt = Mlp.from_parameters(mlp.layer_sizes, mlp.activations,
-                                  stored[0::2], stored[1::2])
+    arrays = {k: v.copy() for k, v in mlp.to_arrays().items()}
+    stored = list(arrays.values())
+    rebuilt = Mlp.from_arrays(arrays, mlp.layer_sizes, mlp.activations)
     for other in (twin, rebuilt):
         np.testing.assert_array_equal(other.flat, mlp.flat)
         for p in other.parameters():
