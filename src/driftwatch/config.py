@@ -321,10 +321,14 @@ def default_config() -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigurationError(f"config file {path} cannot be read: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config file {path} is not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}")
     return config_from_dict(doc)

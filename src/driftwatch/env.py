@@ -6,13 +6,23 @@ from the least-squares estimate, and the reward is bookkept from truth
 geometry only.  Episode state is a value; every transition returns a new
 WorldState.  All else travels as plain arrays: the action (rho0, sigma0,
 theta), the 9-vector observation phi, and the fix `PvtSolution.x`.
+
+A step works on Python floats wherever the arithmetic is element-wise:
+IEEE +, -, *, /, comparisons and sqrt round the same on a Python float as
+on a numpy element, without numpy's per-call cost on 3-element arrays.
+numpy stays wherever the bits come from a kernel Python does not
+reproduce: every dot product and norm (OpenBLAS's `ddot`, a chain of fused
+multiply-adds), the 3x3 matrix-vector product, and `exp`, `cos`, `sin`
+and `arctan2` (numpy's float64 routines, which can differ from libm's).
+A step validates the new state once, and `|goal - start|` is computed
+once per episode, when its WorldState is built.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,8 +39,8 @@ TERM_TIMEOUT = "timeout"
 ACTION_LOW = np.array([0.1, 0.1, -np.pi])
 ACTION_HIGH = np.array([3.0, 3.0, np.pi])
 
-_Z = np.array([0.0, 0.0, 1.0])
-_X = np.array([1.0, 0.0, 0.0])
+_Z = (0.0, 0.0, 1.0)
+_X = (1.0, 0.0, 0.0)
 _I3 = np.eye(3)
 
 
@@ -39,11 +49,12 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product of two 3-vectors with np.cross's products and differences."""
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+def _cross(a, b) -> tuple[float, float, float]:
+    """Cross product of two float 3-tuples with np.cross's products and
+    differences."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 
 
 def _finite(v: np.ndarray) -> bool:
@@ -76,6 +87,8 @@ class WorldState:
 
     Its vectors are validated, read-only copies of the arrays it was built
     from, so the next step's state can share goal and start unchecked.
+    `goal_span` is |goal - start|, computed when the state is built (also
+    by `dataclasses.replace`) and carried over by every step.
     """
 
     uav_pos_true: np.ndarray
@@ -88,6 +101,7 @@ class WorldState:
     clock_bias_true: float
     t: int
     dt: float
+    goal_span: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in _MOVING + ("goal", "start"):
@@ -96,6 +110,7 @@ class WorldState:
             raise ConfigurationError("obstacle_radius must be > 0")
         if not self.dt > 0:
             raise ConfigurationError("dt must be > 0")
+        object.__setattr__(self, "goal_span", _norm(self.goal - self.start))
 
     def _freeze(self, name: str, arr: np.ndarray) -> None:
         """Check that `arr` is a finite 3-vector, make it read-only, store it."""
@@ -104,14 +119,22 @@ class WorldState:
         arr.flags.writeable = False
         object.__setattr__(self, name, arr)
 
-    def _advance(self, *moving: np.ndarray) -> "WorldState":
-        """The state one step later, with fresh float arrays for the vectors
-        in _MOVING.  Those are checked and frozen in place; goal, start,
-        the radius, the clock bias and dt carry over as already checked."""
+    def _advance(self, moving: list[float]) -> "WorldState":
+        """The state one step later.  `moving` holds the 12 floats of the
+        vectors in _MOVING, in order; they are checked once and become the
+        read-only rows of one array.  Goal, start, the goal span, the
+        radius, the clock bias and dt carry over as already checked."""
+        if not all(map(math.isfinite, moving)):
+            bad = next(k for k in range(4)
+                       if not all(map(math.isfinite, moving[3 * k:3 * k + 3])))
+            raise ConfigurationError(f"{_MOVING[bad]} must be a finite 3-vector")
+        flat = np.array(moving)
+        flat.flags.writeable = False
+        rows = flat.reshape(4, 3)
         nxt = object.__new__(WorldState)
-        nxt.__dict__.update(self.__dict__, t=self.t + 1)
-        for name, arr in zip(_MOVING, moving):
-            nxt._freeze(name, arr)
+        nxt.__dict__.update(self.__dict__, t=self.t + 1, uav_pos_true=rows[0],
+                            uav_vel=rows[1], obstacle_pos=rows[2],
+                            obstacle_vel=rows[3])
         return nxt
 
 
@@ -124,11 +147,15 @@ class RewardBreakdown:
     terminal_event: str
 
 
-def _rodrigues(v: np.ndarray, axis_unit: np.ndarray, angle: float) -> np.ndarray:
-    """Rotate v about a unit axis by angle."""
-    c, s = np.cos(angle), np.sin(angle)
-    return (v * c + _cross(axis_unit, v) * s
-            + axis_unit * (axis_unit @ v) * (1.0 - c))
+def _rodrigues(v, axis_unit, angle: float) -> tuple[float, float, float]:
+    """Rotate the float 3-tuple v about a unit axis by angle."""
+    c, s = float(np.cos(angle)), float(np.sin(angle))
+    dv = float(np.array(axis_unit).dot(np.array(v)))
+    (v0, v1, v2), (a0, a1, a2) = v, axis_unit
+    k0, k1, k2 = _cross(axis_unit, v)
+    return (v0 * c + k0 * s + a0 * dv * (1.0 - c),
+            v1 * c + k1 * s + a1 * dv * (1.0 - c),
+            v2 * c + k2 * s + a2 * dv * (1.0 - c))
 
 
 def flow_field_matrices(
@@ -147,61 +174,67 @@ def flow_field_matrices(
     ``action`` is the in-bounds (rho0, sigma0, theta).
     """
     rho0, sigma0, theta = np.asarray(action, dtype=float).tolist()
-    uav_pos = np.asarray(uav_pos, dtype=float)
-    obstacle_pos = np.asarray(obstacle_pos, dtype=float)
-    sep = uav_pos - obstacle_pos
+    sep = np.asarray(uav_pos, dtype=float) - np.asarray(obstacle_pos, dtype=float)
     dist = _norm(sep)
     if dist < 1e-6:
         raise DegenerateGeometryError("UAV coincides with the obstacle center")
     gamma = (dist / obstacle_radius) ** 2
-    n = 2.0 * sep / obstacle_radius**2
-    n_hat = sep / dist
+    r2 = obstacle_radius**2
+    s0, s1, s2 = sep.tolist()
+    n = (2.0 * s0 / r2, 2.0 * s1 / r2, 2.0 * s2 / r2)
+    n_hat = (s0 / dist, s1 / dist, s2 / dist)
 
     ref = _cross(n_hat, _Z)
-    ref_norm = _norm(ref)
+    ref_norm = _norm(np.array(ref))
     if ref_norm < 1e-9:
         ref = _X  # normal is vertical; any horizontal direction works
     else:
-        ref = ref / ref_norm
+        ref = (ref[0] / ref_norm, ref[1] / ref_norm, ref[2] / ref_norm)
     tangent = _rodrigues(ref, n_hat, theta)
 
     # Saturated inside the unit level set, exponentially decaying outside.
     w_rep = 1.0 if gamma <= 1.0 else float(np.exp((1.0 - gamma) / rho0))
     w_tan = 1.0 if gamma <= 1.0 else float(np.exp((1.0 - gamma) / sigma0))
 
-    m_rep = -w_rep * (n[:, None] * n) / (n @ n)
-    m_tan = w_tan * (tangent[:, None] * n) / (_norm(tangent) * _norm(n))
-    return m_rep, m_tan
+    n_arr = np.array(n)
+    nn = float(n_arr.dot(n_arr))  # n @ n, the square of _norm(n)
+    scale = _norm(np.array(tangent)) * math.sqrt(nn)
+    both = np.array([-w_rep * (ni * nj) / nn for ni in n for nj in n]
+                    + [w_tan * (ti * nj) / scale for ti in tangent for nj in n])
+    return both[:9].reshape(3, 3), both[9:].reshape(3, 3)
 
 
 def _clamp_motion(
-    v_new: np.ndarray,
+    v: list[float],
     v_prev: np.ndarray,
     speed: float,
     climb_rate_limit: float,
     heading_rate_limit_deg: float,
-) -> np.ndarray:
-    """Apply climb-rate, per-step heading, and total-speed limits."""
-    v = np.asarray(v_new, dtype=float).copy()
-    v[2] = min(max(v[2], -climb_rate_limit), climb_rate_limit)
+) -> tuple[float, float, float]:
+    """Apply climb-rate, per-step heading, and total-speed limits to the
+    float velocity v, given the previous velocity v_prev."""
+    v0, v1, v2 = v
+    v2 = min(max(v2, -climb_rate_limit), climb_rate_limit)
 
-    h_prev = np.asarray(v_prev, dtype=float)[:2]
-    h_new = v[:2]
-    if _norm(h_prev) > 1e-9 and _norm(h_new) > 1e-9:
-        ang_prev = np.arctan2(h_prev[1], h_prev[0])
-        ang_new = np.arctan2(h_new[1], h_new[0])
-        dang = (ang_new - ang_prev + np.pi) % (2.0 * np.pi) - np.pi
-        limit = np.deg2rad(heading_rate_limit_deg)
-        if abs(dang) > limit:
-            ang = ang_prev + np.sign(dang) * limit
-            mag = _norm(h_new)
-            v[0] = mag * np.cos(ang)
-            v[1] = mag * np.sin(ang)
+    h_prev = v_prev[:2]
+    if _norm(h_prev) > 1e-9:
+        mag = _norm(np.array((v0, v1)))
+        if mag > 1e-9:
+            p0, p1 = h_prev.tolist()
+            ang_prev = float(np.arctan2(p1, p0))
+            ang_new = float(np.arctan2(v1, v0))
+            dang = (ang_new - ang_prev + math.pi) % (2.0 * math.pi) - math.pi
+            limit = math.radians(heading_rate_limit_deg)  # np.deg2rad's product
+            if abs(dang) > limit:
+                ang = ang_prev + float(np.sign(dang)) * limit
+                v0 = mag * float(np.cos(ang))
+                v1 = mag * float(np.sin(ang))
 
-    total = _norm(v)
+    total = _norm(np.array((v0, v1, v2)))
     if total > speed:
-        v = v * (speed / total)
-    return v
+        k = speed / total
+        return v0 * k, v1 * k, v2 * k
+    return v0, v1, v2
 
 
 def step_dynamics(
@@ -221,36 +254,52 @@ def step_dynamics(
     GNSS estimate so that spoofed fixes steer the real vehicle.
     """
     believed = world.uav_pos_true if nav_pos is None else np.asarray(nav_pos, float)
-    attract = speed * unit(world.goal - believed)
+    to_goal = world.goal - believed
+    goal_dist = _norm(to_goal)
+    if goal_dist < 1e-12:
+        attract = (speed * 0.0,) * 3  # unit() of a negligible vector is zero
+    else:
+        attract = [speed * (ti / goal_dist) for ti in to_goal.tolist()]
     m_rep, m_tan = flow_field_matrices(
         believed, world.obstacle_pos, world.obstacle_radius, action
     )
-    rel = attract - world.obstacle_vel
-    motion = (_I3 + m_rep + m_tan) @ rel + world.obstacle_vel
-    motion = _clamp_motion(motion, world.uav_vel, speed,
-                           climb_rate_limit, heading_rate_limit_deg)
-    new_pos = world.uav_pos_true + world.dt * motion
+    obs_vel = world.obstacle_vel.tolist()
+    rel = np.array([a - o for a, o in zip(attract, obs_vel)])
+    flow = (_I3 + m_rep + m_tan).dot(rel).tolist()  # the dgemv that `@` runs
+    motion = _clamp_motion([f + o for f, o in zip(flow, obs_vel)], world.uav_vel,
+                           speed, climb_rate_limit, heading_rate_limit_deg)
 
-    obs_pos = world.obstacle_pos + world.dt * world.obstacle_vel
-    obs_vel = world.obstacle_vel.copy()
+    dt = world.dt
+    new_pos = [p + dt * m for p, m in zip(world.uav_pos_true.tolist(), motion)]
+    obs_pos = [o + dt * v for o, v in zip(world.obstacle_pos.tolist(), obs_vel)]
     for i, hi in enumerate(bounds):
+        hi = float(hi)
         if obs_pos[i] < 0.0:
             obs_pos[i] = -obs_pos[i]
             obs_vel[i] = -obs_vel[i]
         elif obs_pos[i] > hi:
             obs_pos[i] = 2.0 * hi - obs_pos[i]
             obs_vel[i] = -obs_vel[i]
+    return world._advance([*new_pos, *motion, *obs_pos, *obs_vel])
 
-    return world._advance(new_pos, motion, obs_pos, obs_vel)
+
+def _threat(
+    est_pos: np.ndarray, obstacle_pos: np.ndarray, obstacle_radius: float
+) -> list[float]:
+    """`threat_vector` as three floats."""
+    p_rel = np.asarray(obstacle_pos, float) - np.asarray(est_pos, float)
+    dist = _norm(p_rel)
+    clearance = dist - obstacle_radius
+    if dist < 1e-12:
+        return [clearance * 0.0] * 3  # unit() of a negligible vector is zero
+    return [clearance * (p / dist) for p in p_rel.tolist()]
 
 
 def threat_vector(
     est_pos: np.ndarray, obstacle_pos: np.ndarray, obstacle_radius: float
 ) -> np.ndarray:
     """Signed surface-clearance scalar along the obstacle direction."""
-    p_rel = np.asarray(obstacle_pos, float) - np.asarray(est_pos, float)
-    clearance = _norm(p_rel) - obstacle_radius
-    return clearance * unit(p_rel)
+    return np.array(_threat(est_pos, obstacle_pos, obstacle_radius))
 
 
 def build_observation(pvt: PvtSolution, world: WorldState) -> np.ndarray:
@@ -261,14 +310,12 @@ def build_observation(pvt: PvtSolution, world: WorldState) -> np.ndarray:
             f"(residual norm {pvt.final_residual_norm:.3g})"
         )
     est = pvt.x[:3]
-    phi = np.concatenate([
-        threat_vector(est, world.obstacle_pos, world.obstacle_radius),
-        world.goal - est,
-        world.obstacle_vel,
-    ])
-    if not _finite(phi):
+    phi = _threat(est, world.obstacle_pos, world.obstacle_radius)
+    phi += [g - e for g, e in zip(world.goal.tolist(), est.tolist())]
+    phi += world.obstacle_vel.tolist()
+    if not all(map(math.isfinite, phi)):
         raise ConfigurationError("phi must be a finite 9-vector")
-    return phi
+    return np.array(phi)
 
 
 def reward(
@@ -290,7 +337,7 @@ def reward(
 
     dist_goal = _norm(world_next.goal - p)
     reached = dist_goal <= goal_threshold
-    denom = max(_norm(world_next.goal - world_next.start), 1e-9)
+    denom = max(world_next.goal_span, 1e-9)
     r_goal = -dist_goal / denom + (3.0 if reached else 0.0)
 
     if d <= r_obs:
@@ -317,7 +364,7 @@ def _sample_start_goal(
     the airspace box; the start is then uniform over the positions that
     keep both endpoints in bounds.
     """
-    bounds = np.array(cfg.bounds)
+    bx, by, bz = box = [float(b) for b in cfg.bounds]
     lo, hi = cfg.goal_distance_range
     for _ in range(100_000):
         d = rng.uniform(lo, hi)
@@ -325,10 +372,12 @@ def _sample_start_goal(
         norm = _norm(direction)
         if norm < 1e-9:
             continue
-        delta = d * direction / norm
-        if np.any(np.abs(delta) >= bounds):
+        x, y, z = direction.tolist()
+        dx, dy, dz = d * x / norm, d * y / norm, d * z / norm
+        if abs(dx) >= bx or abs(dy) >= by or abs(dz) >= bz:
             continue
-        room = bounds - np.abs(delta)
+        delta = np.array((dx, dy, dz))
+        room = np.array(box) - np.abs(delta)
         base = rng.uniform(np.zeros(3), room)
         start = np.where(delta >= 0, base, base - delta)
         return start, start + delta
@@ -409,7 +458,7 @@ def env_step(
     cfg: EnvConfig,
     rng: np.random.Generator | None = None,
     nav_pos: np.ndarray | None = None,
-    pvt_init: np.ndarray | None = None,
+    pvt_init: np.ndarray | PvtSolution | None = None,
 ) -> tuple[WorldState, np.ndarray, RewardBreakdown, bool, PvtSolution]:
     """One full cycle: move, measure (or get spoofed), solve, observe, score.
 
@@ -417,12 +466,14 @@ def env_step(
     world, phi, reward, done, fix), where the fix is the PvtSolution the
     9-vector phi was built from.  ``nav_pos`` feeds the controller's
     believed position to the dynamics; ``pvt_init``, an (x, y, z, bias)
-    vector, is where the solver starts.  The study rollouts
-    (`harness.run_episode`) pass the episode's previous fix, so a study fix
-    never starts from the truth.  Training passes nothing and the solver
-    falls back to the truth, which any in-range initialization converges
-    to at these geometries; moving training off it would change the pinned
-    checkpoint.  From onset on the pseudoranges are spoofed, noiseless.
+    vector or an earlier fix (see `gnss.solve_pvt`), is where the solver
+    starts.  The study rollouts (`harness.run_episode`) pass the episode's
+    previous fix itself, so a study fix never starts from the truth, and a
+    spoofed epoch that repeats the last one is not solved again.  Training
+    passes nothing and the solver falls back to the truth, which any
+    in-range initialization converges to at these geometries; moving
+    training off it would change the pinned checkpoint.  From onset on the
+    pseudoranges are spoofed, noiseless.
     """
     if noise_sigma > 0 and rng is None:
         raise ConfigurationError("noise_sigma > 0 requires an rng")
@@ -445,7 +496,7 @@ def env_step(
         implied = spoof_position(pos, alpha, spoof)
         meas = spoof_pseudoranges(implied, bias, constellation)
 
-    init = pvt_init if pvt_init is not None else np.append(pos, bias)
+    init = pvt_init if pvt_init is not None else np.array([*pos.tolist(), bias])
     pvt = solve_pvt(meas, constellation, init=init)
     phi = build_observation(pvt, world_next)
 

@@ -4,12 +4,22 @@ A pseudorange to satellite i is the true geometric range plus a common
 receiver clock bias (expressed in meters) plus measurement noise.  The
 solver linearizes around the current estimate and applies Gauss-Newton
 corrections until the correction norm drops below tolerance.
+
+A solve may start from an earlier fix instead of a vector.  The solve is
+deterministic in (measurements, init) for one constellation, tol and
+max_iter, so when that fix is stationary (its `x` is bitwise the init it
+was solved from) and the new measurements are bitwise the ones it was
+solved from, the new solve would repeat the old one operation for
+operation: `solve_pvt` returns the fix itself.  A drift spoofer whose ramp
+has ended sends the same noiseless epoch again and again, and lands here.
+Otherwise the first Gauss-Newton step reuses the satellite offsets and
+ranges at the fix's `x`, which its residuals were computed from.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -47,13 +57,24 @@ class Constellation:
 
 @dataclass(frozen=True)
 class PvtSolution:
-    """Outcome of an iterative PVT solve; the fix `x` is (x, y, z, bias)."""
+    """Outcome of an iterative PVT solve; the fix `x` is (x, y, z, bias).
+
+    The last four fields say what the fix was solved from, for a solve
+    that starts from it: the measurements' raw float64 bytes, whether `x`
+    is bitwise the init, the (positions, offsets, ranges) line of sight at
+    `x` that the residuals were computed from, and (tol, max_iter).  A fix
+    built by hand leaves them empty and is used as its `x` alone.
+    """
 
     x: np.ndarray
     iterations: int
     final_residual_norm: float
     converged: bool
     residuals: np.ndarray
+    measurements: bytes = field(default=b"", repr=False)
+    stationary: bool = field(default=False, repr=False)
+    line_of_sight: tuple = field(default=(), repr=False)
+    limits: tuple = field(default=(), repr=False)
 
 
 def make_constellation(
@@ -138,17 +159,22 @@ def measure_pseudoranges(
 
 
 def _gauss_newton_step(
-    x: np.ndarray, measured: np.ndarray, positions: np.ndarray, h: np.ndarray
+    x: np.ndarray,
+    measured: np.ndarray,
+    positions: np.ndarray,
+    h: np.ndarray,
+    los: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, float]:
     """Gauss-Newton step from x = (x, y, z, bias); returns (new x, correction norm).
 
     The ranges at x serve both the residual and the Jacobian, which is
-    written into `h`, an (N, 4) array whose last column holds ones.  The
-    normal equations go straight to the LAPACK gufunc (`dgesv`) that
+    written into `h`, an (N, 4) array whose last column holds ones; `los`,
+    when given, is `_line_of_sight` at x already computed.  The normal
+    equations go straight to the LAPACK gufunc (`dgesv`) that
     `np.linalg.solve` wraps; `_check_rank` has already rejected every
     matrix it could find singular.
     """
-    sep, ranges = _line_of_sight(x[:3], positions)
+    sep, ranges = _line_of_sight(x[:3], positions) if los is None else los
     delta = measured - (ranges + x[3])
     _fill_jacobian(h, sep, ranges)
     normal = h.T @ h
@@ -213,7 +239,7 @@ def _well_conditioned(a: list) -> bool:
 def solve_pvt(
     measurements: np.ndarray,
     constellation: Constellation,
-    init: np.ndarray | None = None,
+    init: np.ndarray | PvtSolution | None = None,
     tol: float = 1e-4,
     max_iter: int = 20,
 ) -> PvtSolution:
@@ -221,9 +247,11 @@ def solve_pvt(
 
     ``measurements`` is a 1-D array of pseudoranges in meters, one per
     satellite of ``constellation``.  ``init`` is a (4,) vector (x, y, z,
-    bias), which is copied, never written.  Convergence means the last
+    bias), which is copied, never written, or an earlier fix, which starts
+    the solve from its ``x`` (see the module docstring: the result is the
+    one the vector would give, bit for bit).  Convergence means the last
     correction norm fell below ``tol``.  The returned fix ``x`` has the
-    same layout, and the residuals are evaluated at it.
+    same layout, and the residuals are evaluated at it; both are read-only.
     """
     if len(measurements) < 4:
         raise ConfigurationError(
@@ -234,21 +262,40 @@ def solve_pvt(
             f"{len(measurements)} measurements for {len(constellation)} satellites"
         )
     positions = constellation.positions
+    measurements = np.asarray(measurements, dtype=float)
+    measured = measurements.tobytes()
+    limits = (tol, max_iter)
+    los = None
+    if isinstance(init, PvtSolution):
+        if init.line_of_sight and init.line_of_sight[0] is positions:
+            if (init.stationary and init.limits == limits
+                    and init.measurements == measured):
+                return init
+            los = init.line_of_sight[1:]
+        init = init.x
     x = np.zeros(4) if init is None else np.array(init, dtype=float)
+    start = x.tobytes()
     h = np.ones((len(constellation), 4))
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        x, step_norm = _gauss_newton_step(x, measurements, positions, h)
+        x, step_norm = _gauss_newton_step(x, measurements, positions, h, los)
+        los = None
         if step_norm < tol:
             converged = True
             break
-    _, ranges = _line_of_sight(x[:3], positions)
+    sep, ranges = _line_of_sight(x[:3], positions) if los is None else los
     final = measurements - (ranges + x[3])
+    for arr in (x, final, sep, ranges):
+        arr.flags.writeable = False
     return PvtSolution(
         x=x,
         iterations=iterations,
         final_residual_norm=math.sqrt(final.dot(final)),
         converged=converged,
         residuals=final,
+        measurements=measured,
+        stationary=x.tobytes() == start,
+        line_of_sight=(positions, sep, ranges),
+        limits=limits,
     )

@@ -329,8 +329,9 @@ def run_episode(
     episode is reset first; then all of them advance together, one age at
     a time.  At each age one `Agent.act` call acts on the (B, 9)
     observations of the B episodes still flying, and each of them takes
-    one `env_step`, its fix solved from the episode's previous fix
-    (`pvt_init`); only the reset's fix starts from the truth.  An episode
+    one `env_step`, its fix solved from the episode's previous fix (passed
+    itself as `pvt_init`, so a repeated spoofed epoch is not solved again);
+    only the reset's fix starts from the truth.  An episode
     records the observation, the action, the fix's position and RMS
     residual, and the reward in chunks of 64 rows; when it ends, one critic
     forward values every recorded decision.  Episodes neither share state
@@ -365,7 +366,7 @@ def run_episode(
             f.world, f.phi, rb, done, f.pvt = env_step(
                 f.world, action, constellation, noise_sigma,
                 f.attack, cfg=env_cfg, rng=f.rng,
-                nav_pos=f.pvt.x[:3], pvt_init=f.pvt.x,
+                nav_pos=f.pvt.x[:3], pvt_init=f.pvt,
             )
             rewards.append((rb.collision, rb.threat, rb.goal_seek, rb.total))
             if done:

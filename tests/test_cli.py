@@ -76,6 +76,23 @@ class TestUsageErrors:
         assert main(["train", "--config", str(missing)]) == 1
         assert str(missing) in capsys.readouterr().err
 
+    def test_config_that_is_a_directory_names_path(self, capsys, tmp_path):
+        """An unreadable config path exits 1 naming it, as a missing one
+        does, instead of exiting 2 as a runtime error."""
+        rc = main(["profile", "--config", str(tmp_path), "--out",
+                   str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tmp_path) in err
+
+    def test_non_utf8_config_names_path(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"master_seed": "caf\xe9"}')
+        rc = main(["profile", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err and "UTF-8" in err
+
     def test_wrongly_typed_config_value_names_the_key(self, capsys, tmp_path):
         doc = config_to_dict(tiny_config())
         doc["detectors"]["calibrate_tau"] = "false"

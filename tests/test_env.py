@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from driftwatch.config import EnvConfig
+from driftwatch.config import EnvConfig, TrainConfig
 from driftwatch.env import (
     ACTION_HIGH,
     ACTION_LOW,
@@ -14,6 +14,7 @@ from driftwatch.env import (
     TERM_NONE,
     TERM_TIMEOUT,
     WorldState,
+    _sample_start_goal,
     build_observation,
     clip_action,
     env_reset,
@@ -666,6 +667,101 @@ def test_world_vectors_are_read_only_and_carried_over():
             getattr(world, name)[0] = 1.0
     nxt = step_dynamics(world, action(1.0, 1.0, 0.0), 10.0)
     assert nxt.goal is world.goal and nxt.start is world.start
+    assert nxt.goal_span == world.goal_span
     assert nxt.t == world.t + 1
     with pytest.raises(ValueError, match="read-only"):
         nxt.uav_pos_true[0] = 1.0
+
+
+@pytest.mark.parametrize("index", range(12))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_step_rejects_a_non_finite_moving_vector(index, bad):
+    """A step checks its 12 new floats at once and names the vector that
+    holds the bad one."""
+    world = make_world()
+    moving = [float(k) for k in range(12)]
+    moving[index] = bad
+    name = ("uav_pos_true", "uav_vel", "obstacle_pos", "obstacle_vel")[index // 3]
+    with pytest.raises(ConfigurationError, match=f"{name} must be a finite"):
+        world._advance(moving)
+
+
+def test_non_finite_believed_position_fails_the_step():
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ConfigurationError, match="uav_pos_true"):
+            step_dynamics(make_world(), action(1.0, 1.0, 0.0), 10.0,
+                          nav_pos=np.array([np.nan, 0.0, 100.0]))
+
+
+def test_goal_span_follows_goal_and_start():
+    """|goal - start| is computed when a state is built, as np.linalg.norm
+    computes it, and again when `dataclasses.replace` moves either end."""
+    world = make_world(start=np.array([0.0, 0.0, 100.0]))
+    assert world.goal_span == np.linalg.norm(world.goal - world.start) == 1000.0
+    moved = dataclasses.replace(world, goal=np.array([3.0, 4.0, 100.0]))
+    assert moved.goal_span == 5.0
+    moved = dataclasses.replace(moved, start=np.array([3.0, 4.0, 112.0]))
+    assert moved.goal_span == 12.0
+    assert reward(moved).goal_seek == -5.0 / 12.0 + 3.0  # 5 m off the goal
+
+
+def test_sequential_episodes_each_score_their_own_goal_span(cons):
+    """Training plays one episode after another, and an episode's states
+    are dropped before the next begins, so object ids get reused: every
+    reward must still divide by its own episode's |goal - start|."""
+    train = TrainConfig()
+    spans = set()
+    for seed in range(40):
+        cfg = dataclasses.replace(EnvConfig(), max_steps=6, goal_distance_range=(
+            train.short_goal_distance_range, train.long_goal_distance_range
+        )[seed % 2])
+        world, _ = env_reset(cfg, seed=seed, constellation=cons)
+        span = float(np.linalg.norm(world.goal - world.start))
+        spans.add(span)
+        done = False
+        while not done:
+            world, _, rb, done, _ = env_step(world, action(1.0, 1.0, 0.0), cons,
+                                             0.0, cfg=cfg)
+            dist_goal = np.linalg.norm(world.goal - world.uav_pos_true)
+            assert world.goal_span == span
+            assert rb.goal_seek == -dist_goal / span + (
+                3.0 if dist_goal <= cfg.goal_threshold else 0.0)
+    assert len(spans) == 40
+
+
+def reference_sample_start_goal(cfg, rng):
+    """`env._sample_start_goal` as first written, with numpy throughout."""
+    bounds = np.array(cfg.bounds)
+    lo, hi = cfg.goal_distance_range
+    for _ in range(100_000):
+        d = rng.uniform(lo, hi)
+        direction = rng.normal(size=3)
+        norm = np.linalg.norm(direction)
+        if norm < 1e-9:
+            continue
+        delta = d * direction / norm
+        if np.any(np.abs(delta) >= bounds):
+            continue
+        room = bounds - np.abs(delta)
+        base = rng.uniform(np.zeros(3), room)
+        start = np.where(delta >= 0, base, base - delta)
+        return start, start + delta
+    raise AssertionError("no start/goal pair")
+
+
+@pytest.mark.parametrize("distances", ["default", "short", "long"])
+def test_start_goal_sampling_matches_reference(distances):
+    """Same draws, same starts and goals bit for bit, and the stream left
+    where the reference leaves it, over the default range and both
+    curriculum ranges."""
+    train = TrainConfig()
+    cfg = EnvConfig()
+    if distances != "default":
+        cfg = dataclasses.replace(cfg, goal_distance_range=getattr(
+            train, f"{distances}_goal_distance_range"))
+    for seed in range(300):
+        rng, ref_rng = (np.random.default_rng([seed, 0x5EED]) for _ in range(2))
+        got = _sample_start_goal(cfg, rng)
+        ref = reference_sample_start_goal(cfg, ref_rng)
+        assert all(same_bits(g, r) for g, r in zip(got, ref))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -11,6 +11,7 @@ from driftwatch.errors import (
 )
 from driftwatch.gnss import (
     Constellation,
+    PvtSolution,
     _check_rank,
     _well_conditioned,
     make_constellation,
@@ -551,3 +552,116 @@ def test_default_constellation_never_needs_the_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     for (m, i), ref in zip(cases, expected):
         assert_same_solution(solve_pvt(m, default, init=i), ref)
+
+
+# Warm starts from a fix.  A solve started from an earlier fix must give
+# bit for bit what the same solve started from that fix's vector gives.  The
+# solver may return the earlier fix itself only when it is stationary and
+# was solved from bitwise-equal measurements with the same constellation,
+# tol and max_iter; otherwise it iterates, reusing the fix's line of sight.
+
+
+def same_fix(sol, ref) -> bool:
+    return (sol.x.tobytes() == ref.x.tobytes()
+            and sol.iterations == ref.iterations
+            and sol.final_residual_norm == ref.final_residual_norm
+            and sol.converged == ref.converged
+            and sol.residuals.tobytes() == ref.residuals.tobytes())
+
+
+def from_vector(meas, constellation, fix, **limits):
+    """The full solve from the fix's (x, y, z, bias) vector."""
+    return solve_pvt(meas, constellation, init=fix.x.copy(), **limits)
+
+
+def stationary_fixes(cons, n_epochs=40):
+    """(spoofed measurements, stationary fix) pairs: each noiseless epoch is
+    re-solved from its last fix, as a rollout does after the drift ramp,
+    until the fix stops moving; epochs that do not settle within 40 solves
+    are left out."""
+    rng = np.random.default_rng(404)
+    found = []
+    for _ in range(n_epochs):
+        truth = random_receiver(rng)
+        target = rng.uniform([0.0, 0.0, 0.0], [1000.0, 1000.0, 300.0])
+        meas = spoof_pseudoranges(target, truth[3], cons)
+        fix = solve_pvt(meas, cons, init=truth)
+        for _ in range(40):
+            if fix.stationary:
+                found.append((meas, fix))
+                break
+            fix = solve_pvt(meas, cons, init=fix)
+    assert len(found) >= n_epochs // 4
+    return found
+
+
+def test_fix_records_what_it_was_solved_from(cons):
+    meas = measure_pseudoranges(np.array([10.0, 20.0, 30.0]), 5.0, cons, 2.0,
+                                np.random.default_rng(1))
+    init = np.array([12.0, 18.0, 33.0, 0.0])
+    fix = solve_pvt(meas, cons, init=init, tol=1e-5, max_iter=7)
+    assert fix.measurements == meas.tobytes()
+    assert fix.limits == (1e-5, 7)
+    assert not fix.stationary  # it moved from init
+    positions, sep, ranges = fix.line_of_sight
+    assert positions is cons.positions
+    assert np.array_equal(sep, fix.x[:3] - cons.positions)
+    assert np.array_equal(meas - (ranges + fix.x[3]), fix.residuals)
+    for arr in (fix.x, fix.residuals, sep, ranges):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
+def test_repeated_spoofed_epoch_returns_the_stationary_fix(cons):
+    for meas, fix in stationary_fixes(cons):
+        full = from_vector(meas, cons, fix)
+        assert full.x.tobytes() == fix.x.tobytes() and full.stationary
+        again = solve_pvt(meas.copy(), cons, init=fix)
+        assert again is fix
+        assert same_fix(again, full)
+
+
+def test_equal_measurements_from_a_moving_fix_iterate(cons):
+    rng = np.random.default_rng(405)
+    for k in range(60):
+        truth = random_receiver(rng)
+        meas = measure_pseudoranges(truth[:3], truth[3], cons,
+                                    (0.0, 2.0)[k % 2], rng)
+        moved = solve_pvt(meas, cons, init=None if k % 3 else truth)
+        if moved.stationary:
+            continue
+        again = solve_pvt(meas, cons, init=moved)
+        assert again is not moved
+        assert same_fix(again, from_vector(meas, cons, moved))
+
+
+def test_changed_measurements_iterate(cons):
+    rng = np.random.default_rng(406)
+    for meas, fix in stationary_fixes(cons):
+        ulp = meas.copy()
+        ulp[3] = np.nextafter(ulp[3], np.inf)
+        noisy = meas + rng.normal(0.0, 2.0, size=len(meas))
+        for changed in (ulp, noisy, meas + 50.0):
+            got = solve_pvt(changed, cons, init=fix)
+            assert got is not fix
+            assert same_fix(got, from_vector(changed, cons, fix))
+
+
+def test_fix_from_another_constellation_or_limits_is_not_reused(cons):
+    twin = Constellation(cons.positions)  # equal positions, another object
+    other = make_constellation(n_sats=8, seed=8)
+    for meas, fix in stationary_fixes(cons, n_epochs=12):
+        for constellation in (twin, other):
+            got = solve_pvt(meas, constellation, init=fix)
+            assert got is not fix
+            assert same_fix(got, from_vector(meas, constellation, fix))
+        for limits in (dict(tol=1e-6), dict(tol=0.0, max_iter=3),
+                       dict(max_iter=0), dict(max_iter=19)):
+            got = solve_pvt(meas, cons, init=fix, **limits)
+            assert got is not fix
+            assert same_fix(got, from_vector(meas, cons, fix, **limits))
+        hand = PvtSolution(x=fix.x.copy(), iterations=fix.iterations,
+                           final_residual_norm=fix.final_residual_norm,
+                           converged=True, residuals=fix.residuals.copy())
+        got = solve_pvt(meas, cons, init=hand)
+        assert got is not hand and same_fix(got, from_vector(meas, cons, fix))

@@ -286,7 +286,7 @@ class TestRunEpisode:
         self, small_agent, mini_env, constellation, monkeypatch
     ):
         """Each fix of a rollout starts from its episode's previous fix,
-        bit for bit; only the reset's first fix starts from the truth."""
+        passed itself; only the reset's first fix starts from the truth."""
         real_solve, real_dynamics = env_module.solve_pvt, env_module.step_dynamics
         real_reset, real_step = harness.env_reset_full, harness.env_step
         episode_of = {}  # goal bytes -> seed
@@ -311,7 +311,7 @@ class TestRunEpisode:
         def solve(meas, cons, init=None, **kwargs):
             pvt = real_solve(meas, cons, init=init, **kwargs)
             solves.setdefault(now["seed"], []).append(
-                (init, pvt.x, now["truth"]))
+                (init, pvt, now["truth"]))
             return pvt
 
         monkeypatch.setattr(harness, "env_reset_full", reset)
@@ -329,9 +329,8 @@ class TestRunEpisode:
             assert len(calls) == log.n_steps + 1  # the reset's, then one a step
             assert calls[0][2] is None  # the reset's fix
             for (_, previous, _), (init, _, truth) in zip(calls, calls[1:]):
-                assert init.shape == (4,)
-                assert init.tobytes() == previous.tobytes()
-                assert not np.array_equal(init, truth)
+                assert init is previous
+                assert not np.array_equal(init.x, truth)
 
     def test_lockstep_play_does_not_change_an_episode(
         self, small_agent, mini_env, constellation, synthetic_bank
