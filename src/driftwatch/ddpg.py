@@ -98,7 +98,8 @@ class Agent:
 
         One forward over all n rows; an episode is valued in a single pass.
         """
-        x = np.hstack([phi / self.obs_scales, normalize_action(action)])
+        x = np.concatenate([phi / self.obs_scales, normalize_action(action)],
+                           axis=1)
         return self.critic.forward(x, cache=False)[:, 0]
 
 
@@ -155,12 +156,12 @@ def train_step(
     phi_n = phi / agent.obs_scales
     phi_next_n = phi_next / agent.obs_scales
 
-    a_next = agent.target_actor.forward(phi_next_n)
+    a_next = agent.target_actor.forward(phi_next_n, cache=False)
     q_next = agent.target_critic.forward(
-        np.hstack([phi_next_n, a_next]))[:, 0]
+        np.concatenate([phi_next_n, a_next], axis=1), cache=False)[:, 0]
     y = r + gamma * (1.0 - done) * q_next
 
-    q = agent.critic.forward(np.hstack([phi_n, a_norm]))[:, 0]
+    q = agent.critic.forward(np.concatenate([phi_n, a_norm], axis=1))[:, 0]
     diff = q - y
     critic_loss = float(np.mean(diff**2))
     _, critic_grad = agent.critic.backward((2.0 / b) * diff[:, None],
@@ -168,7 +169,7 @@ def train_step(
     critic_opt.step(critic_grad)
 
     a_pi = agent.actor.forward(phi_n)
-    q_pi = agent.critic.forward(np.hstack([phi_n, a_pi]))
+    q_pi = agent.critic.forward(np.concatenate([phi_n, a_pi], axis=1))
     actor_objective = float(np.mean(q_pi))
     dinput, _ = agent.critic.backward(np.full((b, 1), -1.0 / b),
                                       param_grad=False)

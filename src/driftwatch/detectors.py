@@ -632,15 +632,20 @@ def window_ae_train(
         rng,
     )
     opt = Adam(net.flat, lr)
+    # err, then dL/drecon = 2 err / err.size in place; sq = err**2.  Same
+    # operations as the out-of-place forms, and np.mean is add.reduce / size.
+    err, sq = np.empty_like(x), np.empty_like(x)
     curve = []
     for _ in range(epochs):
-        recon = net.forward(x)
-        err = recon - x
-        curve.append(float(np.mean(err**2)))
-        _, grad = net.backward(2.0 * err / err.size, input_grad=False)
+        np.subtract(net.forward(x), x, out=err)
+        np.multiply(err, err, out=sq)
+        curve.append(float(np.add.reduce(sq, axis=None) / sq.size))
+        err *= 2.0
+        err /= err.size
+        _, grad = net.backward(err, input_grad=False)
         opt.step(grad)
 
-    recon = net.forward(x)
+    recon = net.forward(x, cache=False)
     per_window = np.mean((recon - x) ** 2, axis=1)
     threshold = float(per_window.mean() + threshold_stds * per_window.std())
     model = WindowAutoencoder(net=net, window=window, mean=mu, std=sd,

@@ -8,10 +8,17 @@ No general autodiff: exactly what two small actor/critic heads need.
 Each network keeps all of its parameters in one contiguous vector,
 `flat`, laid out w0, b0, w1, b1, ... in the order `to_arrays` writes
 them; `weights[i]` and `biases[i]` are reshaped views into it.  Adam and
-the soft update therefore work on one vector per network.  `backward`
-writes parameter gradients into a second vector with the same layout,
-allocated on a net's first backward; the gradient it returns is that
-buffer, so the next `backward` on the same net overwrites it.
+the soft update therefore work on one vector per network.
+
+A net computes in buffers it owns and keeps while the batch size
+repeats, so a full-batch training loop allocates nothing after its first
+pass; a new batch size reallocates them.  A cached forward writes one
+post-activation array per layer and returns the last.  `backward` writes
+its workspaces, the input gradient it returns and the parameter gradient,
+a vector laid out like `flat`.  A later call may overwrite what an
+earlier one returned, so copy what must outlive it.
+`forward(cache=False)` computes into fresh arrays that nothing
+overwrites, and drops the buffers.
 
 `save_npz` and `load_npz` are the one npz codec for every file of
 networks, the agent checkpoint and the window autoencoder alike: a schema
@@ -32,23 +39,6 @@ from .errors import (
 )
 
 _ACTIVATIONS = ("relu", "tanh", "linear")
-
-
-def _act(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "tanh":
-        return np.tanh(z)
-    return z
-
-
-def _act_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Derivative of the activation at pre-activation z (a = act(z))."""
-    if name == "relu":
-        return (z > 0.0).astype(z.dtype)
-    if name == "tanh":
-        return 1.0 - a * a
-    return np.ones_like(z)
 
 
 def _layer_views(buf: np.ndarray, layer_sizes: list[int]):
@@ -108,7 +98,7 @@ class Mlp:
         self.flat = flat
         self.weights, self.biases = _layer_views(flat, self.layer_sizes)
         self._grad: np.ndarray | None = None
-        self._cache: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
+        self._x = self._work = None  # the cached forward's input and buffers
 
     def to_arrays(self, prefix: str = "") -> dict[str, np.ndarray]:
         """Weights and biases as npz entries `{prefix}w{i}`, `{prefix}b{i}`.
@@ -156,11 +146,21 @@ class Mlp:
             out.extend([w, b])
         return out
 
+    def _buffers(self, n: int):
+        """(outputs, dL/dz, activation derivatives, dL/dx) for n rows."""
+        sizes = self.layer_sizes[1:]
+        return ([np.empty((n, d)) for d in sizes],
+                [np.empty((n, d)) for d in sizes],
+                [None if act == "linear" else np.empty((n, d))
+                 for act, d in zip(self.activations, sizes)],
+                np.empty((n, self.layer_sizes[0])))
+
     def forward(self, x: np.ndarray, *, cache: bool = True) -> np.ndarray:
         """Output for a row or a batch of rows.
 
-        `cache=False` keeps no activations, so nothing stays alive after an
-        inference pass and there is nothing for `backward` to use.
+        A cached pass writes each layer into this net's buffer for the batch
+        size and returns the last one.  `cache=False` writes into fresh
+        arrays, drops the buffers and leaves nothing for `backward`.
         """
         x = np.asarray(x, dtype=float)
         squeeze = x.ndim == 1
@@ -170,15 +170,24 @@ class Mlp:
             raise DimensionMismatchError(
                 f"expected input width {self.layer_sizes[0]}, got {x.shape[1]}"
             )
-        layers = [] if cache else None
+        if not cache:
+            self._x = self._work = None
+            outs = [None] * self.n_layers
+        else:
+            if self._work is None or len(self._work[0][0]) != len(x):
+                self._work = self._buffers(len(x))
+            outs = self._work[0]
         a = x
-        for w, b, act in zip(self.weights, self.biases, self.activations):
-            z = a @ w + b
-            a_next = _act(act, z)
-            if cache:
-                layers.append((a, z, a_next))
-            a = a_next
-        self._cache = layers
+        for w, b, act, out in zip(self.weights, self.biases,
+                                  self.activations, outs):
+            a = np.matmul(a, w, out=out)
+            a += b
+            if act == "relu":
+                np.maximum(a, 0.0, out=a)
+            elif act == "tanh":
+                np.tanh(a, out=a)
+        if cache:
+            self._x = x
         return a[0] if squeeze else a
 
     def backward(
@@ -188,14 +197,14 @@ class Mlp:
         param_grad: bool = True,
         input_grad: bool = True,
     ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Backpropagate dL/dy through the last forward pass.
+        """Backpropagate dL/dy through the last cached forward pass.
 
         Returns (dL/dx, dL/d`flat`); either is None when its flag is off,
-        and then it is not computed.  The parameter gradient is this net's
-        own buffer, laid out like `flat`: the next `backward` overwrites it,
-        so copy it to keep it.
+        and then it is not computed.  Both are this net's own buffers, the
+        parameter gradient laid out like `flat`: the next `backward`
+        overwrites them, so copy them to keep them.
         """
-        if self._cache is None:
+        if self._x is None:
             raise ConfigurationError("backward called before forward")
         dout = np.asarray(dout, dtype=float)
         if dout.ndim == 1:
@@ -204,15 +213,26 @@ class Mlp:
             self._grad = np.empty_like(self.flat)
             self._grad_w, self._grad_b = _layer_views(self._grad,
                                                       self.layer_sizes)
+        outs, dzs, derivs, dx = self._work
         da = dout
         for i in range(self.n_layers - 1, -1, -1):
-            a_in, z, a_out = self._cache[i]
-            dz = da * _act_grad(self.activations[i], z, a_out)
+            # relu': 1.0 where a > 0, i.e. where z > 0 (NaN gives 0.0); tanh':
+            # 1 - a*a.  Multiplied as floats, NaN and -0.0 in dL/da carry.
+            act, a_out, deriv = self.activations[i], outs[i], derivs[i]
+            if act == "relu":
+                np.greater(a_out, 0.0, out=deriv)
+            elif act == "tanh":
+                np.multiply(a_out, a_out, out=deriv)
+                np.subtract(1.0, deriv, out=deriv)
+            dz = da if deriv is None else np.multiply(da, deriv, out=dzs[i])
             if param_grad:
+                a_in = outs[i - 1] if i > 0 else self._x
                 np.matmul(a_in.T, dz, out=self._grad_w[i])
                 dz.sum(axis=0, out=self._grad_b[i])
-            if i > 0 or input_grad:
-                da = dz @ self.weights[i].T
+            if i > 0:
+                da = np.matmul(dz, self.weights[i].T, out=dzs[i - 1])
+            elif input_grad:
+                da = np.matmul(dz, self.weights[0].T, out=dx)
         return (da if input_grad else None), (self._grad if param_grad else None)
 
     def copy(self) -> "Mlp":

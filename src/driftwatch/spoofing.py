@@ -34,10 +34,6 @@ class AttackConfig:
         if self.t_start < 0:
             raise ConfigurationError(f"t_start must be >= 0, got {self.t_start}")
 
-    @property
-    def target_array(self) -> np.ndarray:
-        return np.array(self.target, dtype=float)
-
 
 def attack_alpha(t: int, cfg: AttackConfig) -> float | None:
     """Interpolation weight at step t: None (measure honestly) before onset.
@@ -54,8 +50,14 @@ def attack_alpha(t: int, cfg: AttackConfig) -> float | None:
 def spoof_position(
     true_pos: np.ndarray, alpha: float, cfg: AttackConfig
 ) -> np.ndarray:
-    """Convex combination of the live true position and the attack target."""
-    return (1.0 - alpha) * true_pos + alpha * cfg.target_array
+    """Convex combination of the live true position and the attack target.
+
+    Element by element on Python floats: the same IEEE operations as the
+    array expression (1 - alpha) * true_pos + alpha * target.
+    """
+    keep = 1.0 - alpha
+    return np.array([keep * p + alpha * t
+                     for p, t in zip(true_pos.tolist(), cfg.target)])
 
 
 def spoof_pseudoranges(

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from driftwatch.nets import Mlp
+from nets_oracles import reference_forward
 
 
 def numeric_param_grads(
@@ -40,11 +41,13 @@ def min_relu_preactivation_margin(mlp: Mlp, x: np.ndarray) -> float:
     """Smallest |pre-activation| over relu layers for the given batch.
 
     Finite-difference gradient checks are only trustworthy when no relu
-    input sits near its kink; callers assert this margin first.
+    input sits near its kink; callers assert this margin first.  Each
+    pre-activation is recomputed as a_in @ W + b from the public weights.
     """
-    mlp.forward(x)
+    _, layers = reference_forward(mlp.weights, mlp.biases, mlp.activations,
+                                  np.asarray(x, dtype=float))
     margin = np.inf
-    for (a_in, z, a_out), act in zip(mlp._cache, mlp.activations):
+    for (a_in, z, a_out), act in zip(layers, mlp.activations):
         if act == "relu":
             margin = min(margin, float(np.abs(z).min()))
     return margin

@@ -30,6 +30,7 @@ from driftwatch.gnss import (
     measure_pseudoranges,
     solve_pvt,
 )
+from nets_oracles import reference_window_ae_train
 from scoring_oracles import (
     ScalarBocpdState,
     ScalarPageHinkley,
@@ -825,6 +826,25 @@ class TestWindowAutoencoder:
         assert len(slices) == 6 * (150 - 31)
         assert model.mean == float(slices.mean())
         assert model.std == float(max(slices.std(), 1e-6))
+
+    @pytest.mark.parametrize("shape", [
+        dict(),
+        dict(window=16, hidden=8, bottleneck=3, epochs=40, seed=9),
+    ], ids=["default", "small"])
+    def test_training_matches_first_written_loop(self, shape):
+        """Parameters, mean, std, threshold and loss curve, bit for bit;
+        the returned net keeps no training buffers."""
+        rng = np.random.default_rng(17)
+        streams = make_streams(rng, 5, 140) + [rng.normal(size=12)]
+        model, curve = window_ae_train(streams, **shape)
+        flat, mu, sd, threshold, ref_curve = reference_window_ae_train(
+            streams, **shape)
+        assert model.net.flat.tobytes() == flat.tobytes()
+        assert (model.mean, model.std, model.threshold) == (mu, sd, threshold)
+        assert curve == ref_curve
+        assert model.net._work is None
+        with pytest.raises(ConfigurationError, match="before forward"):
+            model.net.backward(np.zeros((1, model.window)))
 
     def test_training_curve_decreases(self, trained):
         _, curve, _, _ = trained

@@ -8,6 +8,13 @@ import pytest
 from driftwatch.errors import ConfigurationError, DimensionMismatchError
 from driftwatch.nets import Adam, Mlp, soft_update
 from gradcheck import min_relu_preactivation_margin, numeric_param_grads, split_like
+from nets_oracles import (
+    ReferenceAdam,
+    joined,
+    reference_backward,
+    reference_forward,
+    reference_soft_update,
+)
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -218,73 +225,6 @@ def test_to_arrays_writes_the_same_npz_bytes():
     assert got.getvalue() == want.getvalue()
 
 
-# List-form reference: the per-array forward, backward, Adam and soft
-# update that the flat-buffer versions must match bit for bit.
-
-def reference_forward(weights, biases, acts, x):
-    cache, a = [], x
-    for w, b, act in zip(weights, biases, acts):
-        z = a @ w + b
-        a_next = (np.maximum(z, 0.0) if act == "relu"
-                  else np.tanh(z) if act == "tanh" else z)
-        cache.append((a, z, a_next))
-        a = a_next
-    return a, cache
-
-
-def reference_backward(weights, acts, cache, dout):
-    """(dL/dx, [dW0, db0, dW1, db1, ...])."""
-    grads_w = [None] * len(weights)
-    grads_b = [None] * len(weights)
-    da = dout
-    for i in range(len(weights) - 1, -1, -1):
-        a_in, z, a_out = cache[i]
-        if acts[i] == "relu":
-            d_act = (z > 0.0).astype(z.dtype)
-        elif acts[i] == "tanh":
-            d_act = 1.0 - a_out * a_out
-        else:
-            d_act = np.ones_like(z)
-        dz = da * d_act
-        grads_w[i] = a_in.T @ dz
-        grads_b[i] = dz.sum(axis=0)
-        da = dz @ weights[i].T
-    grads = []
-    for gw, gb in zip(grads_w, grads_b):
-        grads.extend([gw, gb])
-    return da, grads
-
-
-class ReferenceAdam:
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params, self.lr = params, lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
-        self.t = 0
-
-    def step(self, grads):
-        self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-
-
-def reference_soft_update(target_params, source_params, tau):
-    for pt, ps in zip(target_params, source_params):
-        pt *= 1.0 - tau
-        pt += tau * ps
-
-
-def joined(arrays) -> bytes:
-    return b"".join(a.tobytes() for a in arrays)
-
-
 @pytest.mark.parametrize("sizes, acts, final_scale", [
     ([9, 64, 64, 3], ["relu", "relu", "tanh"], 0.01),
     ([12, 64, 64, 1], ["relu", "relu", "linear"], 1.0),
@@ -323,3 +263,96 @@ def test_flat_training_matches_list_reference(sizes, acts, final_scale):
     assert opt.m.tobytes() == joined(ref_opt.m)
     assert opt.v.tobytes() == joined(ref_opt.v)
     assert target.flat.tobytes() == joined(target_params)
+
+
+def special_rows(rng, n, width):
+    """Random rows cycling through a zero row, a -0.0 row and rows with one
+    NaN, +inf or -inf entry; row 0 is the zero row."""
+    x = rng.normal(size=(n, width))
+    for r in range(n):
+        kind = r % 7
+        if kind == 0:
+            x[r] = 0.0
+        elif kind == 1:
+            x[r] = -0.0
+        elif kind <= 4:
+            x[r, r % width] = (np.nan, np.inf, -np.inf)[kind - 2]
+    return x
+
+
+@pytest.mark.parametrize("batch", [1, 64, 1825])
+@pytest.mark.parametrize("sizes, acts", [
+    ([9, 64, 64, 3], ["relu", "relu", "tanh"]),
+    ([12, 64, 64, 1], ["relu", "relu", "linear"]),
+    ([32, 16, 4, 16, 32], ["relu", "linear", "relu", "linear"]),
+    ([3, 5, 4, 2], ["tanh", "relu", "linear"]),
+], ids=["actor", "critic", "ae", "mixed"])
+def test_in_place_passes_match_first_written_mlp(sizes, acts, batch):
+    """Output, input gradient and parameter gradient, bit for bit, with
+    NaN, +-inf, -0.0 and exact-zero pre-activations and NaN, inf and -0.0
+    in dL/dy."""
+    rng = np.random.default_rng(batch)
+    net = Mlp(sizes, acts, rng)
+    for b in net.biases:
+        b[::2] = 0.0
+        b[1::4] = -0.0
+    x = special_rows(rng, batch, sizes[0])
+    dout = rng.normal(size=(batch, sizes[-1]))
+    dout[::5, 0] = -0.0
+    dout[1::11, -1] = np.nan
+    dout[2::13, 0] = np.inf
+    dout[3::17, -1] = 0.0
+    with np.errstate(invalid="ignore"):
+        ref_y, cache = reference_forward(net.weights, net.biases, acts, x)
+        ref_dx, ref_grads = reference_backward(net.weights, acts, cache, dout)
+        y = net.forward(x).tobytes()
+        dx, grad = net.backward(dout)
+        y_inference = net.forward(x, cache=False).tobytes()
+    z = np.concatenate([z.ravel() for _, z, _ in cache])
+    relu_z = np.concatenate([z.ravel() for (_, z, _), act in zip(cache, acts)
+                             if act == "relu"])
+    assert (relu_z == 0.0).any()
+    if batch > 4:
+        assert np.isnan(z).any() and np.isinf(z).any()
+
+    assert y == y_inference == ref_y.tobytes()
+    assert dx.tobytes() == ref_dx.tobytes()
+    assert grad.tobytes() == joined(ref_grads)
+
+
+def test_cached_forward_reuses_buffers_per_batch_size():
+    rng = np.random.default_rng(21)
+    net = Mlp([4, 8, 3], ["relu", "tanh"], rng)
+    x, x2 = rng.normal(size=(2, 5, 4))
+    dout = rng.normal(size=(5, 3))
+    y = net.forward(x)
+    dx, _ = net.backward(dout)
+    assert net.forward(x2) is y
+    assert net.backward(dout)[0] is dx
+    # a new batch size reallocates; the old arrays keep their values
+    y_kept = y.copy()
+    y7 = net.forward(rng.normal(size=(7, 4)))
+    assert y7.shape == (7, 3) and not np.shares_memory(y7, y)
+    assert not np.shares_memory(net.backward(rng.normal(size=(7, 3)))[0], dx)
+    assert y.tobytes() == y_kept.tobytes()
+    # a one-row input returns its row of the buffer
+    assert np.shares_memory(net.forward(x[0]), net.forward(x[:1]))
+
+
+def test_inference_results_are_never_overwritten():
+    rng = np.random.default_rng(22)
+    net = Mlp([4, 8, 3], ["relu", "tanh"], rng)
+    x = rng.normal(size=(5, 4))
+    first = net.forward(x, cache=False)
+    want = first.tobytes()
+    second = net.forward(x, cache=False)
+    assert second is not first and not np.shares_memory(first, second)
+    for _ in range(2):
+        cached = net.forward(2.0 * x)
+        net.backward(np.ones((5, 3)))
+        assert not np.shares_memory(cached, first)
+    net.forward(x, cache=False)
+    assert first.tobytes() == want
+    # an inference pass drops the cache, so there is nothing to backpropagate
+    with pytest.raises(ConfigurationError, match="before forward"):
+        net.backward(np.ones((5, 3)))
