@@ -46,7 +46,7 @@ cfg = default_config()
 constellation = make_constellation(
     cfg.gnss.n_sats, cfg.gnss.radius, cfg.gnss.constellation_seed,
     cfg.gnss.min_separation_deg)
-world, phi = env_reset(cfg.env, seed=3, constellation=constellation)
+world, phi = env_reset(cfg.env, 3, constellation, cfg.gnss.noise_sigma)
 
 start_goal_dist = np.linalg.norm(world.goal - world.uav_pos_true)
 print(f"episode: start {np.round(world.uav_pos_true)} m,"
@@ -59,10 +59,8 @@ min_clear = np.inf
 print(f"  {'t':>4}  {'goal dist (m)':>13}  {'obstacle clearance (m)':>22}")
 t = 0
 while True:
-    world = step_dynamics(world, action, cfg.env.cruise_speed,
-                          climb_rate_limit=cfg.env.climb_rate_limit,
-                          heading_rate_limit_deg=cfg.env.heading_rate_limit_deg,
-                          bounds=cfg.env.bounds)
+    # steered by the truth: no receiver in this loop
+    world = step_dynamics(world, action, world.uav_pos_true, cfg.env)
     t = world.t
     goal_dist = np.linalg.norm(world.goal - world.uav_pos_true)
     clear = (np.linalg.norm(world.uav_pos_true - world.obstacle_pos)

@@ -34,18 +34,14 @@ constellation = make_constellation(
     cfg.gnss.min_separation_deg)
 
 t0 = time.perf_counter()
-agent, history = train(cfg.env, cfg.train, cfg.master_seed,
-                       gnss_cfg=cfg.gnss, constellation=constellation)
+agent, history = train(cfg, cfg.master_seed, constellation)
 print(f"trained {cfg.train.episodes} episodes in"
       f" {time.perf_counter() - t0:.1f}s;"
       f" return went {np.mean(history[:20]):.1f} (first 20)"
       f" -> {np.mean(history[-20:]):.1f} (last 20)")
 
 t0 = time.perf_counter()
-bank, diag = profile_pipeline(agent, cfg.env, cfg.detectors, cfg.eval,
-                              constellation=constellation,
-                              noise_sigma=cfg.gnss.noise_sigma,
-                              master_seed=cfg.master_seed)
+bank, diag = profile_pipeline(agent, cfg, cfg.master_seed, constellation)
 print(f"profiled {cfg.eval.profile_episodes} nominal episodes in"
       f" {time.perf_counter() - t0:.1f}s; value score baseline"
       f" mu0={bank.profile.mu0:.2f} sigma0={bank.profile.sigma0:.2f},"
@@ -53,10 +49,7 @@ print(f"profiled {cfg.eval.profile_episodes} nominal episodes in"
       f" calibrated tau={bank.tau}")
 
 t0 = time.perf_counter()
-metrics, logs = evaluate(agent, cfg.env, cfg.eval, bank,
-                         constellation=constellation,
-                         noise_sigma=cfg.gnss.noise_sigma,
-                         master_seed=cfg.master_seed)
+metrics, logs = evaluate(agent, cfg, bank, cfg.master_seed, constellation)
 n_nom = sum(not log.attacked for log in logs)
 n_att = len(logs) - n_nom
 print(f"evaluated {n_nom} nominal + {n_att} attacked episodes in"

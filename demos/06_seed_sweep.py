@@ -61,13 +61,8 @@ print(f"{'seed':>4} {'detector':>10} {'acc':>6} {'fpr':>6} {'fnr':>6}"
       f" {'delay':>6}  criterion 8")
 passed = 0
 for seed in range(*args.seeds):
-    bank, _ = profile_pipeline(agent, cfg.env, cfg.detectors, cfg.eval,
-                               constellation=constellation,
-                               noise_sigma=cfg.gnss.noise_sigma,
-                               master_seed=seed)
-    per, _ = evaluate(agent, cfg.env, cfg.eval, bank,
-                      constellation=constellation,
-                      noise_sigma=cfg.gnss.noise_sigma, master_seed=seed)
+    bank, _ = profile_pipeline(agent, cfg, seed, constellation)
+    per, _ = evaluate(agent, cfg, bank, seed, constellation)
     failed = [name for name, ok in criterion_8(per).items() if not ok]
     passed += not failed
     verdict = f"tau {bank.tau}, " + (

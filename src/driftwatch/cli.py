@@ -32,13 +32,13 @@ from .gnss import make_constellation
 from .harness import (
     DETECTOR_ORDER,
     DetectorBank,
+    eval_attack,
     evaluate,
     profile_pipeline,
     run_episode,
     write_episode_csv,
 )
 from .report import emit_report, write_training_curve_csv
-from .spoofing import AttackConfig
 
 
 class _UsageError(Exception):
@@ -99,11 +99,7 @@ def _build_parser() -> _Parser:
 
 
 def _load_cfg(path: Path | None) -> ExperimentConfig:
-    if path is None:
-        return default_config()
-    if not Path(path).exists():
-        raise ConfigurationError(f"config file not found: {path}")
-    return load_config(path)
+    return default_config() if path is None else load_config(path)
 
 
 def _constellation(cfg: ExperimentConfig):
@@ -126,9 +122,7 @@ def _load_agent(checkpoint: Path | None, out: Path):
 
 def _cmd_train(cfg: ExperimentConfig, seed: int, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    constellation = _constellation(cfg)
-    agent, history = train(cfg.env, cfg.train, seed, gnss_cfg=cfg.gnss,
-                           constellation=constellation)
+    agent, history = train(cfg, seed, _constellation(cfg))
     ckpt = out / "checkpoint.npz"
     save_checkpoint(agent, ckpt)
     write_training_curve_csv(history, out / "training_curve.csv")
@@ -141,13 +135,7 @@ def _cmd_train(cfg: ExperimentConfig, seed: int, out: Path) -> int:
 
 def _cmd_profile(cfg: ExperimentConfig, seed: int, out: Path, args) -> int:
     agent = _load_agent(args.checkpoint, out)
-    bank, diag = profile_pipeline(
-        agent, cfg.env, cfg.detectors, cfg.eval,
-        constellation=_constellation(cfg),
-        noise_sigma=cfg.gnss.noise_sigma,
-        master_seed=seed,
-        config_hash=config_hash(cfg),
-    )
+    bank, diag = profile_pipeline(agent, cfg, seed, _constellation(cfg))
     bank.save(out)
     print(f"nominal profile: mu0={bank.profile.mu0!r} "
           f"sigma0={bank.profile.sigma0!r} n={bank.profile.n_samples}")
@@ -163,26 +151,16 @@ def _cmd_profile(cfg: ExperimentConfig, seed: int, out: Path, args) -> int:
 def _cmd_run(cfg: ExperimentConfig, seed: int, out: Path, args) -> int:
     agent = _load_agent(args.checkpoint, out)
     bank = DetectorBank.load(out) if (out / "bank.json").exists() else None
-    attack = None
-    if args.attack:
-        attack = AttackConfig(
-            t_start=cfg.eval.attack_t_start,
-            drift_duration=cfg.eval.attack_drift_duration,
-            target=cfg.eval.attack_target,
-            enabled=True,
-        )
-    [log] = run_episode(
-        agent, cfg.env, [(attack, seed)],
-        constellation=_constellation(cfg),
-        noise_sigma=cfg.gnss.noise_sigma,
-        config_hash=config_hash(cfg),
-    )
+    attack = eval_attack(cfg.eval) if args.attack else None
+    [log] = run_episode(agent, cfg.env, [(attack, seed)],
+                        constellation=_constellation(cfg),
+                        noise_sigma=cfg.gnss.noise_sigma)
     if bank is not None:
         bank.score([log])
     out.mkdir(parents=True, exist_ok=True)
     suffix = "_attacked" if args.attack else ""
     path = out / f"episode_{seed}{suffix}.csv"
-    write_episode_csv(log, path)
+    write_episode_csv(log, path, config_hash(cfg))
     detectors_note = "" if bank is not None else " (no detector bank attached)"
     print(f"{log.terminal_event} after {log.n_steps} steps{detectors_note}")
     print(f"log: {path}")
@@ -191,20 +169,9 @@ def _cmd_run(cfg: ExperimentConfig, seed: int, out: Path, args) -> int:
 
 def _cmd_eval(cfg: ExperimentConfig, seed: int, out: Path, args) -> int:
     agent = _load_agent(args.checkpoint, out)
-    if not (out / "bank.json").exists():
-        raise ConfigurationError(
-            f"no detector bank in {out} (run `driftwatch profile` first)"
-        )
     bank = DetectorBank.load(out)
-    digest = config_hash(cfg)
-    metrics, logs = evaluate(
-        agent, cfg.env, cfg.eval, bank,
-        constellation=_constellation(cfg),
-        noise_sigma=cfg.gnss.noise_sigma,
-        master_seed=seed,
-        config_hash=digest,
-    )
-    paths = emit_report(metrics, logs, out, config_hash=digest,
+    metrics, logs = evaluate(agent, cfg, bank, seed, _constellation(cfg))
+    paths = emit_report(metrics, logs, out, config_hash=config_hash(cfg),
                         master_seed=seed)
     for name in DETECTOR_ORDER:
         m = metrics[name]

@@ -1,8 +1,10 @@
 """Experiment configuration and the typed JSON codec every document uses.
 
-Every tunable lives here with its default pinned; the JSON schema is
-versioned and unknown keys are rejected so stale config files fail loudly
-instead of silently running defaults.
+Every tunable lives here, and only here, with its default pinned: code
+that reads a tunable takes its section (`train`, `profile_pipeline` and
+`evaluate` take the whole ExperimentConfig), so no function repeats a
+default.  The JSON schema is versioned and unknown keys are rejected so
+stale config files fail loudly instead of silently running defaults.
 
 `to_json` and `from_json` map a dataclass to and from a JSON object by its
 fields' resolved annotations: nested dataclasses are objects, tuples are

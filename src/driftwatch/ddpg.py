@@ -12,7 +12,7 @@ import dataclasses
 
 import numpy as np
 
-from .config import EnvConfig, GnssConfig, TrainConfig
+from .config import EnvConfig, ExperimentConfig, TrainConfig
 from .env import (
     ACTION_HIGH,
     ACTION_LOW,
@@ -23,7 +23,7 @@ from .env import (
     env_step,
 )
 from .errors import ConfigurationError
-from .gnss import Constellation, make_constellation
+from .gnss import Constellation
 from .nets import Adam, Mlp, load_npz, save_npz, soft_update
 
 CHECKPOINT_SCHEMA = "driftwatch-checkpoint-v1"
@@ -52,17 +52,14 @@ def denormalize_action(norm: np.ndarray) -> np.ndarray:
 
 
 class Agent:
-    """Actor/critic pair plus frozen target copies and observation scaling."""
+    """Actor/critic pair plus frozen target copies and observation scaling.
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        hidden: tuple[int, int] = (64, 64),
-        obs_scales: tuple[float, ...] = (1000.0,) * 6 + (10.0,) * 3,
-    ):
-        if len(obs_scales) != OBS_DIM:
-            raise ConfigurationError(f"obs_scales must have {OBS_DIM} entries")
-        self.obs_scales = np.asarray(obs_scales, dtype=float)
+    The hidden sizes and the observation scales are `train_cfg`'s.
+    """
+
+    def __init__(self, rng: np.random.Generator, train_cfg: TrainConfig):
+        hidden = train_cfg.hidden
+        self.obs_scales = np.asarray(train_cfg.obs_scales, dtype=float)
         actor_sizes = [OBS_DIM, *hidden, ACT_DIM]
         critic_sizes = [OBS_DIM + ACT_DIM, *hidden, 1]
         # small final layer start: the policy begins near the action center
@@ -212,25 +209,16 @@ def noise_schedule(train_cfg: TrainConfig, episode: int) -> float:
 
 
 def train(
-    env_cfg: EnvConfig,
-    train_cfg: TrainConfig,
-    seed: int,
-    gnss_cfg: GnssConfig | None = None,
-    constellation: Constellation | None = None,
+    cfg: ExperimentConfig, seed: int, constellation: Constellation
 ) -> tuple[Agent, list[float]]:
     """Full training run: warmup exploration, then noisy policy + updates.
 
-    Deterministic given (configs, seed): every rng stream is derived from
-    the seed with a fixed tag layout.
+    Reads the env, train and gnss sections of `cfg`; `constellation` is
+    the one `cfg.gnss` lays out.  Deterministic given (cfg, seed): every
+    rng stream is derived from the seed with a fixed tag layout.
     """
-    gnss_cfg = gnss_cfg if gnss_cfg is not None else GnssConfig()
-    if constellation is None:
-        constellation = make_constellation(
-            gnss_cfg.n_sats, gnss_cfg.radius, gnss_cfg.constellation_seed,
-            gnss_cfg.min_separation_deg,
-        )
-    agent = Agent(np.random.default_rng([seed, _TAG_INIT]),
-                  hidden=train_cfg.hidden, obs_scales=train_cfg.obs_scales)
+    train_cfg, noise_sigma = cfg.train, cfg.gnss.noise_sigma
+    agent = Agent(np.random.default_rng([seed, _TAG_INIT]), train_cfg)
     critic_opt = Adam(agent.critic.flat, train_cfg.critic_lr)
     actor_opt = Adam(agent.actor.flat, train_cfg.actor_lr)
     buffer = ReplayBuffer(train_cfg.buffer_capacity)
@@ -240,9 +228,9 @@ def train(
     for episode in range(train_cfg.episodes):
         ep_rng = np.random.default_rng([seed, _TAG_NOISE, episode])
         meas_rng = np.random.default_rng([seed, _TAG_MEAS, episode])
-        cfg_ep = _curriculum_env(env_cfg, train_cfg, ep_rng)
+        cfg_ep = _curriculum_env(cfg.env, train_cfg, ep_rng)
         world, phi = env_reset(cfg_ep, _derive_seed(seed, _TAG_EPISODE, episode),
-                               constellation, gnss_cfg.noise_sigma)
+                               constellation, noise_sigma)
         warmup = episode < train_cfg.warmup_episodes
         sigma = noise_schedule(train_cfg, episode)
 
@@ -258,7 +246,7 @@ def train(
                 [action] = agent.act(phi[None], noise_scale=sigma, rng=ep_rng)
                 a_norm = normalize_action(action)
             world, phi_next, rb, done, pvt = env_step(
-                world, action, constellation, gnss_cfg.noise_sigma,
+                world, action, constellation, noise_sigma,
                 None, cfg=cfg_ep, rng=meas_rng, nav_pos=nav_pos,
             )
             terminal = rb.terminal_event in (TERM_COLLISION, TERM_GOAL)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import from_json, to_json, write_json
+from .config import DetectorConfig, from_json, to_json, write_json
 from .errors import ConfigurationError, InsufficientDataError
 from .gnss import PvtSolution
 from .nets import Adam, Mlp, load_npz, save_npz
@@ -34,6 +34,11 @@ AE_SCHEMA = "driftwatch-ae-v1"
 # Variance floor keeps predictives proper on near-constant nominal streams.
 _VAR_FLOOR_SCALE = 1e-6
 _UNDERFLOW_LIMIT = 1e-300
+
+# tau calibration: the nominal false-flag episode rate allowed, and the
+# run-length thresholds tried
+_FP_BUDGET = 0.05
+_TAU_GRID = range(1, 13)
 
 
 _RERUN = "(rerun `driftwatch profile`)"
@@ -161,6 +166,16 @@ class AgeProfile(_JsonDocument):
         return q - self.means[i], self.variances[i] / self.level_var
 
 
+def _nominal_streams(nominal_q_streams) -> list[np.ndarray]:
+    """The attack-free value streams as float arrays, each 1-D and finite."""
+    streams = [np.asarray(s, dtype=float) for s in nominal_q_streams]
+    if any(s.ndim != 1 for s in streams):
+        raise ConfigurationError("each stream must be one-dimensional")
+    if not all(np.isfinite(s).all() for s in streams):
+        raise ConfigurationError("nominal streams contain non-finite values")
+    return streams
+
+
 def fit_nominal_profile(
     nominal_q_streams, source_episodes: tuple[int, ...] = ()
 ) -> NominalProfile:
@@ -171,16 +186,12 @@ def fit_nominal_profile(
     `fit_age_profile`, because the value climbs steadily through a healthy
     flight and the pooled variance mostly measures that climb.
     """
-    streams = [np.asarray(s, dtype=float) for s in nominal_q_streams]
-    if any(s.ndim != 1 for s in streams):
-        raise ConfigurationError("each stream must be one-dimensional")
+    streams = _nominal_streams(nominal_q_streams)
     pooled = np.concatenate(streams) if streams else np.array([])
     if pooled.size < 100:
         raise InsufficientDataError(
             f"need >= 100 nominal samples, got {pooled.size}"
         )
-    if not np.all(np.isfinite(pooled)):
-        raise ConfigurationError("nominal streams contain non-finite values")
     mu0 = float(pooled.mean())
     var = float(pooled.var())
     floored = max(var, _VAR_FLOOR_SCALE * (1.0 + mu0 * mu0))
@@ -204,11 +215,7 @@ def fit_age_profile(
     is the level prior variance and W the noise variance.  Variances are
     floored like the pooled profile's.
     """
-    streams = [np.asarray(s, dtype=float) for s in nominal_q_streams]
-    if any(s.ndim != 1 for s in streams):
-        raise ConfigurationError("each stream must be one-dimensional")
-    if not all(np.all(np.isfinite(s)) for s in streams):
-        raise ConfigurationError("nominal streams contain non-finite values")
+    streams = _nominal_streams(nominal_q_streams)
     lengths = sorted((s.size for s in streams), reverse=True)
     need = max(2, -(-len(streams) // 2))
     horizon = lengths[need - 1] if len(streams) >= need else 0
@@ -482,13 +489,9 @@ def bocpd_oracle(q_stream, profile: AgeProfile,
     return posteriors
 
 
-def calibrate_tau(
-    l_hat_streams,
-    warmup: int,
-    fp_budget: float = 0.05,
-    tau_grid=range(1, 13),
-) -> tuple[int, float]:
-    """Largest flag threshold whose nominal false-flag episode rate fits budget.
+def calibrate_tau(l_hat_streams, warmup: int) -> tuple[int, float]:
+    """Largest flag threshold in _TAU_GRID whose nominal false-flag episode
+    rate fits _FP_BUDGET, or the smallest when none does.
 
     Streams are per-episode argmax run-length sequences from attack-free
     runs; an episode counts as a false positive when any post-warmup step
@@ -498,13 +501,13 @@ def calibrate_tau(
     if not streams:
         raise InsufficientDataError("tau calibration needs at least one stream")
     rates = []
-    for tau in sorted(tau_grid):
+    for tau in _TAU_GRID:
         fp = sum(
             bool(np.any((np.arange(1, len(s) + 1) > warmup) & (s <= tau)))
             for s in streams
         )
-        rates.append((int(tau), fp / len(streams)))
-    fitting = [r for r in rates if r[1] <= fp_budget]
+        rates.append((tau, fp / len(streams)))
+    fitting = [r for r in rates if r[1] <= _FP_BUDGET]
     return fitting[-1] if fitting else rates[0]
 
 
@@ -600,22 +603,17 @@ class WindowAutoencoder:
 
 
 def window_ae_train(
-    nominal_q_streams,
-    window: int = 32,
-    bottleneck: int = 4,
-    hidden: int = 16,
-    epochs: int = 200,
-    lr: float = 1e-3,
-    threshold_stds: float = 3.0,
-    seed: int = 0,
+    nominal_q_streams, cfg: DetectorConfig, seed: int
 ) -> tuple[WindowAutoencoder, list[float]]:
     """Train the reconstruction model on nominal sliding windows.
 
-    Full-batch Adam on standardized windows; the flag threshold freezes at
-    mean + threshold_stds * std of the training reconstruction errors.
-    Returns the model and the per-epoch loss curve.
+    Full-batch Adam on standardized windows, shaped and run by the `ae_*`
+    fields of `cfg`; the flag threshold freezes at mean + ae_threshold_stds
+    * std of the training reconstruction errors.  Returns the model, whose
+    net keeps no training buffers, and the per-epoch loss curve.
     """
-    streams = [np.asarray(s, dtype=float) for s in nominal_q_streams]
+    window, hidden = cfg.ae_window, cfg.ae_hidden
+    streams = _nominal_streams(nominal_q_streams)
     windows = [sliding_window_view(s, window) for s in streams if len(s) >= window]
     count = sum(len(w) for w in windows)
     if count < 500:
@@ -625,18 +623,14 @@ def window_ae_train(
     sd = float(max(x_raw.std(), 1e-6))
     x = (x_raw - mu) / sd
 
-    rng = np.random.default_rng(seed)
-    net = Mlp(
-        [window, hidden, bottleneck, hidden, window],
-        ["relu", "linear", "relu", "linear"],
-        rng,
-    )
-    opt = Adam(net.flat, lr)
+    net = Mlp([window, hidden, cfg.ae_bottleneck, hidden, window],
+              ["relu", "linear", "relu", "linear"], np.random.default_rng(seed))
+    opt = Adam(net.flat, cfg.ae_lr)
     # err, then dL/drecon = 2 err / err.size in place; sq = err**2.  Same
     # operations as the out-of-place forms, and np.mean is add.reduce / size.
     err, sq = np.empty_like(x), np.empty_like(x)
     curve = []
-    for _ in range(epochs):
+    for _ in range(cfg.ae_epochs):
         np.subtract(net.forward(x), x, out=err)
         np.multiply(err, err, out=sq)
         curve.append(float(np.add.reduce(sq, axis=None) / sq.size))
@@ -645,9 +639,10 @@ def window_ae_train(
         _, grad = net.backward(err, input_grad=False)
         opt.step(grad)
 
+    net = net.copy()  # frees the training buffers before the last pass
     recon = net.forward(x, cache=False)
     per_window = np.mean((recon - x) ** 2, axis=1)
-    threshold = float(per_window.mean() + threshold_stds * per_window.std())
+    threshold = float(per_window.mean() + cfg.ae_threshold_stds * per_window.std())
     model = WindowAutoencoder(net=net, window=window, mean=mu, std=sd,
                               threshold=threshold)
     return model, curve

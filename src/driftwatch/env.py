@@ -1,11 +1,15 @@
 """UAV navigation MDP: flow-field dynamics, observations, reward, stepping.
 
 The controller never sees the true position.  Dynamics advance the truth,
-measurements come from the truth (or a spoofer), the observation is built
-from the least-squares estimate, and the reward is bookkept from truth
-geometry only.  Episode state is a value; every transition returns a new
-WorldState.  All else travels as plain arrays: the action (rho0, sigma0,
-theta), the 9-vector observation phi, and the fix `PvtSolution.x`.
+steered from the position the controller believes, which every caller
+passes (there is no fallback to the truth); measurements come from the
+truth (or a spoofer), the observation is built from the least-squares
+estimate, and the reward is bookkept from truth geometry only.  The
+dynamics and the reward read their limits from the EnvConfig they are
+given, and a reset takes the receiver noise it measures with.  Episode
+state is a value; every transition returns a new WorldState.  All else
+travels as plain arrays: the action (rho0, sigma0, theta), the 9-vector
+observation phi, and the fix `PvtSolution.x`.
 
 A step works on Python floats wherever the arithmetic is element-wise:
 IEEE +, -, *, /, comparisons and sqrt round the same on a Python float as
@@ -205,16 +209,13 @@ def flow_field_matrices(
 
 
 def _clamp_motion(
-    v: list[float],
-    v_prev: np.ndarray,
-    speed: float,
-    climb_rate_limit: float,
-    heading_rate_limit_deg: float,
+    v: list[float], v_prev: np.ndarray, cfg: EnvConfig
 ) -> tuple[float, float, float]:
-    """Apply climb-rate, per-step heading, and total-speed limits to the
-    float velocity v, given the previous velocity v_prev."""
+    """Apply cfg's climb-rate, per-step heading, and total-speed limits to
+    the float velocity v, given the previous velocity v_prev."""
     v0, v1, v2 = v
-    v2 = min(max(v2, -climb_rate_limit), climb_rate_limit)
+    climb = cfg.climb_rate_limit
+    v2 = min(max(v2, -climb), climb)
 
     h_prev = v_prev[:2]
     if _norm(h_prev) > 1e-9:
@@ -224,12 +225,13 @@ def _clamp_motion(
             ang_prev = float(np.arctan2(p1, p0))
             ang_new = float(np.arctan2(v1, v0))
             dang = (ang_new - ang_prev + math.pi) % (2.0 * math.pi) - math.pi
-            limit = math.radians(heading_rate_limit_deg)  # np.deg2rad's product
+            limit = math.radians(cfg.heading_rate_limit_deg)  # np.deg2rad's product
             if abs(dang) > limit:
                 ang = ang_prev + float(np.sign(dang)) * limit
                 v0 = mag * float(np.cos(ang))
                 v1 = mag * float(np.sin(ang))
 
+    speed = cfg.cruise_speed
     total = _norm(np.array((v0, v1, v2)))
     if total > speed:
         k = speed / total
@@ -238,22 +240,17 @@ def _clamp_motion(
 
 
 def step_dynamics(
-    world: WorldState,
-    action: np.ndarray,
-    speed: float,
-    nav_pos: np.ndarray | None = None,
-    *,
-    climb_rate_limit: float = 3.0,
-    heading_rate_limit_deg: float = 30.0,
-    bounds: tuple[float, float, float] = (1000.0, 1000.0, 300.0),
+    world: WorldState, action: np.ndarray, nav_pos: np.ndarray, cfg: EnvConfig
 ) -> WorldState:
     """Advance the truth one step under the flow-field controller.
 
-    ``nav_pos`` is the position the controller believes it is at; it
-    defaults to the truth, and the episode harness passes the previous
-    GNSS estimate so that spoofed fixes steer the real vehicle.
+    ``nav_pos`` is the position the controller believes it is at: the
+    previous GNSS fix, so that spoofed fixes steer the real vehicle.  The
+    speed, climb and heading-rate limits and the airspace bounds are
+    ``cfg``'s.
     """
-    believed = world.uav_pos_true if nav_pos is None else np.asarray(nav_pos, float)
+    speed = cfg.cruise_speed
+    believed = np.asarray(nav_pos, float)
     to_goal = world.goal - believed
     goal_dist = _norm(to_goal)
     if goal_dist < 1e-12:
@@ -266,13 +263,13 @@ def step_dynamics(
     obs_vel = world.obstacle_vel.tolist()
     rel = np.array([a - o for a, o in zip(attract, obs_vel)])
     flow = (_I3 + m_rep + m_tan).dot(rel).tolist()  # the dgemv that `@` runs
-    motion = _clamp_motion([f + o for f, o in zip(flow, obs_vel)], world.uav_vel,
-                           speed, climb_rate_limit, heading_rate_limit_deg)
+    motion = _clamp_motion([f + o for f, o in zip(flow, obs_vel)],
+                           world.uav_vel, cfg)
 
     dt = world.dt
     new_pos = [p + dt * m for p, m in zip(world.uav_pos_true.tolist(), motion)]
     obs_pos = [o + dt * v for o, v in zip(world.obstacle_pos.tolist(), obs_vel)]
-    for i, hi in enumerate(bounds):
+    for i, hi in enumerate(cfg.bounds):
         hi = float(hi)
         if obs_pos[i] < 0.0:
             obs_pos[i] = -obs_pos[i]
@@ -318,12 +315,13 @@ def build_observation(pvt: PvtSolution, world: WorldState) -> np.ndarray:
     return np.array(phi)
 
 
-def reward(
-    world_next: WorldState,
-    xi: float = 0.4,
-    goal_threshold: float = 10.0,
-) -> RewardBreakdown:
-    """Reward of the state just entered, from truth geometry only."""
+def reward(world_next: WorldState, cfg: EnvConfig) -> RewardBreakdown:
+    """Reward of the state just entered, from truth geometry only.
+
+    The threat zone is ``cfg.threat_margin`` wide, and the goal counts as
+    reached within ``cfg.goal_threshold``.
+    """
+    xi = cfg.threat_margin
     p = world_next.uav_pos_true
     r_obs = world_next.obstacle_radius
     d = _norm(world_next.obstacle_pos - p)
@@ -336,7 +334,7 @@ def reward(
         r_thr = -0.3 + (d - (r_obs + xi)) / (r_obs + xi)
 
     dist_goal = _norm(world_next.goal - p)
-    reached = dist_goal <= goal_threshold
+    reached = dist_goal <= cfg.goal_threshold
     denom = max(world_next.goal_span, 1e-9)
     r_goal = -dist_goal / denom + (3.0 if reached else 0.0)
 
@@ -413,7 +411,7 @@ def env_reset_full(
     cfg: EnvConfig,
     seed: int,
     constellation: Constellation,
-    noise_sigma: float = 0.0,
+    noise_sigma: float,
 ) -> tuple[WorldState, np.ndarray, PvtSolution]:
     """Sample a fresh episode deterministically: (world, phi, initial fix)."""
     rng = np.random.default_rng([seed, 0x5EED])
@@ -441,7 +439,7 @@ def env_reset(
     cfg: EnvConfig,
     seed: int,
     constellation: Constellation,
-    noise_sigma: float = 0.0,
+    noise_sigma: float,
 ) -> tuple[WorldState, np.ndarray]:
     """Sample a fresh episode deterministically from the seed: (world, phi)."""
     world, phi, _ = env_reset_full(cfg, seed, constellation, noise_sigma)
@@ -456,37 +454,29 @@ def env_step(
     spoof: AttackConfig | None = None,
     *,
     cfg: EnvConfig,
+    nav_pos: np.ndarray,
     rng: np.random.Generator | None = None,
-    nav_pos: np.ndarray | None = None,
     pvt_init: np.ndarray | PvtSolution | None = None,
 ) -> tuple[WorldState, np.ndarray, RewardBreakdown, bool, PvtSolution]:
     """One full cycle: move, measure (or get spoofed), solve, observe, score.
 
     ``action`` is an in-bounds (rho0, sigma0, theta).  Returns (next
     world, phi, reward, done, fix), where the fix is the PvtSolution the
-    9-vector phi was built from.  ``nav_pos`` feeds the controller's
-    believed position to the dynamics; ``pvt_init``, an (x, y, z, bias)
-    vector or an earlier fix (see `gnss.solve_pvt`), is where the solver
-    starts.  The study rollouts (`harness.run_episode`) pass the episode's
-    previous fix itself, so a study fix never starts from the truth, and a
-    spoofed epoch that repeats the last one is not solved again.  Training
-    passes nothing and the solver falls back to the truth, which any
-    in-range initialization converges to at these geometries; moving
-    training off it would change the pinned checkpoint.  From onset on the
-    pseudoranges are spoofed, noiseless.
+    9-vector phi was built from.  ``nav_pos``, the controller's believed
+    position (the previous fix's), steers the dynamics; ``pvt_init``, an
+    (x, y, z, bias) vector or an earlier fix (see `gnss.solve_pvt`), is
+    where the solver starts.  The study rollouts (`harness.run_episode`)
+    pass the episode's previous fix itself, so a study fix never starts
+    from the truth, and a spoofed epoch that repeats the last one is not
+    solved again.  Training passes no ``pvt_init`` and the solver starts
+    from the truth, which any in-range initialization converges to at
+    these geometries; moving training off it would change the pinned
+    checkpoint.  From onset on the pseudoranges are spoofed, noiseless.
     """
     if noise_sigma > 0 and rng is None:
         raise ConfigurationError("noise_sigma > 0 requires an rng")
 
-    world_next = step_dynamics(
-        world,
-        action,
-        cfg.cruise_speed,
-        nav_pos=nav_pos,
-        climb_rate_limit=cfg.climb_rate_limit,
-        heading_rate_limit_deg=cfg.heading_rate_limit_deg,
-        bounds=cfg.bounds,
-    )
+    world_next = step_dynamics(world, action, nav_pos, cfg)
 
     pos, bias = world_next.uav_pos_true, world_next.clock_bias_true
     alpha = attack_alpha(world_next.t, spoof) if spoof is not None else None
@@ -500,7 +490,7 @@ def env_step(
     pvt = solve_pvt(meas, constellation, init=init)
     phi = build_observation(pvt, world_next)
 
-    rb = reward(world_next, xi=cfg.threat_margin, goal_threshold=cfg.goal_threshold)
+    rb = reward(world_next, cfg)
     done = rb.terminal_event in (TERM_COLLISION, TERM_GOAL)
     if not done and world_next.t >= cfg.max_steps:
         rb = dataclasses.replace(rb, terminal_event=TERM_TIMEOUT)

@@ -3,14 +3,15 @@
 A pseudorange to satellite i is the true geometric range plus a common
 receiver clock bias (expressed in meters) plus measurement noise.  The
 solver linearizes around the current estimate and applies Gauss-Newton
-corrections until the correction norm drops below tolerance.
+corrections until the correction norm drops below TOL_M, for at most
+MAX_ITER steps; both are constants, since no study varies them.
 
 A solve may start from an earlier fix instead of a vector.  The solve is
-deterministic in (measurements, init) for one constellation, tol and
-max_iter, so when that fix is stationary (its `x` is bitwise the init it
-was solved from) and the new measurements are bitwise the ones it was
-solved from, the new solve would repeat the old one operation for
-operation: `solve_pvt` returns the fix itself.  A drift spoofer whose ramp
+deterministic in (measurements, init) for one constellation, so when that
+fix is stationary (its `x` is bitwise the init it was solved from) and the
+new measurements are bitwise the ones it was solved from, the new solve
+would repeat the old one operation for operation: `solve_pvt` returns the
+fix itself.  A drift spoofer whose ramp
 has ended sends the same noiseless epoch again and again, and lands here.
 Otherwise the first Gauss-Newton step reuses the satellite offsets and
 ranges at the fix's `x`, which its residuals were computed from.
@@ -34,6 +35,11 @@ from .errors import (
 # Ranges shorter than this are treated as degenerate geometry: the unit
 # line-of-sight vector (and hence the Jacobian row) is no longer meaningful.
 MIN_RANGE_M = 1.0
+
+# A solve converges when a Gauss-Newton correction is shorter than TOL_M
+# (meters, and meters of clock bias) within MAX_ITER steps.
+TOL_M = 1e-4
+MAX_ITER = 20
 
 
 @dataclass(frozen=True)
@@ -59,11 +65,11 @@ class Constellation:
 class PvtSolution:
     """Outcome of an iterative PVT solve; the fix `x` is (x, y, z, bias).
 
-    The last four fields say what the fix was solved from, for a solve
+    The last three fields say what the fix was solved from, for a solve
     that starts from it: the measurements' raw float64 bytes, whether `x`
-    is bitwise the init, the (positions, offsets, ranges) line of sight at
-    `x` that the residuals were computed from, and (tol, max_iter).  A fix
-    built by hand leaves them empty and is used as its `x` alone.
+    is bitwise the init, and the (positions, offsets, ranges) line of sight
+    at `x` that the residuals were computed from.  A fix built by hand
+    leaves them empty and is used as its `x` alone.
     """
 
     x: np.ndarray
@@ -74,7 +80,6 @@ class PvtSolution:
     measurements: bytes = field(default=b"", repr=False)
     stationary: bool = field(default=False, repr=False)
     line_of_sight: tuple = field(default=(), repr=False)
-    limits: tuple = field(default=(), repr=False)
 
 
 def make_constellation(
@@ -240,8 +245,6 @@ def solve_pvt(
     measurements: np.ndarray,
     constellation: Constellation,
     init: np.ndarray | PvtSolution | None = None,
-    tol: float = 1e-4,
-    max_iter: int = 20,
 ) -> PvtSolution:
     """Iterate Gauss-Newton steps from ``init`` (origin by default).
 
@@ -249,9 +252,10 @@ def solve_pvt(
     satellite of ``constellation``.  ``init`` is a (4,) vector (x, y, z,
     bias), which is copied, never written, or an earlier fix, which starts
     the solve from its ``x`` (see the module docstring: the result is the
-    one the vector would give, bit for bit).  Convergence means the last
-    correction norm fell below ``tol``.  The returned fix ``x`` has the
-    same layout, and the residuals are evaluated at it; both are read-only.
+    one the vector would give, bit for bit).  Convergence means a
+    correction norm fell below TOL_M within MAX_ITER steps.  The returned
+    fix ``x`` has the same layout, and the residuals are evaluated at it;
+    both are read-only.
     """
     if len(measurements) < 4:
         raise ConfigurationError(
@@ -264,12 +268,10 @@ def solve_pvt(
     positions = constellation.positions
     measurements = np.asarray(measurements, dtype=float)
     measured = measurements.tobytes()
-    limits = (tol, max_iter)
     los = None
     if isinstance(init, PvtSolution):
         if init.line_of_sight and init.line_of_sight[0] is positions:
-            if (init.stationary and init.limits == limits
-                    and init.measurements == measured):
+            if init.stationary and init.measurements == measured:
                 return init
             los = init.line_of_sight[1:]
         init = init.x
@@ -277,11 +279,10 @@ def solve_pvt(
     start = x.tobytes()
     h = np.ones((len(constellation), 4))
     converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         x, step_norm = _gauss_newton_step(x, measurements, positions, h, los)
         los = None
-        if step_norm < tol:
+        if step_norm < TOL_M:
             converged = True
             break
     sep, ranges = _line_of_sight(x[:3], positions) if los is None else los
@@ -297,5 +298,4 @@ def solve_pvt(
         measurements=measured,
         stationary=x.tobytes() == start,
         line_of_sight=(positions, sep, ranges),
-        limits=limits,
     )

@@ -19,13 +19,20 @@ is the return received for that row's action.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .config import DetectorConfig, EnvConfig, EvalConfig, from_json, write_json
+from .config import (
+    EnvConfig,
+    EvalConfig,
+    ExperimentConfig,
+    canonical_json,
+    from_json,
+    to_json,
+    write_json,
+)
 from .ddpg import _TAG_MEAS, Agent, _derive_seed
 from .detectors import (
     AgeProfile,
@@ -157,7 +164,9 @@ class DetectorBank(_BankParameters):
         bank_dir = Path(bank_dir)
         bank_path = bank_dir / "bank.json"
         if not bank_path.exists():
-            raise ConfigurationError(f"no detector bank at {bank_path}")
+            raise ConfigurationError(
+                f"no detector bank at {bank_path} (run `driftwatch profile` first)"
+            )
 
         def read(doc: dict) -> DetectorBank:
             files = {name: doc.pop(f"{name}_file") for name in _BANK_FILES}
@@ -220,13 +229,14 @@ def _lockstep(streams, update) -> list[list[np.ndarray]]:
 
 @dataclass
 class EpisodeLog:
-    """Column-oriented record of one episode, ready for CSV emission."""
+    """Column-oriented record of one episode, ready for CSV emission.
+
+    Row i is the decision point at world time t = i.
+    """
 
     seed: int
-    config_hash: str
     terminal_event: str
     attack: AttackConfig | None
-    t: np.ndarray  # (n,) world time of each decision point
     true_pos: np.ndarray  # (n, 3)
     est_pos: np.ndarray  # (n, 3)
     residual_rms: np.ndarray  # (n,) RMS pseudorange residual of each fix
@@ -240,7 +250,7 @@ class EpisodeLog:
 
     @property
     def n_steps(self) -> int:
-        return int(self.t.size)
+        return int(self.q.size)
 
     @property
     def attacked(self) -> bool:
@@ -283,7 +293,7 @@ class _Flight:
         self.chunks[-1][k] = row
         self.n += 1
 
-    def log(self, agent: Agent, config_hash: str) -> EpisodeLog:
+    def log(self, agent: Agent) -> EpisodeLog:
         """The finished episode's log: its record, valued in one critic pass."""
         n = self.n
         last = n - _CHUNK * (len(self.chunks) - 1)
@@ -297,10 +307,8 @@ class _Flight:
                 alpha[t] = attack_alpha(t, self.attack) or 0.0
         return EpisodeLog(
             seed=self.seed,
-            config_hash=config_hash,
             terminal_event=self.event,
             attack=self.attack,
-            t=np.arange(n),
             true_pos=rec[:, _TRUE],
             est_pos=rec[:, _EST],
             residual_rms=rec[:, _RMS],
@@ -321,7 +329,6 @@ def run_episode(
     *,
     constellation: Constellation,
     noise_sigma: float,
-    config_hash: str = "",
 ) -> list[EpisodeLog]:
     """Play a stage's episodes in lockstep with the greedy policy; value them.
 
@@ -375,7 +382,7 @@ def run_episode(
         for f, row in zip(running, rows):
             f.record(row)
             if f.event:
-                logs[f.index] = f.log(agent, config_hash)
+                logs[f.index] = f.log(agent)
         running = [f for f in running if not f.event]
     return logs
 
@@ -385,33 +392,21 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def write_episode_csv(log: EpisodeLog, path) -> None:
-    """Stable-order CSV with # metadata header lines."""
-    attack_doc = (
-        "none"
-        if log.attack is None
-        else json.dumps(
-            {
-                "enabled": log.attack.enabled,
-                "t_start": log.attack.t_start,
-                "drift_duration": log.attack.drift_duration,
-                "target": list(log.attack.target),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-    )
+def write_episode_csv(log: EpisodeLog, path, config_hash: str) -> None:
+    """Stable-order CSV with # metadata header lines; `config_hash` names
+    the config the episode was played with."""
+    attack_doc = "none" if log.attack is None else canonical_json(to_json(log.attack))
     lines = [
         f"# schema: {EPISODE_SCHEMA}",
         f"# seed: {log.seed}",
-        f"# config_hash: {log.config_hash}",
+        f"# config_hash: {config_hash}",
         f"# terminal_event: {log.terminal_event}",
         f"# attack: {attack_doc}",
         f"# steps: {log.n_steps}",
         ",".join(CSV_COLUMNS),
     ]
     for i in range(log.n_steps):
-        row = [str(int(log.t[i]))]
+        row = [str(i)]
         row += [_fmt(v) for v in log.true_pos[i]]
         row += [_fmt(v) for v in log.est_pos[i]]
         row += [_fmt(v) for v in log.phi[i]]
@@ -492,31 +487,26 @@ def compute_metrics(logs: list[EpisodeLog]) -> dict[str, dict]:
 
 def profile_pipeline(
     agent: Agent,
-    env_cfg: EnvConfig,
-    det_cfg: DetectorConfig,
-    eval_cfg: EvalConfig,
-    *,
-    constellation: Constellation,
-    noise_sigma: float,
+    cfg: ExperimentConfig,
     master_seed: int,
-    config_hash: str = "",
+    constellation: Constellation,
 ) -> tuple[DetectorBank, dict]:
     """Fit every detector on attack-free runs and freeze the thresholds.
 
-    Returns the bank plus diagnostics (profile episode logs, AE training
-    curve, calibration outcome).  Uses its own seed stream so profiling
-    data never overlaps evaluation episodes.  The run-length threshold is
+    Reads the env, gnss, detectors and eval sections of `cfg`; the
+    `constellation` is the one `cfg.gnss` lays out.  Returns the bank plus
+    diagnostics (profile episode logs, AE training curve, calibration
+    outcome).  Uses its own seed stream so profiling data never overlaps
+    evaluation episodes.  The run-length threshold is
     calibrated leave-one-out: each profile stream is scored against an age
     profile fitted on the other streams, as an unseen flight would be.
     The held-out streams are scored in one lockstep pass, one prior per row.
     """
+    det_cfg, noise_sigma = cfg.detectors, cfg.gnss.noise_sigma
     seeds = [_derive_seed(master_seed, _TAG_PROFILE, i)
-             for i in range(eval_cfg.profile_episodes)]
-    logs = run_episode(
-        agent, env_cfg, [(None, s) for s in seeds],
-        constellation=constellation, noise_sigma=noise_sigma,
-        config_hash=config_hash,
-    )
+             for i in range(cfg.eval.profile_episodes)]
+    logs = run_episode(agent, cfg.env, [(None, s) for s in seeds],
+                       constellation=constellation, noise_sigma=noise_sigma)
     q_streams = [log.q for log in logs]
     episodes = tuple(range(len(q_streams)))
     profile = fit_nominal_profile(q_streams, source_episodes=episodes)
@@ -544,16 +534,8 @@ def profile_pipeline(
     else:
         tau, achieved_fp = det_cfg.bocpd_tau, float("nan")
 
-    ae, ae_curve = window_ae_train(
-        q_streams,
-        window=det_cfg.ae_window,
-        bottleneck=det_cfg.ae_bottleneck,
-        hidden=det_cfg.ae_hidden,
-        epochs=det_cfg.ae_epochs,
-        lr=det_cfg.ae_lr,
-        threshold_stds=det_cfg.ae_threshold_stds,
-        seed=_derive_seed(master_seed, _TAG_AE_INIT),
-    )
+    ae, ae_curve = window_ae_train(q_streams, det_cfg,
+                                   _derive_seed(master_seed, _TAG_AE_INIT))
 
     bank = DetectorBank(
         profile=profile,
@@ -567,7 +549,7 @@ def profile_pipeline(
         residual_k_sigma=det_cfg.residual_k_sigma,
         residual_noise_sigma=noise_sigma,
         residual_jump_gate=(
-            env_cfg.cruise_speed * env_cfg.dt * det_cfg.residual_jump_margin
+            cfg.env.cruise_speed * cfg.env.dt * det_cfg.residual_jump_margin
         ),
         ae=ae,
     )
@@ -580,42 +562,39 @@ def profile_pipeline(
     return bank, diagnostics
 
 
-def evaluate(
-    agent: Agent,
-    env_cfg: EnvConfig,
-    eval_cfg: EvalConfig,
-    bank: DetectorBank,
-    *,
-    constellation: Constellation,
-    noise_sigma: float,
-    master_seed: int,
-    config_hash: str = "",
-) -> tuple[dict[str, dict], list[EpisodeLog]]:
-    """Score the frozen bank on fresh nominal and attacked episodes.
-
-    Every episode is played in one lockstep rollout (`run_episode`); then
-    one `DetectorBank.score` pass scores them all.
-    """
-    if eval_cfg.n_nominal + eval_cfg.n_attacked < 1:
-        raise ConfigurationError("evaluation needs at least one episode")
-    attack = AttackConfig(
+def eval_attack(eval_cfg: EvalConfig) -> AttackConfig:
+    """The configured drift attack, enabled."""
+    return AttackConfig(
         t_start=eval_cfg.attack_t_start,
         drift_duration=eval_cfg.attack_drift_duration,
         target=eval_cfg.attack_target,
         enabled=True,
     )
+
+
+def evaluate(
+    agent: Agent,
+    cfg: ExperimentConfig,
+    bank: DetectorBank,
+    master_seed: int,
+    constellation: Constellation,
+) -> tuple[dict[str, dict], list[EpisodeLog]]:
+    """Score the frozen bank on fresh nominal and attacked episodes.
+
+    Reads the env, gnss and eval sections of `cfg`.  Every episode is
+    played in one lockstep rollout (`run_episode`); then one
+    `DetectorBank.score` pass scores them all.
+    """
+    eval_cfg = cfg.eval
     episodes = [
         (attack_cfg, _derive_seed(master_seed, tag, i))
         for tag, count, attack_cfg in (
             (_TAG_EVAL_NOMINAL, eval_cfg.n_nominal, None),
-            (_TAG_EVAL_ATTACKED, eval_cfg.n_attacked, attack),
+            (_TAG_EVAL_ATTACKED, eval_cfg.n_attacked, eval_attack(eval_cfg)),
         )
         for i in range(count)
     ]
-    logs = run_episode(
-        agent, env_cfg, episodes,
-        constellation=constellation, noise_sigma=noise_sigma,
-        config_hash=config_hash,
-    )
+    logs = run_episode(agent, cfg.env, episodes, constellation=constellation,
+                       noise_sigma=cfg.gnss.noise_sigma)
     bank.score(logs)
     return compute_metrics(logs), logs

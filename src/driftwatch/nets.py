@@ -2,7 +2,7 @@
 
 Everything is float64 numpy.  Layers cache their forward pass, so the
 usage pattern is strictly forward(x) then backward(dL/dy) per batch;
-inference passes `cache=False` and keeps nothing.
+an inference pass (`cache=False`) in between touches neither.
 No general autodiff: exactly what two small actor/critic heads need.
 
 Each network keeps all of its parameters in one contiguous vector,
@@ -18,7 +18,7 @@ its workspaces, the input gradient it returns and the parameter gradient,
 a vector laid out like `flat`.  A later call may overwrite what an
 earlier one returned, so copy what must outlive it.
 `forward(cache=False)` computes into fresh arrays that nothing
-overwrites, and drops the buffers.
+overwrites, and leaves the buffers and the cached pass as they were.
 
 `save_npz` and `load_npz` are the one npz codec for every file of
 networks, the agent checkpoint and the window autoencoder alike: a schema
@@ -160,7 +160,7 @@ class Mlp:
 
         A cached pass writes each layer into this net's buffer for the batch
         size and returns the last one.  `cache=False` writes into fresh
-        arrays, drops the buffers and leaves nothing for `backward`.
+        arrays and leaves the buffers and the cached pass alone.
         """
         x = np.asarray(x, dtype=float)
         squeeze = x.ndim == 1
@@ -171,7 +171,6 @@ class Mlp:
                 f"expected input width {self.layer_sizes[0]}, got {x.shape[1]}"
             )
         if not cache:
-            self._x = self._work = None
             outs = [None] * self.n_layers
         else:
             if self._work is None or len(self._work[0][0]) != len(x):

@@ -108,10 +108,8 @@ def write_q_traces_csv(logs: list[EpisodeLog], path) -> None:
     for log in logs:
         scenario = "attacked" if log.attacked else "nominal"
         for i in range(log.n_steps):
-            rows.append(
-                f"{scenario},{log.seed},{int(log.t[i])},"
-                f"{_fmt(log.q[i])},{_fmt(log.alpha[i])}"
-            )
+            rows.append(f"{scenario},{log.seed},{i},"
+                        f"{_fmt(log.q[i])},{_fmt(log.alpha[i])}")
     _write_text(Path(path), "\n".join(rows) + "\n")
 
 

@@ -48,19 +48,13 @@ def pipeline():
         cfg.gnss.n_sats, cfg.gnss.radius, cfg.gnss.constellation_seed,
         cfg.gnss.min_separation_deg)
     t0 = time.perf_counter()
-    agent, history = train(cfg.env, cfg.train, 0, gnss_cfg=cfg.gnss,
-                           constellation=constellation)
+    agent, history = train(cfg, 0, constellation)
     t_train = time.perf_counter() - t0
     t0 = time.perf_counter()
-    bank, diag = profile_pipeline(agent, cfg.env, cfg.detectors, cfg.eval,
-                                  constellation=constellation,
-                                  noise_sigma=cfg.gnss.noise_sigma,
-                                  master_seed=0)
+    bank, diag = profile_pipeline(agent, cfg, 0, constellation)
     t_profile = time.perf_counter() - t0
     t0 = time.perf_counter()
-    metrics, logs = evaluate(agent, cfg.env, cfg.eval, bank,
-                             constellation=constellation,
-                             noise_sigma=cfg.gnss.noise_sigma, master_seed=0)
+    metrics, logs = evaluate(agent, cfg, bank, 0, constellation)
     t_eval = time.perf_counter() - t0
     return SimpleNamespace(cfg=cfg, constellation=constellation, agent=agent,
                            history=history, bank=bank, metrics=metrics,
@@ -199,8 +193,7 @@ def test_criterion_05_training_trend(pipeline):
         if seed == 0:
             history = pipeline.history
         else:
-            _, history = train(cfg.env, cfg.train, seed, gnss_cfg=cfg.gnss,
-                               constellation=constellation)
+            _, history = train(cfg, seed, constellation)
         ma = np.convolve(history, np.ones(10) / 10, mode="valid")
         improved += np.mean(ma[-20:]) > np.mean(ma[21:41])
     nominal = [log for log in pipeline.logs if not log.attacked]

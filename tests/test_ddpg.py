@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driftwatch.config import EnvConfig, GnssConfig, TrainConfig
+from driftwatch.config import EnvConfig, ExperimentConfig, TrainConfig
 from driftwatch.ddpg import (
     ACTION_CENTER,
     ACTION_HALF,
@@ -21,12 +21,13 @@ from driftwatch.ddpg import (
 )
 from driftwatch.env import ACTION_HIGH, ACTION_LOW
 from driftwatch.errors import ConfigurationError, CorruptCheckpointError
+from driftwatch.gnss import make_constellation
 from driftwatch.nets import Adam
 from scoring_oracles import q_value_row
 
 
 def fresh_agent(seed=0, hidden=(16, 16)) -> Agent:
-    return Agent(np.random.default_rng(seed), hidden=hidden)
+    return Agent(np.random.default_rng(seed), TrainConfig(hidden=hidden))
 
 
 def random_phi(rng) -> np.ndarray:
@@ -217,29 +218,29 @@ def test_train_step_loss_decreases_on_fixed_batch():
     assert losses[-1] < losses[0]
 
 
-def mini_configs():
-    env_cfg = EnvConfig(goal_distance_range=(60.0, 90.0), max_steps=40)
-    train_cfg = TrainConfig(
-        episodes=3,
-        warmup_episodes=1,
-        batch_size=16,
-        hidden=(16, 16),
-        short_goal_distance_range=(60.0, 90.0),
-        long_goal_distance_range=(60.0, 90.0),
-    )
-    gnss_cfg = GnssConfig(noise_sigma=2.0)
-    return env_cfg, train_cfg, gnss_cfg
+# the constellation of the default GnssConfig, whose noise_sigma is 2.0
+CONSTELLATION = make_constellation(n_sats=8, seed=7)
 
 
 def test_train_is_deterministic_and_sized():
-    env_cfg, train_cfg, gnss_cfg = mini_configs()
-    agent1, hist1 = train(env_cfg, train_cfg, seed=5, gnss_cfg=gnss_cfg)
-    agent2, hist2 = train(env_cfg, train_cfg, seed=5, gnss_cfg=gnss_cfg)
-    assert len(hist1) == train_cfg.episodes
+    cfg = ExperimentConfig(
+        env=EnvConfig(goal_distance_range=(60.0, 90.0), max_steps=40),
+        train=TrainConfig(
+            episodes=3,
+            warmup_episodes=1,
+            batch_size=16,
+            hidden=(16, 16),
+            short_goal_distance_range=(60.0, 90.0),
+            long_goal_distance_range=(60.0, 90.0),
+        ),
+    )
+    agent1, hist1 = train(cfg, 5, CONSTELLATION)
+    agent2, hist2 = train(cfg, 5, CONSTELLATION)
+    assert len(hist1) == cfg.train.episodes
     assert hist1 == hist2
     for p1, p2 in zip(agent1.actor.parameters(), agent2.actor.parameters()):
         np.testing.assert_array_equal(p1, p2)
-    _, hist3 = train(env_cfg, train_cfg, seed=6, gnss_cfg=gnss_cfg)
+    _, hist3 = train(cfg, 6, CONSTELLATION)
     assert hist1 != hist3
 
 
@@ -251,10 +252,12 @@ GOLDEN_TRAIN = Path(__file__).parent / "data" / "golden_train_checkpoint.npz"
 
 def golden_train() -> Agent:
     """Four 20-step episodes: one exploring, then batch-8 updates."""
-    train_cfg = TrainConfig(episodes=4, warmup_episodes=1, batch_size=8,
-                            hidden=(16, 16))
-    agent, _ = train(EnvConfig(max_steps=20), train_cfg, seed=3,
-                     gnss_cfg=GnssConfig(noise_sigma=2.0))
+    cfg = ExperimentConfig(
+        env=EnvConfig(max_steps=20),
+        train=TrainConfig(episodes=4, warmup_episodes=1, batch_size=8,
+                          hidden=(16, 16)),
+    )
+    agent, _ = train(cfg, 3, CONSTELLATION)
     return agent
 
 

@@ -1,8 +1,12 @@
 """Behavioral tests for the detector bank."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from driftwatch.config import DetectorConfig
 from driftwatch.detectors import (
     AgeProfile,
     NominalProfile,
@@ -799,7 +803,7 @@ def trained():
     rng = np.random.default_rng(1234)
     train_streams = make_streams(rng, 8, 100)
     held_streams = make_streams(rng, 6, 100)
-    model, curve = window_ae_train(train_streams, seed=5)
+    model, curve = window_ae_train(train_streams, DetectorConfig(), 5)
     return model, curve, train_streams, held_streams
 
 
@@ -807,12 +811,48 @@ class TestWindowAutoencoder:
     def test_requires_enough_windows(self):
         rng = np.random.default_rng(0)
         with pytest.raises(InsufficientDataError, match="got 207"):
-            window_ae_train(make_streams(rng, 3, 100))
+            window_ae_train(make_streams(rng, 3, 100), DetectorConfig(), 0)
         # no stream reaches the window: nothing to stack, still too little data
+        cfg = DetectorConfig(ae_window=32)
         with pytest.raises(InsufficientDataError, match="got 0"):
-            window_ae_train(make_streams(rng, 3, 20), window=32)
+            window_ae_train(make_streams(rng, 3, 20), cfg, 0)
         with pytest.raises(InsufficientDataError, match="got 0"):
-            window_ae_train([], window=32)
+            window_ae_train([], cfg, 0)
+
+    def test_rejects_malformed_and_non_finite_streams(self):
+        """Streams are checked as the profiles check them: a 2-D stream or a
+        NaN or infinite value is rejected before any window is cut."""
+        rng = np.random.default_rng(0)
+        streams = make_streams(rng, 8, 100)
+        with pytest.raises(ConfigurationError, match="one-dimensional"):
+            window_ae_train(streams + [np.zeros((40, 40))], DetectorConfig(), 0)
+        for bad in (np.nan, np.inf, -np.inf):
+            faulty = [s.copy() for s in streams]
+            faulty[3][50] = bad
+            with pytest.raises(ConfigurationError, match="non-finite"):
+                window_ae_train(faulty, DetectorConfig(), 0)
+
+    def test_config_sets_shape_length_and_threshold(self):
+        """ae_window, ae_hidden and ae_bottleneck set the layer sizes,
+        ae_epochs the loss curve's length, and ae_threshold_stds moves the
+        frozen threshold by that many standard deviations of the training
+        errors."""
+        rng = np.random.default_rng(6)
+        streams = make_streams(rng, 6, 120)
+        cfg = DetectorConfig(ae_window=12, ae_hidden=7, ae_bottleneck=2,
+                             ae_epochs=9, ae_threshold_stds=1.0)
+        model, curve = window_ae_train(streams, cfg, 4)
+        assert model.net.layer_sizes == [12, 7, 2, 7, 12]
+        assert model.window == 12 and len(curve) == 9
+        wider, wider_curve = window_ae_train(
+            streams, dataclasses.replace(cfg, ae_threshold_stds=4.0), 4)
+        assert wider_curve == curve
+        assert wider.net.flat.tobytes() == model.net.flat.tobytes()
+        x = (np.concatenate([sliding_window_view(s, 12) for s in streams])
+             - model.mean) / model.std
+        errors = np.mean((model.net.forward(x, cache=False) - x) ** 2, axis=1)
+        assert wider.threshold - model.threshold == pytest.approx(
+            3.0 * errors.std(), rel=1e-12)
 
     def test_training_windows_are_the_sliding_slices(self):
         """The training set stacks every window of every stream, in stream
@@ -820,25 +860,29 @@ class TestWindowAutoencoder:
         bit; streams shorter than the window add none."""
         rng = np.random.default_rng(3)
         streams = make_streams(rng, 6, 150) + [rng.normal(size=10)]
-        model, _ = window_ae_train(streams, window=32, epochs=1)
+        model, _ = window_ae_train(
+            streams, DetectorConfig(ae_window=32, ae_epochs=1), 0)
         slices = np.stack([s[i:i + 32] for s in streams
                            for i in range(len(s) - 32 + 1)])
         assert len(slices) == 6 * (150 - 31)
         assert model.mean == float(slices.mean())
         assert model.std == float(max(slices.std(), 1e-6))
 
-    @pytest.mark.parametrize("shape", [
-        dict(),
-        dict(window=16, hidden=8, bottleneck=3, epochs=40, seed=9),
+    @pytest.mark.parametrize("cfg, seed", [
+        (DetectorConfig(), 0),
+        (DetectorConfig(ae_window=16, ae_hidden=8, ae_bottleneck=3,
+                        ae_epochs=40), 9),
     ], ids=["default", "small"])
-    def test_training_matches_first_written_loop(self, shape):
+    def test_training_matches_first_written_loop(self, cfg, seed):
         """Parameters, mean, std, threshold and loss curve, bit for bit;
         the returned net keeps no training buffers."""
         rng = np.random.default_rng(17)
         streams = make_streams(rng, 5, 140) + [rng.normal(size=12)]
-        model, curve = window_ae_train(streams, **shape)
+        model, curve = window_ae_train(streams, cfg, seed)
         flat, mu, sd, threshold, ref_curve = reference_window_ae_train(
-            streams, **shape)
+            streams, window=cfg.ae_window, bottleneck=cfg.ae_bottleneck,
+            hidden=cfg.ae_hidden, epochs=cfg.ae_epochs, lr=cfg.ae_lr,
+            threshold_stds=cfg.ae_threshold_stds, seed=seed)
         assert model.net.flat.tobytes() == flat.tobytes()
         assert (model.mean, model.std, model.threshold) == (mu, sd, threshold)
         assert curve == ref_curve
@@ -926,7 +970,7 @@ class TestWindowAutoencoder:
 
     def test_training_is_deterministic(self, trained):
         model, curve, train_streams, _ = trained
-        model2, curve2 = window_ae_train(train_streams, seed=5)
+        model2, curve2 = window_ae_train(train_streams, DetectorConfig(), 5)
         assert curve == curve2
         for w1, w2 in zip(model.net.parameters(), model2.net.parameters()):
             assert np.array_equal(w1, w2)

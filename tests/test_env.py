@@ -34,9 +34,17 @@ from driftwatch.gnss import PvtSolution, make_constellation
 from driftwatch.spoofing import AttackConfig
 
 
+ENV = EnvConfig()
+
+
 @pytest.fixture(scope="module")
 def cons():
     return make_constellation(n_sats=8, seed=7)
+
+
+def fly(world, a, cfg=ENV):
+    """One dynamics step steered by the truth, under cfg's limits."""
+    return step_dynamics(world, a, world.uav_pos_true, cfg)
 
 
 def make_world(**overrides) -> WorldState:
@@ -163,7 +171,7 @@ def test_flow_field_degenerate():
 
 def test_straight_line_step_without_obstacle():
     world = make_world(obstacle_pos=np.array([1e9, 1e9, 1e9]))
-    nxt = step_dynamics(world, action(1.0, 1.0, 0.0), speed=10.0)
+    nxt = fly(world, action(1.0, 1.0, 0.0))
     expected = world.uav_pos_true + 1.0 * 10.0 * unit(world.goal - world.uav_pos_true)
     np.testing.assert_allclose(nxt.uav_pos_true, expected, atol=1e-9)
     assert nxt.t == 1
@@ -174,7 +182,7 @@ def test_uav_at_goal_stays_put():
         uav_pos_true=np.array([1000.0, 0.0, 100.0]),
         obstacle_pos=np.array([1e9, 1e9, 1e9]),
     )
-    nxt = step_dynamics(world, action(1.0, 1.0, 0.0), speed=10.0)
+    nxt = fly(world, action(1.0, 1.0, 0.0))
     np.testing.assert_array_equal(nxt.uav_pos_true, world.uav_pos_true)
 
 
@@ -183,7 +191,7 @@ def test_goal_distance_strictly_decreases_without_obstacle():
                        goal=np.array([400.0, 300.0, 120.0]))
     prev = np.linalg.norm(world.goal - world.uav_pos_true)
     for _ in range(200):
-        world = step_dynamics(world, action(1.0, 1.0, 0.0), speed=10.0)
+        world = fly(world, action(1.0, 1.0, 0.0))
         d = np.linalg.norm(world.goal - world.uav_pos_true)
         if prev <= 10.0:
             break
@@ -199,8 +207,7 @@ def test_obstacle_avoidance_action_grid():
                 world = make_world()
                 min_d = np.inf
                 for _ in range(150):
-                    world = step_dynamics(world, action(rho0, sigma0, theta),
-                                          speed=10.0)
+                    world = fly(world, action(rho0, sigma0, theta))
                     min_d = min(min_d, np.linalg.norm(
                         world.uav_pos_true - world.obstacle_pos))
                 assert min_d > 0.0
@@ -209,8 +216,7 @@ def test_obstacle_avoidance_action_grid():
 def test_climb_rate_clamp():
     world = make_world(goal=np.array([0.0, 0.0, 1000.0]),
                        obstacle_pos=np.array([1e9, 1e9, 1e9]))
-    nxt = step_dynamics(world, action(1, 1, 0), speed=10.0,
-                        climb_rate_limit=3.0)
+    nxt = fly(world, action(1, 1, 0), EnvConfig(climb_rate_limit=3.0))
     assert nxt.uav_vel[2] <= 3.0 + 1e-12
     assert np.isclose(nxt.uav_pos_true[2] - world.uav_pos_true[2], 3.0)
 
@@ -222,8 +228,7 @@ def test_heading_rate_clamp():
         goal=np.array([-1000.0, 1.0, 100.0]),
         obstacle_pos=np.array([1e9, 1e9, 1e9]),
     )
-    nxt = step_dynamics(world, action(1, 1, 0), speed=10.0,
-                        heading_rate_limit_deg=30.0)
+    nxt = fly(world, action(1, 1, 0), EnvConfig(heading_rate_limit_deg=30.0))
     h_prev = world.uav_vel[:2]
     h_new = nxt.uav_vel[:2]
     cosang = (h_prev @ h_new) / (np.linalg.norm(h_prev) * np.linalg.norm(h_new))
@@ -236,7 +241,7 @@ def test_speed_never_exceeds_commanded():
     for _ in range(100):
         a = action(rng.uniform(0.1, 3), rng.uniform(0.1, 3),
                    rng.uniform(-np.pi, np.pi))
-        world = step_dynamics(world, a, speed=10.0)
+        world = fly(world, a)
         assert np.linalg.norm(world.uav_vel) <= 10.0 + 1e-9
 
 
@@ -245,8 +250,7 @@ def test_obstacle_reflects_at_bounds():
         obstacle_pos=np.array([998.0, 500.0, 100.0]),
         obstacle_vel=np.array([5.0, 0.0, 0.0]),
     )
-    nxt = step_dynamics(world, action(1, 1, 0), speed=10.0,
-                        bounds=(1000.0, 1000.0, 300.0))
+    nxt = fly(world, action(1, 1, 0), EnvConfig(bounds=(1000.0, 1000.0, 300.0)))
     assert np.isclose(nxt.obstacle_pos[0], 997.0)
     assert nxt.obstacle_vel[0] == -5.0
 
@@ -301,33 +305,33 @@ def test_observation_rejects_nonconverged():
 
 def test_reward_collision_boundaries():
     world = make_world(uav_pos_true=np.array([530.0, 0.0, 100.0]))  # d = r_obs
-    rb = reward(world)
+    rb = reward(world, ENV)
     assert np.isclose(rb.collision, -1.0)
     assert rb.terminal_event == TERM_COLLISION
     world0 = make_world(uav_pos_true=np.array([500.0, 0.0, 100.0]))  # d = 0
-    assert np.isclose(reward(world0).collision, -2.0)
+    assert np.isclose(reward(world0, ENV).collision, -2.0)
 
 
 def test_reward_threat_zone_boundary_limit():
     r_obs, xi = 30.0, 0.4
     d = r_obs + xi - 1e-9
     world = make_world(uav_pos_true=np.array([500.0 - d, 0.0, 100.0]))
-    rb = reward(world, xi=xi)
+    rb = reward(world, EnvConfig(threat_margin=xi))
     assert abs(rb.threat - (-0.3)) < 1e-6
     assert rb.collision == 0.0
     # just outside the zone the term switches off
     outside = make_world(uav_pos_true=np.array([500.0 - r_obs - xi - 1e-6, 0.0,
                                                 100.0]))
-    assert reward(outside, xi=xi).threat == 0.0
+    assert reward(outside, EnvConfig(threat_margin=xi)).threat == 0.0
 
 
 def test_reward_goal_terms():
     world = make_world(uav_pos_true=make_world().goal)
-    rb = reward(world)
+    rb = reward(world, ENV)
     assert np.isclose(rb.goal_seek, 3.0)
     assert rb.terminal_event == TERM_GOAL
     stuck = make_world()  # back at the start, far from goal and obstacle
-    rb0 = reward(stuck)
+    rb0 = reward(stuck, ENV)
     assert np.isclose(rb0.total, -1.0)
     assert rb0.terminal_event == TERM_NONE
 
@@ -338,7 +342,7 @@ def test_reward_collision_priority_over_goal():
         obstacle_pos=np.array([1000.0, 0.0, 100.0]),
         goal=np.array([1000.0, 0.0, 100.0]),
     )
-    rb = reward(world)
+    rb = reward(world, ENV)
     assert rb.terminal_event == TERM_COLLISION
 
 
@@ -346,7 +350,7 @@ def test_reward_total_is_sum():
     rng = np.random.default_rng(2)
     for _ in range(50):
         world = make_world(uav_pos_true=rng.uniform(0, 1000, size=3))
-        rb = reward(world)
+        rb = reward(world, ENV)
         assert np.isclose(rb.total, rb.collision + rb.threat + rb.goal_seek)
 
 
@@ -371,7 +375,7 @@ def test_env_reset_sampling_properties(cons):
     cfg = EnvConfig()
     box = np.array(cfg.bounds)
     for seed in range(1000):
-        rng_world, _ = env_reset(cfg, seed=seed, constellation=cons)
+        rng_world, _ = env_reset(cfg, seed, cons, noise_sigma=0.0)
         assert np.all(rng_world.start >= 0) and np.all(rng_world.start <= box)
         assert np.all(rng_world.goal >= 0) and np.all(rng_world.goal <= box)
         d = np.linalg.norm(rng_world.goal - rng_world.start)
@@ -393,9 +397,10 @@ def test_env_reset_impossible_separation():
 
 def test_env_step_estimate_matches_truth_without_noise(cons):
     cfg = EnvConfig()
-    world, _ = env_reset(cfg, seed=3, constellation=cons)
+    world, _ = env_reset(cfg, seed=3, constellation=cons, noise_sigma=0.0)
     world2, obs, rb, done, pvt = env_step(
-        world, action(1.0, 1.0, 0.0), cons, noise_sigma=0.0, cfg=cfg
+        world, action(1.0, 1.0, 0.0), cons, noise_sigma=0.0, cfg=cfg,
+        nav_pos=world.uav_pos_true,
     )
     assert not done
     assert np.linalg.norm(pvt.x[:3] - world2.uav_pos_true) < 1e-6
@@ -405,10 +410,11 @@ def test_env_step_estimate_matches_truth_without_noise(cons):
 
 def test_env_step_timeout(cons):
     cfg = EnvConfig(max_steps=3)
-    world, _ = env_reset(cfg, seed=3, constellation=cons)
+    world, _ = env_reset(cfg, seed=3, constellation=cons, noise_sigma=0.0)
     a = action(1.0, 1.0, 0.0)
     for expected_done in (False, False, True):
-        world, _, rb, done, _ = env_step(world, a, cons, 0.0, cfg=cfg)
+        world, _, rb, done, _ = env_step(world, a, cons, 0.0, cfg=cfg,
+                                         nav_pos=world.uav_pos_true)
         assert done == expected_done
     assert rb.terminal_event == TERM_TIMEOUT
 
@@ -417,9 +423,10 @@ def test_env_step_spoof_pulls_estimate_to_target(cons):
     cfg = EnvConfig()
     attack = AttackConfig(t_start=0, drift_duration=1, target=(0.0, 0.0, 0.0),
                           enabled=True)
-    world, _ = env_reset(cfg, seed=4, constellation=cons)
+    world, _ = env_reset(cfg, seed=4, constellation=cons, noise_sigma=0.0)
     world, obs, rb, done, _ = env_step(world, action(1.0, 1.0, 0.0), cons, 0.0,
-                                       attack, cfg=cfg)
+                                       attack, cfg=cfg,
+                                       nav_pos=world.uav_pos_true)
     est = world.goal - obs[3:6]
     assert np.linalg.norm(est) < 1e-3
     assert np.linalg.norm(world.uav_pos_true) > 100.0
@@ -432,14 +439,16 @@ def test_env_step_reward_immune_to_spoofing(cons):
                           enabled=True)
     a = action(1.2, 0.8, 0.3)
 
-    world_a, _ = env_reset(cfg, seed=11, constellation=cons)
-    world_b, _ = env_reset(cfg, seed=11, constellation=cons)
+    world_a, _ = env_reset(cfg, seed=11, constellation=cons, noise_sigma=0.0)
+    world_b, _ = env_reset(cfg, seed=11, constellation=cons, noise_sigma=0.0)
     phi_diverged = False
     for _ in range(10):
-        world_a, obs_a, rb_a, done_a, _ = env_step(world_a, a, cons, 0.0,
-                                                   None, cfg=cfg)
-        world_b, obs_b, rb_b, done_b, _ = env_step(world_b, a, cons, 0.0,
-                                                   attack, cfg=cfg)
+        world_a, obs_a, rb_a, done_a, _ = env_step(
+            world_a, a, cons, 0.0, None, cfg=cfg,
+            nav_pos=world_a.uav_pos_true)
+        world_b, obs_b, rb_b, done_b, _ = env_step(
+            world_b, a, cons, 0.0, attack, cfg=cfg,
+            nav_pos=world_b.uav_pos_true)
         np.testing.assert_array_equal(world_a.uav_pos_true, world_b.uav_pos_true)
         assert rb_a == rb_b
         assert done_a == done_b
@@ -450,9 +459,10 @@ def test_env_step_reward_immune_to_spoofing(cons):
 
 def test_env_step_noise_requires_rng(cons):
     cfg = EnvConfig()
-    world, _ = env_reset(cfg, seed=3, constellation=cons)
+    world, _ = env_reset(cfg, seed=3, constellation=cons, noise_sigma=0.0)
     with pytest.raises(ConfigurationError):
-        env_step(world, action(1, 1, 0), cons, noise_sigma=2.0, cfg=cfg)
+        env_step(world, action(1, 1, 0), cons, noise_sigma=2.0, cfg=cfg,
+                 nav_pos=world.uav_pos_true)
 
 
 def test_env_step_bit_reproducible(cons):
@@ -464,8 +474,8 @@ def test_env_step_bit_reproducible(cons):
         track = []
         for _ in range(5):
             world, obs, rb, done, _ = env_step(
-                world, action(1, 1, 0), cons, 2.0, cfg=cfg, rng=rng
-            )
+                world, action(1, 1, 0), cons, 2.0, cfg=cfg, rng=rng,
+                nav_pos=world.uav_pos_true)
             track.append((world.uav_pos_true.tobytes(), obs.tobytes(), rb.total))
         runs.append(track)
     assert runs[0] == runs[1]
@@ -535,9 +545,8 @@ def reference_clamp_motion(v_new, v_prev, speed, climb, heading_deg):
     return v
 
 
-def reference_step_dynamics(world, action, speed, nav_pos, climb, heading_deg,
+def reference_step_dynamics(world, action, speed, believed, climb, heading_deg,
                             bounds):
-    believed = world.uav_pos_true if nav_pos is None else nav_pos
     to_goal = world.goal - believed
     norm = np.linalg.norm(to_goal)
     attract = speed * (np.zeros(3) if norm < 1e-12 else to_goal / norm)
@@ -591,27 +600,24 @@ def random_world(rng, k):
     )
     a = action(rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0),
                rng.uniform(-np.pi, np.pi))
-    nav_pos = None if k % 3 == 0 else uav + rng.normal(size=3) * 20.0
+    nav_pos = uav.copy() if k % 3 == 0 else uav + rng.normal(size=3) * 20.0
     return world, a, nav_pos
 
 
 def test_step_dynamics_matches_reference_bit_for_bit():
     rng = np.random.default_rng(2024)
-    bounds = (1000.0, 1000.0, 300.0)
     for k in range(300):
         world, action, nav_pos = random_world(rng, k)
-        believed = world.uav_pos_true if nav_pos is None else nav_pos
-        got_m = flow_field_matrices(believed, world.obstacle_pos,
+        got_m = flow_field_matrices(nav_pos, world.obstacle_pos,
                                     world.obstacle_radius, action)
-        ref_m = reference_flow_field_matrices(believed, world.obstacle_pos,
+        ref_m = reference_flow_field_matrices(nav_pos, world.obstacle_pos,
                                               world.obstacle_radius, action)
         assert all(same_bits(g, r) for g, r in zip(got_m, ref_m))
-        speed, climb, heading = rng.choice([5.0, 10.0]), 3.0, 30.0
-        got = step_dynamics(world, action, speed, nav_pos,
-                            climb_rate_limit=climb,
-                            heading_rate_limit_deg=heading, bounds=bounds)
-        ref = reference_step_dynamics(world, action, speed, nav_pos, climb,
-                                      heading, bounds)
+        cfg = EnvConfig(cruise_speed=float(rng.choice([5.0, 10.0])))
+        got = step_dynamics(world, action, nav_pos, cfg)
+        ref = reference_step_dynamics(world, action, cfg.cruise_speed, nav_pos,
+                                      cfg.climb_rate_limit,
+                                      cfg.heading_rate_limit_deg, cfg.bounds)
         for name in ("uav_pos_true", "uav_vel", "obstacle_pos", "obstacle_vel",
                      "goal", "start"):
             assert same_bits(getattr(got, name), getattr(ref, name)), name
@@ -629,7 +635,7 @@ def test_reward_and_threat_match_reference_bit_for_bit():
         expected = (dist - world.obstacle_radius) * (p_rel / dist)
         assert same_bits(threat_vector(est, world.obstacle_pos,
                                        world.obstacle_radius), expected)
-        rb = reward(world)
+        rb = reward(world, ENV)
         d = float(np.linalg.norm(world.obstacle_pos - world.uav_pos_true))
         dist_goal = float(np.linalg.norm(world.goal - world.uav_pos_true))
         denom = max(float(np.linalg.norm(world.goal - world.start)), 1e-9)
@@ -665,7 +671,7 @@ def test_world_vectors_are_read_only_and_carried_over():
                  "goal", "start"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(world, name)[0] = 1.0
-    nxt = step_dynamics(world, action(1.0, 1.0, 0.0), 10.0)
+    nxt = fly(world, action(1.0, 1.0, 0.0))
     assert nxt.goal is world.goal and nxt.start is world.start
     assert nxt.goal_span == world.goal_span
     assert nxt.t == world.t + 1
@@ -689,8 +695,8 @@ def test_step_rejects_a_non_finite_moving_vector(index, bad):
 def test_non_finite_believed_position_fails_the_step():
     with np.errstate(invalid="ignore"):
         with pytest.raises(ConfigurationError, match="uav_pos_true"):
-            step_dynamics(make_world(), action(1.0, 1.0, 0.0), 10.0,
-                          nav_pos=np.array([np.nan, 0.0, 100.0]))
+            step_dynamics(make_world(), action(1.0, 1.0, 0.0),
+                          np.array([np.nan, 0.0, 100.0]), ENV)
 
 
 def test_goal_span_follows_goal_and_start():
@@ -702,7 +708,7 @@ def test_goal_span_follows_goal_and_start():
     assert moved.goal_span == 5.0
     moved = dataclasses.replace(moved, start=np.array([3.0, 4.0, 112.0]))
     assert moved.goal_span == 12.0
-    assert reward(moved).goal_seek == -5.0 / 12.0 + 3.0  # 5 m off the goal
+    assert reward(moved, ENV).goal_seek == -5.0 / 12.0 + 3.0  # 5 m off the goal
 
 
 def test_sequential_episodes_each_score_their_own_goal_span(cons):
@@ -715,13 +721,14 @@ def test_sequential_episodes_each_score_their_own_goal_span(cons):
         cfg = dataclasses.replace(EnvConfig(), max_steps=6, goal_distance_range=(
             train.short_goal_distance_range, train.long_goal_distance_range
         )[seed % 2])
-        world, _ = env_reset(cfg, seed=seed, constellation=cons)
+        world, _ = env_reset(cfg, seed, cons, noise_sigma=0.0)
         span = float(np.linalg.norm(world.goal - world.start))
         spans.add(span)
         done = False
         while not done:
             world, _, rb, done, _ = env_step(world, action(1.0, 1.0, 0.0), cons,
-                                             0.0, cfg=cfg)
+                                             0.0, cfg=cfg,
+                                             nav_pos=world.uav_pos_true)
             dist_goal = np.linalg.norm(world.goal - world.uav_pos_true)
             assert world.goal_span == span
             assert rb.goal_seek == -dist_goal / span + (

@@ -557,8 +557,8 @@ def test_default_constellation_never_needs_the_svd(monkeypatch):
 # Warm starts from a fix.  A solve started from an earlier fix must give
 # bit for bit what the same solve started from that fix's vector gives.  The
 # solver may return the earlier fix itself only when it is stationary and
-# was solved from bitwise-equal measurements with the same constellation,
-# tol and max_iter; otherwise it iterates, reusing the fix's line of sight.
+# was solved from bitwise-equal measurements with the same constellation;
+# otherwise it iterates, reusing the fix's line of sight.
 
 
 def same_fix(sol, ref) -> bool:
@@ -569,9 +569,9 @@ def same_fix(sol, ref) -> bool:
             and sol.residuals.tobytes() == ref.residuals.tobytes())
 
 
-def from_vector(meas, constellation, fix, **limits):
+def from_vector(meas, constellation, fix):
     """The full solve from the fix's (x, y, z, bias) vector."""
-    return solve_pvt(meas, constellation, init=fix.x.copy(), **limits)
+    return solve_pvt(meas, constellation, init=fix.x.copy())
 
 
 def stationary_fixes(cons, n_epochs=40):
@@ -599,9 +599,8 @@ def test_fix_records_what_it_was_solved_from(cons):
     meas = measure_pseudoranges(np.array([10.0, 20.0, 30.0]), 5.0, cons, 2.0,
                                 np.random.default_rng(1))
     init = np.array([12.0, 18.0, 33.0, 0.0])
-    fix = solve_pvt(meas, cons, init=init, tol=1e-5, max_iter=7)
+    fix = solve_pvt(meas, cons, init=init)
     assert fix.measurements == meas.tobytes()
-    assert fix.limits == (1e-5, 7)
     assert not fix.stationary  # it moved from init
     positions, sep, ranges = fix.line_of_sight
     assert positions is cons.positions
@@ -647,7 +646,7 @@ def test_changed_measurements_iterate(cons):
             assert same_fix(got, from_vector(changed, cons, fix))
 
 
-def test_fix_from_another_constellation_or_limits_is_not_reused(cons):
+def test_fix_from_another_constellation_is_not_reused(cons):
     twin = Constellation(cons.positions)  # equal positions, another object
     other = make_constellation(n_sats=8, seed=8)
     for meas, fix in stationary_fixes(cons, n_epochs=12):
@@ -655,11 +654,6 @@ def test_fix_from_another_constellation_or_limits_is_not_reused(cons):
             got = solve_pvt(meas, constellation, init=fix)
             assert got is not fix
             assert same_fix(got, from_vector(meas, constellation, fix))
-        for limits in (dict(tol=1e-6), dict(tol=0.0, max_iter=3),
-                       dict(max_iter=0), dict(max_iter=19)):
-            got = solve_pvt(meas, cons, init=fix, **limits)
-            assert got is not fix
-            assert same_fix(got, from_vector(meas, cons, fix, **limits))
         hand = PvtSolution(x=fix.x.copy(), iterations=fix.iterations,
                            final_residual_norm=fix.final_residual_norm,
                            converged=True, residuals=fix.residuals.copy())

@@ -9,7 +9,13 @@ import pytest
 
 from driftwatch import env as env_module
 from driftwatch import harness
-from driftwatch.config import DetectorConfig, EnvConfig, EvalConfig
+from driftwatch.config import (
+    DetectorConfig,
+    EnvConfig,
+    EvalConfig,
+    ExperimentConfig,
+    TrainConfig,
+)
 from driftwatch.ddpg import Agent
 from driftwatch.detectors import (
     AgeProfile,
@@ -58,7 +64,7 @@ def constellation():
 
 @pytest.fixture(scope="module")
 def small_agent():
-    return Agent(np.random.default_rng([0, 1]), hidden=(16, 16))
+    return Agent(np.random.default_rng([0, 1]), TrainConfig(hidden=(16, 16)))
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +82,7 @@ def make_synthetic_bank() -> DetectorBank:
     rng = np.random.default_rng(77)
     streams = [profile.mu0 + profile.sigma0 * rng.normal(size=100)
                for _ in range(8)]
-    ae, _ = window_ae_train(streams, window=16, seed=3)
+    ae, _ = window_ae_train(streams, DetectorConfig(ae_window=16), 3)
     return DetectorBank(
         profile=profile,
         # the pooled model as a one-age prior
@@ -110,10 +116,8 @@ def synthetic_log(n, onset=None, flag_rows=(), seed=1) -> EpisodeLog:
     )
     return EpisodeLog(
         seed=seed,
-        config_hash="x",
         terminal_event="timeout",
         attack=attack,
-        t=np.arange(n),
         true_pos=np.zeros((n, 3)),
         est_pos=np.zeros((n, 3)),
         residual_rms=np.zeros(n),
@@ -220,7 +224,7 @@ class TestRunEpisode:
         assert np.linalg.norm(log.true_pos[150]) > 100.0
         # alpha column mirrors the attack schedule at every logged step
         for i in (0, 50, 99, 100, 125, 150, log.n_steps - 1):
-            alpha = attack_alpha(int(log.t[i]), attack)
+            alpha = attack_alpha(i, attack)
             assert log.alpha[i] == (0.0 if alpha is None else alpha)
 
     def test_same_seed_gives_byte_identical_csv(
@@ -232,10 +236,9 @@ class TestRunEpisode:
             log = play(
                 small_agent, mini_env, attack, None, 42,
                 constellation=constellation, noise_sigma=2.0,
-                config_hash="abc123",
             )
             p = tmp_path / f"run{k}.csv"
-            write_episode_csv(log, p)
+            write_episode_csv(log, p, "abc123")
             paths.append(p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -243,10 +246,9 @@ class TestRunEpisode:
         log = play(
             small_agent, mini_env, None, None, 7,
             constellation=constellation, noise_sigma=2.0,
-            config_hash="deadbeef",
         )
         path = tmp_path / "episode.csv"
-        write_episode_csv(log, path)
+        write_episode_csv(log, path, "deadbeef")
         lines = path.read_text().splitlines()
         meta = [ln for ln in lines if ln.startswith("#")]
         assert len(meta) == 6
@@ -286,15 +288,19 @@ class TestRunEpisode:
         self, small_agent, mini_env, constellation, monkeypatch
     ):
         """Each fix of a rollout starts from its episode's previous fix,
-        passed itself; only the reset's first fix starts from the truth."""
+        passed itself; only the reset's first fix starts from the truth.
+        Each step is steered from the previous fix's position, bit for bit,
+        never from the true position."""
         real_solve, real_dynamics = env_module.solve_pvt, env_module.step_dynamics
         real_reset, real_step = harness.env_reset_full, harness.env_step
         episode_of = {}  # goal bytes -> seed
-        now = {}  # episode being stepped and its true state after the move
-        solves = {}  # seed -> [(init, fix, true state or None)]
+        # episode being stepped, its true state after the move, and the
+        # (believed, true) positions the move started from
+        now = {}
+        solves = {}  # seed -> [(init, fix, true state, steering) or None]
 
         def reset(cfg, seed, *args):
-            now.update(seed=seed, truth=None)
+            now.update(seed=seed, truth=None, steer=None)
             out = real_reset(cfg, seed, *args)
             episode_of[out[0].goal.tobytes()] = seed
             return out
@@ -303,15 +309,17 @@ class TestRunEpisode:
             now.update(seed=episode_of[world.goal.tobytes()], truth=None)
             return real_step(world, *args, **kwargs)
 
-        def dynamics(*args, **kwargs):
-            world = real_dynamics(*args, **kwargs)
+        def dynamics(world, action, nav_pos, cfg):
+            now["steer"] = (nav_pos, world.uav_pos_true)
+            world = real_dynamics(world, action, nav_pos, cfg)
             now["truth"] = np.append(world.uav_pos_true, world.clock_bias_true)
             return world
 
-        def solve(meas, cons, init=None, **kwargs):
-            pvt = real_solve(meas, cons, init=init, **kwargs)
+        def solve(meas, cons, init=None):
+            pvt = real_solve(meas, cons, init=init)
             solves.setdefault(now["seed"], []).append(
-                (init, pvt, now["truth"]))
+                (init, pvt, now["truth"], now["steer"]))
+            now["steer"] = None
             return pvt
 
         monkeypatch.setattr(harness, "env_reset_full", reset)
@@ -327,10 +335,13 @@ class TestRunEpisode:
         for log in logs:
             calls = solves[log.seed]
             assert len(calls) == log.n_steps + 1  # the reset's, then one a step
-            assert calls[0][2] is None  # the reset's fix
-            for (_, previous, _), (init, _, truth) in zip(calls, calls[1:]):
+            assert calls[0][2] is None and calls[0][3] is None  # the reset's
+            for (_, previous, _, _), (init, _, truth, (believed, true_pos)) in zip(
+                    calls, calls[1:]):
                 assert init is previous
                 assert not np.array_equal(init.x, truth)
+                assert np.asarray(believed).tobytes() == previous.x[:3].tobytes()
+                assert not np.array_equal(believed, true_pos)
 
     def test_lockstep_play_does_not_change_an_episode(
         self, small_agent, mini_env, constellation, synthetic_bank
@@ -355,7 +366,6 @@ class TestRunEpisode:
                 assert log.n_steps == want.n_steps
                 assert log.terminal_event == want.terminal_event
                 assert np.array_equal(log.flags, want.flags)
-                assert np.array_equal(log.t, want.t)
                 assert np.array_equal(log.alpha, want.alpha)
                 for name in ("true_pos", "est_pos", "phi"):  # metres
                     np.testing.assert_allclose(
@@ -376,13 +386,12 @@ GOLDEN_EPISODE = Path(__file__).parent / "data" / "golden_attacked_episode.csv"
 
 def golden_episode() -> EpisodeLog:
     """Seeded untrained agent, the synthetic bank, 60 steps, onset at 20."""
-    agent = Agent(np.random.default_rng([0, 1]), hidden=(16, 16))
+    agent = Agent(np.random.default_rng([0, 1]), TrainConfig(hidden=(16, 16)))
     attack = AttackConfig(t_start=20, drift_duration=20,
                           target=(600.0, 400.0, 150.0), enabled=True)
     return play(
         agent, EnvConfig(max_steps=60), attack, make_synthetic_bank(), 3,
         constellation=make_constellation(n_sats=8, seed=7), noise_sigma=2.0,
-        config_hash="golden",
     )
 
 
@@ -403,7 +412,7 @@ def test_golden_attacked_episode(tmp_path):
     with the BLAS build; that column also passes within 1e-6 absolute.
     """
     path = tmp_path / "episode.csv"
-    write_episode_csv(golden_episode(), path)
+    write_episode_csv(golden_episode(), path, "golden")
     meta, header, rows = read_episode_csv(path)
     want_meta, want_header, want_rows = read_episode_csv(GOLDEN_EPISODE)
     assert meta == want_meta
@@ -673,24 +682,27 @@ class TestDetectorBankPersistence:
 
 @pytest.fixture(scope="module")
 def pipeline(small_agent, mini_env, constellation):
-    det_cfg = DetectorConfig(ae_window=16, ae_epochs=50)
-    eval_cfg = EvalConfig(
-        n_nominal=2,
-        n_attacked=2,
-        profile_episodes=20,
-        attack_t_start=10,
-        attack_drift_duration=5,
+    """The mini study: its config's gnss section is the default, whose
+    constellation the `constellation` fixture builds."""
+    cfg = ExperimentConfig(
+        env=mini_env,
+        detectors=DetectorConfig(ae_window=16, ae_epochs=50),
+        eval=EvalConfig(
+            n_nominal=2,
+            n_attacked=2,
+            profile_episodes=20,
+            attack_t_start=10,
+            attack_drift_duration=5,
+        ),
     )
-    bank, diag = profile_pipeline(
-        small_agent, mini_env, det_cfg, eval_cfg,
-        constellation=constellation, noise_sigma=2.0, master_seed=11,
-    )
-    return bank, diag, det_cfg, eval_cfg
+    bank, diag = profile_pipeline(small_agent, cfg, 11, constellation)
+    return bank, diag, cfg
 
 
 class TestPipelines:
     def test_profile_pipeline_fits_and_freezes(self, pipeline):
-        bank, diag, det_cfg, eval_cfg = pipeline
+        bank, diag, cfg = pipeline
+        det_cfg, eval_cfg = cfg.detectors, cfg.eval
         logs = diag["profile_logs"]
         assert len(logs) == eval_cfg.profile_episodes
         total = sum(log.n_steps for log in logs)
@@ -701,7 +713,8 @@ class TestPipelines:
         assert bank.ph_lambda == pytest.approx(50.0 * bank.profile.sigma0)
 
     def test_age_profile_fits_profile_streams_only(self, pipeline):
-        bank, diag, _, eval_cfg = pipeline
+        bank, diag, cfg = pipeline
+        eval_cfg = cfg.eval
         streams = [log.q for log in diag["profile_logs"]]
         assert all(log.attack is None for log in diag["profile_logs"])
         assert isinstance(bank.age_profile, AgeProfile)
@@ -711,13 +724,10 @@ class TestPipelines:
         assert bank.age_profile.n_samples == bank.profile.n_samples
 
     def test_profile_pipeline_is_deterministic(
-        self, pipeline, small_agent, mini_env, constellation
+        self, pipeline, small_agent, constellation
     ):
-        bank, _, det_cfg, eval_cfg = pipeline
-        bank2, _ = profile_pipeline(
-            small_agent, mini_env, det_cfg, eval_cfg,
-            constellation=constellation, noise_sigma=2.0, master_seed=11,
-        )
+        bank, _, cfg = pipeline
+        bank2, _ = profile_pipeline(small_agent, cfg, 11, constellation)
         assert bank2.profile == bank.profile
         assert bank2.age_profile == bank.age_profile
         assert bank2.tau == bank.tau
@@ -726,13 +736,11 @@ class TestPipelines:
             assert np.array_equal(w1, w2)
 
     def test_evaluate_produces_metrics_and_logs(
-        self, pipeline, small_agent, mini_env, constellation
+        self, pipeline, small_agent, constellation
     ):
-        bank, _, _, eval_cfg = pipeline
-        metrics, logs = evaluate(
-            small_agent, mini_env, eval_cfg, bank,
-            constellation=constellation, noise_sigma=2.0, master_seed=5,
-        )
+        bank, _, cfg = pipeline
+        eval_cfg = cfg.eval
+        metrics, logs = evaluate(small_agent, cfg, bank, 5, constellation)
         assert len(logs) == eval_cfg.n_nominal + eval_cfg.n_attacked
         assert sum(log.attacked for log in logs) == eval_cfg.n_attacked
         for name in DETECTOR_ORDER:
@@ -743,17 +751,17 @@ class TestPipelines:
         assert json.loads(json.dumps(metrics)) == metrics
 
     def test_fixed_threshold_skips_calibration(
-        self, pipeline, small_agent, mini_env, constellation
+        self, pipeline, small_agent, constellation
     ):
         """calibrate_tau false freezes bocpd_tau as given and reports no
         calibration rate; the rest of the bank is fitted as before."""
-        calibrated, _, det_cfg, eval_cfg = pipeline
-        fixed_cfg = dataclasses.replace(det_cfg, calibrate_tau=False,
-                                        bocpd_tau=det_cfg.bocpd_warmup + 7)
+        calibrated, _, cfg = pipeline
+        fixed_cfg = dataclasses.replace(
+            cfg.detectors, calibrate_tau=False,
+            bocpd_tau=cfg.detectors.bocpd_warmup + 7)
         bank, diag = profile_pipeline(
-            small_agent, mini_env, fixed_cfg, eval_cfg,
-            constellation=constellation, noise_sigma=2.0, master_seed=11,
-        )
+            small_agent, dataclasses.replace(cfg, detectors=fixed_cfg), 11,
+            constellation)
         assert bank.tau == fixed_cfg.bocpd_tau != calibrated.tau
         assert diag["tau"] == bank.tau
         assert np.isnan(diag["calibration_fp"])
@@ -768,5 +776,5 @@ class TestPipelines:
 
 if __name__ == "__main__":
     GOLDEN_EPISODE.parent.mkdir(exist_ok=True)
-    write_episode_csv(golden_episode(), GOLDEN_EPISODE)
+    write_episode_csv(golden_episode(), GOLDEN_EPISODE, "golden")
     print(f"wrote {GOLDEN_EPISODE}")

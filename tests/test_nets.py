@@ -353,6 +353,16 @@ def test_inference_results_are_never_overwritten():
         assert not np.shares_memory(cached, first)
     net.forward(x, cache=False)
     assert first.tobytes() == want
-    # an inference pass drops the cache, so there is nothing to backpropagate
-    with pytest.raises(ConfigurationError, match="before forward"):
-        net.backward(np.ones((5, 3)))
+    # an inference pass, of this batch size or another, leaves the cached
+    # forward and its buffers alone: backward after it is backward without it
+    dy = rng.normal(size=(5, 3))
+    net.forward(2.0 * x)
+    dx, grad = net.backward(dy)
+    alone = (dx.tobytes(), grad.tobytes())
+    work = net._work
+    net.forward(2.0 * x)
+    net.forward(x, cache=False)
+    net.forward(x[:2], cache=False)
+    dx, grad = net.backward(dy)
+    assert (dx.tobytes(), grad.tobytes()) == alone
+    assert net._work is work

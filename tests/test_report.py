@@ -32,10 +32,8 @@ def make_log(n, onset=None, flag_rows=(), seed=1, q_shift=0.0):
         )
     return EpisodeLog(
         seed=seed,
-        config_hash="cafe",
         terminal_event="timeout",
         attack=attack,
-        t=np.arange(n),
         true_pos=np.zeros((n, 3)),
         est_pos=np.zeros((n, 3)),
         residual_rms=np.zeros(n),

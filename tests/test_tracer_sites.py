@@ -41,8 +41,9 @@ def test_env_step_result_keeps_the_fields_the_tracer_reads(tracer):
     `_after_solve` reads the fix's iterations and converged flag."""
     cfg = EnvConfig(max_steps=1)
     cons = make_constellation(n_sats=8, seed=7)
-    world, _ = env_reset(cfg, seed=3, constellation=cons)
-    out = env_step(world, np.array([1.0, 1.0, 0.0]), cons, 0.0, cfg=cfg)
+    world, _ = env_reset(cfg, seed=3, constellation=cons, noise_sigma=0.0)
+    out = env_step(world, np.array([1.0, 1.0, 0.0]), cons, 0.0, cfg=cfg,
+                   nav_pos=world.uav_pos_true)
     assert out[3] is True
     assert out[2].terminal_event == "timeout"
     counts = tracer.Tracer()
