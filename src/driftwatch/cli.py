@@ -1,8 +1,7 @@
-"""Command-line workflows: train, profile, run, eval, oracle-check.
+"""Command-line workflows: train, profile, run, eval.
 
 Exit codes: 0 success, 1 validation problem (bad flags, missing or
-malformed inputs), 2 runtime failure (errors raised mid-computation, or a
-failed oracle equivalence check).
+malformed inputs), 2 runtime failure (errors raised mid-computation).
 """
 
 from __future__ import annotations
@@ -20,13 +19,6 @@ from .config import (
     load_config,
 )
 from .ddpg import load_checkpoint, save_checkpoint, train
-from .detectors import (
-    AgeProfile,
-    bocpd_init,
-    bocpd_oracle,
-    bocpd_posterior_dense,
-    bocpd_update,
-)
 from .errors import ConfigurationError, CorruptCheckpointError, DriftwatchError
 from .gnss import make_constellation
 from .harness import (
@@ -90,11 +82,6 @@ def _build_parser() -> _Parser:
     )
     p_eval.add_argument("--checkpoint", type=Path, default=None,
                         help="agent checkpoint (default: OUT/checkpoint.npz)")
-    add_command(
-        "oracle-check",
-        "verify the changepoint recursion against the direct-summation "
-        "oracle on 50 random streams per prior",
-    )
     return parser
 
 
@@ -126,7 +113,7 @@ def _cmd_train(cfg: ExperimentConfig, seed: int, out: Path) -> int:
     ckpt = out / "checkpoint.npz"
     save_checkpoint(agent, ckpt)
     write_training_curve_csv(history, out / "training_curve.csv")
-    tail = history[-10:] if len(history) >= 10 else history
+    tail = history[-10:]
     print(f"trained {len(history)} episodes; "
           f"mean return over final {len(tail)}: {np.mean(tail):.3f}")
     print(f"checkpoint: {ckpt}")
@@ -184,53 +171,6 @@ def _cmd_eval(cfg: ExperimentConfig, seed: int, out: Path, args) -> int:
     return 0
 
 
-def _oracle_priors() -> dict:
-    """The pooled model as a one-age prior (noise and level variance equal),
-    and a same-age prior whose 20-step horizon is shorter than the 30-step
-    check streams."""
-    ages = np.arange(20)
-    return {
-        "pooled": AgeProfile(means=(0.0,), variances=(1.0,), noise_var=1.0,
-                             level_var=1.0, n_samples=1000),
-        "same-age": AgeProfile(
-            means=tuple(float(x) for x in 0.3 * ages - 2.0),
-            variances=tuple(float(x) for x in 2.0 - 0.05 * ages),
-            noise_var=0.4,
-            level_var=1.6,
-            n_samples=1000,
-        ),
-    }
-
-
-def _cmd_oracle_check(cfg: ExperimentConfig, seed: int) -> int:
-    rng = np.random.default_rng([seed, 0xC0DE])
-    ok = True
-    for name, prior in _oracle_priors().items():
-        streams = {}  # hazard -> streams, each scored in one batch
-        for trial in range(50):
-            ages = np.minimum(np.arange(30), prior.horizon - 1)
-            q = rng.normal(size=30) + np.array(prior.means)[ages]
-            if trial % 2 == 0:
-                q[15:] -= 8.0
-            hazard = cfg.detectors.bocpd_hazard if trial % 3 else 0.05
-            streams.setdefault(hazard, []).append(q)
-        worst = 0.0
-        for hazard, batch in streams.items():
-            expected = [bocpd_oracle(q, prior, hazard) for q in batch]
-            values = np.array(batch)
-            state = bocpd_init([prior] * len(batch), hazard)
-            for age in range(values.shape[1]):
-                state, _ = bocpd_update(state, values[:, age], prune=0.0)
-                dense = bocpd_posterior_dense(state)
-                target = np.array([posteriors[age] for posteriors in expected])
-                tv = 0.5 * np.abs(dense - target).sum(axis=1)
-                worst = max(worst, float(tv.max()))
-        print(f"{name} prior: max total variation over 50 streams: {worst!r}")
-        ok = ok and worst < 1e-9
-    print("PASS" if ok else "FAIL")
-    return 0 if ok else 2
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -252,9 +192,7 @@ def main(argv=None) -> int:
             return _cmd_profile(cfg, seed, out, args)
         if args.command == "run":
             return _cmd_run(cfg, seed, out, args)
-        if args.command == "eval":
-            return _cmd_eval(cfg, seed, out, args)
-        return _cmd_oracle_check(cfg, seed)
+        return _cmd_eval(cfg, seed, out, args)
     except (ConfigurationError, CorruptCheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,4 @@
-"""Online detectors over the critic value stream, plus an exhaustive oracle.
+"""Online detectors over the critic value stream.
 
 The main detector maintains a run-length posterior with a constant hazard
 and a known-variance Gaussian predictive.  Its prior is the same-age
@@ -160,11 +160,6 @@ class AgeProfile(_JsonDocument):
         """Noise variance over level-prior variance."""
         return self.noise_var / self.level_var
 
-    def observation(self, t: int, q: float) -> tuple[float, float]:
-        """Deviation from the same-age mean and its relative noise variance."""
-        i = min(t, len(self.means) - 1)
-        return q - self.means[i], self.variances[i] / self.level_var
-
 
 def _nominal_streams(nominal_q_streams) -> list[np.ndarray]:
     """The attack-free value streams as float arrays, each 1-D and finite."""
@@ -246,10 +241,6 @@ def fit_age_profile(
         n_samples=int(sum(lengths)),
         source_episodes=tuple(source_episodes),
     )
-
-
-def _gauss_pdf(x: float, mean: float, var: float) -> float:
-    return float(np.exp(-0.5 * (x - mean) ** 2 / var) / np.sqrt(2.0 * np.pi * var))
 
 
 @dataclass
@@ -426,67 +417,6 @@ def bocpd_flag(l_hat, t, tau: int, warmup: int):
     `l_hat` and the age count `t` may be arrays of equal shape.
     """
     return (t > warmup) & (l_hat <= tau), np.asarray(l_hat, dtype=float)
-
-
-def bocpd_posterior_dense(state: BocpdState) -> np.ndarray:
-    """Posteriors as a dense (B, t+1) array over run lengths 0..t (testing helper)."""
-    dense = np.zeros((state.size.size, state.t + 1))
-    for row, n in enumerate(state.size.tolist()):
-        dense[row, state.run_lengths[row, :n]] = state.weights[row, :n]
-    return dense
-
-
-def bocpd_oracle(q_stream, profile: AgeProfile,
-                 hazard: float, max_len: int = 64) -> list[np.ndarray]:
-    """Run-length posteriors computed by direct summation, for validation.
-
-    For every step, each possible last-changepoint time contributes the
-    product of its segment's predictive densities, recomputed from the raw
-    data with no carried state.  Shared sufficient statistics collapse the
-    exponential number of changepoint placements to O(T^2) segment terms.
-    O(T^3) time, so the length is capped.  Observation k is taken at age
-    k, whichever segment it falls in.
-    """
-    q = [float(x) for x in q_stream]
-    t_max = len(q)
-    if t_max > max_len:
-        raise ConfigurationError(
-            f"oracle supports streams up to {max_len}, got {t_max}"
-        )
-    if not 0.0 < hazard < 1.0:
-        raise ConfigurationError(f"hazard must be in (0,1), got {hazard}")
-    s2, h = profile.noise_var, hazard
-    obs = [profile.observation(k, x) for k, x in enumerate(q)]
-
-    def segment_product(start: int, end: int) -> float:
-        """Product of predictives for q[start:end] as one fresh segment."""
-        prod = 1.0
-        mean, count = 0.0, profile.prior_count
-        for x, w in obs[start:end]:
-            prod *= _gauss_pdf(x, mean, s2 * (w + 1.0 / count))
-            mean = (mean * count + x / w) / (count + 1.0 / w)
-            count += 1.0 / w
-        return prod
-
-    # cp_weight[s]: unnormalized weight of being freshly reset after s steps
-    cp_weight = np.zeros(t_max + 1)
-    cp_weight[0] = 1.0
-    for s in range(1, t_max + 1):
-        total = 0.0
-        for s0 in range(s):
-            total += (cp_weight[s0] * (1.0 - h) ** (s - 1 - s0)
-                      * segment_product(s0, s))
-        cp_weight[s] = h * total
-
-    posteriors = []
-    for s in range(1, t_max + 1):
-        joint = np.zeros(s + 1)
-        joint[0] = cp_weight[s]
-        for l in range(1, s + 1):
-            joint[l] = (cp_weight[s - l] * (1.0 - h) ** l
-                        * segment_product(s - l, s))
-        posteriors.append(joint / joint.sum())
-    return posteriors
 
 
 def calibrate_tau(l_hat_streams, warmup: int) -> tuple[int, float]:

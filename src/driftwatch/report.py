@@ -211,8 +211,8 @@ def emit_report(
     logs: list[EpisodeLog],
     out_dir,
     *,
-    config_hash: str = "",
-    master_seed: int = 0,
+    config_hash: str,
+    master_seed: int,
 ) -> dict[str, Path]:
     """Write every report artifact; returns the paths by artifact name."""
     out = Path(out_dir)

@@ -7,6 +7,10 @@ whole episode in one forward each.  The per-step forms are kept here,
 unchanged, so the tests can hold the batched forms to them: a batched
 row runs the same operations through a matrix product of another shape,
 so it agrees to round-off, and bit for bit when the batch has one row.
+
+The run-length oracle computes the changepoint posterior by direct
+summation over last-changepoint placements, with no carried state, for
+the recursion and its scalar form to be checked against.
 """
 
 import math
@@ -16,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from driftwatch.ddpg import ACT_DIM, ACTION_CENTER, ACTION_HALF, OBS_DIM
-from driftwatch.detectors import AgeProfile
+from driftwatch.detectors import AgeProfile, BocpdState
+from driftwatch.errors import ConfigurationError
 
 
 def q_value_row(agent, phi, action) -> float:
@@ -46,6 +51,77 @@ def trailing_window_score(model, recent_values) -> tuple[bool, float]:
         return False, float("nan")
     err = reconstruction_error(model, vals[-model.window:])
     return err > model.threshold, err
+
+
+def observation(prior: AgeProfile, t: int, q: float) -> tuple[float, float]:
+    """Deviation from the same-age mean and its relative noise variance."""
+    i = min(t, len(prior.means) - 1)
+    return q - prior.means[i], prior.variances[i] / prior.level_var
+
+
+def _gauss_pdf(x: float, mean: float, var: float) -> float:
+    return float(np.exp(-0.5 * (x - mean) ** 2 / var) / np.sqrt(2.0 * np.pi * var))
+
+
+def bocpd_posterior_dense(state: BocpdState) -> np.ndarray:
+    """Posteriors as a dense (B, t+1) array over run lengths 0..t."""
+    dense = np.zeros((state.size.size, state.t + 1))
+    for row, n in enumerate(state.size.tolist()):
+        dense[row, state.run_lengths[row, :n]] = state.weights[row, :n]
+    return dense
+
+
+def bocpd_oracle(q_stream, profile: AgeProfile,
+                 hazard: float, max_len: int = 64) -> list[np.ndarray]:
+    """Run-length posteriors computed by direct summation, for validation.
+
+    For every step, each possible last-changepoint time contributes the
+    product of its segment's predictive densities, recomputed from the raw
+    data with no carried state.  Shared sufficient statistics collapse the
+    exponential number of changepoint placements to O(T^2) segment terms.
+    O(T^3) time, so the length is capped.  Observation k is taken at age
+    k, whichever segment it falls in.
+    """
+    q = [float(x) for x in q_stream]
+    t_max = len(q)
+    if t_max > max_len:
+        raise ConfigurationError(
+            f"oracle supports streams up to {max_len}, got {t_max}"
+        )
+    if not 0.0 < hazard < 1.0:
+        raise ConfigurationError(f"hazard must be in (0,1), got {hazard}")
+    s2, h = profile.noise_var, hazard
+    obs = [observation(profile, k, x) for k, x in enumerate(q)]
+
+    def segment_product(start: int, end: int) -> float:
+        """Product of predictives for q[start:end] as one fresh segment."""
+        prod = 1.0
+        mean, count = 0.0, profile.prior_count
+        for x, w in obs[start:end]:
+            prod *= _gauss_pdf(x, mean, s2 * (w + 1.0 / count))
+            mean = (mean * count + x / w) / (count + 1.0 / w)
+            count += 1.0 / w
+        return prod
+
+    # cp_weight[s]: unnormalized weight of being freshly reset after s steps
+    cp_weight = np.zeros(t_max + 1)
+    cp_weight[0] = 1.0
+    for s in range(1, t_max + 1):
+        total = 0.0
+        for s0 in range(s):
+            total += (cp_weight[s0] * (1.0 - h) ** (s - 1 - s0)
+                      * segment_product(s0, s))
+        cp_weight[s] = h * total
+
+    posteriors = []
+    for s in range(1, t_max + 1):
+        joint = np.zeros(s + 1)
+        joint[0] = cp_weight[s]
+        for l in range(1, s + 1):
+            joint[l] = (cp_weight[s - l] * (1.0 - h) ** l
+                        * segment_product(s - l, s))
+        posteriors.append(joint / joint.sum())
+    return posteriors
 
 
 # The changepoint recursion, Page-Hinkley and the residual test as they ran
@@ -83,7 +159,7 @@ def scalar_bocpd_update(state, q: float, prune: float = 1e-8):
     """Advance the posterior with one observation; returns the argmax run length."""
     h = state.hazard
     prior = state.prior
-    x, w = prior.observation(state.t, q)
+    x, w = observation(prior, state.t, q)
     old_means = state.seg_means
     old_counts = state.seg_counts
     pred_var = prior.noise_var * (w + 1.0 / old_counts)

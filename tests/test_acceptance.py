@@ -20,8 +20,6 @@ from driftwatch.detectors import (
     AgeProfile,
     bocpd_flag,
     bocpd_init,
-    bocpd_oracle,
-    bocpd_posterior_dense,
     bocpd_update,
 )
 from driftwatch.gnss import (
@@ -34,6 +32,7 @@ from driftwatch.nets import Mlp
 from driftwatch.spoofing import AttackConfig
 from gnss_oracles import jacobian
 from gradcheck import min_relu_preactivation_margin, numeric_param_grads, split_like
+from scoring_oracles import bocpd_oracle, bocpd_posterior_dense
 
 
 def report(criterion, ok, detail):

@@ -14,14 +14,9 @@ import math
 import numpy as np
 import pytest
 
-from driftwatch.detectors import (
-    AgeProfile,
-    bocpd_init,
-    bocpd_oracle,
-    bocpd_posterior_dense,
-    bocpd_update,
-)
+from driftwatch.detectors import AgeProfile, bocpd_init, bocpd_update
 from driftwatch.errors import ConfigurationError
+from scoring_oracles import bocpd_oracle, bocpd_posterior_dense, observation
 
 MU0, SIGMA0 = -1.2, 0.7
 
@@ -55,7 +50,7 @@ def brute_force_posteriors(q, prior, hazard):
     paths = [(0.0, k0, 0, 1.0)]  # (seg mean, seg precision, run length, weight)
     posteriors = []
     for t, raw in enumerate(q):
-        x, v = prior.observation(t, raw)
+        x, v = observation(prior, t, raw)
         nxt = []
         for mean, count, rl, w in paths:
             var = s2 * (v + 1.0 / count)

@@ -178,15 +178,6 @@ class TestUsageErrors:
         assert not (tmp_path / "summary.json").exists()
 
 
-class TestOracleCheck:
-    def test_passes_and_reports_divergence(self, capsys):
-        rc = main(["oracle-check", "--seed", "3"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "max total variation" in out
-        assert "PASS" in out
-
-
 class TestChainArtifacts:
     def test_train_artifacts(self, chain):
         assert (chain / "checkpoint.npz").exists()

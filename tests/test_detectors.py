@@ -15,8 +15,6 @@ from driftwatch.detectors import (
     WindowAutoencoder,
     bocpd_flag,
     bocpd_init,
-    bocpd_oracle,
-    bocpd_posterior_dense,
     bocpd_update,
     calibrate_tau,
     fit_age_profile,
@@ -39,6 +37,8 @@ from scoring_oracles import (
     ScalarBocpdState,
     ScalarPageHinkley,
     ScalarResidualThreshold,
+    bocpd_posterior_dense,
+    observation,
     reconstruction_error,
     scalar_bocpd_init,
     scalar_bocpd_update,
@@ -143,7 +143,7 @@ class TestAgeProfile:
         assert prof.prior_count == pytest.approx(0.25)
         assert prof.n_samples == 11
         assert prof.source_episodes == (4, 5, 6)
-        x, w = prof.observation(1, 2.5)
+        x, w = observation(prof, 1, 2.5)
         assert x == pytest.approx(0.5)
         assert w == pytest.approx((2 / 3) / (6 / 11))
 
@@ -155,9 +155,9 @@ class TestAgeProfile:
 
     def test_statistics_held_past_the_horizon(self):
         prof = fit_age_profile(self.STREAMS)
-        last = prof.observation(prof.horizon - 1, 1.5)
+        last = observation(prof, prof.horizon - 1, 1.5)
         for t in (prof.horizon, prof.horizon + 1, 500):
-            assert prof.observation(t, 1.5) == last
+            assert observation(prof, t, 1.5) == last
 
     def test_rejects_non_finite_and_malformed_streams(self):
         bad = np.zeros(50)
@@ -346,7 +346,7 @@ class TestBocpd:
 def reference_bocpd_update(state, q, prune=1e-8):
     h = state.hazard
     prior = state.prior
-    x, w = prior.observation(state.t, q)
+    x, w = observation(prior, state.t, q)
     pred_var = prior.noise_var * (w + 1.0 / state.seg_counts)
     pred = np.exp(-0.5 * (x - state.seg_means) ** 2 / pred_var) / np.sqrt(
         2.0 * np.pi * pred_var

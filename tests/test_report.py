@@ -128,7 +128,8 @@ class TestCurveAndTraces:
         assert float(row24[2]) == pytest.approx(20.5)
 
     def test_traces_cover_every_step(self, logs, metrics, tmp_path):
-        paths = emit_report(metrics, logs, tmp_path)
+        paths = emit_report(metrics, logs, tmp_path,
+                            config_hash="h", master_seed=1)
         lines = paths["q_traces"].read_text().splitlines()
         assert lines[0] == "scenario,episode_seed,t,q,attack_alpha"
         assert len(lines) == 1 + sum(log.n_steps for log in logs)
@@ -138,14 +139,16 @@ class TestCurveAndTraces:
 
 class TestBarsAndDeterminism:
     def test_bars_csv_layout(self, logs, metrics, tmp_path):
-        paths = emit_report(metrics, logs, tmp_path)
+        paths = emit_report(metrics, logs, tmp_path,
+                            config_hash="h", master_seed=1)
         lines = paths["detector_bars"].read_text().splitlines()
         assert lines[0] == "detector,metric,mean,std"
         assert len(lines) == 1 + len(DETECTOR_ORDER) * 3
         assert lines[1].startswith("bocpd,accuracy,")
 
     def test_svg_is_valid_xml_with_bars(self, logs, metrics, tmp_path):
-        paths = emit_report(metrics, logs, tmp_path)
+        paths = emit_report(metrics, logs, tmp_path,
+                            config_hash="h", master_seed=1)
         text = paths["detector_bars_svg"].read_text()
         root = ET.fromstring(text)
         assert root.tag.endswith("svg")
