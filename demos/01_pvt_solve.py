@@ -8,9 +8,10 @@ measurement noise and satellite count move the answer.
 
 import numpy as np
 
+from driftwatch.config import GnssConfig
 from driftwatch.gnss import (
     Constellation,
-    make_constellation,
+    constellation_from_config,
     measure_pseudoranges,
     predicted_pseudoranges,
     solve_pvt,
@@ -18,7 +19,7 @@ from driftwatch.gnss import (
 
 rng = np.random.default_rng(42)
 
-constellation = make_constellation(n_sats=8, radius=2.0e7, seed=7)
+constellation = constellation_from_config(GnssConfig())
 truth_pos = np.array([420.0, 615.0, 180.0])
 truth_bias = 37.5
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from driftwatch.config import default_config
 from driftwatch.env import env_reset, flow_field_matrices, step_dynamics
-from driftwatch.gnss import make_constellation
+from driftwatch.gnss import constellation_from_config
 
 rho0, sigma0, theta = 1.5, 1.5, 0.0
 action = np.array([rho0, sigma0, theta])
@@ -43,9 +43,7 @@ print("  far away the field is transparent; at the surface the inward"
 # One episode with the same fixed gains. No learning involved; this is
 # the environment the policy will later be trained in.
 cfg = default_config()
-constellation = make_constellation(
-    cfg.gnss.n_sats, cfg.gnss.radius, cfg.gnss.constellation_seed,
-    cfg.gnss.min_separation_deg)
+constellation = constellation_from_config(cfg.gnss)
 world, phi = env_reset(cfg.env, 3, constellation, cfg.gnss.noise_sigma)
 
 start_goal_dist = np.linalg.norm(world.goal - world.uav_pos_true)

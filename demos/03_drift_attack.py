@@ -17,13 +17,11 @@ import numpy as np
 
 from driftwatch.config import default_config
 from driftwatch.env import env_reset_full, env_step
-from driftwatch.gnss import make_constellation
+from driftwatch.gnss import constellation_from_config
 from driftwatch.spoofing import AttackConfig, attack_alpha
 
 cfg = default_config()
-constellation = make_constellation(
-    cfg.gnss.n_sats, cfg.gnss.radius, cfg.gnss.constellation_seed,
-    cfg.gnss.min_separation_deg)
+constellation = constellation_from_config(cfg.gnss)
 
 attack = AttackConfig(t_start=40, drift_duration=50,
                       target=(500.0, 500.0, 50.0), enabled=True)

@@ -25,13 +25,11 @@ import numpy as np
 
 from driftwatch.config import default_config
 from driftwatch.ddpg import train
-from driftwatch.gnss import make_constellation
+from driftwatch.gnss import constellation_from_config
 from driftwatch.harness import DETECTOR_ORDER, evaluate, profile_pipeline
 
 cfg = default_config()
-constellation = make_constellation(
-    cfg.gnss.n_sats, cfg.gnss.radius, cfg.gnss.constellation_seed,
-    cfg.gnss.min_separation_deg)
+constellation = constellation_from_config(cfg.gnss)
 
 t0 = time.perf_counter()
 agent, history = train(cfg, cfg.master_seed, constellation)

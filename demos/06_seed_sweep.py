@@ -19,7 +19,7 @@ from pathlib import Path
 
 from driftwatch.config import default_config, load_config
 from driftwatch.ddpg import load_checkpoint
-from driftwatch.gnss import make_constellation
+from driftwatch.gnss import constellation_from_config
 from driftwatch.harness import DETECTOR_ORDER, evaluate, profile_pipeline
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,9 +36,7 @@ args = parser.parse_args()
 
 cfg = load_config(args.config) if args.config else default_config()
 agent = load_checkpoint(args.checkpoint)
-constellation = make_constellation(
-    cfg.gnss.n_sats, cfg.gnss.radius, cfg.gnss.constellation_seed,
-    cfg.gnss.min_separation_deg)
+constellation = constellation_from_config(cfg.gnss)
 
 
 def criterion_8(per: dict) -> dict[str, bool]:

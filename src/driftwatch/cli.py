@@ -20,7 +20,7 @@ from .config import (
 )
 from .ddpg import load_checkpoint, save_checkpoint, train
 from .errors import ConfigurationError, CorruptCheckpointError, DriftwatchError
-from .gnss import make_constellation
+from .gnss import constellation_from_config
 from .harness import (
     DETECTOR_ORDER,
     DetectorBank,
@@ -89,15 +89,6 @@ def _load_cfg(path: Path | None) -> ExperimentConfig:
     return default_config() if path is None else load_config(path)
 
 
-def _constellation(cfg: ExperimentConfig):
-    return make_constellation(
-        cfg.gnss.n_sats,
-        cfg.gnss.radius,
-        cfg.gnss.constellation_seed,
-        cfg.gnss.min_separation_deg,
-    )
-
-
 def _load_agent(checkpoint: Path | None, out: Path):
     path = checkpoint if checkpoint is not None else out / "checkpoint.npz"
     if not Path(path).exists():
@@ -109,7 +100,7 @@ def _load_agent(checkpoint: Path | None, out: Path):
 
 def _cmd_train(cfg: ExperimentConfig, seed: int, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    agent, history = train(cfg, seed, _constellation(cfg))
+    agent, history = train(cfg, seed, constellation_from_config(cfg.gnss))
     ckpt = out / "checkpoint.npz"
     save_checkpoint(agent, ckpt)
     write_training_curve_csv(history, out / "training_curve.csv")
@@ -122,7 +113,8 @@ def _cmd_train(cfg: ExperimentConfig, seed: int, out: Path) -> int:
 
 def _cmd_profile(cfg: ExperimentConfig, seed: int, out: Path, args) -> int:
     agent = _load_agent(args.checkpoint, out)
-    bank, diag = profile_pipeline(agent, cfg, seed, _constellation(cfg))
+    bank, diag = profile_pipeline(agent, cfg, seed,
+                                  constellation_from_config(cfg.gnss))
     bank.save(out)
     print(f"nominal profile: mu0={bank.profile.mu0!r} "
           f"sigma0={bank.profile.sigma0!r} n={bank.profile.n_samples}")
@@ -140,7 +132,7 @@ def _cmd_run(cfg: ExperimentConfig, seed: int, out: Path, args) -> int:
     bank = DetectorBank.load(out) if (out / "bank.json").exists() else None
     attack = eval_attack(cfg.eval) if args.attack else None
     [log] = run_episode(agent, cfg.env, [(attack, seed)],
-                        constellation=_constellation(cfg),
+                        constellation=constellation_from_config(cfg.gnss),
                         noise_sigma=cfg.gnss.noise_sigma)
     if bank is not None:
         bank.score([log])
@@ -157,7 +149,8 @@ def _cmd_run(cfg: ExperimentConfig, seed: int, out: Path, args) -> int:
 def _cmd_eval(cfg: ExperimentConfig, seed: int, out: Path, args) -> int:
     agent = _load_agent(args.checkpoint, out)
     bank = DetectorBank.load(out)
-    metrics, logs = evaluate(agent, cfg, bank, seed, _constellation(cfg))
+    metrics, logs = evaluate(agent, cfg, bank, seed,
+                             constellation_from_config(cfg.gnss))
     paths = emit_report(metrics, logs, out, config_hash=config_hash(cfg),
                         master_seed=seed)
     for name in DETECTOR_ORDER:

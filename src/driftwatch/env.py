@@ -18,13 +18,18 @@ numpy stays wherever the bits come from a kernel Python does not
 reproduce: every dot product and norm (OpenBLAS's `ddot`, a chain of fused
 multiply-adds), the 3x3 matrix-vector product, and `exp`, `cos`, `sin`
 and `arctan2` (numpy's float64 routines, which can differ from libm's).
-A step validates the new state once, and `|goal - start|` is computed
-once per episode, when its WorldState is built.
+The flow field's entries are formed as floats once: `flow_field_matrices`
+makes its two matrices of them, and the step adds them to the identity
+entry by entry, (I + M_rep) + M_tan as numpy would, into the one
+modulation matrix its matrix-vector product reads.  A step validates the
+new state once, and `|goal - start|` is computed once per episode, when
+its WorldState is built.  The next state and the reward breakdown are
+built without the frozen dataclasses' per-field `__init__`; both stay
+frozen, and the breakdown names the terminal event, timeout included.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -45,7 +50,7 @@ ACTION_HIGH = np.array([3.0, 3.0, np.pi])
 
 _Z = (0.0, 0.0, 1.0)
 _X = (1.0, 0.0, 0.0)
-_I3 = np.eye(3)
+_EYE = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)  # I, row-major
 
 
 def _norm(v: np.ndarray) -> float:
@@ -162,21 +167,14 @@ def _rodrigues(v, axis_unit, angle: float) -> tuple[float, float, float]:
             v2 * c + k2 * s + a2 * dv * (1.0 - c))
 
 
-def flow_field_matrices(
+def _flow_field_terms(
     uav_pos: np.ndarray,
     obstacle_pos: np.ndarray,
     obstacle_radius: float,
     action: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Repulsive and tangential modulation matrices around a spherical obstacle.
-
-    The obstacle distance field is Gamma = (||P - P_obs|| / r_obs)^2 with
-    outward normal n = grad Gamma.  The repulsive matrix cancels the motion
-    component along n (fully at the surface, exponentially weaker with
-    distance); the tangential matrix redirects that component along a
-    tangent chosen by rotating a reference tangent about n by theta.
-    ``action`` is the in-bounds (rho0, sigma0, theta).
-    """
+) -> tuple[list[float], list[float]]:
+    """The nine entries of the repulsive and of the tangential modulation
+    matrix, row-major, as Python floats (see `flow_field_matrices`)."""
     rho0, sigma0, theta = np.asarray(action, dtype=float).tolist()
     sep = np.asarray(uav_pos, dtype=float) - np.asarray(obstacle_pos, dtype=float)
     dist = _norm(sep)
@@ -203,9 +201,39 @@ def flow_field_matrices(
     n_arr = np.array(n)
     nn = float(n_arr.dot(n_arr))  # n @ n, the square of _norm(n)
     scale = _norm(np.array(tangent)) * math.sqrt(nn)
-    both = np.array([-w_rep * (ni * nj) / nn for ni in n for nj in n]
-                    + [w_tan * (ti * nj) / scale for ti in tangent for nj in n])
-    return both[:9].reshape(3, 3), both[9:].reshape(3, 3)
+    return ([-w_rep * (ni * nj) / nn for ni in n for nj in n],
+            [w_tan * (ti * nj) / scale for ti in tangent for nj in n])
+
+
+def flow_field_matrices(
+    uav_pos: np.ndarray,
+    obstacle_pos: np.ndarray,
+    obstacle_radius: float,
+    action: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Repulsive and tangential modulation matrices around a spherical obstacle.
+
+    The obstacle distance field is Gamma = (||P - P_obs|| / r_obs)^2 with
+    outward normal n = grad Gamma.  The repulsive matrix cancels the motion
+    component along n (fully at the surface, exponentially weaker with
+    distance); the tangential matrix redirects that component along a
+    tangent chosen by rotating a reference tangent about n by theta.
+    ``action`` is the in-bounds (rho0, sigma0, theta).
+    """
+    rep, tan = _flow_field_terms(uav_pos, obstacle_pos, obstacle_radius, action)
+    return np.array(rep).reshape(3, 3), np.array(tan).reshape(3, 3)
+
+
+def modulation_matrix(
+    uav_pos: np.ndarray,
+    obstacle_pos: np.ndarray,
+    obstacle_radius: float,
+    action: np.ndarray,
+) -> np.ndarray:
+    """I + M_rep + M_tan of `flow_field_matrices`, bit for bit: each entry
+    is summed as numpy sums the three matrices, (I + M_rep) + M_tan."""
+    rep, tan = _flow_field_terms(uav_pos, obstacle_pos, obstacle_radius, action)
+    return np.array([(e + r) + t for e, r, t in zip(_EYE, rep, tan)]).reshape(3, 3)
 
 
 def _clamp_motion(
@@ -257,12 +285,12 @@ def step_dynamics(
         attract = (speed * 0.0,) * 3  # unit() of a negligible vector is zero
     else:
         attract = [speed * (ti / goal_dist) for ti in to_goal.tolist()]
-    m_rep, m_tan = flow_field_matrices(
+    modulation = modulation_matrix(
         believed, world.obstacle_pos, world.obstacle_radius, action
     )
     obs_vel = world.obstacle_vel.tolist()
     rel = np.array([a - o for a, o in zip(attract, obs_vel)])
-    flow = (_I3 + m_rep + m_tan).dot(rel).tolist()  # the dgemv that `@` runs
+    flow = modulation.dot(rel).tolist()  # the dgemv that `@` runs
     motion = _clamp_motion([f + o for f, o in zip(flow, obs_vel)],
                            world.uav_vel, cfg)
 
@@ -319,7 +347,9 @@ def reward(world_next: WorldState, cfg: EnvConfig) -> RewardBreakdown:
     """Reward of the state just entered, from truth geometry only.
 
     The threat zone is ``cfg.threat_margin`` wide, and the goal counts as
-    reached within ``cfg.goal_threshold``.
+    reached within ``cfg.goal_threshold``.  The terminal event is a
+    collision, else the goal, else a timeout once ``cfg.max_steps`` steps
+    are taken.
     """
     xi = cfg.threat_margin
     p = world_next.uav_pos_true
@@ -342,15 +372,16 @@ def reward(world_next: WorldState, cfg: EnvConfig) -> RewardBreakdown:
         event = TERM_COLLISION
     elif reached:
         event = TERM_GOAL
+    elif world_next.t >= cfg.max_steps:
+        event = TERM_TIMEOUT
     else:
         event = TERM_NONE
-    return RewardBreakdown(
-        collision=r_coll,
-        threat=r_thr,
-        goal_seek=r_goal,
-        total=r_coll + r_thr + r_goal,
-        terminal_event=event,
-    )
+    # built as WorldState._advance builds a state, without the frozen
+    # __init__'s per-field object.__setattr__
+    rb = object.__new__(RewardBreakdown)
+    rb.__dict__.update(collision=r_coll, threat=r_thr, goal_seek=r_goal,
+                       total=r_coll + r_thr + r_goal, terminal_event=event)
+    return rb
 
 
 def _sample_start_goal(
@@ -491,9 +522,4 @@ def env_step(
     phi = build_observation(pvt, world_next)
 
     rb = reward(world_next, cfg)
-    done = rb.terminal_event in (TERM_COLLISION, TERM_GOAL)
-    if not done and world_next.t >= cfg.max_steps:
-        rb = dataclasses.replace(rb, terminal_event=TERM_TIMEOUT)
-        done = True
-
-    return world_next, phi, rb, done, pvt
+    return world_next, phi, rb, rb.terminal_event != TERM_NONE, pvt

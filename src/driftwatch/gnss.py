@@ -14,7 +14,10 @@ would repeat the old one operation for operation: `solve_pvt` returns the
 fix itself.  A drift spoofer whose ramp
 has ended sends the same noiseless epoch again and again, and lands here.
 Otherwise the first Gauss-Newton step reuses the satellite offsets and
-ranges at the fix's `x`, which its residuals were computed from.
+ranges at the fix's `x`, which its residuals were computed from.  A solve
+makes its Jacobian buffer and the views of it that each step writes and
+reads once, and builds its frozen PvtSolution without the per-field
+`__init__`.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from numpy.linalg._umath_linalg import solve1
 
+from .config import GnssConfig
 from .errors import (
     ConfigurationError,
     DegenerateGeometryError,
@@ -83,10 +87,10 @@ class PvtSolution:
 
 
 def make_constellation(
-    n_sats: int = 8,
-    radius: float = 2.0e7,
-    seed: int = 0,
-    min_separation_deg: float = 10.0,
+    n_sats: int,
+    radius: float,
+    seed: int,
+    min_separation_deg: float,
 ) -> Constellation:
     """Place satellites on the upper hemisphere of a sphere around the origin.
 
@@ -119,6 +123,13 @@ def make_constellation(
     return Constellation(radius * np.array(dirs))
 
 
+def constellation_from_config(gnss: GnssConfig) -> Constellation:
+    """The constellation ``gnss`` describes: its satellite count, orbit
+    radius, layout seed and minimum separation."""
+    return make_constellation(gnss.n_sats, gnss.radius, gnss.constellation_seed,
+                              gnss.min_separation_deg)
+
+
 def _line_of_sight(position: np.ndarray, positions: np.ndarray):
     """Satellite-to-receiver offsets, shape (N, 3), and their lengths.
 
@@ -129,11 +140,18 @@ def _line_of_sight(position: np.ndarray, positions: np.ndarray):
     return sep, np.sqrt(np.add.reduce(sep * sep, axis=1))
 
 
-def _fill_jacobian(h: np.ndarray, sep: np.ndarray, ranges: np.ndarray) -> None:
-    """Write the unit line-of-sight rows into h[:, :3]; h[:, 3] holds ones."""
+def _jacobian_views(n_sats: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An (N, 4) Jacobian buffer H whose last column holds ones, with the
+    views H[:, :3] and H.T that every Gauss-Newton step writes and reads."""
+    jac = np.ones((n_sats, 4))
+    return jac, jac[:, :3], jac.T
+
+
+def _fill_jacobian(h3: np.ndarray, sep: np.ndarray, ranges: np.ndarray) -> None:
+    """Write the unit line-of-sight rows into h3, a Jacobian's H[:, :3]."""
     if (ranges < MIN_RANGE_M).any():
         raise DegenerateGeometryError("receiver estimate coincides with a satellite")
-    np.divide(sep, ranges[:, None], out=h[:, :3])
+    np.divide(sep, ranges[:, None], out=h3)
 
 
 def predicted_pseudoranges(
@@ -167,24 +185,25 @@ def _gauss_newton_step(
     x: np.ndarray,
     measured: np.ndarray,
     positions: np.ndarray,
-    h: np.ndarray,
+    h: tuple[np.ndarray, np.ndarray, np.ndarray],
     los: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, float]:
     """Gauss-Newton step from x = (x, y, z, bias); returns (new x, correction norm).
 
-    The ranges at x serve both the residual and the Jacobian, which is
-    written into `h`, an (N, 4) array whose last column holds ones; `los`,
-    when given, is `_line_of_sight` at x already computed.  The normal
+    The ranges at x serve both the residual and the Jacobian H, which is
+    written into `h`, the `_jacobian_views` of a buffer; `los`, when
+    given, is `_line_of_sight` at x already computed.  The normal
     equations go straight to the LAPACK gufunc (`dgesv`) that
     `np.linalg.solve` wraps; `_check_rank` has already rejected every
     matrix it could find singular.
     """
+    jac, jac3, jac_t = h
     sep, ranges = _line_of_sight(x[:3], positions) if los is None else los
     delta = measured - (ranges + x[3])
-    _fill_jacobian(h, sep, ranges)
-    normal = h.T @ h
+    _fill_jacobian(jac3, sep, ranges)
+    normal = jac_t @ jac
     _check_rank(normal)
-    correction = solve1(normal, h.T @ delta, signature="dd->d")
+    correction = solve1(normal, jac_t @ delta, signature="dd->d")
     step_norm = math.sqrt(correction.dot(correction))
     if not math.isfinite(step_norm):
         raise LinAlgError("Gauss-Newton correction is not finite")
@@ -277,7 +296,7 @@ def solve_pvt(
         init = init.x
     x = np.zeros(4) if init is None else np.array(init, dtype=float)
     start = x.tobytes()
-    h = np.ones((len(constellation), 4))
+    h = _jacobian_views(len(constellation))
     converged = False
     for iterations in range(1, MAX_ITER + 1):
         x, step_norm = _gauss_newton_step(x, measurements, positions, h, los)
@@ -289,7 +308,10 @@ def solve_pvt(
     final = measurements - (ranges + x[3])
     for arr in (x, final, sep, ranges):
         arr.flags.writeable = False
-    return PvtSolution(
+    # built as env.WorldState._advance builds a state, without the frozen
+    # __init__'s per-field object.__setattr__
+    fix = object.__new__(PvtSolution)
+    fix.__dict__.update(
         x=x,
         iterations=iterations,
         final_residual_norm=math.sqrt(final.dot(final)),
@@ -299,3 +321,4 @@ def solve_pvt(
         stationary=x.tobytes() == start,
         line_of_sight=(positions, sep, ranges),
     )
+    return fix

@@ -14,6 +14,7 @@ from driftwatch.gnss import (
     Constellation,
     _fill_jacobian,
     _gauss_newton_step,
+    _jacobian_views,
     _line_of_sight,
     predicted_pseudoranges,
 )
@@ -42,8 +43,8 @@ def jacobian(x: np.ndarray, constellation: Constellation) -> np.ndarray:
     Row i is the unit line-of-sight vector from satellite i toward the
     receiver, with a constant 1 in the bias column.
     """
-    h = np.ones((len(constellation), 4))
-    _fill_jacobian(h, *_line_of_sight(x[:3], constellation.positions))
+    h, h3, _ = _jacobian_views(len(constellation))
+    _fill_jacobian(h3, *_line_of_sight(x[:3], constellation.positions))
     return h
 
 
@@ -56,5 +57,5 @@ def ls_step(
     _check_lengths(measurements, constellation)
     return _gauss_newton_step(
         np.asarray(x, dtype=float), measurements, constellation.positions,
-        np.ones((len(constellation), 4)),
+        _jacobian_views(len(constellation)),
     )

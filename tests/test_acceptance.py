@@ -23,7 +23,7 @@ from driftwatch.detectors import (
     bocpd_update,
 )
 from driftwatch.gnss import (
-    make_constellation,
+    constellation_from_config,
     predicted_pseudoranges,
     solve_pvt,
 )
@@ -43,9 +43,7 @@ def report(criterion, ok, detail):
 @pytest.fixture(scope="session")
 def pipeline():
     cfg = default_config()
-    constellation = make_constellation(
-        cfg.gnss.n_sats, cfg.gnss.radius, cfg.gnss.constellation_seed,
-        cfg.gnss.min_separation_deg)
+    constellation = constellation_from_config(cfg.gnss)
     t0 = time.perf_counter()
     agent, history = train(cfg, 0, constellation)
     t_train = time.perf_counter() - t0

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driftwatch.config import EnvConfig, ExperimentConfig, TrainConfig
+from driftwatch.config import EnvConfig, ExperimentConfig, GnssConfig, TrainConfig
 from driftwatch.ddpg import (
     ACTION_CENTER,
     ACTION_HALF,
@@ -21,7 +21,7 @@ from driftwatch.ddpg import (
 )
 from driftwatch.env import ACTION_HIGH, ACTION_LOW
 from driftwatch.errors import ConfigurationError, CorruptCheckpointError
-from driftwatch.gnss import make_constellation
+from driftwatch.gnss import constellation_from_config
 from driftwatch.nets import Adam
 from scoring_oracles import q_value_row
 
@@ -219,7 +219,7 @@ def test_train_step_loss_decreases_on_fixed_batch():
 
 
 # the constellation of the default GnssConfig, whose noise_sigma is 2.0
-CONSTELLATION = make_constellation(n_sats=8, seed=7)
+CONSTELLATION = constellation_from_config(GnssConfig())
 
 
 def test_train_is_deterministic_and_sized():

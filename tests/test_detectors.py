@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from driftwatch.config import DetectorConfig
+from driftwatch.config import DetectorConfig, GnssConfig
 from driftwatch.detectors import (
     AgeProfile,
     NominalProfile,
@@ -28,7 +28,7 @@ from driftwatch.errors import (
     InsufficientDataError,
 )
 from driftwatch.gnss import (
-    make_constellation,
+    constellation_from_config,
     measure_pseudoranges,
     solve_pvt,
 )
@@ -710,7 +710,7 @@ class TestPageHinkley:
 
 @pytest.fixture(scope="module")
 def constellation():
-    return make_constellation(n_sats=8, seed=7)
+    return constellation_from_config(GnssConfig())
 
 
 def score_fixes(det, fixes):

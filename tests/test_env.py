@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from driftwatch.config import EnvConfig, TrainConfig
+from driftwatch.config import EnvConfig, GnssConfig, TrainConfig
 from driftwatch.env import (
     ACTION_HIGH,
     ACTION_LOW,
@@ -13,6 +13,7 @@ from driftwatch.env import (
     TERM_GOAL,
     TERM_NONE,
     TERM_TIMEOUT,
+    RewardBreakdown,
     WorldState,
     _sample_start_goal,
     build_observation,
@@ -20,6 +21,7 @@ from driftwatch.env import (
     env_reset,
     env_step,
     flow_field_matrices,
+    modulation_matrix,
     reward,
     step_dynamics,
     threat_vector,
@@ -30,7 +32,7 @@ from driftwatch.errors import (
     DegenerateGeometryError,
     NotConvergedError,
 )
-from driftwatch.gnss import PvtSolution, make_constellation
+from driftwatch.gnss import PvtSolution, constellation_from_config
 from driftwatch.spoofing import AttackConfig
 
 
@@ -39,7 +41,7 @@ ENV = EnvConfig()
 
 @pytest.fixture(scope="module")
 def cons():
-    return make_constellation(n_sats=8, seed=7)
+    return constellation_from_config(GnssConfig())
 
 
 def fly(world, a, cfg=ENV):
@@ -346,6 +348,47 @@ def test_reward_collision_priority_over_goal():
     assert rb.terminal_event == TERM_COLLISION
 
 
+def test_reward_reports_the_timeout():
+    """At t >= max_steps a step that neither collides nor reaches the goal
+    times out; a collision or the goal still takes precedence."""
+    cfg = EnvConfig(max_steps=5)
+    assert reward(make_world(t=4), cfg).terminal_event == TERM_NONE
+    for t in (5, 6):
+        assert reward(make_world(t=t), cfg).terminal_event == TERM_TIMEOUT
+    hit = make_world(t=5, uav_pos_true=np.array([500.0, 0.0, 100.0]))
+    assert reward(hit, cfg).terminal_event == TERM_COLLISION
+    home = make_world(t=5, uav_pos_true=make_world().goal)
+    assert reward(home, cfg).terminal_event == TERM_GOAL
+
+
+def test_step_records_behave_as_constructed(cons):
+    """The fix and reward breakdown of a step carry exactly the fields the
+    constructors set, refuse assignment, and go through
+    dataclasses.replace."""
+    world, _ = env_reset(ENV, seed=4, constellation=cons, noise_sigma=0.0)
+    _, _, rb, _, fix = env_step(world, action(1.0, 1.0, 0.0), cons, 0.0,
+                                cfg=ENV, nav_pos=world.uav_pos_true)
+    for record in (fix, rb):
+        cls = type(record)
+        built = cls(**{f.name: getattr(record, f.name)
+                       for f in dataclasses.fields(cls)})
+        assert list(vars(record)) == list(vars(built))
+        for name, value in vars(built).items():
+            assert getattr(record, name) is value, name
+        assert repr(record) == repr(built)
+        name = dataclasses.fields(cls)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, getattr(record, name))
+    assert rb == RewardBreakdown(**vars(rb))
+    moved = dataclasses.replace(rb, terminal_event=TERM_TIMEOUT)
+    assert (moved.terminal_event, moved.total) == (TERM_TIMEOUT, rb.total)
+    assert rb.terminal_event == TERM_NONE
+    retold = dataclasses.replace(fix, converged=False)
+    assert retold.x is fix.x and not retold.converged and fix.converged
+    with pytest.raises(NotConvergedError):
+        build_observation(retold, world)
+
+
 def test_reward_total_is_sum():
     rng = np.random.default_rng(2)
     for _ in range(50):
@@ -613,6 +656,9 @@ def test_step_dynamics_matches_reference_bit_for_bit():
         ref_m = reference_flow_field_matrices(nav_pos, world.obstacle_pos,
                                               world.obstacle_radius, action)
         assert all(same_bits(g, r) for g, r in zip(got_m, ref_m))
+        assert same_bits(modulation_matrix(nav_pos, world.obstacle_pos,
+                                           world.obstacle_radius, action),
+                         np.eye(3) + got_m[0] + got_m[1])
         cfg = EnvConfig(cruise_speed=float(rng.choice([5.0, 10.0])))
         got = step_dynamics(world, action, nav_pos, cfg)
         ref = reference_step_dynamics(world, action, cfg.cruise_speed, nav_pos,

@@ -14,6 +14,7 @@ from driftwatch.gnss import (
     PvtSolution,
     _check_rank,
     _well_conditioned,
+    constellation_from_config,
     make_constellation,
     measure_pseudoranges,
     predicted_pseudoranges,
@@ -25,7 +26,7 @@ from gnss_oracles import jacobian, ls_step, residuals
 
 @pytest.fixture(scope="module")
 def cons():
-    return make_constellation(n_sats=8, seed=7)
+    return constellation_from_config(GnssConfig())
 
 
 def test_constellation_geometry(cons):
@@ -41,18 +42,18 @@ def test_constellation_geometry(cons):
 
 
 def test_constellation_determinism_and_seed_sensitivity():
-    a = make_constellation(n_sats=6, seed=3)
-    b = make_constellation(n_sats=6, seed=3)
-    c = make_constellation(n_sats=6, seed=4)
+    a = make_constellation(6, 2.0e7, 3, 10.0)
+    b = make_constellation(6, 2.0e7, 3, 10.0)
+    c = make_constellation(6, 2.0e7, 4, 10.0)
     np.testing.assert_array_equal(a.positions, b.positions)
     assert not np.allclose(a.positions, c.positions)
 
 
 def test_constellation_rejects_bad_config():
     with pytest.raises(ConfigurationError):
-        make_constellation(n_sats=3)
+        make_constellation(3, 2.0e7, 0, 10.0)
     with pytest.raises(ConfigurationError):
-        make_constellation(radius=5.0e6)
+        make_constellation(8, 5.0e6, 0, 10.0)
 
 
 def test_pseudorange_model_includes_bias(cons):
@@ -121,7 +122,7 @@ def test_jacobian_degenerate_at_satellite(cons):
 
 def test_ls_step_matches_direct_solve_at_four_sats():
     """With exactly 4 satellites the Gauss-Newton step solves H d = r directly."""
-    cons4 = make_constellation(n_sats=4, seed=5)
+    cons4 = make_constellation(4, 2.0e7, 5, 10.0)
     meas = measure_pseudoranges(np.array([100.0, 50.0, 20.0]), 30.0, cons4, 0.0,
                                 np.random.default_rng(0))
     est = np.array([90.0, 60.0, 10.0, 25.0])
@@ -291,7 +292,7 @@ def random_receiver(rng):
 @pytest.mark.parametrize("n_sats, seed", [(8, 7), (4, 5), (11, 2)])
 def test_solve_matches_reference_bit_for_bit(n_sats, seed):
     """Noisy and noiseless epochs, from the origin, the truth and a nearby fix."""
-    cons_k = make_constellation(n_sats=n_sats, seed=seed)
+    cons_k = make_constellation(n_sats, 2.0e7, seed, 10.0)
     positions = cons_k.positions
     rng = np.random.default_rng([n_sats, seed])
     for k in range(200):
@@ -505,7 +506,7 @@ def test_non_finite_correction_raises_linalg_error(cons, monkeypatch):
 
 def test_duplicated_satellite_rank_guard():
     """Four satellites with one twice: rank deficient; five with one twice: not."""
-    base = make_constellation(n_sats=4, seed=3).positions
+    base = make_constellation(4, 2.0e7, 3, 10.0).positions
     position, bias = np.array([100.0, 200.0, 50.0]), 5.0
     start = np.zeros(4)
     cons_bad = Constellation(np.vstack([base[:3], base[0]]))
@@ -532,8 +533,7 @@ def test_nan_estimate_still_raises_linalg_error(cons):
 def test_default_constellation_never_needs_the_svd(monkeypatch):
     """Every normal matrix of the default geometry passes the cheap bound."""
     g = GnssConfig()
-    default = make_constellation(g.n_sats, g.radius, g.constellation_seed,
-                                 g.min_separation_deg)
+    default = constellation_from_config(g)
     rng = np.random.default_rng(8)
     cases = []
     for _ in range(300):
@@ -648,7 +648,7 @@ def test_changed_measurements_iterate(cons):
 
 def test_fix_from_another_constellation_is_not_reused(cons):
     twin = Constellation(cons.positions)  # equal positions, another object
-    other = make_constellation(n_sats=8, seed=8)
+    other = make_constellation(8, 2.0e7, 8, 10.0)
     for meas, fix in stationary_fixes(cons, n_epochs=12):
         for constellation in (twin, other):
             got = solve_pvt(meas, constellation, init=fix)

@@ -14,6 +14,7 @@ from driftwatch.config import (
     EnvConfig,
     EvalConfig,
     ExperimentConfig,
+    GnssConfig,
     TrainConfig,
 )
 from driftwatch.ddpg import Agent
@@ -24,7 +25,7 @@ from driftwatch.detectors import (
     window_ae_train,
 )
 from driftwatch.errors import ConfigurationError
-from driftwatch.gnss import make_constellation
+from driftwatch.gnss import constellation_from_config
 from driftwatch.harness import (
     CSV_COLUMNS,
     DETECTOR_ORDER,
@@ -59,7 +60,7 @@ def play(agent, env_cfg, attack, bank, seed, **kwargs) -> EpisodeLog:
 
 @pytest.fixture(scope="module")
 def constellation():
-    return make_constellation(n_sats=8, seed=7)
+    return constellation_from_config(GnssConfig())
 
 
 @pytest.fixture(scope="module")
@@ -391,7 +392,7 @@ def golden_episode() -> EpisodeLog:
                           target=(600.0, 400.0, 150.0), enabled=True)
     return play(
         agent, EnvConfig(max_steps=60), attack, make_synthetic_bank(), 3,
-        constellation=make_constellation(n_sats=8, seed=7), noise_sigma=2.0,
+        constellation=constellation_from_config(GnssConfig()), noise_sigma=2.0,
     )
 
 

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
-from driftwatch.config import EnvConfig
+from driftwatch.config import EnvConfig, GnssConfig
 from driftwatch.env import env_reset_full, env_step
 from driftwatch.errors import ConfigurationError
-from driftwatch.gnss import make_constellation, measure_pseudoranges, solve_pvt
+from driftwatch.gnss import (
+    constellation_from_config,
+    measure_pseudoranges,
+    solve_pvt,
+)
 from driftwatch.spoofing import (
     AttackConfig,
     attack_alpha,
@@ -17,7 +21,7 @@ from driftwatch.spoofing import (
 
 @pytest.fixture(scope="module")
 def cons():
-    return make_constellation(n_sats=8, seed=7)
+    return constellation_from_config(GnssConfig())
 
 
 def test_alpha_schedule_endpoints():

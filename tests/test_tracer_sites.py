@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driftwatch.config import EnvConfig
+from driftwatch.config import EnvConfig, GnssConfig
 from driftwatch.env import env_reset, env_step
-from driftwatch.gnss import make_constellation
+from driftwatch.gnss import constellation_from_config
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -40,7 +40,7 @@ def test_env_step_result_keeps_the_fields_the_tracer_reads(tracer):
     """`_after_step` reads done at index 3 and terminal_event at index 2;
     `_after_solve` reads the fix's iterations and converged flag."""
     cfg = EnvConfig(max_steps=1)
-    cons = make_constellation(n_sats=8, seed=7)
+    cons = constellation_from_config(GnssConfig())
     world, _ = env_reset(cfg, seed=3, constellation=cons, noise_sigma=0.0)
     out = env_step(world, np.array([1.0, 1.0, 0.0]), cons, 0.0, cfg=cfg,
                    nav_pos=world.uav_pos_true)
