@@ -548,30 +548,39 @@ def window_ae_train(
     count = sum(len(w) for w in windows)
     if count < 500:
         raise InsufficientDataError(f"need >= 500 training windows, got {count}")
-    x_raw = np.concatenate(windows)
-    mu = float(x_raw.mean())
-    sd = float(max(x_raw.std(), 1e-6))
-    x = (x_raw - mu) / sd
+    x = np.concatenate(windows)
+    mu = float(x.mean())
+    sd = float(max(x.std(), 1e-6))
+    x -= mu
+    x /= sd
 
     net = Mlp([window, hidden, cfg.ae_bottleneck, hidden, window],
               ["relu", "linear", "relu", "linear"], np.random.default_rng(seed))
     opt = Adam(net.flat, cfg.ae_lr)
-    # err, then dL/drecon = 2 err / err.size in place; sq = err**2.  Same
+    # err = recon - x, then dL/drecon = 2 err / err.size in place.  The
+    # squared error for the loss overwrites the cached reconstruction: the
+    # last layer is linear, so `backward` never reads its output.  Same
     # operations as the out-of-place forms, and np.mean is add.reduce / size.
-    err, sq = np.empty_like(x), np.empty_like(x)
+    err = np.empty_like(x)
     curve = []
     for _ in range(cfg.ae_epochs):
-        np.subtract(net.forward(x), x, out=err)
-        np.multiply(err, err, out=sq)
-        curve.append(float(np.add.reduce(sq, axis=None) / sq.size))
+        recon = net.forward(x)
+        np.subtract(recon, x, out=err)
+        np.multiply(err, err, out=recon)
+        curve.append(float(np.add.reduce(recon, axis=None) / recon.size))
         err *= 2.0
         err /= err.size
         _, grad = net.backward(err, input_grad=False)
         opt.step(grad)
 
-    net = net.copy()  # frees the training buffers before the last pass
+    # Free the training buffers, then take each window's mean squared error
+    # in place in the fresh reconstruction, as np.mean(axis=1) would.
+    del err, recon
+    net = net.copy()
     recon = net.forward(x, cache=False)
-    per_window = np.mean((recon - x) ** 2, axis=1)
+    recon -= x
+    np.multiply(recon, recon, out=recon)
+    per_window = np.add.reduce(recon, axis=1) / window
     threshold = float(per_window.mean() + cfg.ae_threshold_stds * per_window.std())
     model = WindowAutoencoder(net=net, window=window, mean=mu, std=sd,
                               threshold=threshold)

@@ -392,11 +392,21 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _write_chunks(path, chunks) -> None:
+    """Write each chunk of text to `path` as it is produced, so no artifact
+    is held whole in memory; an OSError is raised again naming the file."""
+    try:
+        with open(path, "w") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise OSError(f"failed to write {path}: {exc}") from exc
+
+
 def write_episode_csv(log: EpisodeLog, path, config_hash: str) -> None:
-    """Stable-order CSV with # metadata header lines; `config_hash` names
-    the config the episode was played with."""
+    """Stable-order CSV with # metadata header lines, written row by row;
+    `config_hash` names the config the episode was played with."""
     attack_doc = "none" if log.attack is None else canonical_json(to_json(log.attack))
-    lines = [
+    header = "\n".join([
         f"# schema: {EPISODE_SCHEMA}",
         f"# seed: {log.seed}",
         f"# config_hash: {config_hash}",
@@ -404,20 +414,21 @@ def write_episode_csv(log: EpisodeLog, path, config_hash: str) -> None:
         f"# attack: {attack_doc}",
         f"# steps: {log.n_steps}",
         ",".join(CSV_COLUMNS),
-    ]
-    for i in range(log.n_steps):
-        row = [str(i)]
-        row += [_fmt(v) for v in log.true_pos[i]]
-        row += [_fmt(v) for v in log.est_pos[i]]
-        row += [_fmt(v) for v in log.phi[i]]
-        row += [_fmt(v) for v in log.action[i]]
-        row += [_fmt(v) for v in log.rewards[i]]
-        row += [_fmt(log.q[i]), _fmt(log.alpha[i])]
-        for j in range(len(DETECTOR_ORDER)):
-            row.append(str(int(log.flags[i, j])))
-            row.append(_fmt(log.stats[i, j]))
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    ])
+
+    def lines():
+        yield header + "\n"
+        for i in range(log.n_steps):
+            row = [str(i)]
+            for part in (log.true_pos, log.est_pos, log.phi, log.action,
+                         log.rewards):
+                row += map(_fmt, part[i].tolist())
+            row += [_fmt(log.q[i]), _fmt(log.alpha[i])]
+            for flag, stat in zip(log.flags[i].tolist(), log.stats[i].tolist()):
+                row += [str(int(flag)), _fmt(stat)]
+            yield ",".join(row) + "\n"
+
+    _write_chunks(path, lines())
 
 
 def _mean_std(values) -> dict:

@@ -14,9 +14,10 @@ A net computes in buffers it owns and keeps while the batch size
 repeats, so a full-batch training loop allocates nothing after its first
 pass; a new batch size reallocates them.  A cached forward writes one
 post-activation array per layer and returns the last.  `backward` writes
-its workspaces, the input gradient it returns and the parameter gradient,
-a vector laid out like `flat`.  A later call may overwrite what an
-earlier one returned, so copy what must outlive it.
+dL/dz per layer, a derivative array per tanh layer (a relu layer keeps
+none: it multiplies by its mask a > 0), the input gradient it returns and
+the parameter gradient, a vector laid out like `flat`.  A later call may
+overwrite what an earlier one returned, so copy what must outlive it.
 `forward(cache=False)` computes into fresh arrays that nothing
 overwrites, and leaves the buffers and the cached pass as they were.
 
@@ -147,11 +148,11 @@ class Mlp:
         return out
 
     def _buffers(self, n: int):
-        """(outputs, dL/dz, activation derivatives, dL/dx) for n rows."""
+        """(outputs, dL/dz, tanh derivatives, dL/dx) for n rows."""
         sizes = self.layer_sizes[1:]
         return ([np.empty((n, d)) for d in sizes],
                 [np.empty((n, d)) for d in sizes],
-                [None if act == "linear" else np.empty((n, d))
+                [np.empty((n, d)) if act == "tanh" else None
                  for act, d in zip(self.activations, sizes)],
                 np.empty((n, self.layer_sizes[0])))
 
@@ -215,11 +216,12 @@ class Mlp:
         outs, dzs, derivs, dx = self._work
         da = dout
         for i in range(self.n_layers - 1, -1, -1):
-            # relu': 1.0 where a > 0, i.e. where z > 0 (NaN gives 0.0); tanh':
-            # 1 - a*a.  Multiplied as floats, NaN and -0.0 in dL/da carry.
+            # relu': the mask a > 0, i.e. z > 0 (NaN gives False), which the
+            # multiply casts to exactly 1.0 or 0.0; tanh': 1 - a*a.  Multiplied
+            # as floats, so NaN, +-inf and -0.0 in dL/da carry.
             act, a_out, deriv = self.activations[i], outs[i], derivs[i]
             if act == "relu":
-                np.greater(a_out, 0.0, out=deriv)
+                deriv = a_out > 0.0
             elif act == "tanh":
                 np.multiply(a_out, a_out, out=deriv)
                 np.subtract(1.0, deriv, out=deriv)

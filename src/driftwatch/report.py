@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import DETECTOR_ORDER, EpisodeLog, _fmt
+from .harness import DETECTOR_ORDER, EpisodeLog, _fmt, _write_chunks
 
 SUMMARY_SCHEMA = "driftwatch-summary-v1"
 
@@ -26,13 +26,6 @@ _COLORS = {
 }
 
 
-def _write_text(path: Path, text: str) -> None:
-    try:
-        path.write_text(text)
-    except OSError as exc:
-        raise OSError(f"failed to write {path}: {exc}") from exc
-
-
 def write_summary_json(
     metrics: dict[str, dict], path, *, config_hash: str, master_seed: int,
     n_episodes: int,
@@ -44,7 +37,7 @@ def write_summary_json(
         "n_episodes": n_episodes,
         "detectors": metrics,
     }
-    _write_text(Path(path), json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_chunks(path, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
 
 
 def write_training_curve_csv(history, path) -> None:
@@ -54,7 +47,7 @@ def write_training_curve_csv(history, path) -> None:
     for i, r in enumerate(hist):
         window = hist[max(0, i - 9): i + 1]
         rows.append(f"{i},{_fmt(r)},{_fmt(sum(window) / len(window))}")
-    _write_text(Path(path), "\n".join(rows) + "\n")
+    _write_chunks(path, ["\n".join(rows) + "\n"])
 
 
 def _split_q_values(logs: list[EpisodeLog]):
@@ -82,10 +75,8 @@ def write_q_histogram_csv(logs: list[EpisodeLog], path) -> None:
     nominal, pre, post = _split_q_values(logs)
     pooled = np.concatenate([nominal, pre, post])
     if pooled.size == 0:
-        _write_text(
-            Path(path),
-            "bin_left,bin_right,nominal,attacked_pre,attacked_post\n",
-        )
+        _write_chunks(
+            path, ["bin_left,bin_right,nominal,attacked_pre,attacked_post\n"])
         return
     lo, hi = float(pooled.min()), float(pooled.max())
     if lo == hi:
@@ -99,18 +90,22 @@ def write_q_histogram_csv(logs: list[EpisodeLog], path) -> None:
             f"{_fmt(edges[i])},{_fmt(edges[i + 1])},"
             f"{counts[0][i]},{counts[1][i]},{counts[2][i]}"
         )
-    _write_text(Path(path), "\n".join(rows) + "\n")
+    _write_chunks(path, ["\n".join(rows) + "\n"])
 
 
 def write_q_traces_csv(logs: list[EpisodeLog], path) -> None:
-    """Long-format per-step value traces for temporal plots."""
-    rows = ["scenario,episode_seed,t,q,attack_alpha"]
-    for log in logs:
-        scenario = "attacked" if log.attacked else "nominal"
-        for i in range(log.n_steps):
-            rows.append(f"{scenario},{log.seed},{i},"
-                        f"{_fmt(log.q[i])},{_fmt(log.alpha[i])}")
-    _write_text(Path(path), "\n".join(rows) + "\n")
+    """Long-format per-step value traces for temporal plots, written one
+    episode at a time."""
+    def episodes():
+        yield "scenario,episode_seed,t,q,attack_alpha\n"
+        for log in logs:
+            scenario = "attacked" if log.attacked else "nominal"
+            yield "".join(
+                f"{scenario},{log.seed},{i},{_fmt(q)},{_fmt(alpha)}\n"
+                for i, (q, alpha) in enumerate(zip(log.q.tolist(),
+                                                   log.alpha.tolist())))
+
+    _write_chunks(path, episodes())
 
 
 # the charted metrics and their panel titles
@@ -127,7 +122,7 @@ def write_detector_bars_csv(metrics: dict[str, dict], path) -> None:
         for metric_name in _BAR_METRICS:
             m = metrics[name][metric_name]
             rows.append(f"{name},{metric_name},{_fmt(m['mean'])},{_fmt(m['std'])}")
-    _write_text(Path(path), "\n".join(rows) + "\n")
+    _write_chunks(path, ["\n".join(rows) + "\n"])
 
 
 def _svg_panel(x0: float, title: str, values, errors, names) -> list[str]:
@@ -203,7 +198,7 @@ def write_bars_svg(metrics: dict[str, dict], path) -> None:
             "</svg>",
         ]
     )
-    _write_text(Path(path), svg + "\n")
+    _write_chunks(path, [svg + "\n"])
 
 
 def emit_report(

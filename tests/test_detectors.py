@@ -1,6 +1,7 @@
 """Behavioral tests for the detector bank."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -889,6 +890,24 @@ class TestWindowAutoencoder:
         assert model.net._work is None
         with pytest.raises(ConfigurationError, match="before forward"):
             model.net.backward(np.zeros((1, model.window)))
+
+    def test_training_working_set_is_bounded(self):
+        """Training holds the standardized windows, one error array and the
+        net's buffers: its peak allocation stays under 8.5 times the windows'
+        bytes (7.6 as written; 10.5 with a raw copy, a squared-error array
+        and a relu derivative array per hidden layer).  Untouched np.empty
+        buffers count too."""
+        rng = np.random.default_rng(20)
+        streams = make_streams(rng, 20, 150)
+        cfg = DetectorConfig(ae_epochs=2)
+        windows_bytes = 20 * (150 - cfg.ae_window + 1) * cfg.ae_window * 8
+        tracemalloc.start()
+        try:
+            window_ae_train(streams, cfg, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8.5 * windows_bytes, peak / windows_bytes
 
     def test_training_curve_decreases(self, trained):
         _, curve, _, _ = trained

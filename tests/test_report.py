@@ -1,15 +1,23 @@
 """Report artifact tests: schemas, conservation checks, determinism."""
 
+import dataclasses
 import json
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from driftwatch.harness import DETECTOR_ORDER, EpisodeLog, compute_metrics
+from driftwatch.harness import (
+    DETECTOR_ORDER,
+    EpisodeLog,
+    compute_metrics,
+    write_episode_csv,
+)
 from driftwatch.report import (
     emit_report,
     write_q_histogram_csv,
+    write_q_traces_csv,
     write_summary_json,
     write_training_curve_csv,
 )
@@ -164,8 +172,71 @@ class TestBarsAndDeterminism:
         for name in a:
             assert a[name].read_bytes() == b[name].read_bytes(), name
 
-    def test_io_errors_carry_path_context(self, metrics, tmp_path):
-        victim = tmp_path / "missing_dir" / "summary.json"
-        with pytest.raises(OSError, match="summary.json"):
-            write_summary_json(metrics, victim, config_hash="",
-                               master_seed=0, n_episodes=0)
+    @pytest.mark.parametrize("name", ["summary.json", "q_traces.csv",
+                                      "episode.csv"])
+    def test_io_errors_carry_path_context(self, name, logs, metrics, tmp_path):
+        """A whole-text write and both streamed writes into a missing
+        directory raise OSError naming the file."""
+        victim = tmp_path / "missing_dir" / name
+        write = {
+            "summary.json": lambda: write_summary_json(
+                metrics, victim, config_hash="", master_seed=0, n_episodes=0),
+            "q_traces.csv": lambda: write_q_traces_csv(logs, victim),
+            "episode.csv": lambda: write_episode_csv(logs[-1], victim, "h"),
+        }[name]
+        with pytest.raises(OSError, match=name):
+            write()
+
+
+def random_log(n, seed, onset=None):
+    """A log whose every float column holds full-precision values."""
+    rng = np.random.default_rng(seed)
+    log = make_log(n, onset=onset, seed=seed, q_shift=1.0)
+    return dataclasses.replace(
+        log, true_pos=rng.normal(size=(n, 3)) * 500.0,
+        est_pos=rng.normal(size=(n, 3)) * 500.0, phi=rng.normal(size=(n, 9)),
+        action=rng.normal(size=(n, 3)), rewards=rng.normal(size=(n, 4)),
+        flags=rng.random((n, len(DETECTOR_ORDER))) < 0.3,
+        stats=rng.normal(size=(n, len(DETECTOR_ORDER))))
+
+
+def traced_peak(write) -> int:
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedCsvs:
+    """The per-step CSVs are written as they are formatted: the writer's
+    peak allocation stays below half of the file it writes, where joining
+    the whole file first would hold it several times over."""
+
+    def test_q_traces_stream_one_episode_at_a_time(self, tmp_path):
+        logs = [random_log(300, seed=s, onset=100 if s % 2 else None)
+                for s in range(40)]
+        path = tmp_path / "q_traces.csv"
+        peak = traced_peak(lambda: write_q_traces_csv(logs, path))
+        size = path.stat().st_size
+        assert size > 400_000
+        assert peak < size / 2, (peak, size)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 1 + 40 * 300
+        assert lines[301] == f"attacked,1,0,{float(logs[1].q[0])!r},0.0"
+
+    def test_episode_csv_streams_row_by_row(self, tmp_path):
+        log = random_log(300, seed=3, onset=100)
+        path = tmp_path / "episode.csv"
+        peak = traced_peak(lambda: write_episode_csv(log, path, "h"))
+        size = path.stat().st_size
+        assert size > 150_000
+        assert peak < size / 2, (peak, size)
+        rows = [line.split(",") for line in path.read_text().splitlines()
+                if not line.startswith("#")][1:]
+        assert len(rows) == 300
+        assert rows[7][1:4] == [repr(float(v)) for v in log.true_pos[7]]
+        assert rows[7][-8:] == [
+            text for flag, stat in zip(log.flags[7], log.stats[7])
+            for text in (str(int(flag)), repr(float(stat)))]
