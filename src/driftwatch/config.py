@@ -1,4 +1,5 @@
-"""Experiment configuration and the typed JSON codec every document uses.
+"""Experiment configuration and the codecs of the text artifacts: typed
+JSON, float text and the chunked file writer.
 
 Every tunable lives here, and only here, with its default pinned: code
 that reads a tunable takes its section (`train`, `profile_pipeline` and
@@ -10,7 +11,8 @@ stale config files fail loudly instead of silently running defaults.
 fields' resolved annotations: nested dataclasses are objects, tuples are
 lists, and a value of the wrong type is rejected with its key named.  The
 config, the nominal and age profiles and the detector bank's parameters
-all go through them.
+all go through them.  Every JSON and CSV artifact is written by
+`_write_chunks`, and every CSV float as `_fmt`'s shortest round-trip text.
 """
 
 from __future__ import annotations
@@ -310,11 +312,24 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return {"schema": CONFIG_SCHEMA, **to_json(cfg)}
 
 
+def _fmt(x) -> str:
+    """Shortest round-trip text of a float; every CSV artifact uses it."""
+    return repr(float(x))
+
+
+def _write_chunks(path, chunks) -> None:
+    """Write each chunk of text to `path` as it is produced, so no artifact
+    is held whole in memory; an OSError is raised again naming the file."""
+    try:
+        with open(path, "w") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise OSError(f"failed to write {path}: {exc}") from exc
+
+
 def write_json(doc: dict, path) -> None:
     """Write `doc` as sorted JSON indented by 2, ending in a newline."""
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_chunks(path, [json.dumps(doc, indent=2, sort_keys=True), "\n"])
 
 
 def default_config() -> ExperimentConfig:

@@ -424,8 +424,8 @@ def calibrate_tau(l_hat_streams, warmup: int) -> tuple[int, float]:
     rate fits _FP_BUDGET, or the smallest when none does.
 
     Streams are per-episode argmax run-length sequences from attack-free
-    runs; an episode counts as a false positive when any post-warmup step
-    would flag.  Returns (tau, achieved rate).
+    runs; an episode counts as a false positive when `bocpd_flag` would
+    flag any of its steps.  Returns (tau, achieved rate).
     """
     streams = [np.asarray(s) for s in l_hat_streams]
     if not streams:
@@ -433,7 +433,7 @@ def calibrate_tau(l_hat_streams, warmup: int) -> tuple[int, float]:
     rates = []
     for tau in _TAU_GRID:
         fp = sum(
-            bool(np.any((np.arange(1, len(s) + 1) > warmup) & (s <= tau)))
+            bool(bocpd_flag(s, np.arange(1, len(s) + 1), tau, warmup)[0].any())
             for s in streams
         )
         rates.append((tau, fp / len(streams)))
@@ -532,6 +532,16 @@ class WindowAutoencoder:
                    std=float(data["std"]), threshold=float(data["threshold"]))
 
 
+def _window_errors(net: Mlp, x: np.ndarray) -> np.ndarray:
+    """Mean squared reconstruction error of each standardized window, a row
+    of `x`: the fresh reconstruction's error is squared in place, then each
+    row is summed pairwise and divided by the window, as np.mean(axis=1)."""
+    d = net.forward(x, cache=False)
+    d -= x
+    np.multiply(d, d, out=d)
+    return np.add.reduce(d, axis=1) / x.shape[1]
+
+
 def window_ae_train(
     nominal_q_streams, cfg: DetectorConfig, seed: int
 ) -> tuple[WindowAutoencoder, list[float]]:
@@ -573,14 +583,9 @@ def window_ae_train(
         _, grad = net.backward(err, input_grad=False)
         opt.step(grad)
 
-    # Free the training buffers, then take each window's mean squared error
-    # in place in the fresh reconstruction, as np.mean(axis=1) would.
-    del err, recon
+    del err, recon  # free the training buffers first
     net = net.copy()
-    recon = net.forward(x, cache=False)
-    recon -= x
-    np.multiply(recon, recon, out=recon)
-    per_window = np.add.reduce(recon, axis=1) / window
+    per_window = _window_errors(net, x)
     threshold = float(per_window.mean() + cfg.ae_threshold_stds * per_window.std())
     model = WindowAutoencoder(net=net, window=window, mean=mu, std=sd,
                               threshold=threshold)
@@ -600,7 +605,5 @@ def window_ae_score(
     errors = np.full(vals.size, np.nan)
     if vals.size >= model.window:
         x = (sliding_window_view(vals, model.window) - model.mean) / model.std
-        d = model.net.forward(x, cache=False) - x
-        # per-row np.mean: pairwise sum over each window, then divide
-        errors[model.window - 1:] = np.add.reduce(d * d, axis=1) / model.window
+        errors[model.window - 1:] = _window_errors(model.net, x)
     return errors > model.threshold, errors

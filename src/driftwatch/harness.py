@@ -10,11 +10,11 @@ round-off.  Each episode records its fixes' positions and RMS residuals,
 not the fixes, in 64-row chunks, and when it ends one critic forward
 values every (observation, action) pair it recorded.  No verdict feeds
 back into the controller, so the stage is scored after it is played:
-the changepoint and Page-Hinkley tests step through the ages of every
-episode in one lockstep pass, one row per episode still running, and the
-residual test and one autoencoder forward score each episode's whole
-record.  Each logged row describes one decision point; the reward column
-is the return received for that row's action.
+the changepoint and Page-Hinkley tests each step through the ages of
+every episode in one lockstep pass, one row per episode still running,
+and the residual test and one autoencoder forward score each episode's
+whole record.  Each logged row describes one decision point; the reward
+column is the return received for that row's action.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from .config import (
     EnvConfig,
     EvalConfig,
     ExperimentConfig,
+    _fmt,
+    _write_chunks,
     canonical_json,
     from_json,
     to_json,
@@ -122,24 +124,25 @@ class DetectorBank(_BankParameters):
         """Fill in the flags and statistics of a stage's recorded episodes.
 
         Columns follow DETECTOR_ORDER, one row per decision point.  The
-        changepoint and Page-Hinkley tests score every episode in one
-        lockstep pass over ages (`EpisodeDetectors`); the residual test and
+        changepoint test (`EpisodeDetectors`) and Page-Hinkley each score
+        every episode in one lockstep pass over ages; the residual test and
         the AE score each episode's whole record.  A single episode is the
-        one-row case of the same pass.
+        one-row case of the same passes.
         """
-        order = sorted(range(len(logs)), key=lambda i: -logs[i].n_steps)
-        detectors = EpisodeDetectors(self, len(logs))
-        passes = _lockstep([logs[i].q for i in order], detectors.update)
+        streams = [log.q for log in logs]
+        hats = _lockstep(streams, lambda order: EpisodeDetectors(
+            [self.age_profile] * len(order), self.hazard, self.prune).update)
+        ph = _lockstep(streams, lambda order: PageHinkley(
+            delta=self.ph_delta, lam=self.ph_lambda, rows=len(order)).update)
         residual = ResidualThreshold(
             k_sigma=self.residual_k_sigma,
             noise_sigma=self.residual_noise_sigma,
             jump_gate=self.residual_jump_gate,
         )
-        for i, (l_hat, ph_flags, ph_stats) in zip(order, passes):
-            log = logs[i]
+        for log, (l_hat,), ph_scores in zip(logs, hats, ph):
             ages = np.arange(1, log.n_steps + 1)
             tests = (bocpd_flag(l_hat, ages, self.tau, self.warmup),
-                     (ph_flags, ph_stats),
+                     ph_scores,
                      residual.score(log.est_pos, log.residual_rms),
                      window_ae_score(self.ae, log.q))
             log.flags = np.column_stack([flags for flags, _ in tests])
@@ -182,38 +185,38 @@ class DetectorBank(_BankParameters):
 
 
 class EpisodeDetectors:
-    """Lockstep state of the recursive tests, changepoint and Page-Hinkley,
-    over the episodes of a stage: one row per episode, all at one age."""
+    """Lockstep run-length posteriors over the value streams of a stage: one
+    row per stream, each with its own prior (AgeProfile), all at one age."""
 
-    def __init__(self, bank: DetectorBank, rows: int):
-        self.prune = bank.prune
-        self.bocpd_state = bocpd_init([bank.age_profile] * rows, bank.hazard)
-        self.ph = PageHinkley(delta=bank.ph_delta, lam=bank.ph_lambda,
-                              rows=rows)
+    def __init__(self, priors, hazard: float, prune: float):
+        self.prune = prune
+        self.bocpd_state = bocpd_init(priors, hazard)
 
-    def update(self, q: np.ndarray) -> tuple[np.ndarray, ...]:
+    def update(self, q: np.ndarray) -> tuple[np.ndarray]:
         """Feed the next age to the first q.size rows; later rows have ended.
 
-        Returns their argmax run lengths, Page-Hinkley flags and
-        Page-Hinkley statistics.
+        Returns their argmax run lengths.
         """
         self.bocpd_state, l_hat = bocpd_update(self.bocpd_state, q,
                                                prune=self.prune)
-        return (l_hat, *self.ph.update(q))
+        return (l_hat,)
 
 
-def _lockstep(streams, update) -> list[list[np.ndarray]]:
-    """Feed the streams to `update` together, one age at a time.
+def _lockstep(streams, start) -> list[list[np.ndarray]]:
+    """Feed the streams to one test together, one age at a time.
 
-    The streams must be sorted longest first, so that those still running
-    at an age are the first rows: `update(values)` gets their values at
-    that age and returns a tuple of per-row arrays.  Returns each stream's
-    outputs over its own ages.
+    Rows run longest first, so those still running at an age are the first
+    rows.  `start(order)` gets the streams' indices in row order and returns
+    the test's `update(values)`, which gets the running rows' values at an
+    age and returns a tuple of per-row arrays.  Returns each stream's
+    outputs over its own ages, in the order the streams are given.
     """
-    lengths = [len(s) for s in streams]
+    order = sorted(range(len(streams)), key=lambda i: -len(streams[i]))
+    update = start(order)
+    lengths = [len(streams[i]) for i in order]
     table = np.zeros((lengths[0], len(streams)))  # (age, row)
-    for row, s in enumerate(streams):
-        table[:lengths[row], row] = s
+    for row, i in enumerate(order):
+        table[:lengths[row], row] = streams[i]
     running = len(streams)
     outputs = None
     for t, values in enumerate(table):
@@ -224,7 +227,9 @@ def _lockstep(streams, update) -> list[list[np.ndarray]]:
             outputs = [np.empty(table.shape, dtype=a.dtype) for a in step]
         for out, a in zip(outputs, step):
             out[t, :running] = a
-    return [[out[:n, row] for out in outputs] for row, n in enumerate(lengths)]
+    row_of = {i: row for row, i in enumerate(order)}
+    return [[out[:len(s), row_of[i]] for out in outputs]
+            for i, s in enumerate(streams)]
 
 
 @dataclass
@@ -387,21 +392,6 @@ def run_episode(
     return logs
 
 
-def _fmt(x) -> str:
-    """Shortest round-trip text of a float; every CSV artifact uses it."""
-    return repr(float(x))
-
-
-def _write_chunks(path, chunks) -> None:
-    """Write each chunk of text to `path` as it is produced, so no artifact
-    is held whole in memory; an OSError is raised again naming the file."""
-    try:
-        with open(path, "w") as fh:
-            fh.writelines(chunks)
-    except OSError as exc:
-        raise OSError(f"failed to write {path}: {exc}") from exc
-
-
 def write_episode_csv(log: EpisodeLog, path, config_hash: str) -> None:
     """Stable-order CSV with # metadata header lines, written row by row;
     `config_hash` names the config the episode was played with."""
@@ -511,7 +501,9 @@ def profile_pipeline(
     evaluation episodes.  The run-length threshold is
     calibrated leave-one-out: each profile stream is scored against an age
     profile fitted on the other streams, as an unseen flight would be.
-    The held-out streams are scored in one lockstep pass, one prior per row.
+    The held-out streams are scored in one lockstep pass of
+    `EpisodeDetectors`, one prior per row, as `DetectorBank.score` scores
+    a stage.
     """
     det_cfg, noise_sigma = cfg.detectors, cfg.gnss.noise_sigma
     seeds = [_derive_seed(master_seed, _TAG_PROFILE, i)
@@ -528,20 +520,11 @@ def profile_pipeline(
             raise InsufficientDataError(
                 "leave-one-out tau calibration needs >= 3 profile episodes"
             )
-        order = sorted(range(len(q_streams)), key=lambda i: -q_streams[i].size)
-        state = bocpd_init(
+        hats = _lockstep(q_streams, lambda order: EpisodeDetectors(
             [fit_age_profile(q_streams[:i] + q_streams[i + 1:]) for i in order],
-            det_cfg.bocpd_hazard,
-        )
-
-        def advance(q):
-            nonlocal state
-            state, l_hat = bocpd_update(state, q, prune=det_cfg.bocpd_prune)
-            return (l_hat,)
-
-        hats = [l_hat for l_hat, in
-                _lockstep([q_streams[i] for i in order], advance)]
-        tau, achieved_fp = calibrate_tau(hats, warmup=det_cfg.bocpd_warmup)
+            det_cfg.bocpd_hazard, det_cfg.bocpd_prune).update)
+        tau, achieved_fp = calibrate_tau([l_hat for l_hat, in hats],
+                                         warmup=det_cfg.bocpd_warmup)
     else:
         tau, achieved_fp = det_cfg.bocpd_tau, float("nan")
 

@@ -11,13 +11,15 @@ them; `weights[i]` and `biases[i]` are reshaped views into it.  Adam and
 the soft update therefore work on one vector per network.
 
 A net computes in buffers it owns and keeps while the batch size
-repeats, so a full-batch training loop allocates nothing after its first
+repeats, so a full-batch training loop allocates little after its first
 pass; a new batch size reallocates them.  A cached forward writes one
 post-activation array per layer and returns the last.  `backward` writes
-dL/dz per layer, a derivative array per tanh layer (a relu layer keeps
-none: it multiplies by its mask a > 0), the input gradient it returns and
-the parameter gradient, a vector laid out like `flat`.  A later call may
-overwrite what an earlier one returned, so copy what must outlive it.
+dL/dz per layer except a linear output layer, whose dL/dz is the
+caller's dL/dy, and the parameter gradient, a vector laid out like
+`flat`.  Derivatives are not kept: relu multiplies by its mask a > 0 and
+tanh by a temporary 1 - a*a.  The input gradient, when asked for, is a
+fresh array.  A later call may overwrite the output and the parameter
+gradient an earlier one returned, so copy what must outlive it.
 `forward(cache=False)` computes into fresh arrays that nothing
 overwrites, and leaves the buffers and the cached pass as they were.
 
@@ -148,13 +150,12 @@ class Mlp:
         return out
 
     def _buffers(self, n: int):
-        """(outputs, dL/dz, tanh derivatives, dL/dx) for n rows."""
+        """(outputs, dL/dz) for n rows; a linear output layer has no dL/dz."""
         sizes = self.layer_sizes[1:]
+        last = (None if self.activations[-1] == "linear"
+                else np.empty((n, sizes[-1])))
         return ([np.empty((n, d)) for d in sizes],
-                [np.empty((n, d)) for d in sizes],
-                [np.empty((n, d)) if act == "tanh" else None
-                 for act, d in zip(self.activations, sizes)],
-                np.empty((n, self.layer_sizes[0])))
+                [np.empty((n, d)) for d in sizes[:-1]] + [last])
 
     def forward(self, x: np.ndarray, *, cache: bool = True) -> np.ndarray:
         """Output for a row or a batch of rows.
@@ -200,9 +201,9 @@ class Mlp:
         """Backpropagate dL/dy through the last cached forward pass.
 
         Returns (dL/dx, dL/d`flat`); either is None when its flag is off,
-        and then it is not computed.  Both are this net's own buffers, the
-        parameter gradient laid out like `flat`: the next `backward`
-        overwrites them, so copy them to keep them.
+        and then it is not computed.  dL/dx is a fresh array.  The
+        parameter gradient, laid out like `flat`, is this net's own buffer:
+        the next `backward` overwrites it, so copy it to keep it.
         """
         if self._x is None:
             raise ConfigurationError("backward called before forward")
@@ -213,18 +214,17 @@ class Mlp:
             self._grad = np.empty_like(self.flat)
             self._grad_w, self._grad_b = _layer_views(self._grad,
                                                       self.layer_sizes)
-        outs, dzs, derivs, dx = self._work
+        outs, dzs = self._work
         da = dout
         for i in range(self.n_layers - 1, -1, -1):
             # relu': the mask a > 0, i.e. z > 0 (NaN gives False), which the
             # multiply casts to exactly 1.0 or 0.0; tanh': 1 - a*a.  Multiplied
             # as floats, so NaN, +-inf and -0.0 in dL/da carry.
-            act, a_out, deriv = self.activations[i], outs[i], derivs[i]
+            act, a_out, deriv = self.activations[i], outs[i], None
             if act == "relu":
                 deriv = a_out > 0.0
             elif act == "tanh":
-                np.multiply(a_out, a_out, out=deriv)
-                np.subtract(1.0, deriv, out=deriv)
+                deriv = 1.0 - a_out * a_out
             dz = da if deriv is None else np.multiply(da, deriv, out=dzs[i])
             if param_grad:
                 a_in = outs[i - 1] if i > 0 else self._x
@@ -233,7 +233,7 @@ class Mlp:
             if i > 0:
                 da = np.matmul(dz, self.weights[i].T, out=dzs[i - 1])
             elif input_grad:
-                da = np.matmul(dz, self.weights[0].T, out=dx)
+                da = np.matmul(dz, self.weights[0].T)
         return (da if input_grad else None), (self._grad if param_grad else None)
 
     def copy(self) -> "Mlp":

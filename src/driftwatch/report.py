@@ -6,12 +6,12 @@ float formatting, so regenerating from the same inputs is byte-identical.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
-from .harness import DETECTOR_ORDER, EpisodeLog, _fmt, _write_chunks
+from .config import _fmt, _write_chunks, write_json
+from .harness import DETECTOR_ORDER, EpisodeLog
 
 SUMMARY_SCHEMA = "driftwatch-summary-v1"
 
@@ -37,7 +37,7 @@ def write_summary_json(
         "n_episodes": n_episodes,
         "detectors": metrics,
     }
-    _write_chunks(path, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
+    write_json(doc, path)
 
 
 def write_training_curve_csv(history, path) -> None:
@@ -50,46 +50,36 @@ def write_training_curve_csv(history, path) -> None:
     _write_chunks(path, ["\n".join(rows) + "\n"])
 
 
-def _split_q_values(logs: list[EpisodeLog]):
-    nominal, attacked_pre, attacked_post = [], [], []
-    for log in logs:
-        if log.attacked and log.onset < log.n_steps:
-            idx = np.arange(log.n_steps)
-            attacked_pre.append(log.q[idx < log.onset])
-            attacked_post.append(log.q[idx >= log.onset])
-        else:
-            nominal.append(log.q)
-
-    def cat(parts):
-        return np.concatenate(parts) if parts else np.array([])
-
-    return cat(nominal), cat(attacked_pre), cat(attacked_post)
-
-
 def write_q_histogram_csv(logs: list[EpisodeLog], path) -> None:
     """Shared-bin histograms of the value stream by attack phase.
 
     Every logged step lands in exactly one of the three series, so the
-    counts sum to the total number of logged steps.
+    counts sum to the total number of logged steps.  Each series is binned
+    as views of the logs' value streams, part by part, and no value is
+    copied into a pooled array.
     """
-    nominal, pre, post = _split_q_values(logs)
-    pooled = np.concatenate([nominal, pre, post])
-    if pooled.size == 0:
-        _write_chunks(
-            path, ["bin_left,bin_right,nominal,attacked_pre,attacked_post\n"])
-        return
-    lo, hi = float(pooled.min()), float(pooled.max())
-    if lo == hi:
-        lo, hi = lo - 0.5, hi + 0.5
-    edges = np.linspace(lo, hi, _HIST_BINS + 1)
-    counts = [np.histogram(series, bins=edges)[0]
-              for series in (nominal, pre, post)]
+    series = ([], [], [])  # nominal, attacked_pre, attacked_post
+    for log in logs:
+        if log.attacked and log.onset < log.n_steps:
+            series[1].append(log.q[:log.onset])
+            series[2].append(log.q[log.onset:])
+        else:
+            series[0].append(log.q)
+    parts = [q for part in series for q in part if q.size]
     rows = ["bin_left,bin_right,nominal,attacked_pre,attacked_post"]
-    for i in range(_HIST_BINS):
-        rows.append(
-            f"{_fmt(edges[i])},{_fmt(edges[i + 1])},"
-            f"{counts[0][i]},{counts[1][i]},{counts[2][i]}"
-        )
+    if parts:
+        lo = float(np.min([q.min() for q in parts]))
+        hi = float(np.max([q.max() for q in parts]))
+        if lo == hi:
+            lo, hi = lo - 0.5, hi + 0.5
+        edges = np.linspace(lo, hi, _HIST_BINS + 1)
+        counts = [sum((np.histogram(q, bins=edges)[0] for q in part),
+                      np.zeros(_HIST_BINS, dtype=np.intp)) for part in series]
+        for i in range(_HIST_BINS):
+            rows.append(
+                f"{_fmt(edges[i])},{_fmt(edges[i + 1])},"
+                f"{counts[0][i]},{counts[1][i]},{counts[2][i]}"
+            )
     _write_chunks(path, ["\n".join(rows) + "\n"])
 
 

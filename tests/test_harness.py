@@ -506,28 +506,38 @@ class TestEpisodeDetectors:
         assert sum(log.flags[:, 0].any() for log in logs) > 5
 
     def test_lockstep_feeds_only_the_running_rows(self):
-        streams = [np.arange(5.0), np.arange(10.0, 13.0), np.arange(20.0, 23.0),
-                   np.array([30.0])]
-        seen = []
+        """Unsorted streams run longest first, ties in the order given, so
+        only the rows still running are fed; each stream's outputs come
+        back in the order given."""
+        streams = [np.arange(10.0, 13.0), np.array([30.0]), np.arange(5.0),
+                   np.arange(20.0, 23.0)]
+        orders, seen = [], []
+
+        def start(order):
+            orders.append(order)
+            return update
 
         def update(values):
             seen.append(values.tolist())
             return (values * 2.0, values > 11.0)
 
-        out = _lockstep(streams, update)
+        out = _lockstep(streams, start)
+        assert orders == [[2, 0, 3, 1]]
         assert seen == [[0.0, 10.0, 20.0, 30.0], [1.0, 11.0, 21.0],
                         [2.0, 12.0, 22.0], [3.0], [4.0]]
+        assert len(out) == len(streams)
         for stream, (doubled, big) in zip(streams, out):
             assert doubled.tolist() == (stream * 2.0).tolist()
             assert big.tolist() == (stream > 11.0).tolist()
 
     def test_episode_detectors_drop_rows_that_end(self, synthetic_bank):
-        dets = EpisodeDetectors(synthetic_bank, 3)
-        l_hat, ph_flags, ph_stats = dets.update(np.array([-3.0, -3.1, -2.9]))
+        bank = synthetic_bank
+        dets = EpisodeDetectors([bank.age_profile] * 3, bank.hazard,
+                                bank.prune)
+        (l_hat,) = dets.update(np.array([-3.0, -3.1, -2.9]))
         assert l_hat.tolist() == [1, 1, 1]
-        assert ph_flags.shape == ph_stats.shape == (3,)
-        l_hat, _, ph_stats = dets.update(np.array([-3.0]))
-        assert l_hat.shape == ph_stats.shape == (1,)
+        (l_hat,) = dets.update(np.array([-3.0]))
+        assert l_hat.shape == (1,)
         assert dets.bocpd_state.weights.shape[0] == 1
 
 
@@ -750,6 +760,33 @@ class TestPipelines:
             assert 0.0 <= m["false_positive_rate"]["mean"] <= 1.0
             assert 0.0 <= m["false_negative_rate"]["mean"] <= 1.0
         assert json.loads(json.dumps(metrics)) == metrics
+
+    def test_calibration_scores_each_stream_as_if_alone(
+        self, pipeline, small_agent, constellation, monkeypatch
+    ):
+        """The leave-one-out pass scores every profile stream in one
+        lockstep pass; each stream's argmax run lengths equal that stream
+        scored alone (one row) against the profile of the other streams."""
+        _, diag, cfg = pipeline
+        seen = []
+
+        def capture(hats, warmup):
+            seen.extend(hats)
+            return calibrate(hats, warmup)
+
+        calibrate = harness.calibrate_tau
+        monkeypatch.setattr(harness, "calibrate_tau", capture)
+        bank, _ = profile_pipeline(small_agent, cfg, 11, constellation)
+        assert bank.tau == pipeline[0].tau
+        streams = [log.q for log in diag["profile_logs"]]
+        assert len({s.size for s in streams}) > 1
+        assert len(seen) == len(streams)
+        det = cfg.detectors
+        for i, (stream, hats) in enumerate(zip(streams, seen)):
+            prior = fit_age_profile(streams[:i] + streams[i + 1:])
+            [(alone,)] = _lockstep([stream], lambda order: EpisodeDetectors(
+                [prior], det.bocpd_hazard, det.bocpd_prune).update)
+            assert hats.tobytes() == alone.tobytes()
 
     def test_fixed_threshold_skips_calibration(
         self, pipeline, small_agent, constellation

@@ -1,6 +1,7 @@
 """Tests for the dense-network building blocks and their gradients."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,9 +327,13 @@ def test_cached_forward_reuses_buffers_per_batch_size():
     x, x2 = rng.normal(size=(2, 5, 4))
     dout = rng.normal(size=(5, 3))
     y = net.forward(x)
-    dx, _ = net.backward(dout)
+    dx, grad = net.backward(dout)
+    dx_kept = dx.copy()
     assert net.forward(x2) is y
-    assert net.backward(dout)[0] is dx
+    # the parameter gradient is a buffer, the input gradient a fresh array
+    dx2, grad2 = net.backward(dout)
+    assert grad2 is grad
+    assert not np.shares_memory(dx2, dx) and dx.tobytes() == dx_kept.tobytes()
     # a new batch size reallocates; the old arrays keep their values
     y_kept = y.copy()
     y7 = net.forward(rng.normal(size=(7, 4)))
@@ -337,6 +342,27 @@ def test_cached_forward_reuses_buffers_per_batch_size():
     assert y.tobytes() == y_kept.tobytes()
     # a one-row input returns its row of the buffer
     assert np.shares_memory(net.forward(x[0]), net.forward(x[:1]))
+
+
+def test_backward_keeps_no_buffer_it_never_writes():
+    """A linear output layer's dL/dz is the caller's dL/dy, tanh' is a
+    temporary and dL/dx is made only when asked for: after a cached forward
+    and a backward without dL/dx the net holds its outputs, the hidden
+    layer's dL/dz and the parameter gradient, and nothing of the output's
+    or the input's width or a derivative array."""
+    rng = np.random.default_rng(23)
+    n = 2000
+    net = Mlp([4, 8, 3], ["tanh", "linear"], rng)
+    x, dout = rng.normal(size=(n, 4)), rng.normal(size=(n, 3))
+    tracemalloc.start()
+    try:
+        net.forward(x)
+        net.backward(dout, input_grad=False)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    kept = 8 * (n * (8 + 3) + n * 8 + net.flat.size)
+    assert kept <= held < kept + 8 * n, (held, kept)
 
 
 def test_inference_results_are_never_overwritten():

@@ -8,12 +8,15 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from driftwatch.detectors import AgeProfile, NominalProfile, WindowAutoencoder
 from driftwatch.harness import (
     DETECTOR_ORDER,
+    DetectorBank,
     EpisodeLog,
     compute_metrics,
     write_episode_csv,
 )
+from driftwatch.nets import Mlp
 from driftwatch.report import (
     emit_report,
     write_q_histogram_csv,
@@ -52,6 +55,21 @@ def make_log(n, onset=None, flag_rows=(), seed=1, q_shift=0.0):
         alpha=alpha,
         flags=flags,
         stats=np.zeros((n, len(DETECTOR_ORDER))),
+    )
+
+
+def make_bank() -> DetectorBank:
+    """A detector bank of small documents, its AE untrained."""
+    net = Mlp([4, 2, 4], ["relu", "linear"], np.random.default_rng(0))
+    return DetectorBank(
+        profile=NominalProfile(mu0=-3.0, sigma0_sq=0.25, n_samples=800),
+        age_profile=AgeProfile(means=(-3.0,), variances=(0.25,),
+                               noise_var=0.25, level_var=0.25, n_samples=800),
+        ae=WindowAutoencoder(net=net, window=4, mean=0.0, std=1.0,
+                             threshold=1.0),
+        tau=5, warmup=10, hazard=0.01, prune=1e-8, ph_delta=0.0025,
+        ph_lambda=25.0, residual_k_sigma=3.0, residual_noise_sigma=2.0,
+        residual_jump_gate=50.0,
     )
 
 
@@ -173,18 +191,21 @@ class TestBarsAndDeterminism:
             assert a[name].read_bytes() == b[name].read_bytes(), name
 
     @pytest.mark.parametrize("name", ["summary.json", "q_traces.csv",
-                                      "episode.csv"])
+                                      "episode.csv", "bank.json"])
     def test_io_errors_carry_path_context(self, name, logs, metrics, tmp_path):
-        """A whole-text write and both streamed writes into a missing
-        directory raise OSError naming the file."""
+        """A whole-text write, both streamed writes and the detector bank's
+        JSON write raise OSError naming the file: into a missing directory,
+        or for the bank, onto a directory in the file's place."""
         victim = tmp_path / "missing_dir" / name
+        (tmp_path / "bank" / "bank.json").mkdir(parents=True)
         write = {
             "summary.json": lambda: write_summary_json(
                 metrics, victim, config_hash="", master_seed=0, n_episodes=0),
             "q_traces.csv": lambda: write_q_traces_csv(logs, victim),
             "episode.csv": lambda: write_episode_csv(logs[-1], victim, "h"),
+            "bank.json": lambda: make_bank().save(tmp_path / "bank"),
         }[name]
-        with pytest.raises(OSError, match=name):
+        with pytest.raises(OSError, match=f"failed to write .*{name}"):
             write()
 
 
@@ -207,6 +228,29 @@ def traced_peak(write) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+class TestHistogramMemory:
+    def test_histogram_bins_views_of_each_stream(self, tmp_path):
+        """The histogram bins each log's value stream, or its two sides of
+        the onset, as views: its peak allocation stays under a quarter of
+        the values' bytes, where pooling the series first would copy every
+        value twice.  The counts and edges are those of the pooled series."""
+        logs = [make_log(3000, onset=1000 if s % 2 else None, seed=s,
+                         q_shift=2.0) for s in range(40)]
+        path = tmp_path / "hist.csv"
+        peak = traced_peak(lambda: write_q_histogram_csv(logs, path))
+        q_bytes = sum(log.q.nbytes for log in logs)
+        assert peak < q_bytes / 4, (peak, q_bytes)
+        series = [np.concatenate([log.q for log in logs if not log.attacked]),
+                  np.concatenate([log.q[:1000] for log in logs if log.attacked]),
+                  np.concatenate([log.q[1000:] for log in logs if log.attacked])]
+        pooled = np.concatenate(series)
+        edges = np.linspace(pooled.min(), pooled.max(), 41)
+        counts = [np.histogram(values, bins=edges)[0] for values in series]
+        assert path.read_text().splitlines()[1:] == [
+            f"{float(edges[i])!r},{float(edges[i + 1])!r},"
+            f"{counts[0][i]},{counts[1][i]},{counts[2][i]}" for i in range(40)]
 
 
 class TestStreamedCsvs:
