@@ -40,7 +40,7 @@ tau, warmup = 5, 10
 first_flag = None
 trace = []
 for t, x in enumerate(stream):
-    state, l_hat = bocpd_update(state, np.array([x]))
+    state, l_hat = bocpd_update(state, np.array([x]), prune=1e-8)
     flag, _ = bocpd_flag(l_hat[0], t, tau=tau, warmup=warmup)
     if flag and first_flag is None:
         first_flag = t
@@ -87,7 +87,7 @@ for size in (1.0, 2.0, 3.0, 4.0, 6.0):
     st = bocpd_init([profile] * len(runs), hazard=0.02)
     flags = np.zeros(runs.shape, dtype=bool)
     for t in range(n):
-        st, l_hat = bocpd_update(st, runs[:, t])
+        st, l_hat = bocpd_update(st, runs[:, t], prune=1e-8)
         flags[:, t] = bocpd_flag(l_hat, t, tau=tau, warmup=warmup)[0]
     mean, missed = report_delays(first_hits(flags))
     print(f"  {size:>13.1f}  {mean:>10}  {missed:>6}")

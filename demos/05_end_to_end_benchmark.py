@@ -25,21 +25,19 @@ import numpy as np
 
 from driftwatch.config import default_config
 from driftwatch.ddpg import train
-from driftwatch.gnss import constellation_from_config
 from driftwatch.harness import DETECTOR_ORDER, evaluate, profile_pipeline
 
 cfg = default_config()
-constellation = constellation_from_config(cfg.gnss)
 
 t0 = time.perf_counter()
-agent, history = train(cfg, cfg.master_seed, constellation)
+agent, history = train(cfg, cfg.master_seed)
 print(f"trained {cfg.train.episodes} episodes in"
       f" {time.perf_counter() - t0:.1f}s;"
       f" return went {np.mean(history[:20]):.1f} (first 20)"
       f" -> {np.mean(history[-20:]):.1f} (last 20)")
 
 t0 = time.perf_counter()
-bank, diag = profile_pipeline(agent, cfg, cfg.master_seed, constellation)
+bank, _ = profile_pipeline(agent, cfg, cfg.master_seed)
 print(f"profiled {cfg.eval.profile_episodes} nominal episodes in"
       f" {time.perf_counter() - t0:.1f}s; value score baseline"
       f" mu0={bank.profile.mu0:.2f} sigma0={bank.profile.sigma0:.2f},"
@@ -47,7 +45,7 @@ print(f"profiled {cfg.eval.profile_episodes} nominal episodes in"
       f" calibrated tau={bank.tau}")
 
 t0 = time.perf_counter()
-metrics, logs = evaluate(agent, cfg, bank, cfg.master_seed, constellation)
+metrics, logs = evaluate(agent, cfg, bank, cfg.master_seed)
 n_nom = sum(not log.attacked for log in logs)
 n_att = len(logs) - n_nom
 print(f"evaluated {n_nom} nominal + {n_att} attacked episodes in"

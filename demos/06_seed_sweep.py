@@ -19,7 +19,6 @@ from pathlib import Path
 
 from driftwatch.config import default_config, load_config
 from driftwatch.ddpg import load_checkpoint
-from driftwatch.gnss import constellation_from_config
 from driftwatch.harness import DETECTOR_ORDER, evaluate, profile_pipeline
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,7 +35,6 @@ args = parser.parse_args()
 
 cfg = load_config(args.config) if args.config else default_config()
 agent = load_checkpoint(args.checkpoint)
-constellation = constellation_from_config(cfg.gnss)
 
 
 def criterion_8(per: dict) -> dict[str, bool]:
@@ -59,8 +57,8 @@ print(f"{'seed':>4} {'detector':>10} {'acc':>6} {'fpr':>6} {'fnr':>6}"
       f" {'delay':>6}  criterion 8")
 passed = 0
 for seed in range(*args.seeds):
-    bank, _ = profile_pipeline(agent, cfg, seed, constellation)
-    per, _ = evaluate(agent, cfg, bank, seed, constellation)
+    bank, _ = profile_pipeline(agent, cfg, seed)
+    per, _ = evaluate(agent, cfg, bank, seed)
     failed = [name for name, ok in criterion_8(per).items() if not ok]
     passed += not failed
     verdict = f"tau {bank.tau}, " + (

@@ -20,7 +20,6 @@ from .config import (
 )
 from .ddpg import load_checkpoint, save_checkpoint, train
 from .errors import ConfigurationError, CorruptCheckpointError, DriftwatchError
-from .gnss import constellation_from_config
 from .harness import (
     DETECTOR_ORDER,
     DetectorBank,
@@ -100,7 +99,7 @@ def _load_agent(checkpoint: Path | None, out: Path):
 
 def _cmd_train(cfg: ExperimentConfig, seed: int, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    agent, history = train(cfg, seed, constellation_from_config(cfg.gnss))
+    agent, history = train(cfg, seed)
     ckpt = out / "checkpoint.npz"
     save_checkpoint(agent, ckpt)
     write_training_curve_csv(history, out / "training_curve.csv")
@@ -113,8 +112,7 @@ def _cmd_train(cfg: ExperimentConfig, seed: int, out: Path) -> int:
 
 def _cmd_profile(cfg: ExperimentConfig, seed: int, out: Path, args) -> int:
     agent = _load_agent(args.checkpoint, out)
-    bank, diag = profile_pipeline(agent, cfg, seed,
-                                  constellation_from_config(cfg.gnss))
+    bank, diag = profile_pipeline(agent, cfg, seed)
     bank.save(out)
     print(f"nominal profile: mu0={bank.profile.mu0!r} "
           f"sigma0={bank.profile.sigma0!r} n={bank.profile.n_samples}")
@@ -131,9 +129,7 @@ def _cmd_run(cfg: ExperimentConfig, seed: int, out: Path, args) -> int:
     agent = _load_agent(args.checkpoint, out)
     bank = DetectorBank.load(out) if (out / "bank.json").exists() else None
     attack = eval_attack(cfg.eval) if args.attack else None
-    [log] = run_episode(agent, cfg.env, [(attack, seed)],
-                        constellation=constellation_from_config(cfg.gnss),
-                        noise_sigma=cfg.gnss.noise_sigma)
+    [log] = run_episode(agent, cfg, [(attack, seed)])
     if bank is not None:
         bank.score([log])
     out.mkdir(parents=True, exist_ok=True)
@@ -149,8 +145,7 @@ def _cmd_run(cfg: ExperimentConfig, seed: int, out: Path, args) -> int:
 def _cmd_eval(cfg: ExperimentConfig, seed: int, out: Path, args) -> int:
     agent = _load_agent(args.checkpoint, out)
     bank = DetectorBank.load(out)
-    metrics, logs = evaluate(agent, cfg, bank, seed,
-                             constellation_from_config(cfg.gnss))
+    metrics, logs = evaluate(agent, cfg, bank, seed)
     paths = emit_report(metrics, logs, out, config_hash=config_hash(cfg),
                         master_seed=seed)
     for name in DETECTOR_ORDER:

@@ -23,7 +23,7 @@ from .env import (
     env_step,
 )
 from .errors import ConfigurationError
-from .gnss import Constellation
+from .gnss import constellation_from_config
 from .nets import Adam, Mlp, load_npz, save_npz, soft_update
 
 CHECKPOINT_SCHEMA = "driftwatch-checkpoint-v1"
@@ -208,16 +208,16 @@ def noise_schedule(train_cfg: TrainConfig, episode: int) -> float:
                                            - train_cfg.noise_start)
 
 
-def train(
-    cfg: ExperimentConfig, seed: int, constellation: Constellation
-) -> tuple[Agent, list[float]]:
+def train(cfg: ExperimentConfig, seed: int) -> tuple[Agent, list[float]]:
     """Full training run: warmup exploration, then noisy policy + updates.
 
-    Reads the env, train and gnss sections of `cfg`; `constellation` is
-    the one `cfg.gnss` lays out.  Deterministic given (cfg, seed): every
-    rng stream is derived from the seed with a fixed tag layout.
+    Reads the env, train and gnss sections of `cfg`; the receiver flies
+    the constellation `cfg.gnss` lays out.  Deterministic given (cfg,
+    seed): every rng stream is derived from the seed with a fixed tag
+    layout.
     """
     train_cfg, noise_sigma = cfg.train, cfg.gnss.noise_sigma
+    constellation = constellation_from_config(cfg.gnss)
     agent = Agent(np.random.default_rng([seed, _TAG_INIT]), train_cfg)
     critic_opt = Adam(agent.critic.flat, train_cfg.critic_lr)
     actor_opt = Adam(agent.actor.flat, train_cfg.actor_lr)

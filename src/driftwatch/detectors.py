@@ -299,7 +299,7 @@ def bocpd_init(priors, hazard: float) -> BocpdState:
 
 
 def bocpd_update(
-    state: BocpdState, q: np.ndarray, prune: float = 1e-8
+    state: BocpdState, q: np.ndarray, prune: float
 ) -> tuple[BocpdState, np.ndarray]:
     """Advance every running row by one value; returns their argmax run lengths.
 
@@ -369,17 +369,14 @@ def bocpd_update(
         keep = weights >= prune
         keep[row_index, weights.argmax(axis=1)] = True
         size = np.count_nonzero(keep, axis=1)
-        width = int(size.max())
-        # flat source index of each kept entry, and where it lands: its
-        # rank among the kept entries of its row, in a row of `width`
-        source = np.flatnonzero(keep)
-        target = np.arange(source.size) + np.repeat(
-            np.arange(0, rows * width, width) - (np.cumsum(size) - size), size)
+        # boolean indexing runs in row-major order, so each row's kept
+        # entries land in its first `size` slots, in order
+        slots = np.arange(size.max()) < size[:, None]
 
         def compact(values, fill):
-            out = np.full(rows * width, fill, dtype=values.dtype)
-            out[target] = values.ravel()[source]
-            return out.reshape(rows, width)
+            out = np.full(slots.shape, fill, dtype=values.dtype)
+            out[slots] = values[keep]
+            return out
 
         run_lengths = compact(run_lengths, 0)
         seg_means = compact(seg_means, 0.0)

@@ -304,7 +304,7 @@ def solve_pvt(
         if step_norm < TOL_M:
             converged = True
             break
-    sep, ranges = _line_of_sight(x[:3], positions) if los is None else los
+    sep, ranges = _line_of_sight(x[:3], positions)
     final = measurements - (ranges + x[3])
     for arr in (x, final, sep, ranges):
         arr.flags.writeable = False

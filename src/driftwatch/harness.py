@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
-    EnvConfig,
     EvalConfig,
     ExperimentConfig,
     _fmt,
@@ -54,7 +53,7 @@ from .detectors import (
 )
 from .env import env_reset_full, env_step
 from .errors import ConfigurationError, InsufficientDataError
-from .gnss import Constellation
+from .gnss import constellation_from_config
 from .spoofing import AttackConfig, attack_alpha
 
 EPISODE_SCHEMA = "driftwatch-episode-v1"
@@ -197,8 +196,7 @@ class EpisodeDetectors:
 
         Returns their argmax run lengths.
         """
-        self.bocpd_state, l_hat = bocpd_update(self.bocpd_state, q,
-                                               prune=self.prune)
+        self.bocpd_state, l_hat = bocpd_update(self.bocpd_state, q, self.prune)
         return (l_hat,)
 
 
@@ -329,27 +327,25 @@ class _Flight:
 
 def run_episode(
     agent: Agent,
-    env_cfg: EnvConfig,
+    cfg: ExperimentConfig,
     episodes: list[tuple[AttackConfig | None, int]],
-    *,
-    constellation: Constellation,
-    noise_sigma: float,
 ) -> list[EpisodeLog]:
     """Play a stage's episodes in lockstep with the greedy policy; value them.
 
-    `episodes` lists each episode's (attack config or None, seed).  Every
-    episode is reset first; then all of them advance together, one age at
-    a time.  At each age one `Agent.act` call acts on the (B, 9)
-    observations of the B episodes still flying, and each of them takes
-    one `env_step`, its fix solved from the episode's previous fix (passed
-    itself as `pvt_init`, so a repeated spoofed epoch is not solved again);
-    only the reset's fix starts from the truth.  An episode
-    records the observation, the action, the fix's position and RMS
-    residual, and the reward in chunks of 64 rows; when it ends, one critic
-    forward values every recorded decision.  Episodes neither share state
-    nor draw from a common stream, so each plays as it would alone, up to
-    the round-off of the batched actor.  Returns one log per episode, in
-    the order given, with flags False and statistics NaN for
+    Reads the env and gnss sections of `cfg`: the receiver flies the
+    constellation `cfg.gnss` lays out, at its noise.  `episodes` lists each
+    episode's (attack config or None, seed).  Every episode is reset first;
+    then all of them advance together, one age at a time.  At each age one
+    `Agent.act` call acts on the (B, 9) observations of the B episodes still
+    flying, and each of them takes one `env_step`, its fix solved from the
+    episode's previous fix (passed itself as `pvt_init`, so a repeated
+    spoofed epoch is not solved again); only the reset's fix starts from the
+    truth.  An episode records the observation, the action, the fix's
+    position and RMS residual, and the reward in chunks of 64 rows; when it
+    ends, one critic forward values every recorded decision.  Episodes
+    neither share state nor draw from a common stream, so each plays as it
+    would alone, up to the round-off of the batched actor.  Returns one log
+    per episode, in the order given, with flags False and statistics NaN for
     `DetectorBank.score`; a lone episode (`driftwatch run`) is B = 1.
 
     Row i records the decision point at world time t=i: the fix and
@@ -360,6 +356,8 @@ def run_episode(
         if (attack_cfg is not None and attack_cfg.enabled
                 and attack_cfg.t_start < 1):
             raise ConfigurationError("attack onset must be at t >= 1")
+    env_cfg, noise_sigma = cfg.env, cfg.gnss.noise_sigma
+    constellation = constellation_from_config(cfg.gnss)
     running = [
         _Flight(i, seed, attack_cfg,
                 *env_reset_full(env_cfg, seed, constellation, noise_sigma))
@@ -490,26 +488,23 @@ def profile_pipeline(
     agent: Agent,
     cfg: ExperimentConfig,
     master_seed: int,
-    constellation: Constellation,
 ) -> tuple[DetectorBank, dict]:
     """Fit every detector on attack-free runs and freeze the thresholds.
 
-    Reads the env, gnss, detectors and eval sections of `cfg`; the
-    `constellation` is the one `cfg.gnss` lays out.  Returns the bank plus
-    diagnostics (profile episode logs, AE training curve, calibration
-    outcome).  Uses its own seed stream so profiling data never overlaps
-    evaluation episodes.  The run-length threshold is
+    Reads the env, gnss, detectors and eval sections of `cfg`.  Returns
+    the bank plus diagnostics (profile episode logs, AE training curve,
+    calibration outcome).  Uses its own seed stream so profiling data
+    never overlaps evaluation episodes.  The run-length threshold is
     calibrated leave-one-out: each profile stream is scored against an age
     profile fitted on the other streams, as an unseen flight would be.
     The held-out streams are scored in one lockstep pass of
     `EpisodeDetectors`, one prior per row, as `DetectorBank.score` scores
     a stage.
     """
-    det_cfg, noise_sigma = cfg.detectors, cfg.gnss.noise_sigma
+    det_cfg = cfg.detectors
     seeds = [_derive_seed(master_seed, _TAG_PROFILE, i)
              for i in range(cfg.eval.profile_episodes)]
-    logs = run_episode(agent, cfg.env, [(None, s) for s in seeds],
-                       constellation=constellation, noise_sigma=noise_sigma)
+    logs = run_episode(agent, cfg, [(None, s) for s in seeds])
     q_streams = [log.q for log in logs]
     episodes = tuple(range(len(q_streams)))
     profile = fit_nominal_profile(q_streams, source_episodes=episodes)
@@ -541,7 +536,7 @@ def profile_pipeline(
         ph_delta=det_cfg.ph_delta_scale * profile.sigma0,
         ph_lambda=det_cfg.ph_lambda_scale * profile.sigma0,
         residual_k_sigma=det_cfg.residual_k_sigma,
-        residual_noise_sigma=noise_sigma,
+        residual_noise_sigma=cfg.gnss.noise_sigma,
         residual_jump_gate=(
             cfg.env.cruise_speed * cfg.env.dt * det_cfg.residual_jump_margin
         ),
@@ -550,7 +545,6 @@ def profile_pipeline(
     diagnostics = {
         "profile_logs": logs,
         "ae_curve": ae_curve,
-        "tau": tau,
         "calibration_fp": achieved_fp,
     }
     return bank, diagnostics
@@ -571,7 +565,6 @@ def evaluate(
     cfg: ExperimentConfig,
     bank: DetectorBank,
     master_seed: int,
-    constellation: Constellation,
 ) -> tuple[dict[str, dict], list[EpisodeLog]]:
     """Score the frozen bank on fresh nominal and attacked episodes.
 
@@ -588,7 +581,6 @@ def evaluate(
         )
         for i in range(count)
     ]
-    logs = run_episode(agent, cfg.env, episodes, constellation=constellation,
-                       noise_sigma=cfg.gnss.noise_sigma)
+    logs = run_episode(agent, cfg, episodes)
     bank.score(logs)
     return compute_metrics(logs), logs

@@ -43,6 +43,9 @@ from .errors import (
 
 _ACTIVATIONS = ("relu", "tanh", "linear")
 
+# Adam's moment decay rates and denominator guard; no study varies them
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 def _layer_views(buf: np.ndarray, layer_sizes: list[int]):
     """(weight views, bias views) into `buf`, laid out w0, b0, w1, b1, ..."""
@@ -245,15 +248,11 @@ class Mlp:
 class Adam:
     """Adam over one parameter vector (such as `Mlp.flat`), updated in place."""
 
-    def __init__(self, params: np.ndarray, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: np.ndarray, lr: float):
         if lr <= 0:
             raise ConfigurationError(f"lr must be > 0, got {lr}")
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
         self.t = 0
@@ -267,21 +266,21 @@ class Adam:
                 f"got {np.shape(grad)}"
             )
         self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
+        b1t = 1.0 - ADAM_BETA1**self.t
+        b2t = 1.0 - ADAM_BETA2**self.t
         m, v, tmp, step = self.m, self.v, self._tmp, self._step
         # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
-        m *= self.beta1
-        np.multiply(grad, 1.0 - self.beta1, out=tmp)
+        m *= ADAM_BETA1
+        np.multiply(grad, 1.0 - ADAM_BETA1, out=tmp)
         m += tmp
-        v *= self.beta2
-        np.multiply(grad, 1.0 - self.beta2, out=tmp)
+        v *= ADAM_BETA2
+        np.multiply(grad, 1.0 - ADAM_BETA2, out=tmp)
         tmp *= grad
         v += tmp
         # p -= (lr (m / b1t)) / (sqrt(v / b2t) + eps)
         np.divide(v, b2t, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += self.eps
+        tmp += ADAM_EPS
         np.divide(m, b1t, out=step)
         step *= self.lr
         step /= tmp

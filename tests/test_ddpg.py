@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driftwatch.config import EnvConfig, ExperimentConfig, GnssConfig, TrainConfig
+from driftwatch.config import EnvConfig, ExperimentConfig, TrainConfig
 from driftwatch.ddpg import (
     ACTION_CENTER,
     ACTION_HALF,
@@ -21,7 +21,6 @@ from driftwatch.ddpg import (
 )
 from driftwatch.env import ACTION_HIGH, ACTION_LOW
 from driftwatch.errors import ConfigurationError, CorruptCheckpointError
-from driftwatch.gnss import constellation_from_config
 from driftwatch.nets import Adam
 from scoring_oracles import q_value_row
 
@@ -218,10 +217,6 @@ def test_train_step_loss_decreases_on_fixed_batch():
     assert losses[-1] < losses[0]
 
 
-# the constellation of the default GnssConfig, whose noise_sigma is 2.0
-CONSTELLATION = constellation_from_config(GnssConfig())
-
-
 def test_train_is_deterministic_and_sized():
     cfg = ExperimentConfig(
         env=EnvConfig(goal_distance_range=(60.0, 90.0), max_steps=40),
@@ -234,13 +229,13 @@ def test_train_is_deterministic_and_sized():
             long_goal_distance_range=(60.0, 90.0),
         ),
     )
-    agent1, hist1 = train(cfg, 5, CONSTELLATION)
-    agent2, hist2 = train(cfg, 5, CONSTELLATION)
+    agent1, hist1 = train(cfg, 5)
+    agent2, hist2 = train(cfg, 5)
     assert len(hist1) == cfg.train.episodes
     assert hist1 == hist2
     for p1, p2 in zip(agent1.actor.parameters(), agent2.actor.parameters()):
         np.testing.assert_array_equal(p1, p2)
-    _, hist3 = train(cfg, 6, CONSTELLATION)
+    _, hist3 = train(cfg, 6)
     assert hist1 != hist3
 
 
@@ -257,7 +252,7 @@ def golden_train() -> Agent:
         train=TrainConfig(episodes=4, warmup_episodes=1, batch_size=8,
                           hidden=(16, 16)),
     )
-    agent, _ = train(cfg, 3, CONSTELLATION)
+    agent, _ = train(cfg, 3)
     return agent
 
 

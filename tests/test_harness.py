@@ -25,7 +25,6 @@ from driftwatch.detectors import (
     window_ae_train,
 )
 from driftwatch.errors import ConfigurationError
-from driftwatch.gnss import constellation_from_config
 from driftwatch.harness import (
     CSV_COLUMNS,
     DETECTOR_ORDER,
@@ -49,18 +48,13 @@ from scoring_oracles import (
 )
 
 
-def play(agent, env_cfg, attack, bank, seed, **kwargs) -> EpisodeLog:
+def play(agent, cfg, attack, bank, seed) -> EpisodeLog:
     """One episode played alone (the one-row stage), scored by `bank` if
     given."""
-    [log] = run_episode(agent, env_cfg, [(attack, seed)], **kwargs)
+    [log] = run_episode(agent, cfg, [(attack, seed)])
     if bank is not None:
         bank.score([log])
     return log
-
-
-@pytest.fixture(scope="module")
-def constellation():
-    return constellation_from_config(GnssConfig())
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +63,11 @@ def small_agent():
 
 
 @pytest.fixture(scope="module")
-def mini_env():
-    return EnvConfig(goal_distance_range=(400.0, 500.0), max_steps=60)
+def mini_cfg():
+    """Short flights with the default receiver: the constellation of the
+    default GnssConfig, at noise_sigma 2.0."""
+    return ExperimentConfig(
+        env=EnvConfig(goal_distance_range=(400.0, 500.0), max_steps=60))
 
 
 @pytest.fixture(scope="module")
@@ -196,30 +193,24 @@ class TestMetricStubs:
 
 class TestRunEpisode:
     def test_disabled_attack_logs_no_attack_activity(
-        self, small_agent, mini_env, constellation
+        self, small_agent, mini_cfg
     ):
         logs = run_episode(
-            small_agent, mini_env,
+            small_agent, mini_cfg,
             [(AttackConfig(enabled=False), seed) for seed in range(20)],
-            constellation=constellation, noise_sigma=2.0,
         )
         assert [log.seed for log in logs] == list(range(20))
         for log in logs:
             assert not log.attacked
             assert np.all(log.alpha == 0.0)
-            assert log.n_steps <= mini_env.max_steps
+            assert log.n_steps <= mini_cfg.env.max_steps
             assert log.terminal_event in ("goal_reached", "timeout",
                                           "collision")
 
-    def test_attack_drags_estimate_to_target_not_truth(
-        self, small_agent, constellation
-    ):
+    def test_attack_drags_estimate_to_target_not_truth(self, small_agent):
         attack = AttackConfig(t_start=100, drift_duration=50,
                               target=(0.0, 0.0, 0.0), enabled=True)
-        log = play(
-            small_agent, EnvConfig(), attack, None, 0,
-            constellation=constellation, noise_sigma=2.0,
-        )
+        log = play(small_agent, ExperimentConfig(), attack, None, 0)
         assert log.n_steps > 150
         assert np.linalg.norm(log.est_pos[150]) < 10.0
         assert np.linalg.norm(log.true_pos[150]) > 100.0
@@ -229,25 +220,19 @@ class TestRunEpisode:
             assert log.alpha[i] == (0.0 if alpha is None else alpha)
 
     def test_same_seed_gives_byte_identical_csv(
-        self, small_agent, mini_env, constellation, tmp_path
+        self, small_agent, mini_cfg, tmp_path
     ):
         attack = AttackConfig(t_start=10, drift_duration=5, enabled=True)
         paths = []
         for k in range(2):
-            log = play(
-                small_agent, mini_env, attack, None, 42,
-                constellation=constellation, noise_sigma=2.0,
-            )
+            log = play(small_agent, mini_cfg, attack, None, 42)
             p = tmp_path / f"run{k}.csv"
             write_episode_csv(log, p, "abc123")
             paths.append(p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_csv_layout(self, small_agent, mini_env, constellation, tmp_path):
-        log = play(
-            small_agent, mini_env, None, None, 7,
-            constellation=constellation, noise_sigma=2.0,
-        )
+    def test_csv_layout(self, small_agent, mini_cfg, tmp_path):
+        log = play(small_agent, mini_cfg, None, None, 7)
         path = tmp_path / "episode.csv"
         write_episode_csv(log, path, "deadbeef")
         lines = path.read_text().splitlines()
@@ -259,21 +244,15 @@ class TestRunEpisode:
         assert header == ",".join(CSV_COLUMNS)
         assert len(lines) == len(meta) + 1 + log.n_steps
 
-    def test_onset_zero_rejected(self, small_agent, mini_env, constellation):
+    def test_onset_zero_rejected(self, small_agent, mini_cfg):
         bad = AttackConfig(t_start=0, drift_duration=5, enabled=True)
         with pytest.raises(ConfigurationError):
-            play(
-                small_agent, mini_env, bad, None, 1,
-                constellation=constellation, noise_sigma=2.0,
-            )
+            play(small_agent, mini_cfg, bad, None, 1)
 
     def test_detector_columns_populate(
-        self, small_agent, mini_env, constellation, synthetic_bank
+        self, small_agent, mini_cfg, synthetic_bank
     ):
-        log = play(
-            small_agent, mini_env, None, synthetic_bank, 3,
-            constellation=constellation, noise_sigma=2.0,
-        )
+        log = play(small_agent, mini_cfg, None, synthetic_bank, 3)
         n = log.n_steps
         assert n >= 20
         assert log.flags.shape == (n, 4) and log.flags.dtype == bool
@@ -286,7 +265,7 @@ class TestRunEpisode:
         assert not log.flags[: window - 1, 3].any()
 
     def test_no_solve_after_the_reset_starts_from_the_truth(
-        self, small_agent, mini_env, constellation, monkeypatch
+        self, small_agent, mini_cfg, monkeypatch
     ):
         """Each fix of a rollout starts from its episode's previous fix,
         passed itself; only the reset's first fix starts from the truth.
@@ -330,8 +309,7 @@ class TestRunEpisode:
         attack = AttackConfig(t_start=10, drift_duration=15,
                               target=(300.0, 200.0, 100.0), enabled=True)
         episodes = [(attack if seed % 2 else None, seed) for seed in range(6)]
-        logs = run_episode(small_agent, mini_env, episodes,
-                           constellation=constellation, noise_sigma=2.0)
+        logs = run_episode(small_agent, mini_cfg, episodes)
         assert sorted(solves) == list(range(6))
         for log in logs:
             calls = solves[log.seed]
@@ -344,19 +322,37 @@ class TestRunEpisode:
                 assert np.asarray(believed).tobytes() == previous.x[:3].tobytes()
                 assert not np.array_equal(believed, true_pos)
 
+    def test_flies_the_receiver_the_config_describes(self, small_agent,
+                                                     mini_cfg):
+        """The rollout reads its receiver from `cfg.gnss`: without noise
+        every fix fits its pseudoranges to round-off, at the default noise
+        none does, and another constellation layout moves the fixes."""
+        episodes = [(None, seed) for seed in range(4)]
+
+        def fly(**gnss):
+            cfg = dataclasses.replace(mini_cfg, gnss=GnssConfig(**gnss))
+            return run_episode(small_agent, cfg, episodes)
+
+        noisy = fly()
+        for log in fly(noise_sigma=0.0):
+            assert log.residual_rms.max() < 1e-6
+        for log in noisy:
+            assert log.residual_rms.min() > 1e-6
+        for log, moved in zip(noisy, fly(constellation_seed=8)):
+            n = min(log.n_steps, moved.n_steps)
+            assert not np.array_equal(log.est_pos[:n], moved.est_pos[:n])
+
     def test_lockstep_play_does_not_change_an_episode(
-        self, small_agent, mini_env, constellation, synthetic_bank
+        self, small_agent, mini_cfg, synthetic_bank
     ):
         """A mixed stage, played in either order, gives every episode what
         the same seed gives alone, up to the batched actor's round-off."""
         attack = AttackConfig(t_start=10, drift_duration=15,
                               target=(300.0, 200.0, 100.0), enabled=True)
         episodes = [(attack if k % 3 == 0 else None, 50 + k) for k in range(12)]
-        kwargs = dict(constellation=constellation, noise_sigma=2.0)
-        forward = run_episode(small_agent, mini_env, episodes, **kwargs)
-        backward = run_episode(small_agent, mini_env, episodes[::-1],
-                               **kwargs)[::-1]
-        alone = [run_episode(small_agent, mini_env, [episode], **kwargs)[0]
+        forward = run_episode(small_agent, mini_cfg, episodes)
+        backward = run_episode(small_agent, mini_cfg, episodes[::-1])[::-1]
+        alone = [run_episode(small_agent, mini_cfg, [episode])[0]
                  for episode in episodes]
         assert len({log.n_steps for log in alone}) > 1  # rows drop out
         for logs in (forward, backward, alone):
@@ -391,8 +387,8 @@ def golden_episode() -> EpisodeLog:
     attack = AttackConfig(t_start=20, drift_duration=20,
                           target=(600.0, 400.0, 150.0), enabled=True)
     return play(
-        agent, EnvConfig(max_steps=60), attack, make_synthetic_bank(), 3,
-        constellation=constellation_from_config(GnssConfig()), noise_sigma=2.0,
+        agent, ExperimentConfig(env=EnvConfig(max_steps=60)), attack,
+        make_synthetic_bank(), 3,
     )
 
 
@@ -543,24 +539,18 @@ class TestEpisodeDetectors:
 
 class TestDetectorBankPersistence:
     def test_round_trip_preserves_verdicts(
-        self, small_agent, mini_env, constellation, synthetic_bank, tmp_path
+        self, small_agent, mini_cfg, synthetic_bank, tmp_path
     ):
         paths = synthetic_bank.save(tmp_path)
         assert set(paths) == {"profile", "ae", "bank", "age_profile"}
         loaded = DetectorBank.load(tmp_path)
-        a = play(
-            small_agent, mini_env, None, synthetic_bank, 9,
-            constellation=constellation, noise_sigma=2.0,
-        )
-        b = play(
-            small_agent, mini_env, None, loaded, 9,
-            constellation=constellation, noise_sigma=2.0,
-        )
+        a = play(small_agent, mini_cfg, None, synthetic_bank, 9)
+        b = play(small_agent, mini_cfg, None, loaded, 9)
         assert np.array_equal(a.flags, b.flags)
         assert np.array_equal(a.stats, b.stats, equal_nan=True)
 
     def test_age_profile_round_trip_preserves_verdicts(
-        self, small_agent, mini_env, constellation, synthetic_bank, tmp_path
+        self, small_agent, mini_cfg, synthetic_bank, tmp_path
     ):
         rng = np.random.default_rng(78)
         aged = dataclasses.replace(synthetic_bank, age_profile=fit_age_profile(
@@ -575,8 +565,7 @@ class TestDetectorBankPersistence:
         loaded = DetectorBank.load(tmp_path)
         assert loaded.age_profile == aged.age_profile
         a, b = (
-            play(small_agent, mini_env, None, bank, 9,
-                        constellation=constellation, noise_sigma=2.0)
+            play(small_agent, mini_cfg, None, bank, 9)
             for bank in (aged, loaded)
         )
         assert np.array_equal(a.flags, b.flags)
@@ -692,11 +681,10 @@ class TestDetectorBankPersistence:
 
 
 @pytest.fixture(scope="module")
-def pipeline(small_agent, mini_env, constellation):
-    """The mini study: its config's gnss section is the default, whose
-    constellation the `constellation` fixture builds."""
-    cfg = ExperimentConfig(
-        env=mini_env,
+def pipeline(small_agent, mini_cfg):
+    """The mini study, flown with `mini_cfg`'s env and receiver."""
+    cfg = dataclasses.replace(
+        mini_cfg,
         detectors=DetectorConfig(ae_window=16, ae_epochs=50),
         eval=EvalConfig(
             n_nominal=2,
@@ -706,7 +694,7 @@ def pipeline(small_agent, mini_env, constellation):
             attack_drift_duration=5,
         ),
     )
-    bank, diag = profile_pipeline(small_agent, cfg, 11, constellation)
+    bank, diag = profile_pipeline(small_agent, cfg, 11)
     return bank, diag, cfg
 
 
@@ -734,11 +722,9 @@ class TestPipelines:
         )
         assert bank.age_profile.n_samples == bank.profile.n_samples
 
-    def test_profile_pipeline_is_deterministic(
-        self, pipeline, small_agent, constellation
-    ):
+    def test_profile_pipeline_is_deterministic(self, pipeline, small_agent):
         bank, _, cfg = pipeline
-        bank2, _ = profile_pipeline(small_agent, cfg, 11, constellation)
+        bank2, _ = profile_pipeline(small_agent, cfg, 11)
         assert bank2.profile == bank.profile
         assert bank2.age_profile == bank.age_profile
         assert bank2.tau == bank.tau
@@ -746,12 +732,10 @@ class TestPipelines:
                           bank2.ae.net.parameters()):
             assert np.array_equal(w1, w2)
 
-    def test_evaluate_produces_metrics_and_logs(
-        self, pipeline, small_agent, constellation
-    ):
+    def test_evaluate_produces_metrics_and_logs(self, pipeline, small_agent):
         bank, _, cfg = pipeline
         eval_cfg = cfg.eval
-        metrics, logs = evaluate(small_agent, cfg, bank, 5, constellation)
+        metrics, logs = evaluate(small_agent, cfg, bank, 5)
         assert len(logs) == eval_cfg.n_nominal + eval_cfg.n_attacked
         assert sum(log.attacked for log in logs) == eval_cfg.n_attacked
         for name in DETECTOR_ORDER:
@@ -762,7 +746,7 @@ class TestPipelines:
         assert json.loads(json.dumps(metrics)) == metrics
 
     def test_calibration_scores_each_stream_as_if_alone(
-        self, pipeline, small_agent, constellation, monkeypatch
+        self, pipeline, small_agent, monkeypatch
     ):
         """The leave-one-out pass scores every profile stream in one
         lockstep pass; each stream's argmax run lengths equal that stream
@@ -776,7 +760,7 @@ class TestPipelines:
 
         calibrate = harness.calibrate_tau
         monkeypatch.setattr(harness, "calibrate_tau", capture)
-        bank, _ = profile_pipeline(small_agent, cfg, 11, constellation)
+        bank, _ = profile_pipeline(small_agent, cfg, 11)
         assert bank.tau == pipeline[0].tau
         streams = [log.q for log in diag["profile_logs"]]
         assert len({s.size for s in streams}) > 1
@@ -788,9 +772,7 @@ class TestPipelines:
                 [prior], det.bocpd_hazard, det.bocpd_prune).update)
             assert hats.tobytes() == alone.tobytes()
 
-    def test_fixed_threshold_skips_calibration(
-        self, pipeline, small_agent, constellation
-    ):
+    def test_fixed_threshold_skips_calibration(self, pipeline, small_agent):
         """calibrate_tau false freezes bocpd_tau as given and reports no
         calibration rate; the rest of the bank is fitted as before."""
         calibrated, _, cfg = pipeline
@@ -798,10 +780,8 @@ class TestPipelines:
             cfg.detectors, calibrate_tau=False,
             bocpd_tau=cfg.detectors.bocpd_warmup + 7)
         bank, diag = profile_pipeline(
-            small_agent, dataclasses.replace(cfg, detectors=fixed_cfg), 11,
-            constellation)
+            small_agent, dataclasses.replace(cfg, detectors=fixed_cfg), 11)
         assert bank.tau == fixed_cfg.bocpd_tau != calibrated.tau
-        assert diag["tau"] == bank.tau
         assert np.isnan(diag["calibration_fp"])
         assert bank.profile == calibrated.profile
         assert bank.age_profile == calibrated.age_profile
