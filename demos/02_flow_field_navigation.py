@@ -17,7 +17,7 @@ distance.  Second part: a full episode flown with fixed gains.
 
 import numpy as np
 
-from driftwatch.config import default_config
+from driftwatch.config import ExperimentConfig
 from driftwatch.env import env_reset, flow_field_matrices, step_dynamics
 from driftwatch.gnss import constellation_from_config
 
@@ -42,7 +42,7 @@ print("  far away the field is transparent; at the surface the inward"
 
 # One episode with the same fixed gains. No learning involved; this is
 # the environment the policy will later be trained in.
-cfg = default_config()
+cfg = ExperimentConfig()
 constellation = constellation_from_config(cfg.gnss)
 world, phi = env_reset(cfg.env, 3, constellation, cfg.gnss.noise_sigma)
 

@@ -15,12 +15,12 @@ a perfectly coherent world that just happens to be slowly wrong.
 
 import numpy as np
 
-from driftwatch.config import default_config
+from driftwatch.config import ExperimentConfig
 from driftwatch.env import env_reset_full, env_step
 from driftwatch.gnss import constellation_from_config
 from driftwatch.spoofing import AttackConfig, attack_alpha
 
-cfg = default_config()
+cfg = ExperimentConfig()
 constellation = constellation_from_config(cfg.gnss)
 
 attack = AttackConfig(t_start=40, drift_duration=50,

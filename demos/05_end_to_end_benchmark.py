@@ -23,11 +23,11 @@ import time
 
 import numpy as np
 
-from driftwatch.config import default_config
+from driftwatch.config import ExperimentConfig
 from driftwatch.ddpg import train
 from driftwatch.harness import DETECTOR_ORDER, evaluate, profile_pipeline
 
-cfg = default_config()
+cfg = ExperimentConfig()
 
 t0 = time.perf_counter()
 agent, history = train(cfg, cfg.master_seed)

@@ -17,7 +17,7 @@ seed on one core.
 import argparse
 from pathlib import Path
 
-from driftwatch.config import default_config, load_config
+from driftwatch.config import ExperimentConfig
 from driftwatch.ddpg import load_checkpoint
 from driftwatch.harness import DETECTOR_ORDER, evaluate, profile_pipeline
 
@@ -33,7 +33,7 @@ parser.add_argument("--config", type=Path, default=None,
                     help="experiment config JSON (default: built-in)")
 args = parser.parse_args()
 
-cfg = load_config(args.config) if args.config else default_config()
+cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
 agent = load_checkpoint(args.checkpoint)
 
 

@@ -12,12 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    ExperimentConfig,
-    config_hash,
-    default_config,
-    load_config,
-)
+from .config import ExperimentConfig, config_hash
 from .ddpg import load_checkpoint, save_checkpoint, train
 from .errors import ConfigurationError, CorruptCheckpointError, DriftwatchError
 from .harness import (
@@ -43,6 +38,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _seed(text: str) -> int:
+    """A master seed: numpy's generators take only integers >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="driftwatch",
@@ -57,7 +59,7 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=summary, description=summary)
         p.add_argument("--config", type=Path, default=None,
                        help="experiment config JSON (defaults built in)")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="master seed (default: config master_seed)")
         p.add_argument("--out", type=Path, default=Path("results"),
                        help="artifact directory (default: results)")
@@ -82,10 +84,6 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--checkpoint", type=Path, default=None,
                         help="agent checkpoint (default: OUT/checkpoint.npz)")
     return parser
-
-
-def _load_cfg(path: Path | None) -> ExperimentConfig:
-    return default_config() if path is None else load_config(path)
 
 
 def _load_agent(checkpoint: Path | None, out: Path):
@@ -171,7 +169,8 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        cfg = _load_cfg(args.config)
+        cfg = (ExperimentConfig() if args.config is None
+               else ExperimentConfig.load(args.config))
         seed = args.seed if args.seed is not None else cfg.master_seed
         out = args.out
         if args.command == "train":

@@ -10,9 +10,10 @@ stale config files fail loudly instead of silently running defaults.
 `to_json` and `from_json` map a dataclass to and from a JSON object by its
 fields' resolved annotations: nested dataclasses are objects, tuples are
 lists, and a value of the wrong type is rejected with its key named.  The
-config, the nominal and age profiles and the detector bank's parameters
-all go through them.  Every JSON and CSV artifact is written by
-`_write_chunks`, and every CSV float as `_fmt`'s shortest round-trip text.
+config and both profiles are `_JsonDocument`s, read as the bank is by
+`read_document`, which names the file in every fault.  Every JSON and CSV
+artifact is written by `_write_chunks`, and every CSV float as `_fmt`'s
+shortest round-trip text.
 """
 
 from __future__ import annotations
@@ -42,6 +43,12 @@ def _positive(name: str, value: float) -> None:
         raise ConfigurationError(f"{name} must be > 0, got {value}")
 
 
+def _check_seed(name: str, seed: int) -> None:
+    """numpy's generators take only seeds >= 0."""
+    if seed < 0:
+        raise ConfigurationError(f"{name} must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class GnssConfig:
     """Constellation layout and receiver noise."""
@@ -57,6 +64,7 @@ class GnssConfig:
             raise ConfigurationError(f"n_sats must be >= 4, got {self.n_sats}")
         if self.noise_sigma < 0:
             raise ConfigurationError("noise_sigma must be >= 0")
+        _check_seed("constellation_seed", self.constellation_seed)
 
 
 @dataclass(frozen=True)
@@ -204,20 +212,12 @@ class EvalConfig:
             raise ConfigurationError("need at least one evaluation episode")
         if self.profile_episodes < 1:
             raise ConfigurationError("profile_episodes must be >= 1")
-        if self.attack_t_start < 0 or self.attack_drift_duration < 1:
-            raise ConfigurationError("invalid attack schedule")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Top-level config: one object drives train, profile, run, and eval."""
-
-    master_seed: int = 0
-    gnss: GnssConfig = field(default_factory=GnssConfig)
-    env: EnvConfig = field(default_factory=EnvConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
-    detectors: DetectorConfig = field(default_factory=DetectorConfig)
-    eval: EvalConfig = field(default_factory=EvalConfig)
+        if self.attack_t_start < 1:
+            # the reset's fix is never spoofed
+            raise ConfigurationError(
+                f"attack_t_start must be >= 1, got {self.attack_t_start}")
+        if self.attack_drift_duration < 1:
+            raise ConfigurationError("attack_drift_duration must be >= 1")
 
 
 @functools.cache
@@ -292,26 +292,6 @@ def _decode(kind, value, key: str):
     return value
 
 
-def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Parse a config document, rejecting unknown keys, bad types and bad schema."""
-    if not isinstance(doc, dict):
-        raise ConfigurationError("config document must be a JSON object")
-    schema = doc.get("schema")
-    if schema != CONFIG_SCHEMA:
-        raise ConfigurationError(
-            f"config schema must be {CONFIG_SCHEMA!r}, got {schema!r}"
-        )
-    try:
-        return from_json(ExperimentConfig,
-                         {k: v for k, v in doc.items() if k != "schema"})
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"config: {exc}") from None
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {"schema": CONFIG_SCHEMA, **to_json(cfg)}
-
-
 def _fmt(x) -> str:
     """Shortest round-trip text of a float; every CSV artifact uses it."""
     return repr(float(x))
@@ -332,27 +312,73 @@ def write_json(doc: dict, path) -> None:
     _write_chunks(path, [json.dumps(doc, indent=2, sort_keys=True), "\n"])
 
 
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig()
+def read_document(path, schema: str, read, hint: str = ""):
+    """`read(doc)` of the JSON object at `path`, its schema checked and dropped.
 
-
-def load_config(path) -> ExperimentConfig:
+    A file that cannot be read as UTF-8 JSON, a wrong schema, and a missing
+    key or a bad value that `read` raises as KeyError, TypeError or
+    ValueError, are each a ConfigurationError naming the file and ending in
+    `hint`, the rerun that rewrites it if any.
+    """
+    hint = f" {hint}" if hint else ""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigurationError(f"config file not found: {path}")
-    except OSError as exc:
-        raise ConfigurationError(f"config file {path} cannot be read: {exc}")
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"config file {path} is not UTF-8 text: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config file {path} is not valid JSON: {exc}")
-    return config_from_dict(doc)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read {path} as UTF-8 JSON: {exc}{hint}")
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{path} is not a JSON object{hint}")
+    if doc.get("schema") != schema:
+        raise ConfigurationError(
+            f"{path} has schema {doc.get('schema')!r}, expected {schema!r}{hint}"
+        )
+    try:
+        return read({key: value for key, value in doc.items() if key != "schema"})
+    except KeyError as exc:
+        raise ConfigurationError(f"{path} has no {exc.args[0]!r}{hint}")
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: bad value ({exc}){hint}")
 
 
-def save_config(cfg: ExperimentConfig, path) -> None:
-    write_json(config_to_dict(cfg), path)
+class _JsonDocument:
+    """A dataclass kept as one JSON document: its fields plus "schema": SCHEMA.
+    A bad file's error ends in HINT, the rerun that rewrites it if any."""
+
+    SCHEMA = ""
+    HINT = ""
+
+    def to_dict(self) -> dict:
+        return {"schema": self.SCHEMA, **to_json(self)}
+
+    def save(self, path) -> None:
+        write_json(self.to_dict(), path)
+
+    @classmethod
+    def load(cls, path):
+        return read_document(path, cls.SCHEMA, lambda doc: from_json(cls, doc),
+                             cls.HINT)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig(_JsonDocument):
+    """Top-level config: one object drives train, profile, run, and eval."""
+
+    SCHEMA = CONFIG_SCHEMA
+
+    master_seed: int = 0
+    gnss: GnssConfig = field(default_factory=GnssConfig)
+    env: EnvConfig = field(default_factory=EnvConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    detectors: DetectorConfig = field(default_factory=DetectorConfig)
+    eval: EvalConfig = field(default_factory=EvalConfig)
+
+    def __post_init__(self):
+        _check_seed("master_seed", self.master_seed)
+
+
+def load_config(path) -> ExperimentConfig:
+    """`ExperimentConfig.load`, under the name perfbench/worker.py imports."""
+    return ExperimentConfig.load(path)
 
 
 def canonical_json(doc: dict) -> str:
@@ -361,5 +387,5 @@ def canonical_json(doc: dict) -> str:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    digest = hashlib.sha256(canonical_json(config_to_dict(cfg)).encode("utf-8"))
+    digest = hashlib.sha256(canonical_json(cfg.to_dict()).encode("utf-8"))
     return digest.hexdigest()

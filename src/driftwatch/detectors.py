@@ -14,7 +14,6 @@ scored by reconstruction error.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import DetectorConfig, from_json, to_json, write_json
+from .config import DetectorConfig, _JsonDocument
 from .errors import ConfigurationError, InsufficientDataError
 from .gnss import PvtSolution
 from .nets import Adam, Mlp, load_npz, save_npz
@@ -41,49 +40,7 @@ _FP_BUDGET = 0.05
 _TAU_GRID = range(1, 13)
 
 
-_RERUN = "(rerun `driftwatch profile`)"
-
-
-def read_document(path, schema: str, read):
-    """`read(doc)` of the JSON object at `path`, its schema checked and dropped.
-
-    An unreadable file, a wrong schema, and a missing key or a bad value
-    that `read` raises as KeyError, TypeError or ValueError, are each a
-    ConfigurationError naming the file and the rerun that rewrites it.
-    """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ConfigurationError(f"cannot read {path}: {exc} {_RERUN}")
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"{path} is not a JSON object {_RERUN}")
-    if doc.get("schema") != schema:
-        raise ConfigurationError(
-            f"{path} has schema {doc.get('schema')!r}, expected {schema!r} {_RERUN}"
-        )
-    try:
-        return read({key: value for key, value in doc.items() if key != "schema"})
-    except KeyError as exc:
-        raise ConfigurationError(f"{path} has no {exc.args[0]!r} {_RERUN}")
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{path}: bad value ({exc}) {_RERUN}")
-
-
-class _JsonDocument:
-    """A dataclass kept as one JSON document: its fields plus "schema": SCHEMA."""
-
-    SCHEMA = ""
-
-    def to_dict(self) -> dict:
-        return {"schema": self.SCHEMA, **to_json(self)}
-
-    def save(self, path) -> None:
-        write_json(self.to_dict(), path)
-
-    @classmethod
-    def load(cls, path):
-        return read_document(path, cls.SCHEMA, lambda doc: from_json(cls, doc))
+RERUN_PROFILE = "(rerun `driftwatch profile`)"
 
 
 @dataclass(frozen=True)
@@ -95,6 +52,7 @@ class NominalProfile(_JsonDocument):
     """
 
     SCHEMA = PROFILE_SCHEMA
+    HINT = RERUN_PROFILE
 
     mu0: float
     sigma0_sq: float
@@ -130,6 +88,7 @@ class AgeProfile(_JsonDocument):
     """
 
     SCHEMA = AGE_PROFILE_SCHEMA
+    HINT = RERUN_PROFILE
 
     means: tuple[float, ...]
     variances: tuple[float, ...]

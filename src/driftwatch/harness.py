@@ -31,11 +31,13 @@ from .config import (
     _write_chunks,
     canonical_json,
     from_json,
+    read_document,
     to_json,
     write_json,
 )
 from .ddpg import _TAG_MEAS, Agent, _derive_seed
 from .detectors import (
+    RERUN_PROFILE,
     AgeProfile,
     NominalProfile,
     PageHinkley,
@@ -47,7 +49,6 @@ from .detectors import (
     calibrate_tau,
     fit_age_profile,
     fit_nominal_profile,
-    read_document,
     window_ae_score,
     window_ae_train,
 )
@@ -180,7 +181,7 @@ class DetectorBank(_BankParameters):
                 documents[name] = _BANK_FILES[name][1].load(bank_dir / file)
             return cls(**vars(numbers), **documents)
 
-        return read_document(bank_path, BANK_SCHEMA, read)
+        return read_document(bank_path, BANK_SCHEMA, read, RERUN_PROFILE)
 
 
 class EpisodeDetectors:

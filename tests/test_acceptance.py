@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from driftwatch.cli import main
-from driftwatch.config import default_config, save_config
+from driftwatch.config import ExperimentConfig
 from driftwatch.ddpg import train
 from driftwatch.detectors import (
     AgeProfile,
@@ -42,7 +42,7 @@ def report(criterion, ok, detail):
 
 @pytest.fixture(scope="session")
 def pipeline():
-    cfg = default_config()
+    cfg = ExperimentConfig()
     constellation = constellation_from_config(cfg.gnss)
     t0 = time.perf_counter()
     agent, history = train(cfg, 0)
@@ -277,7 +277,7 @@ def test_criterion_08_comparative_detection(pipeline):
 
 
 def test_criterion_09_cli_determinism(tmp_path):
-    base = default_config()
+    base = ExperimentConfig()
     tiny = dataclasses.replace(
         base,
         master_seed=5,
@@ -292,7 +292,7 @@ def test_criterion_09_cli_determinism(tmp_path):
                                  attack_drift_duration=5),
     )
     cfg_path = tmp_path / "tiny.json"
-    save_config(tiny, cfg_path)
+    tiny.save(cfg_path)
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from driftwatch.cli import main
-from driftwatch.config import config_to_dict, default_config, save_config
+from driftwatch.config import ExperimentConfig
 
 
 def tiny_config():
-    base = default_config()
+    base = ExperimentConfig()
     return dataclasses.replace(
         base,
         master_seed=5,
@@ -40,7 +40,7 @@ def tiny_config():
 @pytest.fixture(scope="module")
 def cfg_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "tiny.json"
-    save_config(tiny_config(), path)
+    tiny_config().save(path)
     return path
 
 
@@ -94,7 +94,7 @@ class TestUsageErrors:
         assert err.startswith("error:") and str(path) in err and "UTF-8" in err
 
     def test_wrongly_typed_config_value_names_the_key(self, capsys, tmp_path):
-        doc = config_to_dict(tiny_config())
+        doc = tiny_config().to_dict()
         doc["detectors"]["calibrate_tau"] = "false"
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -102,6 +102,39 @@ class TestUsageErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "detectors.calibrate_tau" in err
+
+    @pytest.mark.parametrize("command", ["profile", "run"])
+    def test_negative_seed_flag_exits_with_error(self, capsys, tmp_path,
+                                                 cfg_path, chain, command):
+        """numpy's generators take only seeds >= 0: the flag is refused as
+        it is parsed, instead of ending in a numpy traceback."""
+        rc = main([command, "--config", str(cfg_path), "--seed", "-1",
+                   "--checkpoint", str(chain / "checkpoint.npz"),
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--seed" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("section, key, value", [
+        (None, "master_seed", -2),
+        ("gnss", "constellation_seed", -1),
+        ("eval", "attack_t_start", 0),
+    ])
+    def test_config_value_no_stage_can_run_exits_before_it(
+            self, capsys, tmp_path, chain, section, key, value):
+        doc = tiny_config().to_dict()
+        (doc if section is None else doc[section])[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["profile", "--config", str(path),
+                   "--checkpoint", str(chain / "checkpoint.npz"),
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err and key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "bank.json").exists()
 
     def test_missing_checkpoint_points_at_train(self, capsys, tmp_path):
         rc = main(["profile", "--out", str(tmp_path)])
@@ -222,7 +255,7 @@ class TestChainArtifacts:
         cfg = dataclasses.replace(cfg, detectors=dataclasses.replace(
             cfg.detectors, calibrate_tau=False, bocpd_tau=9))
         path = tmp_path / "fixed.json"
-        save_config(cfg, path)
+        cfg.save(path)
         capsys.readouterr()
         rc = main(["profile", "--config", str(path), "--seed", "5",
                    "--out", str(tmp_path),

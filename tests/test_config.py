@@ -1,4 +1,5 @@
-"""Config loading: schema, unknown keys, defaults, value types, stable hashes."""
+"""Config loading: schema, unknown keys, defaults, value types, stable hashes,
+and the one JSON document reader the config shares with the profiles."""
 
 import json
 from pathlib import Path
@@ -9,13 +10,13 @@ from driftwatch.config import (
     CONFIG_SCHEMA,
     DetectorConfig,
     EnvConfig,
-    config_from_dict,
+    EvalConfig,
+    ExperimentConfig,
+    GnssConfig,
     config_hash,
-    config_to_dict,
-    default_config,
     load_config,
-    save_config,
 )
+from driftwatch.detectors import AgeProfile, NominalProfile
 from driftwatch.errors import ConfigurationError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,36 +26,48 @@ def doc(**sections):
     return {"schema": CONFIG_SCHEMA, **sections}
 
 
-def test_default_round_trip(tmp_path):
+@pytest.fixture
+def load(tmp_path):
+    """Load a config document as a user does: written to a file first."""
     path = tmp_path / "cfg.json"
-    save_config(default_config(), path)
-    assert load_config(path) == default_config()
-    assert config_from_dict(config_to_dict(default_config())) == default_config()
+
+    def load(document):
+        path.write_text(json.dumps(document))
+        return load_config(path)
+
+    return load
+
+
+def test_default_round_trip(tmp_path, load):
+    path = tmp_path / "saved.json"
+    ExperimentConfig().save(path)
+    assert load_config(path) == ExperimentConfig()
+    assert load(ExperimentConfig().to_dict()) == ExperimentConfig()
 
 
 @pytest.mark.parametrize("schema", [None, "driftwatch-config-v0", 1])
-def test_schema_mismatch_rejected(schema):
+def test_schema_mismatch_rejected(schema, load):
     bad = doc()
     if schema is None:
         del bad["schema"]
     else:
         bad["schema"] = schema
     with pytest.raises(ConfigurationError, match="schema"):
-        config_from_dict(bad)
+        load(bad)
 
 
-def test_unknown_top_level_key_rejected():
+def test_unknown_top_level_key_rejected(load):
     with pytest.raises(ConfigurationError, match="unknown keys.*'seeds'"):
-        config_from_dict(doc(seeds=3))
+        load(doc(seeds=3))
 
 
-def test_unknown_section_key_rejected():
+def test_unknown_section_key_rejected(load):
     with pytest.raises(ConfigurationError, match=r"unknown keys.*'env\.speed'"):
-        config_from_dict(doc(env={"speed": 3.0}))
+        load(doc(env={"speed": 3.0}))
 
 
-def test_absent_section_takes_its_defaults():
-    cfg = config_from_dict(doc(env={"max_steps": 40}))
+def test_absent_section_takes_its_defaults(load):
+    cfg = load(doc(env={"max_steps": 40}))
     assert cfg.env == EnvConfig(max_steps=40)
     assert cfg.detectors == DetectorConfig()
     assert cfg.master_seed == 0
@@ -74,35 +87,57 @@ def test_absent_section_takes_its_defaults():
     ("train", "obs_scales", 1000.0),
     ("env", "bounds", None),
 ])
-def test_wrongly_typed_value_rejected(section, key, value):
+def test_wrongly_typed_value_rejected(section, key, value, load):
     with pytest.raises(ConfigurationError, match=f"{section}\\.{key}"):
-        config_from_dict(doc(**{section: {key: value}}))
+        load(doc(**{section: {key: value}}))
 
 
-def test_wrongly_typed_master_seed_and_section_rejected():
+def test_wrongly_typed_master_seed_and_section_rejected(load):
     with pytest.raises(ConfigurationError, match="master_seed"):
-        config_from_dict(doc(master_seed="0"))
+        load(doc(master_seed="0"))
     with pytest.raises(ConfigurationError, match="env"):
-        config_from_dict(doc(env=[]))
+        load(doc(env=[]))
 
 
-def test_out_of_range_value_names_its_section():
+def test_out_of_range_value_names_its_section(load):
     with pytest.raises(ConfigurationError, match="gnss: n_sats must be >= 4"):
-        config_from_dict(doc(gnss={"n_sats": 3}))
+        load(doc(gnss={"n_sats": 3}))
 
 
-def test_int_in_a_float_field_is_kept_as_an_int():
-    cfg = config_from_dict(doc(env={"dt": 1}, gnss={"noise_sigma": 2}))
+@pytest.mark.parametrize("document, message", [
+    (doc(master_seed=-2), "master_seed must be >= 0, got -2"),
+    (doc(gnss={"constellation_seed": -1}),
+     "gnss: constellation_seed must be >= 0, got -1"),
+    # the reset's fix is never spoofed
+    (doc(eval={"attack_t_start": 0}), "eval: attack_t_start must be >= 1, got 0"),
+])
+def test_value_no_stage_can_fly_rejected(document, message, load):
+    """numpy's generators take only seeds >= 0, and an attack needs an
+    onset after the reset: the config says so before any stage runs."""
+    with pytest.raises(ConfigurationError, match=message):
+        load(document)
+
+
+def test_seeds_and_onset_checked_when_built():
+    with pytest.raises(ConfigurationError, match="master_seed"):
+        ExperimentConfig(master_seed=-1)
+    with pytest.raises(ConfigurationError, match="constellation_seed"):
+        GnssConfig(constellation_seed=-1)
+    assert EvalConfig(attack_t_start=1).attack_t_start == 1
+
+
+def test_int_in_a_float_field_is_kept_as_an_int(load):
+    cfg = load(doc(env={"dt": 1}, gnss={"noise_sigma": 2}))
     assert cfg.env.dt == 1 and type(cfg.env.dt) is int
     assert type(cfg.gnss.noise_sigma) is int
     # the hash sees the value as written, so "dt": 1 and "dt": 1.0 differ
-    assert config_to_dict(cfg)["env"]["dt"] == 1
-    assert config_hash(cfg) != config_hash(config_from_dict(doc(
+    assert cfg.to_dict()["env"]["dt"] == 1
+    assert config_hash(cfg) != config_hash(load(doc(
         env={"dt": 1.0}, gnss={"noise_sigma": 2})))
 
 
-def test_tuple_fields_load_as_tuples():
-    cfg = config_from_dict(doc(env={"bounds": [900, 900.0, 250.0]}))
+def test_tuple_fields_load_as_tuples(load):
+    cfg = load(doc(env={"bounds": [900, 900.0, 250.0]}))
     assert cfg.env.bounds == (900, 900.0, 250.0)
     assert isinstance(cfg.env.bounds, tuple)
 
@@ -119,8 +154,56 @@ def test_tuple_fields_load_as_tuples():
     ("perfbench/configs/train_explore.json",
      "5ded17339ac7836e72d9717caeff58c36cca038bab83076f356a88ca365b1c0b"),
 ])
-def test_committed_config_hash_is_pinned(path, digest):
+def test_committed_config_hash_is_pinned(path, digest, load):
     cfg = load_config(ROOT / path)
     assert config_hash(cfg) == digest
-    again = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
+    again = load(json.loads(json.dumps(cfg.to_dict())))
     assert config_hash(again) == config_hash(cfg)
+
+
+DOCUMENTS = {
+    "config": ExperimentConfig(),
+    "profile": NominalProfile(mu0=1.0, sigma0_sq=0.5, n_samples=100),
+    "age_profile": AgeProfile(means=(1.0, 2.0), variances=(0.5, 0.5),
+                              noise_var=0.25, level_var=0.5, n_samples=200),
+}
+
+
+def _write_fault(path, document, fault):
+    saved = document.to_dict()
+    if fault == "not UTF-8":
+        path.write_bytes(json.dumps(saved).encode() + b" \xe9")
+    elif fault == "directory":
+        path.mkdir()
+    elif fault == "array":
+        path.write_text(json.dumps([saved]))
+    elif fault == "schema":
+        path.write_text(json.dumps({**saved, "schema": "driftwatch-other-v1"}))
+    else:
+        path.write_text(json.dumps({**saved, "extra": 1}))
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("not UTF-8", "as UTF-8 JSON: 'utf-8' codec can't decode"),
+    ("directory", "cannot read"),
+    ("array", "not a JSON object"),
+    ("schema", "has schema 'driftwatch-other-v1'"),
+    ("unknown key", "unknown keys ['extra']"),
+])
+@pytest.mark.parametrize("name", DOCUMENTS)
+def test_every_document_reads_its_faults_alike(tmp_path, name, fault,
+                                               message):
+    """The config and both profiles go through one reader: each fault is a
+    ConfigurationError naming the file, and only a file that `driftwatch
+    profile` writes tells the user to rerun it."""
+    document = DOCUMENTS[name]
+    path = tmp_path / f"{name}.json"
+    document.save(path)
+    assert type(document).load(path) == document
+    path.unlink()
+    _write_fault(path, document, fault)
+    with pytest.raises(ConfigurationError) as err:
+        type(document).load(path)
+    text = str(err.value)
+    assert str(path) in text and message in text
+    assert ("driftwatch profile" in text) == (name != "config")

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from driftwatch import cli
-from driftwatch.config import load_config, save_config
+from driftwatch.config import ExperimentConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -37,7 +37,7 @@ def perfbench():
 def tiny_config(workloads):
     """The benchmark's train config, where no episode can end before
     `max_steps` (see workloads.py), shrunk to a few seconds' work."""
-    base = load_config(workloads.CONFIGS / "train.json")
+    base = ExperimentConfig.load(workloads.CONFIGS / "train.json")
     return dataclasses.replace(
         base,
         train=dataclasses.replace(base.train, episodes=3, warmup_episodes=1,
@@ -55,7 +55,7 @@ def traced_chain(perfbench, tmp_path_factory):
     tracer_mod, workloads = perfbench
     tmp = tmp_path_factory.mktemp("traced")
     cfg = tiny_config(workloads)
-    save_config(cfg, tmp / "tiny.json")
+    cfg.save(tmp / "tiny.json")
     out = tmp / "out"
     sites = tracer_mod.call_sites()
     originals = [(owner, attr, owner.__dict__[attr])
