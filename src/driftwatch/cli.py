@@ -127,7 +127,7 @@ def _cmd_run(cfg: ExperimentConfig, seed: int, out: Path, args) -> int:
     agent = _load_agent(args.checkpoint, out)
     bank = DetectorBank.load(out) if (out / "bank.json").exists() else None
     attack = eval_attack(cfg.eval) if args.attack else None
-    [log] = run_episode(agent, cfg, [(attack, seed)])
+    [log] = run_episode(agent, cfg, [(attack, seed)], trace=True)
     if bank is not None:
         bank.score([log])
     out.mkdir(parents=True, exist_ok=True)

@@ -43,6 +43,11 @@ def _positive(name: str, value: float) -> None:
         raise ConfigurationError(f"{name} must be > 0, got {value}")
 
 
+def _at_least(name: str, value: int, lo: int) -> None:
+    if value < lo:
+        raise ConfigurationError(f"{name} must be >= {lo}, got {value}")
+
+
 def _check_seed(name: str, seed: int) -> None:
     """numpy's generators take only seeds >= 0."""
     if seed < 0:
@@ -140,6 +145,16 @@ class TrainConfig:
             raise ConfigurationError("episodes >= 1 and warmup_episodes >= 0 required")
         if self.warmup_episodes >= self.episodes:
             raise ConfigurationError("warmup_episodes must be < episodes")
+        _at_least("batch_size", self.batch_size, 1)
+        if self.buffer_capacity < self.batch_size:
+            # the buffer would never hold a batch, so no update would run
+            raise ConfigurationError(
+                f"buffer_capacity must be >= batch_size ({self.batch_size}), "
+                f"got {self.buffer_capacity}")
+        if any(size < 1 for size in self.hidden):
+            raise ConfigurationError(f"hidden sizes must be >= 1, got {self.hidden}")
+        _positive("actor_lr", self.actor_lr)
+        _positive("critic_lr", self.critic_lr)
         if not 0 < self.gamma <= 1:
             raise ConfigurationError(f"gamma must be in (0,1], got {self.gamma}")
         if not 0 < self.tau <= 1:
@@ -192,8 +207,9 @@ class DetectorConfig:
         for name in ("ph_delta_scale", "ph_lambda_scale", "residual_k_sigma",
                      "residual_jump_margin", "ae_lr", "ae_threshold_stds"):
             _positive(name, getattr(self, name))
-        if self.ae_window < 4 or self.ae_bottleneck < 1 or self.ae_epochs < 1:
-            raise ConfigurationError("autoencoder sizes/epochs out of range")
+        for name, lo in (("ae_window", 4), ("ae_bottleneck", 1),
+                         ("ae_hidden", 1), ("ae_epochs", 1)):
+            _at_least(name, getattr(self, name), lo)
 
 
 @dataclass(frozen=True)
@@ -208,6 +224,8 @@ class EvalConfig:
     attack_target: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
+        _at_least("n_nominal", self.n_nominal, 0)
+        _at_least("n_attacked", self.n_attacked, 0)
         if self.n_nominal + self.n_attacked < 1:
             raise ConfigurationError("need at least one evaluation episode")
         if self.profile_episodes < 1:

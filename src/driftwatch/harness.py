@@ -8,13 +8,16 @@ episode's previous fix.  Episodes share no state and no random stream,
 so lockstep play changes no episode beyond the batched actor's
 round-off.  Each episode records its fixes' positions and RMS residuals,
 not the fixes, in 64-row chunks, and when it ends one critic forward
-values every (observation, action) pair it recorded.  No verdict feeds
-back into the controller, so the stage is scored after it is played:
-the changepoint and Page-Hinkley tests each step through the ages of
-every episode in one lockstep pass, one row per episode still running,
-and the residual test and one autoencoder forward score each episode's
-whole record.  Each logged row describes one decision point; the reward
-column is the return received for that row's action.
+values every (observation, action) pair it recorded.  Only `driftwatch
+run`, whose CSV writes it, keeps the per-step trace past that: true
+position, observation, action and reward.  A study stage's logs keep the
+value stream, the fixes and the attack schedule, which is all it scores.
+No verdict feeds back into the controller, so the stage is scored after
+it is played: the changepoint and Page-Hinkley tests each step through
+the ages of every episode in one lockstep pass, one row per episode
+still running, and the residual test and one autoencoder forward score
+each episode's whole record.  Each logged row describes one decision
+point; the reward column is the return received for that row's action.
 """
 
 from __future__ import annotations
@@ -233,20 +236,26 @@ def _lockstep(streams, start) -> list[list[np.ndarray]]:
 
 @dataclass
 class EpisodeLog:
-    """Column-oriented record of one episode, ready for CSV emission.
+    """Column-oriented record of one episode.
 
-    Row i is the decision point at world time t = i.
+    Row i is the decision point at world time t = i.  Every log holds what
+    the detectors score: the value stream, the fixes and the attack
+    schedule, then the flags and statistics.  The per-step trace (true
+    position, observation, action, reward breakdown) is kept only when the
+    episode was played with `run_episode(..., trace=True)`, as `driftwatch
+    run` plays it for its CSV; the study stages' logs hold None there.
     """
 
     seed: int
     terminal_event: str
     attack: AttackConfig | None
-    true_pos: np.ndarray  # (n, 3)
+    true_pos: np.ndarray | None  # (n, 3), trace
     est_pos: np.ndarray  # (n, 3)
     residual_rms: np.ndarray  # (n,) RMS pseudorange residual of each fix
-    phi: np.ndarray  # (n, 9)
-    action: np.ndarray  # (n, 3)
-    rewards: np.ndarray  # (n, 4): collision, threat, goal_seek, total
+    phi: np.ndarray | None  # (n, 9), trace
+    action: np.ndarray | None  # (n, 3), trace
+    # (n, 4), trace: collision, threat, goal_seek, total
+    rewards: np.ndarray | None
     q: np.ndarray  # (n,)
     alpha: np.ndarray  # (n,)
     flags: np.ndarray  # (n, len(DETECTOR_ORDER)) bool
@@ -297,32 +306,43 @@ class _Flight:
         self.chunks[-1][k] = row
         self.n += 1
 
-    def log(self, agent: Agent) -> EpisodeLog:
-        """The finished episode's log: its record, valued in one critic pass."""
+    def log(self, agent: Agent, trace: bool) -> EpisodeLog:
+        """The finished episode's log: its record, valued in one critic pass.
+
+        Without `trace` the log keeps copies of the fix columns alone, so
+        the record is freed."""
         n = self.n
         last = n - _CHUNK * (len(self.chunks) - 1)
         rec = np.concatenate(self.chunks[:-1] + [self.chunks[-1][:last]])
         self.chunks = []
         phi, action = rec[:, _PHI], rec[:, _ACT]
-        flags = np.zeros((n, len(DETECTOR_ORDER)), dtype=bool)
+        q = agent.q_value(phi, action)
+        if trace:
+            true_pos, rewards = rec[:, _TRUE], rec[:, _REW]
+            est_pos, rms = rec[:, _EST], rec[:, _RMS]
+        else:
+            true_pos = phi = action = rewards = None
+            est_pos, rms = rec[:, _EST].copy(), rec[:, _RMS].copy()
         alpha = np.zeros(n)
         if self.attack is not None:
             for t in range(n):
                 alpha[t] = attack_alpha(t, self.attack) or 0.0
+        # read-only views of one value, which DetectorBank.score replaces
+        shape = (n, len(DETECTOR_ORDER))
         return EpisodeLog(
             seed=self.seed,
             terminal_event=self.event,
             attack=self.attack,
-            true_pos=rec[:, _TRUE],
-            est_pos=rec[:, _EST],
-            residual_rms=rec[:, _RMS],
+            true_pos=true_pos,
+            est_pos=est_pos,
+            residual_rms=rms,
             phi=phi,
             action=action,
-            rewards=rec[:, _REW],
-            q=agent.q_value(phi, action),
+            rewards=rewards,
+            q=q,
             alpha=alpha,
-            flags=flags,
-            stats=np.full(flags.shape, np.nan),
+            flags=np.broadcast_to(False, shape),
+            stats=np.broadcast_to(np.nan, shape),
         )
 
 
@@ -330,6 +350,7 @@ def run_episode(
     agent: Agent,
     cfg: ExperimentConfig,
     episodes: list[tuple[AttackConfig | None, int]],
+    trace: bool = False,
 ) -> list[EpisodeLog]:
     """Play a stage's episodes in lockstep with the greedy policy; value them.
 
@@ -346,8 +367,15 @@ def run_episode(
     ends, one critic forward values every recorded decision.  Episodes
     neither share state nor draw from a common stream, so each plays as it
     would alone, up to the round-off of the batched actor.  Returns one log
-    per episode, in the order given, with flags False and statistics NaN for
-    `DetectorBank.score`; a lone episode (`driftwatch run`) is B = 1.
+    per episode, in the order given, with flags False and statistics NaN,
+    read-only, for `DetectorBank.score`; a lone episode (`driftwatch run`) is B = 1.
+
+    `trace` keeps each log's per-step trace: true positions, observations,
+    actions and reward breakdowns.  Its two callers need different records:
+    `driftwatch run` asks for the trace, since its CSV writes it, while
+    `profile_pipeline` and `evaluate` keep only what they score (the value
+    stream, the fixes and the attack schedule): 48 bytes a step until it
+    is scored, where a traced log holds 200.
 
     Row i records the decision point at world time t=i: the fix and
     observation there, the action and critic value chosen, and the reward
@@ -386,14 +414,19 @@ def run_episode(
         for f, row in zip(running, rows):
             f.record(row)
             if f.event:
-                logs[f.index] = f.log(agent)
+                logs[f.index] = f.log(agent, trace)
         running = [f for f in running if not f.event]
     return logs
 
 
 def write_episode_csv(log: EpisodeLog, path, config_hash: str) -> None:
     """Stable-order CSV with # metadata header lines, written row by row;
-    `config_hash` names the config the episode was played with."""
+    `config_hash` names the config the episode was played with.  The log
+    must hold its per-step trace (`run_episode(..., trace=True)`)."""
+    if log.true_pos is None:
+        raise ConfigurationError(
+            f"episode {log.seed} was played without its per-step trace; "
+            "play it with run_episode(..., trace=True) to write its CSV")
     attack_doc = "none" if log.attack is None else canonical_json(to_json(log.attack))
     header = "\n".join([
         f"# schema: {EPISODE_SCHEMA}",
@@ -493,14 +526,14 @@ def profile_pipeline(
     """Fit every detector on attack-free runs and freeze the thresholds.
 
     Reads the env, gnss, detectors and eval sections of `cfg`.  Returns
-    the bank plus diagnostics (profile episode logs, AE training curve,
-    calibration outcome).  Uses its own seed stream so profiling data
-    never overlaps evaluation episodes.  The run-length threshold is
-    calibrated leave-one-out: each profile stream is scored against an age
-    profile fitted on the other streams, as an unseen flight would be.
-    The held-out streams are scored in one lockstep pass of
-    `EpisodeDetectors`, one prior per row, as `DetectorBank.score` scores
-    a stage.
+    the bank plus diagnostics (profile episode logs, without their
+    per-step trace; AE training curve; calibration outcome).  Uses its own
+    seed stream so profiling data never overlaps evaluation episodes.  The
+    run-length threshold is calibrated leave-one-out: each profile stream
+    is scored against an age profile fitted on the other streams, as an
+    unseen flight would be.  The held-out streams are scored in one
+    lockstep pass of `EpisodeDetectors`, one prior per row, as
+    `DetectorBank.score` scores a stage.
     """
     det_cfg = cfg.detectors
     seeds = [_derive_seed(master_seed, _TAG_PROFILE, i)
@@ -570,8 +603,8 @@ def evaluate(
     """Score the frozen bank on fresh nominal and attacked episodes.
 
     Reads the env, gnss and eval sections of `cfg`.  Every episode is
-    played in one lockstep rollout (`run_episode`); then one
-    `DetectorBank.score` pass scores them all.
+    played in one lockstep rollout (`run_episode`), its per-step trace not
+    kept; then one `DetectorBank.score` pass scores them all.
     """
     eval_cfg = cfg.eval
     episodes = [

@@ -11,6 +11,7 @@ import shutil
 import numpy as np
 import pytest
 
+from driftwatch import cli
 from driftwatch.cli import main
 from driftwatch.config import ExperimentConfig
 
@@ -120,6 +121,12 @@ class TestUsageErrors:
         (None, "master_seed", -2),
         ("gnss", "constellation_seed", -1),
         ("eval", "attack_t_start", 0),
+        ("train", "batch_size", 0),
+        ("train", "buffer_capacity", 8),
+        ("train", "hidden", [0, 16]),
+        ("train", "actor_lr", -1e-3),
+        ("detectors", "ae_hidden", 0),
+        ("eval", "n_nominal", -1),
     ])
     def test_config_value_no_stage_can_run_exits_before_it(
             self, capsys, tmp_path, chain, section, key, value):
@@ -246,6 +253,25 @@ class TestChainArtifacts:
         assert attacked.exists()
         header_meta = attacked.read_text().splitlines()[:6]
         assert any("t_start" in ln for ln in header_meta)
+
+    def test_run_keeps_the_per_step_trace(self, cfg_path, chain, monkeypatch,
+                                          tmp_path):
+        """`run` plays its episode with the per-step trace its CSV writes,
+        where the study stages keep none."""
+        logs = []
+        write = cli.write_episode_csv
+        monkeypatch.setattr(cli, "write_episode_csv",
+                            lambda log, *args: logs.append(log) or write(log, *args))
+        rc = main(["run", "--config", str(cfg_path), "--seed", "3", "--attack",
+                   "--checkpoint", str(chain / "checkpoint.npz"),
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        [log] = logs
+        n = log.n_steps
+        for name, width in (("true_pos", 3), ("phi", 9), ("action", 3),
+                            ("rewards", 4)):
+            assert getattr(log, name).shape == (n, width), name
+            assert np.isfinite(getattr(log, name)).all(), name
 
 
     def test_profile_with_a_fixed_threshold(self, chain, tmp_path, capsys):

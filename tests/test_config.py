@@ -110,10 +110,26 @@ def test_out_of_range_value_names_its_section(load):
      "gnss: constellation_seed must be >= 0, got -1"),
     # the reset's fix is never spoofed
     (doc(eval={"attack_t_start": 0}), "eval: attack_t_start must be >= 1, got 0"),
+    (doc(train={"batch_size": 0}), r"train: batch_size must be >= 1, got 0"),
+    (doc(train={"batch_size": 32, "buffer_capacity": 31}),
+     r"train: buffer_capacity must be >= batch_size \(32\), got 31"),
+    (doc(train={"hidden": [64, 0]}),
+     r"train: hidden sizes must be >= 1, got \(64, 0\)"),
+    (doc(train={"actor_lr": -1e-3}), "train: actor_lr must be > 0, got -0.001"),
+    (doc(train={"critic_lr": 0.0}), "train: critic_lr must be > 0, got 0.0"),
+    (doc(detectors={"ae_hidden": 0}), "detectors: ae_hidden must be >= 1, got 0"),
+    (doc(detectors={"ae_bottleneck": 0}),
+     "detectors: ae_bottleneck must be >= 1, got 0"),
+    (doc(eval={"n_nominal": -5, "n_attacked": 10}),
+     "eval: n_nominal must be >= 0, got -5"),
+    (doc(eval={"n_nominal": 3, "n_attacked": -1}),
+     "eval: n_attacked must be >= 0, got -1"),
 ])
 def test_value_no_stage_can_fly_rejected(document, message, load):
-    """numpy's generators take only seeds >= 0, and an attack needs an
-    onset after the reset: the config says so before any stage runs."""
+    """numpy's generators take only seeds >= 0, an attack needs an onset
+    after the reset, a net a unit in each layer, a training update a full
+    batch and a descent step a positive rate, and an episode count is never
+    negative: the config says so before any stage runs."""
     with pytest.raises(ConfigurationError, match=message):
         load(document)
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -49,9 +50,9 @@ from scoring_oracles import (
 
 
 def play(agent, cfg, attack, bank, seed) -> EpisodeLog:
-    """One episode played alone (the one-row stage), scored by `bank` if
-    given."""
-    [log] = run_episode(agent, cfg, [(attack, seed)])
+    """One episode played alone (the one-row stage) with its per-step trace,
+    as `driftwatch run` plays it, scored by `bank` if given."""
+    [log] = run_episode(agent, cfg, [(attack, seed)], trace=True)
     if bank is not None:
         bank.score([log])
     return log
@@ -244,6 +245,41 @@ class TestRunEpisode:
         assert header == ",".join(CSV_COLUMNS)
         assert len(lines) == len(meta) + 1 + log.n_steps
 
+    def test_trace_kept_only_when_asked(self, small_agent, mini_cfg,
+                                       synthetic_bank):
+        """Without `trace` a log keeps what the detectors score, bit for bit
+        what the traced log holds, and no per-step trace; until scored its
+        flags read False and its statistics NaN."""
+        attack = AttackConfig(t_start=10, drift_duration=15,
+                              target=(300.0, 200.0, 100.0), enabled=True)
+        episodes = [(attack if k % 2 else None, 20 + k) for k in range(4)]
+        traced = run_episode(small_agent, mini_cfg, episodes, trace=True)
+        bare = run_episode(small_agent, mini_cfg, episodes)
+        for log, want in zip(bare, traced):
+            n = want.n_steps
+            assert log.n_steps == n and log.terminal_event == want.terminal_event
+            assert want.true_pos.shape == want.action.shape == (n, 3)
+            assert want.phi.shape == (n, 9) and want.rewards.shape == (n, 4)
+            assert (log.true_pos, log.phi, log.action, log.rewards) == (None,) * 4
+            for name in ("est_pos", "residual_rms", "q", "alpha"):
+                assert (getattr(log, name).tobytes()
+                        == getattr(want, name).tobytes()), name
+            assert log.flags.shape == log.stats.shape == (n, len(DETECTOR_ORDER))
+            assert not log.flags.any() and np.isnan(log.stats).all()
+        synthetic_bank.score(bare)
+        synthetic_bank.score(traced)
+        for log, want in zip(bare, traced):
+            assert log.flags.tobytes() == want.flags.tobytes()
+            assert log.stats.tobytes() == want.stats.tobytes()
+
+    def test_csv_needs_the_trace(self, small_agent, mini_cfg, tmp_path):
+        [log] = run_episode(small_agent, mini_cfg, [(None, 7)])
+        path = tmp_path / "episode.csv"
+        with pytest.raises(ConfigurationError,
+                           match="episode 7 was played without its per-step trace"):
+            write_episode_csv(log, path, "h")
+        assert not path.exists()
+
     def test_onset_zero_rejected(self, small_agent, mini_cfg):
         bad = AttackConfig(t_start=0, drift_duration=5, enabled=True)
         with pytest.raises(ConfigurationError):
@@ -350,9 +386,10 @@ class TestRunEpisode:
         attack = AttackConfig(t_start=10, drift_duration=15,
                               target=(300.0, 200.0, 100.0), enabled=True)
         episodes = [(attack if k % 3 == 0 else None, 50 + k) for k in range(12)]
-        forward = run_episode(small_agent, mini_cfg, episodes)
-        backward = run_episode(small_agent, mini_cfg, episodes[::-1])[::-1]
-        alone = [run_episode(small_agent, mini_cfg, [episode])[0]
+        forward = run_episode(small_agent, mini_cfg, episodes, trace=True)
+        backward = run_episode(small_agent, mini_cfg, episodes[::-1],
+                               trace=True)[::-1]
+        alone = [run_episode(small_agent, mini_cfg, [episode], trace=True)[0]
                  for episode in episodes]
         assert len({log.n_steps for log in alone}) > 1  # rows drop out
         for logs in (forward, backward, alone):
@@ -744,6 +781,46 @@ class TestPipelines:
             assert 0.0 <= m["false_positive_rate"]["mean"] <= 1.0
             assert 0.0 <= m["false_negative_rate"]["mean"] <= 1.0
         assert json.loads(json.dumps(metrics)) == metrics
+
+    def test_stage_logs_keep_no_trace(self, pipeline, small_agent):
+        bank, diag, cfg = pipeline
+        _, logs = evaluate(small_agent, cfg, bank, 5)
+        for log in diag["profile_logs"] + logs:
+            assert (log.true_pos, log.phi, log.action, log.rewards) == (None,) * 4
+            n = log.n_steps
+            assert log.est_pos.shape == (n, 3)
+            assert log.residual_rms.shape == log.alpha.shape == (n,)
+
+    def test_stage_logs_retain_few_bytes_a_step(self, small_agent):
+        """A stage's logs keep the value stream, the fixes' positions and
+        RMS residuals and the attack schedule: 48 bytes a step, and 84 once
+        scored.  Each step's trace would add 152 (true position, observation,
+        action, reward breakdown), so a traced log holds 200, and 236 once
+        scored.  The bound is half of that, with room for the arrays' and
+        the logs' own objects; it counts what freeing the logs gives back."""
+        cfg = ExperimentConfig(
+            detectors=DetectorConfig(ae_window=16, ae_epochs=5),
+            eval=EvalConfig(n_nominal=4, n_attacked=4, profile_episodes=8,
+                            attack_t_start=10, attack_drift_duration=5))
+
+        def retained(stage):
+            tracemalloc.start()
+            try:
+                logs = stage()
+                steps = sum(log.n_steps for log in logs)
+                held = tracemalloc.get_traced_memory()[0]
+                del logs
+                return (held - tracemalloc.get_traced_memory()[0]) / steps
+            finally:
+                tracemalloc.stop()
+
+        bank, _ = profile_pipeline(small_agent, cfg, 11)
+        per_step = {
+            "profile": retained(lambda: profile_pipeline(
+                small_agent, cfg, 11)[1].pop("profile_logs")),
+            "eval": retained(lambda: evaluate(small_agent, cfg, bank, 5)[1]),
+        }
+        assert max(per_step.values()) < 236 / 2, per_step
 
     def test_calibration_scores_each_stream_as_if_alone(
         self, pipeline, small_agent, monkeypatch
