@@ -18,7 +18,7 @@ distance.  Second part: a full episode flown with fixed gains.
 import numpy as np
 
 from driftwatch.config import ExperimentConfig
-from driftwatch.env import env_reset, flow_field_matrices, step_dynamics
+from driftwatch.env import env_reset, modulation_matrix, step_dynamics
 from driftwatch.gnss import constellation_from_config
 
 rho0, sigma0, theta = 1.5, 1.5, 0.0
@@ -31,8 +31,7 @@ print(f"  {'distance (m)':>13}  {'gamma':>6}  {'w_rep':>6}  modulated velocity (
 for dist in (300.0, 180.0, 120.0, 90.0, 70.0, 61.0):
     pos = np.array([dist, 0.0, 0.0])
     v = np.array([-10.0, 0.0, 0.0])  # straight at the center
-    m_rep, m_tan = flow_field_matrices(pos, obstacle, radius, action)
-    out = (np.eye(3) + m_rep + m_tan) @ v
+    out = modulation_matrix(pos, obstacle, radius, action) @ v
     gamma = (dist / radius) ** 2
     w_rep = 1.0 if gamma <= 1.0 else np.exp((1.0 - gamma) / rho0)
     print(f"  {dist:>13.0f}  {gamma:>6.1f}  {w_rep:>6.3f}"

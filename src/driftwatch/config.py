@@ -153,6 +153,10 @@ class TrainConfig:
                 f"got {self.buffer_capacity}")
         if any(size < 1 for size in self.hidden):
             raise ConfigurationError(f"hidden sizes must be >= 1, got {self.hidden}")
+        for name in ("noise_start", "noise_end"):
+            # Agent.act skips noise at a scale <= 0, so a negative one
+            # would train without exploration noise and say nothing
+            _at_least(name, getattr(self, name), 0)
         _positive("actor_lr", self.actor_lr)
         _positive("critic_lr", self.critic_lr)
         if not 0 < self.gamma <= 1:
@@ -392,6 +396,12 @@ class ExperimentConfig(_JsonDocument):
 
     def __post_init__(self):
         _check_seed("master_seed", self.master_seed)
+        if self.detectors.calibrate_tau and self.eval.profile_episodes < 3:
+            # each held-out stream is scored on a profile of the others
+            raise ConfigurationError(
+                "eval.profile_episodes must be >= 3 when detectors.calibrate_tau"
+                f" is true (leave-one-out tau calibration), got"
+                f" {self.eval.profile_episodes}")
 
 
 def load_config(path) -> ExperimentConfig:

@@ -18,14 +18,14 @@ numpy stays wherever the bits come from a kernel Python does not
 reproduce: every dot product and norm (OpenBLAS's `ddot`, a chain of fused
 multiply-adds), the 3x3 matrix-vector product, and `exp`, `cos`, `sin`
 and `arctan2` (numpy's float64 routines, which can differ from libm's).
-The flow field's entries are formed as floats once: `flow_field_matrices`
-makes its two matrices of them, and the step adds them to the identity
-entry by entry, (I + M_rep) + M_tan as numpy would, into the one
-modulation matrix its matrix-vector product reads.  A step validates the
-new state once, and `|goal - start|` is computed once per episode, when
-its WorldState is built.  The next state and the reward breakdown are
-built without the frozen dataclasses' per-field `__init__`; both stay
-frozen, and the breakdown names the terminal event, timeout included.
+The flow field's entries are formed as floats once: `modulation_matrix`
+adds the repulsive and the tangential entries to the identity entry by
+entry, (I + M_rep) + M_tan as numpy would, into the one matrix the
+step's matrix-vector product reads.  A step validates the new state
+once, and `|goal - start|` is computed once per episode, when its
+WorldState is built.  The next state and the reward breakdown are built
+without the frozen dataclasses' per-field `__init__`; both stay frozen,
+and the breakdown names the terminal event, timeout included.
 """
 
 from __future__ import annotations
@@ -167,14 +167,22 @@ def _rodrigues(v, axis_unit, angle: float) -> tuple[float, float, float]:
             v2 * c + k2 * s + a2 * dv * (1.0 - c))
 
 
-def _flow_field_terms(
+def modulation_matrix(
     uav_pos: np.ndarray,
     obstacle_pos: np.ndarray,
     obstacle_radius: float,
     action: np.ndarray,
-) -> tuple[list[float], list[float]]:
-    """The nine entries of the repulsive and of the tangential modulation
-    matrix, row-major, as Python floats (see `flow_field_matrices`)."""
+) -> np.ndarray:
+    """I + M_rep + M_tan, the flow field around a spherical obstacle.
+
+    The obstacle distance field is Gamma = (||P - P_obs|| / r_obs)^2 with
+    outward normal n = grad Gamma.  The repulsive matrix M_rep cancels the
+    motion component along n (fully at the surface, exponentially weaker
+    with distance); the tangential matrix M_tan redirects that component
+    along a tangent chosen by rotating a reference tangent about n by
+    theta.  ``action`` is the in-bounds (rho0, sigma0, theta).  Each entry
+    is summed as numpy sums the three matrices, (I + M_rep) + M_tan.
+    """
     rho0, sigma0, theta = np.asarray(action, dtype=float).tolist()
     sep = np.asarray(uav_pos, dtype=float) - np.asarray(obstacle_pos, dtype=float)
     dist = _norm(sep)
@@ -201,38 +209,8 @@ def _flow_field_terms(
     n_arr = np.array(n)
     nn = float(n_arr.dot(n_arr))  # n @ n, the square of _norm(n)
     scale = _norm(np.array(tangent)) * math.sqrt(nn)
-    return ([-w_rep * (ni * nj) / nn for ni in n for nj in n],
-            [w_tan * (ti * nj) / scale for ti in tangent for nj in n])
-
-
-def flow_field_matrices(
-    uav_pos: np.ndarray,
-    obstacle_pos: np.ndarray,
-    obstacle_radius: float,
-    action: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Repulsive and tangential modulation matrices around a spherical obstacle.
-
-    The obstacle distance field is Gamma = (||P - P_obs|| / r_obs)^2 with
-    outward normal n = grad Gamma.  The repulsive matrix cancels the motion
-    component along n (fully at the surface, exponentially weaker with
-    distance); the tangential matrix redirects that component along a
-    tangent chosen by rotating a reference tangent about n by theta.
-    ``action`` is the in-bounds (rho0, sigma0, theta).
-    """
-    rep, tan = _flow_field_terms(uav_pos, obstacle_pos, obstacle_radius, action)
-    return np.array(rep).reshape(3, 3), np.array(tan).reshape(3, 3)
-
-
-def modulation_matrix(
-    uav_pos: np.ndarray,
-    obstacle_pos: np.ndarray,
-    obstacle_radius: float,
-    action: np.ndarray,
-) -> np.ndarray:
-    """I + M_rep + M_tan of `flow_field_matrices`, bit for bit: each entry
-    is summed as numpy sums the three matrices, (I + M_rep) + M_tan."""
-    rep, tan = _flow_field_terms(uav_pos, obstacle_pos, obstacle_radius, action)
+    rep = [-w_rep * (ni * nj) / nn for ni in n for nj in n]
+    tan = [w_tan * (ti * nj) / scale for ti in tangent for nj in n]
     return np.array([(e + r) + t for e, r, t in zip(_EYE, rep, tan)]).reshape(3, 3)
 
 
@@ -308,34 +286,23 @@ def step_dynamics(
     return world._advance([*new_pos, *motion, *obs_pos, *obs_vel])
 
 
-def _threat(
-    est_pos: np.ndarray, obstacle_pos: np.ndarray, obstacle_radius: float
-) -> list[float]:
-    """`threat_vector` as three floats."""
-    p_rel = np.asarray(obstacle_pos, float) - np.asarray(est_pos, float)
-    dist = _norm(p_rel)
-    clearance = dist - obstacle_radius
-    if dist < 1e-12:
-        return [clearance * 0.0] * 3  # unit() of a negligible vector is zero
-    return [clearance * (p / dist) for p in p_rel.tolist()]
-
-
-def threat_vector(
-    est_pos: np.ndarray, obstacle_pos: np.ndarray, obstacle_radius: float
-) -> np.ndarray:
-    """Signed surface-clearance scalar along the obstacle direction."""
-    return np.array(_threat(est_pos, obstacle_pos, obstacle_radius))
-
-
 def build_observation(pvt: PvtSolution, world: WorldState) -> np.ndarray:
-    """The finite 9-vector phi the policy sees, from the fix's position."""
+    """The finite 9-vector phi the policy sees, from the fix's position:
+    the signed surface clearance along the unit direction from the fix to
+    the obstacle, the goal minus the fix, and the obstacle's velocity."""
     if not pvt.converged:
         raise NotConvergedError(
             f"position solution did not converge "
             f"(residual norm {pvt.final_residual_norm:.3g})"
         )
     est = pvt.x[:3]
-    phi = _threat(est, world.obstacle_pos, world.obstacle_radius)
+    p_rel = world.obstacle_pos - est
+    dist = _norm(p_rel)
+    clearance = dist - world.obstacle_radius
+    if dist < 1e-12:
+        phi = [clearance * 0.0] * 3  # unit() of a negligible vector is zero
+    else:
+        phi = [clearance * (p / dist) for p in p_rel.tolist()]
     phi += [g - e for g, e in zip(world.goal.tolist(), est.tolist())]
     phi += world.obstacle_vel.tolist()
     if not all(map(math.isfinite, phi)):

@@ -56,7 +56,7 @@ from .detectors import (
     window_ae_train,
 )
 from .env import env_reset_full, env_step
-from .errors import ConfigurationError, InsufficientDataError
+from .errors import ConfigurationError
 from .gnss import constellation_from_config
 from .spoofing import AttackConfig, attack_alpha
 
@@ -545,10 +545,6 @@ def profile_pipeline(
     age_profile = fit_age_profile(q_streams, source_episodes=episodes)
 
     if det_cfg.calibrate_tau:
-        if len(q_streams) < 3:
-            raise InsufficientDataError(
-                "leave-one-out tau calibration needs >= 3 profile episodes"
-            )
         hats = _lockstep(q_streams, lambda order: EpisodeDetectors(
             [fit_age_profile(q_streams[:i] + q_streams[i + 1:]) for i in order],
             det_cfg.bocpd_hazard, det_cfg.bocpd_prune).update)

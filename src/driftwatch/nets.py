@@ -145,13 +145,6 @@ class Mlp:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def parameters(self) -> list[np.ndarray]:
-        """Views w0, b0, w1, b1, ... into `flat`."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        return out
-
     def _buffers(self, n: int):
         """(outputs, dL/dz) for n rows; a linear output layer has no dL/dz."""
         sizes = self.layer_sizes[1:]

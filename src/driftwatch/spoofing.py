@@ -19,11 +19,12 @@ from .gnss import Constellation, predicted_pseudoranges
 
 @dataclass(frozen=True)
 class AttackConfig:
-    """When the attack turns on and where it drags the victim."""
+    """When the attack turns on and where it drags the victim.  Its values
+    have no defaults here: `harness.eval_attack` builds it from EvalConfig's."""
 
-    t_start: int = 100
-    drift_duration: int = 50
-    target: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    t_start: int
+    drift_duration: int
+    target: tuple[float, float, float]
     enabled: bool = False
 
     def __post_init__(self):

@@ -15,26 +15,23 @@ from nets_oracles import reference_forward
 def numeric_param_grads(
     mlp: Mlp, x: np.ndarray, loss_weights: np.ndarray, h: float = 1e-5
 ) -> list[np.ndarray]:
-    """Central-difference gradients of L = sum(forward(x) * loss_weights).
+    """Central-difference gradients of L = sum(forward(x) * loss_weights),
+    one array per weight and bias as `split_like` cuts them; each entry of
+    `mlp.flat` is perturbed in turn.
 
     Test oracle only: O(n_params) forward passes.
     """
-    grads = []
-    for p in mlp.parameters():
-        g = np.zeros_like(p)
-        it = np.nditer(p, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = p[idx]
-            p[idx] = orig + h
-            lp = float(np.sum(mlp.forward(x) * loss_weights))
-            p[idx] = orig - h
-            lm = float(np.sum(mlp.forward(x) * loss_weights))
-            p[idx] = orig
-            g[idx] = (lp - lm) / (2.0 * h)
-            it.iternext()
-        grads.append(g)
-    return grads
+    flat = mlp.flat
+    grad = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        lp = float(np.sum(mlp.forward(x) * loss_weights))
+        flat[i] = orig - h
+        lm = float(np.sum(mlp.forward(x) * loss_weights))
+        flat[i] = orig
+        grad[i] = (lp - lm) / (2.0 * h)
+    return split_like(mlp, grad)
 
 
 def min_relu_preactivation_margin(mlp: Mlp, x: np.ndarray) -> float:
@@ -54,9 +51,11 @@ def min_relu_preactivation_margin(mlp: Mlp, x: np.ndarray) -> float:
 
 
 def split_like(mlp: Mlp, flat: np.ndarray) -> list[np.ndarray]:
-    """A flat gradient cut into arrays shaped like `mlp.parameters()`."""
+    """A vector laid out like `mlp.flat` cut into views shaped w0, b0, w1,
+    b1, ... like `mlp.weights` and `mlp.biases`."""
     out, off = [], 0
-    for p in mlp.parameters():
-        out.append(flat[off:off + p.size].reshape(p.shape))
-        off += p.size
+    for wb in zip(mlp.weights, mlp.biases):
+        for p in wb:
+            out.append(flat[off:off + p.size].reshape(p.shape))
+            off += p.size
     return out

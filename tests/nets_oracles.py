@@ -93,7 +93,7 @@ def reference_window_ae_train(streams, window=32, bottleneck=4, hidden=16,
     acts = ["relu", "linear", "relu", "linear"]
     init = Mlp([window, hidden, bottleneck, hidden, window], acts,
                np.random.default_rng(seed))
-    params = [p.copy() for p in init.parameters()]
+    params = [p.copy() for wb in zip(init.weights, init.biases) for p in wb]
     opt = ReferenceAdam(params, lr)
     curve = []
     for _ in range(epochs):

@@ -127,6 +127,8 @@ class TestUsageErrors:
         ("train", "actor_lr", -1e-3),
         ("detectors", "ae_hidden", 0),
         ("eval", "n_nominal", -1),
+        ("train", "noise_start", -0.3),
+        ("eval", "profile_episodes", 2),
     ])
     def test_config_value_no_stage_can_run_exits_before_it(
             self, capsys, tmp_path, chain, section, key, value):

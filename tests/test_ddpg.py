@@ -147,8 +147,7 @@ def test_act_noise_statistics():
 
 def test_q_value_zero_critic():
     agent = fresh_agent()
-    for p in agent.critic.parameters():
-        p *= 0.0
+    agent.critic.flat *= 0.0
     rng = np.random.default_rng(5)
     phi = rng.normal(scale=300.0, size=(10, 9))
     actions = rng.uniform(ACTION_LOW, ACTION_HIGH, size=(10, 3))
@@ -181,8 +180,7 @@ def test_replay_buffer_ring_and_sampling():
 def test_train_step_terminal_targets_equal_rewards():
     """With done=1 and a zeroed critic the TD loss is exactly mean(r^2)."""
     agent = fresh_agent()
-    for p in agent.critic.parameters():
-        p *= 0.0
+    agent.critic.flat *= 0.0
     rng = np.random.default_rng(8)
     b = 32
     batch = (
@@ -233,8 +231,7 @@ def test_train_is_deterministic_and_sized():
     agent2, hist2 = train(cfg, 5)
     assert len(hist1) == cfg.train.episodes
     assert hist1 == hist2
-    for p1, p2 in zip(agent1.actor.parameters(), agent2.actor.parameters()):
-        np.testing.assert_array_equal(p1, p2)
+    np.testing.assert_array_equal(agent1.actor.flat, agent2.actor.flat)
     _, hist3 = train(cfg, 6)
     assert hist1 != hist3
 
@@ -294,9 +291,8 @@ def test_checkpoint_round_trip(tmp_path):
     loaded = load_checkpoint(path)
     nets = ("actor", "critic", "target_actor", "target_critic")
     for name in nets:
-        for pa, pb in zip(getattr(agent, name).parameters(),
-                          getattr(loaded, name).parameters()):
-            np.testing.assert_array_equal(pa, pb)
+        np.testing.assert_array_equal(getattr(agent, name).flat,
+                                      getattr(loaded, name).flat)
     rng = np.random.default_rng(12)
     phi = rng.normal(scale=300.0, size=(5, 9))
     actions = rng.uniform(ACTION_LOW, ACTION_HIGH, size=(5, 3))

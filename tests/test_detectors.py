@@ -992,8 +992,7 @@ class TestWindowAutoencoder:
         model, curve, train_streams, _ = trained
         model2, curve2 = window_ae_train(train_streams, DetectorConfig(), 5)
         assert curve == curve2
-        for w1, w2 in zip(model.net.parameters(), model2.net.parameters()):
-            assert np.array_equal(w1, w2)
+        assert np.array_equal(model.net.flat, model2.net.flat)
         assert model.threshold == model2.threshold
 
     def test_save_load_round_trip(self, trained, tmp_path):

@@ -20,11 +20,9 @@ from driftwatch.env import (
     clip_action,
     env_reset,
     env_step,
-    flow_field_matrices,
     modulation_matrix,
     reward,
     step_dynamics,
-    threat_vector,
     unit,
 )
 from driftwatch.errors import (
@@ -118,26 +116,34 @@ def test_clip_action_matches_np_clip_row_by_row(rows):
 
 
 def test_flow_field_vanishes_far_away():
+    """Far away the field is the identity, and so is the oracle's sum."""
     a = action(1.0, 1.0, 0.0)
-    m_rep, m_tan = flow_field_matrices(
-        np.array([1e6, 0.0, 0.0]), np.zeros(3), 30.0, a
-    )
+    pos = np.array([1e6, 0.0, 0.0])
+    assert np.array_equal(modulation_matrix(pos, np.zeros(3), 30.0, a),
+                          np.eye(3))
+    m_rep, m_tan = reference_flow_field_matrices(pos, np.zeros(3), 30.0, a)
     assert np.linalg.norm(m_rep) < 1e-6
     assert np.linalg.norm(m_tan) < 1e-6
 
 
 def test_flow_field_cancels_normal_at_surface():
-    """At the obstacle surface the repulsive matrix removes the full normal."""
+    """At the obstacle surface the repulsive part removes the full normal,
+    and the tangential part re-aims it at the same length."""
     a = action(1.0, 1.0, 0.0)
     pos = np.array([30.0, 0.0, 0.0])
-    m_rep, _ = flow_field_matrices(pos, np.zeros(3), 30.0, a)
     n = 2.0 * pos / 30.0**2
+    m_rep, _ = reference_flow_field_matrices(pos, np.zeros(3), 30.0, a)
     np.testing.assert_allclose(m_rep @ n, -n, atol=1e-12)
     assert np.isclose(np.linalg.norm(m_rep @ n), np.linalg.norm(n))
+    out = modulation_matrix(pos, np.zeros(3), 30.0, a) @ n
+    assert abs(out @ n) < 1e-12
+    assert np.isclose(np.linalg.norm(out), np.linalg.norm(n))
 
 
 def test_flow_field_matrix_properties_sweep():
-    """M_rep symmetric NSD, M_tan maps the normal into the tangent plane."""
+    """M_rep symmetric NSD, M_tan maps the normal into the tangent plane:
+    properties of the oracle `modulation_matrix` sums bit for bit (see
+    test_step_dynamics_matches_reference_bit_for_bit)."""
     rng = np.random.default_rng(12)
     for _ in range(100):
         pos = rng.uniform(-200, 200, size=3)
@@ -146,7 +152,7 @@ def test_flow_field_matrix_properties_sweep():
             continue
         a = action(rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0),
                    rng.uniform(-np.pi, np.pi))
-        m_rep, m_tan = flow_field_matrices(pos, center, 30.0, a)
+        m_rep, m_tan = reference_flow_field_matrices(pos, center, 30.0, a)
         np.testing.assert_allclose(m_rep, m_rep.T, atol=1e-12)
         eigs = np.linalg.eigvalsh(m_rep)
         assert eigs.max() < 1e-12
@@ -159,16 +165,16 @@ def test_flow_field_theta_rotates_tangent():
     pos = np.array([100.0, 0.0, 0.0])
     outs = []
     for theta in (0.0, np.pi / 2):
-        _, m_tan = flow_field_matrices(pos, np.zeros(3), 60.0,
-                                       action(1.0, 1.0, theta))
-        outs.append(unit(m_tan @ np.array([1.0, 0.0, 0.0])))
+        m = modulation_matrix(pos, np.zeros(3), 60.0, action(1.0, 1.0, theta))
+        # the normal is +x: below the diagonal, column 0 is M_tan's alone
+        outs.append(unit(m[1:, 0]))
     # rotating the tangent reference by 90 degrees about +x swaps its direction
     assert abs(outs[0] @ outs[1]) < 1e-9
 
 
 def test_flow_field_degenerate():
     with pytest.raises(DegenerateGeometryError):
-        flow_field_matrices(np.zeros(3), np.zeros(3), 10.0, action(1, 1, 0))
+        modulation_matrix(np.zeros(3), np.zeros(3), 10.0, action(1, 1, 0))
 
 
 def test_straight_line_step_without_obstacle():
@@ -258,7 +264,8 @@ def test_obstacle_reflects_at_bounds():
 
 
 def test_threat_vector_matches_literal_formula():
-    """Cross-check the simplified clearance form against the raw expression."""
+    """Cross-check phi's threat vector, its first three entries, against the
+    raw expression."""
     rng = np.random.default_rng(8)
     for _ in range(50):
         est = rng.uniform(-300, 300, size=3)
@@ -266,7 +273,8 @@ def test_threat_vector_matches_literal_formula():
         r_obs = rng.uniform(5.0, 60.0)
         if np.linalg.norm(center - est) < 1e-6:
             continue
-        got = threat_vector(est, center, r_obs)
+        world = make_world(obstacle_pos=center, obstacle_radius=r_obs)
+        got = build_observation(exact_pvt(est), world)[:3]
         p_rel = center - est
         u = p_rel / np.linalg.norm(p_rel)
         scalar = p_rel @ (p_rel - r_obs * u) / np.linalg.norm(p_rel)
@@ -274,7 +282,8 @@ def test_threat_vector_matches_literal_formula():
 
 
 def test_threat_vector_worked_example():
-    got = threat_vector(np.zeros(3), np.array([60.0, 0.0, 0.0]), 30.0)
+    world = make_world(obstacle_pos=np.array([60.0, 0.0, 0.0]))
+    got = build_observation(exact_pvt(np.zeros(3)), world)[:3]
     np.testing.assert_allclose(got, np.array([30.0, 0.0, 0.0]), atol=1e-12)
 
 
@@ -283,10 +292,9 @@ def test_observation_layout():
     est_pos = np.array([10.0, 5.0, 95.0])
     obs = build_observation(exact_pvt(est_pos), world)
     assert obs.shape == (9,)
-    np.testing.assert_allclose(
-        obs[:3],
-        threat_vector(est_pos, world.obstacle_pos, world.obstacle_radius),
-    )
+    p_rel = world.obstacle_pos - est_pos
+    dist = np.linalg.norm(p_rel)
+    np.testing.assert_allclose(obs[:3], (dist - world.obstacle_radius) * p_rel / dist)
     np.testing.assert_allclose(obs[3:6], world.goal - est_pos)
     np.testing.assert_allclose(obs[6:9], world.obstacle_vel)
 
@@ -651,14 +659,11 @@ def test_step_dynamics_matches_reference_bit_for_bit():
     rng = np.random.default_rng(2024)
     for k in range(300):
         world, action, nav_pos = random_world(rng, k)
-        got_m = flow_field_matrices(nav_pos, world.obstacle_pos,
-                                    world.obstacle_radius, action)
-        ref_m = reference_flow_field_matrices(nav_pos, world.obstacle_pos,
-                                              world.obstacle_radius, action)
-        assert all(same_bits(g, r) for g, r in zip(got_m, ref_m))
+        ref_rep, ref_tan = reference_flow_field_matrices(
+            nav_pos, world.obstacle_pos, world.obstacle_radius, action)
         assert same_bits(modulation_matrix(nav_pos, world.obstacle_pos,
                                            world.obstacle_radius, action),
-                         np.eye(3) + got_m[0] + got_m[1])
+                         np.eye(3) + ref_rep + ref_tan)
         cfg = EnvConfig(cruise_speed=float(rng.choice([5.0, 10.0])))
         got = step_dynamics(world, action, nav_pos, cfg)
         ref = reference_step_dynamics(world, action, cfg.cruise_speed, nav_pos,
@@ -679,8 +684,7 @@ def test_reward_and_threat_match_reference_bit_for_bit():
         p_rel = world.obstacle_pos - est
         dist = np.linalg.norm(p_rel)
         expected = (dist - world.obstacle_radius) * (p_rel / dist)
-        assert same_bits(threat_vector(est, world.obstacle_pos,
-                                       world.obstacle_radius), expected)
+        assert same_bits(build_observation(exact_pvt(est), world)[:3], expected)
         rb = reward(world, ENV)
         d = float(np.linalg.norm(world.obstacle_pos - world.uav_pos_true))
         dist_goal = float(np.linalg.norm(world.goal - world.uav_pos_true))

@@ -111,7 +111,8 @@ def synthetic_log(n, onset=None, flag_rows=(), seed=1) -> EpisodeLog:
     attack = (
         None
         if onset is None
-        else AttackConfig(t_start=onset, drift_duration=5, enabled=True)
+        else AttackConfig(t_start=onset, drift_duration=5,
+                          target=(0.0, 0.0, 0.0), enabled=True)
     )
     return EpisodeLog(
         seed=seed,
@@ -198,7 +199,8 @@ class TestRunEpisode:
     ):
         logs = run_episode(
             small_agent, mini_cfg,
-            [(AttackConfig(enabled=False), seed) for seed in range(20)],
+            [(AttackConfig(t_start=100, drift_duration=50,
+                           target=(0.0, 0.0, 0.0)), seed) for seed in range(20)],
         )
         assert [log.seed for log in logs] == list(range(20))
         for log in logs:
@@ -223,7 +225,8 @@ class TestRunEpisode:
     def test_same_seed_gives_byte_identical_csv(
         self, small_agent, mini_cfg, tmp_path
     ):
-        attack = AttackConfig(t_start=10, drift_duration=5, enabled=True)
+        attack = AttackConfig(t_start=10, drift_duration=5,
+                              target=(0.0, 0.0, 0.0), enabled=True)
         paths = []
         for k in range(2):
             log = play(small_agent, mini_cfg, attack, None, 42)
@@ -281,7 +284,8 @@ class TestRunEpisode:
         assert not path.exists()
 
     def test_onset_zero_rejected(self, small_agent, mini_cfg):
-        bad = AttackConfig(t_start=0, drift_duration=5, enabled=True)
+        bad = AttackConfig(t_start=0, drift_duration=5,
+                           target=(0.0, 0.0, 0.0), enabled=True)
         with pytest.raises(ConfigurationError):
             play(small_agent, mini_cfg, bad, None, 1)
 
@@ -765,9 +769,7 @@ class TestPipelines:
         assert bank2.profile == bank.profile
         assert bank2.age_profile == bank.age_profile
         assert bank2.tau == bank.tau
-        for w1, w2 in zip(bank.ae.net.parameters(),
-                          bank2.ae.net.parameters()):
-            assert np.array_equal(w1, w2)
+        assert np.array_equal(bank.ae.net.flat, bank2.ae.net.flat)
 
     def test_evaluate_produces_metrics_and_logs(self, pipeline, small_agent):
         bank, _, cfg = pipeline

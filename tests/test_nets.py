@@ -139,8 +139,7 @@ def test_final_init_scale_shrinks_output_layer():
 def test_init_determinism():
     a = Mlp([5, 7, 2], ["relu", "linear"], np.random.default_rng(9))
     b = Mlp([5, 7, 2], ["relu", "linear"], np.random.default_rng(9))
-    for pa, pb in zip(a.parameters(), b.parameters()):
-        np.testing.assert_array_equal(pa, pb)
+    np.testing.assert_array_equal(a.flat, b.flat)
 
 
 def test_copy_is_independent():
@@ -185,15 +184,12 @@ def test_adam_rejects_mismatched_grads():
 def test_soft_update_blends_and_copies():
     src = Mlp([3, 4, 2], ["relu", "tanh"], np.random.default_rng(10))
     tgt = src.copy()
-    for p in tgt.parameters():
-        p *= 0.0
-    expected = [0.005 * p for p in src.parameters()]
+    tgt.flat *= 0.0
+    expected = 0.005 * src.flat
     soft_update(tgt, src, tau=0.005)
-    for pt, pe in zip(tgt.parameters(), expected):
-        np.testing.assert_allclose(pt, pe)
+    np.testing.assert_allclose(tgt.flat, expected)
     soft_update(tgt, src, tau=1.0)
-    for pt, ps in zip(tgt.parameters(), src.parameters()):
-        np.testing.assert_allclose(pt, ps)
+    np.testing.assert_allclose(tgt.flat, src.flat)
     with pytest.raises(ConfigurationError):
         soft_update(tgt, src, tau=0.0)
 
@@ -201,9 +197,9 @@ def test_soft_update_blends_and_copies():
 def test_flat_layout_and_aliasing():
     mlp = Mlp([5, 7, 2], ["relu", "linear"], np.random.default_rng(13))
     assert mlp.flat.shape == (5 * 7 + 7 + 7 * 2 + 2,)
-    np.testing.assert_array_equal(
-        mlp.flat, np.concatenate([p.ravel() for p in mlp.parameters()]))
-    for p in mlp.parameters():
+    np.testing.assert_array_equal(mlp.flat, np.concatenate(
+        [p.ravel() for wb in zip(mlp.weights, mlp.biases) for p in wb]))
+    for p in mlp.weights + mlp.biases:
         assert np.shares_memory(p, mlp.flat)
     twin = mlp.copy()
     arrays = {k: v.copy() for k, v in mlp.to_arrays().items()}
@@ -211,7 +207,7 @@ def test_flat_layout_and_aliasing():
     rebuilt = Mlp.from_arrays(arrays, mlp.layer_sizes, mlp.activations)
     for other in (twin, rebuilt):
         np.testing.assert_array_equal(other.flat, mlp.flat)
-        for p in other.parameters():
+        for p in other.weights + other.biases:
             assert np.shares_memory(p, other.flat)
             assert not np.shares_memory(p, mlp.flat)
             assert not any(np.shares_memory(p, q) for q in stored)
@@ -236,7 +232,7 @@ def test_flat_training_matches_list_reference(sizes, acts, final_scale):
     rng = np.random.default_rng(15)
     net = Mlp(sizes, acts, rng, final_init_scale=final_scale)
     target = net.copy()
-    params = [p.copy() for p in net.parameters()]
+    params = [p.copy() for p in split_like(net, net.flat)]
     target_params = [p.copy() for p in params]
     opt = Adam(net.flat, 1e-3)
     ref_opt = ReferenceAdam(params, 1e-3)

@@ -25,7 +25,8 @@ def cons():
 
 
 def test_alpha_schedule_endpoints():
-    cfg = AttackConfig(t_start=100, drift_duration=50, enabled=True)
+    cfg = AttackConfig(t_start=100, drift_duration=50, target=(0.0, 0.0, 0.0),
+                       enabled=True)
     assert attack_alpha(99, cfg) is None  # off: measured honestly
     for t, alpha in ((100, 0.0), (125, 0.5), (150, 1.0), (10_000, 1.0)):
         assert type(attack_alpha(t, cfg)) is float
@@ -33,13 +34,15 @@ def test_alpha_schedule_endpoints():
 
 
 def test_alpha_zero_when_disabled():
-    cfg = AttackConfig(t_start=0, drift_duration=10, enabled=False)
+    cfg = AttackConfig(t_start=0, drift_duration=10, target=(0.0, 0.0, 0.0),
+                       enabled=False)
     for t in range(50):
         assert attack_alpha(t, cfg) is None
 
 
 def test_alpha_is_monotone_nondecreasing():
-    cfg = AttackConfig(t_start=7, drift_duration=13, enabled=True)
+    cfg = AttackConfig(t_start=7, drift_duration=13, target=(0.0, 0.0, 0.0),
+                       enabled=True)
     alphas = [attack_alpha(t, cfg) for t in range(60)]
     assert alphas[:7] == [None] * 7
     ramp = alphas[7:]
@@ -49,20 +52,22 @@ def test_alpha_is_monotone_nondecreasing():
 
 def test_abrupt_attack_is_one_step_ramp():
     """drift_duration=1 jumps to the target a single step after onset."""
-    cfg = AttackConfig(t_start=5, drift_duration=1, enabled=True)
+    cfg = AttackConfig(t_start=5, drift_duration=1, target=(0.0, 0.0, 0.0),
+                       enabled=True)
     assert attack_alpha(5, cfg) == 0.0
     assert attack_alpha(6, cfg) == 1.0
 
 
 def test_config_validation():
     with pytest.raises(ConfigurationError):
-        AttackConfig(drift_duration=0)
+        AttackConfig(t_start=100, drift_duration=0, target=(0.0, 0.0, 0.0))
     with pytest.raises(ConfigurationError):
-        AttackConfig(t_start=-1)
+        AttackConfig(t_start=-1, drift_duration=50, target=(0.0, 0.0, 0.0))
 
 
 def test_spoof_position_interpolates():
-    cfg = AttackConfig(target=(0.0, 0.0, 0.0), enabled=True)
+    cfg = AttackConfig(t_start=100, drift_duration=50, target=(0.0, 0.0, 0.0),
+                       enabled=True)
     true_pos = np.array([100.0, 0.0, 0.0])
     np.testing.assert_array_equal(
         spoof_position(true_pos, 0.0, cfg), true_pos
@@ -78,7 +83,8 @@ def test_spoof_position_interpolates():
 
 def test_spoof_position_inactive_passthrough():
     """Weight 0, the onset step, implies the true position bit for bit."""
-    cfg = AttackConfig(target=(1.0, 2.0, 3.0), enabled=True)
+    cfg = AttackConfig(t_start=100, drift_duration=50, target=(1.0, 2.0, 3.0),
+                       enabled=True)
     p = np.array([-4.0, 5.0, 6.0])
     assert spoof_position(p, 0.0, cfg).tobytes() == p.tobytes()
 
@@ -121,7 +127,8 @@ def test_spoofed_residuals_below_legit_noisy_residuals(cons):
 def test_disabled_attack_leaves_measurement_path_untouched(cons):
     """End-to-end: with enabled=False every step measures as with no attack,
     noise draws included, and the fixes are bit-identical."""
-    cfg = AttackConfig(t_start=1, enabled=False)
+    cfg = AttackConfig(t_start=1, drift_duration=50, target=(0.0, 0.0, 0.0),
+                       enabled=False)
     env_cfg = EnvConfig()
     tracks = []
     for spoof in (None, cfg):
