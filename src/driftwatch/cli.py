@@ -96,7 +96,6 @@ def _load_agent(checkpoint: Path | None, out: Path):
 
 
 def _cmd_train(cfg: ExperimentConfig, seed: int, out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
     agent, history = train(cfg, seed)
     ckpt = out / "checkpoint.npz"
     save_checkpoint(agent, ckpt)
@@ -130,7 +129,6 @@ def _cmd_run(cfg: ExperimentConfig, seed: int, out: Path, args) -> int:
     [log] = run_episode(agent, cfg, [(attack, seed)], trace=True)
     if bank is not None:
         bank.score([log])
-    out.mkdir(parents=True, exist_ok=True)
     suffix = "_attacked" if args.attack else ""
     path = out / f"episode_{seed}{suffix}.csv"
     write_episode_csv(log, path, config_hash(cfg))
@@ -173,6 +171,10 @@ def main(argv=None) -> int:
                else ExperimentConfig.load(args.config))
         seed = args.seed if args.seed is not None else cfg.master_seed
         out = args.out
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(f"--out {out}: {exc.strerror}")
         if args.command == "train":
             return _cmd_train(cfg, seed, out)
         if args.command == "profile":

@@ -232,8 +232,8 @@ class EvalConfig:
         _at_least("n_attacked", self.n_attacked, 0)
         if self.n_nominal + self.n_attacked < 1:
             raise ConfigurationError("need at least one evaluation episode")
-        if self.profile_episodes < 1:
-            raise ConfigurationError("profile_episodes must be >= 1")
+        # the same-age profile pools at least two value streams
+        _at_least("profile_episodes", self.profile_episodes, 2)
         if self.attack_t_start < 1:
             # the reset's fix is never spoofed
             raise ConfigurationError(

@@ -13,8 +13,7 @@ new measurements are bitwise the ones it was solved from, the new solve
 would repeat the old one operation for operation: `solve_pvt` returns the
 fix itself.  A drift spoofer whose ramp
 has ended sends the same noiseless epoch again and again, and lands here.
-Otherwise the first Gauss-Newton step reuses the satellite offsets and
-ranges at the fix's `x`, which its residuals were computed from.  A solve
+Otherwise the solve starts from the fix's `x` as from a vector.  A solve
 makes its Jacobian buffer and the views of it that each step writes and
 reads once, and builds its frozen PvtSolution without the per-field
 `__init__`.
@@ -71,9 +70,9 @@ class PvtSolution:
 
     The last three fields say what the fix was solved from, for a solve
     that starts from it: the measurements' raw float64 bytes, whether `x`
-    is bitwise the init, and the (positions, offsets, ranges) line of sight
-    at `x` that the residuals were computed from.  A fix built by hand
-    leaves them empty and is used as its `x` alone.
+    is bitwise the init, and the `positions` of the constellation it was
+    solved on.  A fix built by hand leaves them empty and is used as its
+    `x` alone.
     """
 
     x: np.ndarray
@@ -83,7 +82,7 @@ class PvtSolution:
     residuals: np.ndarray
     measurements: bytes = field(default=b"", repr=False)
     stationary: bool = field(default=False, repr=False)
-    line_of_sight: tuple = field(default=(), repr=False)
+    solved_on: np.ndarray | None = field(default=None, repr=False)
 
 
 def make_constellation(
@@ -186,19 +185,17 @@ def _gauss_newton_step(
     measured: np.ndarray,
     positions: np.ndarray,
     h: tuple[np.ndarray, np.ndarray, np.ndarray],
-    los: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, float]:
     """Gauss-Newton step from x = (x, y, z, bias); returns (new x, correction norm).
 
     The ranges at x serve both the residual and the Jacobian H, which is
-    written into `h`, the `_jacobian_views` of a buffer; `los`, when
-    given, is `_line_of_sight` at x already computed.  The normal
+    written into `h`, the `_jacobian_views` of a buffer.  The normal
     equations go straight to the LAPACK gufunc (`dgesv`) that
     `np.linalg.solve` wraps; `_check_rank` has already rejected every
     matrix it could find singular.
     """
     jac, jac3, jac_t = h
-    sep, ranges = _line_of_sight(x[:3], positions) if los is None else los
+    sep, ranges = _line_of_sight(x[:3], positions)
     delta = measured - (ranges + x[3])
     _fill_jacobian(jac3, sep, ranges)
     normal = jac_t @ jac
@@ -287,26 +284,23 @@ def solve_pvt(
     positions = constellation.positions
     measurements = np.asarray(measurements, dtype=float)
     measured = measurements.tobytes()
-    los = None
     if isinstance(init, PvtSolution):
-        if init.line_of_sight and init.line_of_sight[0] is positions:
-            if init.stationary and init.measurements == measured:
-                return init
-            los = init.line_of_sight[1:]
+        if (init.solved_on is positions and init.stationary
+                and init.measurements == measured):
+            return init
         init = init.x
     x = np.zeros(4) if init is None else np.array(init, dtype=float)
     start = x.tobytes()
     h = _jacobian_views(len(constellation))
     converged = False
     for iterations in range(1, MAX_ITER + 1):
-        x, step_norm = _gauss_newton_step(x, measurements, positions, h, los)
-        los = None
+        x, step_norm = _gauss_newton_step(x, measurements, positions, h)
         if step_norm < TOL_M:
             converged = True
             break
-    sep, ranges = _line_of_sight(x[:3], positions)
+    _, ranges = _line_of_sight(x[:3], positions)
     final = measurements - (ranges + x[3])
-    for arr in (x, final, sep, ranges):
+    for arr in (x, final):
         arr.flags.writeable = False
     # built as env.WorldState._advance builds a state, without the frozen
     # __init__'s per-field object.__setattr__
@@ -319,6 +313,6 @@ def solve_pvt(
         residuals=final,
         measurements=measured,
         stationary=x.tobytes() == start,
-        line_of_sight=(positions, sep, ranges),
+        solved_on=positions,
     )
     return fix

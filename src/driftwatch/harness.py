@@ -381,10 +381,6 @@ def run_episode(
     observation there, the action and critic value chosen, and the reward
     received for taking the action.
     """
-    for attack_cfg, _ in episodes:
-        if (attack_cfg is not None and attack_cfg.enabled
-                and attack_cfg.t_start < 1):
-            raise ConfigurationError("attack onset must be at t >= 1")
     env_cfg, noise_sigma = cfg.env, cfg.gnss.noise_sigma
     constellation = constellation_from_config(cfg.gnss)
     running = [

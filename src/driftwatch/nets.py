@@ -1,8 +1,9 @@
 """Minimal dense networks with hand-written backprop, Adam, soft updates.
 
-Everything is float64 numpy.  Layers cache their forward pass, so the
-usage pattern is strictly forward(x) then backward(dL/dy) per batch;
-an inference pass (`cache=False`) in between touches neither.
+Everything is float64 numpy on batches: x is (rows, width), and dL/dy is
+shaped like the output.  Layers cache their forward pass, so the usage
+pattern is strictly forward(x) then backward(dL/dy) per batch; an
+inference pass (`cache=False`) in between touches neither.
 No general autodiff: exactly what two small actor/critic heads need.
 
 Each network keeps all of its parameters in one contiguous vector,
@@ -154,19 +155,16 @@ class Mlp:
                 [np.empty((n, d)) for d in sizes[:-1]] + [last])
 
     def forward(self, x: np.ndarray, *, cache: bool = True) -> np.ndarray:
-        """Output for a row or a batch of rows.
+        """Output for a (rows, width) batch, one output row per input row.
 
         A cached pass writes each layer into this net's buffer for the batch
         size and returns the last one.  `cache=False` writes into fresh
         arrays and leaves the buffers and the cached pass alone.
         """
         x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        if x.shape[1] != self.layer_sizes[0]:
+        if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
             raise DimensionMismatchError(
-                f"expected input width {self.layer_sizes[0]}, got {x.shape[1]}"
+                f"expected (rows, {self.layer_sizes[0]}) input, got {x.shape}"
             )
         if not cache:
             outs = [None] * self.n_layers
@@ -185,7 +183,7 @@ class Mlp:
                 np.tanh(a, out=a)
         if cache:
             self._x = x
-        return a[0] if squeeze else a
+        return a
 
     def backward(
         self,
@@ -196,21 +194,24 @@ class Mlp:
     ) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Backpropagate dL/dy through the last cached forward pass.
 
-        Returns (dL/dx, dL/d`flat`); either is None when its flag is off,
-        and then it is not computed.  dL/dx is a fresh array.  The
-        parameter gradient, laid out like `flat`, is this net's own buffer:
-        the next `backward` overwrites it, so copy it to keep it.
+        dL/dy is shaped like that pass's output.  Returns (dL/dx,
+        dL/d`flat`); either is None when its flag is off, and then it is
+        not computed.  dL/dx is a fresh array.  The parameter gradient,
+        laid out like `flat`, is this net's own buffer: the next
+        `backward` overwrites it, so copy it to keep it.
         """
         if self._x is None:
             raise ConfigurationError("backward called before forward")
+        outs, dzs = self._work
         dout = np.asarray(dout, dtype=float)
-        if dout.ndim == 1:
-            dout = dout[None, :]
+        if dout.shape != outs[-1].shape:
+            raise DimensionMismatchError(
+                f"expected dL/dy of shape {outs[-1].shape}, got {dout.shape}"
+            )
         if param_grad and self._grad is None:
             self._grad = np.empty_like(self.flat)
             self._grad_w, self._grad_b = _layer_views(self._grad,
                                                       self.layer_sizes)
-        outs, dzs = self._work
         da = dout
         for i in range(self.n_layers - 1, -1, -1):
             # relu': the mask a > 0, i.e. z > 0 (NaN gives False), which the

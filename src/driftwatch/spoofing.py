@@ -32,8 +32,8 @@ class AttackConfig:
             raise ConfigurationError(
                 f"drift_duration must be >= 1, got {self.drift_duration}"
             )
-        if self.t_start < 0:
-            raise ConfigurationError(f"t_start must be >= 0, got {self.t_start}")
+        if self.t_start < 1:  # the reset's fix is never spoofed
+            raise ConfigurationError(f"t_start must be >= 1, got {self.t_start}")
 
 
 def attack_alpha(t: int, cfg: AttackConfig) -> float | None:

@@ -34,13 +34,13 @@ def q_value_row(agent, phi, action) -> float:
     x[OBS_DIM] = (rho0 - c0) / h0
     x[OBS_DIM + 1] = (sigma0 - c1) / h1
     x[OBS_DIM + 2] = (theta - c2) / h2
-    return float(agent.critic.forward(x)[0])
+    return float(agent.critic.forward(x[None])[0, 0])
 
 
 def reconstruction_error(model, window_values) -> float:
     """Mean squared reconstruction error of one standardised window."""
     x = (np.asarray(window_values, dtype=float) - model.mean) / model.std
-    d = model.net.forward(x) - x
+    d = model.net.forward(x[None])[0] - x
     return float(np.add.reduce(d * d) / d.size)  # what np.mean runs
 
 

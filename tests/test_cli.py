@@ -53,6 +53,10 @@ def run_chain(cfg_path, out):
     return out
 
 
+def no_stage(*args, **kwargs):
+    raise AssertionError("a stage ran")
+
+
 @pytest.fixture(scope="module")
 def chain(cfg_path, tmp_path_factory):
     return run_chain(cfg_path, tmp_path_factory.mktemp("chain_a"))
@@ -144,6 +148,46 @@ class TestUsageErrors:
         assert err.startswith("error:") and str(path) in err and key in err
         assert "Traceback" not in err
         assert not (tmp_path / "bank.json").exists()
+
+    def test_one_profile_flight_exits_before_flying(self, capsys, tmp_path,
+                                                    chain, monkeypatch):
+        """The same-age profile pools at least two flights: one profile
+        flight is refused at load, even with a fixed tau, and none flies."""
+        doc = tiny_config().to_dict()
+        doc["eval"]["profile_episodes"] = 1
+        doc["detectors"]["calibrate_tau"] = False
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(cli, "profile_pipeline", no_stage)
+        rc = main(["profile", "--config", str(path),
+                   "--checkpoint", str(chain / "checkpoint.npz"),
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+        assert "eval: profile_episodes must be >= 2, got 1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "bank.json").exists()
+
+    @pytest.mark.parametrize("command", ["train", "profile"])
+    def test_unusable_out_exits_before_any_stage(self, capsys, tmp_path,
+                                                 cfg_path, chain, monkeypatch,
+                                                 command):
+        """An --out that cannot be a directory is a bad flag: exit 1 naming
+        it, before any training or flight."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setattr(cli, "train", no_stage)
+        monkeypatch.setattr(cli, "profile_pipeline", no_stage)
+        for out in (blocker, blocker / "sub"):
+            rc = main([command, "--config", str(cfg_path), "--out", str(out)]
+                      + (["--checkpoint", str(chain / "checkpoint.npz")]
+                         if command == "profile" else []))
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and f"--out {out}:" in err
+            assert "Traceback" not in err
+        assert blocker.read_text() == ""
 
     def test_missing_checkpoint_points_at_train(self, capsys, tmp_path):
         rc = main(["profile", "--out", str(tmp_path)])

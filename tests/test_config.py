@@ -130,22 +130,24 @@ def test_out_of_range_value_names_its_section(load):
     (doc(eval={"profile_episodes": 2}),
      r"eval\.profile_episodes must be >= 3 when detectors\.calibrate_tau is"
      r" true \(leave-one-out tau calibration\), got 2"),
+    (doc(eval={"profile_episodes": 1}, detectors={"calibrate_tau": False}),
+     "eval: profile_episodes must be >= 2, got 1"),
 ])
 def test_value_no_stage_can_fly_rejected(document, message, load):
     """numpy's generators take only seeds >= 0, an attack needs an onset
     after the reset, a net a unit in each layer, a training update a full
     batch and a descent step a positive rate, an episode count is never
-    negative, exploration noise has a scale >= 0, and a leave-one-out
-    calibration holds out one of at least three profile flights: the config
-    says so before any stage runs."""
+    negative, exploration noise has a scale >= 0, the same-age profile pools
+    at least two profile flights and a leave-one-out calibration holds out
+    one of at least three: the config says so before any stage runs."""
     with pytest.raises(ConfigurationError, match=message):
         load(document)
 
 
 def test_few_profile_flights_load_with_a_fixed_tau(load):
-    cfg = load(doc(eval={"profile_episodes": 1},
+    cfg = load(doc(eval={"profile_episodes": 2},
                    detectors={"calibrate_tau": False}))
-    assert cfg.eval.profile_episodes == 1
+    assert cfg.eval.profile_episodes == 2
 
 
 def test_seeds_and_onset_checked_when_built():

@@ -83,13 +83,14 @@ def test_act_and_q_value_match_reference_bit_for_bit():
         # one row, and its noise drawn as a (1, 3) block
         [got] = agent.act(phi[None], noise_scale=scale,
                           rng=np.random.default_rng(seed))
-        raw = denormalize_action(agent.actor.forward(phi / agent.obs_scales))
+        raw = denormalize_action(
+            agent.actor.forward((phi / agent.obs_scales)[None])[0])
         if scale > 0.0:
             raw = raw + np.random.default_rng(seed).normal(0.0, scale, size=3)
         expected = np.clip(raw, ACTION_LOW, ACTION_HIGH)
         assert got.tobytes() == expected.tobytes()
         x = np.concatenate([phi / agent.obs_scales, normalize_action(got)])
-        want = float(agent.critic.forward(x)[0])
+        want = float(agent.critic.forward(x[None])[0, 0])
         assert q_value_row(agent, phi, got) == want
         # a batch of one row runs the very same forward
         assert agent.q_value(phi[None], got[None])[0] == want

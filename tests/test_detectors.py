@@ -942,7 +942,7 @@ class TestWindowAutoencoder:
             for i in range(0, len(s) - model.window + 1, 7):
                 window = s[i:i + model.window]
                 x = (window - model.mean) / model.std
-                expected = float(np.mean((model.net.forward(x) - x) ** 2))
+                expected = float(np.mean((model.net.forward(x[None])[0] - x) ** 2))
                 assert reconstruction_error(model, window) == expected
                 assert errors[i + model.window - 1] == pytest.approx(
                     expected, rel=1e-12, abs=0.0)

@@ -472,12 +472,13 @@ def test_env_step_timeout(cons):
 
 def test_env_step_spoof_pulls_estimate_to_target(cons):
     cfg = EnvConfig()
-    attack = AttackConfig(t_start=0, drift_duration=1, target=(0.0, 0.0, 0.0),
+    attack = AttackConfig(t_start=1, drift_duration=1, target=(0.0, 0.0, 0.0),
                           enabled=True)
     world, _ = env_reset(cfg, seed=4, constellation=cons, noise_sigma=0.0)
-    world, obs, rb, done, _ = env_step(world, action(1.0, 1.0, 0.0), cons, 0.0,
-                                       attack, cfg=cfg,
-                                       nav_pos=world.uav_pos_true)
+    for _ in range(2):  # onset at t=1, on the target from t=2
+        world, obs, rb, done, _ = env_step(world, action(1.0, 1.0, 0.0), cons,
+                                           0.0, attack, cfg=cfg,
+                                           nav_pos=world.uav_pos_true)
     est = world.goal - obs[3:6]
     assert np.linalg.norm(est) < 1e-3
     assert np.linalg.norm(world.uav_pos_true) > 100.0

@@ -283,11 +283,14 @@ class TestRunEpisode:
             write_episode_csv(log, path, "h")
         assert not path.exists()
 
-    def test_onset_zero_rejected(self, small_agent, mini_cfg):
-        bad = AttackConfig(t_start=0, drift_duration=5,
-                           target=(0.0, 0.0, 0.0), enabled=True)
-        with pytest.raises(ConfigurationError):
-            play(small_agent, mini_cfg, bad, None, 1)
+    def test_onset_zero_rejected(self):
+        """The reset's fix is never spoofed, so no flight can be given an
+        onset at t=0: the attack refuses it when it is built."""
+        for enabled in (True, False):
+            with pytest.raises(ConfigurationError,
+                               match="t_start must be >= 1, got 0"):
+                AttackConfig(t_start=0, drift_duration=5,
+                             target=(0.0, 0.0, 0.0), enabled=enabled)
 
     def test_detector_columns_populate(
         self, small_agent, mini_cfg, synthetic_bank

@@ -85,17 +85,6 @@ def test_single_linear_layer_is_affine_map():
     np.testing.assert_allclose(grads[1], dout.sum(axis=0))
 
 
-def test_forward_vector_and_batch_agree():
-    rng = np.random.default_rng(2)
-    mlp = Mlp([6, 8, 2], ["relu", "tanh"], rng)
-    x = rng.normal(size=6)
-    single = mlp.forward(x)
-    assert single.shape == (2,)
-    batch = mlp.forward(np.stack([x, x]))
-    np.testing.assert_allclose(batch[0], single)
-    np.testing.assert_allclose(batch[1], single)
-
-
 def test_batch_gradients_are_sums_of_singles():
     rng = np.random.default_rng(3)
     mlp = Mlp([4, 6, 2], ["tanh", "linear"], rng)
@@ -107,8 +96,8 @@ def test_batch_gradients_are_sums_of_singles():
     batch_grad = mlp.backward(ws)[1].copy()
     summed = np.zeros_like(batch_grad)
     for i in range(3):
-        mlp.forward(xs[i])
-        summed += mlp.backward(ws[i])[1]
+        mlp.forward(xs[i:i + 1])
+        summed += mlp.backward(ws[i:i + 1])[1]
     np.testing.assert_allclose(batch_grad, summed, atol=1e-12)
 
 
@@ -125,6 +114,31 @@ def test_construction_validation():
         mlp.forward(np.zeros((2, 5)))
     with pytest.raises(ConfigurationError):
         Mlp([4, 3], ["relu"], rng).backward(np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("shape", [(4,), (1, 1, 4), ()])
+def test_forward_takes_a_batch_only(shape):
+    """A row is a (1, width) batch: a 1-D row, or any other rank, is refused."""
+    mlp = Mlp([4, 3], ["relu"], np.random.default_rng(0))
+    with pytest.raises(DimensionMismatchError, match=r"\(rows, 4\)"):
+        mlp.forward(np.zeros(shape))
+    with pytest.raises(DimensionMismatchError):
+        mlp.forward(np.zeros(shape), cache=False)
+
+
+@pytest.mark.parametrize("acts", [["relu", "tanh"], ["relu", "relu"],
+                                  ["tanh", "linear"]])
+@pytest.mark.parametrize("shape", [(2,), (1, 2), (4, 2), (5, 1), (5, 3)])
+def test_backward_takes_dout_shaped_like_the_output(acts, shape):
+    """dL/dy for a 5-row pass is (5, 2): a row, a shorter batch or another
+    width is refused, never broadcast over the rows."""
+    rng = np.random.default_rng(1)
+    mlp = Mlp([3, 4, 2], acts, rng)
+    mlp.forward(rng.normal(size=(5, 3)))
+    with pytest.raises(DimensionMismatchError, match=r"\(5, 2\)"):
+        mlp.backward(np.ones(shape))
+    dx, grad = mlp.backward(np.ones((5, 2)))
+    assert dx.shape == (5, 3) and grad.shape == mlp.flat.shape
 
 
 def test_final_init_scale_shrinks_output_layer():
@@ -145,7 +159,7 @@ def test_init_determinism():
 def test_copy_is_independent():
     mlp = Mlp([3, 4, 1], ["relu", "linear"], np.random.default_rng(4))
     twin = mlp.copy()
-    x = np.ones(3)
+    x = np.ones((1, 3))
     np.testing.assert_allclose(twin.forward(x), mlp.forward(x))
     twin.weights[0] += 1.0
     assert not np.allclose(twin.weights[0], mlp.weights[0])
@@ -336,8 +350,8 @@ def test_cached_forward_reuses_buffers_per_batch_size():
     assert y7.shape == (7, 3) and not np.shares_memory(y7, y)
     assert not np.shares_memory(net.backward(rng.normal(size=(7, 3)))[0], dx)
     assert y.tobytes() == y_kept.tobytes()
-    # a one-row input returns its row of the buffer
-    assert np.shares_memory(net.forward(x[0]), net.forward(x[:1]))
+    # a one-row batch reuses its buffer too
+    assert net.forward(x[:1]) is net.forward(x2[:1])
 
 
 def test_backward_keeps_no_buffer_it_never_writes():

@@ -34,7 +34,7 @@ def test_alpha_schedule_endpoints():
 
 
 def test_alpha_zero_when_disabled():
-    cfg = AttackConfig(t_start=0, drift_duration=10, target=(0.0, 0.0, 0.0),
+    cfg = AttackConfig(t_start=1, drift_duration=10, target=(0.0, 0.0, 0.0),
                        enabled=False)
     for t in range(50):
         assert attack_alpha(t, cfg) is None
