@@ -9,11 +9,11 @@ stale config files fail loudly instead of silently running defaults.
 
 `to_json` and `from_json` map a dataclass to and from a JSON object by its
 fields' resolved annotations: nested dataclasses are objects, tuples are
-lists, and a value of the wrong type is rejected with its key named.  The
-config and both profiles are `_JsonDocument`s, read as the bank is by
-`read_document`, which names the file in every fault.  Every JSON and CSV
-artifact is written by `_write_chunks`, and every CSV float as `_fmt`'s
-shortest round-trip text.
+lists, and a value of the wrong type, or a float that is NaN or infinite,
+is rejected with its key named.  The config and both profiles are
+`_JsonDocument`s, read as the bank is by `read_document`, which names the
+file in every fault.  Every JSON and CSV artifact is written by
+`_write_chunks`, and every CSV float as `_fmt`'s shortest round-trip text.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 from typing import Any
@@ -92,7 +93,8 @@ class EnvConfig:
     max_steps: int = 500
 
     def __post_init__(self):
-        for name in ("dt", "cruise_speed", "climb_rate_limit", "goal_threshold",
+        for name in ("dt", "cruise_speed", "climb_rate_limit",
+                     "heading_rate_limit_deg", "goal_threshold",
                      "threat_margin", "obstacle_radius"):
             _positive(name, getattr(self, name))
         if any(b <= 0 for b in self.bounds):
@@ -267,9 +269,10 @@ def from_json(cls, doc, where: str = ""):
 
     Unknown keys are a ValueError and wrongly typed values a TypeError, each
     naming the key below `where`; a missing key takes the field's default or
-    raises KeyError(name).  Values that `cls` itself rejects are a
-    ValueError too.  Numbers are kept as given, so an int in a float field
-    stays an int.
+    raises KeyError(name).  A NaN or infinite float, which JSON as Python
+    reads it allows, and values that `cls` itself rejects are a ValueError
+    too.  Numbers are kept as given, so an int in a float field stays an
+    int.
     """
     if not isinstance(doc, dict):
         raise TypeError(f"{where or cls.__name__} must be an object, got {doc!r}")
@@ -311,6 +314,8 @@ def _decode(kind, value, key: str):
         ok = isinstance(value, kind)
     if not ok:
         raise TypeError(f"{key} must be {kind.__name__}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value!r}")
     return value
 
 

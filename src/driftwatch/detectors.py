@@ -257,6 +257,37 @@ def bocpd_init(priors, hazard: float) -> BocpdState:
     )
 
 
+def _joint(weights, means, counts, x, w, noise_var, h) -> np.ndarray:
+    """(rows, 1 + support) joint weights of each run length and the value.
+
+    Column 0 is the changepoint, column 1 + i the growth of state column i.
+    The Gaussian predictive of value x under segment i is
+    exp(-0.5 d^2 / v) / sqrt(2 pi v), with d = x - means[i] and variance
+    v = noise_var (w + 1 / counts[i]).  Its (rows, support) temporaries are
+    worked on in place, each operation on the operands the textbook
+    expression gives it (IEEE * and + commute), and freed on return.
+    """
+    pred_var = np.divide(1.0, counts)
+    pred_var += w[:, None]
+    pred_var *= noise_var[:, None]
+    pred = np.subtract(x[:, None], means)
+    pred *= pred
+    pred *= -0.5
+    pred /= pred_var
+    np.exp(pred, out=pred)
+    pred_var *= 2.0 * np.pi
+    np.sqrt(pred_var, out=pred_var)
+    pred /= pred_var
+
+    joint = np.empty((len(x), means.shape[1] + 1))
+    growth = np.multiply(weights, 1.0 - h, out=joint[:, 1:])
+    growth *= pred
+    changepoint = np.multiply(weights, h, out=pred_var)
+    changepoint *= pred
+    np.add.reduce(changepoint, axis=1, out=joint[:, 0])
+    return joint
+
+
 def bocpd_update(
     state: BocpdState, q: np.ndarray, prune: float
 ) -> tuple[BocpdState, np.ndarray]:
@@ -284,18 +315,11 @@ def bocpd_update(
     x = q - state.age_means[:rows, age]
     w = state.age_vars[:rows, age]
     prior_count = state.prior_count[:rows]
-    old_weights = state.weights[:rows]
     old_means = state.seg_means[:rows]
     old_counts = state.seg_counts[:rows]
-    pred_var = state.noise_var[:rows, None] * (w[:, None] + 1.0 / old_counts)
-    d = x[:, None] - old_means
-    pred = np.exp(-0.5 * (d * d) / pred_var) / np.sqrt(2.0 * np.pi * pred_var)
-
-    # column 0 is the changepoint, column 1 + i the growth of state column i
-    n = old_means.shape[1] + 1
-    unnormalized = np.empty((rows, n))
-    np.multiply(old_weights * (1.0 - h), pred, out=unnormalized[:, 1:])
-    np.add.reduce(old_weights * h * pred, axis=1, out=unnormalized[:, 0])
+    unnormalized = _joint(state.weights[:rows], old_means, old_counts, x, w,
+                          state.noise_var[:rows], h)
+    n = unnormalized.shape[1]
     size = state.size[:rows] + 1
 
     # max < limit is all(... < limit), NaN included: neither resets.
@@ -320,9 +344,11 @@ def bocpd_update(
     np.add(old_counts, (1.0 / w)[:, None], out=seg_counts[:, 1:])
     seg_means = np.empty((rows, n))
     seg_means[:, 0] = 0.0
-    np.divide(old_means * old_counts + (x / w)[:, None], seg_counts[:, 1:],
-              out=seg_means[:, 1:])
-    weights = unnormalized / np.add.reduce(unnormalized, axis=1, keepdims=True)
+    grown = np.multiply(old_means, old_counts, out=seg_means[:, 1:])
+    grown += (x / w)[:, None]
+    grown /= seg_counts[:, 1:]
+    weights = unnormalized
+    weights /= np.add.reduce(unnormalized, axis=1, keepdims=True)
 
     if prune > 0.0:
         keep = weights >= prune

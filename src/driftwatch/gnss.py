@@ -6,6 +6,11 @@ solver linearizes around the current estimate and applies Gauss-Newton
 corrections until the correction norm drops below TOL_M, for at most
 MAX_ITER steps; both are constants, since no study varies them.
 
+Each estimate's line of sight (the satellite-to-receiver offsets and
+their lengths) is computed once: it serves the Gauss-Newton step taken from
+that estimate, both residuals and Jacobian, or, at the last estimate, the
+fix's residuals.  The fix keeps that last line of sight.
+
 A solve may start from an earlier fix instead of a vector.  The solve is
 deterministic in (measurements, init) for one constellation, so when that
 fix is stationary (its `x` is bitwise the init it was solved from) and the
@@ -13,10 +18,11 @@ new measurements are bitwise the ones it was solved from, the new solve
 would repeat the old one operation for operation: `solve_pvt` returns the
 fix itself.  A drift spoofer whose ramp
 has ended sends the same noiseless epoch again and again, and lands here.
-Otherwise the solve starts from the fix's `x` as from a vector.  A solve
-makes its Jacobian buffer and the views of it that each step writes and
-reads once, and builds its frozen PvtSolution without the per-field
-`__init__`.
+Otherwise the solve starts from the fix's `x` as from a vector, and a fix
+solved on the same constellation hands over its line of sight at that `x`
+too, which is bitwise the one the vector would give.  Each Constellation
+makes the Jacobian buffer that every step writes and reads once, and a
+solve builds its frozen PvtSolution without the per-field `__init__`.
 """
 
 from __future__ import annotations
@@ -50,15 +56,18 @@ class Constellation:
     """Satellites visible for the whole scenario.
 
     `positions` holds one satellite per row, shape (N, 3), in meters: a
-    read-only copy of the array it was built from.
+    read-only copy of the array it was built from.  `_jacobian` is the
+    `_jacobian_views` buffer every solve on this constellation fills.
     """
 
     positions: np.ndarray
+    _jacobian: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         positions = np.array(self.positions, dtype=float)
         positions.flags.writeable = False
         object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "_jacobian", _jacobian_views(len(positions)))
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -68,11 +77,12 @@ class Constellation:
 class PvtSolution:
     """Outcome of an iterative PVT solve; the fix `x` is (x, y, z, bias).
 
-    The last three fields say what the fix was solved from, for a solve
+    The last four fields say what the fix was solved from, for a solve
     that starts from it: the measurements' raw float64 bytes, whether `x`
-    is bitwise the init, and the `positions` of the constellation it was
-    solved on.  A fix built by hand leaves them empty and is used as its
-    `x` alone.
+    is bitwise the init, the `positions` of the constellation it was
+    solved on, and the read-only (offsets, ranges) line of sight at `x` on
+    them, which the residuals were computed from.  A fix built by hand
+    leaves them empty and is used as its `x` alone.
     """
 
     x: np.ndarray
@@ -83,6 +93,7 @@ class PvtSolution:
     measurements: bytes = field(default=b"", repr=False)
     stationary: bool = field(default=False, repr=False)
     solved_on: np.ndarray | None = field(default=None, repr=False)
+    line_of_sight: tuple = field(default=(), repr=False)
 
 
 def make_constellation(
@@ -147,8 +158,11 @@ def _jacobian_views(n_sats: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _fill_jacobian(h3: np.ndarray, sep: np.ndarray, ranges: np.ndarray) -> None:
-    """Write the unit line-of-sight rows into h3, a Jacobian's H[:, :3]."""
-    if (ranges < MIN_RANGE_M).any():
+    """Write the unit line-of-sight rows into h3, a Jacobian's H[:, :3].
+
+    min < limit is any(... < limit), NaN included: neither raises.
+    """
+    if ranges.min() < MIN_RANGE_M:
         raise DegenerateGeometryError("receiver estimate coincides with a satellite")
     np.divide(sep, ranges[:, None], out=h3)
 
@@ -183,19 +197,19 @@ def measure_pseudoranges(
 def _gauss_newton_step(
     x: np.ndarray,
     measured: np.ndarray,
-    positions: np.ndarray,
+    los: tuple[np.ndarray, np.ndarray],
     h: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, float]:
     """Gauss-Newton step from x = (x, y, z, bias); returns (new x, correction norm).
 
-    The ranges at x serve both the residual and the Jacobian H, which is
-    written into `h`, the `_jacobian_views` of a buffer.  The normal
-    equations go straight to the LAPACK gufunc (`dgesv`) that
-    `np.linalg.solve` wraps; `_check_rank` has already rejected every
-    matrix it could find singular.
+    `los` is `_line_of_sight` at x.  Its ranges serve both the residual and
+    the Jacobian H, which is written into `h`, the `_jacobian_views` of a
+    buffer.  The normal equations go straight to the LAPACK gufunc
+    (`dgesv`) that `np.linalg.solve` wraps; `_check_rank` has already
+    rejected every matrix it could find singular.
     """
     jac, jac3, jac_t = h
-    sep, ranges = _line_of_sight(x[:3], positions)
+    sep, ranges = los
     delta = measured - (ranges + x[3])
     _fill_jacobian(jac3, sep, ranges)
     normal = jac_t @ jac
@@ -266,12 +280,12 @@ def solve_pvt(
 
     ``measurements`` is a 1-D array of pseudoranges in meters, one per
     satellite of ``constellation``.  ``init`` is a (4,) vector (x, y, z,
-    bias), which is copied, never written, or an earlier fix, which starts
+    bias), which is read, never written, or an earlier fix, which starts
     the solve from its ``x`` (see the module docstring: the result is the
     one the vector would give, bit for bit).  Convergence means a
     correction norm fell below TOL_M within MAX_ITER steps.  The returned
-    fix ``x`` has the same layout, and the residuals are evaluated at it;
-    both are read-only.
+    fix ``x`` has the same layout, and the residuals are evaluated at it
+    from its ``line_of_sight``; all of them are read-only.
     """
     if len(measurements) < 4:
         raise ConfigurationError(
@@ -284,23 +298,28 @@ def solve_pvt(
     positions = constellation.positions
     measurements = np.asarray(measurements, dtype=float)
     measured = measurements.tobytes()
+    los = None
     if isinstance(init, PvtSolution):
-        if (init.solved_on is positions and init.stationary
-                and init.measurements == measured):
-            return init
+        if init.solved_on is positions:
+            if init.stationary and init.measurements == measured:
+                return init
+            los = init.line_of_sight
         init = init.x
-    x = np.zeros(4) if init is None else np.array(init, dtype=float)
+    x = np.zeros(4) if init is None else np.asarray(init, dtype=float)
+    if los is None:
+        los = _line_of_sight(x[:3], positions)
     start = x.tobytes()
-    h = _jacobian_views(len(constellation))
+    h = constellation._jacobian
     converged = False
     for iterations in range(1, MAX_ITER + 1):
-        x, step_norm = _gauss_newton_step(x, measurements, positions, h)
+        x, step_norm = _gauss_newton_step(x, measurements, los, h)
+        los = _line_of_sight(x[:3], positions)
         if step_norm < TOL_M:
             converged = True
             break
-    _, ranges = _line_of_sight(x[:3], positions)
+    sep, ranges = los
     final = measurements - (ranges + x[3])
-    for arr in (x, final):
+    for arr in (x, final, sep, ranges):
         arr.flags.writeable = False
     # built as env.WorldState._advance builds a state, without the frozen
     # __init__'s per-field object.__setattr__
@@ -314,5 +333,6 @@ def solve_pvt(
         measurements=measured,
         stationary=x.tobytes() == start,
         solved_on=positions,
+        line_of_sight=los,
     )
     return fix

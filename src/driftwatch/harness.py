@@ -275,11 +275,12 @@ class EpisodeLog:
 
 
 # columns of the record a flight keeps while it is played, in 64-row
-# chunks: true position, fix position, RMS residual of the fix,
-# observation, action, reward breakdown
-_TRUE, _EST, _RMS, _PHI, _ACT, _REW = (
-    slice(0, 3), slice(3, 6), 6, slice(7, 16), slice(16, 19), slice(19, 23))
-_WIDTH = 23
+# chunks: fix position, RMS residual of the fix, observation, action, then
+# the trace's true position and reward breakdown, which only a traced
+# flight records
+_EST, _RMS, _PHI, _ACT, _TRUE, _REW = (
+    slice(0, 3), 3, slice(4, 13), slice(13, 16), slice(16, 19), slice(19, 23))
+_SCORED_WIDTH, _TRACE_WIDTH = _ACT.stop, _REW.stop
 _CHUNK = 64
 
 
@@ -302,7 +303,7 @@ class _Flight:
     def record(self, row: np.ndarray) -> None:
         k = self.n % _CHUNK
         if k == 0:
-            self.chunks.append(np.empty((_CHUNK, _WIDTH)))
+            self.chunks.append(np.empty((_CHUNK, row.size)))
         self.chunks[-1][k] = row
         self.n += 1
 
@@ -363,16 +364,18 @@ def run_episode(
     episode's previous fix (passed itself as `pvt_init`, so a repeated
     spoofed epoch is not solved again); only the reset's fix starts from the
     truth.  An episode records the observation, the action, the fix's
-    position and RMS residual, and the reward in chunks of 64 rows; when it
-    ends, one critic forward values every recorded decision.  Episodes
-    neither share state nor draw from a common stream, so each plays as it
-    would alone, up to the round-off of the batched actor.  Returns one log
+    position and RMS residual in chunks of 64 rows; when it ends, one
+    critic forward values every recorded decision.  Episodes neither share
+    state nor draw from a common stream, so each plays as it would alone,
+    up to the round-off of the batched actor.  Returns one log
     per episode, in the order given, with flags False and statistics NaN,
     read-only, for `DetectorBank.score`; a lone episode (`driftwatch run`) is B = 1.
 
     `trace` keeps each log's per-step trace: true positions, observations,
     actions and reward breakdowns.  Its two callers need different records:
-    `driftwatch run` asks for the trace, since its CSV writes it, while
+    `driftwatch run` asks for the trace, since its CSV writes it, so its
+    flights also record the true position and the reward breakdown (23
+    columns a step, where an untraced flight records 16).
     `profile_pipeline` and `evaluate` keep only what they score (the value
     stream, the fixes and the attack schedule): 48 bytes a step until it
     is scored, where a traced log holds 200.
@@ -389,27 +392,26 @@ def run_episode(
         for i, (attack_cfg, seed) in enumerate(episodes)
     ]
     logs: list[EpisodeLog | None] = [None] * len(running)
+    width = _TRACE_WIDTH if trace else _SCORED_WIDTH
     while running:
-        rows = np.empty((len(running), _WIDTH))
+        rows = np.empty((len(running), width))
         rows[:, _PHI] = [f.phi for f in running]
         rows[:, _ACT] = agent.act(rows[:, _PHI])
-        rows[:, _TRUE] = [f.world.uav_pos_true for f in running]
         rows[:, _EST] = [f.pvt.x[:3] for f in running]
         rows[:, _RMS] = [ResidualThreshold.statistic(f.pvt) for f in running]
-        rewards = []
-        for f, action in zip(running, rows[:, _ACT]):
+        if trace:
+            rows[:, _TRUE] = [f.world.uav_pos_true for f in running]
+        for f, row in zip(running, rows):
             f.world, f.phi, rb, done, f.pvt = env_step(
-                f.world, action, constellation, noise_sigma,
+                f.world, row[_ACT], constellation, noise_sigma,
                 f.attack, cfg=env_cfg, rng=f.rng,
                 nav_pos=f.pvt.x[:3], pvt_init=f.pvt,
             )
-            rewards.append((rb.collision, rb.threat, rb.goal_seek, rb.total))
+            if trace:
+                row[_REW] = (rb.collision, rb.threat, rb.goal_seek, rb.total)
+            f.record(row)
             if done:
                 f.event = rb.terminal_event
-        rows[:, _REW] = rewards
-        for f, row in zip(running, rows):
-            f.record(row)
-            if f.event:
                 logs[f.index] = f.log(agent, trace)
         running = [f for f in running if not f.event]
     return logs

@@ -55,7 +55,8 @@ def ls_step(
 ) -> tuple[np.ndarray, float]:
     """One Gauss-Newton correction; returns the new estimate and correction norm."""
     _check_lengths(measurements, constellation)
+    x = np.asarray(x, dtype=float)
     return _gauss_newton_step(
-        np.asarray(x, dtype=float), measurements, constellation.positions,
+        x, measurements, _line_of_sight(x[:3], constellation.positions),
         _jacobian_views(len(constellation)),
     )

@@ -133,6 +133,7 @@ class TestUsageErrors:
         ("eval", "n_nominal", -1),
         ("train", "noise_start", -0.3),
         ("eval", "profile_episodes", 2),
+        ("env", "heading_rate_limit_deg", -30.0),
     ])
     def test_config_value_no_stage_can_run_exits_before_it(
             self, capsys, tmp_path, chain, section, key, value):
@@ -148,6 +149,41 @@ class TestUsageErrors:
         assert err.startswith("error:") and str(path) in err and key in err
         assert "Traceback" not in err
         assert not (tmp_path / "bank.json").exists()
+
+    @pytest.mark.parametrize("section, key, index, value", [
+        ("gnss", "noise_sigma", None, float("nan")),
+        ("gnss", "radius", None, float("inf")),
+        ("train", "obs_scales", 3, float("inf")),
+        ("env", "bounds", 2, float("nan")),
+        ("env", "clock_bias_range", 0, float("-inf")),
+        ("eval", "attack_target", 1, float("nan")),
+    ])
+    def test_non_finite_config_float_exits_before_flying(
+            self, capsys, tmp_path, chain, monkeypatch, section, key, index,
+            value):
+        """JSON as Python reads it allows NaN and Infinity.  A float field
+        holding one is refused at load, naming the key, before any flight:
+        a NaN noise_sigma would fly a noiseless receiver, since NaN > 0 is
+        false, and an infinite observation scale would zero part of the
+        observation."""
+        doc = tiny_config().to_dict()
+        if index is None:
+            doc[section][key] = value
+            name = f"{section}.{key}"
+        else:
+            doc[section][key][index] = value
+            name = f"{section}.{key}[{index}]"
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(cli, "run_episode", no_stage)
+        rc = main(["run", "--config", str(path), "--attack",
+                   "--checkpoint", str(chain / "checkpoint.npz"),
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+        assert f"{name} must be finite, got {value!r}" in err
+        assert "Traceback" not in err
 
     def test_one_profile_flight_exits_before_flying(self, capsys, tmp_path,
                                                     chain, monkeypatch):

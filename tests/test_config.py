@@ -132,14 +132,20 @@ def test_out_of_range_value_names_its_section(load):
      r" true \(leave-one-out tau calibration\), got 2"),
     (doc(eval={"profile_episodes": 1}, detectors={"calibrate_tau": False}),
      "eval: profile_episodes must be >= 2, got 1"),
+    # a negative limit turns away from the command, a zero one never turns
+    (doc(env={"heading_rate_limit_deg": -30.0}),
+     "env: heading_rate_limit_deg must be > 0, got -30.0"),
+    (doc(env={"heading_rate_limit_deg": 0}),
+     "env: heading_rate_limit_deg must be > 0, got 0"),
 ])
 def test_value_no_stage_can_fly_rejected(document, message, load):
     """numpy's generators take only seeds >= 0, an attack needs an onset
     after the reset, a net a unit in each layer, a training update a full
     batch and a descent step a positive rate, an episode count is never
     negative, exploration noise has a scale >= 0, the same-age profile pools
-    at least two profile flights and a leave-one-out calibration holds out
-    one of at least three: the config says so before any stage runs."""
+    at least two profile flights, a leave-one-out calibration holds out
+    one of at least three and the heading turns toward the command: the
+    config says so before any stage runs."""
     with pytest.raises(ConfigurationError, match=message):
         load(document)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from driftwatch import gnss
 from driftwatch.config import GnssConfig
 from driftwatch.errors import (
     ConfigurationError,
@@ -13,6 +14,7 @@ from driftwatch.gnss import (
     Constellation,
     PvtSolution,
     _check_rank,
+    _line_of_sight,
     _well_conditioned,
     constellation_from_config,
     make_constellation,
@@ -328,6 +330,26 @@ def test_spoofed_solve_matches_reference_bit_for_bit(cons):
                                  reference_solve_pvt(meas, positions, init=init))
 
 
+def test_interleaved_constellations_match_reference_bit_for_bit():
+    """Each constellation fills its own Jacobian buffer: solves that take
+    turns on an 8- and a 5-satellite constellation each give the reference
+    solve's result."""
+    eight = make_constellation(8, 2.0e7, 3, 10.0)
+    five = make_constellation(5, 2.0e7, 4, 10.0)
+    rng = np.random.default_rng(408)
+    fixes = {}
+    for k in range(120):
+        constellation = (eight, five)[k % 2]
+        truth = random_receiver(rng)
+        meas = measure_pseudoranges(truth[:3], truth[3], constellation, 2.0, rng)
+        init = fixes.get(len(constellation))
+        start = None if init is None else init.x.copy()
+        fix = solve_pvt(meas, constellation, init=init)
+        assert_same_solution(
+            fix, reference_solve_pvt(meas, constellation.positions, init=start))
+        fixes[len(constellation)] = fix
+
+
 def test_predicted_pseudoranges_and_jacobian_match_reference(cons):
     rng = np.random.default_rng(5)
     positions = cons.positions
@@ -603,9 +625,56 @@ def test_fix_records_what_it_was_solved_from(cons):
     assert fix.measurements == meas.tobytes()
     assert not fix.stationary  # it moved from init
     assert fix.solved_on is cons.positions
-    for arr in (fix.x, fix.residuals):
+    sep, ranges = fix.line_of_sight
+    want_sep, want_ranges = _line_of_sight(fix.x[:3], cons.positions)
+    assert sep.tobytes() == want_sep.tobytes()
+    assert ranges.tobytes() == want_ranges.tobytes()
+    assert fix.residuals.tobytes() == (meas - (ranges + fix.x[3])).tobytes()
+    for arr in (fix.x, fix.residuals, sep, ranges):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
+
+
+def count_lines_of_sight(monkeypatch):
+    """A list that gains one entry per line of sight the solver computes."""
+    calls = []
+    real = gnss._line_of_sight
+
+    def counted(position, positions):
+        calls.append(position)
+        return real(position, positions)
+
+    monkeypatch.setattr(gnss, "_line_of_sight", counted)
+    return calls
+
+
+def test_rollout_warm_starts_match_the_vector_solve(cons, monkeypatch):
+    """A moving receiver's noisy epochs, each solved from the last fix as
+    a rollout solves them: every warm start, from the solved fix, from the
+    same fix built by hand and from a fix solved on another constellation,
+    gives bit for bit the solve from that fix's vector.  Only the solved
+    fix hands over its line of sight, so that solve computes one line of
+    sight per iteration and the others one more."""
+    other = make_constellation(8, 2.0e7, 8, 10.0)
+    rng = np.random.default_rng(407)
+    truth = random_receiver(rng)
+    fix = solve_pvt(measure_pseudoranges(truth[:3], truth[3], cons, 2.0, rng),
+                    cons, init=truth)
+    for _ in range(60):
+        truth[:3] += rng.normal(0.0, 10.0, size=3)
+        meas = measure_pseudoranges(truth[:3], truth[3], cons, 2.0, rng)
+        hand = PvtSolution(x=fix.x.copy(), iterations=fix.iterations,
+                           final_residual_norm=fix.final_residual_norm,
+                           converged=True, residuals=fix.residuals.copy())
+        elsewhere = solve_pvt(meas, other, init=fix)
+        for init, handed_over in ((fix, True), (hand, False),
+                                  (elsewhere, False)):
+            calls = count_lines_of_sight(monkeypatch)
+            got = solve_pvt(meas, cons, init=init)
+            monkeypatch.undo()
+            assert same_fix(got, from_vector(meas, cons, init))
+            assert len(calls) == got.iterations + (not handed_over)
+        fix = solve_pvt(meas, cons, init=fix)
 
 
 def test_repeated_spoofed_epoch_returns_the_stationary_fix(cons):

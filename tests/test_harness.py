@@ -275,6 +275,26 @@ class TestRunEpisode:
             assert log.flags.tobytes() == want.flags.tobytes()
             assert log.stats.tobytes() == want.stats.tobytes()
 
+    def test_flights_record_only_what_their_logs_keep(
+            self, small_agent, mini_cfg, monkeypatch):
+        """An untraced flight records its fix position, RMS residual,
+        observation and action, 16 columns a step; a traced one adds the
+        true position and the reward breakdown, 23 in all."""
+        widths = []
+        real = harness._Flight.record
+
+        def record(flight, row):
+            widths.append(row.size)
+            real(flight, row)
+
+        monkeypatch.setattr(harness._Flight, "record", record)
+        episodes = [(None, 30 + k) for k in range(3)]
+        for trace, width in ((False, 16), (True, 23)):
+            widths.clear()
+            logs = run_episode(small_agent, mini_cfg, episodes, trace=trace)
+            assert widths and set(widths) == {width}
+            assert len(widths) == sum(log.n_steps for log in logs)
+
     def test_csv_needs_the_trace(self, small_agent, mini_cfg, tmp_path):
         [log] = run_episode(small_agent, mini_cfg, [(None, 7)])
         path = tmp_path / "episode.csv"
