@@ -14,10 +14,10 @@ import numpy as np
 
 from driftwatch.detectors import (
     AgeProfile,
-    PageHinkley,
     bocpd_flag,
     bocpd_init,
     bocpd_update,
+    page_hinkley,
 )
 
 rng = np.random.default_rng(5)
@@ -98,7 +98,6 @@ for size in (1.0, 2.0, 3.0, 4.0, 6.0):
 print("\nPage-Hinkley (delta=0.5, lambda=8) on the same 3-sigma streams")
 runs = noise(20)
 runs[:, change_at:] -= 3.0
-ph = PageHinkley(delta=0.5, lam=8.0, rows=len(runs))
-flags = np.array([ph.update(runs[:, t])[0] for t in range(n)]).T
+flags = np.array([page_hinkley(run, delta=0.5, lam=8.0)[0] for run in runs])
 mean, missed = report_delays(first_hits(flags))
 print(f"  mean delay {mean}, missed {missed}/20")

@@ -10,6 +10,10 @@ scales with the same-age spread.  Baselines: a one-sided Page-Hinkley test
 scaled by the pooled profile (`NominalProfile`), pseudorange-residual
 thresholding with a kinematic jump gate, and a fixed-window autoencoder
 scored by reconstruction error.
+
+Each baseline is a function of one episode's record that returns (flags,
+statistics).  Only the run-length posterior keeps rows, so that a stage's
+streams can step through their ages together (`bocpd_update`).
 """
 
 from __future__ import annotations
@@ -423,63 +427,45 @@ def calibrate_tau(l_hat_streams, warmup: int) -> tuple[int, float]:
     return fitting[-1] if fitting else rates[0]
 
 
-class PageHinkley:
-    """One-sided (downward) Page-Hinkley tests over `rows` streams in lockstep."""
+def page_hinkley(values, delta: float, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """(flags, statistics) of a one-sided (downward) Page-Hinkley test over
+    one stream; the statistic is PH's excursion, flagged past `lam`.
 
-    def __init__(self, delta: float, lam: float, rows: int = 1):
-        if delta < 0 or lam <= 0:
-            raise ConfigurationError("delta must be >= 0 and lambda > 0")
-        self.delta = delta
-        self.lam = lam
-        self.n = 0
-        self.mean = np.zeros(rows)
-        self.m = np.zeros(rows)
-        self.m_min = np.zeros(rows)
-
-    def update(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(flags, statistics) after one value for each of the first x.size rows.
-
-        Rows past x.size have ended and keep their last state.  The
-        statistic is PH's excursion.
-        """
-        rows = x.size
-        mean, m, m_min = self.mean[:rows], self.m[:rows], self.m_min[:rows]
-        self.n += 1
-        mean += (x - mean) / self.n
-        m += mean - x - self.delta
-        np.minimum(m_min, m, out=m_min)
-        ph = m - m_min
-        return ph > self.lam, ph
+    The recursion runs on Python floats, the same IEEE arithmetic as a
+    float64 array's.  A NaN value leaves the statistic NaN from there on.
+    """
+    ph = np.empty(len(values))
+    mean = m = m_min = 0.0
+    for n, x in enumerate(np.asarray(values, dtype=float).tolist(), start=1):
+        mean += (x - mean) / n
+        m += mean - x - delta
+        m_min = min(m_min, m)
+        ph[n - 1] = m - m_min
+    return ph > lam, ph
 
 
-class ResidualThreshold:
-    """Residual-norm test plus a kinematic jump gate on the implied position."""
+def fix_rms(pvt: PvtSolution) -> float:
+    """RMS pseudorange residual of one fix: the residual test's statistic."""
+    return pvt.final_residual_norm / math.sqrt(len(pvt.residuals))
 
-    def __init__(self, k_sigma: float, noise_sigma: float, jump_gate: float):
-        if k_sigma <= 0 or noise_sigma < 0 or jump_gate <= 0:
-            raise ConfigurationError("invalid residual detector parameters")
-        # absolute floor so zero-noise configs do not flag solver round-off
-        self.threshold = max(k_sigma * noise_sigma, 1e-6)
-        self.jump_gate = jump_gate
 
-    @staticmethod
-    def statistic(pvt: PvtSolution) -> float:
-        """RMS pseudorange residual of one fix: the test's statistic."""
-        return pvt.final_residual_norm / math.sqrt(len(pvt.residuals))
+def residual_score(
+    positions: np.ndarray, rms: np.ndarray, k_sigma: float,
+    noise_sigma: float, jump_gate: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(flags, statistics) of the residual-norm test plus a kinematic jump
+    gate over an episode's fixes, from their (n, 3) positions and (n,) RMS
+    residuals.
 
-    def score(
-        self, positions: np.ndarray, rms: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(flags, statistics) of an episode's fixes, from their (n, 3)
-        positions and (n,) RMS residuals.
-
-        The test keeps no state but the previous position, so it scores the
-        whole episode at once.  The first fix has no jump reference.
-        """
-        step = np.diff(positions, axis=0)
-        jump = np.zeros(len(rms))
-        jump[1:] = np.sqrt(np.add.reduce(step * step, axis=1))  # np.linalg.norm's
-        return (rms > self.threshold) | (jump > self.jump_gate), rms
+    The test keeps no state but the previous position, so it scores the
+    whole episode at once.  The first fix has no jump reference.
+    """
+    # absolute floor so zero-noise configs do not flag solver round-off
+    threshold = max(k_sigma * noise_sigma, 1e-6)
+    step = np.diff(positions, axis=0)
+    jump = np.zeros(len(rms))
+    jump[1:] = np.sqrt(np.add.reduce(step * step, axis=1))  # np.linalg.norm's
+    return (rms > threshold) | (jump > jump_gate), rms
 
 
 @dataclass

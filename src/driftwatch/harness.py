@@ -13,10 +13,10 @@ run`, whose CSV writes it, keeps the per-step trace past that: true
 position, observation, action and reward.  A study stage's logs keep the
 value stream, the fixes and the attack schedule, which is all it scores.
 No verdict feeds back into the controller, so the stage is scored after
-it is played: the changepoint and Page-Hinkley tests each step through
-the ages of every episode in one lockstep pass, one row per episode
-still running, and the residual test and one autoencoder forward score
-each episode's whole record.  Each logged row describes one decision
+it is played: the changepoint test steps through the ages of every
+episode in one lockstep pass, one row per episode still running, and
+Page-Hinkley, the residual test and one autoencoder forward each score
+one episode's whole record.  Each logged row describes one decision
 point; the reward column is the return received for that row's action.
 """
 
@@ -30,7 +30,9 @@ import numpy as np
 from .config import (
     EvalConfig,
     ExperimentConfig,
+    _at_least,
     _fmt,
+    _positive,
     _write_chunks,
     canonical_json,
     from_json,
@@ -43,8 +45,6 @@ from .detectors import (
     RERUN_PROFILE,
     AgeProfile,
     NominalProfile,
-    PageHinkley,
-    ResidualThreshold,
     WindowAutoencoder,
     bocpd_flag,
     bocpd_init,
@@ -52,6 +52,9 @@ from .detectors import (
     calibrate_tau,
     fit_age_profile,
     fit_nominal_profile,
+    fix_rms,
+    page_hinkley,
+    residual_score,
     window_ae_score,
     window_ae_train,
 )
@@ -97,7 +100,8 @@ _BANK_FILES = {
 
 @dataclass(frozen=True)
 class _BankParameters:
-    """The scalar parameters of a detector bank, the numbers `bank.json` holds."""
+    """The scalar parameters of a detector bank, the numbers `bank.json` holds,
+    range-checked where they enter: from `profile_pipeline` or the file."""
 
     tau: int
     warmup: int
@@ -108,6 +112,19 @@ class _BankParameters:
     residual_k_sigma: float
     residual_noise_sigma: float
     residual_jump_gate: float
+
+    def __post_init__(self):
+        _at_least("tau", self.tau, 1)
+        _at_least("warmup", self.warmup, 0)
+        if not 0 < self.hazard < 1:
+            raise ConfigurationError(f"hazard must be in (0,1), got {self.hazard}")
+        if not 0 <= self.prune < 1e-3:
+            raise ConfigurationError(f"prune must be in [0, 1e-3), got {self.prune}")
+        _at_least("ph_delta", self.ph_delta, 0)
+        _positive("ph_lambda", self.ph_lambda)
+        _positive("residual_k_sigma", self.residual_k_sigma)
+        _at_least("residual_noise_sigma", self.residual_noise_sigma, 0)
+        _positive("residual_jump_gate", self.residual_jump_gate)
 
 
 @dataclass(frozen=True)
@@ -127,26 +144,22 @@ class DetectorBank(_BankParameters):
         """Fill in the flags and statistics of a stage's recorded episodes.
 
         Columns follow DETECTOR_ORDER, one row per decision point.  The
-        changepoint test (`EpisodeDetectors`) and Page-Hinkley each score
-        every episode in one lockstep pass over ages; the residual test and
-        the AE score each episode's whole record.  A single episode is the
-        one-row case of the same passes.
+        changepoint test scores every episode in one lockstep pass over
+        ages (`_run_lengths`), of which a single episode is the one-row
+        case; Page-Hinkley, the residual test and the AE each score one
+        episode's whole record.
         """
-        streams = [log.q for log in logs]
-        hats = _lockstep(streams, lambda order: EpisodeDetectors(
-            [self.age_profile] * len(order), self.hazard, self.prune).update)
-        ph = _lockstep(streams, lambda order: PageHinkley(
-            delta=self.ph_delta, lam=self.ph_lambda, rows=len(order)).update)
-        residual = ResidualThreshold(
-            k_sigma=self.residual_k_sigma,
-            noise_sigma=self.residual_noise_sigma,
-            jump_gate=self.residual_jump_gate,
-        )
-        for log, (l_hat,), ph_scores in zip(logs, hats, ph):
+        hats = _run_lengths([log.q for log in logs],
+                            [self.age_profile] * len(logs), self.hazard,
+                            self.prune)
+        for log, l_hat in zip(logs, hats):
             ages = np.arange(1, log.n_steps + 1)
             tests = (bocpd_flag(l_hat, ages, self.tau, self.warmup),
-                     ph_scores,
-                     residual.score(log.est_pos, log.residual_rms),
+                     page_hinkley(log.q, self.ph_delta, self.ph_lambda),
+                     residual_score(log.est_pos, log.residual_rms,
+                                    self.residual_k_sigma,
+                                    self.residual_noise_sigma,
+                                    self.residual_jump_gate),
                      window_ae_score(self.ae, log.q))
             log.flags = np.column_stack([flags for flags, _ in tests])
             log.stats = np.column_stack([stats for _, stats in tests])
@@ -195,43 +208,39 @@ class EpisodeDetectors:
         self.prune = prune
         self.bocpd_state = bocpd_init(priors, hazard)
 
-    def update(self, q: np.ndarray) -> tuple[np.ndarray]:
+    def update(self, q: np.ndarray) -> np.ndarray:
         """Feed the next age to the first q.size rows; later rows have ended.
 
         Returns their argmax run lengths.
         """
         self.bocpd_state, l_hat = bocpd_update(self.bocpd_state, q, self.prune)
-        return (l_hat,)
+        return l_hat
 
 
-def _lockstep(streams, start) -> list[list[np.ndarray]]:
-    """Feed the streams to one test together, one age at a time.
+def _run_lengths(streams, priors, hazard: float,
+                 prune: float) -> list[np.ndarray]:
+    """Argmax run lengths of each value stream under its own prior (the
+    AgeProfile at the same index), every stream in one `EpisodeDetectors`.
 
-    Rows run longest first, so those still running at an age are the first
-    rows.  `start(order)` gets the streams' indices in row order and returns
-    the test's `update(values)`, which gets the running rows' values at an
-    age and returns a tuple of per-row arrays.  Returns each stream's
-    outputs over its own ages, in the order the streams are given.
+    The streams step through their ages together.  Rows run longest first,
+    ties in the order given, so those still running at an age are the first
+    rows and only they are fed.  Returns each stream's argmax run lengths
+    over its own ages, in the order the streams are given.
     """
     order = sorted(range(len(streams)), key=lambda i: -len(streams[i]))
-    update = start(order)
+    detectors = EpisodeDetectors([priors[i] for i in order], hazard, prune)
     lengths = [len(streams[i]) for i in order]
     table = np.zeros((lengths[0], len(streams)))  # (age, row)
     for row, i in enumerate(order):
         table[:lengths[row], row] = streams[i]
+    hats = np.empty(table.shape, dtype=int)
     running = len(streams)
-    outputs = None
     for t, values in enumerate(table):
         while lengths[running - 1] <= t:
             running -= 1
-        step = update(values[:running])
-        if outputs is None:
-            outputs = [np.empty(table.shape, dtype=a.dtype) for a in step]
-        for out, a in zip(outputs, step):
-            out[t, :running] = a
+        hats[t, :running] = detectors.update(values[:running])
     row_of = {i: row for row, i in enumerate(order)}
-    return [[out[:len(s), row_of[i]] for out in outputs]
-            for i, s in enumerate(streams)]
+    return [hats[:len(s), row_of[i]] for i, s in enumerate(streams)]
 
 
 @dataclass
@@ -398,7 +407,7 @@ def run_episode(
         rows[:, _PHI] = [f.phi for f in running]
         rows[:, _ACT] = agent.act(rows[:, _PHI])
         rows[:, _EST] = [f.pvt.x[:3] for f in running]
-        rows[:, _RMS] = [ResidualThreshold.statistic(f.pvt) for f in running]
+        rows[:, _RMS] = [fix_rms(f.pvt) for f in running]
         if trace:
             rows[:, _TRUE] = [f.world.uav_pos_true for f in running]
         for f, row in zip(running, rows):
@@ -530,7 +539,7 @@ def profile_pipeline(
     run-length threshold is calibrated leave-one-out: each profile stream
     is scored against an age profile fitted on the other streams, as an
     unseen flight would be.  The held-out streams are scored in one
-    lockstep pass of `EpisodeDetectors`, one prior per row, as
+    lockstep pass (`_run_lengths`), one prior per stream, as
     `DetectorBank.score` scores a stage.
     """
     det_cfg = cfg.detectors
@@ -543,11 +552,11 @@ def profile_pipeline(
     age_profile = fit_age_profile(q_streams, source_episodes=episodes)
 
     if det_cfg.calibrate_tau:
-        hats = _lockstep(q_streams, lambda order: EpisodeDetectors(
-            [fit_age_profile(q_streams[:i] + q_streams[i + 1:]) for i in order],
-            det_cfg.bocpd_hazard, det_cfg.bocpd_prune).update)
-        tau, achieved_fp = calibrate_tau([l_hat for l_hat, in hats],
-                                         warmup=det_cfg.bocpd_warmup)
+        held_out = [fit_age_profile(q_streams[:i] + q_streams[i + 1:])
+                    for i in range(len(q_streams))]
+        hats = _run_lengths(q_streams, held_out, det_cfg.bocpd_hazard,
+                            det_cfg.bocpd_prune)
+        tau, achieved_fp = calibrate_tau(hats, warmup=det_cfg.bocpd_warmup)
     else:
         tau, achieved_fp = det_cfg.bocpd_tau, float("nan")
 

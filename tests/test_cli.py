@@ -11,7 +11,7 @@ import shutil
 import numpy as np
 import pytest
 
-from driftwatch import cli
+from driftwatch import cli, harness
 from driftwatch.cli import main
 from driftwatch.config import ExperimentConfig
 
@@ -253,6 +253,27 @@ class TestUsageErrors:
             err = capsys.readouterr().err
             assert err.startswith("error:") and key in err
             assert "driftwatch profile" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("tau", -3), ("prune", 0.5), ("hazard", 2.0)])
+    def test_out_of_range_bank_value_exits_before_any_flight(
+            self, capsys, tmp_path, cfg_path, chain, monkeypatch, key, value):
+        for bank_file in ("bank.json", "profile.json", "age_profile.json",
+                          "ae.npz"):
+            shutil.copy(chain / bank_file, tmp_path / bank_file)
+        doc = json.loads((tmp_path / "bank.json").read_text())
+        doc[key] = value
+        (tmp_path / "bank.json").write_text(json.dumps(doc))
+        played = []
+        monkeypatch.setattr(harness, "run_episode",
+                            lambda *args, **kwargs: played.append(args))
+        rc = main(["eval", "--config", str(cfg_path),
+                   "--checkpoint", str(chain / "checkpoint.npz"),
+                   "--out", str(tmp_path)])
+        assert rc == 1 and played == []
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bank.json" in err and key in err
+        assert "driftwatch profile" in err
 
     @pytest.mark.parametrize("name, key", [
         ("age_profile.json", "means"),

@@ -11,8 +11,6 @@ from driftwatch.config import DetectorConfig, GnssConfig
 from driftwatch.detectors import (
     AgeProfile,
     NominalProfile,
-    PageHinkley,
-    ResidualThreshold,
     WindowAutoencoder,
     bocpd_flag,
     bocpd_init,
@@ -20,6 +18,9 @@ from driftwatch.detectors import (
     calibrate_tau,
     fit_age_profile,
     fit_nominal_profile,
+    fix_rms,
+    page_hinkley,
+    residual_score,
     window_ae_score,
     window_ae_train,
 )
@@ -637,76 +638,54 @@ class TestCalibrateTau:
             calibrate_tau([], warmup=10)
 
 
-def scaled_ph(rows=1):
-    """Page-Hinkley scaled by the pooled profile, as the profile stage does."""
-    return PageHinkley(delta=0.005 * PROFILE.sigma0, lam=50.0 * PROFILE.sigma0,
-                       rows=rows)
+# Page-Hinkley scaled by the pooled profile, as the profile stage scales it
+PH_DELTA, PH_LAMBDA = 0.005 * PROFILE.sigma0, 50.0 * PROFILE.sigma0
 
 
 class TestPageHinkley:
     def test_constant_stream_never_flags(self):
-        ph = scaled_ph()
-        for _ in range(500):
-            flag, stat = ph.update(np.array([PROFILE.mu0]))
-            assert flag.tolist() == [False]
-            assert stat.tolist() == [0.0]
+        flags, stats = page_hinkley(np.full(500, PROFILE.mu0), PH_DELTA,
+                                    PH_LAMBDA)
+        assert not flags.any()
+        assert stats.tolist() == [0.0] * 500
 
     def test_upward_step_never_flags(self):
-        ph = scaled_ph()
         rng = np.random.default_rng(3)
         q = PROFILE.mu0 + PROFILE.sigma0 * rng.normal(size=200)
         q[100:] += 10 * PROFILE.sigma0
-        assert not any(ph.update(q[t:t + 1])[0][0] for t in range(q.size))
+        assert not page_hinkley(q, PH_DELTA, PH_LAMBDA)[0].any()
 
     def test_downward_step_flags_within_twenty_steps(self):
-        # eight seeds, one row each
-        q = np.array([
-            PROFILE.mu0 + PROFILE.sigma0 * np.random.default_rng(seed).normal(size=120)
-            for seed in range(8)
-        ])
-        q[:, 50:] -= 10 * PROFILE.sigma0
-        ph = scaled_ph(rows=8)
-        first = [None] * 8
-        for t, values in enumerate(q.T, start=1):
-            for seed, flag in enumerate(ph.update(values)[0].tolist()):
-                if flag and first[seed] is None:
-                    first[seed] = t
-        for seed, t in enumerate(first):
-            assert t is not None and 50 < t <= 70, f"seed {seed}: {t}"
+        for seed in range(8):
+            q = PROFILE.mu0 + PROFILE.sigma0 * np.random.default_rng(
+                seed).normal(size=120)
+            q[50:] -= 10 * PROFILE.sigma0
+            flags, _ = page_hinkley(q, PH_DELTA, PH_LAMBDA)
+            first = int(flags.argmax()) + 1 if flags.any() else None  # age
+            assert first is not None and 50 < first <= 70, f"seed {seed}: {first}"
 
     def test_statistic_is_nonnegative(self):
-        ph = PageHinkley(delta=0.0, lam=1.0)
         rng = np.random.default_rng(11)
-        for x in rng.normal(size=300):
-            assert ph.update(np.array([x]))[1][0] >= 0.0
+        _, stats = page_hinkley(rng.normal(size=300), 0.0, 1.0)
+        assert (stats >= 0.0).all()
 
     def test_rows_match_scalar_bit_for_bit(self):
-        """Rows ending at different ages and a NaN in one row: each row's
-        flags and statistics equal the one-stream test's."""
+        """Streams of different lengths and a NaN in one: each stream's
+        flags and statistics equal the one-value-at-a-time test's."""
         rng = np.random.default_rng(12)
         lengths = [80, 80, 61, 40, 7]
         streams = [PROFILE.mu0 + PROFILE.sigma0 * rng.normal(size=n)
                    for n in lengths]
         streams[0][30:] -= 4 * PROFILE.sigma0
         streams[1][25] = np.nan
-        ph = scaled_ph(rows=5)
-        scalars = [ScalarPageHinkley(ph.delta, ph.lam) for _ in lengths]
-        flagged = np.zeros(5, dtype=bool)
-        for t in range(lengths[0]):
-            running = sum(n > t for n in lengths)
-            flags, stats = ph.update(np.array([s[t] for s in streams[:running]]))
-            for row in range(running):
-                flag, stat = scalars[row].update(float(streams[row][t]))
-                assert flags[row] == flag
-                assert np.array([stat]).tobytes() == stats[row:row + 1].tobytes()
-            flagged[:running] |= flags
-        assert flagged[0] and np.isnan(stats[1])
-
-    def test_parameter_validation(self):
-        with pytest.raises(ConfigurationError):
-            PageHinkley(delta=-0.1, lam=1.0)
-        with pytest.raises(ConfigurationError):
-            PageHinkley(delta=0.1, lam=0.0)
+        results = [page_hinkley(s, PH_DELTA, PH_LAMBDA) for s in streams]
+        for stream, (flags, stats) in zip(streams, results):
+            oracle = ScalarPageHinkley(PH_DELTA, PH_LAMBDA)
+            want = [oracle.update(x) for x in stream.tolist()]
+            assert flags.shape == stats.shape == stream.shape
+            assert flags.tolist() == [flag for flag, _ in want]
+            assert stats.tobytes() == np.array([s for _, s in want]).tobytes()
+        assert results[0][0].any() and np.isnan(results[1][1][-1])
 
 
 @pytest.fixture(scope="module")
@@ -714,11 +693,13 @@ def constellation():
     return constellation_from_config(GnssConfig())
 
 
-def score_fixes(det, fixes):
-    """(flags, statistics) of a list of fixes, as one episode."""
+def score_fixes(fixes, noise_sigma):
+    """(flags, statistics) of a list of fixes, as one episode, at k = 3
+    sigma and a 50 m jump gate."""
     positions = np.array([pvt.x[:3] for pvt in fixes])
-    rms = np.array([ResidualThreshold.statistic(pvt) for pvt in fixes])
-    return det.score(positions, rms)
+    rms = np.array([fix_rms(pvt) for pvt in fixes])
+    return residual_score(positions, rms, k_sigma=3.0,
+                          noise_sigma=noise_sigma, jump_gate=50.0)
 
 
 class TestResidualThreshold:
@@ -728,17 +709,16 @@ class TestResidualThreshold:
         return solve_pvt(meas, constellation)
 
     def test_clean_solution_stays_quiet(self, constellation):
-        det = ResidualThreshold(k_sigma=3.0, noise_sigma=0.0, jump_gate=50.0)
+        """Zero noise: the threshold's 1e-6 floor keeps round-off quiet."""
         pvt = self.solve_at(constellation, [100.0, -50.0, 30.0])
-        assert score_fixes(det, [pvt])[0].tolist() == [False]
+        assert score_fixes([pvt], noise_sigma=0.0)[0].tolist() == [False]
 
     def test_nominal_noise_stays_under_threshold(self, constellation):
         rng = np.random.default_rng(5)
-        det = ResidualThreshold(k_sigma=3.0, noise_sigma=2.0, jump_gate=50.0)
         pos = np.array([0.0, 0.0, 100.0])
         fixes = [self.solve_at(constellation, pos + [k, 0, 0],
                                noise_sigma=2.0, rng=rng) for k in range(50)]
-        assert not score_fixes(det, fixes)[0].any()
+        assert not score_fixes(fixes, noise_sigma=2.0)[0].any()
 
     def test_inconsistent_measurements_flag(self, constellation):
         meas = measure_pseudoranges(np.array([0.0, 0.0, 100.0]), 0.0,
@@ -746,31 +726,30 @@ class TestResidualThreshold:
         values = meas.copy()
         values[:3] += 30.0  # corrupt three of eight channels
         pvt = solve_pvt(values, constellation)
-        det = ResidualThreshold(k_sigma=3.0, noise_sigma=2.0, jump_gate=50.0)
-        assert score_fixes(det, [pvt])[0].tolist() == [True]
+        assert score_fixes([pvt], noise_sigma=2.0)[0].tolist() == [True]
 
     def test_jump_gate_catches_teleport_but_not_drift(self, constellation):
-        det = ResidualThreshold(k_sigma=3.0, noise_sigma=0.0, jump_gate=50.0)
         a = self.solve_at(constellation, [0.0, 0.0, 100.0])
         b = self.solve_at(constellation, [30.0, 0.0, 100.0])
         c = self.solve_at(constellation, [630.0, 0.0, 100.0])
         # the first fix has no jump reference; 30 m is drift-sized; 600 m
         # is a teleport
-        assert score_fixes(det, [a, b, c])[0].tolist() == [False, False, True]
+        assert score_fixes([a, b, c], noise_sigma=0.0)[0].tolist() == [
+            False, False, True]
 
     def test_statistics_match_numpy_norms(self, constellation):
         """Statistic and jump gate as np.sqrt and np.linalg.norm give them,
         and as the one-fix-at-a-time test gave them."""
         rng = np.random.default_rng(9)
-        det = ResidualThreshold(k_sigma=3.0, noise_sigma=2.0, jump_gate=50.0)
         pos = np.array([500.0, 500.0, 150.0])
         fixes = []
         for _ in range(200):
             pos = pos + rng.normal(0.0, 30.0, size=3)
             fixes.append(self.solve_at(constellation, pos, noise_sigma=2.0,
                                        rng=rng))
-        flags, stats = score_fixes(det, fixes)
-        oracle = ScalarResidualThreshold(det.threshold, det.jump_gate)
+        flags, stats = score_fixes(fixes, noise_sigma=2.0)
+        threshold = 6.0  # k_sigma * noise_sigma
+        oracle = ScalarResidualThreshold(threshold, 50.0)
         prev = None
         jumped = 0
         for pvt, flag, statistic in zip(fixes, flags, stats):
@@ -778,20 +757,12 @@ class TestResidualThreshold:
             jump = (0.0 if prev is None
                     else float(np.linalg.norm(pvt.x[:3] - prev)))
             assert statistic == float(stat)
-            assert flag == ((stat > det.threshold) or (jump > 50.0))
+            assert flag == ((stat > threshold) or (jump > 50.0))
             assert (flag, statistic) == oracle.update(pvt.x[:3],
                                                       float(stat))
             jumped += jump > 50.0
             prev = pvt.x[:3].copy()
         assert 0 < jumped < 200
-
-    def test_parameter_validation(self):
-        with pytest.raises(ConfigurationError):
-            ResidualThreshold(k_sigma=0.0, noise_sigma=1.0, jump_gate=50.0)
-        with pytest.raises(ConfigurationError):
-            ResidualThreshold(k_sigma=3.0, noise_sigma=-1.0, jump_gate=50.0)
-        with pytest.raises(ConfigurationError):
-            ResidualThreshold(k_sigma=3.0, noise_sigma=1.0, jump_gate=0.0)
 
 
 def make_streams(rng, n, length, profile=PROFILE):

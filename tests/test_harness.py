@@ -32,7 +32,7 @@ from driftwatch.harness import (
     DetectorBank,
     EpisodeDetectors,
     EpisodeLog,
-    _lockstep,
+    _run_lengths,
     compute_metrics,
     evaluate,
     profile_pipeline,
@@ -565,38 +565,50 @@ class TestEpisodeDetectors:
         assert np.isnan(logs[7].stats[-1, 1])  # Page-Hinkley keeps the NaN
         assert sum(log.flags[:, 0].any() for log in logs) > 5
 
-    def test_lockstep_feeds_only_the_running_rows(self):
-        """Unsorted streams run longest first, ties in the order given, so
-        only the rows still running are fed; each stream's outputs come
-        back in the order given."""
-        streams = [np.arange(10.0, 13.0), np.array([30.0]), np.arange(5.0),
-                   np.arange(20.0, 23.0)]
-        orders, seen = [], []
+    def test_lockstep_feeds_only_the_running_rows(self, synthetic_bank,
+                                                  monkeypatch):
+        """Unsorted streams run longest first, ties in the order given, each
+        row under its own stream's prior, so only the rows still running
+        are fed; each stream's argmax run lengths come back in the order
+        given, equal to that stream scored alone."""
+        bank = synthetic_bank
+        streams = [-3.0 + np.arange(3.0), np.array([-2.5]),
+                   -3.5 + 0.5 * np.arange(5.0), -2.0 - np.arange(3.0)]
+        priors = [dataclasses.replace(bank.age_profile,
+                                      means=(-3.0 + 0.1 * k,))
+                  for k in range(len(streams))]
+        rows, fed = [], []
 
-        def start(order):
-            orders.append(order)
-            return update
+        class Spy(EpisodeDetectors):
+            def __init__(self, row_priors, hazard, prune):
+                rows.append(row_priors)
+                super().__init__(row_priors, hazard, prune)
 
-        def update(values):
-            seen.append(values.tolist())
-            return (values * 2.0, values > 11.0)
+            def update(self, q):
+                fed.append(q.tolist())
+                return super().update(q)
 
-        out = _lockstep(streams, start)
-        assert orders == [[2, 0, 3, 1]]
-        assert seen == [[0.0, 10.0, 20.0, 30.0], [1.0, 11.0, 21.0],
-                        [2.0, 12.0, 22.0], [3.0], [4.0]]
+        monkeypatch.setattr(harness, "EpisodeDetectors", Spy)
+        out = _run_lengths(streams, priors, bank.hazard, bank.prune)
+        order = [2, 0, 3, 1]
+        assert len(rows) == 1
+        assert all(a is priors[i] for a, i in zip(rows[0], order, strict=True))
+        assert fed == [[streams[i][t] for i in order if streams[i].size > t]
+                       for t in range(5)]
+        assert [len(values) for values in fed] == [4, 3, 3, 1, 1]
         assert len(out) == len(streams)
-        for stream, (doubled, big) in zip(streams, out):
-            assert doubled.tolist() == (stream * 2.0).tolist()
-            assert big.tolist() == (stream > 11.0).tolist()
+        for stream, prior, hats in zip(streams, priors, out):
+            alone = EpisodeDetectors([prior], bank.hazard, bank.prune)
+            want = [alone.update(np.array([x]))[0] for x in stream]
+            assert hats.tolist() == want
 
     def test_episode_detectors_drop_rows_that_end(self, synthetic_bank):
         bank = synthetic_bank
         dets = EpisodeDetectors([bank.age_profile] * 3, bank.hazard,
                                 bank.prune)
-        (l_hat,) = dets.update(np.array([-3.0, -3.1, -2.9]))
+        l_hat = dets.update(np.array([-3.0, -3.1, -2.9]))
         assert l_hat.tolist() == [1, 1, 1]
-        (l_hat,) = dets.update(np.array([-3.0]))
+        l_hat = dets.update(np.array([-3.0]))
         assert l_hat.shape == (1,)
         assert dets.bocpd_state.weights.shape[0] == 1
 
@@ -665,6 +677,20 @@ class TestDetectorBankPersistence:
         ("profile.json", "n_samples", 1000.5),
         ("age_profile.json", "source_episodes", [0, 1.5]),
         ("profile.json", "sigma0_sq", -1.0),
+        # values out of the range a bank's tests can run with
+        ("bank.json", "tau", 0),
+        ("bank.json", "tau", -3),
+        ("bank.json", "warmup", -7),
+        ("bank.json", "hazard", 0.0),
+        ("bank.json", "hazard", 2.0),
+        ("bank.json", "prune", -1e-9),
+        ("bank.json", "prune", 1e-3),
+        ("bank.json", "prune", 0.5),
+        ("bank.json", "ph_delta", -0.1),
+        ("bank.json", "ph_lambda", 0.0),
+        ("bank.json", "residual_k_sigma", 0.0),
+        ("bank.json", "residual_noise_sigma", -1.0),
+        ("bank.json", "residual_jump_gate", 0.0),
     ])
     def test_bad_entry_rejected(self, synthetic_bank, tmp_path, name, key,
                                 value):
@@ -870,9 +896,9 @@ class TestPipelines:
         det = cfg.detectors
         for i, (stream, hats) in enumerate(zip(streams, seen)):
             prior = fit_age_profile(streams[:i] + streams[i + 1:])
-            [(alone,)] = _lockstep([stream], lambda order: EpisodeDetectors(
-                [prior], det.bocpd_hazard, det.bocpd_prune).update)
-            assert hats.tobytes() == alone.tobytes()
+            dets = EpisodeDetectors([prior], det.bocpd_hazard, det.bocpd_prune)
+            alone = [dets.update(np.array([x]))[0] for x in stream.tolist()]
+            assert hats.tolist() == alone
 
     def test_fixed_threshold_skips_calibration(self, pipeline, small_agent):
         """calibrate_tau false freezes bocpd_tau as given and reports no
