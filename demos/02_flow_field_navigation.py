@@ -48,7 +48,7 @@ world, phi = env_reset(cfg.env, 3, constellation, cfg.gnss.noise_sigma)
 start_goal_dist = np.linalg.norm(world.goal - world.uav_pos_true)
 print(f"episode: start {np.round(world.uav_pos_true)} m,"
       f" goal {np.round(world.goal)} m ({start_goal_dist:.0f} m apart)")
-print(f"moving obstacle: radius {world.obstacle_radius:.0f} m at"
+print(f"moving obstacle: radius {cfg.env.obstacle_radius:.0f} m at"
       f" {np.round(world.obstacle_pos)} m,"
       f" velocity {np.round(world.obstacle_vel, 1)} m/s\n")
 
@@ -61,7 +61,7 @@ while True:
     t = world.t
     goal_dist = np.linalg.norm(world.goal - world.uav_pos_true)
     clear = (np.linalg.norm(world.uav_pos_true - world.obstacle_pos)
-             - world.obstacle_radius)
+             - cfg.env.obstacle_radius)
     min_clear = min(min_clear, clear)
     if t % 20 == 0 or goal_dist < cfg.env.goal_threshold:
         print(f"  {t:>4}  {goal_dist:>13.1f}  {clear:>22.1f}")

@@ -1,11 +1,12 @@
 """Experiment configuration and the codecs of the text artifacts: typed
 JSON, float text and the chunked file writer.
 
-Every tunable lives here, and only here, with its default pinned: code
-that reads a tunable takes its section (`train`, `profile_pipeline` and
-`evaluate` take the whole ExperimentConfig), so no function repeats a
-default.  The JSON schema is versioned and unknown keys are rejected so
-stale config files fail loudly instead of silently running defaults.
+This is the only place a tunable's default and its bound are written:
+code that reads a tunable takes its section (`train`, `profile_pipeline`
+and `evaluate` take the whole ExperimentConfig), and a guard elsewhere
+that refuses the same number calls `check_bounds` with its own key.  The
+JSON schema is versioned and unknown keys are rejected so stale config
+files fail loudly instead of silently running defaults.
 
 `to_json` and `from_json` map a dataclass to and from a JSON object by its
 fields' resolved annotations: nested dataclasses are objects, tuples are
@@ -44,15 +45,42 @@ def _positive(name: str, value: float) -> None:
         raise ConfigurationError(f"{name} must be > 0, got {value}")
 
 
-def _at_least(name: str, value: int, lo: int) -> None:
-    if value < lo:
+def _at_least(name: str, value: float, lo: float) -> None:
+    if not value >= lo:
         raise ConfigurationError(f"{name} must be >= {lo}, got {value}")
 
 
-def _check_seed(name: str, seed: int) -> None:
-    """numpy's generators take only seeds >= 0."""
-    if seed < 0:
-        raise ConfigurationError(f"{name} must be >= 0, got {seed}")
+def _within(name: str, value: float, lo: float, hi: float, ends: str) -> None:
+    """Refuse a value outside lo..hi; `ends` holds the interval's brackets,
+    "[" or "]" closing its end.  Like the other checks, NaN fails."""
+    if not ((value >= lo if ends[0] == "[" else value > lo)
+            and (value <= hi if ends[1] == "]" else value < hi)):
+        raise ConfigurationError(
+            f"{name} must be in {ends[0]}{lo}, {hi}{ends[1]}, got {value}")
+
+
+# Bounds that several guards check, each written once under its bare key:
+# DetectorConfig prefixes the changepoint test's four with "bocpd_" and
+# EvalConfig the attack schedule's two with "attack_".
+_SHARED_BOUNDS = {
+    "tau": (_at_least, 1),
+    "warmup": (_at_least, 0),
+    "hazard": (_within, 0, 1, "()"),
+    "prune": (_within, 0, 1e-3, "[)"),
+    "t_start": (_at_least, 1),  # the reset's fix is never spoofed
+    "drift_duration": (_at_least, 1),
+    "n_sats": (_at_least, 4),  # a fix solves for four unknowns
+    "radius": (_at_least, 1.0e7),
+    "noise_sigma": (_at_least, 0),
+}
+
+
+def check_bounds(prefix: str = "", **values) -> None:
+    """Refuse each value outside the bound `_SHARED_BOUNDS` keeps for its
+    keyword, naming it `prefix` + keyword."""
+    for key, value in values.items():
+        check, *bound = _SHARED_BOUNDS[key]
+        check(prefix + key, value, *bound)
 
 
 @dataclass(frozen=True)
@@ -66,11 +94,9 @@ class GnssConfig:
     noise_sigma: float = 2.0
 
     def __post_init__(self):
-        if self.n_sats < 4:
-            raise ConfigurationError(f"n_sats must be >= 4, got {self.n_sats}")
-        if self.noise_sigma < 0:
-            raise ConfigurationError("noise_sigma must be >= 0")
-        _check_seed("constellation_seed", self.constellation_seed)
+        check_bounds(n_sats=self.n_sats, radius=self.radius,
+                     noise_sigma=self.noise_sigma)
+        _at_least("constellation_seed", self.constellation_seed, 0)  # a numpy seed
 
 
 @dataclass(frozen=True)
@@ -104,8 +130,7 @@ class EnvConfig:
         _check_range("obstacle_offset_range", self.obstacle_offset_range, lo_ok=0.0)
         _check_range("goal_distance_range", self.goal_distance_range, lo_ok=1.0)
         _check_range("clock_bias_range", self.clock_bias_range)
-        if self.max_steps < 1:
-            raise ConfigurationError("max_steps must be >= 1")
+        _at_least("max_steps", self.max_steps, 1)
         diag = sum(b * b for b in self.bounds) ** 0.5
         if self.goal_distance_range[0] > diag:
             raise ConfigurationError(
@@ -143,8 +168,8 @@ class TrainConfig:
     long_offset_range: tuple[float, float] = (60.0, 100.0)
 
     def __post_init__(self):
-        if self.episodes < 1 or self.warmup_episodes < 0:
-            raise ConfigurationError("episodes >= 1 and warmup_episodes >= 0 required")
+        _at_least("episodes", self.episodes, 1)
+        _at_least("warmup_episodes", self.warmup_episodes, 0)
         if self.warmup_episodes >= self.episodes:
             raise ConfigurationError("warmup_episodes must be < episodes")
         _at_least("batch_size", self.batch_size, 1)
@@ -161,12 +186,9 @@ class TrainConfig:
             _at_least(name, getattr(self, name), 0)
         _positive("actor_lr", self.actor_lr)
         _positive("critic_lr", self.critic_lr)
-        if not 0 < self.gamma <= 1:
-            raise ConfigurationError(f"gamma must be in (0,1], got {self.gamma}")
-        if not 0 < self.tau <= 1:
-            raise ConfigurationError(f"tau must be in (0,1], got {self.tau}")
-        if not 0 <= self.curriculum_short_frac <= 1:
-            raise ConfigurationError("curriculum_short_frac must be in [0,1]")
+        _within("gamma", self.gamma, 0, 1, "(]")
+        _within("tau", self.tau, 0, 1, "(]")
+        _within("curriculum_short_frac", self.curriculum_short_frac, 0, 1, "[]")
         if len(self.obs_scales) != 9 or any(s <= 0 for s in self.obs_scales):
             raise ConfigurationError("obs_scales must be 9 positive values")
         _check_range("short_goal_distance_range", self.short_goal_distance_range, 1.0)
@@ -202,14 +224,8 @@ class DetectorConfig:
     ae_threshold_stds: float = 3.0
 
     def __post_init__(self):
-        if not 0 < self.bocpd_hazard < 1:
-            raise ConfigurationError(
-                f"bocpd_hazard must be in (0,1), got {self.bocpd_hazard}"
-            )
-        if self.bocpd_tau < 1 or self.bocpd_warmup < 0:
-            raise ConfigurationError("bocpd_tau >= 1 and bocpd_warmup >= 0 required")
-        if not 0 <= self.bocpd_prune < 1e-3:
-            raise ConfigurationError("bocpd_prune must be in [0, 1e-3)")
+        check_bounds("bocpd_", tau=self.bocpd_tau, warmup=self.bocpd_warmup,
+                     hazard=self.bocpd_hazard, prune=self.bocpd_prune)
         for name in ("ph_delta_scale", "ph_lambda_scale", "residual_k_sigma",
                      "residual_jump_margin", "ae_lr", "ae_threshold_stds"):
             _positive(name, getattr(self, name))
@@ -236,12 +252,8 @@ class EvalConfig:
             raise ConfigurationError("need at least one evaluation episode")
         # the same-age profile pools at least two value streams
         _at_least("profile_episodes", self.profile_episodes, 2)
-        if self.attack_t_start < 1:
-            # the reset's fix is never spoofed
-            raise ConfigurationError(
-                f"attack_t_start must be >= 1, got {self.attack_t_start}")
-        if self.attack_drift_duration < 1:
-            raise ConfigurationError("attack_drift_duration must be >= 1")
+        check_bounds("attack_", t_start=self.attack_t_start,
+                     drift_duration=self.attack_drift_duration)
 
 
 @functools.cache
@@ -400,7 +412,7 @@ class ExperimentConfig(_JsonDocument):
     eval: EvalConfig = field(default_factory=EvalConfig)
 
     def __post_init__(self):
-        _check_seed("master_seed", self.master_seed)
+        _at_least("master_seed", self.master_seed, 0)  # a numpy seed
         if self.detectors.calibrate_tau and self.eval.profile_episodes < 3:
             # each held-out stream is scored on a profile of the others
             raise ConfigurationError(

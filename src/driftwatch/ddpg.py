@@ -12,7 +12,7 @@ import dataclasses
 
 import numpy as np
 
-from .config import EnvConfig, ExperimentConfig, TrainConfig
+from .config import EnvConfig, ExperimentConfig, TrainConfig, _at_least
 from .env import (
     ACTION_HIGH,
     ACTION_LOW,
@@ -104,8 +104,7 @@ class ReplayBuffer:
     """Fixed-capacity ring of transitions with uniform batch sampling."""
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
+        _at_least("capacity", capacity, 1)
         self.capacity = int(capacity)
         self.phi = np.zeros((capacity, OBS_DIM))
         self.action_norm = np.zeros((capacity, ACT_DIM))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import DetectorConfig, _JsonDocument
+from .config import DetectorConfig, _at_least, _JsonDocument, _positive, check_bounds
 from .errors import ConfigurationError, InsufficientDataError
 from .gnss import PvtSolution
 from .nets import Adam, Mlp, load_npz, save_npz
@@ -37,6 +37,8 @@ AE_SCHEMA = "driftwatch-ae-v1"
 # Variance floor keeps predictives proper on near-constant nominal streams.
 _VAR_FLOOR_SCALE = 1e-6
 _UNDERFLOW_LIMIT = 1e-300
+# A pooled profile is fitted from, and holds, at least this many values.
+_MIN_PROFILE_SAMPLES = 100
 
 # tau calibration: the nominal false-flag episode rate allowed, and the
 # run-length thresholds tried
@@ -64,10 +66,8 @@ class NominalProfile(_JsonDocument):
     source_episodes: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not self.sigma0_sq > 0:
-            raise ConfigurationError("sigma0_sq must be > 0")
-        if self.n_samples < 100:
-            raise ConfigurationError("profile needs n_samples >= 100")
+        _positive("sigma0_sq", self.sigma0_sq)
+        _at_least("n_samples", self.n_samples, _MIN_PROFILE_SAMPLES)
 
     @property
     def sigma0(self) -> float:
@@ -146,9 +146,9 @@ def fit_nominal_profile(
     """
     streams = _nominal_streams(nominal_q_streams)
     pooled = np.concatenate(streams) if streams else np.array([])
-    if pooled.size < 100:
+    if pooled.size < _MIN_PROFILE_SAMPLES:
         raise InsufficientDataError(
-            f"need >= 100 nominal samples, got {pooled.size}"
+            f"need >= {_MIN_PROFILE_SAMPLES} nominal samples, got {pooled.size}"
         )
     mu0 = float(pooled.mean())
     var = float(pooled.var())
@@ -234,8 +234,7 @@ class BocpdState:
 
 def bocpd_init(priors, hazard: float) -> BocpdState:
     """Fresh posteriors, one row per prior in `priors` (AgeProfiles)."""
-    if not 0.0 < hazard < 1.0:
-        raise ConfigurationError(f"hazard must be in (0,1), got {hazard}")
+    check_bounds(hazard=hazard)
     priors = list(priors)
     if not priors:
         raise ConfigurationError("bocpd_init needs at least one prior")

@@ -5,11 +5,13 @@ steered from the position the controller believes, which every caller
 passes (there is no fallback to the truth); measurements come from the
 truth (or a spoofer), the observation is built from the least-squares
 estimate, and the reward is bookkept from truth geometry only.  The
-dynamics and the reward read their limits from the EnvConfig they are
-given, and a reset takes the receiver noise it measures with.  Episode
-state is a value; every transition returns a new WorldState.  All else
-travels as plain arrays: the action (rho0, sigma0, theta), the 9-vector
-observation phi, and the fix `PvtSolution.x`.
+world holds what moves and what the episode drew; the dynamics, the
+observation and the reward read the limits, the step length and the
+obstacle's radius from the EnvConfig they are given, and a reset takes
+the receiver noise it measures with.  Episode state is a value; every
+transition returns a new WorldState.  All else travels as plain arrays:
+the action (rho0, sigma0, theta), the 9-vector observation phi, and the
+fix `PvtSolution.x`.
 
 A step works on Python floats wherever the arithmetic is element-wise:
 IEEE +, -, *, /, comparisons and sqrt round the same on a Python float as
@@ -92,7 +94,8 @@ _MOVING = ("uav_pos_true", "uav_vel", "obstacle_pos", "obstacle_vel")
 
 @dataclass(frozen=True)
 class WorldState:
-    """Ground truth of one episode at one step.
+    """Ground truth of one episode at one step: what moves and what the
+    episode drew.  What the EnvConfig fixes, such as dt, stays there.
 
     Its vectors are validated, read-only copies of the arrays it was built
     from, so the next step's state can share goal and start unchecked.
@@ -104,21 +107,15 @@ class WorldState:
     uav_vel: np.ndarray
     obstacle_pos: np.ndarray
     obstacle_vel: np.ndarray
-    obstacle_radius: float
     goal: np.ndarray
     start: np.ndarray
     clock_bias_true: float
     t: int
-    dt: float
     goal_span: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in _MOVING + ("goal", "start"):
             self._freeze(name, np.array(getattr(self, name), dtype=float))
-        if not self.obstacle_radius > 0:
-            raise ConfigurationError("obstacle_radius must be > 0")
-        if not self.dt > 0:
-            raise ConfigurationError("dt must be > 0")
         object.__setattr__(self, "goal_span", _norm(self.goal - self.start))
 
     def _freeze(self, name: str, arr: np.ndarray) -> None:
@@ -131,8 +128,8 @@ class WorldState:
     def _advance(self, moving: list[float]) -> "WorldState":
         """The state one step later.  `moving` holds the 12 floats of the
         vectors in _MOVING, in order; they are checked once and become the
-        read-only rows of one array.  Goal, start, the goal span, the
-        radius, the clock bias and dt carry over as already checked."""
+        read-only rows of one array.  Goal, start, the goal span and the
+        clock bias carry over as already checked."""
         if not all(map(math.isfinite, moving)):
             bad = next(k for k in range(4)
                        if not all(map(math.isfinite, moving[3 * k:3 * k + 3])))
@@ -252,8 +249,8 @@ def step_dynamics(
 
     ``nav_pos`` is the position the controller believes it is at: the
     previous GNSS fix, so that spoofed fixes steer the real vehicle.  The
-    speed, climb and heading-rate limits and the airspace bounds are
-    ``cfg``'s.
+    speed, climb and heading-rate limits, the airspace bounds, the step
+    length and the obstacle's radius are ``cfg``'s.
     """
     speed = cfg.cruise_speed
     believed = np.asarray(nav_pos, float)
@@ -264,7 +261,7 @@ def step_dynamics(
     else:
         attract = [speed * (ti / goal_dist) for ti in to_goal.tolist()]
     modulation = modulation_matrix(
-        believed, world.obstacle_pos, world.obstacle_radius, action
+        believed, world.obstacle_pos, cfg.obstacle_radius, action
     )
     obs_vel = world.obstacle_vel.tolist()
     rel = np.array([a - o for a, o in zip(attract, obs_vel)])
@@ -272,7 +269,7 @@ def step_dynamics(
     motion = _clamp_motion([f + o for f, o in zip(flow, obs_vel)],
                            world.uav_vel, cfg)
 
-    dt = world.dt
+    dt = cfg.dt
     new_pos = [p + dt * m for p, m in zip(world.uav_pos_true.tolist(), motion)]
     obs_pos = [o + dt * v for o, v in zip(world.obstacle_pos.tolist(), obs_vel)]
     for i, hi in enumerate(cfg.bounds):
@@ -286,10 +283,13 @@ def step_dynamics(
     return world._advance([*new_pos, *motion, *obs_pos, *obs_vel])
 
 
-def build_observation(pvt: PvtSolution, world: WorldState) -> np.ndarray:
+def build_observation(
+    pvt: PvtSolution, world: WorldState, cfg: EnvConfig
+) -> np.ndarray:
     """The finite 9-vector phi the policy sees, from the fix's position:
-    the signed surface clearance along the unit direction from the fix to
-    the obstacle, the goal minus the fix, and the obstacle's velocity."""
+    the signed clearance from the surface of ``cfg``'s obstacle, along the
+    unit direction from the fix to its center, the goal minus the fix, and
+    the obstacle's velocity."""
     if not pvt.converged:
         raise NotConvergedError(
             f"position solution did not converge "
@@ -298,7 +298,7 @@ def build_observation(pvt: PvtSolution, world: WorldState) -> np.ndarray:
     est = pvt.x[:3]
     p_rel = world.obstacle_pos - est
     dist = _norm(p_rel)
-    clearance = dist - world.obstacle_radius
+    clearance = dist - cfg.obstacle_radius
     if dist < 1e-12:
         phi = [clearance * 0.0] * 3  # unit() of a negligible vector is zero
     else:
@@ -313,14 +313,15 @@ def build_observation(pvt: PvtSolution, world: WorldState) -> np.ndarray:
 def reward(world_next: WorldState, cfg: EnvConfig) -> RewardBreakdown:
     """Reward of the state just entered, from truth geometry only.
 
-    The threat zone is ``cfg.threat_margin`` wide, and the goal counts as
+    The obstacle's radius is ``cfg.obstacle_radius``, the threat zone
+    around it is ``cfg.threat_margin`` wide, and the goal counts as
     reached within ``cfg.goal_threshold``.  The terminal event is a
     collision, else the goal, else a timeout once ``cfg.max_steps`` steps
     are taken.
     """
     xi = cfg.threat_margin
     p = world_next.uav_pos_true
-    r_obs = world_next.obstacle_radius
+    r_obs = cfg.obstacle_radius
     d = _norm(world_next.obstacle_pos - p)
 
     r_coll = 0.0
@@ -420,17 +421,15 @@ def env_reset_full(
         uav_vel=np.zeros(3),
         obstacle_pos=obstacle_pos,
         obstacle_vel=obstacle_vel,
-        obstacle_radius=cfg.obstacle_radius,
         goal=goal,
         start=start,
         clock_bias_true=float(rng.uniform(*cfg.clock_bias_range)),
         t=0,
-        dt=cfg.dt,
     )
     pos, bias = world.uav_pos_true, world.clock_bias_true
     meas = measure_pseudoranges(pos, bias, constellation, noise_sigma, rng)
     pvt = solve_pvt(meas, constellation, init=np.append(pos, bias))
-    return world, build_observation(pvt, world), pvt
+    return world, build_observation(pvt, world, cfg), pvt
 
 
 def env_reset(
@@ -486,7 +485,7 @@ def env_step(
 
     init = pvt_init if pvt_init is not None else np.array([*pos.tolist(), bias])
     pvt = solve_pvt(meas, constellation, init=init)
-    phi = build_observation(pvt, world_next)
+    phi = build_observation(pvt, world_next, cfg)
 
     rb = reward(world_next, cfg)
     return world_next, phi, rb, rb.terminal_event != TERM_NONE, pvt

@@ -34,7 +34,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from numpy.linalg._umath_linalg import solve1
 
-from .config import GnssConfig
+from .config import GnssConfig, check_bounds
 from .errors import (
     ConfigurationError,
     DegenerateGeometryError,
@@ -108,10 +108,7 @@ def make_constellation(
     least ``min_separation_deg``, which keeps the PVT geometry well
     conditioned over the airspace near the origin.
     """
-    if n_sats < 4:
-        raise ConfigurationError(f"need at least 4 satellites, got {n_sats}")
-    if radius < 1.0e7:
-        raise ConfigurationError(f"orbit radius must be >= 1e7 m, got {radius}")
+    check_bounds(n_sats=n_sats, radius=radius)
     rng = np.random.default_rng(seed)
     min_cos = np.cos(np.deg2rad(min_separation_deg))
     dirs: list[np.ndarray] = []
@@ -187,8 +184,8 @@ def measure_pseudoranges(
 
     `rng` is drawn from only when noise_sigma > 0, so it may be None at 0.
     """
-    if noise_sigma < 0:
-        raise ConfigurationError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not noise_sigma > 0:  # a positive sigma is in bound: no call per step
+        check_bounds(noise_sigma=noise_sigma)
     clean = predicted_pseudoranges(position, clock_bias, constellation)
     noise = rng.normal(0.0, noise_sigma, size=len(clean)) if noise_sigma > 0 else 0.0
     return clean + noise

@@ -35,6 +35,7 @@ from .config import (
     _positive,
     _write_chunks,
     canonical_json,
+    check_bounds,
     from_json,
     read_document,
     to_json,
@@ -114,12 +115,8 @@ class _BankParameters:
     residual_jump_gate: float
 
     def __post_init__(self):
-        _at_least("tau", self.tau, 1)
-        _at_least("warmup", self.warmup, 0)
-        if not 0 < self.hazard < 1:
-            raise ConfigurationError(f"hazard must be in (0,1), got {self.hazard}")
-        if not 0 <= self.prune < 1e-3:
-            raise ConfigurationError(f"prune must be in [0, 1e-3), got {self.prune}")
+        check_bounds(tau=self.tau, warmup=self.warmup, hazard=self.hazard,
+                     prune=self.prune)
         _at_least("ph_delta", self.ph_delta, 0)
         _positive("ph_lambda", self.ph_lambda)
         _positive("residual_k_sigma", self.residual_k_sigma)

@@ -36,6 +36,7 @@ import zipfile
 
 import numpy as np
 
+from .config import _positive, _within
 from .errors import (
     ConfigurationError,
     CorruptCheckpointError,
@@ -243,8 +244,7 @@ class Adam:
     """Adam over one parameter vector (such as `Mlp.flat`), updated in place."""
 
     def __init__(self, params: np.ndarray, lr: float):
-        if lr <= 0:
-            raise ConfigurationError(f"lr must be > 0, got {lr}")
+        _positive("lr", lr)
         self.params = params
         self.lr = lr
         self.m = np.zeros_like(params)
@@ -283,8 +283,7 @@ class Adam:
 
 def soft_update(target: Mlp, source: Mlp, tau: float) -> None:
     """Polyak-average source parameters into the target, in place."""
-    if not 0 < tau <= 1:
-        raise ConfigurationError(f"tau must be in (0,1], got {tau}")
+    _within("tau", tau, 0, 1, "(]")
     target.flat *= 1.0 - tau
     target.flat += tau * source.flat
 

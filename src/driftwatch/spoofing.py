@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .config import check_bounds
 from .gnss import Constellation, predicted_pseudoranges
 
 
@@ -28,12 +28,7 @@ class AttackConfig:
     enabled: bool = False
 
     def __post_init__(self):
-        if self.drift_duration < 1:
-            raise ConfigurationError(
-                f"drift_duration must be >= 1, got {self.drift_duration}"
-            )
-        if self.t_start < 1:  # the reset's fix is never spoofed
-            raise ConfigurationError(f"t_start must be >= 1, got {self.t_start}")
+        check_bounds(t_start=self.t_start, drift_duration=self.drift_duration)
 
 
 def attack_alpha(t: int, cfg: AttackConfig) -> float | None:

@@ -3,11 +3,15 @@
 The session fixture trains the reference agent and runs the full detection
 pipeline once; individual criteria reuse its artifacts. Criterion 8's
 bounds are asserted as pinned; the test prints the measured values either
-way and names any clause that fails.
+way and names any clause that fails.  The fixture's agent is trained
+afresh, so it, and criterion 8's verdict, are bound to the BLAS kernel that
+`tests/data/golden_blas.txt` names, the one the golden files were made
+with: another kernel rounds training differently and trains another agent.
 """
 
 import dataclasses
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,6 +37,8 @@ from driftwatch.spoofing import AttackConfig
 from gnss_oracles import jacobian
 from gradcheck import min_relu_preactivation_margin, numeric_param_grads, split_like
 from scoring_oracles import bocpd_oracle, bocpd_posterior_dense
+
+GOLDEN_BLAS = Path(__file__).parent / "data" / "golden_blas.txt"
 
 
 def report(criterion, ok, detail):
@@ -270,10 +276,12 @@ def test_criterion_08_comparative_detection(pipeline):
     }
     failed = [name for name, passed in checks.items() if not passed]
     ok = not failed
+    blas = ", ".join(GOLDEN_BLAS.read_text().splitlines())
     report(8, ok, f"bocpd acc {acc:.3f} (best baseline "
                   f"{best_other:.3f}), fpr {fpr:.3f}, "
                   f"fnr {fnr:.2f}, delay {delay:.1f}"
-                  + (f"; failed: {', '.join(failed)}" if failed else ""))
+                  + (f"; failed: {', '.join(failed)}" if failed else "")
+                  + f"; agent trained on this host, verdict pinned for {blas}")
 
 
 def test_criterion_09_cli_determinism(tmp_path):

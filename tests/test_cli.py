@@ -134,6 +134,7 @@ class TestUsageErrors:
         ("train", "noise_start", -0.3),
         ("eval", "profile_episodes", 2),
         ("env", "heading_rate_limit_deg", -30.0),
+        ("gnss", "radius", 5e6),
     ])
     def test_config_value_no_stage_can_run_exits_before_it(
             self, capsys, tmp_path, chain, section, key, value):

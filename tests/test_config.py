@@ -2,6 +2,7 @@
 and the one JSON document reader the config shares with the profiles."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,9 @@ from driftwatch.config import (
     config_hash,
     load_config,
 )
-from driftwatch.detectors import AgeProfile, NominalProfile
+from driftwatch.detectors import AgeProfile, NominalProfile, bocpd_init
 from driftwatch.errors import ConfigurationError
+from driftwatch.harness import _BankParameters
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -102,6 +104,50 @@ def test_wrongly_typed_master_seed_and_section_rejected(load):
 def test_out_of_range_value_names_its_section(load):
     with pytest.raises(ConfigurationError, match="gnss: n_sats must be >= 4"):
         load(doc(gnss={"n_sats": 3}))
+    # refused at load, not only once the constellation is laid out
+    with pytest.raises(ConfigurationError,
+                       match=r"gnss: radius must be >= 10000000\.0, got 5000000\.0"):
+        load(doc(gnss={"radius": 5e6}))
+
+
+BANK = dict(tau=5, warmup=50, hazard=0.022, prune=1e-8, ph_delta=0.01,
+            ph_lambda=1.0, residual_k_sigma=3.0, residual_noise_sigma=2.0,
+            residual_jump_gate=50.0)
+PRIOR = AgeProfile(means=(0.0,), variances=(1.0,), noise_var=1.0,
+                   level_var=1.0, n_samples=10)
+
+
+def changepoint_entries(key, value):
+    """(name, build) of each entry that takes the changepoint number `key`:
+    the config's detectors section, the bank, and for the hazard the
+    posterior's constructor."""
+    entries = [(f"bocpd_{key}", lambda: DetectorConfig(**{f"bocpd_{key}": value})),
+               (key, lambda: _BankParameters(**{**BANK, key: value}))]
+    if key == "hazard":
+        entries.append((key, lambda: bocpd_init([PRIOR], value)))
+    return entries
+
+
+@pytest.mark.parametrize("key, value", [
+    ("tau", 0), ("warmup", -1), ("hazard", 0.0), ("hazard", 1.0),
+    ("hazard", math.nan), ("prune", -1e-9), ("prune", 1e-3),
+])
+def test_every_entry_refuses_the_same_changepoint_values(key, value):
+    """The config, `bank.json` and `bocpd_init` each refuse an out-of-range
+    changepoint number, under the name that entry gives it."""
+    for name, build in changepoint_entries(key, value):
+        with pytest.raises(ConfigurationError, match=rf"^{name} must be"):
+            build()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("tau", 1), ("warmup", 0), ("hazard", 1e-9), ("hazard", 0.999),
+    ("prune", 0.0), ("prune", 9.99e-4),
+])
+def test_every_entry_takes_the_same_edge_values(key, value):
+    """...and each takes the values just inside those bounds."""
+    for _, build in changepoint_entries(key, value):
+        build()
 
 
 @pytest.mark.parametrize("document, message", [

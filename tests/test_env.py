@@ -53,12 +53,10 @@ def make_world(**overrides) -> WorldState:
         uav_vel=np.zeros(3),
         obstacle_pos=np.array([500.0, 0.0, 100.0]),
         obstacle_vel=np.zeros(3),
-        obstacle_radius=30.0,
         goal=np.array([1000.0, 0.0, 100.0]),
         start=np.array([0.0, 0.0, 100.0]),
         clock_bias_true=0.0,
         t=0,
-        dt=1.0,
     )
     base.update(overrides)
     return WorldState(**base)
@@ -273,8 +271,9 @@ def test_threat_vector_matches_literal_formula():
         r_obs = rng.uniform(5.0, 60.0)
         if np.linalg.norm(center - est) < 1e-6:
             continue
-        world = make_world(obstacle_pos=center, obstacle_radius=r_obs)
-        got = build_observation(exact_pvt(est), world)[:3]
+        world = make_world(obstacle_pos=center)
+        cfg = EnvConfig(obstacle_radius=r_obs)
+        got = build_observation(exact_pvt(est), world, cfg)[:3]
         p_rel = center - est
         u = p_rel / np.linalg.norm(p_rel)
         scalar = p_rel @ (p_rel - r_obs * u) / np.linalg.norm(p_rel)
@@ -283,25 +282,25 @@ def test_threat_vector_matches_literal_formula():
 
 def test_threat_vector_worked_example():
     world = make_world(obstacle_pos=np.array([60.0, 0.0, 0.0]))
-    got = build_observation(exact_pvt(np.zeros(3)), world)[:3]
+    got = build_observation(exact_pvt(np.zeros(3)), world, ENV)[:3]
     np.testing.assert_allclose(got, np.array([30.0, 0.0, 0.0]), atol=1e-12)
 
 
 def test_observation_layout():
     world = make_world(obstacle_vel=np.array([1.0, -2.0, 0.5]))
     est_pos = np.array([10.0, 5.0, 95.0])
-    obs = build_observation(exact_pvt(est_pos), world)
+    obs = build_observation(exact_pvt(est_pos), world, ENV)
     assert obs.shape == (9,)
     p_rel = world.obstacle_pos - est_pos
     dist = np.linalg.norm(p_rel)
-    np.testing.assert_allclose(obs[:3], (dist - world.obstacle_radius) * p_rel / dist)
+    np.testing.assert_allclose(obs[:3], (dist - ENV.obstacle_radius) * p_rel / dist)
     np.testing.assert_allclose(obs[3:6], world.goal - est_pos)
     np.testing.assert_allclose(obs[6:9], world.obstacle_vel)
 
 
 def test_observation_zero_blocks():
     world = make_world()
-    obs = build_observation(exact_pvt(world.goal), world)
+    obs = build_observation(exact_pvt(world.goal), world, ENV)
     np.testing.assert_array_equal(obs[3:6], np.zeros(3))
     np.testing.assert_array_equal(obs[6:9], np.zeros(3))
 
@@ -310,7 +309,7 @@ def test_observation_rejects_nonconverged():
     world = make_world()
     bad = dataclasses.replace(exact_pvt(np.zeros(3)), converged=False)
     with pytest.raises(NotConvergedError):
-        build_observation(bad, world)
+        build_observation(bad, world, ENV)
 
 
 def test_reward_collision_boundaries():
@@ -394,7 +393,7 @@ def test_step_records_behave_as_constructed(cons):
     retold = dataclasses.replace(fix, converged=False)
     assert retold.x is fix.x and not retold.converged and fix.converged
     with pytest.raises(NotConvergedError):
-        build_observation(retold, world)
+        build_observation(retold, world, ENV)
 
 
 def test_reward_total_is_sum():
@@ -455,7 +454,7 @@ def test_env_step_estimate_matches_truth_without_noise(cons):
     )
     assert not done
     assert np.linalg.norm(pvt.x[:3] - world2.uav_pos_true) < 1e-6
-    rebuilt = build_observation(exact_pvt(world2.uav_pos_true), world2)
+    rebuilt = build_observation(exact_pvt(world2.uav_pos_true), world2, cfg)
     np.testing.assert_allclose(obs, rebuilt, atol=1e-5)
 
 
@@ -537,15 +536,15 @@ def test_observation_rejects_a_non_finite_fix():
     """The observation is a finite 9-vector: a fix with a NaN or infinite
     coordinate raises instead of reaching the policy."""
     world = make_world()
-    assert build_observation(exact_pvt(np.zeros(3)), world).shape == (9,)
+    assert build_observation(exact_pvt(np.zeros(3)), world, ENV).shape == (9,)
     with np.errstate(invalid="ignore"):
         with pytest.raises(ConfigurationError, match="finite 9-vector"):
-            build_observation(exact_pvt(np.full(3, np.nan)), world)
+            build_observation(exact_pvt(np.full(3, np.nan)), world, ENV)
         for bad in (np.nan, np.inf, -np.inf):
             position = np.zeros(3)
             position[1] = bad
             with pytest.raises(ConfigurationError, match="finite 9-vector"):
-                build_observation(exact_pvt(position), world)
+                build_observation(exact_pvt(position), world, ENV)
 
 
 # Reference dynamics: `step_dynamics` as first written, with `np.cross`,
@@ -597,21 +596,22 @@ def reference_clamp_motion(v_new, v_prev, speed, climb, heading_deg):
     return v
 
 
-def reference_step_dynamics(world, action, speed, believed, climb, heading_deg,
-                            bounds):
+def reference_step_dynamics(world, action, believed, cfg):
+    speed = cfg.cruise_speed
     to_goal = world.goal - believed
     norm = np.linalg.norm(to_goal)
     attract = speed * (np.zeros(3) if norm < 1e-12 else to_goal / norm)
     m_rep, m_tan = reference_flow_field_matrices(
-        believed, world.obstacle_pos, world.obstacle_radius, action
+        believed, world.obstacle_pos, cfg.obstacle_radius, action
     )
     rel = attract - world.obstacle_vel
     motion = (np.eye(3) + m_rep + m_tan) @ rel + world.obstacle_vel
-    motion = reference_clamp_motion(motion, world.uav_vel, speed, climb,
-                                    heading_deg)
-    obs_pos = world.obstacle_pos + world.dt * world.obstacle_vel
+    motion = reference_clamp_motion(motion, world.uav_vel, speed,
+                                    cfg.climb_rate_limit,
+                                    cfg.heading_rate_limit_deg)
+    obs_pos = world.obstacle_pos + cfg.dt * world.obstacle_vel
     obs_vel = world.obstacle_vel.copy()
-    for i, hi in enumerate(bounds):
+    for i, hi in enumerate(cfg.bounds):
         if obs_pos[i] < 0.0:
             obs_pos[i] = -obs_pos[i]
             obs_vel[i] = -obs_vel[i]
@@ -619,7 +619,7 @@ def reference_step_dynamics(world, action, speed, believed, climb, heading_deg,
             obs_pos[i] = 2.0 * hi - obs_pos[i]
             obs_vel[i] = -obs_vel[i]
     return dataclasses.replace(
-        world, uav_pos_true=world.uav_pos_true + world.dt * motion,
+        world, uav_pos_true=world.uav_pos_true + cfg.dt * motion,
         uav_vel=motion, obstacle_pos=obs_pos, obstacle_vel=obs_vel,
         t=world.t + 1,
     )
@@ -631,7 +631,8 @@ def same_bits(a, b) -> bool:
 
 
 def random_world(rng, k):
-    """Worlds near an obstacle, some straight above it, some turning hard."""
+    """Worlds near an obstacle, some straight above it, some turning hard,
+    each with the EnvConfig that fixes its obstacle's radius and its dt."""
     bounds = np.array([1000.0, 1000.0, 300.0])
     obstacle = rng.uniform([0.0, 0.0, 0.0], bounds)
     offset = rng.normal(size=3) * rng.choice([5.0, 40.0, 200.0])
@@ -645,56 +646,56 @@ def random_world(rng, k):
     if k % 4 == 0:
         vel = -8.0 * (goal - uav) / max(np.linalg.norm(goal - uav), 1.0)
     obstacle_vel = rng.normal(size=3) * rng.choice([0.0, 2.5, 40.0])
+    radius = rng.uniform(10.0, 60.0)
     world = make_world(
         uav_pos_true=uav, uav_vel=vel, obstacle_pos=obstacle,
-        obstacle_vel=obstacle_vel, obstacle_radius=rng.uniform(10.0, 60.0),
-        goal=goal, t=int(rng.integers(0, 400)), dt=rng.choice([0.5, 1.0]),
+        obstacle_vel=obstacle_vel, goal=goal, t=int(rng.integers(0, 400)),
     )
+    cfg = EnvConfig(obstacle_radius=radius, dt=rng.choice([0.5, 1.0]))
     a = action(rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0),
                rng.uniform(-np.pi, np.pi))
     nav_pos = uav.copy() if k % 3 == 0 else uav + rng.normal(size=3) * 20.0
-    return world, a, nav_pos
+    return world, a, nav_pos, cfg
 
 
 def test_step_dynamics_matches_reference_bit_for_bit():
     rng = np.random.default_rng(2024)
     for k in range(300):
-        world, action, nav_pos = random_world(rng, k)
+        world, action, nav_pos, cfg = random_world(rng, k)
         ref_rep, ref_tan = reference_flow_field_matrices(
-            nav_pos, world.obstacle_pos, world.obstacle_radius, action)
+            nav_pos, world.obstacle_pos, cfg.obstacle_radius, action)
         assert same_bits(modulation_matrix(nav_pos, world.obstacle_pos,
-                                           world.obstacle_radius, action),
+                                           cfg.obstacle_radius, action),
                          np.eye(3) + ref_rep + ref_tan)
-        cfg = EnvConfig(cruise_speed=float(rng.choice([5.0, 10.0])))
+        cfg = dataclasses.replace(
+            cfg, cruise_speed=float(rng.choice([5.0, 10.0])))
         got = step_dynamics(world, action, nav_pos, cfg)
-        ref = reference_step_dynamics(world, action, cfg.cruise_speed, nav_pos,
-                                      cfg.climb_rate_limit,
-                                      cfg.heading_rate_limit_deg, cfg.bounds)
+        ref = reference_step_dynamics(world, action, nav_pos, cfg)
         for name in ("uav_pos_true", "uav_vel", "obstacle_pos", "obstacle_vel",
                      "goal", "start"):
             assert same_bits(getattr(got, name), getattr(ref, name)), name
-        assert (got.t, got.dt, got.obstacle_radius, got.clock_bias_true) == (
-            ref.t, ref.dt, ref.obstacle_radius, ref.clock_bias_true)
+        assert (got.t, got.clock_bias_true) == (ref.t, ref.clock_bias_true)
 
 
 def test_reward_and_threat_match_reference_bit_for_bit():
     rng = np.random.default_rng(31)
     for k in range(200):
-        world, _, _ = random_world(rng, k)
+        world, _, _, cfg = random_world(rng, k)
+        r_obs = cfg.obstacle_radius
         est = world.uav_pos_true + rng.normal(size=3) * 3.0
         p_rel = world.obstacle_pos - est
         dist = np.linalg.norm(p_rel)
-        expected = (dist - world.obstacle_radius) * (p_rel / dist)
-        assert same_bits(build_observation(exact_pvt(est), world)[:3], expected)
-        rb = reward(world, ENV)
+        expected = (dist - r_obs) * (p_rel / dist)
+        assert same_bits(build_observation(exact_pvt(est), world, cfg)[:3],
+                         expected)
+        rb = reward(world, cfg)
         d = float(np.linalg.norm(world.obstacle_pos - world.uav_pos_true))
         dist_goal = float(np.linalg.norm(world.goal - world.uav_pos_true))
         denom = max(float(np.linalg.norm(world.goal - world.start)), 1e-9)
         assert rb.goal_seek == -dist_goal / denom + (3.0 if dist_goal <= 10.0
                                                      else 0.0)
-        assert rb.collision == (-1.0 + (d - world.obstacle_radius)
-                                / world.obstacle_radius
-                                if d <= world.obstacle_radius else 0.0)
+        assert rb.collision == (-1.0 + (d - r_obs) / r_obs
+                                if d <= r_obs else 0.0)
 
 
 @pytest.mark.parametrize("field", ["uav_pos_true", "uav_vel", "obstacle_pos",
