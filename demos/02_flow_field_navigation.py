@@ -18,7 +18,7 @@ distance.  Second part: a full episode flown with fixed gains.
 import numpy as np
 
 from driftwatch.config import ExperimentConfig
-from driftwatch.env import env_reset, modulation_matrix, step_dynamics
+from driftwatch.env import env_reset, modulation_matrix, steer, step_dynamics
 from driftwatch.gnss import constellation_from_config
 
 rho0, sigma0, theta = 1.5, 1.5, 0.0
@@ -57,7 +57,8 @@ print(f"  {'t':>4}  {'goal dist (m)':>13}  {'obstacle clearance (m)':>22}")
 t = 0
 while True:
     # steered by the truth: no receiver in this loop
-    world = step_dynamics(world, action, world.uav_pos_true, cfg.env)
+    motion = steer(world, action, world.uav_pos_true, cfg.env)
+    world = step_dynamics(world, motion, cfg.env)
     t = world.t
     goal_dist = np.linalg.norm(world.goal - world.uav_pos_true)
     clear = (np.linalg.norm(world.uav_pos_true - world.obstacle_pos)

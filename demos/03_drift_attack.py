@@ -16,7 +16,7 @@ a perfectly coherent world that just happens to be slowly wrong.
 import numpy as np
 
 from driftwatch.config import ExperimentConfig
-from driftwatch.env import env_reset_full, env_step
+from driftwatch.env import env_reset_full, env_step, steer
 from driftwatch.gnss import constellation_from_config
 from driftwatch.spoofing import AttackConfig, attack_alpha
 
@@ -35,10 +35,10 @@ for label, spoof in (("honest", None), ("spoofed", attack)):
                                      cfg.gnss.noise_sigma)
     rows = []
     for t in range(1, 121):
+        motion = steer(world, action, pvt.x[:3], cfg.env)  # steered by the fix
         world, phi, rb, done, pvt = env_step(
-            world, action, constellation, cfg.gnss.noise_sigma, spoof,
-            cfg=cfg.env, rng=rng, nav_pos=pvt.x[:3],
-            pvt_init=pvt.x)
+            world, motion, constellation, cfg.gnss.noise_sigma, spoof,
+            cfg=cfg.env, rng=rng, pvt_init=pvt.x)
         alpha = (attack_alpha(t, attack) or 0.0) if spoof else 0.0
         rows.append((t, alpha, world.uav_pos_true.copy(),
                      pvt.x[:3].copy(),
@@ -79,9 +79,8 @@ prev_fix = pvt.x[:3].copy()
 jump_at_onset = None
 for t in range(1, 46):
     world, phi, rb, done, pvt = env_step(
-        world, action, constellation, cfg.gnss.noise_sigma, abrupt,
-        cfg=cfg.env, rng=rng, nav_pos=pvt.x[:3],
-        pvt_init=pvt.x)
+        world, steer(world, action, pvt.x[:3], cfg.env), constellation,
+        cfg.gnss.noise_sigma, abrupt, cfg=cfg.env, rng=rng, pvt_init=pvt.x)
     step_jump = np.linalg.norm(pvt.x[:3] - prev_fix)
     prev_fix = pvt.x[:3].copy()
     if t == abrupt.t_start + 1:

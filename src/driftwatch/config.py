@@ -10,8 +10,10 @@ files fail loudly instead of silently running defaults.
 
 `to_json` and `from_json` map a dataclass to and from a JSON object by its
 fields' resolved annotations: nested dataclasses are objects, tuples are
-lists, and a value of the wrong type, or a float that is NaN or infinite,
-is rejected with its key named.  The config and both profiles are
+lists, and a value of the wrong type, a float that is NaN or infinite, or
+a value out of its bound is rejected with its key named one way, dotted
+from the top: `eval.profile_episodes`, `env.bounds[0]`.  Every guard's
+message therefore begins with its key.  The config and both profiles are
 `_JsonDocument`s, read as the bank is by `read_document`, which names the
 file in every fault.  Every JSON and CSV artifact is written by
 `_write_chunks`, and every CSV float as `_fmt`'s shortest round-trip text.
@@ -249,7 +251,9 @@ class EvalConfig:
         _at_least("n_nominal", self.n_nominal, 0)
         _at_least("n_attacked", self.n_attacked, 0)
         if self.n_nominal + self.n_attacked < 1:
-            raise ConfigurationError("need at least one evaluation episode")
+            raise ConfigurationError(
+                "n_nominal + n_attacked must be >= 1 (one evaluation episode),"
+                f" got {self.n_nominal + self.n_attacked}")
         # the same-age profile pools at least two value streams
         _at_least("profile_episodes", self.profile_episodes, 2)
         check_bounds("attack_", t_start=self.attack_t_start,
@@ -283,8 +287,8 @@ def from_json(cls, doc, where: str = ""):
     naming the key below `where`; a missing key takes the field's default or
     raises KeyError(name).  A NaN or infinite float, which JSON as Python
     reads it allows, and values that `cls` itself rejects are a ValueError
-    too.  Numbers are kept as given, so an int in a float field stays an
-    int.
+    too, the latter's message prefixed with `where`.  Numbers are kept as
+    given, so an int in a float field stays an int.
     """
     if not isinstance(doc, dict):
         raise TypeError(f"{where or cls.__name__} must be an object, got {doc!r}")
@@ -301,7 +305,7 @@ def from_json(cls, doc, where: str = ""):
     try:
         return cls(**kwargs)
     except ConfigurationError as exc:
-        raise ValueError(f"{where[:-1]}: {exc}" if where else str(exc)) from None
+        raise ValueError(f"{where}{exc}") from None
 
 
 def _decode(kind, value, key: str):

@@ -21,6 +21,7 @@ from .env import (
     clip_action,
     env_reset,
     env_step,
+    steer,
 )
 from .errors import ConfigurationError
 from .gnss import constellation_from_config
@@ -245,8 +246,8 @@ def train(cfg: ExperimentConfig, seed: int) -> tuple[Agent, list[float]]:
                 [action] = agent.act(phi[None], noise_scale=sigma, rng=ep_rng)
                 a_norm = normalize_action(action)
             world, phi_next, rb, done, pvt = env_step(
-                world, action, constellation, noise_sigma,
-                None, cfg=cfg_ep, rng=meas_rng, nav_pos=nav_pos,
+                world, steer(world, action, nav_pos, cfg_ep), constellation,
+                noise_sigma, None, cfg=cfg_ep, rng=meas_rng,
             )
             terminal = rb.terminal_event in (TERM_COLLISION, TERM_GOAL)
             buffer.add(phi, a_norm, rb.total, phi_next, terminal)

@@ -1,29 +1,48 @@
-"""UAV navigation MDP: flow-field dynamics, observations, reward, stepping.
+"""UAV navigation MDP: flow-field control, dynamics, observations, reward,
+stepping.
 
-The controller never sees the true position.  Dynamics advance the truth,
-steered from the position the controller believes, which every caller
-passes (there is no fallback to the truth); measurements come from the
-truth (or a spoofer), the observation is built from the least-squares
-estimate, and the reward is bookkept from truth geometry only.  The
-world holds what moves and what the episode drew; the dynamics, the
-observation and the reward read the limits, the step length and the
-obstacle's radius from the EnvConfig they are given, and a reset takes
-the receiver noise it measures with.  Episode state is a value; every
-transition returns a new WorldState.  All else travels as plain arrays:
-the action (rho0, sigma0, theta), the 9-vector observation phi, and the
+The controller never sees the true position.  A world step is split in
+two.  The controller turns (world, action, believed position) into the
+velocity the flight commands: the goal attraction, modulated around the
+obstacle, plus the obstacle's velocity, clamped by the climb, heading
+and speed limits.  It reads the position the flight believes it is at,
+which every caller passes (there is no fallback to the truth).  The plant
+(`step_dynamics`) flies that velocity: it advances the truth, moves and
+bounces the obstacle and builds the next state.  `env_step` runs the
+plant, then measures from the truth (or a spoofer), solves, builds the
+observation from the least-squares estimate and bookkeeps the reward
+from truth geometry only.  The world holds what moves and what the
+episode drew; the control, the dynamics, the observation and the reward
+read the limits, the step length and the obstacle's radius from the
+EnvConfig they are given, and a reset takes the receiver noise it
+measures with.  Episode state is a value; every transition returns a new
+WorldState.  All else travels as plain arrays: the action (rho0, sigma0,
+theta), the commanded velocity, the 9-vector observation phi, and the
 fix `PvtSolution.x`.
 
-A step works on Python floats wherever the arithmetic is element-wise:
-IEEE +, -, *, /, comparisons and sqrt round the same on a Python float as
-on a numpy element, without numpy's per-call cost on 3-element arrays.
-numpy stays wherever the bits come from a kernel Python does not
-reproduce: every dot product and norm (OpenBLAS's `ddot`, a chain of fused
-multiply-adds), the 3x3 matrix-vector product, and `exp`, `cos`, `sin`
-and `arctan2` (numpy's float64 routines, which can differ from libm's).
-The flow field's entries are formed as floats once: `modulation_matrix`
-adds the repulsive and the tangential entries to the identity entry by
-entry, (I + M_rep) + M_tan as numpy would, into the one matrix the
-step's matrix-vector product reads.  A step validates the new state
+The controller has two forms, chosen by the caller's shape.  `steer`
+steers one flight; training, which flies one flight at a time, uses it.
+`steer_fleet` steers the B flights of a lockstep stage in one call per
+age (`harness.run_episode`).  Row for row, the fleet form gives the bits
+of the per-flight form, which is its oracle in the tests.
+
+The per-flight form works on Python floats wherever the arithmetic is
+element-wise: IEEE +, -, *, /, comparisons and sqrt round the same on a
+Python float as on a numpy element, without numpy's per-call cost on
+3-element arrays.  numpy stays wherever the bits come from a kernel
+Python does not reproduce: every dot product and norm (OpenBLAS's `ddot`,
+a chain of fused multiply-adds), the 3x3 matrix-vector product, and
+`exp`, `cos`, `sin` and `arctan2` (numpy's float64 routines, which can
+differ from libm's).  The fleet form keeps each of those kernels per row:
+a stacked `np.matmul` of (1, k) by (k, 1) rows makes one `ddot` per row,
+as `ndarray.dot` does (`np.einsum` and `(a * b).sum(1)` round
+differently), (B, 3, 3) by (B, 3, 1) makes one `dgemv` per row, as the
+2-D `.dot` does, and the elementwise routines on contiguous arrays give
+each element the bits of a call on one float.  Its branches become
+masks, and gamma = (dist / r) ** 2 stays a Python float power per row.
+`tests/test_numpy_kernels.py` pins these facts for the numpy and BLAS
+build at hand.  The flow field's entries are formed as numpy sums the
+three matrices, (I + M_rep) + M_tan.  A step validates the new state
 once, and `|goal - start|` is computed once per episode, when its
 WorldState is built.  The next state and the reward breakdown are built
 without the frozen dataclasses' per-field `__init__`; both stay frozen,
@@ -242,18 +261,21 @@ def _clamp_motion(
     return v0, v1, v2
 
 
-def step_dynamics(
-    world: WorldState, action: np.ndarray, nav_pos: np.ndarray, cfg: EnvConfig
-) -> WorldState:
-    """Advance the truth one step under the flow-field controller.
+def steer(
+    world: WorldState, action: np.ndarray, believed: np.ndarray, cfg: EnvConfig
+) -> tuple[float, float, float]:
+    """The controller, per flight: the velocity the flow field commands.
 
-    ``nav_pos`` is the position the controller believes it is at: the
+    ``believed`` is the position the controller believes it is at: the
     previous GNSS fix, so that spoofed fixes steer the real vehicle.  The
-    speed, climb and heading-rate limits, the airspace bounds, the step
-    length and the obstacle's radius are ``cfg``'s.
+    attraction toward the goal is modulated around the obstacle
+    (`modulation_matrix`), the obstacle's velocity is added back, and
+    cfg's climb, heading and speed limits clamp the result.  Training
+    steers with this form; `steer_fleet` is the same controller for a
+    stage's flights at once, and this form is its oracle.
     """
     speed = cfg.cruise_speed
-    believed = np.asarray(nav_pos, float)
+    believed = np.asarray(believed, float)
     to_goal = world.goal - believed
     goal_dist = _norm(to_goal)
     if goal_dist < 1e-12:
@@ -266,10 +288,133 @@ def step_dynamics(
     obs_vel = world.obstacle_vel.tolist()
     rel = np.array([a - o for a, o in zip(attract, obs_vel)])
     flow = modulation.dot(rel).tolist()  # the dgemv that `@` runs
-    motion = _clamp_motion([f + o for f, o in zip(flow, obs_vel)],
-                           world.uav_vel, cfg)
+    return _clamp_motion([f + o for f, o in zip(flow, obs_vel)],
+                         world.uav_vel, cfg)
 
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (B, k) arrays: one `ddot` per row, the
+    call `ndarray.dot` makes for one row."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _columns(a: np.ndarray) -> np.ndarray:
+    """The columns of a (B, k) array as the contiguous rows of a (k, B)
+    array, so that numpy's elementwise kernels see contiguous input."""
+    return np.ascontiguousarray(a.T)
+
+
+def _fleet_modulation(believed, obstacle_pos, obstacle_radius,
+                      actions) -> np.ndarray:
+    """`modulation_matrix` of B flights at once: (B, 3, 3), row for row the
+    bits of the per-flight matrix.  Branches are masks; both weights'
+    exponentials are taken on every row, with an exponent of 0 where the
+    flight is inside the unit level set, and then selected."""
+    rho0, sigma0, theta = _columns(actions)
+    sep = believed - obstacle_pos
+    dist = np.sqrt(_rowdot(sep, sep))
+    if (dist < 1e-6).any():
+        raise DegenerateGeometryError("UAV coincides with the obstacle center")
+    gamma = np.array([(d / obstacle_radius) ** 2 for d in dist.tolist()])
+    r2 = obstacle_radius**2
+    n = 2.0 * sep / r2
+    n_hat = sep / dist[:, None]
+
+    ref = np.stack(_cross(n_hat.T, _Z), axis=1)
+    ref_norm = np.sqrt(_rowdot(ref, ref))
+    vertical = ref_norm < 1e-9  # any horizontal direction works: x
+    ref = np.where(vertical[:, None], _X,
+                   ref / np.where(vertical, 1.0, ref_norm)[:, None])
+    c, s = np.cos(theta), np.sin(theta)
+    dv = _rowdot(n_hat, ref)
+    k = np.stack(_cross(n_hat.T, ref.T), axis=1)
+    tangent = (ref * c[:, None] + k * s[:, None]
+               + n_hat * dv[:, None] * (1.0 - c)[:, None])
+
+    inside = gamma <= 1.0
+    decay = np.where(inside, 0.0, 1.0 - gamma)
+    w_rep = np.where(inside, 1.0, np.exp(decay / rho0))
+    w_tan = np.where(inside, 1.0, np.exp(decay / sigma0))
+
+    nn = _rowdot(n, n)
+    scale = np.sqrt(_rowdot(tangent, tangent)) * np.sqrt(nn)
+    rep = (-w_rep)[:, None, None] * (n[:, :, None] * n[:, None, :]) \
+        / nn[:, None, None]
+    tan = w_tan[:, None, None] * (tangent[:, :, None] * n[:, None, :]) \
+        / scale[:, None, None]
+    return (np.eye(3) + rep) + tan
+
+
+def _fleet_clamp(v: np.ndarray, v_prev: np.ndarray, cfg: EnvConfig) -> np.ndarray:
+    """`_clamp_motion` of the (B, 3) velocities v, each limit a mask; v is
+    overwritten."""
+    climb = cfg.climb_rate_limit
+    v[:, 2] = np.minimum(np.maximum(v[:, 2], -climb), climb)
+
+    h_prev, h_new = v_prev[:, :2], v[:, :2]
+    mag = np.sqrt(_rowdot(h_new, h_new))
+    p0, p1 = _columns(h_prev)
+    v0, v1 = _columns(h_new)
+    ang_prev = np.arctan2(p1, p0)
+    dang = (np.arctan2(v1, v0) - ang_prev + math.pi) % (2.0 * math.pi) - math.pi
+    limit = math.radians(cfg.heading_rate_limit_deg)  # np.deg2rad's product
+    turn = ((np.sqrt(_rowdot(h_prev, h_prev)) > 1e-9) & (mag > 1e-9)
+            & (np.abs(dang) > limit))
+    ang = ang_prev + np.sign(dang) * limit
+    v[:, 0] = np.where(turn, mag * np.cos(ang), v0)
+    v[:, 1] = np.where(turn, mag * np.sin(ang), v1)
+
+    speed = cfg.cruise_speed
+    total = np.sqrt(_rowdot(v, v))
+    over = total > speed
+    k = speed / np.where(over, total, 1.0)
+    return np.where(over[:, None], v * k[:, None], v)
+
+
+def steer_fleet(
+    worlds: list[WorldState],
+    actions: np.ndarray,
+    believed: np.ndarray,
+    cfg: EnvConfig,
+) -> np.ndarray:
+    """The controller, for B flights at once: (B, 3) commanded velocities,
+    row for row the bits `steer` gives each flight alone.
+
+    ``actions`` and ``believed`` are (B, 3), one row per world; one ``cfg``
+    holds for all of them.  Every dot product and the matrix-vector
+    product are one BLAS call per row, as in `steer`, and `exp`, `cos`,
+    `sin` and `arctan2` run on contiguous arrays, whose elements carry the
+    bits of the 0-d calls.  A row whose believed position coincides with
+    the obstacle raises DegenerateGeometryError, as `steer` does.
+    """
+    goal, obstacle_pos, obstacle_vel, vel = np.array(
+        [(w.goal, w.obstacle_pos, w.obstacle_vel, w.uav_vel) for w in worlds]
+    ).transpose(1, 0, 2)
+    believed = np.asarray(believed, dtype=float)
+    speed = cfg.cruise_speed
+    to_goal = goal - believed
+    goal_dist = np.sqrt(_rowdot(to_goal, to_goal))
+    at_goal = goal_dist < 1e-12  # unit() of a negligible vector is zero
+    attract = speed * (to_goal / np.where(at_goal, 1.0, goal_dist)[:, None])
+    attract[at_goal] = speed * 0.0
+    modulation = _fleet_modulation(believed, obstacle_pos,
+                                   cfg.obstacle_radius, actions)
+    flow = np.matmul(modulation, (attract - obstacle_vel)[:, :, None])[:, :, 0]
+    return _fleet_clamp(flow + obstacle_vel, vel, cfg)
+
+
+def step_dynamics(
+    world: WorldState, motion, cfg: EnvConfig
+) -> WorldState:
+    """The plant: advance the truth one step at the commanded velocity.
+
+    ``motion`` holds the 3 floats of the velocity the controller (`steer`
+    or a row of `steer_fleet`) commanded; the vehicle flies it for
+    ``cfg.dt``, the obstacle moves on and bounces off the airspace
+    bounds, and the next state checks its moving vectors once.
+    """
     dt = cfg.dt
+    obs_vel = world.obstacle_vel.tolist()
     new_pos = [p + dt * m for p, m in zip(world.uav_pos_true.tolist(), motion)]
     obs_pos = [o + dt * v for o, v in zip(world.obstacle_pos.tolist(), obs_vel)]
     for i, hi in enumerate(cfg.bounds):
@@ -445,35 +590,36 @@ def env_reset(
 
 def env_step(
     world: WorldState,
-    action: np.ndarray,
+    motion,
     constellation: Constellation,
     noise_sigma: float,
     spoof: AttackConfig | None = None,
     *,
     cfg: EnvConfig,
-    nav_pos: np.ndarray,
     rng: np.random.Generator | None = None,
     pvt_init: np.ndarray | PvtSolution | None = None,
 ) -> tuple[WorldState, np.ndarray, RewardBreakdown, bool, PvtSolution]:
-    """One full cycle: move, measure (or get spoofed), solve, observe, score.
+    """One full cycle after the controller: move, measure (or get spoofed),
+    solve, observe, score.
 
-    ``action`` is an in-bounds (rho0, sigma0, theta).  Returns (next
-    world, phi, reward, done, fix), where the fix is the PvtSolution the
-    9-vector phi was built from.  ``nav_pos``, the controller's believed
-    position (the previous fix's), steers the dynamics; ``pvt_init``, an
-    (x, y, z, bias) vector or an earlier fix (see `gnss.solve_pvt`), is
-    where the solver starts.  The study rollouts (`harness.run_episode`)
-    pass the episode's previous fix itself, so a study fix never starts
-    from the truth, and a spoofed epoch that repeats the last one is not
-    solved again.  Training passes no ``pvt_init`` and the solver starts
-    from the truth, which any in-range initialization converges to at
-    these geometries; moving training off it would change the pinned
-    checkpoint.  From onset on the pseudoranges are spoofed, noiseless.
+    ``motion`` is the velocity the controller commanded from the believed
+    position (`steer`, or a row of `steer_fleet`); the plant
+    (`step_dynamics`) flies it.  Returns (next world, phi, reward, done,
+    fix), where the fix is the PvtSolution the 9-vector phi was built
+    from.  ``pvt_init``, an (x, y, z, bias) vector or an earlier fix (see
+    `gnss.solve_pvt`), is where the solver starts.  The study rollouts
+    (`harness.run_episode`) pass the episode's previous fix itself, so a
+    study fix never starts from the truth, and a spoofed epoch that
+    repeats the last one is not solved again.  Training passes no
+    ``pvt_init`` and the solver starts from the truth, which any in-range
+    initialization converges to at these geometries; moving training off
+    it would change the pinned checkpoint.  From onset on the pseudoranges
+    are spoofed, noiseless.
     """
     if noise_sigma > 0 and rng is None:
         raise ConfigurationError("noise_sigma > 0 requires an rng")
 
-    world_next = step_dynamics(world, action, nav_pos, cfg)
+    world_next = step_dynamics(world, motion, cfg)
 
     pos, bias = world_next.uav_pos_true, world_next.clock_bias_true
     alpha = attack_alpha(world_next.t, spoof) if spoof is not None else None

@@ -3,14 +3,17 @@
 A stage's episodes are played, then scored.  The rollout only flies, and
 it flies every episode of the stage in lockstep: all are reset, then at
 each age one policy call acts on the observations of the episodes still
-flying, and each of them takes one world step, its fix solved from the
-episode's previous fix.  Episodes share no state and no random stream,
-so lockstep play changes no episode beyond the batched actor's
-round-off.  Each episode records its fixes' positions and RMS residuals,
-not the fixes, in 64-row chunks, and when it ends one critic forward
-values every (observation, action) pair it recorded.  Only `driftwatch
-run`, whose CSV writes it, keeps the per-step trace past that: true
-position, observation, action and reward.  A study stage's logs keep the
+flying, one controller call (`env.steer_fleet`) turns their actions and
+previous fixes into commanded velocities, and each of them takes one
+world step (`env.env_step`: the plant, then its own measurement and a fix
+solved from the episode's previous fix).  Episodes share no state and no
+random stream, and the fleet controller gives each row the bits of the
+per-flight one, so lockstep play changes no episode beyond the batched
+actor's round-off.  Each episode records its fixes' positions and RMS
+residuals, not the fixes, in 64-row chunks, and when it ends one critic
+forward values every (observation, action) pair it recorded.  Only
+`driftwatch run`, whose CSV writes it, keeps the per-step trace past
+that: true position, observation, action and reward.  A study stage's logs keep the
 value stream, the fixes and the attack schedule, which is all it scores.
 No verdict feeds back into the controller, so the stage is scored after
 it is played: the changepoint test steps through the ages of every
@@ -59,7 +62,7 @@ from .detectors import (
     window_ae_score,
     window_ae_train,
 )
-from .env import env_reset_full, env_step
+from .env import env_reset_full, env_step, steer_fleet
 from .errors import ConfigurationError
 from .gnss import constellation_from_config
 from .spoofing import AttackConfig, attack_alpha
@@ -366,16 +369,19 @@ def run_episode(
     episode's (attack config or None, seed).  Every episode is reset first;
     then all of them advance together, one age at a time.  At each age one
     `Agent.act` call acts on the (B, 9) observations of the B episodes still
-    flying, and each of them takes one `env_step`, its fix solved from the
-    episode's previous fix (passed itself as `pvt_init`, so a repeated
-    spoofed epoch is not solved again); only the reset's fix starts from the
-    truth.  An episode records the observation, the action, the fix's
-    position and RMS residual in chunks of 64 rows; when it ends, one
-    critic forward values every recorded decision.  Episodes neither share
-    state nor draw from a common stream, so each plays as it would alone,
-    up to the round-off of the batched actor.  Returns one log
-    per episode, in the order given, with flags False and statistics NaN,
-    read-only, for `DetectorBank.score`; a lone episode (`driftwatch run`) is B = 1.
+    flying, and one `steer_fleet` call steers all B from their previous
+    fixes' positions, row for row the bits `env.steer` gives one flight.
+    Then each of them takes one `env_step` with its commanded velocity, its
+    fix solved from the episode's previous fix (passed itself as
+    `pvt_init`, so a repeated spoofed epoch is not solved again); only the
+    reset's fix starts from the truth.  An episode records the observation,
+    the action, the fix's position and RMS residual in chunks of 64 rows;
+    when it ends, one critic forward values every recorded decision.
+    Episodes neither share state nor draw from a common stream, so each
+    plays as it would alone, up to the round-off of the batched actor.
+    Returns one log per episode, in the order given, with flags False and
+    statistics NaN, read-only, for `DetectorBank.score`; a lone episode
+    (`driftwatch run`) is B = 1.
 
     `trace` keeps each log's per-step trace: true positions, observations,
     actions and reward breakdowns.  Its two callers need different records:
@@ -407,11 +413,12 @@ def run_episode(
         rows[:, _RMS] = [fix_rms(f.pvt) for f in running]
         if trace:
             rows[:, _TRUE] = [f.world.uav_pos_true for f in running]
-        for f, row in zip(running, rows):
+        motions = steer_fleet([f.world for f in running], rows[:, _ACT],
+                              rows[:, _EST], env_cfg)
+        for f, row, motion in zip(running, rows, motions.tolist()):
             f.world, f.phi, rb, done, f.pvt = env_step(
-                f.world, row[_ACT], constellation, noise_sigma,
-                f.attack, cfg=env_cfg, rng=f.rng,
-                nav_pos=f.pvt.x[:3], pvt_init=f.pvt,
+                f.world, motion, constellation, noise_sigma,
+                f.attack, cfg=env_cfg, rng=f.rng, pvt_init=f.pvt,
             )
             if trace:
                 row[_REW] = (rb.collision, rb.threat, rb.goal_seek, rb.total)

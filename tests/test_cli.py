@@ -147,7 +147,9 @@ class TestUsageErrors:
                    "--out", str(tmp_path)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and str(path) in err and key in err
+        name = key if section is None else f"{section}.{key}"
+        assert err.startswith("error:") and str(path) in err
+        assert f"bad value ({name} " in err  # the dotted key leads
         assert "Traceback" not in err
         assert not (tmp_path / "bank.json").exists()
 
@@ -202,7 +204,7 @@ class TestUsageErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(path) in err
-        assert "eval: profile_episodes must be >= 2, got 1" in err
+        assert "eval.profile_episodes must be >= 2, got 1" in err
         assert "Traceback" not in err
         assert not (tmp_path / "bank.json").exists()
 

@@ -3,6 +3,7 @@ and the one JSON document reader the config shares with the profiles."""
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -102,11 +103,11 @@ def test_wrongly_typed_master_seed_and_section_rejected(load):
 
 
 def test_out_of_range_value_names_its_section(load):
-    with pytest.raises(ConfigurationError, match="gnss: n_sats must be >= 4"):
+    with pytest.raises(ConfigurationError, match=r"gnss\.n_sats must be >= 4"):
         load(doc(gnss={"n_sats": 3}))
     # refused at load, not only once the constellation is laid out
     with pytest.raises(ConfigurationError,
-                       match=r"gnss: radius must be >= 10000000\.0, got 5000000\.0"):
+                       match=r"gnss\.radius must be >= 10000000\.0, got 5000000\.0"):
         load(doc(gnss={"radius": 5e6}))
 
 
@@ -150,6 +151,9 @@ def test_every_entry_takes_the_same_edge_values(key, value):
         build()
 
 
+# A "section: message" entry below is the message that section's
+# constructor raises; loading names its key dotted from the top, as
+# `section.message`.
 @pytest.mark.parametrize("document, message", [
     (doc(master_seed=-2), "master_seed must be >= 0, got -2"),
     (doc(gnss={"constellation_seed": -1}),
@@ -191,8 +195,10 @@ def test_value_no_stage_can_fly_rejected(document, message, load):
     negative, exploration noise has a scale >= 0, the same-age profile pools
     at least two profile flights, a leave-one-out calibration holds out
     one of at least three and the heading turns toward the command: the
-    config says so before any stage runs."""
-    with pytest.raises(ConfigurationError, match=message):
+    config says so before any stage runs, and each fault begins with its
+    key, dotted from the top as a wrongly typed value's is."""
+    message = re.sub(r"^(gnss|env|train|detectors|eval): ", r"\1\\.", message)
+    with pytest.raises(ConfigurationError, match=r"bad value \(" + message):
         load(document)
 
 

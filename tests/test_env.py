@@ -22,6 +22,8 @@ from driftwatch.env import (
     env_step,
     modulation_matrix,
     reward,
+    steer,
+    steer_fleet,
     step_dynamics,
     unit,
 )
@@ -42,9 +44,14 @@ def cons():
     return constellation_from_config(GnssConfig())
 
 
+def steered(world, a, cfg=ENV):
+    """The controller's motion for action a, steered by the truth."""
+    return steer(world, a, world.uav_pos_true, cfg)
+
+
 def fly(world, a, cfg=ENV):
     """One dynamics step steered by the truth, under cfg's limits."""
-    return step_dynamics(world, a, world.uav_pos_true, cfg)
+    return step_dynamics(world, steered(world, a, cfg), cfg)
 
 
 def make_world(**overrides) -> WorldState:
@@ -373,8 +380,8 @@ def test_step_records_behave_as_constructed(cons):
     constructors set, refuse assignment, and go through
     dataclasses.replace."""
     world, _ = env_reset(ENV, seed=4, constellation=cons, noise_sigma=0.0)
-    _, _, rb, _, fix = env_step(world, action(1.0, 1.0, 0.0), cons, 0.0,
-                                cfg=ENV, nav_pos=world.uav_pos_true)
+    _, _, rb, _, fix = env_step(world, steered(world, action(1.0, 1.0, 0.0)),
+                                cons, 0.0, cfg=ENV)
     for record in (fix, rb):
         cls = type(record)
         built = cls(**{f.name: getattr(record, f.name)
@@ -449,8 +456,8 @@ def test_env_step_estimate_matches_truth_without_noise(cons):
     cfg = EnvConfig()
     world, _ = env_reset(cfg, seed=3, constellation=cons, noise_sigma=0.0)
     world2, obs, rb, done, pvt = env_step(
-        world, action(1.0, 1.0, 0.0), cons, noise_sigma=0.0, cfg=cfg,
-        nav_pos=world.uav_pos_true,
+        world, steered(world, action(1.0, 1.0, 0.0), cfg), cons,
+        noise_sigma=0.0, cfg=cfg,
     )
     assert not done
     assert np.linalg.norm(pvt.x[:3] - world2.uav_pos_true) < 1e-6
@@ -463,8 +470,8 @@ def test_env_step_timeout(cons):
     world, _ = env_reset(cfg, seed=3, constellation=cons, noise_sigma=0.0)
     a = action(1.0, 1.0, 0.0)
     for expected_done in (False, False, True):
-        world, _, rb, done, _ = env_step(world, a, cons, 0.0, cfg=cfg,
-                                         nav_pos=world.uav_pos_true)
+        world, _, rb, done, _ = env_step(world, steered(world, a, cfg), cons,
+                                         0.0, cfg=cfg)
         assert done == expected_done
     assert rb.terminal_event == TERM_TIMEOUT
 
@@ -475,9 +482,9 @@ def test_env_step_spoof_pulls_estimate_to_target(cons):
                           enabled=True)
     world, _ = env_reset(cfg, seed=4, constellation=cons, noise_sigma=0.0)
     for _ in range(2):  # onset at t=1, on the target from t=2
-        world, obs, rb, done, _ = env_step(world, action(1.0, 1.0, 0.0), cons,
-                                           0.0, attack, cfg=cfg,
-                                           nav_pos=world.uav_pos_true)
+        world, obs, rb, done, _ = env_step(
+            world, steered(world, action(1.0, 1.0, 0.0), cfg), cons, 0.0,
+            attack, cfg=cfg)
     est = world.goal - obs[3:6]
     assert np.linalg.norm(est) < 1e-3
     assert np.linalg.norm(world.uav_pos_true) > 100.0
@@ -495,11 +502,9 @@ def test_env_step_reward_immune_to_spoofing(cons):
     phi_diverged = False
     for _ in range(10):
         world_a, obs_a, rb_a, done_a, _ = env_step(
-            world_a, a, cons, 0.0, None, cfg=cfg,
-            nav_pos=world_a.uav_pos_true)
+            world_a, steered(world_a, a, cfg), cons, 0.0, None, cfg=cfg)
         world_b, obs_b, rb_b, done_b, _ = env_step(
-            world_b, a, cons, 0.0, attack, cfg=cfg,
-            nav_pos=world_b.uav_pos_true)
+            world_b, steered(world_b, a, cfg), cons, 0.0, attack, cfg=cfg)
         np.testing.assert_array_equal(world_a.uav_pos_true, world_b.uav_pos_true)
         assert rb_a == rb_b
         assert done_a == done_b
@@ -512,8 +517,8 @@ def test_env_step_noise_requires_rng(cons):
     cfg = EnvConfig()
     world, _ = env_reset(cfg, seed=3, constellation=cons, noise_sigma=0.0)
     with pytest.raises(ConfigurationError):
-        env_step(world, action(1, 1, 0), cons, noise_sigma=2.0, cfg=cfg,
-                 nav_pos=world.uav_pos_true)
+        env_step(world, steered(world, action(1, 1, 0), cfg), cons,
+                 noise_sigma=2.0, cfg=cfg)
 
 
 def test_env_step_bit_reproducible(cons):
@@ -525,8 +530,8 @@ def test_env_step_bit_reproducible(cons):
         track = []
         for _ in range(5):
             world, obs, rb, done, _ = env_step(
-                world, action(1, 1, 0), cons, 2.0, cfg=cfg, rng=rng,
-                nav_pos=world.uav_pos_true)
+                world, steered(world, action(1, 1, 0), cfg), cons, 2.0,
+                cfg=cfg, rng=rng)
             track.append((world.uav_pos_true.tobytes(), obs.tobytes(), rb.total))
         runs.append(track)
     assert runs[0] == runs[1]
@@ -658,8 +663,23 @@ def random_world(rng, k):
     return world, a, nav_pos, cfg
 
 
+def same_state(got, ref) -> bool:
+    """Every vector of two states equal bit for bit, and t and the bias."""
+    return all(same_bits(getattr(got, name), getattr(ref, name))
+               for name in ("uav_pos_true", "uav_vel", "obstacle_pos",
+                            "obstacle_vel", "goal", "start")) and (
+        (got.t, got.clock_bias_true) == (ref.t, ref.clock_bias_true))
+
+
 def test_step_dynamics_matches_reference_bit_for_bit():
+    """Both controller forms, each followed by the plant, reproduce the
+    reference step bit for bit: the per-flight form on every case, the
+    fleet form on each case alone (B = 1) and on every case at once under
+    one config per call, in the given and in a shuffled row order.  The
+    cases hold vertical normals, flights at the goal, hard turns, the
+    speed clamp and obstacles that bounce off the bounds."""
     rng = np.random.default_rng(2024)
+    cases = []
     for k in range(300):
         world, action, nav_pos, cfg = random_world(rng, k)
         ref_rep, ref_tan = reference_flow_field_matrices(
@@ -669,12 +689,32 @@ def test_step_dynamics_matches_reference_bit_for_bit():
                          np.eye(3) + ref_rep + ref_tan)
         cfg = dataclasses.replace(
             cfg, cruise_speed=float(rng.choice([5.0, 10.0])))
-        got = step_dynamics(world, action, nav_pos, cfg)
+        motion = steer(world, action, nav_pos, cfg)
+        [alone] = steer_fleet([world], action[None], nav_pos[None], cfg).tolist()
+        assert same_bits(alone, motion)
         ref = reference_step_dynamics(world, action, nav_pos, cfg)
-        for name in ("uav_pos_true", "uav_vel", "obstacle_pos", "obstacle_vel",
-                     "goal", "start"):
-            assert same_bits(getattr(got, name), getattr(ref, name)), name
-        assert (got.t, got.clock_bias_true) == (ref.t, ref.clock_bias_true)
+        assert same_state(step_dynamics(world, motion, cfg), ref)
+        cases.append((world, action, nav_pos, cfg))
+
+    worlds, actions, believed, cfgs = (list(c) for c in zip(*cases))
+    actions, believed = np.array(actions), np.array(believed)
+    order = rng.permutation(len(cases))
+    for cfg in cfgs[::60]:
+        motions = steer_fleet(worlds, actions, believed, cfg)
+        shuffled = steer_fleet([worlds[i] for i in order], actions[order],
+                               believed[order], cfg)
+        assert same_bits(shuffled, motions[order])
+        for world, a, b, motion in zip(worlds, actions, believed,
+                                       motions.tolist()):
+            assert same_bits(motion, steer(world, a, b, cfg))
+            assert same_state(step_dynamics(world, motion, cfg),
+                              reference_step_dynamics(world, a, b, cfg))
+
+    # a believed position on the obstacle's center is refused in any row
+    believed[17] = worlds[17].obstacle_pos
+    with pytest.raises(DegenerateGeometryError,
+                       match="UAV coincides with the obstacle center"):
+        steer_fleet(worlds, actions, believed, cfgs[0])
 
 
 def test_reward_and_threat_match_reference_bit_for_bit():
@@ -745,10 +785,16 @@ def test_step_rejects_a_non_finite_moving_vector(index, bad):
 
 
 def test_non_finite_believed_position_fails_the_step():
+    """A NaN believed position commands a NaN motion in either controller
+    form, and the plant refuses the state it would enter."""
+    world, a = make_world(), action(1.0, 1.0, 0.0)
+    believed = np.array([np.nan, 0.0, 100.0])
     with np.errstate(invalid="ignore"):
+        motions = (steer(world, a, believed, ENV),
+                   steer_fleet([world], a[None], believed[None], ENV)[0])
+    for motion in motions:
         with pytest.raises(ConfigurationError, match="uav_pos_true"):
-            step_dynamics(make_world(), action(1.0, 1.0, 0.0),
-                          np.array([np.nan, 0.0, 100.0]), ENV)
+            step_dynamics(world, motion, ENV)
 
 
 def test_goal_span_follows_goal_and_start():
@@ -778,9 +824,9 @@ def test_sequential_episodes_each_score_their_own_goal_span(cons):
         spans.add(span)
         done = False
         while not done:
-            world, _, rb, done, _ = env_step(world, action(1.0, 1.0, 0.0), cons,
-                                             0.0, cfg=cfg,
-                                             nav_pos=world.uav_pos_true)
+            world, _, rb, done, _ = env_step(
+                world, steered(world, action(1.0, 1.0, 0.0), cfg), cons, 0.0,
+                cfg=cfg)
             dist_goal = np.linalg.norm(world.goal - world.uav_pos_true)
             assert world.goal_span == span
             assert rb.goal_seek == -dist_goal / span + (

@@ -333,13 +333,17 @@ class TestRunEpisode:
         """Each fix of a rollout starts from its episode's previous fix,
         passed itself; only the reset's first fix starts from the truth.
         Each step is steered from the previous fix's position, bit for bit,
-        never from the true position."""
+        never from the true position: the fleet controller, called once an
+        age, reads each flight's believed position from its row."""
         real_solve, real_dynamics = env_module.solve_pvt, env_module.step_dynamics
         real_reset, real_step = harness.env_reset_full, harness.env_step
+        real_steer = harness.steer_fleet
         episode_of = {}  # goal bytes -> seed
         # episode being stepped, its true state after the move, and the
         # (believed, true) positions the move started from
         now = {}
+        steering = {}  # seed -> (believed row, true position) of this age
+        ages = []  # flights the fleet controller steered, one entry an age
         solves = {}  # seed -> [(init, fix, true state, steering) or None]
 
         def reset(cfg, seed, *args):
@@ -348,13 +352,20 @@ class TestRunEpisode:
             episode_of[out[0].goal.tobytes()] = seed
             return out
 
+        def steer_fleet(worlds, actions, believed, cfg):
+            ages.append(len(worlds))
+            for world, row in zip(worlds, np.array(believed)):
+                steering[episode_of[world.goal.tobytes()]] = (
+                    row, world.uav_pos_true)
+            return real_steer(worlds, actions, believed, cfg)
+
         def step(world, *args, **kwargs):
-            now.update(seed=episode_of[world.goal.tobytes()], truth=None)
+            seed = episode_of[world.goal.tobytes()]
+            now.update(seed=seed, truth=None, steer=steering.pop(seed))
             return real_step(world, *args, **kwargs)
 
-        def dynamics(world, action, nav_pos, cfg):
-            now["steer"] = (nav_pos, world.uav_pos_true)
-            world = real_dynamics(world, action, nav_pos, cfg)
+        def dynamics(world, motion, cfg):
+            world = real_dynamics(world, motion, cfg)
             now["truth"] = np.append(world.uav_pos_true, world.clock_bias_true)
             return world
 
@@ -366,6 +377,7 @@ class TestRunEpisode:
             return pvt
 
         monkeypatch.setattr(harness, "env_reset_full", reset)
+        monkeypatch.setattr(harness, "steer_fleet", steer_fleet)
         monkeypatch.setattr(harness, "env_step", step)
         monkeypatch.setattr(env_module, "step_dynamics", dynamics)
         monkeypatch.setattr(env_module, "solve_pvt", solve)
@@ -374,6 +386,10 @@ class TestRunEpisode:
         episodes = [(attack if seed % 2 else None, seed) for seed in range(6)]
         logs = run_episode(small_agent, mini_cfg, episodes)
         assert sorted(solves) == list(range(6))
+        assert steering == {}  # every steered row was flown
+        # one controller call an age, over the flights still flying
+        assert ages == [sum(log.n_steps > t for log in logs)
+                        for t in range(max(log.n_steps for log in logs))]
         for log in logs:
             calls = solves[log.seed]
             assert len(calls) == log.n_steps + 1  # the reset's, then one a step
@@ -382,7 +398,7 @@ class TestRunEpisode:
                     calls, calls[1:]):
                 assert init is previous
                 assert not np.array_equal(init.x, truth)
-                assert np.asarray(believed).tobytes() == previous.x[:3].tobytes()
+                assert believed.tobytes() == previous.x[:3].tobytes()
                 assert not np.array_equal(believed, true_pos)
 
     def test_flies_the_receiver_the_config_describes(self, small_agent,

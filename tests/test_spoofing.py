@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from driftwatch.config import EnvConfig, GnssConfig
-from driftwatch.env import env_reset_full, env_step
+from driftwatch.env import env_reset_full, env_step, steer
 from driftwatch.errors import ConfigurationError
 from driftwatch.gnss import (
     constellation_from_config,
@@ -137,8 +137,9 @@ def test_disabled_attack_leaves_measurement_path_untouched(cons):
         track = []
         for _ in range(20):
             world, phi, _, _, pvt = env_step(
-                world, np.array([1.0, 1.0, 0.0]), cons, 2.0, spoof,
-                cfg=env_cfg, rng=rng, nav_pos=pvt.x[:3], pvt_init=pvt.x)
+                world, steer(world, np.array([1.0, 1.0, 0.0]), pvt.x[:3],
+                             env_cfg),
+                cons, 2.0, spoof, cfg=env_cfg, rng=rng, pvt_init=pvt.x)
             track.append((pvt.x.tobytes(), phi.tobytes()))
         tracks.append((track, rng.bit_generator.state))
     assert tracks[0] == tracks[1]
@@ -155,8 +156,8 @@ def test_onset_step_spoofs_with_weight_zero(cons):
     for t in range(1, 5):
         state = rng.bit_generator.state
         world, phi, _, _, pvt = env_step(
-            world, np.array([1.0, 1.0, 0.0]), cons, 2.0, attack,
-            cfg=env_cfg, rng=rng, nav_pos=pvt.x[:3], pvt_init=pvt.x)
+            world, steer(world, np.array([1.0, 1.0, 0.0]), pvt.x[:3], env_cfg),
+            cons, 2.0, attack, cfg=env_cfg, rng=rng, pvt_init=pvt.x)
         spoofed = (rng.bit_generator.state == state)
         assert spoofed == (t >= 3)
         if t == 3:

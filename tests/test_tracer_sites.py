@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from driftwatch.config import EnvConfig, ExperimentConfig, GnssConfig
-from driftwatch.env import env_reset, env_step
+from driftwatch.env import env_reset, env_step, steer
 from driftwatch.gnss import constellation_from_config, make_constellation
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -47,8 +47,8 @@ def test_env_step_result_keeps_the_fields_the_tracer_reads(tracer):
     cfg = EnvConfig(max_steps=1)
     cons = constellation_from_config(GnssConfig())
     world, _ = env_reset(cfg, seed=3, constellation=cons, noise_sigma=0.0)
-    out = env_step(world, np.array([1.0, 1.0, 0.0]), cons, 0.0, cfg=cfg,
-                   nav_pos=world.uav_pos_true)
+    motion = steer(world, np.array([1.0, 1.0, 0.0]), world.uav_pos_true, cfg)
+    out = env_step(world, motion, cons, 0.0, cfg=cfg)
     assert out[3] is True
     assert out[2].terminal_event == "timeout"
     counts = tracer.Tracer()
