@@ -24,7 +24,7 @@ cfg = ExperimentConfig()
 constellation = constellation_from_config(cfg.gnss)
 
 attack = AttackConfig(t_start=40, drift_duration=50,
-                      target=(500.0, 500.0, 50.0), enabled=True)
+                      target=(500.0, 500.0, 50.0))
 action = np.array([1.5, 1.5, 0.0])  # rho0, sigma0, theta
 seed = 11
 
@@ -71,7 +71,7 @@ print("the fabricated set is exactly self-consistent, so the residuals"
 # Contrast: an abrupt teleport of the implied position is loud. The fix
 # jumps a few hundred meters in one step, which any jump gate catches.
 abrupt = AttackConfig(t_start=40, drift_duration=1,
-                      target=(500.0, 500.0, 50.0), enabled=True)
+                      target=(500.0, 500.0, 50.0))
 rng = np.random.default_rng([seed, 77])
 world, phi, pvt = env_reset_full(cfg.env, seed, constellation,
                                  cfg.gnss.noise_sigma)

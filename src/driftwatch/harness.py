@@ -276,7 +276,7 @@ class EpisodeLog:
 
     @property
     def attacked(self) -> bool:
-        return self.attack is not None and self.attack.enabled
+        return self.attack is not None
 
     @property
     def onset(self) -> int | None:
@@ -592,13 +592,9 @@ def profile_pipeline(
 
 
 def eval_attack(eval_cfg: EvalConfig) -> AttackConfig:
-    """The configured drift attack, enabled."""
-    return AttackConfig(
-        t_start=eval_cfg.attack_t_start,
-        drift_duration=eval_cfg.attack_drift_duration,
-        target=eval_cfg.attack_target,
-        enabled=True,
-    )
+    """The configured drift attack."""
+    return AttackConfig(eval_cfg.attack_t_start, eval_cfg.attack_drift_duration,
+                        eval_cfg.attack_target)
 
 
 def evaluate(

@@ -1,10 +1,11 @@
 """Drift-evasive spoofing: pull the victim's implied position toward a target.
 
-The attack interpolates linearly from the live true position to a fixed
-target over a configurable number of steps, then emits pseudoranges that
-are exactly consistent with the spoofed position and satellite geometry.
-Because the fabricated measurements fit the range model perfectly, the
-least-squares fit stays clean and residual-based checks see nothing.
+An attack spoofs from its onset `t_start` on, and None means no attack.  It
+interpolates linearly from the live true position to a fixed target over a
+configurable number of steps, emitting pseudoranges exactly consistent with
+the spoofed position and satellite geometry.  Because these fit the range
+model perfectly, the least-squares fit stays clean and residual-based
+checks see nothing.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ from .gnss import Constellation, predicted_pseudoranges
 
 @dataclass(frozen=True)
 class AttackConfig:
-    """When the attack turns on and where it drags the victim.  Its values
-    have no defaults here: `harness.eval_attack` builds it from EvalConfig's."""
+    """When the attack turns on and where it drags the victim: it spoofs from
+    `t_start` on, and a flight with no attack is given None.  No value has a
+    default here: `harness.eval_attack` builds it from EvalConfig's."""
 
     t_start: int
     drift_duration: int
     target: tuple[float, float, float]
-    enabled: bool = False
 
     def __post_init__(self):
         check_bounds(t_start=self.t_start, drift_duration=self.drift_duration)
@@ -38,7 +39,7 @@ def attack_alpha(t: int, cfg: AttackConfig) -> float | None:
     onset step itself is spoofed with weight 0.0, and a drift_duration of 1
     realizes an abrupt jump one step after onset.
     """
-    if not cfg.enabled or t < cfg.t_start:
+    if t < cfg.t_start:
         return None
     return min(1.0, (t - cfg.t_start) / cfg.drift_duration)
 

@@ -5,7 +5,7 @@ pipeline once; individual criteria reuse its artifacts. Criterion 8's
 bounds are asserted as pinned; the test prints the measured values either
 way and names any clause that fails.  The fixture's agent is trained
 afresh, so it, and criterion 8's verdict, are bound to the BLAS kernel that
-`tests/data/golden_blas.txt` names, the one the golden files were made
+`tests/data/golden_blas.txt` names, the one the pinned checkpoint was made
 with: another kernel rounds training differently and trains another agent.
 """
 
@@ -244,7 +244,7 @@ def test_criterion_07_evasion(pipeline):
     drift_rate = drift_flagged / len(attacked)
 
     abrupt = AttackConfig(t_start=100, drift_duration=1,
-                          target=(500.0, 500.0, 50.0), enabled=True)
+                          target=(500.0, 500.0, 50.0))
     n_abrupt = 10
     seeds = [int(np.random.SeedSequence([0, 99, i]).generate_state(1)[0])
              for i in range(n_abrupt)]

@@ -478,8 +478,7 @@ def test_env_step_timeout(cons):
 
 def test_env_step_spoof_pulls_estimate_to_target(cons):
     cfg = EnvConfig()
-    attack = AttackConfig(t_start=1, drift_duration=1, target=(0.0, 0.0, 0.0),
-                          enabled=True)
+    attack = AttackConfig(t_start=1, drift_duration=1, target=(0.0, 0.0, 0.0))
     world, _ = env_reset(cfg, seed=4, constellation=cons, noise_sigma=0.0)
     for _ in range(2):  # onset at t=1, on the target from t=2
         world, obs, rb, done, _ = env_step(
@@ -493,8 +492,7 @@ def test_env_step_spoof_pulls_estimate_to_target(cons):
 def test_env_step_reward_immune_to_spoofing(cons):
     """Same true trajectory, spoofed observations: rewards must not move."""
     cfg = EnvConfig()
-    attack = AttackConfig(t_start=2, drift_duration=5, target=(0.0, 0.0, 0.0),
-                          enabled=True)
+    attack = AttackConfig(t_start=2, drift_duration=5, target=(0.0, 0.0, 0.0))
     a = action(1.2, 0.8, 0.3)
 
     world_a, _ = env_reset(cfg, seed=11, constellation=cons, noise_sigma=0.0)

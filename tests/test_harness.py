@@ -17,6 +17,7 @@ from driftwatch.config import (
     ExperimentConfig,
     GnssConfig,
     TrainConfig,
+    from_json,
 )
 from driftwatch.ddpg import Agent
 from driftwatch.detectors import (
@@ -112,7 +113,7 @@ def synthetic_log(n, onset=None, flag_rows=(), seed=1) -> EpisodeLog:
         None
         if onset is None
         else AttackConfig(t_start=onset, drift_duration=5,
-                          target=(0.0, 0.0, 0.0), enabled=True)
+                          target=(0.0, 0.0, 0.0))
     )
     return EpisodeLog(
         seed=seed,
@@ -194,25 +195,51 @@ class TestMetricStubs:
 
 
 class TestRunEpisode:
-    def test_disabled_attack_logs_no_attack_activity(
+    def test_unattacked_flights_log_no_attack_activity(
         self, small_agent, mini_cfg
     ):
-        logs = run_episode(
-            small_agent, mini_cfg,
-            [(AttackConfig(t_start=100, drift_duration=50,
-                           target=(0.0, 0.0, 0.0)), seed) for seed in range(20)],
-        )
+        logs = run_episode(small_agent, mini_cfg,
+                           [(None, seed) for seed in range(20)])
         assert [log.seed for log in logs] == list(range(20))
         for log in logs:
-            assert not log.attacked
+            assert not log.attacked and log.onset is None
             assert np.all(log.alpha == 0.0)
             assert log.n_steps <= mini_cfg.env.max_steps
             assert log.terminal_event in ("goal_reached", "timeout",
                                           "collision")
 
+    def test_attacked_twin_flies_as_unattacked_until_onset(
+        self, small_agent, mini_cfg
+    ):
+        """Each seed flown twice in one stage, attacked and with None: before
+        onset the pair's fixes, RMS residuals and critic values are the same
+        bits, and so are those of the None flights played as their own
+        stage.  From onset on the attack is felt."""
+        attack = AttackConfig(t_start=30, drift_duration=10,
+                              target=(300.0, 200.0, 100.0))
+        seeds, onset = range(20), attack.t_start
+        twins = run_episode(small_agent, mini_cfg, [
+            (a, seed) for seed in seeds for a in (attack, None)])
+        alone = run_episode(small_agent, mini_cfg,
+                            [(None, seed) for seed in seeds])
+        felt = 0
+        for attacked, nominal, other in zip(twins[::2], twins[1::2], alone):
+            assert attacked.attacked and not nominal.attacked
+            assert attacked.seed == nominal.seed == other.seed
+            n = min(onset, attacked.n_steps, nominal.n_steps)
+            for log in (nominal, other):
+                for name in ("est_pos", "residual_rms", "q"):
+                    assert (getattr(log, name)[:n].tobytes()
+                            == getattr(attacked, name)[:n].tobytes()), name
+            if min(attacked.n_steps, nominal.n_steps) > onset:
+                felt += 1  # the onset's fix is spoofed: noiseless, at truth
+                assert not np.array_equal(attacked.est_pos[onset],
+                                          nominal.est_pos[onset])
+        assert felt > len(seeds) // 2
+
     def test_attack_drags_estimate_to_target_not_truth(self, small_agent):
         attack = AttackConfig(t_start=100, drift_duration=50,
-                              target=(0.0, 0.0, 0.0), enabled=True)
+                              target=(0.0, 0.0, 0.0))
         log = play(small_agent, ExperimentConfig(), attack, None, 0)
         assert log.n_steps > 150
         assert np.linalg.norm(log.est_pos[150]) < 10.0
@@ -226,7 +253,7 @@ class TestRunEpisode:
         self, small_agent, mini_cfg, tmp_path
     ):
         attack = AttackConfig(t_start=10, drift_duration=5,
-                              target=(0.0, 0.0, 0.0), enabled=True)
+                              target=(0.0, 0.0, 0.0))
         paths = []
         for k in range(2):
             log = play(small_agent, mini_cfg, attack, None, 42)
@@ -254,7 +281,7 @@ class TestRunEpisode:
         what the traced log holds, and no per-step trace; until scored its
         flags read False and its statistics NaN."""
         attack = AttackConfig(t_start=10, drift_duration=15,
-                              target=(300.0, 200.0, 100.0), enabled=True)
+                              target=(300.0, 200.0, 100.0))
         episodes = [(attack if k % 2 else None, 20 + k) for k in range(4)]
         traced = run_episode(small_agent, mini_cfg, episodes, trace=True)
         bare = run_episode(small_agent, mini_cfg, episodes)
@@ -306,11 +333,9 @@ class TestRunEpisode:
     def test_onset_zero_rejected(self):
         """The reset's fix is never spoofed, so no flight can be given an
         onset at t=0: the attack refuses it when it is built."""
-        for enabled in (True, False):
-            with pytest.raises(ConfigurationError,
-                               match="t_start must be >= 1, got 0"):
-                AttackConfig(t_start=0, drift_duration=5,
-                             target=(0.0, 0.0, 0.0), enabled=enabled)
+        with pytest.raises(ConfigurationError,
+                           match="t_start must be >= 1, got 0"):
+            AttackConfig(t_start=0, drift_duration=5, target=(0.0, 0.0, 0.0))
 
     def test_detector_columns_populate(
         self, small_agent, mini_cfg, synthetic_bank
@@ -382,7 +407,7 @@ class TestRunEpisode:
         monkeypatch.setattr(env_module, "step_dynamics", dynamics)
         monkeypatch.setattr(env_module, "solve_pvt", solve)
         attack = AttackConfig(t_start=10, drift_duration=15,
-                              target=(300.0, 200.0, 100.0), enabled=True)
+                              target=(300.0, 200.0, 100.0))
         episodes = [(attack if seed % 2 else None, seed) for seed in range(6)]
         logs = run_episode(small_agent, mini_cfg, episodes)
         assert sorted(solves) == list(range(6))
@@ -427,7 +452,7 @@ class TestRunEpisode:
         """A mixed stage, played in either order, gives every episode what
         the same seed gives alone, up to the batched actor's round-off."""
         attack = AttackConfig(t_start=10, drift_duration=15,
-                              target=(300.0, 200.0, 100.0), enabled=True)
+                              target=(300.0, 200.0, 100.0))
         episodes = [(attack if k % 3 == 0 else None, 50 + k) for k in range(12)]
         forward = run_episode(small_agent, mini_cfg, episodes, trace=True)
         backward = run_episode(small_agent, mini_cfg, episodes[::-1],
@@ -465,7 +490,7 @@ def golden_episode() -> EpisodeLog:
     """Seeded untrained agent, the synthetic bank, 60 steps, onset at 20."""
     agent = Agent(np.random.default_rng([0, 1]), TrainConfig(hidden=(16, 16)))
     attack = AttackConfig(t_start=20, drift_duration=20,
-                          target=(600.0, 400.0, 150.0), enabled=True)
+                          target=(600.0, 400.0, 150.0))
     return play(
         agent, ExperimentConfig(env=EnvConfig(max_steps=60)), attack,
         make_synthetic_bank(), 3,
@@ -487,12 +512,15 @@ def test_golden_attacked_episode(tmp_path):
     A spoofed fix fits its pseudoranges exactly, so its residual statistic
     is solver round-off (about 3e-9 against a threshold of 6) and varies
     with the BLAS build; that column also passes within 1e-6 absolute.
+    The `# attack:` line reads back as the flight's attack.
     """
     path = tmp_path / "episode.csv"
-    write_episode_csv(golden_episode(), path, "golden")
+    log = golden_episode()
+    write_episode_csv(log, path, "golden")
     meta, header, rows = read_episode_csv(path)
     want_meta, want_header, want_rows = read_episode_csv(GOLDEN_EPISODE)
     assert meta == want_meta
+    assert from_json(AttackConfig, json.loads(meta["attack"])) == log.attack
     assert meta["steps"] == "60" and len(rows) == 60
     assert header == want_header == list(CSV_COLUMNS)
     for name, got, want in zip(header, zip(*rows), zip(*want_rows)):

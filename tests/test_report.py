@@ -37,7 +37,7 @@ def make_log(n, onset=None, flag_rows=(), seed=1, q_shift=0.0):
     alpha = np.zeros(n)
     if onset is not None:
         attack = AttackConfig(t_start=onset, drift_duration=10,
-                              target=(0.0, 0.0, 0.0), enabled=True)
+                              target=(0.0, 0.0, 0.0))
         q[onset:] -= q_shift
         alpha[onset:] = np.minimum(
             1.0, (np.arange(onset, n) - onset) / 10.0

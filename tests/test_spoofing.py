@@ -25,24 +25,15 @@ def cons():
 
 
 def test_alpha_schedule_endpoints():
-    cfg = AttackConfig(t_start=100, drift_duration=50, target=(0.0, 0.0, 0.0),
-                       enabled=True)
+    cfg = AttackConfig(t_start=100, drift_duration=50, target=(0.0, 0.0, 0.0))
     assert attack_alpha(99, cfg) is None  # off: measured honestly
     for t, alpha in ((100, 0.0), (125, 0.5), (150, 1.0), (10_000, 1.0)):
         assert type(attack_alpha(t, cfg)) is float
         assert attack_alpha(t, cfg) == alpha
 
 
-def test_alpha_zero_when_disabled():
-    cfg = AttackConfig(t_start=1, drift_duration=10, target=(0.0, 0.0, 0.0),
-                       enabled=False)
-    for t in range(50):
-        assert attack_alpha(t, cfg) is None
-
-
 def test_alpha_is_monotone_nondecreasing():
-    cfg = AttackConfig(t_start=7, drift_duration=13, target=(0.0, 0.0, 0.0),
-                       enabled=True)
+    cfg = AttackConfig(t_start=7, drift_duration=13, target=(0.0, 0.0, 0.0))
     alphas = [attack_alpha(t, cfg) for t in range(60)]
     assert alphas[:7] == [None] * 7
     ramp = alphas[7:]
@@ -52,8 +43,7 @@ def test_alpha_is_monotone_nondecreasing():
 
 def test_abrupt_attack_is_one_step_ramp():
     """drift_duration=1 jumps to the target a single step after onset."""
-    cfg = AttackConfig(t_start=5, drift_duration=1, target=(0.0, 0.0, 0.0),
-                       enabled=True)
+    cfg = AttackConfig(t_start=5, drift_duration=1, target=(0.0, 0.0, 0.0))
     assert attack_alpha(5, cfg) == 0.0
     assert attack_alpha(6, cfg) == 1.0
 
@@ -66,8 +56,7 @@ def test_config_validation():
 
 
 def test_spoof_position_interpolates():
-    cfg = AttackConfig(t_start=100, drift_duration=50, target=(0.0, 0.0, 0.0),
-                       enabled=True)
+    cfg = AttackConfig(t_start=100, drift_duration=50, target=(0.0, 0.0, 0.0))
     true_pos = np.array([100.0, 0.0, 0.0])
     np.testing.assert_array_equal(
         spoof_position(true_pos, 0.0, cfg), true_pos
@@ -83,8 +72,7 @@ def test_spoof_position_interpolates():
 
 def test_spoof_position_inactive_passthrough():
     """Weight 0, the onset step, implies the true position bit for bit."""
-    cfg = AttackConfig(t_start=100, drift_duration=50, target=(1.0, 2.0, 3.0),
-                       enabled=True)
+    cfg = AttackConfig(t_start=100, drift_duration=50, target=(1.0, 2.0, 3.0))
     p = np.array([-4.0, 5.0, 6.0])
     assert spoof_position(p, 0.0, cfg).tobytes() == p.tobytes()
 
@@ -124,33 +112,12 @@ def test_spoofed_residuals_below_legit_noisy_residuals(cons):
     assert spoof_norm < 1e-6
 
 
-def test_disabled_attack_leaves_measurement_path_untouched(cons):
-    """End-to-end: with enabled=False every step measures as with no attack,
-    noise draws included, and the fixes are bit-identical."""
-    cfg = AttackConfig(t_start=1, drift_duration=50, target=(0.0, 0.0, 0.0),
-                       enabled=False)
-    env_cfg = EnvConfig()
-    tracks = []
-    for spoof in (None, cfg):
-        rng = np.random.default_rng(123)
-        world, phi, pvt = env_reset_full(env_cfg, 5, cons, 2.0)
-        track = []
-        for _ in range(20):
-            world, phi, _, _, pvt = env_step(
-                world, steer(world, np.array([1.0, 1.0, 0.0]), pvt.x[:3],
-                             env_cfg),
-                cons, 2.0, spoof, cfg=env_cfg, rng=rng, pvt_init=pvt.x)
-            track.append((pvt.x.tobytes(), phi.tobytes()))
-        tracks.append((track, rng.bit_generator.state))
-    assert tracks[0] == tracks[1]
-
-
 def test_onset_step_spoofs_with_weight_zero(cons):
     """At t_start the weight is 0.0 but the step is spoofed: the fabricated
     set sits at the truth, noiseless, and nothing is drawn from the rng."""
     env_cfg = EnvConfig()
     attack = AttackConfig(t_start=3, drift_duration=10,
-                          target=(0.0, 0.0, 0.0), enabled=True)
+                          target=(0.0, 0.0, 0.0))
     rng = np.random.default_rng(4)
     world, phi, pvt = env_reset_full(env_cfg, 8, cons, 2.0)
     for t in range(1, 5):
