@@ -43,16 +43,14 @@ masks, and gamma = (dist / r) ** 2 stays a Python float power per row.
 `tests/test_numpy_kernels.py` pins these facts for the numpy and BLAS
 build at hand.  The flow field's entries are formed as numpy sums the
 three matrices, (I + M_rep) + M_tan.  A step validates the new state
-once, and `|goal - start|` is computed once per episode, when its
-WorldState is built.  The next state and the reward breakdown are built
-without the frozen dataclasses' per-field `__init__`; both stay frozen,
-and the breakdown names the terminal event, timeout included.
+once, and `|goal - start|` is computed once per episode, at the reset.
+The reward breakdown names the terminal event, timeout included.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,11 +85,6 @@ def _cross(a, b) -> tuple[float, float, float]:
     return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 
 
-def _finite(v: np.ndarray) -> bool:
-    """np.isfinite(v).all() for a short 1-D float vector, one float at a time."""
-    return all(map(math.isfinite, v.tolist()))
-
-
 def clip_action(raw: np.ndarray) -> np.ndarray:
     """(..., 3) actions clamped to the bounds as np.clip would, NaN included,
     without np.clip's per-call overhead."""
@@ -111,15 +104,15 @@ def unit(v: np.ndarray) -> np.ndarray:
 _MOVING = ("uav_pos_true", "uav_vel", "obstacle_pos", "obstacle_vel")
 
 
-@dataclass(frozen=True)
-class WorldState:
+class WorldState(NamedTuple):
     """Ground truth of one episode at one step: what moves and what the
     episode drew.  What the EnvConfig fixes, such as dt, stays there.
 
-    Its vectors are validated, read-only copies of the arrays it was built
-    from, so the next step's state can share goal and start unchecked.
-    `goal_span` is |goal - start|, computed when the state is built (also
-    by `dataclasses.replace`) and carried over by every step.
+    The constructor checks and copies nothing.  `env_reset_full` builds
+    the first state from read-only vectors and computes `goal_span`,
+    |goal - start|; `step_dynamics` checks the moving vectors it computes,
+    makes them read-only and carries goal, start, the clock bias and the
+    span over.
     """
 
     uav_pos_true: np.ndarray
@@ -130,41 +123,10 @@ class WorldState:
     start: np.ndarray
     clock_bias_true: float
     t: int
-    goal_span: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for name in _MOVING + ("goal", "start"):
-            self._freeze(name, np.array(getattr(self, name), dtype=float))
-        object.__setattr__(self, "goal_span", _norm(self.goal - self.start))
-
-    def _freeze(self, name: str, arr: np.ndarray) -> None:
-        """Check that `arr` is a finite 3-vector, make it read-only, store it."""
-        if arr.shape != (3,) or not _finite(arr):
-            raise ConfigurationError(f"{name} must be a finite 3-vector")
-        arr.flags.writeable = False
-        object.__setattr__(self, name, arr)
-
-    def _advance(self, moving: list[float]) -> "WorldState":
-        """The state one step later.  `moving` holds the 12 floats of the
-        vectors in _MOVING, in order; they are checked once and become the
-        read-only rows of one array.  Goal, start, the goal span and the
-        clock bias carry over as already checked."""
-        if not all(map(math.isfinite, moving)):
-            bad = next(k for k in range(4)
-                       if not all(map(math.isfinite, moving[3 * k:3 * k + 3])))
-            raise ConfigurationError(f"{_MOVING[bad]} must be a finite 3-vector")
-        flat = np.array(moving)
-        flat.flags.writeable = False
-        rows = flat.reshape(4, 3)
-        nxt = object.__new__(WorldState)
-        nxt.__dict__.update(self.__dict__, t=self.t + 1, uav_pos_true=rows[0],
-                            uav_vel=rows[1], obstacle_pos=rows[2],
-                            obstacle_vel=rows[3])
-        return nxt
+    goal_span: float
 
 
-@dataclass(frozen=True)
-class RewardBreakdown:
+class RewardBreakdown(NamedTuple):
     collision: float
     threat: float
     goal_seek: float
@@ -411,7 +373,8 @@ def step_dynamics(
     ``motion`` holds the 3 floats of the velocity the controller (`steer`
     or a row of `steer_fleet`) commanded; the vehicle flies it for
     ``cfg.dt``, the obstacle moves on and bounces off the airspace
-    bounds, and the next state checks its moving vectors once.
+    bounds.  The next state's 12 moving floats are checked once and become
+    the read-only rows of one array; the rest of the state carries over.
     """
     dt = cfg.dt
     obs_vel = world.obstacle_vel.tolist()
@@ -425,7 +388,17 @@ def step_dynamics(
         elif obs_pos[i] > hi:
             obs_pos[i] = 2.0 * hi - obs_pos[i]
             obs_vel[i] = -obs_vel[i]
-    return world._advance([*new_pos, *motion, *obs_pos, *obs_vel])
+    moving = [*new_pos, *motion, *obs_pos, *obs_vel]
+    if not all(map(math.isfinite, moving)):
+        bad = next(k for k in range(4)
+                   if not all(map(math.isfinite, moving[3 * k:3 * k + 3])))
+        raise ConfigurationError(f"{_MOVING[bad]} must be a finite 3-vector")
+    flat = np.array(moving)
+    flat.flags.writeable = False
+    pos, vel, obstacle_pos, obstacle_vel = flat.reshape(4, 3)
+    return WorldState(pos, vel, obstacle_pos, obstacle_vel, world.goal,
+                      world.start, world.clock_bias_true, world.t + 1,
+                      world.goal_span)
 
 
 def build_observation(
@@ -489,12 +462,8 @@ def reward(world_next: WorldState, cfg: EnvConfig) -> RewardBreakdown:
         event = TERM_TIMEOUT
     else:
         event = TERM_NONE
-    # built as WorldState._advance builds a state, without the frozen
-    # __init__'s per-field object.__setattr__
-    rb = object.__new__(RewardBreakdown)
-    rb.__dict__.update(collision=r_coll, threat=r_thr, goal_seek=r_goal,
-                       total=r_coll + r_thr + r_goal, terminal_event=event)
-    return rb
+    return RewardBreakdown(r_coll, r_thr, r_goal, r_coll + r_thr + r_goal,
+                           event)
 
 
 def _sample_start_goal(
@@ -561,15 +530,19 @@ def env_reset_full(
     rng = np.random.default_rng([seed, 0x5EED])
     start, goal = _sample_start_goal(cfg, rng)
     obstacle_pos, obstacle_vel = _place_obstacle(cfg, start, goal, rng)
+    at_rest = np.zeros(3)
+    for arr in (start, at_rest, obstacle_pos, obstacle_vel, goal):
+        arr.flags.writeable = False
     world = WorldState(
         uav_pos_true=start,
-        uav_vel=np.zeros(3),
+        uav_vel=at_rest,
         obstacle_pos=obstacle_pos,
         obstacle_vel=obstacle_vel,
         goal=goal,
         start=start,
         clock_bias_true=float(rng.uniform(*cfg.clock_bias_range)),
         t=0,
+        goal_span=_norm(goal - start),
     )
     pos, bias = world.uav_pos_true, world.clock_bias_true
     meas = measure_pseudoranges(pos, bias, constellation, noise_sigma, rng)

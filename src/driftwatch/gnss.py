@@ -21,14 +21,14 @@ has ended sends the same noiseless epoch again and again, and lands here.
 Otherwise the solve starts from the fix's `x` as from a vector, and a fix
 solved on the same constellation hands over its line of sight at that `x`
 too, which is bitwise the one the vector would give.  Each Constellation
-makes the Jacobian buffer that every step writes and reads once, and a
-solve builds its frozen PvtSolution without the per-field `__init__`.
+makes the Jacobian buffer that every step writes and reads once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -73,8 +73,7 @@ class Constellation:
         return len(self.positions)
 
 
-@dataclass(frozen=True)
-class PvtSolution:
+class PvtSolution(NamedTuple):
     """Outcome of an iterative PVT solve; the fix `x` is (x, y, z, bias).
 
     The last four fields say what the fix was solved from, for a solve
@@ -90,10 +89,10 @@ class PvtSolution:
     final_residual_norm: float
     converged: bool
     residuals: np.ndarray
-    measurements: bytes = field(default=b"", repr=False)
-    stationary: bool = field(default=False, repr=False)
-    solved_on: np.ndarray | None = field(default=None, repr=False)
-    line_of_sight: tuple = field(default=(), repr=False)
+    measurements: bytes = b""
+    stationary: bool = False
+    solved_on: np.ndarray | None = None
+    line_of_sight: tuple = ()
 
 
 def make_constellation(
@@ -318,10 +317,7 @@ def solve_pvt(
     final = measurements - (ranges + x[3])
     for arr in (x, final, sep, ranges):
         arr.flags.writeable = False
-    # built as env.WorldState._advance builds a state, without the frozen
-    # __init__'s per-field object.__setattr__
-    fix = object.__new__(PvtSolution)
-    fix.__dict__.update(
+    return PvtSolution(
         x=x,
         iterations=iterations,
         final_residual_norm=math.sqrt(final.dot(final)),
@@ -332,4 +328,3 @@ def solve_pvt(
         solved_on=positions,
         line_of_sight=los,
     )
-    return fix

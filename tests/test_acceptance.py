@@ -4,9 +4,10 @@ The session fixture trains the reference agent and runs the full detection
 pipeline once; individual criteria reuse its artifacts. Criterion 8's
 bounds are asserted as pinned; the test prints the measured values either
 way and names any clause that fails.  The fixture's agent is trained
-afresh, so it, and criterion 8's verdict, are bound to the BLAS kernel that
-`tests/data/golden_blas.txt` names, the one the pinned checkpoint was made
-with: another kernel rounds training differently and trains another agent.
+afresh, so it, and criterion 8's verdict, are bound to the BLAS kernel and
+numpy SIMD level that `tests/data/golden_blas.txt` names, those the pinned
+checkpoint was made with: another kernel or dispatch level rounds training
+differently and trains another agent.
 """
 
 import dataclasses

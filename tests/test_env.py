@@ -13,7 +13,6 @@ from driftwatch.env import (
     TERM_GOAL,
     TERM_NONE,
     TERM_TIMEOUT,
-    RewardBreakdown,
     WorldState,
     _sample_start_goal,
     build_observation,
@@ -66,7 +65,8 @@ def make_world(**overrides) -> WorldState:
         t=0,
     )
     base.update(overrides)
-    return WorldState(**base)
+    span = float(np.linalg.norm(base["goal"] - base["start"]))
+    return WorldState(**base, goal_span=span)
 
 
 def exact_pvt(position, bias=0.0) -> PvtSolution:
@@ -314,7 +314,7 @@ def test_observation_zero_blocks():
 
 def test_observation_rejects_nonconverged():
     world = make_world()
-    bad = dataclasses.replace(exact_pvt(np.zeros(3)), converged=False)
+    bad = exact_pvt(np.zeros(3))._replace(converged=False)
     with pytest.raises(NotConvergedError):
         build_observation(bad, world, ENV)
 
@@ -375,32 +375,15 @@ def test_reward_reports_the_timeout():
     assert reward(home, cfg).terminal_event == TERM_GOAL
 
 
-def test_step_records_behave_as_constructed(cons):
-    """The fix and reward breakdown of a step carry exactly the fields the
-    constructors set, refuse assignment, and go through
-    dataclasses.replace."""
+def test_step_records_refuse_assignment(cons):
+    """The world, the reward breakdown and the fix of a step are frozen."""
     world, _ = env_reset(ENV, seed=4, constellation=cons, noise_sigma=0.0)
-    _, _, rb, _, fix = env_step(world, steered(world, action(1.0, 1.0, 0.0)),
-                                cons, 0.0, cfg=ENV)
-    for record in (fix, rb):
-        cls = type(record)
-        built = cls(**{f.name: getattr(record, f.name)
-                       for f in dataclasses.fields(cls)})
-        assert list(vars(record)) == list(vars(built))
-        for name, value in vars(built).items():
-            assert getattr(record, name) is value, name
-        assert repr(record) == repr(built)
-        name = dataclasses.fields(cls)[0].name
-        with pytest.raises(dataclasses.FrozenInstanceError):
+    out = env_step(world, steered(world, action(1.0, 1.0, 0.0)), cons, 0.0,
+                   cfg=ENV)
+    for record in (out[0], out[2], out[4]):
+        name = record._fields[0]
+        with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
-    assert rb == RewardBreakdown(**vars(rb))
-    moved = dataclasses.replace(rb, terminal_event=TERM_TIMEOUT)
-    assert (moved.terminal_event, moved.total) == (TERM_TIMEOUT, rb.total)
-    assert rb.terminal_event == TERM_NONE
-    retold = dataclasses.replace(fix, converged=False)
-    assert retold.x is fix.x and not retold.converged and fix.converged
-    with pytest.raises(NotConvergedError):
-        build_observation(retold, world, ENV)
 
 
 def test_reward_total_is_sum():
@@ -551,7 +534,7 @@ def test_observation_rejects_a_non_finite_fix():
 
 
 # Reference dynamics: `step_dynamics` as first written, with `np.cross`,
-# `np.linalg.norm`, `np.outer`, `np.clip` and `dataclasses.replace`.  The
+# `np.linalg.norm`, `np.outer`, `np.clip` and `WorldState._replace`.  The
 # dynamics must reproduce it bit for bit.
 
 def reference_flow_field_matrices(uav_pos, obstacle_pos, obstacle_radius, action):
@@ -621,8 +604,8 @@ def reference_step_dynamics(world, action, believed, cfg):
         elif obs_pos[i] > hi:
             obs_pos[i] = 2.0 * hi - obs_pos[i]
             obs_vel[i] = -obs_vel[i]
-    return dataclasses.replace(
-        world, uav_pos_true=world.uav_pos_true + cfg.dt * motion,
+    return world._replace(
+        uav_pos_true=world.uav_pos_true + cfg.dt * motion,
         uav_vel=motion, obstacle_pos=obs_pos, obstacle_vel=obs_vel,
         t=world.t + 1,
     )
@@ -736,50 +719,40 @@ def test_reward_and_threat_match_reference_bit_for_bit():
                                 if d <= r_obs else 0.0)
 
 
-@pytest.mark.parametrize("field", ["uav_pos_true", "uav_vel", "obstacle_pos",
-                                   "obstacle_vel", "goal", "start"])
-@pytest.mark.parametrize("bad", [
-    np.array([1.0, np.nan, 0.0]),
-    np.array([np.inf, 0.0, 0.0]),
-    np.zeros(2),
-    np.zeros((3, 1)),
-    np.zeros(4),
-])
-def test_world_state_rejects_bad_vectors(field, bad):
-    with pytest.raises(ConfigurationError, match=field):
-        make_world(**{field: bad})
-
-
-def test_world_vectors_are_read_only_and_carried_over():
-    """Construction freezes validated copies; a step shares goal and start
-    with the state before it instead of checking them again."""
-    goal = np.array([1000.0, 0.0, 100.0])
-    world = make_world(goal=goal)
-    goal[0] = 5.0  # the caller's array is not the world's
-    assert world.goal[0] == 1000.0
-    for name in ("uav_pos_true", "uav_vel", "obstacle_pos", "obstacle_vel",
-                 "goal", "start"):
-        with pytest.raises(ValueError, match="read-only"):
-            getattr(world, name)[0] = 1.0
+def test_world_vectors_are_read_only_and_carried_over(cons):
+    """A reset freezes every vector of the world it builds; a step freezes
+    the moving vectors it computes and shares goal, start and the goal
+    span with the state before it instead of checking them again."""
+    world, _ = env_reset(ENV, seed=4, constellation=cons, noise_sigma=0.0)
     nxt = fly(world, action(1.0, 1.0, 0.0))
+    for state in (world, nxt):
+        for name in ("uav_pos_true", "uav_vel", "obstacle_pos",
+                     "obstacle_vel", "goal", "start"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(state, name)[0] = 1.0
     assert nxt.goal is world.goal and nxt.start is world.start
-    assert nxt.goal_span == world.goal_span
+    assert nxt.goal_span is world.goal_span
     assert nxt.t == world.t + 1
-    with pytest.raises(ValueError, match="read-only"):
-        nxt.uav_pos_true[0] = 1.0
 
 
 @pytest.mark.parametrize("index", range(12))
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_step_rejects_a_non_finite_moving_vector(index, bad):
-    """A step checks its 12 new floats at once and names the vector that
-    holds the bad one."""
-    world = make_world()
-    moving = [float(k) for k in range(12)]
-    moving[index] = bad
-    name = ("uav_pos_true", "uav_vel", "obstacle_pos", "obstacle_vel")[index // 3]
+    """A step checks its 12 new floats at once and names the first vector
+    of the next state that a bad float reaches.  The bad float is put in
+    the truth, the commanded motion, the obstacle's position or its
+    velocity; position = position + dt * velocity carries a bad motion
+    into the vehicle's position and a bad obstacle velocity into the
+    obstacle's position."""
+    vectors = {"uav_pos_true": np.zeros(3), "motion": np.zeros(3),
+               "obstacle_pos": np.full(3, 50.0), "obstacle_vel": np.ones(3)}
+    where = tuple(vectors)[index // 3]
+    vectors[where][index % 3] = bad
+    motion = vectors.pop("motion")
+    world = make_world(**vectors)
+    name = ("uav_pos_true", "obstacle_pos")[index // 6]
     with pytest.raises(ConfigurationError, match=f"{name} must be a finite"):
-        world._advance(moving)
+        step_dynamics(world, motion.tolist(), ENV)
 
 
 def test_non_finite_believed_position_fails_the_step():
@@ -795,16 +768,15 @@ def test_non_finite_believed_position_fails_the_step():
             step_dynamics(world, motion, ENV)
 
 
-def test_goal_span_follows_goal_and_start():
-    """|goal - start| is computed when a state is built, as np.linalg.norm
-    computes it, and again when `dataclasses.replace` moves either end."""
-    world = make_world(start=np.array([0.0, 0.0, 100.0]))
-    assert world.goal_span == np.linalg.norm(world.goal - world.start) == 1000.0
-    moved = dataclasses.replace(world, goal=np.array([3.0, 4.0, 100.0]))
-    assert moved.goal_span == 5.0
-    moved = dataclasses.replace(moved, start=np.array([3.0, 4.0, 112.0]))
-    assert moved.goal_span == 12.0
-    assert reward(moved, ENV).goal_seek == -5.0 / 12.0 + 3.0  # 5 m off the goal
+def test_goal_span_follows_goal_and_start(cons):
+    """|goal - start| is computed at the reset, as np.linalg.norm computes
+    it, and the reward divides by the span the state carries."""
+    for seed in range(20):
+        world, _ = env_reset(ENV, seed, cons, noise_sigma=0.0)
+        assert world.goal_span == np.linalg.norm(world.goal - world.start)
+    near = world._replace(uav_pos_true=world.goal + (3.0, 4.0, 0.0),
+                          goal_span=12.0)
+    assert reward(near, ENV).goal_seek == -5.0 / 12.0 + 3.0  # 5 m off the goal
 
 
 def test_sequential_episodes_each_score_their_own_goal_span(cons):
