@@ -37,10 +37,11 @@ print(f"trained {cfg.train.episodes} episodes in"
       f" -> {np.mean(history[-20:]):.1f} (last 20)")
 
 t0 = time.perf_counter()
-bank, _ = profile_pipeline(agent, cfg, cfg.master_seed)
+bank, diag = profile_pipeline(agent, cfg, cfg.master_seed)
+profile = diag["profile"]
 print(f"profiled {cfg.eval.profile_episodes} nominal episodes in"
       f" {time.perf_counter() - t0:.1f}s; value score baseline"
-      f" mu0={bank.profile.mu0:.2f} sigma0={bank.profile.sigma0:.2f},"
+      f" mu0={profile.mu0:.2f} sigma0={profile.sigma0:.2f},"
       f" same-age horizon {bank.age_profile.horizon} steps,"
       f" calibrated tau={bank.tau}")
 

@@ -111,8 +111,10 @@ def _cmd_profile(cfg: ExperimentConfig, seed: int, out: Path, args) -> int:
     agent = _load_agent(args.checkpoint, out)
     bank, diag = profile_pipeline(agent, cfg, seed)
     bank.save(out)
-    print(f"nominal profile: mu0={bank.profile.mu0!r} "
-          f"sigma0={bank.profile.sigma0!r} n={bank.profile.n_samples}")
+    profile = diag["profile"]
+    profile.save(out / "profile.json")
+    print(f"nominal profile: mu0={profile.mu0!r} "
+          f"sigma0={profile.sigma0!r} n={profile.n_samples}")
     age = bank.age_profile
     print(f"same-age profile: horizon={age.horizon} "
           f"noise_var={age.noise_var!r} level_var={age.level_var!r}")

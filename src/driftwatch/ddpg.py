@@ -278,13 +278,16 @@ def save_checkpoint(agent: Agent, path) -> None:
 
 
 def _read_agent(data) -> Agent:
-    actor_sizes = [int(s) for s in data["actor_sizes"]]
-    if actor_sizes[0] != OBS_DIM or actor_sizes[-1] != ACT_DIM:
-        raise ValueError(f"actor sizes {actor_sizes} do not match this package")
+    """The checkpoint's agent, refused unless this package can fly it."""
+    for kind, ends in (("actor", [OBS_DIM, ACT_DIM]),
+                       ("critic", [OBS_DIM + ACT_DIM, 1])):
+        sizes = [int(s) for s in data[f"{kind}_sizes"]]
+        if sizes[:1] + sizes[-1:] != ends:
+            raise ValueError(f"{kind} sizes {sizes} do not match this package")
     agent = object.__new__(Agent)
-    agent.obs_scales = np.asarray(data["obs_scales"], dtype=float)
-    if agent.obs_scales.shape != (OBS_DIM,):
-        raise ValueError("obs_scales has the wrong shape")
+    agent.obs_scales = scales = np.asarray(data["obs_scales"], dtype=float)
+    if scales.shape != (OBS_DIM,) or not np.all(np.isfinite(scales) & (scales > 0)):
+        raise ValueError(f"obs_scales must be {OBS_DIM} finite values > 0")
     for tag in _NETS:
         kind = tag.removeprefix("target_")
         setattr(agent, tag, Mlp.from_arrays(data, data[f"{kind}_sizes"],

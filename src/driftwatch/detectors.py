@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import DetectorConfig, _at_least, _JsonDocument, _positive, check_bounds
+from .config import (DetectorConfig, _at_least, _JsonDocument, _positive,
+                     _within, check_bounds)
 from .errors import ConfigurationError, InsufficientDataError
 from .gnss import PvtSolution
 from .nets import Adam, Mlp, load_npz, save_npz
@@ -449,18 +450,16 @@ def fix_rms(pvt: PvtSolution) -> float:
 
 
 def residual_score(
-    positions: np.ndarray, rms: np.ndarray, k_sigma: float,
-    noise_sigma: float, jump_gate: float,
+    positions: np.ndarray, rms: np.ndarray, threshold: float,
+    jump_gate: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(flags, statistics) of the residual-norm test plus a kinematic jump
     gate over an episode's fixes, from their (n, 3) positions and (n,) RMS
-    residuals.
+    residuals: an RMS above `threshold` or a jump above `jump_gate` flags.
 
     The test keeps no state but the previous position, so it scores the
     whole episode at once.  The first fix has no jump reference.
     """
-    # absolute floor so zero-noise configs do not flag solver round-off
-    threshold = max(k_sigma * noise_sigma, 1e-6)
     step = np.diff(positions, axis=0)
     jump = np.zeros(len(rms))
     jump[1:] = np.sqrt(np.add.reduce(step * step, axis=1))  # np.linalg.norm's
@@ -495,8 +494,11 @@ class WindowAutoencoder:
             raise ValueError(
                 f"window {window} does not match layer sizes {net.layer_sizes}"
             )
-        return cls(net=net, window=window, mean=float(data["mean"]),
-                   std=float(data["std"]), threshold=float(data["threshold"]))
+        mean, std, threshold = (float(data[k]) for k in ("mean", "std", "threshold"))
+        _within("mean", mean, -math.inf, math.inf, "()")
+        _within("std", std, 0, math.inf, "()")
+        _within("threshold", threshold, 0, math.inf, "[)")  # errors are >= 0
+        return cls(net=net, window=window, mean=mean, std=std, threshold=threshold)
 
 
 def _window_errors(net: Mlp, x: np.ndarray) -> np.ndarray:

@@ -556,7 +556,10 @@ def env_reset(
     constellation: Constellation,
     noise_sigma: float,
 ) -> tuple[WorldState, np.ndarray]:
-    """Sample a fresh episode deterministically from the seed: (world, phi)."""
+    """Sample a fresh episode deterministically from the seed: (world, phi).
+
+    Training resets here, so it reaches `env_reset_full` through this
+    module's global, the name `perfbench/tracer.py` wraps to time resets."""
     world, phi, _ = env_reset_full(cfg, seed, constellation, noise_sigma)
     return world, phi
 

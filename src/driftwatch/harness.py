@@ -48,7 +48,6 @@ from .ddpg import _TAG_MEAS, Agent, _derive_seed
 from .detectors import (
     RERUN_PROFILE,
     AgeProfile,
-    NominalProfile,
     WindowAutoencoder,
     bocpd_flag,
     bocpd_init,
@@ -68,7 +67,7 @@ from .gnss import constellation_from_config
 from .spoofing import AttackConfig, attack_alpha
 
 EPISODE_SCHEMA = "driftwatch-episode-v1"
-BANK_SCHEMA = "driftwatch-bank-v1"
+BANK_SCHEMA = "driftwatch-bank-v2"
 
 DETECTOR_ORDER = ("bocpd", "ph", "residual", "window_ae")
 
@@ -94,9 +93,8 @@ CSV_COLUMNS = (
 )
 
 
-# file and type of each document in a bank
+# file and type of each document of a bank, saved beside bank.json
 _BANK_FILES = {
-    "profile": ("profile.json", NominalProfile),
     "age_profile": ("age_profile.json", AgeProfile),
     "ae": ("ae.npz", WindowAutoencoder),
 }
@@ -113,8 +111,7 @@ class _BankParameters:
     prune: float
     ph_delta: float
     ph_lambda: float
-    residual_k_sigma: float
-    residual_noise_sigma: float
+    residual_threshold: float
     residual_jump_gate: float
 
     def __post_init__(self):
@@ -122,21 +119,19 @@ class _BankParameters:
                      prune=self.prune)
         _at_least("ph_delta", self.ph_delta, 0)
         _positive("ph_lambda", self.ph_lambda)
-        _positive("residual_k_sigma", self.residual_k_sigma)
-        _at_least("residual_noise_sigma", self.residual_noise_sigma, 0)
+        _positive("residual_threshold", self.residual_threshold)
         _positive("residual_jump_gate", self.residual_jump_gate)
 
 
 @dataclass(frozen=True)
 class DetectorBank(_BankParameters):
-    """Frozen detector parameters; spawns fresh per-episode state.
+    """What a stage's scoring reads, frozen by `profile_pipeline`.
 
-    The changepoint detector runs on `age_profile`; `profile` is the pooled
-    nominal profile, Page-Hinkley's scale.  Each document is saved to its
-    own file, which `bank.json` names next to the scalar parameters.
+    `bank.json` holds the numbers; the changepoint detector's prior
+    `age_profile` and the window autoencoder `ae` are saved beside it, at
+    the names `_BANK_FILES` gives them.
     """
 
-    profile: NominalProfile
     age_profile: AgeProfile
     ae: WindowAutoencoder
 
@@ -157,8 +152,7 @@ class DetectorBank(_BankParameters):
             tests = (bocpd_flag(l_hat, ages, self.tau, self.warmup),
                      page_hinkley(log.q, self.ph_delta, self.ph_lambda),
                      residual_score(log.est_pos, log.residual_rms,
-                                    self.residual_k_sigma,
-                                    self.residual_noise_sigma,
+                                    self.residual_threshold,
                                     self.residual_jump_gate),
                      window_ae_score(self.ae, log.q))
             log.flags = np.column_stack([flags for flags, _ in tests])
@@ -170,12 +164,9 @@ class DetectorBank(_BankParameters):
         paths = {name: out / file for name, (file, _) in _BANK_FILES.items()}
         for name, path in paths.items():
             getattr(self, name).save(path)
-        doc = {"schema": BANK_SCHEMA}
-        doc.update((f"{name}_file", path.name) for name, path in paths.items())
-        doc.update((f.name, getattr(self, f.name))
-                   for f in fields(_BankParameters))
+        doc = {f.name: getattr(self, f.name) for f in fields(_BankParameters)}
         paths["bank"] = out / "bank.json"
-        write_json(doc, paths["bank"])
+        write_json({"schema": BANK_SCHEMA, **doc}, paths["bank"])
         return paths
 
     @classmethod
@@ -186,23 +177,18 @@ class DetectorBank(_BankParameters):
             raise ConfigurationError(
                 f"no detector bank at {bank_path} (run `driftwatch profile` first)"
             )
-
-        def read(doc: dict) -> DetectorBank:
-            files = {name: doc.pop(f"{name}_file") for name in _BANK_FILES}
-            numbers = from_json(_BankParameters, doc)
-            documents = {}
-            for name, file in files.items():
-                if not isinstance(file, str):
-                    raise TypeError(f"{name}_file must be str, got {file!r}")
-                documents[name] = _BANK_FILES[name][1].load(bank_dir / file)
-            return cls(**vars(numbers), **documents)
-
-        return read_document(bank_path, BANK_SCHEMA, read, RERUN_PROFILE)
+        numbers = read_document(bank_path, BANK_SCHEMA,
+                                lambda doc: from_json(_BankParameters, doc),
+                                RERUN_PROFILE)
+        return cls(**vars(numbers), **{
+            name: kind.load(bank_dir / file)
+            for name, (file, kind) in _BANK_FILES.items()})
 
 
 class EpisodeDetectors:
     """Lockstep run-length posteriors over the value streams of a stage: one
-    row per stream, each with its own prior (AgeProfile), all at one age."""
+    row per stream, each with its own prior (AgeProfile), all at one age.
+    A class of its own so that `perfbench/tracer.py` can time `update`."""
 
     def __init__(self, priors, hazard: float, prune: float):
         self.prune = prune
@@ -537,14 +523,15 @@ def profile_pipeline(
     """Fit every detector on attack-free runs and freeze the thresholds.
 
     Reads the env, gnss, detectors and eval sections of `cfg`.  Returns
-    the bank plus diagnostics (profile episode logs, without their
-    per-step trace; AE training curve; calibration outcome).  Uses its own
-    seed stream so profiling data never overlaps evaluation episodes.  The
-    run-length threshold is calibrated leave-one-out: each profile stream
-    is scored against an age profile fitted on the other streams, as an
-    unseen flight would be.  The held-out streams are scored in one
-    lockstep pass (`_run_lengths`), one prior per stream, as
-    `DetectorBank.score` scores a stage.
+    the bank plus diagnostics: the profile episode logs, without their
+    per-step trace; the pooled profile, Page-Hinkley's scale, which
+    `driftwatch profile` reports as `profile.json`; the AE training curve;
+    the calibration outcome.  Uses its own seed stream so profiling data
+    never overlaps evaluation episodes.  The run-length threshold is
+    calibrated leave-one-out: each profile stream is scored against an age
+    profile fitted on the other streams, as an unseen flight would be.
+    The held-out streams are scored in one lockstep pass (`_run_lengths`),
+    one prior per stream, as `DetectorBank.score` scores a stage.
     """
     det_cfg = cfg.detectors
     seeds = [_derive_seed(master_seed, _TAG_PROFILE, i)
@@ -568,7 +555,6 @@ def profile_pipeline(
                                    _derive_seed(master_seed, _TAG_AE_INIT))
 
     bank = DetectorBank(
-        profile=profile,
         age_profile=age_profile,
         tau=tau,
         warmup=det_cfg.bocpd_warmup,
@@ -576,8 +562,9 @@ def profile_pipeline(
         prune=det_cfg.bocpd_prune,
         ph_delta=det_cfg.ph_delta_scale * profile.sigma0,
         ph_lambda=det_cfg.ph_lambda_scale * profile.sigma0,
-        residual_k_sigma=det_cfg.residual_k_sigma,
-        residual_noise_sigma=cfg.gnss.noise_sigma,
+        # absolute floor so zero-noise configs do not flag solver round-off
+        residual_threshold=max(det_cfg.residual_k_sigma * cfg.gnss.noise_sigma,
+                               1e-6),
         residual_jump_gate=(
             cfg.env.cruise_speed * cfg.env.dt * det_cfg.residual_jump_margin
         ),
@@ -585,6 +572,7 @@ def profile_pipeline(
     )
     diagnostics = {
         "profile_logs": logs,
+        "profile": profile,
         "ae_curve": ae_curve,
         "calibration_fp": achieved_fp,
     }

@@ -14,6 +14,8 @@ import pytest
 from driftwatch import cli, harness
 from driftwatch.cli import main
 from driftwatch.config import ExperimentConfig
+from driftwatch.ddpg import load_checkpoint, save_checkpoint
+from driftwatch.nets import Mlp
 
 
 def tiny_config():
@@ -55,6 +57,15 @@ def run_chain(cfg_path, out):
 
 def no_stage(*args, **kwargs):
     raise AssertionError("a stage ran")
+
+
+# what `eval` and `run` read of the profile stage's output
+BANK_FILES = ("bank.json", "age_profile.json", "ae.npz")
+
+
+def copy_bank(chain, out):
+    for name in BANK_FILES:
+        shutil.copy(chain / name, out / name)
 
 
 @pytest.fixture(scope="module")
@@ -245,7 +256,7 @@ class TestUsageErrors:
 
     def test_malformed_bank_exits_with_error(self, capsys, tmp_path,
                                              cfg_path, chain):
-        for key in ("tau", "age_profile_file"):
+        for key in ("tau", "residual_threshold"):
             doc = json.loads((chain / "bank.json").read_text())
             del doc[key]
             (tmp_path / "bank.json").write_text(json.dumps(doc))
@@ -261,9 +272,7 @@ class TestUsageErrors:
         ("tau", -3), ("prune", 0.5), ("hazard", 2.0)])
     def test_out_of_range_bank_value_exits_before_any_flight(
             self, capsys, tmp_path, cfg_path, chain, monkeypatch, key, value):
-        for bank_file in ("bank.json", "profile.json", "age_profile.json",
-                          "ae.npz"):
-            shutil.copy(chain / bank_file, tmp_path / bank_file)
+        copy_bank(chain, tmp_path)
         doc = json.loads((tmp_path / "bank.json").read_text())
         doc[key] = value
         (tmp_path / "bank.json").write_text(json.dumps(doc))
@@ -281,13 +290,10 @@ class TestUsageErrors:
     @pytest.mark.parametrize("name, key", [
         ("age_profile.json", "means"),
         ("age_profile.json", None),
-        ("profile.json", None),
     ])
     def test_bad_bank_document_exits_with_error(self, capsys, tmp_path,
                                                 cfg_path, chain, name, key):
-        for bank_file in ("bank.json", "profile.json", "age_profile.json",
-                          "ae.npz"):
-            shutil.copy(chain / bank_file, tmp_path / bank_file)
+        copy_bank(chain, tmp_path)
         if key is None:
             (tmp_path / name).unlink()
         else:
@@ -303,17 +309,25 @@ class TestUsageErrors:
         assert key is None or key in err
         assert "driftwatch profile" in err
 
-    @pytest.mark.parametrize("fault", ["weight_shape", "window"])
+    @pytest.mark.parametrize("fault", [
+        "weight_shape", "window", "std_zero", "threshold_nan",
+        "threshold_negative"])
     def test_malformed_ae_model_exits_with_error(self, capsys, tmp_path,
                                                  cfg_path, chain, fault):
-        for bank_file in ("bank.json", "profile.json", "age_profile.json",
-                          "ae.npz"):
-            shutil.copy(chain / bank_file, tmp_path / bank_file)
+        """A window test the model could not run is refused, and so are
+        scalars that would silence it or flag every window: with a std of
+        0 or a NaN threshold no window ever flags, and a threshold below 0,
+        which no reconstruction error is, flags every window."""
+        copy_bank(chain, tmp_path)
         data = dict(np.load(tmp_path / "ae.npz"))
         if fault == "weight_shape":
             data["w0"] = data["w0"][:, :-1]
-        else:
+        elif fault == "window":
             data["window"] = data["window"] + 1
+        else:
+            key, value = fault.split("_")
+            data[key] = np.array({"zero": 0.0, "nan": np.nan,
+                                  "negative": -1.0}[value])
         np.savez(tmp_path / "ae.npz", **data)
         rc = main(["eval", "--config", str(cfg_path),
                    "--checkpoint", str(chain / "checkpoint.npz"),
@@ -321,7 +335,59 @@ class TestUsageErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "ae.npz" in err
+        assert "failed to load" in err
         assert not (tmp_path / "summary.json").exists()
+
+    def test_first_bank_schema_exits_naming_it(self, capsys, tmp_path,
+                                               cfg_path, chain, monkeypatch):
+        """A bank.json of the first schema, which named its documents' files
+        and kept the residual test's k and noise apart, is refused before
+        any flight, naming both schemas and the rerun."""
+        copy_bank(chain, tmp_path)
+        doc = json.loads((tmp_path / "bank.json").read_text())
+        doc["schema"] = "driftwatch-bank-v1"
+        del doc["residual_threshold"]
+        doc.update(profile_file="profile.json", ae_file="ae.npz",
+                   age_profile_file="age_profile.json", residual_k_sigma=3.0,
+                   residual_noise_sigma=2.0)
+        (tmp_path / "bank.json").write_text(json.dumps(doc))
+        monkeypatch.setattr(harness, "run_episode", no_stage)
+        rc = main(["eval", "--config", str(cfg_path),
+                   "--checkpoint", str(chain / "checkpoint.npz"),
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bank.json" in err
+        assert ("has schema 'driftwatch-bank-v1', expected "
+                "'driftwatch-bank-v2' (rerun `driftwatch profile`)") in err
+
+    @pytest.mark.parametrize("fault", [
+        "zero_scale", "negated_scales", "two_valued_critic",
+        "wide_critic_input"])
+    def test_checkpoint_this_package_cannot_fly_exits_before_flying(
+            self, capsys, tmp_path, cfg_path, chain, monkeypatch, fault):
+        """A checkpoint whose observation scales are not all finite and > 0,
+        or whose critic does not map observation and action to one value,
+        is refused as it loads, before any flight."""
+        agent = load_checkpoint(chain / "checkpoint.npz")
+        if fault == "zero_scale":
+            agent.obs_scales[0] = 0.0
+        elif fault == "negated_scales":
+            agent.obs_scales = -agent.obs_scales
+        else:
+            sizes = ([12, 16, 16, 2] if fault == "two_valued_critic"
+                     else [13, 16, 16, 1])
+            agent.critic = Mlp(sizes, ["relu", "relu", "linear"],
+                               np.random.default_rng(0))
+            agent.target_critic = agent.critic.copy()
+        save_checkpoint(agent, tmp_path / "checkpoint.npz")
+        monkeypatch.setattr(cli, "run_episode", no_stage)
+        rc = main(["run", "--config", str(cfg_path), "--seed", "0",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "checkpoint" in err
+        assert "failed to load" in err and "Traceback" not in err
 
 
 class TestChainArtifacts:
@@ -332,12 +398,33 @@ class TestChainArtifacts:
         assert len(curve) == 1 + 3
 
     def test_profile_artifacts(self, chain):
-        for name in ("bank.json", "profile.json", "ae.npz",
-                     "age_profile.json"):
+        """The bank's three files, and the pooled profile as the stage's
+        report; bank.json holds its schema and eight numbers."""
+        for name in BANK_FILES + ("profile.json",):
             assert (chain / name).exists(), name
         bank = json.loads((chain / "bank.json").read_text())
-        assert bank["schema"] == "driftwatch-bank-v1"
-        assert bank["age_profile_file"] == "age_profile.json"
+        assert bank["schema"] == "driftwatch-bank-v2"
+        assert sorted(bank) == sorted([
+            "schema", "tau", "warmup", "hazard", "prune", "ph_delta",
+            "ph_lambda", "residual_threshold", "residual_jump_gate"])
+        profile = json.loads((chain / "profile.json").read_text())
+        assert profile["schema"] == "driftwatch-profile-v1"
+        assert profile["source_episodes"] == list(range(50))
+
+    def test_bank_files_alone_score_like_the_profile_output(
+            self, cfg_path, chain, tmp_path):
+        """`eval` reads only the bank's three files: in a directory holding
+        them alone it writes the report the full profile output gave, byte
+        for byte."""
+        copy_bank(chain, tmp_path)
+        rc = main(["eval", "--config", str(cfg_path), "--seed", "5",
+                   "--checkpoint", str(chain / "checkpoint.npz"),
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        for name in ("summary.json", "q_traces.csv", "q_histograms.csv",
+                     "detector_bars.csv", "detector_bars.svg"):
+            assert (tmp_path / name).read_bytes() == \
+                (chain / name).read_bytes(), name
 
     def test_eval_report(self, chain):
         doc = json.loads((chain / "summary.json").read_text())

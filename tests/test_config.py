@@ -112,8 +112,7 @@ def test_out_of_range_value_names_its_section(load):
 
 
 BANK = dict(tau=5, warmup=50, hazard=0.022, prune=1e-8, ph_delta=0.01,
-            ph_lambda=1.0, residual_k_sigma=3.0, residual_noise_sigma=2.0,
-            residual_jump_gate=50.0)
+            ph_lambda=1.0, residual_threshold=6.0, residual_jump_gate=50.0)
 PRIOR = AgeProfile(means=(0.0,), variances=(1.0,), noise_var=1.0,
                    level_var=1.0, n_samples=10)
 

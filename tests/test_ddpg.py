@@ -21,7 +21,7 @@ from driftwatch.ddpg import (
 )
 from driftwatch.env import ACTION_HIGH, ACTION_LOW
 from driftwatch.errors import ConfigurationError, CorruptCheckpointError
-from driftwatch.nets import Adam
+from driftwatch.nets import Adam, Mlp
 from scoring_oracles import q_value_row
 
 
@@ -353,6 +353,45 @@ def test_checkpoint_shape_mismatch(tmp_path):
     with open(path, "wb") as fh:
         np.savez(fh, **data)
     with pytest.raises(CorruptCheckpointError):
+        load_checkpoint(path)
+
+
+def critic_of_sizes(sizes):
+    def corrupt(agent):
+        rng = np.random.default_rng(4)
+        agent.critic = Mlp(sizes, ["relu", "relu", "linear"], rng)
+        agent.target_critic = agent.critic.copy()
+    return corrupt
+
+
+def scale_first(value):
+    def corrupt(agent):
+        agent.obs_scales = agent.obs_scales.copy()
+        agent.obs_scales[0] = value
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (critic_of_sizes([12, 16, 16, 2]), "critic sizes"),
+    (critic_of_sizes([13, 16, 16, 1]), "critic sizes"),
+    (scale_first(0.0), "obs_scales"),
+    (scale_first(np.nan), "obs_scales"),
+    (scale_first(np.inf), "obs_scales"),
+    (lambda agent: setattr(agent, "obs_scales", -agent.obs_scales),
+     "obs_scales"),
+], ids=["two_valued_critic", "wide_critic_input", "zero_scale", "nan_scale",
+        "infinite_scale", "negated_scales"])
+def test_checkpoint_this_package_cannot_fly_rejected(tmp_path, corrupt,
+                                                      message):
+    """A critic must map the observation and the action to one value, and
+    every observation scale must be finite and > 0, as TrainConfig asks:
+    a checkpoint that breaks either is refused when it is read."""
+    agent = fresh_agent()
+    corrupt(agent)
+    path = tmp_path / "agent.npz"
+    save_checkpoint(agent, path)
+    with pytest.raises(CorruptCheckpointError,
+                       match=f"checkpoint .* failed to load: {message}"):
         load_checkpoint(path)
 
 

@@ -1,6 +1,7 @@
 """Behavioral tests for the detector bank."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -693,13 +694,17 @@ def constellation():
     return constellation_from_config(GnssConfig())
 
 
-def score_fixes(fixes, noise_sigma):
-    """(flags, statistics) of a list of fixes, as one episode, at k = 3
-    sigma and a 50 m jump gate."""
+# the residual thresholds the profile stage freezes at k = 3 sigma: 3 x 2 m,
+# and at zero noise its 1e-6 floor
+NOISY, NOISELESS = 6.0, 1e-6
+
+
+def score_fixes(fixes, threshold):
+    """(flags, statistics) of a list of fixes, as one episode, at the given
+    RMS threshold and a 50 m jump gate."""
     positions = np.array([pvt.x[:3] for pvt in fixes])
     rms = np.array([fix_rms(pvt) for pvt in fixes])
-    return residual_score(positions, rms, k_sigma=3.0,
-                          noise_sigma=noise_sigma, jump_gate=50.0)
+    return residual_score(positions, rms, threshold=threshold, jump_gate=50.0)
 
 
 class TestResidualThreshold:
@@ -711,14 +716,14 @@ class TestResidualThreshold:
     def test_clean_solution_stays_quiet(self, constellation):
         """Zero noise: the threshold's 1e-6 floor keeps round-off quiet."""
         pvt = self.solve_at(constellation, [100.0, -50.0, 30.0])
-        assert score_fixes([pvt], noise_sigma=0.0)[0].tolist() == [False]
+        assert score_fixes([pvt], NOISELESS)[0].tolist() == [False]
 
     def test_nominal_noise_stays_under_threshold(self, constellation):
         rng = np.random.default_rng(5)
         pos = np.array([0.0, 0.0, 100.0])
         fixes = [self.solve_at(constellation, pos + [k, 0, 0],
                                noise_sigma=2.0, rng=rng) for k in range(50)]
-        assert not score_fixes(fixes, noise_sigma=2.0)[0].any()
+        assert not score_fixes(fixes, NOISY)[0].any()
 
     def test_inconsistent_measurements_flag(self, constellation):
         meas = measure_pseudoranges(np.array([0.0, 0.0, 100.0]), 0.0,
@@ -726,7 +731,7 @@ class TestResidualThreshold:
         values = meas.copy()
         values[:3] += 30.0  # corrupt three of eight channels
         pvt = solve_pvt(values, constellation)
-        assert score_fixes([pvt], noise_sigma=2.0)[0].tolist() == [True]
+        assert score_fixes([pvt], NOISY)[0].tolist() == [True]
 
     def test_jump_gate_catches_teleport_but_not_drift(self, constellation):
         a = self.solve_at(constellation, [0.0, 0.0, 100.0])
@@ -734,7 +739,7 @@ class TestResidualThreshold:
         c = self.solve_at(constellation, [630.0, 0.0, 100.0])
         # the first fix has no jump reference; 30 m is drift-sized; 600 m
         # is a teleport
-        assert score_fixes([a, b, c], noise_sigma=0.0)[0].tolist() == [
+        assert score_fixes([a, b, c], NOISELESS)[0].tolist() == [
             False, False, True]
 
     def test_statistics_match_numpy_norms(self, constellation):
@@ -747,9 +752,8 @@ class TestResidualThreshold:
             pos = pos + rng.normal(0.0, 30.0, size=3)
             fixes.append(self.solve_at(constellation, pos, noise_sigma=2.0,
                                        rng=rng))
-        flags, stats = score_fixes(fixes, noise_sigma=2.0)
-        threshold = 6.0  # k_sigma * noise_sigma
-        oracle = ScalarResidualThreshold(threshold, 50.0)
+        flags, stats = score_fixes(fixes, NOISY)
+        oracle = ScalarResidualThreshold(NOISY, 50.0)
         prev = None
         jumped = 0
         for pvt, flag, statistic in zip(fixes, flags, stats):
@@ -757,7 +761,7 @@ class TestResidualThreshold:
             jump = (0.0 if prev is None
                     else float(np.linalg.norm(pvt.x[:3] - prev)))
             assert statistic == float(stat)
-            assert flag == ((stat > threshold) or (jump > 50.0))
+            assert flag == ((stat > NOISY) or (jump > 50.0))
             assert (flag, statistic) == oracle.update(pvt.x[:3],
                                                       float(stat))
             jumped += jump > 50.0
@@ -986,6 +990,12 @@ class TestWindowAutoencoder:
     @pytest.mark.parametrize("fault, message", [
         ("weight_shape", "layer 0: stored shapes"),
         ("window", "window 33 does not match layer sizes"),
+        # scalars under which the window test never flags, or always does
+        ("mean=nan", "mean must be in (-inf, inf), got nan"),
+        ("std=0.0", "std must be in (0, inf), got 0.0"),
+        ("std=inf", "std must be in (0, inf), got inf"),
+        ("threshold=nan", "threshold must be in [0, inf), got nan"),
+        ("threshold=-1.0", "threshold must be in [0, inf), got -1.0"),
     ])
     def test_load_rejects_a_malformed_model(self, trained, tmp_path, fault,
                                             message):
@@ -995,8 +1005,11 @@ class TestWindowAutoencoder:
         data = dict(np.load(path))
         if fault == "weight_shape":
             data["w0"] = data["w0"][:, :-1]
-        else:
+        elif fault == "window":
             data["window"] = data["window"] + 1
+        else:
+            key, value = fault.split("=")
+            data[key] = np.array(float(value))
         np.savez(path, **data)
-        with pytest.raises(CorruptCheckpointError, match=message):
+        with pytest.raises(CorruptCheckpointError, match=re.escape(message)):
             WindowAutoencoder.load(path)

@@ -77,14 +77,17 @@ def synthetic_bank():
     return make_synthetic_bank()
 
 
+# the pooled profile the synthetic bank's streams and scales come from
+SYNTHETIC_PROFILE = NominalProfile(mu0=-3.0, sigma0_sq=0.25, n_samples=800)
+
+
 def make_synthetic_bank() -> DetectorBank:
-    profile = NominalProfile(mu0=-3.0, sigma0_sq=0.25, n_samples=800)
+    profile = SYNTHETIC_PROFILE
     rng = np.random.default_rng(77)
     streams = [profile.mu0 + profile.sigma0 * rng.normal(size=100)
                for _ in range(8)]
     ae, _ = window_ae_train(streams, DetectorConfig(ae_window=16), 3)
     return DetectorBank(
-        profile=profile,
         # the pooled model as a one-age prior
         age_profile=AgeProfile(means=(profile.mu0,),
                                variances=(profile.sigma0_sq,),
@@ -96,8 +99,7 @@ def make_synthetic_bank() -> DetectorBank:
         prune=1e-8,
         ph_delta=0.005 * profile.sigma0,
         ph_lambda=50.0 * profile.sigma0,
-        residual_k_sigma=3.0,
-        residual_noise_sigma=2.0,
+        residual_threshold=6.0,
         residual_jump_gate=50.0,
         ae=ae,
     )
@@ -549,9 +551,8 @@ def scalar_scores(bank, log):
     """(flags, stats) of one log from the one-value-at-a-time oracles."""
     state = scalar_bocpd_init(bank.age_profile, bank.hazard)
     ph = ScalarPageHinkley(bank.ph_delta, bank.ph_lambda)
-    residual = ScalarResidualThreshold(
-        max(bank.residual_k_sigma * bank.residual_noise_sigma, 1e-6),
-        bank.residual_jump_gate)
+    residual = ScalarResidualThreshold(bank.residual_threshold,
+                                       bank.residual_jump_gate)
     rows = []
     for t, (q, pos, rms) in enumerate(zip(log.q.tolist(), log.est_pos,
                                           log.residual_rms.tolist()), start=1):
@@ -657,13 +658,39 @@ class TestEpisodeDetectors:
         assert dets.bocpd_state.weights.shape[0] == 1
 
 
+BANK_NUMBERS = {"tau", "warmup", "hazard", "prune", "ph_delta", "ph_lambda",
+                "residual_threshold", "residual_jump_gate"}
+# keys of driftwatch-bank-v1 that the second schema dropped
+FIRST_SCHEMA_KEYS = {"profile_file", "age_profile_file", "ae_file",
+                     "residual_k_sigma", "residual_noise_sigma"}
+
+
+def save_profile_output(bank, out):
+    """What `driftwatch profile` writes: the bank, and beside it the pooled
+    profile, its report, as profile.json."""
+    bank.save(out)
+    SYNTHETIC_PROFILE.save(out / "profile.json")
+
+
+def load_document(out, name):
+    """Read `name` back as its reader does: profile.json, which no stage
+    reads, by `NominalProfile.load`; a bank file through the bank."""
+    if name == "profile.json":
+        return NominalProfile.load(out / name)
+    return DetectorBank.load(out)
+
+
 class TestDetectorBankPersistence:
     def test_round_trip_preserves_verdicts(
         self, small_agent, mini_cfg, synthetic_bank, tmp_path
     ):
         paths = synthetic_bank.save(tmp_path)
-        assert set(paths) == {"profile", "ae", "bank", "age_profile"}
+        assert set(paths) == {"ae", "bank", "age_profile"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ae.npz", "age_profile.json", "bank.json"]
         loaded = DetectorBank.load(tmp_path)
+        assert {f.name for f in dataclasses.fields(loaded)} == (
+            BANK_NUMBERS | {"age_profile", "ae"})
         a = play(small_agent, mini_cfg, None, synthetic_bank, 9)
         b = play(small_agent, mini_cfg, None, loaded, 9)
         assert np.array_equal(a.flags, b.flags)
@@ -678,10 +705,10 @@ class TestDetectorBankPersistence:
              for _ in range(6)]
         ))
         paths = aged.save(tmp_path)
-        assert set(paths) == {"profile", "ae", "bank", "age_profile"}
+        assert set(paths) == {"ae", "bank", "age_profile"}
         doc = json.loads((tmp_path / "bank.json").read_text())
-        assert doc["schema"] == "driftwatch-bank-v1"
-        assert doc["age_profile_file"] == "age_profile.json"
+        assert doc["schema"] == "driftwatch-bank-v2"
+        assert doc.keys() - {"schema"} == BANK_NUMBERS
         loaded = DetectorBank.load(tmp_path)
         assert loaded.age_profile == aged.age_profile
         a, b = (
@@ -734,32 +761,41 @@ class TestDetectorBankPersistence:
         ("bank.json", "ph_lambda", 0.0),
         ("bank.json", "residual_k_sigma", 0.0),
         ("bank.json", "residual_noise_sigma", -1.0),
+        ("bank.json", "residual_threshold", 0.0),
+        ("bank.json", "residual_threshold", -1.0),
         ("bank.json", "residual_jump_gate", 0.0),
     ])
     def test_bad_entry_rejected(self, synthetic_bank, tmp_path, name, key,
                                 value):
-        synthetic_bank.save(tmp_path)
+        """A value out of type or range is refused with its key named.  The
+        keys of the first bank schema, its documents' file names and the
+        residual test's k and noise, are refused as unknown keys, whatever
+        they hold."""
+        save_profile_output(synthetic_bank, tmp_path)
         doc = json.loads((tmp_path / name).read_text())
         doc[key] = value
         (tmp_path / name).write_text(json.dumps(doc))
+        named = (rf"unknown keys \['{key}'\]" if key in FIRST_SCHEMA_KEYS
+                 else key)
         with pytest.raises(ConfigurationError,
-                           match=rf"{name}: bad value \({key}.*driftwatch profile"):
-            DetectorBank.load(tmp_path)
+                           match=rf"{name}: bad value \({named}.*driftwatch profile"):
+            load_document(tmp_path, name)
 
     @pytest.mark.parametrize("name, key", [
         ("bank.json", "extra"),
         ("bank.json", "profile"),
+        ("bank.json", "ae_file"),
         ("profile.json", "extra"),
         ("age_profile.json", "extra"),
     ])
     def test_unknown_key_rejected(self, synthetic_bank, tmp_path, name, key):
-        synthetic_bank.save(tmp_path)
+        save_profile_output(synthetic_bank, tmp_path)
         doc = json.loads((tmp_path / name).read_text())
         doc[key] = 1
         (tmp_path / name).write_text(json.dumps(doc))
         with pytest.raises(ConfigurationError,
                            match=rf"{name}: .*unknown keys \['{key}'\].*driftwatch profile"):
-            DetectorBank.load(tmp_path)
+            load_document(tmp_path, name)
 
     @pytest.mark.parametrize("text", ["{not json", "[]"])
     def test_non_json_bank_rejected(self, tmp_path, text):
@@ -786,15 +822,15 @@ class TestDetectorBankPersistence:
     ])
     def test_document_missing_key_rejected(self, synthetic_bank, tmp_path,
                                            name, key):
-        synthetic_bank.save(tmp_path)
+        save_profile_output(synthetic_bank, tmp_path)
         doc = json.loads((tmp_path / name).read_text())
         del doc[key]
         (tmp_path / name).write_text(json.dumps(doc))
         with pytest.raises(ConfigurationError,
                            match=f"{name} has no '{key}'.*driftwatch profile"):
-            DetectorBank.load(tmp_path)
+            load_document(tmp_path, name)
 
-    @pytest.mark.parametrize("name", ["age_profile.json", "profile.json"])
+    @pytest.mark.parametrize("name", ["age_profile.json"])
     def test_deleted_document_rejected(self, synthetic_bank, tmp_path, name):
         synthetic_bank.save(tmp_path)
         (tmp_path / name).unlink()
@@ -839,11 +875,21 @@ class TestPipelines:
         logs = diag["profile_logs"]
         assert len(logs) == eval_cfg.profile_episodes
         total = sum(log.n_steps for log in logs)
-        assert bank.profile.n_samples == total
+        assert diag["profile"].n_samples == total
         assert 1 <= bank.tau <= det_cfg.bocpd_warmup
         assert len(diag["ae_curve"]) == det_cfg.ae_epochs
         assert bank.residual_jump_gate == pytest.approx(50.0)
-        assert bank.ph_lambda == pytest.approx(50.0 * bank.profile.sigma0)
+        assert bank.ph_lambda == pytest.approx(50.0 * diag["profile"].sigma0)
+        assert bank.residual_threshold == 3.0 * 2.0  # k_sigma x noise_sigma
+
+    def test_residual_threshold_floor(self, pipeline, small_agent):
+        """At zero receiver noise the residual threshold freezes at its
+        1e-6 floor, so solver round-off does not flag."""
+        _, _, cfg = pipeline
+        quiet = dataclasses.replace(
+            cfg, gnss=dataclasses.replace(cfg.gnss, noise_sigma=0.0))
+        bank, _ = profile_pipeline(small_agent, quiet, 11)
+        assert bank.residual_threshold == 1e-6
 
     def test_age_profile_fits_profile_streams_only(self, pipeline):
         bank, diag, cfg = pipeline
@@ -854,12 +900,12 @@ class TestPipelines:
         assert bank.age_profile == fit_age_profile(
             streams, source_episodes=tuple(range(eval_cfg.profile_episodes))
         )
-        assert bank.age_profile.n_samples == bank.profile.n_samples
+        assert bank.age_profile.n_samples == diag["profile"].n_samples
 
     def test_profile_pipeline_is_deterministic(self, pipeline, small_agent):
-        bank, _, cfg = pipeline
-        bank2, _ = profile_pipeline(small_agent, cfg, 11)
-        assert bank2.profile == bank.profile
+        bank, diag, cfg = pipeline
+        bank2, diag2 = profile_pipeline(small_agent, cfg, 11)
+        assert diag2["profile"] == diag["profile"]
         assert bank2.age_profile == bank.age_profile
         assert bank2.tau == bank.tau
         assert np.array_equal(bank.ae.net.flat, bank2.ae.net.flat)
@@ -947,7 +993,7 @@ class TestPipelines:
     def test_fixed_threshold_skips_calibration(self, pipeline, small_agent):
         """calibrate_tau false freezes bocpd_tau as given and reports no
         calibration rate; the rest of the bank is fitted as before."""
-        calibrated, _, cfg = pipeline
+        calibrated, calibrated_diag, cfg = pipeline
         fixed_cfg = dataclasses.replace(
             cfg.detectors, calibrate_tau=False,
             bocpd_tau=cfg.detectors.bocpd_warmup + 7)
@@ -955,7 +1001,7 @@ class TestPipelines:
             small_agent, dataclasses.replace(cfg, detectors=fixed_cfg), 11)
         assert bank.tau == fixed_cfg.bocpd_tau != calibrated.tau
         assert np.isnan(diag["calibration_fp"])
-        assert bank.profile == calibrated.profile
+        assert diag["profile"] == calibrated_diag["profile"]
         assert bank.age_profile == calibrated.age_profile
         assert bank.ae.threshold == calibrated.ae.threshold
 

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from driftwatch.detectors import AgeProfile, NominalProfile, WindowAutoencoder
+from driftwatch.detectors import AgeProfile, WindowAutoencoder
 from driftwatch.harness import (
     DETECTOR_ORDER,
     DetectorBank,
@@ -63,14 +63,12 @@ def make_bank() -> DetectorBank:
     """A detector bank of small documents, its AE untrained."""
     net = Mlp([4, 2, 4], ["relu", "linear"], np.random.default_rng(0))
     return DetectorBank(
-        profile=NominalProfile(mu0=-3.0, sigma0_sq=0.25, n_samples=800),
         age_profile=AgeProfile(means=(-3.0,), variances=(0.25,),
                                noise_var=0.25, level_var=0.25, n_samples=800),
         ae=WindowAutoencoder(net=net, window=4, mean=0.0, std=1.0,
                              threshold=1.0),
         tau=5, warmup=10, hazard=0.01, prune=1e-8, ph_delta=0.0025,
-        ph_lambda=25.0, residual_k_sigma=3.0, residual_noise_sigma=2.0,
-        residual_jump_gate=50.0,
+        ph_lambda=25.0, residual_threshold=6.0, residual_jump_gate=50.0,
     )
 
 
